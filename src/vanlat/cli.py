@@ -33,6 +33,17 @@ def _monodromy_order(h):
     return None
 
 
+def _non_negative(text):
+    """argparse type for counts and bounds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def cmd_validate(args):
     doc = load_instance(args.path)
     inst = doc.instance
@@ -235,18 +246,18 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the seeded identity suite")
     p_ver.add_argument("--seed", type=int, default=20240001)
-    p_ver.add_argument("--count", type=int, default=500)
-    p_ver.add_argument("--rank-bound", type=int, default=8)
+    p_ver.add_argument("--count", type=_non_negative, default=500)
+    p_ver.add_argument("--rank-bound", type=_non_negative, default=8)
     p_ver.add_argument("--output", default=None,
                        help="where to write a counterexample, if any")
     p_ver.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a consistent instance file")
     p_gen.add_argument("--seed", type=int, default=1)
-    p_gen.add_argument("--n", type=int, default=1)
-    p_gen.add_argument("--levels", type=int, default=0, metavar="P",
+    p_gen.add_argument("--n", type=_non_negative, default=1)
+    p_gen.add_argument("--levels", type=_non_negative, default=0, metavar="P",
                        help="codimension p (instance has p+1 levels)")
-    p_gen.add_argument("--rank-bound", type=int, default=4)
+    p_gen.add_argument("--rank-bound", type=_non_negative, default=4)
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -17,10 +17,9 @@ the index formulas consume.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .basis import monodromy
-from .intmat import IntMatrix
+from .intmat import IntMatrix, row_reduce
 from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
                       self_intersection, validate_lattice)
 from .variation import var_inverse
@@ -265,53 +264,30 @@ def _solve_sigma_upper(lat, morse, rng):
     if not positions:
         return []
     index = {p: k for k, p in enumerate(positions)}
-    rows = []
-    rhs = []
+    nunk = len(positions)
+    aug = []
     for (r, c) in positions:
-        coeff = [Fraction(0)] * len(positions)
-        b = Fraction(0)
+        row = [0] * (nunk + 1)
         for k in range(nu):
             if (r, k) in index:
-                coeff[index[(r, k)]] += h[k, c]
+                row[index[(r, k)]] += h[k, c]
             else:
-                b -= fixed[r, k] * h[k, c]
-        rows.append(coeff)
-        rhs.append(b)
+                row[nunk] -= fixed[r, k] * h[k, c]
+        aug.append(row)
 
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    nunk = len(positions)
-    pivots = []
-    rr = 0
-    for col in range(nunk):
-        prow = next((i for i in range(rr, len(aug)) if aug[i][col] != 0), None)
-        if prow is None:
-            continue
-        aug[rr], aug[prow] = aug[prow], aug[rr]
-        pv = aug[rr][col]
-        aug[rr] = [x / pv for x in aug[rr]]
-        for i in range(len(aug)):
-            if i != rr and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
-        pivots.append(col)
-        rr += 1
-        if rr == len(aug):
-            break
-    for i in range(rr, len(aug)):
-        if all(x == 0 for x in aug[i][:nunk]) and aug[i][nunk] != 0:
-            return None
-    free = [c for c in range(nunk) if c not in pivots]
-    sol = [Fraction(0)] * nunk
-    for f in free:
-        sol[f] = Fraction(rng.choice((0, 0, 0, 1, -1)))
-    for i, col in enumerate(pivots):
-        v = aug[i][nunk]
-        for f in free:
-            v -= aug[i][f] * sol[f]
-        sol[col] = v
-    if any(x.denominator != 1 for x in sol):
+    pivots, d, _ = row_reduce(aug, nunk)
+    if any(row[nunk] for row in aug[len(pivots):]):
         return None
-    return [(r, c, int(sol[index[(r, c)]]))
+    free = [c for c in range(nunk) if c not in pivots]
+    sol = [0] * nunk
+    for f in free:
+        sol[f] = rng.choice((0, 0, 0, 1, -1))
+    for i, col in enumerate(pivots):
+        v = aug[i][nunk] - sum(aug[i][f] * sol[f] for f in free)
+        if v % d:
+            return None
+        sol[col] = v // d
+    return [(r, c, sol[index[(r, c)]])
             for (r, c) in positions if sol[index[(r, c)]] != 0]
 
 

@@ -16,9 +16,9 @@ recursion step by step so the two routes can be compared on any instance.
 
 from dataclasses import dataclass
 
-from .conjugation import ConjugationData, require_consistent, var_sigma_form
+from .conjugation import ConjugationData, var_sigma_form
 from .intmat import IntMatrix
-from .lattice import SignVector, ThimbleLattice, diagonal_sign, validate_lattice
+from .lattice import SignVector, ThimbleLattice, diagonal_sign
 from .signature import exact_signature
 
 
@@ -214,19 +214,3 @@ def radial_indices(chi_link: int) -> tuple[int, int]:
     ``(1, 1 - chi_link)``."""
     return 1, 1 - chi_link
 
-
-def validate_instance(inst: IcisInstance) -> list[str]:
-    """Structural and consistency report for a whole instance."""
-    problems = []
-    for level in inst.levels:
-        bad = validate_lattice(level.lattice)
-        if bad is not None:
-            problems.append("level %d: %s" % (level.i, bad))
-            continue
-        if level.conj is None:
-            continue
-        try:
-            require_consistent(level.lattice, level.conj)
-        except ValueError as e:
-            problems.append("level %d: %s" % (level.i, e))
-    return problems

@@ -10,7 +10,6 @@ i.e. images are the *columns* of ``M``.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -139,56 +138,90 @@ class IntMatrix:
             for r in range(self.nrows) for c in range(r, self.ncols))
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free elimination.
+
+        :func:`row_reduce` ends with the pivot minor ``d`` on the diagonal;
+        at full rank the determinant is ``d`` times the sign of the row
+        swaps, and otherwise it is 0.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        if n == 0:
-            return 1
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if piv is None:
-                    return 0
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, d, sign = row_reduce(self.to_lists(), n)
+        return sign * d if len(pivots) == n else 0
 
     def unimodular_inverse(self):
-        """Exact integer inverse; requires ``|det| == 1``."""
-        d = self.det()
-        if d not in (1, -1):
-            raise ValueError("matrix is not unimodular (det = %d)" % d)
+        """Exact integer inverse; requires ``|det| == 1``.
+
+        One reduction of ``[A | I]`` yields both the determinant and
+        ``d * A^-1`` in the right half.
+        """
+        if not self.is_square:
+            raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        aug = [list(row) + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        inv = [row[n:] for row in aug]
-        assert all(x.denominator == 1 for row in inv for x in row)
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
+        pivots, d, sign = row_reduce(aug, n)
+        det = sign * d if len(pivots) == n else 0
+        if det not in (1, -1):
+            raise ValueError("matrix is not unimodular (det = %d)" % det)
+        return IntMatrix(tuple(tuple(x * d for x in row[n:]) for row in aug))
 
     def __str__(self):
         return "[%s]" % ", ".join("[%s]" % ", ".join(str(x) for x in r)
                                   for r in self.rows)
 
 
+def eliminate(m, k, c, rows, prev):
+    """One fraction-free (Bareiss) step: clear column ``c`` of ``rows``.
+
+    Each row ``i`` of the list-of-lists ``m`` named in ``rows`` becomes
+    ``(m[i] * p - m[i][c] * m[k]) // prev`` with pivot ``p = m[k][c]``.
+    ``prev`` is the pivot of the previous step (1 before the first), and
+    Sylvester's identity makes every division exact: entries stay minors
+    of the starting matrix.  Rows the step would leave unchanged are
+    skipped.
+    """
+    pk = m[k]
+    p = pk[c]
+    for i in rows:
+        ri = m[i]
+        f = ri[c]
+        if f or p != prev:
+            m[i] = [(x * p - f * y) // prev for x, y in zip(ri, pk)]
+
+
+def row_reduce(m, ncols):
+    """Fraction-free Gauss-Jordan on the first ``ncols`` columns of ``m``.
+
+    Reduces the list-of-lists ``m`` in place to ``d`` times its reduced
+    row echelon form, taking as pivot the first nonzero entry at or
+    below the current row.  Returns ``(pivots, d, sign)``: the pivot
+    column of each leading row, the last pivot (the determinant of the
+    pivot rows and columns in their final order, 1 if there is none),
+    and the sign of the row permutation.  Columns past ``ncols`` are
+    carried along.
+    """
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((r for r in range(k, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        eliminate(m, k, c, (r for r in range(len(m)) if r != k), prev)
+        prev = m[k][c]
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def det(m: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix (see ``IntMatrix.det``)."""
     return m.det()
 
 

@@ -20,14 +20,17 @@ from .intmat import IntMatrix
 def self_intersection(parity: int) -> int:
     """Self-pairing of a thimble: ``(-1)^(p(p-1)/2) * (1 + (-1)^(p-1))``.
 
-    Zero for even parity, plus or minus 2 for odd parity.
+    Zero for even parity, plus or minus 2 for odd parity.  An ``int`` for
+    every integer parity, zero and negative ones included.
     """
-    return (-1) ** ((parity * (parity - 1)) // 2) * (1 + (-1) ** (parity - 1))
+    if parity % 2 == 0:
+        return 0
+    return -2 if (parity * (parity - 1)) // 2 % 2 else 2
 
 
 def diagonal_sign(parity: int) -> int:
     """The sign ``(-1)^(p(p+1)/2)`` that drives the reflection formulas."""
-    return (-1) ** ((parity * (parity + 1)) // 2)
+    return -1 if (parity * (parity + 1)) // 2 % 2 else 1
 
 
 @dataclass(frozen=True)

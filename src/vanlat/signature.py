@@ -5,9 +5,8 @@ as an error.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, eliminate
 
 
 @dataclass(frozen=True)
@@ -37,53 +36,39 @@ class Signature:
 def exact_signature(m: IntMatrix) -> Signature:
     """Inertia of a symmetric integer matrix by exact congruence elimination.
 
-    Symmetric Gaussian elimination over the rationals.  When the active
-    block has no nonzero diagonal entry but is not zero, a 2x2 pivot on an
-    off-diagonal entry splits off a hyperbolic plane, which contributes
-    ``(1, 1, 0)``.
+    Fraction-free symmetric elimination with diagonal pivots, using the
+    :func:`vanlat.intmat.eliminate` step: the active block always holds
+    the Schur complement scaled by the last pivot, so a pivot counts
+    positive exactly when it has the sign of the previous one (Jacobi's
+    rule).  When the active block has a zero diagonal but an entry
+    ``a[i][j] != 0``, the congruence adding basis vector ``j`` to ``i``
+    makes ``a[i][i] = 2 * a[i][j]`` a usable pivot.  Whatever remains
+    once the active block is zero is the radical.
     """
     if not m.is_square:
         raise ValueError("signature of a non-square matrix")
     if not m.is_symmetric():
         raise ValueError("signature of a non-symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m.rows]
+    a = m.to_lists()
     active = list(range(m.nrows))
-    n_plus = n_minus = n_zero = 0
+    n_plus = n_minus = 0
+    prev = 1
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            pv = a[piv][piv]
-            if pv > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(piv)
-            for r in active:
-                f = a[r][piv] / pv
-                if f:
-                    for c in active:
-                        a[r][c] -= f * a[piv][c]
-            continue
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+        piv = next((i for i in active if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if a[i][j]),
+                        None)
+            if pair is None:
                 break
-        if pair is None:
-            n_zero += len(active)
-            break
-        i, j = pair
-        b = a[i][j]
-        n_plus += 1
-        n_minus += 1
-        active.remove(i)
-        active.remove(j)
-        for r in active:
-            ui, uj = a[r][i], a[r][j]
-            if ui or uj:
-                for c in active:
-                    a[r][c] -= (ui * a[j][c] + uj * a[i][c]) / b
-    return Signature(n_plus, n_minus, n_zero)
+            piv, j = pair
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for r in active:
+                a[r][piv] += a[r][j]
+        active.remove(piv)
+        eliminate(a, piv, piv, active, prev)
+        if (a[piv][piv] > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        prev = a[piv][piv]
+    return Signature(n_plus, n_minus, len(active))

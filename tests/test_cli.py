@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import instance_path
 from vanlat.cli import main
 
@@ -188,3 +190,26 @@ def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):
     assert f1.read_text() == f2.read_text()
     code, out, _ = run(capsys, "validate", f1)
     assert code == 0 and out.strip().endswith("ok")
+
+
+def test_gen_parity_zero_writes_validating_instance(tmp_path, capsys):
+    out_file = tmp_path / "n0.vl"
+    code, _, _ = run(capsys, "gen", "--n", "0", "--levels", "1",
+                     "--output", out_file)
+    assert code == 0
+    code, out, _ = run(capsys, "validate", out_file)
+    assert code == 0 and out.strip().endswith("ok")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--count"), ("verify", "--rank-bound"),
+    ("gen", "--n"), ("gen", "--levels"), ("gen", "--rank-bound"),
+])
+def test_negative_counts_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "-5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].endswith(
+        "argument %s: must be >= 0, got -5" % flag)

@@ -181,3 +181,40 @@ def test_monodromy_split_closure_on_consistent_instances():
         report = derive_sigma_tilde(conj, lat)
         assert conj.sigma * report.matrix == monodromy(lat)
         assert report.matrix * report.matrix == IntMatrix.identity(lat.nu)
+
+
+
+def test_solve_sigma_upper_solutions_are_exact():
+    # the solve must return an exact solution of its linear system:
+    # sigma * monodromy vanishes strictly above the block diagonal.  Row r
+    # of the system has the trailing principal block of the monodromy
+    # (+-var * var_inverse^T, upper times lower triangular unimodular) as
+    # its matrix, so a solution always exists and is integral.
+    import random
+    from vanlat.basis import monodromy
+    from vanlat.conjugation import _block_diagonal_part, _solve_sigma_upper
+    from vanlat.gen import random_lattice
+    for seed in range(200):
+        rng = random.Random(seed)
+        parity = rng.choice((1, 2, 3))
+        size = rng.randint(2, 5)
+        lat = random_lattice(rng, size, parity, max_entry=2)
+        points = []
+        left = size
+        while left:
+            if left >= 2 and rng.random() < 0.3:
+                points.append(ConjugatePair(0))
+                left -= 2
+            else:
+                points.append(RealPoint(rng.randrange(parity + 1)))
+                left -= 1
+        morse = MorseSpec(tuple(points))
+        upper = _solve_sigma_upper(lat, morse, rng)
+        assert upper is not None
+        rows = _block_diagonal_part(morse).to_lists()
+        for r, c, v in upper:
+            rows[r][c] = v
+        product = IntMatrix.from_rows(rows) * monodromy(lat)
+        block_of = morse.block_index()
+        assert all(product[r, c] == 0 for r in range(size)
+                   for c in range(size) if block_of[c] > block_of[r])

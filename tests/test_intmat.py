@@ -1,9 +1,12 @@
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vanlat
 from vanlat.intmat import IntMatrix, det, unimodular_inverse
 
 
@@ -50,8 +53,14 @@ def test_det_examples():
 def test_unimodular_inverse_examples():
     m = IntMatrix.from_rows([[-1, 1], [0, -1]])
     assert unimodular_inverse(m) == IntMatrix.from_rows([[-1, -1], [0, -1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not unimodular \(det = 2\)"):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
+        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
+        unimodular_inverse(IntMatrix.zeros(3, 3))
+    with pytest.raises(ValueError, match=r"not unimodular \(det = -2\)"):
+        unimodular_inverse(IntMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, 1]]))
 
 
 def _random_unimodular(rng, n):
@@ -90,6 +99,54 @@ def test_det_is_multiplicative(a_rows, b_rows):
     assert (a * b).det() == a.det() * b.det()
 
 
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** c * rows[0][c]
+               * _cofactor_det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c in range(len(rows)))
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 60, 10 ** 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(
+           lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n),
+                              min_size=n, max_size=n)),
+       st.booleans(), st.integers(-2, 2))
+def test_det_matches_cofactor_expansion(rows, singular, scale):
+    # a singular draw overwrites the last row with a multiple of the first
+    n = len(rows)
+    if singular and n:
+        rows[-1] = [scale * x for x in rows[0]] if n > 1 else [0]
+    m = IntMatrix.from_rows(rows)
+    want = _cofactor_det(rows)
+    assert m.det() == det(m) == want
+    if singular and n:
+        assert want == 0
+
+
 def test_str_format():
     assert str(IntMatrix.from_rows([[-1, 1], [0, -1]])) == "[[-1, 1], [0, -1]]"
     assert str(IntMatrix(())) == "[]"
+
+
+def test_no_inexact_arithmetic_outside_the_oracles():
+    # every load-bearing path is exact integer arithmetic; only the
+    # independent oracles may use rationals or floating point
+    banned = {"fractions", "decimal", "numpy"}
+    offenders = []
+    for path in sorted(pathlib.Path(vanlat.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += ["%s: %s" % (path.name, name) for name in names
+                          if name.split(".")[0] in banned]
+    assert offenders == []

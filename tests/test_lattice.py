@@ -3,14 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanlat.intmat import IntMatrix
-from vanlat.lattice import (SignVector, ThimbleLattice, milnor_number,
-                            self_intersection, validate_lattice)
+from vanlat.lattice import (SignVector, ThimbleLattice, diagonal_sign,
+                            milnor_number, self_intersection, validate_lattice)
 
 
 def test_self_intersection_examples():
     assert self_intersection(2) == 0
     assert self_intersection(1) == 2
     assert self_intersection(3) == -2
+    assert self_intersection(0) == 0
+    for parity in range(6):
+        assert type(self_intersection(parity)) is int
+        assert type(diagonal_sign(parity)) is int
 
 
 @given(st.integers(0, 40))

@@ -85,6 +85,23 @@ def test_inertia_counts_fill_the_rank(n, seed):
     assert sig.n_zero == n - _rank(m)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 63))
+def test_zero_diagonal_block_form(p, q, seed):
+    # [[0, B], [B^T, 0]] has a zero diagonal, so elimination must start with
+    # the congruence step that adds one basis vector to another
+    rng = random.Random(seed)
+    b = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(q)] for _ in range(p)]
+    n = p + q
+    rows = [[0] * n for _ in range(n)]
+    for i in range(p):
+        for j in range(q):
+            rows[i][p + j] = rows[p + j][i] = b[i][j]
+    r = _rank(IntMatrix.from_rows(b, width=q))
+    assert exact_signature(IntMatrix.from_rows(rows, width=n)) == \
+        Signature(r, r, n - 2 * r)
+
+
 def _rank(m):
     from fractions import Fraction
     rows = [[Fraction(x) for x in r] for r in m.rows]
