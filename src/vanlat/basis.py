@@ -106,12 +106,24 @@ def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
 
 
 def monodromy(lat: ThimbleLattice) -> IntMatrix:
-    """Composite of all basis reflections, first basis element outermost."""
+    """Composite of all basis reflections, first basis element outermost.
+
+    Builds ``PL_1 * (PL_2 * (... * PL_nu))`` from the inside out.  Left
+    multiplication by ``PL_{k+1}`` only changes row ``k``, which gains
+    ``sgn * sum_c gram[k][c] * row_c``, so each reflection costs one
+    O(nu^2) row update and the whole product O(nu^3).
+    """
     require_valid(lat)
-    out = IntMatrix.identity(lat.nu)
-    for j in range(1, lat.nu + 1):
-        out = out * picard_lefschetz(lat, j)
-    return out
+    s = diagonal_sign(lat.parity)
+    rows = [[int(i == j) for j in range(lat.nu)] for i in range(lat.nu)]
+    for k in reversed(range(lat.nu)):
+        acc = rows[k]
+        for c, w in enumerate(lat.gram.row(k)):
+            if w:
+                sw = s * w
+                acc = [x + sw * y for x, y in zip(acc, rows[c])]
+        rows[k] = acc
+    return IntMatrix.from_rows(rows)
 
 
 def _mirror(parity: int) -> int:

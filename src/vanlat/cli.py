@@ -109,9 +109,10 @@ def cmd_compute(args):
     if args.what == "var-inverse":
         emit([(lv.i, str(var_inverse(lv.lattice))) for lv in levels])
     elif args.what == "monodromy":
-        emit([(lv.i, str(monodromy(lv.lattice))) for lv in levels])
+        hs = [monodromy(lv.lattice) for lv in levels]
+        emit([(lv.i, str(h)) for lv, h in zip(levels, hs)])
         if len(levels) == 1:
-            order = _monodromy_order(monodromy(levels[0].lattice))
+            order = _monodromy_order(hs[0])
             if order is not None:
                 print("verified: monodromy^%d = identity" % order)
             else:

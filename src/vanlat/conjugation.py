@@ -385,10 +385,11 @@ def generate_consistent_instance(seed: int, rank_bound: int, parity: int,
         size = min(left, rng.randint(1, 4))
         got = None
         while got is None and budget > 0:
-            budget -= 400
             got = _sample_chunk(rng, size, parity)
-            if got is None and size > 1:
-                size -= 1  # smaller chunks succeed essentially always
+            if got is None:
+                budget -= 400  # only a failed chunk search uses up budget
+                if size > 1:
+                    size -= 1  # smaller chunks succeed essentially always
         if got is None:
             raise RuntimeError(
                 "consistent-instance search exhausted %d attempts "

@@ -136,6 +136,9 @@ def _level(data, want_i, parity, where):
             raise InstanceFormatError(
                 "critical-point slots (%d) do not match rank (%d)"
                 % (morse.total_slots, lat.nu), where=where + ".morse")
+        bad = morse.validate(parity)
+        if bad is not None:
+            raise InstanceFormatError(bad, where=where + ".morse")
         raw_upper = data.get("sigma_upper")
         if raw_upper is not None and not isinstance(raw_upper, list):
             raise InstanceFormatError("expected list",
@@ -194,6 +197,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if p < 0:
         raise InstanceFormatError("p must be >= 0", where="p")
     raw_signs = _want(data, "signs", list, "top level")
+    if any(isinstance(x, bool) for x in raw_signs):
+        raise InstanceFormatError("sign entries must be +1 or -1, not booleans",
+                                  where="signs")
     try:
         signs = SignVector(tuple(raw_signs))
     except (TypeError, ValueError) as e:

@@ -92,10 +92,16 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        bt = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.rows))
+        # each output row is a combination of the rows of ``other``, one
+        # term per nonzero entry of the row of ``self``
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for w, brow in zip(row, other.rows):
+                if w:
+                    acc = [x + w * y for x, y in zip(acc, brow)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, int):

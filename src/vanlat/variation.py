@@ -47,7 +47,7 @@ def check_s_relation(lat: ThimbleLattice) -> str | None:
     """
     require_valid(lat)
     m = var_inverse(lat)
-    rhs = -m + (-1) ** lat.parity * m.transpose()
+    rhs = -m + (-1 if lat.parity % 2 else 1) * m.transpose()
     s = intersection_operator(lat)
     for r in range(lat.nu):
         for c in range(lat.nu):
@@ -64,7 +64,7 @@ def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
     require_valid(lat)
     h = monodromy(lat)
     m = var_inverse(lat)
-    rhs = (-1) ** lat.parity * (var(lat) * m.transpose())
+    rhs = (-1 if lat.parity % 2 else 1) * (var(lat) * m.transpose())
     for r in range(lat.nu):
         for c in range(lat.nu):
             if h[r, c] != rhs[r, c]:

@@ -219,3 +219,14 @@ def test_criterion_11_cli_round_trip_and_determinism(capsys, tmp_path):
     _report("criterion 11 round-trip and determinism",
             "%d shipped files, default verify, seeded verify twice"
             % len(list(INSTANCE_DIR.glob('*.vl'))), t0)
+
+
+def test_criterion_12_monodromy_rank_128_budget():
+    # one O(nu^2) row update per reflection: cubic in the rank
+    lat = random_lattice(random.Random(SEED), 128, 3)
+    t0 = time.monotonic()
+    h = monodromy(lat)
+    elapsed = time.monotonic() - t0
+    assert h.nrows == h.ncols == 128
+    assert elapsed < 2.0
+    _report("criterion 12 rank-128 monodromy", "one random odd lattice", t0)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import triple_loop
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
                           orientation_flip, parse_braid_word,
@@ -68,6 +71,30 @@ def test_monodromy_a2_has_order_three():
     h = monodromy(a2())
     assert h ** 3 == IntMatrix.identity(2)
     assert h != IntMatrix.identity(2) and h ** 2 != IntMatrix.identity(2)
+
+
+@st.composite
+def _lattices(draw):
+    parity = draw(st.integers(0, 5))
+    nu = draw(st.integers(0, 10))
+    eps = 1 if parity % 2 == 1 else -1
+    rows = [[self_intersection(parity) if r == c else 0 for c in range(nu)]
+            for r in range(nu)]
+    for r in range(nu):
+        for c in range(r + 1, nu):
+            rows[r][c] = draw(st.integers(-4, 4))
+            rows[c][r] = eps * rows[r][c]
+    return ThimbleLattice(parity, IntMatrix.from_rows(rows, width=nu))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lattices())
+def test_monodromy_is_the_reflection_product(lat):
+    # PL_1 * PL_2 * ... * PL_nu, formed left to right without IntMatrix.__mul__
+    want = IntMatrix.identity(lat.nu)
+    for j in range(1, lat.nu + 1):
+        want = IntMatrix(triple_loop(want, picard_lefschetz(lat, j)))
+    assert monodromy(lat) == want
 
 
 def test_monodromy_requires_valid_lattice():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import instance_path
+from vanlat.basis import monodromy
 from vanlat.cli import main
 
 
@@ -86,6 +87,32 @@ def test_compute_cycle_index_sum_and_refusal(capsys):
                        "--what", "cycle-sums")
     assert code == 2
     assert "even parity" in err
+
+
+def test_compute_cycle_sum_is_an_int_at_negative_parity(tmp_path, capsys):
+    path = tmp_path / "neg.vl"
+    path.write_text("format: 1\nn: -3\np: 0\nsigns: [1]\nlevels:\n"
+                    "- i: 0\n  gram:\n  - [2]\n  cycles:\n"
+                    "    form:\n    - [1]\n    sigma:\n    - [1]\n"
+                    "    sigma_tilde:\n    - [-1]\n")
+    code, out, _ = run(capsys, "compute", path, "--what", "cycle-sums")
+    assert code == 0
+    assert out == "1\n"
+
+
+def test_compute_monodromy_builds_it_once(capsys, monkeypatch):
+    import vanlat.cli as cli
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return monodromy(lat)
+    monkeypatch.setattr(cli, "monodromy", counted)
+    code, out, _ = run(capsys, "compute", instance_path("a2_lattice.vl"),
+                       "--what", "monodromy")
+    assert code == 0
+    assert out.splitlines()[1] == "verified: monodromy^3 = identity"
+    assert len(calls) == 1
 
 
 def test_compute_level_selector(capsys):
@@ -180,6 +207,23 @@ def test_verify_failure_serializes_reparseable_counterexample(
     from vanlat.instfile import parse_instance_text
     doc = parse_instance_text(out_file.read_text())
     assert doc.instance.p == 0
+
+
+def test_verify_rank_bound_32_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--rank-bound", "32", "--count", "14")
+    assert code == 0
+    assert "PASS (14 instances)" in out
+
+
+def test_gen_rank_bound_40_writes_validating_instance(tmp_path, capsys):
+    # failed chunk searches alone use up the generator budget, so large
+    # ranks built from many successful chunks still complete
+    out_file = tmp_path / "r40.vl"
+    code, _, _ = run(capsys, "gen", "--rank-bound", "40", "--levels", "1",
+                     "--output", out_file)
+    assert code == 0
+    code, out, _ = run(capsys, "validate", out_file)
+    assert code == 0 and out.strip().endswith("ok")
 
 
 def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):

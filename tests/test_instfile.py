@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import INSTANCE_DIR, instance_path
+from vanlat.cli import main
 from vanlat.gen import random_icis_instance
 from vanlat.instfile import (InstanceDocument, InstanceFormatError,
                              load_instance, parse_instance_text,
@@ -123,3 +124,27 @@ def test_non_canonical_yaml_still_parses():
     assert doc.instance.levels[0].lattice.gram.rows == ((2,),)
     canonical = serialize_instance(doc)
     assert parse_instance_text(canonical).instance.levels[0].conj is not None
+
+
+def _rejected_at(tmp_path, capsys, text, where):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance_text(text)
+    assert err.value.where == where
+    path = tmp_path / "bad.vl"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.strip().endswith("at %s" % where)
+
+
+def test_boolean_signs_are_rejected(tmp_path, capsys):
+    # bool is an int subclass; accepting it would serialize as 'True'
+    text = ("format: 1\nn: 1\np: 0\nsigns: [true]\nlevels:\n"
+            "- i: 0\n  gram:\n  - [2]\n")
+    _rejected_at(tmp_path, capsys, text, "signs")
+
+
+def test_morse_index_out_of_range_is_located_at_morse(tmp_path, capsys):
+    text = ("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n"
+            "- i: 0\n  gram:\n  - [2]\n  morse: [[real, 7]]\n"
+            "  sigma_upper: []\n")
+    _rejected_at(tmp_path, capsys, text, "levels[0].morse")

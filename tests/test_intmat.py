@@ -3,10 +3,11 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vanlat
+from conftest import triple_loop
 from vanlat.intmat import IntMatrix, det, unimodular_inverse
 
 
@@ -125,6 +126,36 @@ def test_det_matches_cofactor_expansion(rows, singular, scale):
     assert m.det() == det(m) == want
     if singular and n:
         assert want == 0
+
+
+_wide = st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))
+
+
+@st.composite
+def _factors(draw):
+    # a matrix without rows has no columns either, so a row-less left
+    # factor forces a row-less right factor
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    if n == 0:
+        k = 0
+
+    def operand(nrows, ncols):
+        sparse = draw(st.booleans())
+        entry = st.one_of(*[st.just(0)] * 4, _wide) if sparse else _wide
+        return IntMatrix.from_rows(draw(st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows)))
+    return operand(n, k), operand(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors())
+@example((IntMatrix(()), IntMatrix(())))
+@example((IntMatrix(((), (), ())), IntMatrix(())))
+@example((IntMatrix.zeros(2, 3), IntMatrix(((), (), ()))))
+def test_mul_matches_triple_loop(factors):
+    a, b = factors
+    assert (a * b).rows == triple_loop(a, b)
 
 
 def test_str_format():

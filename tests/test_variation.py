@@ -111,3 +111,11 @@ def test_congruence_law_explicit():
     new, change = braid_alpha(lat, 1)
     p = change.matrix
     assert var_inverse(new) == p.transpose() * var_inverse(lat) * p
+
+
+@pytest.mark.parametrize("parity", [-4, -3, -2, -1])
+def test_relations_hold_at_negative_parity(parity):
+    # the parity sign is an int, so IntMatrix accepts it below zero too
+    lat = random_lattice(random.Random(parity), 5, parity)
+    assert check_s_relation(lat) is None
+    assert check_monodromy_relation(lat) is None
