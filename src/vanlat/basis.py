@@ -10,9 +10,9 @@ Every move returns both the transformed lattice and the unimodular basis
 change whose columns express the new basis in the old one, so operator
 identities can be tested as congruences and conjugations.
 
-Each move computes the new pairing matrix twice, by closed-form update
-rules and by congruence through the basis change, and insists the two
-agree exactly.
+Every word computes the new pairing matrix twice, by closed-form update
+rules move by move and by congruence through the composite basis change,
+and insists the two agree exactly; the tests check the same per move.
 """
 
 import re
@@ -38,6 +38,10 @@ class BraidMove:
     def __str__(self):
         return "%s%d" % (self.kind, self.j)
 
+    def last_position(self, nu: int) -> int:
+        """Largest position of this kind at rank ``nu``."""
+        return nu if self.kind == "f" else nu - 1
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -50,6 +54,10 @@ class BraidWord:
 
     def __len__(self):
         return len(self.moves)
+
+    def first_out_of_range(self, nu: int) -> BraidMove | None:
+        """The first move whose position does not exist at rank ``nu``."""
+        return next((m for m in self.moves if m.j > m.last_position(nu)), None)
 
 
 _TOKEN = re.compile(r"([aAf])(\d+)$")
@@ -83,9 +91,6 @@ class BasisChange:
     def then(self, later: "BasisChange") -> "BasisChange":
         """Composite change: first self, then ``later`` in the new basis."""
         return BasisChange(self.matrix * later.matrix)
-
-    def inverse(self) -> "BasisChange":
-        return BasisChange(self.matrix.unimodular_inverse())
 
 
 def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
@@ -130,12 +135,71 @@ def _mirror(parity: int) -> int:
     return 1 if parity % 2 == 1 else -1
 
 
-def _finish_move(lat, new_rows, cols):
-    """Check closed-form rows against the congruence route and package up."""
-    change = BasisChange(IntMatrix.from_rows(cols).transpose())
-    closed = IntMatrix.from_rows(new_rows)
-    p = change.matrix
-    congruent = p.transpose() * lat.gram * p
+def _replace_pair(g, k, top, bottom, parity):
+    """Install new rows ``k, k+1`` and mirror them into columns ``k, k+1``.
+
+    The 2x2 block on the diagonal keeps its diagonal and negates the rest.
+    """
+    eps = _mirror(parity)
+    a, b = g[k], g[k + 1]
+    top[k], top[k + 1] = a[k], -a[k + 1]
+    bottom[k], bottom[k + 1] = -b[k], b[k + 1]
+    g[k], g[k + 1] = top, bottom
+    for r, row in enumerate(g):
+        if r != k and r != k + 1:
+            row[k], row[k + 1] = eps * top[r], eps * bottom[r]
+
+
+def _alpha_step(g, cols, k, parity):
+    coeff = diagonal_sign(parity) * g[k][k + 1]  # sgn * <old_{k+1}, old_k>
+    a, b = g[k], g[k + 1]
+    _replace_pair(g, k, [y + coeff * x for x, y in zip(a, b)], list(a), parity)
+    c, d = cols[k], cols[k + 1]
+    cols[k], cols[k + 1] = [coeff * x + y for x, y in zip(c, d)], c
+
+
+def _alpha_inverse_step(g, cols, k, parity):
+    # inverse reflection coefficient: equals s for odd parity, -s for even
+    s = diagonal_sign(parity)
+    coeff = (s if parity % 2 == 1 else -s) * g[k + 1][k]  # c_inv * <old_k, old_{k+1}>
+    a, b = g[k], g[k + 1]
+    _replace_pair(g, k, list(b), [x + coeff * y for x, y in zip(a, b)], parity)
+    c, d = cols[k], cols[k + 1]
+    cols[k], cols[k + 1] = d, [x + coeff * y for x, y in zip(c, d)]
+
+
+def _flip_step(g, cols, k, parity):
+    for row in g:
+        row[k] = -row[k]
+    g[k] = [-x for x in g[k]]
+    cols[k] = [-x for x in cols[k]]
+
+
+_STEPS = {"a": _alpha_step, "A": _alpha_inverse_step, "f": _flip_step}
+
+
+def apply_braid_word(lat: ThimbleLattice,
+                     word: BraidWord) -> tuple[ThimbleLattice, BasisChange]:
+    """Apply a word left to right, accumulating the total basis change.
+
+    Each move rewrites rows and columns ``k, k+1`` of one working gram by
+    the closed-form rules and updates two columns of the composite change
+    ``P``, so a move costs O(nu).  The closed-form gram is then checked
+    once against the congruence ``P^T G P``.
+    """
+    require_valid(lat)
+    bad = word.first_out_of_range(lat.nu)
+    if bad is not None:
+        raise ValueError("index %d out of range 1..%d"
+                         % (bad.j, bad.last_position(lat.nu)))
+    g = lat.gram.to_lists()
+    cols = [[int(r == c) for r in range(lat.nu)] for c in range(lat.nu)]
+    for move in word.moves:
+        _STEPS[move.kind](g, cols, move.j - 1, lat.parity)
+    closed = IntMatrix.from_rows(g, width=lat.nu)
+    p_transpose = IntMatrix.from_rows(cols, width=lat.nu)
+    change = BasisChange(p_transpose.transpose())
+    congruent = p_transpose * lat.gram * change.matrix
     if closed != congruent:
         raise AssertionError(
             "closed-form gram update disagrees with congruence: %s vs %s"
@@ -145,97 +209,14 @@ def _finish_move(lat, new_rows, cols):
 
 def braid_alpha(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
     """Forward braid move at position ``j`` (1 <= j <= nu-1)."""
-    if not 1 <= j <= lat.nu - 1:
-        raise ValueError("index %d out of range 1..%d" % (j, lat.nu - 1))
-    k = j - 1
-    g = lat.gram
-    s = diagonal_sign(lat.parity)
-    eps = _mirror(lat.parity)
-    coeff = s * g[k, k + 1]  # sgn * <old_{k+1}, old_k>
-
-    n = [list(r) for r in g.rows]
-    n[k + 1][k] = -g[k + 1, k]
-    n[k][k + 1] = eps * n[k + 1][k]
-    for r in range(lat.nu):
-        if r in (k, k + 1):
-            continue
-        n[k][r] = g[k + 1, r] + s * g[k, k + 1] * g[k, r]
-        n[r][k] = eps * n[k][r]
-        n[k + 1][r] = g[k, r]
-        n[r][k + 1] = eps * n[k + 1][r]
-
-    cols = [[0] * lat.nu for _ in range(lat.nu)]
-    for i in range(lat.nu):
-        cols[i][i] = 1
-    cols[k] = [0] * lat.nu
-    cols[k][k] = coeff
-    cols[k][k + 1] = 1
-    cols[k + 1] = [0] * lat.nu
-    cols[k + 1][k] = 1
-    return _finish_move(lat, n, cols)
+    return apply_braid_word(lat, BraidWord((BraidMove("a", j),)))
 
 
 def braid_alpha_inverse(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
     """Inverse braid move; exact group inverse of :func:`braid_alpha`."""
-    if not 1 <= j <= lat.nu - 1:
-        raise ValueError("index %d out of range 1..%d" % (j, lat.nu - 1))
-    k = j - 1
-    g = lat.gram
-    s = diagonal_sign(lat.parity)
-    eps = _mirror(lat.parity)
-    # inverse reflection coefficient: equals s for odd parity, -s for even
-    c_inv = s if lat.parity % 2 == 1 else -s
-    coeff = c_inv * g[k + 1, k]  # c_inv * <old_k, old_{k+1}>
-
-    n = [list(r) for r in g.rows]
-    n[k + 1][k] = -g[k + 1, k]
-    n[k][k + 1] = eps * n[k + 1][k]
-    for r in range(lat.nu):
-        if r in (k, k + 1):
-            continue
-        n[k][r] = g[k + 1, r]
-        n[r][k] = eps * n[k][r]
-        n[k + 1][r] = g[k, r] + c_inv * g[k + 1, k] * g[k + 1, r]
-        n[r][k + 1] = eps * n[k + 1][r]
-
-    cols = [[0] * lat.nu for _ in range(lat.nu)]
-    for i in range(lat.nu):
-        cols[i][i] = 1
-    cols[k] = [0] * lat.nu
-    cols[k][k + 1] = 1
-    cols[k + 1] = [0] * lat.nu
-    cols[k + 1][k] = 1
-    cols[k + 1][k + 1] = coeff
-    return _finish_move(lat, n, cols)
+    return apply_braid_word(lat, BraidWord((BraidMove("A", j),)))
 
 
 def orientation_flip(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
     """Negate basis thimble ``j``: row and column ``j`` of the gram flip sign."""
-    if not 1 <= j <= lat.nu:
-        raise ValueError("index %d out of range 1..%d" % (j, lat.nu))
-    k = j - 1
-    n = [list(r) for r in lat.gram.rows]
-    for c in range(lat.nu):
-        n[k][c] = -n[k][c]
-    for r in range(lat.nu):
-        n[r][k] = -n[r][k]
-    cols = [[0] * lat.nu for _ in range(lat.nu)]
-    for i in range(lat.nu):
-        cols[i][i] = -1 if i == k else 1
-    return _finish_move(lat, n, cols)
-
-
-def apply_braid_word(lat: ThimbleLattice,
-                     word: BraidWord) -> tuple[ThimbleLattice, BasisChange]:
-    """Apply a word left to right, accumulating the total basis change."""
-    change = BasisChange.identity(lat.nu)
-    current = lat
-    for move in word.moves:
-        if move.kind == "a":
-            current, step = braid_alpha(current, move.j)
-        elif move.kind == "A":
-            current, step = braid_alpha_inverse(current, move.j)
-        else:
-            current, step = orientation_flip(current, move.j)
-        change = change.then(step)
-    return current, change
+    return apply_braid_word(lat, BraidWord((BraidMove("f", j),)))

@@ -73,8 +73,7 @@ def cmd_validate(args):
             failures += 1
     for k, word in enumerate(doc.braid_words):
         top = inst.levels[0].lattice.nu
-        bad = next((m for m in word.moves
-                    if m.j > (top if m.kind == "f" else top - 1)), None)
+        bad = word.first_out_of_range(top)
         if bad:
             print("braid word %d: FAIL move %s out of range for rank %d"
                   % (k, bad, top))
@@ -156,12 +155,11 @@ def cmd_braid(args):
         return 2
     level = inst.levels[target]
     lat = level.lattice
-    for m in word.moves:
-        top = lat.nu if m.kind == "f" else lat.nu - 1
-        if m.j > top:
-            print("move %s out of range for rank %d" % (m, lat.nu),
-                  file=sys.stderr)
-            return 2
+    bad = word.first_out_of_range(lat.nu)
+    if bad:
+        print("move %s out of range for rank %d" % (bad, lat.nu),
+              file=sys.stderr)
+        return 2
     new_lat, change = apply_braid_word(lat, word)
     dropped = level.conj is not None or level.cycles is not None
     if dropped:

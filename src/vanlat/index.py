@@ -87,6 +87,11 @@ class IcisInstance:
         return self.signs[self.p - i]
 
 
+def _sign_power(s: int, exponent: int) -> int:
+    """``s ** exponent`` for a sign ``s``, an ``int`` for negative exponents too."""
+    return s if exponent % 2 else 1
+
+
 def level_index_sum(level: LevelData, n: int, s_entry: int) -> int:
     """Index sum over the level's real critical points, from signatures:
 
@@ -99,7 +104,7 @@ def level_index_sum(level: LevelData, n: int, s_entry: int) -> int:
         raise ValueError("level %d: parity %d != n + i = %d"
                          % (level.i, level.lattice.parity, parity))
     form = var_sigma_form(level.lattice, level.require_conj())
-    return (s_entry ** parity) * diagonal_sign(parity) * exact_signature(form).sgn
+    return _sign_power(s_entry, parity) * diagonal_sign(parity) * exact_signature(form).sgn
 
 
 def gradient_index(inst: IcisInstance) -> int:
@@ -113,7 +118,7 @@ def gradient_index(inst: IcisInstance) -> int:
     total = level_index_sum(inst.levels[0], inst.n, inst.sign_for_level(0))
     for level in inst.levels[1:]:
         s = inst.sign_for_level(level.i)
-        coeff = (-s) ** (inst.n + level.i)
+        coeff = _sign_power(-s, inst.n + level.i)
         total += coeff * level_index_sum(level, inst.n, s)
     return total
 
@@ -128,7 +133,7 @@ def morse_recursion_step(chi_prev: int, sum_ind: int, s: int, exponent: int) -> 
     """One Euler-characteristic step: ``chi_prev + (-s)^exponent * sum_ind``."""
     if s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return chi_prev + (-s) ** exponent * sum_ind
+    return chi_prev + _sign_power(-s, exponent) * sum_ind
 
 
 def telescoped_index(inst: IcisInstance) -> int:

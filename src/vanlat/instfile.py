@@ -13,6 +13,7 @@ convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
 ``r``.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import yaml
@@ -233,6 +234,15 @@ def parse_instance_text(text: str) -> InstanceDocument:
     expected = data.get("expected") or {}
     if not isinstance(expected, dict):
         raise InstanceFormatError("expected mapping", where="expected")
+    for key, value in expected.items():
+        # keys are written bare, so each must read back as the same string
+        if not (isinstance(key, str) and key.isidentifier()
+                and yaml.safe_load(key) == key):
+            raise InstanceFormatError("key %r is not a plain name" % (key,),
+                                      where="expected")
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise InstanceFormatError("expected an integer or a string",
+                                      where="expected.%s" % key)
     return InstanceDocument(instance, tuple(words), dict(expected))
 
 
@@ -299,7 +309,7 @@ def serialize_instance(doc: InstanceDocument) -> str:
         for key in sorted(doc.expected):
             val = doc.expected[key]
             if isinstance(val, str):
-                lines.append('  %s: "%s"' % (key, val))
+                lines.append("  %s: %s" % (key, json.dumps(val)))
             else:
                 lines.append("  %s: %s" % (key, val))
     body = "\n".join(lines) + "\n"

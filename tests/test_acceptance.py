@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import INSTANCE_DIR, instance_path
-from vanlat.basis import monodromy
+from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
 from vanlat.conjugation import (block_diagonal_structure_check,
                                 generate_consistent_instance,
@@ -76,7 +76,7 @@ def test_criterion_03_braid_invariance():
         lat = random_lattice(rng, nu, parity)
         word = random_braid_word(rng, nu, max_len=12, include_flips=True)
         # congruence invariance of the dual-valued operator; the closed-form
-        # gram updates are asserted against congruence inside every move
+        # gram updates are asserted against congruence inside every word
         assert var_inverse_as_operator_after_braid(lat, word) is None
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
@@ -230,3 +230,22 @@ def test_criterion_12_monodromy_rank_128_budget():
     assert h.nrows == h.ncols == 128
     assert elapsed < 2.0
     _report("criterion 12 rank-128 monodromy", "one random odd lattice", t0)
+
+
+def test_criterion_13_braid_word_rank_64_budget():
+    # O(nu) column updates per move, one congruence check per word
+    rng = random.Random(SEED)
+    lat = random_lattice(rng, 64, 1)
+    moves = []
+    for _ in range(48):
+        kind = rng.choice("aAf")
+        moves.append("%s%d" % (kind, rng.randint(1, 64 if kind == "f" else 63)))
+    word = parse_braid_word(" ".join(moves))
+    inverse = parse_braid_word(" ".join(
+        {"a": "A", "A": "a", "f": "f"}[m.kind] + str(m.j) for m in reversed(word.moves)))
+    t0 = time.monotonic()
+    new, _ = apply_braid_word(lat, word)
+    elapsed = time.monotonic() - t0
+    assert apply_braid_word(new, inverse)[0].gram == lat.gram
+    assert elapsed < 0.3
+    _report("criterion 13 rank-64 braid word", "48 moves on a random odd lattice", t0)

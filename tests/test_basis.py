@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import triple_loop
+from vanlat import basis
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
                           orientation_flip, parse_braid_word,
@@ -74,9 +75,9 @@ def test_monodromy_a2_has_order_three():
 
 
 @st.composite
-def _lattices(draw):
+def _lattices(draw, min_nu=0, max_nu=10):
     parity = draw(st.integers(0, 5))
-    nu = draw(st.integers(0, 10))
+    nu = draw(st.integers(min_nu, max_nu))
     eps = 1 if parity % 2 == 1 else -1
     rows = [[self_intersection(parity) if r == c else 0 for c in range(nu)]
             for r in range(nu)]
@@ -176,6 +177,59 @@ def test_monodromy_is_conjugation_covariant():
         assert monodromy(new) == p.unimodular_inverse() * monodromy(lat) * p
 
 
+_MOVES = {"a": braid_alpha, "A": braid_alpha_inverse, "f": orientation_flip}
+
+
+@st.composite
+def _lattices_and_words(draw, max_len):
+    lat = draw(_lattices(1, 8))
+    kinds = "aAf" if lat.nu >= 2 else "f"
+    moves = draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(1, lat.nu)),
+                          min_size=1, max_size=max_len))
+    return lat, BraidWord(tuple(
+        BraidMove(kind, min(j, lat.nu if kind == "f" else lat.nu - 1))
+        for kind, j in moves))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattices_and_words(max_len=1))
+def test_every_move_is_a_congruence(case):
+    # the per-move form of the check that apply_braid_word runs once per word
+    lat, word = case
+    (move,) = word.moves
+    new, change = _MOVES[move.kind](lat, move.j)
+    p = change.matrix
+    congruent = IntMatrix(triple_loop(IntMatrix(triple_loop(p.transpose(), lat.gram)), p))
+    assert new.gram == congruent
+    assert p.det() == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattices_and_words(max_len=12))
+def test_word_composite_is_the_product_of_its_moves(case):
+    lat, word = case
+    new, change = apply_braid_word(lat, word)
+    current, want = lat, BasisChange.identity(lat.nu)
+    for move in word.moves:
+        current, step = _MOVES[move.kind](current, move.j)
+        want = want.then(step)
+    assert new.gram == current.gram
+    assert change.matrix == want.matrix
+
+
+@pytest.mark.parametrize("kind", "aAf")
+def test_word_check_catches_a_corrupted_step(monkeypatch, kind):
+    real = basis._STEPS[kind]
+
+    def corrupted(g, cols, k, parity):
+        real(g, cols, k, parity)
+        g[k][k] += 1
+    monkeypatch.setitem(basis._STEPS, kind, corrupted)
+    lat = random_lattice(random.Random(3), 5, 3)
+    with pytest.raises(AssertionError, match="disagrees with congruence"):
+        apply_braid_word(lat, parse_braid_word("a1 A3 f5 %s2" % kind))
+
+
 # -- orientation flips -------------------------------------------------------
 
 def test_flip_double_is_identity():
@@ -228,6 +282,13 @@ def test_parse_braid_word():
         parse_braid_word("b1")
     with pytest.raises(ValueError):
         parse_braid_word("a0")
+
+
+def test_first_out_of_range():
+    word = parse_braid_word("a1 f2 A2 f3")
+    assert word.first_out_of_range(3) is None
+    assert word.first_out_of_range(2) == BraidMove("A", 2)
+    assert parse_braid_word("f2").first_out_of_range(1) == BraidMove("f", 2)
 
 
 def test_word_position_out_of_range():

@@ -100,6 +100,17 @@ def test_compute_cycle_sum_is_an_int_at_negative_parity(tmp_path, capsys):
     assert out == "1\n"
 
 
+def test_compute_index_is_an_int_at_negative_parity(tmp_path, capsys):
+    path = tmp_path / "neg.vl"
+    path.write_text("format: 1\nn: -3\np: 0\nsigns: [1]\nlevels:\n"
+                    "- i: 0\n  gram:\n  - [2, 1]\n  - [1, 2]\n"
+                    "  morse: [[pair, 1]]\n")
+    for what in ("level-sums", "index"):
+        code, out, _ = run(capsys, "compute", path, "--what", what)
+        assert code == 0
+        assert out == "0\n"
+
+
 def test_compute_monodromy_builds_it_once(capsys, monkeypatch):
     import vanlat.cli as cli
     calls = []
@@ -165,6 +176,17 @@ def test_braid_out_of_range_move(capsys):
     code, _, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a5")
     assert code == 2
     assert "out of range" in err
+
+
+def test_braid_invalid_lattice_is_an_error(tmp_path, capsys):
+    path = tmp_path / "asymmetric.vl"
+    path.write_text(instance_path("a2_lattice.vl").read_text()
+                    .replace("- [2, -1]", "- [2, -8]"))
+    code, out, err = run(capsys, "braid", path, "a1")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: invalid lattice: entries gram[0][1] = -8 and "
+                   "gram[1][0] = -1 violate the symmetric rule\n")
 
 
 def test_braid_drops_conjugation_data_with_note(capsys):

@@ -8,6 +8,7 @@ from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           poincare_hopf_check, radial_indices,
                           smoothable_index, telescoped_index, level_index_sum,
                           cycle_index_sum)
+from vanlat.instfile import parse_instance_text
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import SignVector, ThimbleLattice
 from vanlat.oracle import index_1d, index_2d, poly2
@@ -206,9 +207,24 @@ def test_radial_indices_examples():
     assert radial_indices(1) == (1, 0)
 
 
+@pytest.mark.parametrize("n", [-4, -3])
+def test_index_is_an_int_at_negative_parity(n):
+    # only conjugate pairs fit below parity 0 (a real point needs 0 <= index <= n + i)
+    gram = {0: "[[0, 1], [-1, 0]]", 1: "[[2, 1], [1, 2]]"}
+    text = ("format: 1\nn: %d\np: 1\nsigns: [-1, -1]\nlevels:\n" % n
+            + "".join("- i: %d\n  gram: %s\n  morse: [[pair, 1]]\n"
+                      % (i, gram[(n + i) % 2]) for i in (0, 1)))
+    inst = parse_instance_text(text).instance
+    values = [level_index_sum(lv, n, -1) for lv in inst.levels]
+    values += [gradient_index(inst), telescoped_index(inst)]
+    assert values == [0, 0, 0, 0]
+    assert all(type(v) is int for v in values)
+
+
 def test_morse_recursion_step_examples():
     assert morse_recursion_step(1, 1, 1, 2) == 2
     assert morse_recursion_step(1, 1, 1, 3) == 0
+    assert type(morse_recursion_step(1, 1, 1, -3)) is int
     with pytest.raises(ValueError):
         morse_recursion_step(0, 0, 2, 1)
 

@@ -148,3 +148,26 @@ def test_morse_index_out_of_range_is_located_at_morse(tmp_path, capsys):
             "- i: 0\n  gram:\n  - [2]\n  morse: [[real, 7]]\n"
             "  sigma_upper: []\n")
     _rejected_at(tmp_path, capsys, text, "levels[0].morse")
+
+
+@pytest.mark.parametrize("entry, where", [
+    ("index: ~", "expected.index"),
+    ("index: [1, 2]", "expected.index"),
+    ("index: true", "expected.index"),
+    ("2: 3", "expected"),
+    ("'a b': 3", "expected"),
+    ("'null': 3", "expected"),
+])
+def test_expected_entries_must_serialize_back(tmp_path, capsys, entry, where):
+    # the serializer writes bare keys and integer or string values only
+    text = ("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n"
+            "- i: 0\n  gram:\n  - [2]\nexpected: {index: 1, %s}\n" % entry)
+    _rejected_at(tmp_path, capsys, text, where)
+
+
+def test_expected_strings_are_escaped():
+    text = ("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n"
+            "- i: 0\n  gram:\n  - [2]\nexpected:\n  note: 'a\"b\\c'\n")
+    doc = parse_instance_text(text)
+    assert doc.expected == {"note": 'a"b\\c'}
+    assert parse_instance_text(serialize_instance(doc)).expected == doc.expected
