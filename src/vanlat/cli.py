@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: validate, compute, braid, verify, gen.  Exit codes: 0 on
-success, 1 when a validation or verification fails, 2 for usage, parse,
-or unsupported-request errors.  All output is deterministic given the
+success, 1 when a validation or verification fails, 2 for usage, file,
+parse, or unsupported-request errors.  All output is deterministic given the
 arguments (and seed, where one applies).
 """
 
@@ -14,7 +14,7 @@ from .conjugation import derive_sigma_tilde, var_sigma_form
 from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
                     level_index_sum, cycle_index_sum)
 from .instfile import (InstanceDocument, InstanceFormatError, load_instance,
-                       save_instance, serialize_instance)
+                       serialize_instance)
 from .gen import random_icis_instance
 from .lattice import validate_lattice
 from .signature import exact_signature
@@ -22,6 +22,25 @@ from .suite import run_verification
 from .variation import var_inverse
 
 MONODROMY_ORDER_BOUND = 24
+
+
+class FileAccessError(Exception):
+    """A file could not be read or written; the message names the file."""
+
+
+def _load(path):
+    try:
+        return load_instance(path)
+    except OSError:
+        raise FileAccessError("cannot read %s" % path)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError:
+        raise FileAccessError("cannot write %s" % path)
 
 
 def _monodromy_order(h):
@@ -45,7 +64,7 @@ def _non_negative(text):
 
 
 def cmd_validate(args):
-    doc = load_instance(args.path)
+    doc = _load(args.path)
     inst = doc.instance
     failures = 0
     for level in inst.levels:
@@ -88,7 +107,7 @@ def cmd_validate(args):
 
 
 def cmd_compute(args):
-    doc = load_instance(args.path)
+    doc = _load(args.path)
     inst = doc.instance
     levels = inst.levels
     if args.level is not None:
@@ -141,7 +160,7 @@ def cmd_compute(args):
 
 
 def cmd_braid(args):
-    doc = load_instance(args.path)
+    doc = _load(args.path)
     inst = doc.instance
     try:
         word = parse_braid_word(args.word)
@@ -176,8 +195,7 @@ def cmd_braid(args):
                                tuple(prov))
     text = serialize_instance(out_doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         print("basis change: %s" % change.matrix)
     else:
         sys.stdout.write(text)
@@ -194,8 +212,7 @@ def cmd_verify(args):
     if not result.ok:
         if result.counterexample:
             out = args.output or "counterexample.vl"
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(result.counterexample)
+            _write(out, result.counterexample)
             print("counterexample written to %s" % out)
         return 1
     return 0
@@ -208,7 +225,7 @@ def cmd_gen(args):
     doc = InstanceDocument(inst, (), {},
                            ("generated with seed %d" % args.seed,))
     if args.output:
-        save_instance(doc, args.output)
+        _write(args.output, serialize_instance(doc))
         print("wrote %s" % args.output)
     else:
         sys.stdout.write(serialize_instance(doc))
@@ -270,8 +287,8 @@ def main(argv=None) -> int:
     except InstanceFormatError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print("cannot read %s" % e.filename, file=sys.stderr)
+    except FileAccessError as e:
+        print(e, file=sys.stderr)
         return 2
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -6,7 +6,10 @@ critical-point descriptors, conjugation upper entries, optional cycle
 pairings), plus optional braid words and expected outputs for golden
 tests.  Parsing accepts any YAML presentation; serialization is
 canonical, so parse-then-serialize is the identity on canonically
-formatted files.
+formatted files.  Canonical text is read by a direct line reader and
+any other text by ``yaml.safe_load``; both build the same document, and
+all validation after the load is shared, so values and error messages
+do not depend on which reader ran.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -14,6 +17,7 @@ convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -21,7 +25,7 @@ import yaml
 from .basis import BraidWord, parse_braid_word
 from .conjugation import ConjugatePair, MorseSpec, RealPoint, build_sigma
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix
+from .intmat import IntMatrix, non_integer_at
 from .lattice import SignVector, ThimbleLattice
 
 FORMAT_VERSION = 1
@@ -83,17 +87,15 @@ def _want(mapping, key, kind, where, optional=False):
 def _matrix(rows, where, width=None):
     if not isinstance(rows, list):
         raise InstanceFormatError("expected list of rows", where=where)
-    out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list):
             raise InstanceFormatError("expected integer row", where="%s[%d]" % (where, r))
-        for c, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InstanceFormatError("expected integer",
-                                          where="%s[%d][%d]" % (where, r, c))
-        out.append(row)
+        c = non_integer_at(row)
+        if c is not None:
+            raise InstanceFormatError("expected integer",
+                                      where="%s[%d][%d]" % (where, r, c))
     try:
-        return IntMatrix.from_rows(out, width=width)
+        return IntMatrix.from_rows(rows, width=width)
     except ValueError as e:
         raise InstanceFormatError(str(e), where=where)
 
@@ -177,15 +179,145 @@ def _level(data, want_i, parity, where):
         raise InstanceFormatError(str(e), where=where)
 
 
-def parse_instance_text(text: str) -> InstanceDocument:
+# The canonical reader.  An integer is written as below; YAML 1.1 reads
+# more spellings (``010`` is 8, ``1_0`` is 10, ``1:20`` is 80, ``+1`` is
+# 1), and every one of them goes to ``yaml.safe_load`` instead.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+# the inside of a flow list ``[a, b, c]`` of items, possibly empty
+_ITEMS = r"(?:{0}(?:, {0})*)?".format
+_INTS = _ITEMS(_INT)
+_ROWS = _ITEMS(r"\[%s\]" % _INTS)
+_POINTS = _ITEMS(r"\[(?:real|pair), %s\]" % _INT)
+# double-quoted strings without escapes, which YAML reads literally
+_STR = r'"[^"\\]*"'
+_STRS = _ITEMS(_STR)
+_KEY = r"[A-Za-z_][A-Za-z0-9_]*"
+# plain names that YAML 1.1 reads as a bool or null, not as a string
+_RESERVED_KEYS = {"yes", "no", "true", "false", "on", "off", "null"}
+# anything but printable ASCII and "\n": tabs, "\r", control characters
+# and non-ASCII text all have YAML rules of their own
+_FOREIGN_CHAR = re.compile(r"[^\x20-\x7e\n]")
+_ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
+_POINT_PARTS = re.compile(r"\[(real|pair), (%s)\]" % _INT)
+_STR_BODY = re.compile(r'"([^"]*)"')
+
+
+class _NotCanonical(Exception):
+    """The text is not in the layout ``serialize_instance`` writes."""
+
+
+def _ints(items):
+    return list(map(int, items.split(", "))) if items else []
+
+
+class _CanonicalLines:
+    """The lines of a text, taken in order by full-line patterns."""
+
+    def __init__(self, lines):
+        self.lines = lines
+        self.k = 0
+
+    def take(self, pattern, optional=False):
+        """The groups of the next line if it matches ``pattern``.
+
+        A pattern without groups gives an empty tuple.  A line that does
+        not match raises :class:`_NotCanonical`, or returns None without
+        consuming it when ``optional``.
+        """
+        m = None
+        if self.k < len(self.lines):
+            m = re.fullmatch(pattern, self.lines[self.k])
+        if m is None:
+            if optional:
+                return None
+            raise _NotCanonical
+        self.k += 1
+        return m.groups()
+
+    def matrix(self, key, indent):
+        """A matrix written as ``key: []`` or as ``key:`` and row lines."""
+        pad = " " * indent
+        if self.take(r"%s%s:( \[\])?" % (pad, key))[0]:
+            return []
+        row = r"%s- \[(%s)\]" % (pad, _INTS)
+        rows = [_ints(self.take(row)[0])]
+        while (more := self.take(row, optional=True)):
+            rows.append(_ints(more[0]))
+        return rows
+
+
+def _read_canonical(text):
+    """What ``yaml.safe_load(text)`` builds, for canonical text only.
+
+    Accepts exactly the layout :func:`serialize_instance` writes and
+    returns None for any other text, which the caller hands to YAML.
+    """
+    if not text.endswith("\n") or _FOREIGN_CHAR.search(text):
+        return None
+    src = _CanonicalLines(text[:-1].split("\n"))
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        if mark is not None:
-            raise InstanceFormatError("not valid YAML: %s" % getattr(e, "problem", e),
-                                      line=mark.line + 1, column=mark.column + 1)
-        raise InstanceFormatError("not valid YAML: %s" % e)
+        return _canonical_document(src)
+    except (_NotCanonical, ValueError):  # ValueError: an int too long to convert
+        return None
+
+
+def _canonical_document(src):
+    """The document of :func:`_read_canonical`, from its lines ``src``."""
+    while src.take(r"(#.*)", optional=True):
+        pass
+    data = {}
+    for key in ("format", "n", "p"):
+        data[key] = int(src.take(r"%s: (%s)" % (key, _INT))[0])
+    data["signs"] = _ints(src.take(r"signs: \[(%s)\]" % _INTS)[0])
+    src.take(r"levels:")
+    levels = []
+    while (head := src.take(r"- i: (%s)" % _INT, optional=True)):
+        level = {"i": int(head[0]), "gram": src.matrix("gram", 2)}
+        morse = src.take(r"  morse: \[(%s)\]" % _POINTS, optional=True)
+        if morse:
+            level["morse"] = [[kind, int(v)] for kind, v
+                              in _POINT_PARTS.findall(morse[0])]
+        upper = src.take(r"  sigma_upper: \[(%s)\]" % _ROWS, optional=True)
+        if upper:
+            level["sigma_upper"] = [_ints(items) for items
+                                    in _ROW_BODY.findall(upper[0])]
+        if src.take(r"  cycles:", optional=True) is not None:
+            level["cycles"] = {key: src.matrix(key, 4)
+                               for key in ("form", "sigma", "sigma_tilde")}
+        levels.append(level)
+    if not levels:  # YAML reads a bare "levels:" as None
+        raise _NotCanonical
+    data["levels"] = levels
+    words = src.take(r"braid_words: \[(%s)\]" % _STRS, optional=True)
+    if words:
+        data["braid_words"] = _STR_BODY.findall(words[0])
+    if src.take(r"expected:", optional=True) is not None:
+        expected = {}
+        while (entry := src.take(r"  (%s): (%s|%s)" % (_KEY, _INT, _STR),
+                                 optional=True)):
+            key, value = entry
+            if key.lower() in _RESERVED_KEYS:
+                raise _NotCanonical
+            expected[key] = value[1:-1] if value[0] == '"' else int(value)
+        if not expected:  # likewise a bare "expected:"
+            raise _NotCanonical
+        data["expected"] = expected
+    if src.k != len(src.lines):
+        raise _NotCanonical
+    return data
+
+
+def parse_instance_text(text: str) -> InstanceDocument:
+    data = _read_canonical(text)
+    if data is None:
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as e:
+            mark = getattr(e, "problem_mark", None)
+            if mark is not None:
+                raise InstanceFormatError("not valid YAML: %s" % getattr(e, "problem", e),
+                                          line=mark.line + 1, column=mark.column + 1)
+            raise InstanceFormatError("not valid YAML: %s" % e)
     if not isinstance(data, dict):
         raise InstanceFormatError("document is not a mapping", where="top level")
 
@@ -247,8 +379,17 @@ def parse_instance_text(text: str) -> InstanceDocument:
 
 
 def load_instance(path) -> InstanceDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InstanceFormatError(
+            "not valid UTF-8 (%s)" % e.reason,
+            line=raw.count(b"\n", 0, e.start) + 1,
+            column=e.start - raw.rfind(b"\n", 0, e.start))
+    # line ends as a file opened in text mode reads them
+    return parse_instance_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +456,3 @@ def serialize_instance(doc: InstanceDocument) -> str:
     body = "\n".join(lines) + "\n"
     prov = "".join("# provenance: %s\n" % line for line in doc.provenance)
     return _HEADER + prov + body
-
-
-def save_instance(doc: InstanceDocument, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(doc))

@@ -19,25 +19,25 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # entries are checked in from_rows; the other constructors and
+        # every operation make ints by construction
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError("ragged rows: %s" % sorted(widths))
-        for r in self.rows:
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("non-integer entry %r" % (x,))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, width=None):
-        """Build from any iterable of row iterables.
+        """Build from any iterable of row iterables, checking every entry.
 
         ``width`` pins the column count for matrices with zero rows.
         """
-        tup = tuple(tuple(int(x) if type(x) is int else x for x in row)
-                    for row in rows)
-        m = cls(tup)
+        m = cls(tuple(tuple(row) for row in rows))
+        for row in m.rows:
+            c = non_integer_at(row)
+            if c is not None:
+                raise ValueError("non-integer entry %r" % (row[c],))
         if width is not None and m.rows and m.ncols != width:
             raise ValueError("expected %d columns, got %d" % (width, m.ncols))
         return m
@@ -55,8 +55,8 @@ class IntMatrix:
     def diagonal(cls, entries):
         entries = list(entries)
         n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
-                         for i in range(n)))
+        return cls.from_rows([entries[i] if i == j else 0 for j in range(n)]
+                             for i in range(n))
 
     # -- shape and access --------------------------------------------------
 
@@ -176,6 +176,18 @@ class IntMatrix:
     def __str__(self):
         return "[%s]" % ", ".join("[%s]" % ", ".join(str(x) for x in r)
                                   for r in self.rows)
+
+
+def non_integer_at(row):
+    """Position of the first entry of ``row`` that is not an integer, or None.
+
+    Booleans are not integers here.  A row of plain ints is passed
+    without a Python-level loop.
+    """
+    if {int}.issuperset(map(type, row)):
+        return None
+    return next((c for c, x in enumerate(row)
+                 if not isinstance(x, int) or isinstance(x, bool)), None)
 
 
 def eliminate(m, k, c, rows, prev):

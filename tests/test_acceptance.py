@@ -13,16 +13,19 @@ import pytest
 from conftest import INSTANCE_DIR, instance_path
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (block_diagonal_structure_check,
+from vanlat.conjugation import (MorseSpec, RealPoint,
+                                block_diagonal_structure_check, build_sigma,
                                 generate_consistent_instance,
                                 signature_by_blocks, var_sigma_form)
 from vanlat.gen import (attach_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
-from vanlat.index import (EvenParityError, LevelData, gradient_index,
-                          telescoped_index, level_index_sum, cycle_index_sum)
-from vanlat.instfile import parse_instance_text, serialize_instance
+from vanlat.index import (EvenParityError, IcisInstance, LevelData,
+                          gradient_index, telescoped_index, level_index_sum,
+                          cycle_index_sum)
+from vanlat.instfile import (InstanceDocument, parse_instance_text,
+                             serialize_instance)
 from vanlat.intmat import IntMatrix
-from vanlat.lattice import ThimbleLattice
+from vanlat.lattice import SignVector, ThimbleLattice
 from vanlat.oracle import float_signature, index_1d, index_2d, poly2
 from vanlat.signature import exact_signature
 from vanlat.variation import (check_monodromy_relation, check_s_relation,
@@ -249,3 +252,37 @@ def test_criterion_13_braid_word_rank_64_budget():
     assert apply_braid_word(new, inverse)[0].gram == lat.gram
     assert elapsed < 0.3
     _report("criterion 13 rank-64 braid word", "48 moves on a random odd lattice", t0)
+
+
+def _a_k_tower_text(k):
+    """Serialized A_k tower: the real morsification of ``x^(k+1)``.
+
+    Maxima come first in the basis, then minima; neighbours on the line
+    pair to -1, and the conjugation has +1 at (maximum, minimum) for each
+    line edge.
+    """
+    order = list(range(0, k, 2)) + list(range(1, k, 2))  # even positions are maxima
+    slot = {pos: s for s, pos in enumerate(order)}
+    gram = [[2 if r == c else 0 for c in range(k)] for r in range(k)]
+    upper = []
+    for pos in range(k - 1):
+        a, b = slot[pos], slot[pos + 1]
+        gram[a][b] = gram[b][a] = -1
+        upper.append((a, b, 1) if pos % 2 == 0 else (b, a, 1))
+    morse = MorseSpec(tuple(RealPoint(1 - pos % 2) for pos in order))
+    lat = ThimbleLattice(1, IntMatrix.from_rows(gram, width=k))
+    inst = IcisInstance(1, 0, SignVector((1,)),
+                        (LevelData(0, lat, build_sigma(morse, 1, upper)),))
+    return serialize_instance(InstanceDocument(inst))
+
+
+def test_criterion_14_parse_rank_64_budget():
+    # canonical text is read line by line, and matrix entries are checked
+    # once, where they enter
+    text = _a_k_tower_text(64)
+    t0 = time.monotonic()
+    docs = [parse_instance_text(text) for _ in range(10)]
+    elapsed = time.monotonic() - t0
+    assert all(serialize_instance(doc) == text for doc in docs)
+    assert elapsed < 0.3
+    _report("criterion 14 rank-64 parse", "an A_64 tower parsed 10 times", t0)

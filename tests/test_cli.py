@@ -36,6 +36,48 @@ def test_validate_parse_error_exit_code(tmp_path, capsys):
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no_such_file.vl")
     assert code == 2
+    assert err == "cannot read no_such_file.vl\n"
+
+
+# -- file errors: one line and exit 2, never a traceback ----------------------
+
+def test_reading_a_directory_is_a_read_error(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", tmp_path)
+    assert (code, out, err) == (2, "", "cannot read %s\n" % tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen"],
+    ["braid", instance_path("a2_lattice.vl"), "a1"],
+], ids=["gen", "braid"])
+def test_writing_to_a_directory_is_a_write_error(argv, tmp_path, capsys):
+    code, out, err = run(capsys, *argv, "--output", tmp_path)
+    assert (code, out, err) == (2, "", "cannot write %s\n" % tmp_path)
+
+
+def test_writing_into_a_missing_directory_is_a_write_error(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.vl"
+    code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a1",
+                         "--output", target)
+    assert (code, out, err) == (2, "", "cannot write %s\n" % target)
+
+
+def test_counterexample_write_failure_is_a_write_error(tmp_path, capsys,
+                                                       monkeypatch):
+    import vanlat.suite as suite
+    monkeypatch.setattr(suite, "check_s_relation", lambda lat: "forced failure")
+    code, _, err = run(capsys, "verify", "--seed", "2", "--count", "7",
+                       "--rank-bound", "4", "--output", tmp_path)
+    assert (code, err) == (2, "cannot write %s\n" % tmp_path)
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.vl"
+    path.write_bytes(b"format: 1\nn: \xff1\n")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: not valid UTF-8 (invalid start byte) "
+                   "at line 2, column 4\n")
 
 
 # -- compute ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every run must end with a documented exit code (0, 1 or 2) and never
 raise; every mutated text the parser accepts must serialize to a text
-that parses and serializes back to itself.
+that parses and serializes back to itself; and whatever the canonical
+reader accepts, it must read exactly as ``yaml.safe_load`` does.
 """
 
 import contextlib
@@ -10,12 +11,14 @@ import io
 import os
 import tempfile
 
+import yaml
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, generated_texts
 from vanlat.cli import main
-from vanlat.instfile import parse_instance_text, serialize_instance
+from vanlat.instfile import (_read_canonical, parse_instance_text,
+                             serialize_instance)
 
 # the shipped texts without their comment lines, so that edits land in data
 CORPUS = {path.name: "".join(line for line in path.read_text(encoding="utf-8")
@@ -68,3 +71,28 @@ def test_mutated_instances_end_with_a_documented_exit_code(name, edits):
     except ValueError:
         return
     assert serialize_instance(parse_instance_text(canonical)) == canonical
+
+
+# the corpus plus generated towers, comment and provenance lines kept, so
+# that edits also land in cycles, braid words, expected entries and
+# comments; digits and signs are drawn more often, because those edits
+# tend to leave a text canonical
+READER_CORPUS = sorted(CORPUS.values()) + generated_texts()
+_reader_edits = st.lists(
+    st.tuples(st.sampled_from(("insert", "delete", "replace")),
+              st.integers(0, 10 ** 6),
+              st.one_of(st.sampled_from("0123456789-"), _chars,
+                        st.sampled_from("\r\\_.x\x07\x85"))),
+    min_size=1, max_size=2)
+
+
+@seed(20240002)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.sampled_from(READER_CORPUS), _reader_edits)
+def test_canonical_reader_agrees_with_yaml(text, edits):
+    text = mutate(text, edits)
+    data = _read_canonical(text)
+    if data is not None:
+        loaded = yaml.safe_load(text)
+        assert data == loaded
+        assert repr(data) == repr(loaded)

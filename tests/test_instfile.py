@@ -1,11 +1,14 @@
-import pytest
+import json
 
-from conftest import INSTANCE_DIR, instance_path
+import pytest
+import yaml
+
+from conftest import INSTANCE_DIR, generated_texts, instance_path
 from vanlat.cli import main
 from vanlat.gen import random_icis_instance
 from vanlat.instfile import (InstanceDocument, InstanceFormatError,
-                             load_instance, parse_instance_text,
-                             serialize_instance)
+                             _read_canonical, load_instance,
+                             parse_instance_text, serialize_instance)
 
 SHIPPED = sorted(p.name for p in INSTANCE_DIR.glob("*.vl"))
 
@@ -171,3 +174,84 @@ def test_expected_strings_are_escaped():
     doc = parse_instance_text(text)
     assert doc.expected == {"note": 'a"b\\c'}
     assert parse_instance_text(serialize_instance(doc)).expected == doc.expected
+
+
+def _load_outcome(path):
+    try:
+        return load_instance(path)
+    except InstanceFormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("text", [
+    instance_path("a2_index.vl").read_bytes(),
+    b"format: 1\nn: *\n",  # YAML names the character after the '*'
+], ids=["a2_index", "yaml-error"])
+def test_crlf_file_loads_like_the_original(tmp_path, text):
+    lf, crlf = tmp_path / "lf.vl", tmp_path / "crlf.vl"
+    lf.write_bytes(text)
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert _load_outcome(crlf) == _load_outcome(lf)
+
+
+# -- the canonical reader -----------------------------------------------------
+
+def test_serialized_text_takes_the_canonical_reader():
+    # a reader that declined every text would pass the agreement tests
+    texts = [instance_path(name).read_text(encoding="utf-8") for name in SHIPPED]
+    texts += generated_texts()
+    assert "  gram: []\n" in texts[SHIPPED.index("empty.vl")]
+    assert any("  cycles:\n" in text for text in texts)
+    for text in texts:
+        data = _read_canonical(text)
+        assert data is not None, text
+        assert data == yaml.safe_load(text)
+        assert repr(data) == repr(yaml.safe_load(text))
+
+
+# Edits of a canonical text.  YAML 1.1 reads 010 as 8, 1_0 as 10, +1 as 1,
+# 1:20 as 80 and 0x1F as 31.  It has rules of its own for tabs and control
+# characters, and "\r" and "\x85" end a line even in a comment.  It reads
+# an escaped astral character as two lone surrogates where json.loads
+# gives one character, `yes` and `Null` as a bool and None, and a bare
+# "levels:" or "expected:" as None; and it rejects the unbalanced morse
+# list.  The canonical reader must leave all of these to YAML.
+_A2 = instance_path("a2_index.vl").read_text(encoding="utf-8")
+_ASTRAL = _A2 + "  note: %s\n" % json.dumps("\U0001F600")
+
+
+@pytest.mark.parametrize("text", [
+    _A2.replace("n: 1", "n: 010"),
+    _A2.replace("signs: [1]", "signs: [1_0]"),
+    _A2.replace("signs: [1]", "signs: [+1]"),
+    _A2.replace("index: 0", "index: 1:20"),
+    _A2.replace("- [2, -1]", "- [0x1F, -1]"),
+    _A2.replace("# vanlat instance", "# vanlat\tinstance"),
+    _A2.replace("\n", "\r\n"),
+    _A2.replace("# vanlat instance", "# vanlat\r instance"),
+    _A2.replace("# vanlat instance", "# vanlat\x85 instance"),
+    _A2.replace("# vanlat instance", "# vanlat\x07 instance"),
+    _ASTRAL,
+    _A2.replace("morse: [[real, 0], [real, 1]]",
+                "morse: [[real, 0], [real, 1]], [real, 0]]"),
+    _A2.replace("index: 0", "yes: 0"),
+    _A2.replace("index: 0", "Null: 0"),
+    _A2.replace("index: 0", "index: 1" + "0" * 5000),
+    _A2[:_A2.index("- i: 0")],
+    _A2.replace("  index: 0\n", ""),
+], ids=["octal", "underscore", "plus", "sexagesimal", "hex", "tab", "crlf",
+        "cr-in-comment", "nel-in-comment", "control-char", "astral-escape",
+        "unbalanced", "bool-key", "null-key", "too-long-integer",
+        "bare-levels", "bare-expected"])
+def test_canonical_reader_leaves_other_spellings_to_yaml(text):
+    assert _read_canonical(text) is None
+
+
+@pytest.mark.parametrize("text", [
+    _A2.replace("index: 0", "index: -0"),
+    _A2 + "  index: 1\n",
+], ids=["minus-zero", "repeated-key"])
+def test_canonical_reader_reads_these_as_yaml_does(text):
+    data = _read_canonical(text)
+    assert data == yaml.safe_load(text)
+    assert repr(data) == repr(yaml.safe_load(text))

@@ -17,10 +17,13 @@ def test_construction_rejects_ragged():
 
 
 def test_construction_rejects_non_integers():
-    with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1.5]])
-    with pytest.raises(ValueError):
-        IntMatrix.from_rows([[True]])
+    # entries are checked where they enter, in from_rows, not on every
+    # matrix an operation builds
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="non-integer entry %r" % (bad,)):
+            IntMatrix.from_rows([[1, 2], [3, bad]])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            IntMatrix.diagonal([1, bad])
 
 
 def test_big_entries_are_exact():
