@@ -120,7 +120,7 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
     """
     require_valid(lat)
     s = diagonal_sign(lat.parity)
-    rows = [[int(i == j) for j in range(lat.nu)] for i in range(lat.nu)]
+    rows = IntMatrix.identity(lat.nu).to_lists()
     for k in reversed(range(lat.nu)):
         acc = rows[k]
         for c, w in enumerate(lat.gram.row(k)):

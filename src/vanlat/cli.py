@@ -10,14 +10,11 @@ import argparse
 import sys
 
 from .basis import apply_braid_word, monodromy, parse_braid_word
-from .conjugation import derive_sigma_tilde, var_sigma_form
 from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
                     level_index_sum, cycle_index_sum)
 from .instfile import (InstanceDocument, InstanceFormatError, load_instance,
                        serialize_instance)
 from .gen import random_icis_instance
-from .lattice import validate_lattice
-from .signature import exact_signature
 from .suite import run_verification
 from .variation import var_inverse
 
@@ -68,7 +65,7 @@ def cmd_validate(args):
     inst = doc.instance
     failures = 0
     for level in inst.levels:
-        bad = validate_lattice(level.lattice)
+        bad = level.lattice.violation
         if bad:
             print("level %d: FAIL lattice: %s" % (level.i, bad))
             failures += 1
@@ -78,7 +75,7 @@ def cmd_validate(args):
         if level.conj is None:
             print("level %d: no conjugation data" % level.i)
             continue
-        report = derive_sigma_tilde(level.conj, level.lattice)
+        report = level.analysis.companion
         if report.consistent:
             print("level %d: conjugation ok (companion involution, "
                   "block lower triangular)" % level.i)
@@ -138,7 +135,7 @@ def cmd_compute(args):
                       % MONODROMY_ORDER_BOUND)
     elif args.what == "signature":
         def render(lv):
-            sig = exact_signature(var_sigma_form(lv.lattice, lv.require_conj()))
+            sig = lv.analysis.signature
             return "%s, sgn = %d" % (sig, sig.sgn)
         emit([(lv.i, render(lv)) for lv in levels])
     elif args.what == "level-sums":

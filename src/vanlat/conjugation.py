@@ -13,16 +13,31 @@ lower triangular.  On consistent instances the bilinear form
 ``var_inverse * sigma`` is symmetric, unimodular (hence non-degenerate)
 and block diagonal, with prescribed diagonal blocks; those facts are what
 the index formulas consume.
+
+All of this is read from one :class:`LevelAnalysis` per level.  It
+validates the lattice once and computes the monodromy, the companion,
+``var_inverse``, the form and the form's signature once each, on first
+use.  The form's nondegeneracy is read off its signature (an empty
+radical), so no determinant is taken.  The public ``(lat, conj)``
+functions each build one analysis per call.  A
+:class:`vanlat.index.LevelData` keeps its analysis, so every index route
+over a level shares it.
+
+The generator assembles each chunk's conjugation as ``sigma = var * B``,
+where ``B`` is the forced block form.  The consistency checks then
+accept or reject it.
 """
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .basis import monodromy
-from .intmat import IntMatrix, row_reduce
+from .intmat import IntMatrix
 from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
                       self_intersection, validate_lattice)
-from .variation import var_inverse
+from .signature import Signature, exact_signature
+from .variation import var, var_inverse
 
 
 @dataclass(frozen=True)
@@ -140,6 +155,117 @@ class SigmaTildeReport:
         return self.involution and self.lower_block_triangular
 
 
+class LevelAnalysis:
+    """The derived data of one level, each piece computed once, on first use.
+
+    Construction checks the ranks and validates the lattice.  The
+    monodromy, the companion report, ``var_inverse``, the form
+    ``var_inverse * sigma`` and the form's signature are then computed
+    when first asked for and kept for the life of the object; every
+    route below and in :mod:`vanlat.index` reads them from here.  The
+    bodies call the module-level ``monodromy``, ``var_inverse`` and
+    ``exact_signature``, so wrappers installed on those names see them.
+    """
+
+    def __init__(self, lat: ThimbleLattice, conj: ConjugationData):
+        if conj.nu != lat.nu:
+            raise ValueError("rank mismatch: sigma is %dx%d, lattice has rank %d"
+                             % (conj.nu, conj.nu, lat.nu))
+        require_valid(lat)
+        self.lattice = lat
+        self.conj = conj
+
+    @cached_property
+    def _spans(self) -> list[tuple[int, int]]:
+        """``(start, end)`` of the diagonal block of each slot."""
+        return [(start, start + size)
+                for start, size, _ in self.conj.morse.blocks()
+                for _ in range(size)]
+
+    @cached_property
+    def monodromy(self) -> IntMatrix:
+        return monodromy(self.lattice)
+
+    @cached_property
+    def var_inverse(self) -> IntMatrix:
+        return var_inverse(self.lattice)
+
+    @cached_property
+    def companion(self) -> SigmaTildeReport:
+        """``sigma * monodromy`` with its two consistency verdicts."""
+        tilde = self.conj.sigma * self.monodromy
+        involution = tilde * tilde == IntMatrix.identity(self.lattice.nu)
+        lower = not any(any(row[end:])
+                        for row, (_, end) in zip(tilde.rows, self._spans))
+        return SigmaTildeReport(tilde, involution, lower)
+
+    def require_consistent(self) -> SigmaTildeReport:
+        report = self.companion
+        if not report.consistent:
+            why = []
+            if not report.involution:
+                why.append("companion is not an involution")
+            if not report.lower_block_triangular:
+                why.append("companion is not block lower triangular")
+            raise ValueError("inconsistent instance: " + "; ".join(why))
+        return report
+
+    @cached_property
+    def form(self) -> IntMatrix:
+        """``var_inverse * sigma``; ValueError on an inconsistent level."""
+        self.require_consistent()
+        return self.var_inverse * self.conj.sigma
+
+    @cached_property
+    def signature(self) -> Signature:
+        """Inertia of the form, which must be symmetric and nondegenerate.
+
+        On a consistent level both hold, so a violation is an internal
+        error (AssertionError), not bad input.  The signature reports the
+        radical as ``n_zero``, so nondegeneracy costs no determinant.
+        """
+        form = self.form
+        if not form.is_symmetric():
+            raise AssertionError("form %s is not symmetric on a consistent instance"
+                                 % (form,))
+        sig = exact_signature(form)
+        if sig.n_zero:
+            raise AssertionError("form %s is degenerate on a consistent instance"
+                                 % (form,))
+        return sig
+
+    def block_structure_problem(self) -> str | None:
+        """The first violation of the forced block form, or ``None``
+        (see :func:`block_diagonal_structure_check`)."""
+        report = self.companion
+        if not report.consistent:
+            return ("instance inconsistent: companion involution=%s, "
+                    "lower block triangular=%s"
+                    % (report.involution, report.lower_block_triangular))
+        form = self.form
+        for r, (row, (start, end)) in enumerate(zip(form.rows, self._spans)):
+            if any(row[:start]) or any(row[end:]):
+                c = next(c for c, x in enumerate(row)
+                         if x and not start <= c < end)
+                return "off-block entry (%d, %d) = %d, expected 0" % (r, c, row[c])
+        d = diagonal_sign(self.lattice.parity)
+        for start, size, point in self.conj.morse.blocks():
+            if isinstance(point, RealPoint):
+                want = d * (-1) ** point.morse_index
+                if form[start, start] != want:
+                    return ("real block at slot %d: entry %d, expected %d"
+                            % (start, form[start, start], want))
+            else:
+                a = point.pairing
+                want = ((d * a, d), (d, 0))
+                got = ((form[start, start], form[start, start + 1]),
+                       (form[start + 1, start], form[start + 1, start + 1]))
+                if got != want:
+                    return ("pair block at slot %d: got %s, expected %s"
+                            % (start, got, want))
+        return None
+
+
 def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTildeReport:
     """Companion conjugation ``sigma * monodromy`` with consistency verdicts.
 
@@ -148,47 +274,19 @@ def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTilde
     from a genuine real critical-value picture; both properties are
     reported so synthetic data can be screened.
     """
-    if conj.nu != lat.nu:
-        raise ValueError("rank mismatch: sigma is %dx%d, lattice has rank %d"
-                         % (conj.nu, conj.nu, lat.nu))
-    require_valid(lat)
-    tilde = conj.sigma * monodromy(lat)
-    block_of = conj.morse.block_index()
-    involution = tilde * tilde == IntMatrix.identity(lat.nu)
-    lower = all(tilde[r, c] == 0
-                for r in range(lat.nu) for c in range(lat.nu)
-                if block_of[c] > block_of[r])
-    return SigmaTildeReport(tilde, involution, lower)
-
-
-def require_consistent(lat: ThimbleLattice, conj: ConjugationData) -> SigmaTildeReport:
-    report = derive_sigma_tilde(conj, lat)
-    if not report.consistent:
-        why = []
-        if not report.involution:
-            why.append("companion is not an involution")
-        if not report.lower_block_triangular:
-            why.append("companion is not block lower triangular")
-        raise ValueError("inconsistent instance: " + "; ".join(why))
-    return report
+    return LevelAnalysis(lat, conj).companion
 
 
 def var_sigma_form(lat: ThimbleLattice, conj: ConjugationData) -> IntMatrix:
     """Symmetric pairing ``var_inverse * sigma`` of a consistent instance.
 
     Raises ValueError on an inconsistent instance.  On a consistent one
-    the result is symmetric with determinant +-1; violation of either
-    would be an internal error, not bad input.
+    the result is symmetric and nondegenerate (in fact unimodular);
+    violation of either would be an internal error, not bad input.
     """
-    require_consistent(lat, conj)
-    form = var_inverse(lat) * conj.sigma
-    if not form.is_symmetric():
-        raise AssertionError("form %s is not symmetric on a consistent instance"
-                             % (form,))
-    if form.det() == 0:
-        raise AssertionError("form %s is degenerate on a consistent instance"
-                             % (form,))
-    return form
+    analysis = LevelAnalysis(lat, conj)
+    analysis.signature  # asserts that the form is symmetric and nondegenerate
+    return analysis.form
 
 
 def block_diagonal_structure_check(lat: ThimbleLattice,
@@ -200,34 +298,7 @@ def block_diagonal_structure_check(lat: ThimbleLattice,
     number ``a`` must carry ``d * [[a, 1], [1, 0]]``.  Returns the first
     offending entry, or ``None``.
     """
-    report = derive_sigma_tilde(conj, lat)
-    if not report.consistent:
-        return ("instance inconsistent: companion involution=%s, "
-                "lower block triangular=%s"
-                % (report.involution, report.lower_block_triangular))
-    form = var_inverse(lat) * conj.sigma
-    d = diagonal_sign(lat.parity)
-    block_of = conj.morse.block_index()
-    for r in range(lat.nu):
-        for c in range(lat.nu):
-            if block_of[r] != block_of[c] and form[r, c] != 0:
-                return ("off-block entry (%d, %d) = %d, expected 0"
-                        % (r, c, form[r, c]))
-    for start, size, point in conj.morse.blocks():
-        if isinstance(point, RealPoint):
-            want = d * (-1) ** point.morse_index
-            if form[start, start] != want:
-                return ("real block at slot %d: entry %d, expected %d"
-                        % (start, form[start, start], want))
-        else:
-            a = point.pairing
-            want = ((d * a, d), (d, 0))
-            got = ((form[start, start], form[start, start + 1]),
-                   (form[start + 1, start], form[start + 1, start + 1]))
-            if got != want:
-                return ("pair block at slot %d: got %s, expected %s"
-                        % (start, got, want))
-    return None
+    return LevelAnalysis(lat, conj).block_structure_problem()
 
 
 def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
@@ -248,47 +319,39 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 # Search for consistent synthetic instances.
 # ---------------------------------------------------------------------------
 
-def _solve_sigma_upper(lat, morse, rng):
-    """Solve the linear system making ``sigma * monodromy`` block lower
-    triangular, sampling any free parameters from small integers.
+def _forced_conjugation(lat, points):
+    """Pinned descriptors and the upper entries of ``sigma = var * B``.
 
-    Returns upper-entry triples or None when the system has no integer
-    solution for this gram matrix.
+    On consistent data ``var_inverse * sigma`` is the forced block form
+    ``B`` (see :func:`block_diagonal_structure_check`): ``d * (-1)^m`` on
+    a real slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  So
+    ``sigma = var * B``, whose diagonal block at the pair is
+    ``[[a + d * var[s][s+1], 1], [1, 0]]``; it is the swap exactly when
+    ``a = -d * var[s][s+1]``, which pins each pair's pairing number.
+    ``points`` gives the real descriptors and where the pairs go; their
+    pairing numbers are ignored.
     """
     nu = lat.nu
+    d = diagonal_sign(lat.parity)
+    v = var(lat)
+    b = [[0] * nu for _ in range(nu)]
+    pinned = []
+    pos = 0
+    for point in points:
+        if isinstance(point, RealPoint):
+            b[pos][pos] = d * (-1) ** point.morse_index
+        else:
+            point = ConjugatePair(-d * v[pos, pos + 1])
+            b[pos][pos] = d * point.pairing
+            b[pos][pos + 1] = b[pos + 1][pos] = d
+        pinned.append(point)
+        pos += point.slots
+    morse = MorseSpec(tuple(pinned))
+    sigma = v * IntMatrix(tuple(map(tuple, b)))
     block_of = morse.block_index()
-    fixed = _block_diagonal_part(morse)
-    h = monodromy(lat)
-    positions = [(r, c) for r in range(nu) for c in range(nu)
-                 if block_of[c] > block_of[r]]
-    if not positions:
-        return []
-    index = {p: k for k, p in enumerate(positions)}
-    nunk = len(positions)
-    aug = []
-    for (r, c) in positions:
-        row = [0] * (nunk + 1)
-        for k in range(nu):
-            if (r, k) in index:
-                row[index[(r, k)]] += h[k, c]
-            else:
-                row[nunk] -= fixed[r, k] * h[k, c]
-        aug.append(row)
-
-    pivots, d, _ = row_reduce(aug, nunk)
-    if any(row[nunk] for row in aug[len(pivots):]):
-        return None
-    free = [c for c in range(nunk) if c not in pivots]
-    sol = [0] * nunk
-    for f in free:
-        sol[f] = rng.choice((0, 0, 0, 1, -1))
-    for i, col in enumerate(pivots):
-        v = aug[i][nunk] - sum(aug[i][f] * sol[f] for f in free)
-        if v % d:
-            return None
-        sol[col] = v // d
-    return [(r, c, sol[index[(r, c)]])
-            for (r, c) in positions if sol[index[(r, c)]] != 0]
+    upper = [(r, c, sigma[r, c]) for r in range(nu) for c in range(nu)
+             if block_of[c] > block_of[r] and sigma[r, c]]
+    return morse, upper
 
 
 def _sample_chunk(rng, size, parity, tries=400):
@@ -305,7 +368,6 @@ def _sample_chunk(rng, size, parity, tries=400):
             else:
                 points.append(RealPoint(rng.randrange(0, parity + 1)))
                 left -= 1
-        morse = MorseSpec(tuple(points))
         rows = [[0] * size for _ in range(size)]
         for i in range(size):
             rows[i][i] = diag
@@ -315,27 +377,15 @@ def _sample_chunk(rng, size, parity, tries=400):
                 rows[r][c] = v
                 rows[c][r] = eps * v
         lat = ThimbleLattice(parity, IntMatrix.from_rows(rows, width=size))
-        upper = _solve_sigma_upper(lat, morse, rng)
-        if upper is None:
-            continue
+        morse, upper = _forced_conjugation(lat, points)
         try:
             conj = build_sigma(morse, parity, upper)
         except ValueError:
             continue
-        report = derive_sigma_tilde(conj, lat)
-        if not report.consistent:
-            continue
-        # pin the pair descriptors to the pairing numbers the gram forces
-        d = diagonal_sign(parity)
-        form = var_inverse(lat) * conj.sigma
-        points = []
-        for start, width, point in morse.blocks():
-            if isinstance(point, RealPoint):
-                points.append(point)
-            else:
-                points.append(ConjugatePair(d * form[start, start]))
-        conj = ConjugationData(conj.sigma, MorseSpec(tuple(points)))
-        return lat, conj
+        analysis = LevelAnalysis(lat, conj)
+        if analysis.companion.consistent:
+            assert analysis.block_structure_problem() is None
+            return lat, conj
     return None
 
 
@@ -365,11 +415,12 @@ def generate_consistent_instance(seed: int, rank_bound: int, parity: int,
 
     Samples a rank up to ``rank_bound`` and assembles the instance as a
     direct sum of consistent chunks of rank at most 4.  Inside a chunk the
-    gram couplings are random and the conjugation's upper entries are
-    solved for; across chunks there is no coupling, since consistency
-    pins those entries to rigid arithmetic relations that random data
-    essentially never satisfies.  Raises RuntimeError if the attempt
-    budget is exhausted.
+    gram couplings are random and the conjugation is ``var * B`` for the
+    forced block form ``B``; across chunks there is no coupling, since
+    consistency pins those entries to rigid arithmetic relations that
+    random data essentially never satisfies.  Each chunk is asserted to
+    have the forced block form, which the direct sum inherits.  Raises
+    RuntimeError if the attempt budget is exhausted.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
@@ -399,5 +450,4 @@ def generate_consistent_instance(seed: int, rank_bound: int, parity: int,
         left -= got[0].nu
     lat, conj = _direct_sum(parity, parts)
     assert validate_lattice(lat) is None
-    assert block_diagonal_structure_check(lat, conj) is None
     return lat, conj

@@ -120,7 +120,7 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     rev = IntMatrix.from_rows(
         [[1 if r + c == nu - 1 else 0 for c in range(nu)] for r in range(nu)],
         width=nu)
-    tilde = derive_sigma_tilde(conj, lat).matrix
+    tilde = level0.analysis.companion.matrix
     new_gram = rev * lat.gram.transpose() * rev
     new_sigma = rev * tilde * rev
     new_points = tuple(RealPoint(parity - pt.morse_index)

@@ -15,8 +15,9 @@ recursion step by step so the two routes can be compared on any instance.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .conjugation import ConjugationData, var_sigma_form
+from .conjugation import ConjugationData, LevelAnalysis
 from .intmat import IntMatrix
 from .lattice import SignVector, ThimbleLattice, diagonal_sign
 from .signature import exact_signature
@@ -56,6 +57,12 @@ class LevelData:
         if self.conj is None:
             raise ValueError("level %d carries no conjugation data" % self.i)
         return self.conj
+
+    @cached_property
+    def analysis(self) -> LevelAnalysis:
+        """The level's derived data (monodromy, companion, form, signature),
+        built on first use and shared by every route that reads it."""
+        return LevelAnalysis(self.lattice, self.require_conj())
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,8 @@ def level_index_sum(level: LevelData, n: int, s_entry: int) -> int:
     if level.lattice.parity != parity:
         raise ValueError("level %d: parity %d != n + i = %d"
                          % (level.i, level.lattice.parity, parity))
-    form = var_sigma_form(level.lattice, level.require_conj())
-    return _sign_power(s_entry, parity) * diagonal_sign(parity) * exact_signature(form).sgn
+    sgn = level.analysis.signature.sgn
+    return _sign_power(s_entry, parity) * diagonal_sign(parity) * sgn
 
 
 def gradient_index(inst: IcisInstance) -> int:

@@ -307,11 +307,29 @@ def _canonical_document(src):
     return data
 
 
+class _SafeLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` whose scalar failures carry a position.
+
+    PyYAML builds scalars with ``int()`` and ``datetime()``, whose
+    ValueError (an integer past Python's digit limit, a date such as
+    ``2024-13-01``) would escape with no position; here it becomes a
+    YAML error marked at the scalar.  Everything it loads, it loads as
+    ``yaml.safe_load`` does.
+    """
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep=deep)
+        except ValueError as e:
+            raise yaml.constructor.ConstructorError(
+                None, None, str(e), node.start_mark) from None
+
+
 def parse_instance_text(text: str) -> InstanceDocument:
     data = _read_canonical(text)
     if data is None:
         try:
-            data = yaml.safe_load(text)
+            data = yaml.load(text, Loader=_SafeLoader)
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
             if mark is not None:

@@ -44,7 +44,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
+        return cls(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
                          for i in range(n)))
 
     @classmethod
@@ -134,14 +134,7 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows)))
 
     def is_symmetric(self):
-        return self.is_square and all(
-            self.rows[r][c] == self.rows[c][r]
-            for r in range(self.nrows) for c in range(r + 1, self.ncols))
-
-    def is_skew_symmetric(self):
-        return self.is_square and all(
-            self.rows[r][c] == -self.rows[c][r]
-            for r in range(self.nrows) for c in range(r, self.ncols))
+        return self.is_square and self.rows == tuple(zip(*self.rows))
 
     def det(self):
         """Exact determinant by fraction-free elimination.

@@ -13,6 +13,8 @@ Storage convention (fixed once for the whole package):
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import neg
 
 from .intmat import IntMatrix
 
@@ -53,6 +55,11 @@ class ThimbleLattice:
         """Pairing of thimble ``i`` against thimble ``j`` (0-based)."""
         return self.gram[j, i]
 
+    @cached_property
+    def violation(self) -> str | None:
+        """:func:`validate_lattice` of this lattice, run once per lattice."""
+        return validate_lattice(self)
+
 
 def validate_lattice(lat: ThimbleLattice) -> str | None:
     """Return ``None`` if the lattice is well formed, else the first violation.
@@ -63,6 +70,12 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
     g = lat.gram
     want = self_intersection(lat.parity)
     odd = lat.parity % 2 == 1
+    image = tuple(zip(*g.rows))  # what the rule makes of the rows
+    if not odd:
+        image = tuple(tuple(map(neg, col)) for col in image)
+    if g.rows == image and all(row[r] == want for r, row in enumerate(g.rows)):
+        return None
+    # something is wrong: find the first violation in reading order
     for r in range(g.nrows):
         if g[r, r] != want:
             return ("diagonal entry gram[%d][%d] = %d, expected %d for parity %d"
@@ -77,9 +90,8 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
 
 
 def require_valid(lat: ThimbleLattice) -> None:
-    violation = validate_lattice(lat)
-    if violation is not None:
-        raise ValueError("invalid lattice: " + violation)
+    if lat.violation is not None:
+        raise ValueError("invalid lattice: " + lat.violation)
 
 
 def milnor_number(nus: list[int]) -> int:

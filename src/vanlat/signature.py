@@ -36,6 +36,48 @@ class Signature:
 def exact_signature(m: IntMatrix) -> Signature:
     """Inertia of a symmetric integer matrix by exact congruence elimination.
 
+    Inertia adds over an orthogonal direct sum, so the form is first split
+    into the connected components of its nonzero pattern, found by one
+    O(nu^2) scan, and each component is eliminated on its own (see
+    :func:`_component_inertia`).  A diagonal form is nu components of size
+    one; a form with one component is eliminated whole.
+    """
+    if not m.is_square:
+        raise ValueError("signature of a non-square matrix")
+    if not m.is_symmetric():
+        raise ValueError("signature of a non-symmetric matrix")
+    n_plus = n_minus = n_zero = 0
+    for comp in _components(m.rows):
+        p, q, z = _component_inertia([[m.rows[r][c] for c in comp]
+                                      for r in comp])
+        n_plus += p
+        n_minus += q
+        n_zero += z
+    return Signature(n_plus, n_minus, n_zero)
+
+
+def _components(rows):
+    """Index sets of the connected components of a symmetric nonzero
+    pattern, each in increasing order."""
+    seen = [False] * len(rows)
+    out = []
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for r in comp:  # grows while it is walked
+            for c, x in enumerate(rows[r]):
+                if x and not seen[c]:
+                    seen[c] = True
+                    comp.append(c)
+        out.append(sorted(comp))
+    return out
+
+
+def _component_inertia(a):
+    """``(n_plus, n_minus, n_zero)`` of the symmetric list-of-lists ``a``.
+
     Fraction-free symmetric elimination with diagonal pivots, using the
     :func:`vanlat.intmat.eliminate` step: the active block always holds
     the Schur complement scaled by the last pivot, so a pivot counts
@@ -45,12 +87,7 @@ def exact_signature(m: IntMatrix) -> Signature:
     makes ``a[i][i] = 2 * a[i][j]`` a usable pivot.  Whatever remains
     once the active block is zero is the radical.
     """
-    if not m.is_square:
-        raise ValueError("signature of a non-square matrix")
-    if not m.is_symmetric():
-        raise ValueError("signature of a non-symmetric matrix")
-    a = m.to_lists()
-    active = list(range(m.nrows))
+    active = list(range(len(a)))
     n_plus = n_minus = 0
     prev = 1
     while active:
@@ -71,4 +108,4 @@ def exact_signature(m: IntMatrix) -> Signature:
         else:
             n_minus += 1
         prev = a[piv][piv]
-    return Signature(n_plus, n_minus, len(active))
+    return n_plus, n_minus, len(active)

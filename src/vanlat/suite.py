@@ -10,16 +10,14 @@ import random
 from dataclasses import dataclass
 
 from .basis import apply_braid_word, monodromy
-from .conjugation import (block_diagonal_structure_check,
-                          generate_consistent_instance, signature_by_blocks,
-                          var_sigma_form)
+from .conjugation import (LevelAnalysis, generate_consistent_instance,
+                          signature_by_blocks, var_sigma_form)
 from .gen import (attach_cycles, flip_last_sign, random_braid_word,
                   random_icis_instance, random_lattice)
 from .index import (IcisInstance, LevelData, sign_independence_check, gradient_index,
                     telescoped_index, level_index_sum, cycle_index_sum)
 from .instfile import InstanceDocument, serialize_instance
 from .lattice import SignVector
-from .signature import exact_signature
 from .variation import (check_monodromy_relation, check_s_relation,
                         var_inverse_as_operator_after_braid)
 
@@ -97,10 +95,10 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
                 except (ValueError, AssertionError) as e:
                     problem = str(e)
             else:
-                problem = block_diagonal_structure_check(lat, conj)
+                analysis = LevelAnalysis(lat, conj)
+                problem = analysis.block_structure_problem()
                 if problem is None:
-                    form = var_sigma_form(lat, conj)
-                    if exact_signature(form).sgn != signature_by_blocks(lat, conj):
+                    if analysis.signature.sgn != signature_by_blocks(lat, conj):
                         problem = "signature disagrees with block closed form"
             if problem:
                 witness = _single_level_doc(lat, conj)

@@ -20,15 +20,31 @@ def var_inverse(lat: ThimbleLattice) -> IntMatrix:
     """Upper-triangular matrix of the lattice-to-dual operator."""
     require_valid(lat)
     d = diagonal_sign(lat.parity)
-    g = lat.gram
-    rows = [[d if r == c else (-g[r, c] if r < c else 0)
-             for c in range(lat.nu)] for r in range(lat.nu)]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple((0,) * r + (d,) + tuple(-x for x in row[r + 1:])
+                           for r, row in enumerate(lat.gram.rows)))
 
 
 def var(lat: ThimbleLattice) -> IntMatrix:
-    """Exact integer inverse of :func:`var_inverse`."""
-    return var_inverse(lat).unimodular_inverse()
+    """Exact integer inverse of :func:`var_inverse`, by back-substitution.
+
+    ``U = var_inverse`` is upper triangular with ``d = +-1`` on the
+    diagonal, so its inverse ``X`` is too, and row ``i`` of ``U X = I``
+    gives ``X_i = d * (e_i - sum_{j > i} U[i][j] * X_j)``.  Rows are
+    formed bottom up, one combination per nonzero ``U[i][j]``; row ``j``
+    of ``X`` vanishes left of column ``j``, so only that tail is touched.
+    """
+    nu = lat.nu
+    d = diagonal_sign(lat.parity)
+    x = [None] * nu
+    for i, row in reversed(list(enumerate(var_inverse(lat).rows))):
+        acc = [0] * nu
+        acc[i] = d
+        for j in range(i + 1, nu):
+            if row[j]:
+                c = d * row[j]
+                acc[j:] = [a - c * b for a, b in zip(acc[j:], x[j][j:])]
+        x[i] = acc
+    return IntMatrix(tuple(map(tuple, x)))
 
 
 def intersection_operator(lat: ThimbleLattice) -> IntMatrix:

@@ -80,6 +80,30 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
                    "at line 2, column 4\n")
 
 
+_LONG = "1" + "0" * 5000  # past Python's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize("old, new, spot", [
+    # canonical layout: the line reader declines and YAML reports it
+    ("index: 0", "index: " + _LONG, "line 16, column 10"),
+    # another layout, read by YAML only
+    ("[2, -1]", "[ 2, " + _LONG + "]", "line 11, column 10"),
+    # a date that does not exist fails in the same place
+    ("index: 0", "index: 2024-13-01", "line 16, column 10"),
+], ids=["canonical", "other-layout", "bad-date"])
+def test_unbuildable_scalar_is_a_located_parse_error(tmp_path, capsys,
+                                                     old, new, spot):
+    path = tmp_path / "long.vl"
+    text = instance_path("a2_index.vl").read_text(encoding="utf-8")
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    for argv in (["validate", path], ["compute", path, "--what", "index"],
+                 ["braid", path, "a1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: not valid YAML: ")
+        assert err.endswith(" at %s\n" % spot)
+
+
 # -- compute ------------------------------------------------------------------
 
 def test_compute_index_goldens(capsys):

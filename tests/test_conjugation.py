@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
+from vanlat.basis import monodromy
 from vanlat.conjugation import (ConjugatePair, ConjugationData, MorseSpec,
-                                RealPoint, block_diagonal_structure_check,
+                                RealPoint, _block_diagonal_part,
+                                _forced_conjugation,
+                                block_diagonal_structure_check,
                                 build_sigma, derive_sigma_tilde,
                                 generate_consistent_instance,
                                 signature_by_blocks, var_sigma_form)
-from vanlat.intmat import IntMatrix
+from vanlat.gen import random_lattice
+from vanlat.intmat import IntMatrix, row_reduce
 from vanlat.lattice import ThimbleLattice, validate_lattice
 from vanlat.signature import exact_signature
 
@@ -174,7 +180,6 @@ def test_generator_rank_zero_bound():
 def test_monodromy_split_closure_on_consistent_instances():
     # sigma * sigma_tilde recovers the monodromy, and the companion is an
     # involution, on every consistent instance
-    from vanlat.basis import monodromy
     for seed in range(30):
         parity = 1 + seed % 5
         lat, conj = generate_consistent_instance(seed, 7, parity)
@@ -184,16 +189,46 @@ def test_monodromy_split_closure_on_consistent_instances():
 
 
 
+def _solve_sigma_upper(lat, morse):
+    """Oracle: the upper entries that make ``sigma * monodromy`` vanish
+    strictly above the block diagonal, from that linear system.
+
+    This route shares nothing with the generator's ``var * B``.  Row r
+    of the system has the trailing principal block of
+    the monodromy (+-var * var_inverse^T, upper times lower triangular
+    unimodular) as its matrix, so the solution exists, is unique and is
+    integral; None would mean it is not.
+    """
+    nu = lat.nu
+    block_of = morse.block_index()
+    fixed = _block_diagonal_part(morse)
+    h = monodromy(lat)
+    positions = [(r, c) for r in range(nu) for c in range(nu)
+                 if block_of[c] > block_of[r]]
+    index = {p: k for k, p in enumerate(positions)}
+    nunk = len(positions)
+    aug = []
+    for (r, c) in positions:
+        row = [0] * (nunk + 1)
+        for k in range(nu):
+            if (r, k) in index:
+                row[index[(r, k)]] += h[k, c]
+            else:
+                row[nunk] -= fixed[r, k] * h[k, c]
+        aug.append(row)
+    pivots, d, _ = row_reduce(aug, nunk)
+    if len(pivots) < nunk or any(row[nunk] % d for row in aug):
+        return None
+    return [(r, c, aug[index[(r, c)]][nunk] // d)
+            for (r, c) in positions if aug[index[(r, c)]][nunk]]
+
+
 def test_solve_sigma_upper_solutions_are_exact():
-    # the solve must return an exact solution of its linear system:
-    # sigma * monodromy vanishes strictly above the block diagonal.  Row r
-    # of the system has the trailing principal block of the monodromy
-    # (+-var * var_inverse^T, upper times lower triangular unimodular) as
-    # its matrix, so a solution always exists and is integral.
-    import random
-    from vanlat.basis import monodromy
-    from vanlat.conjugation import _block_diagonal_part, _solve_sigma_upper
-    from vanlat.gen import random_lattice
+    # the generator's sigma = var * B must be the exact solution of the
+    # linear system whenever either route gives a consistent instance,
+    # and the oracle's solution must be exact: sigma * monodromy vanishes
+    # strictly above the block diagonal.
+    agreed = 0
     for seed in range(200):
         rng = random.Random(seed)
         parity = rng.choice((1, 2, 3))
@@ -209,7 +244,7 @@ def test_solve_sigma_upper_solutions_are_exact():
                 points.append(RealPoint(rng.randrange(parity + 1)))
                 left -= 1
         morse = MorseSpec(tuple(points))
-        upper = _solve_sigma_upper(lat, morse, rng)
+        upper = _solve_sigma_upper(lat, morse)
         assert upper is not None
         rows = _block_diagonal_part(morse).to_lists()
         for r, c, v in upper:
@@ -218,3 +253,18 @@ def test_solve_sigma_upper_solutions_are_exact():
         block_of = morse.block_index()
         assert all(product[r, c] == 0 for r in range(size)
                    for c in range(size) if block_of[c] > block_of[r])
+
+        pinned, forced = _forced_conjugation(lat, points)
+        verdicts = []
+        for m, entries in ((pinned, forced), (morse, upper)):
+            try:
+                conj = build_sigma(m, parity, entries)
+            except ValueError:
+                verdicts.append(False)
+            else:
+                verdicts.append(derive_sigma_tilde(conj, lat).consistent)
+        if any(verdicts):
+            assert verdicts == [True, True]
+            assert forced == upper
+            agreed += 1
+    assert agreed >= 40  # 41 of the 200 draws are consistent

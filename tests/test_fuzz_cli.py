@@ -32,6 +32,9 @@ _edits = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
                   min_size=1, max_size=4)
 # the asymmetric gram [[2, -8], [-1, 2]], which once made `braid` raise
 _ASYMMETRIC = [("replace", CORPUS["a2_lattice.vl"].index("-1]") + 1, "8")]
+# an integer past Python's 4300-digit limit, which once ended in exit 1
+_LONG_INTEGER = [("replace", CORPUS["a2_index.vl"].index("index: 0") + 7,
+                  "1" + "0" * 5000)]
 
 
 def mutate(text, edits):
@@ -56,6 +59,7 @@ def run_quietly(argv):
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.sampled_from(sorted(CORPUS)), _edits)
 @example("a2_lattice.vl", _ASYMMETRIC)
+@example("a2_index.vl", _LONG_INTEGER)
 def test_mutated_instances_end_with_a_documented_exit_code(name, edits):
     text = mutate(CORPUS[name], edits)
     with tempfile.TemporaryDirectory() as tmp:

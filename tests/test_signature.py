@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanlat.intmat import IntMatrix
+from vanlat.intmat import IntMatrix, eliminate
 from vanlat.oracle import float_signature
 from vanlat.signature import Signature, exact_signature
 
@@ -100,6 +100,88 @@ def test_zero_diagonal_block_form(p, q, seed):
     r = _rank(IntMatrix.from_rows(b, width=q))
     assert exact_signature(IntMatrix.from_rows(rows, width=n)) == \
         Signature(r, r, n - 2 * r)
+
+
+def _single_block_signature(m):
+    """Reference: the whole form eliminated as one block, as
+    ``exact_signature`` did before it split the form into components."""
+    a = m.to_lists()
+    active = list(range(m.nrows))
+    n_plus = n_minus = 0
+    prev = 1
+    while active:
+        piv = next((i for i in active if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if a[i][j]),
+                        None)
+            if pair is None:
+                break
+            piv, j = pair
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for r in active:
+                a[r][piv] += a[r][j]
+        active.remove(piv)
+        eliminate(a, piv, piv, active, prev)
+        if (a[piv][piv] > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        prev = a[piv][piv]
+    return Signature(n_plus, n_minus, len(active))
+
+
+_entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def _block(draw):
+    """A small symmetric block: random, of rank one (degenerate), zero,
+    or with a zero diagonal."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("random", "rank-one", "zero", "zero-diagonal")))
+    if kind == "rank-one":
+        v = draw(st.lists(_entry, min_size=n, max_size=n))
+        c = draw(st.sampled_from((1, -1, 2)))
+        return [[c * x * y for y in v] for x in v]
+    rows = [[0] * n for _ in range(n)]
+    if kind == "zero":
+        return rows
+    for i in range(n):
+        if kind == "random":
+            rows[i][i] = draw(_entry)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(_entry)
+    return rows
+
+
+@st.composite
+def _permuted_block_diagonal(draw):
+    """``P^T diag(B_1, ..., B_k) P`` for a random permutation ``P``, so
+    each component is spread over scattered indices."""
+    blocks = draw(st.lists(_block(), max_size=5))
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    pos = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[pos + i][pos:pos + len(b)] = row
+        pos += len(b)
+    perm = draw(st.permutations(range(n)))
+    return IntMatrix.from_rows([[rows[perm[r]][perm[c]] for c in range(n)]
+                                for r in range(n)], width=n)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_permuted_block_diagonal())
+def test_component_split_matches_single_block_elimination(m):
+    assert exact_signature(m) == _single_block_signature(m)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 7), st.integers(0, 2 ** 63))
+def test_component_split_matches_single_block_on_dense_forms(n, seed):
+    m = _random_symmetric(random.Random(seed), n, bound=2)
+    assert exact_signature(m) == _single_block_signature(m)
 
 
 def _rank(m):

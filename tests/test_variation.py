@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanlat.basis import BraidWord, monodromy
 from vanlat.gen import random_braid_word, random_lattice
@@ -33,6 +35,17 @@ def test_var_examples():
     assert var(ThimbleLattice(1, IntMatrix.from_rows([[2]]))) == \
         IntMatrix.from_rows([[-1]])
     assert var(ThimbleLattice(1, IntMatrix(()))) == IntMatrix.identity(0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(-4, 6), st.integers(0, 9), st.integers(0, 5),
+       st.integers(0, 2 ** 63))
+def test_back_substituted_var_is_the_unimodular_inverse(parity, nu, max_entry,
+                                                        seed):
+    # every parity, even, zero and negative ones included; max_entry 0
+    # gives the diagonal lattice
+    lat = random_lattice(random.Random(seed), nu, parity, max_entry=max_entry)
+    assert var(lat) == var_inverse(lat).unimodular_inverse()
 
 
 def test_var_inverse_rejects_invalid_lattice():
