@@ -23,9 +23,9 @@ functions each build one analysis per call.  A
 :class:`vanlat.index.LevelData` keeps its analysis, so every index route
 over a level shares it.
 
-The generator assembles each chunk's conjugation as ``sigma = var * B``,
-where ``B`` is the forced block form.  The consistency checks then
-accept or reject it.
+The generator forms each chunk's conjugation as ``sigma = B^-1 *
+var_inverse``, where ``B`` is the forced block form, and accepts it when
+it squares to the identity (see :func:`_forced_conjugation`).
 """
 
 import random
@@ -37,7 +37,7 @@ from .intmat import IntMatrix
 from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
                       self_intersection, validate_lattice)
 from .signature import Signature, exact_signature
-from .variation import var, var_inverse
+from .variation import var_inverse
 
 
 @dataclass(frozen=True)
@@ -320,45 +320,55 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 # ---------------------------------------------------------------------------
 
 def _forced_conjugation(lat, points):
-    """Pinned descriptors and the upper entries of ``sigma = var * B``.
+    """The candidate ``sigma = B^-1 * var_inverse``, with pinned descriptors.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :func:`block_diagonal_structure_check`): ``d * (-1)^m`` on
-    a real slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  So
-    ``sigma = var * B``, whose diagonal block at the pair is
-    ``[[a + d * var[s][s+1], 1], [1, 0]]``; it is the swap exactly when
-    ``a = -d * var[s][s+1]``, which pins each pair's pairing number.
-    ``points`` gives the real descriptors and where the pairs go; their
-    pairing numbers are ignored.
+    a real slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  As
+    ``sigma`` is an involution, ``sigma = (var * B)^-1 = B^-1 *
+    var_inverse``; conversely, if ``B^-1 * var_inverse`` squares to the
+    identity it equals its inverse ``var * B``.  Then the companion is
+    ``+-B^-1 * var_inverse^T``, block lower triangular and an involution,
+    so the involution law alone accepts a candidate.
+
+    ``B^-1`` is ``d * (-1)^m`` on a real slot and ``d * [[0, 1], [1, -a]]``
+    on a pair, so each block of rows of ``sigma`` combines the same rows
+    of ``var_inverse``.  The diagonal block of ``var * B`` at a pair is
+    ``[[a + d * var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a =
+    -d * var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
+    number.  ``points`` gives the real descriptors and where the pairs
+    go; their pairing numbers are ignored.
     """
-    nu = lat.nu
     d = diagonal_sign(lat.parity)
-    v = var(lat)
-    b = [[0] * nu for _ in range(nu)]
+    u = var_inverse(lat).rows
+    rows = []
     pinned = []
     pos = 0
     for point in points:
         if isinstance(point, RealPoint):
-            b[pos][pos] = d * (-1) ** point.morse_index
+            e = d * (-1) ** point.morse_index
+            rows.append(tuple(e * x for x in u[pos]))
         else:
-            point = ConjugatePair(-d * v[pos, pos + 1])
-            b[pos][pos] = d * point.pairing
-            b[pos][pos + 1] = b[pos + 1][pos] = d
+            point = ConjugatePair(-d * lat.gram[pos, pos + 1])
+            a = point.pairing
+            top, bottom = u[pos], u[pos + 1]
+            rows.append(tuple(d * y for y in bottom))
+            rows.append(tuple(d * (x - a * y) for x, y in zip(top, bottom)))
         pinned.append(point)
         pos += point.slots
-    morse = MorseSpec(tuple(pinned))
-    sigma = v * IntMatrix(tuple(map(tuple, b)))
-    block_of = morse.block_index()
-    upper = [(r, c, sigma[r, c]) for r in range(nu) for c in range(nu)
-             if block_of[c] > block_of[r] and sigma[r, c]]
-    return morse, upper
+    return ConjugationData(IntMatrix(tuple(rows)), MorseSpec(tuple(pinned)))
 
 
-def _sample_chunk(rng, size, parity, tries=400):
-    """One consistent instance of the given rank, coupled inside."""
+# Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
+CHUNK_TRIES = 400
+
+
+def _sample_chunk(rng, size, parity):
+    """One consistent instance of the given rank, coupled inside, or
+    ``None`` when ``CHUNK_TRIES`` draws all fail the involution law."""
     eps = 1 if parity % 2 == 1 else -1
     diag = self_intersection(parity)
-    for _ in range(tries):
+    for _ in range(CHUNK_TRIES):
         points = []
         left = size
         while left > 0:
@@ -377,13 +387,10 @@ def _sample_chunk(rng, size, parity, tries=400):
                 rows[r][c] = v
                 rows[c][r] = eps * v
         lat = ThimbleLattice(parity, IntMatrix.from_rows(rows, width=size))
-        morse, upper = _forced_conjugation(lat, points)
-        try:
-            conj = build_sigma(morse, parity, upper)
-        except ValueError:
-            continue
-        analysis = LevelAnalysis(lat, conj)
-        if analysis.companion.consistent:
+        conj = _forced_conjugation(lat, points)
+        if conj.sigma * conj.sigma == IntMatrix.identity(size):
+            analysis = LevelAnalysis(lat, conj)
+            assert analysis.companion.consistent
             assert analysis.block_structure_problem() is None
             return lat, conj
     return None
@@ -408,46 +415,37 @@ def _direct_sum(parity, parts):
     return lat, conj
 
 
-def generate_consistent_instance(seed: int, rank_bound: int, parity: int,
-                                 max_attempts: int = 4000
+def generate_consistent_instance(seed: int, rank_bound: int, parity: int
                                  ) -> tuple[ThimbleLattice, ConjugationData]:
     """Deterministic search for a consistent (lattice, conjugation) pair.
 
     Samples a rank up to ``rank_bound`` and assembles the instance as a
     direct sum of consistent chunks of rank at most 4.  Inside a chunk the
-    gram couplings are random and the conjugation is ``var * B`` for the
-    forced block form ``B``; across chunks there is no coupling, since
-    consistency pins those entries to rigid arithmetic relations that
-    random data essentially never satisfies.  Each chunk is asserted to
-    have the forced block form, which the direct sum inherits.  Raises
-    RuntimeError if the attempt budget is exhausted.
+    gram couplings are random and the conjugation is ``B^-1 *
+    var_inverse`` for the forced block form ``B``; across chunks there is
+    no coupling, since consistency pins those entries to rigid arithmetic
+    relations that random data essentially never satisfies.  A chunk
+    whose draws all fail is shrunk by one until it succeeds, which a
+    rank-1 chunk always does.  Each chunk is asserted to be consistent
+    with the forced block form, which the direct sum inherits.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
+    if parity < 0:
+        raise ValueError("parity must be >= 0 (Morse indices lie in 0..parity), "
+                         "got %d" % parity)
     rng = random.Random(seed)
     nu = rng.randint(0, rank_bound)
-    if nu == 0:
-        lat = ThimbleLattice(parity, IntMatrix(()))
-        return lat, ConjugationData(IntMatrix(()), MorseSpec(()))
-    budget = max_attempts
     parts = []
     left = nu
     while left > 0:
         size = min(left, rng.randint(1, 4))
-        got = None
-        while got is None and budget > 0:
+        got = _sample_chunk(rng, size, parity)
+        while got is None:
+            size -= 1
             got = _sample_chunk(rng, size, parity)
-            if got is None:
-                budget -= 400  # only a failed chunk search uses up budget
-                if size > 1:
-                    size -= 1  # smaller chunks succeed essentially always
-        if got is None:
-            raise RuntimeError(
-                "consistent-instance search exhausted %d attempts "
-                "(rank %d, parity %d, seed %d)"
-                % (max_attempts, nu, parity, seed))
         parts.append(got)
-        left -= got[0].nu
+        left -= size
     lat, conj = _direct_sum(parity, parts)
     assert validate_lattice(lat) is None
     return lat, conj

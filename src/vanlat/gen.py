@@ -32,13 +32,11 @@ def random_lattice(rng: random.Random, nu: int, parity: int,
     return ThimbleLattice(parity, IntMatrix.from_rows(rows, width=nu))
 
 
-def random_braid_word(rng: random.Random, nu: int, max_len: int = 12,
-                      include_flips: bool = True) -> BraidWord:
+def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWord:
     """Random word valid for rank ``nu``; empty when the rank allows no moves."""
-    kinds = "aAf" if include_flips else "aA"
     moves = []
     for _ in range(rng.randint(0, max_len)):
-        kind = rng.choice(kinds)
+        kind = rng.choice("aAf")
         top = nu if kind == "f" else nu - 1
         if top < 1:
             continue

@@ -90,7 +90,7 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
             if name == "symmetric-nondegenerate":
                 try:
                     form = var_sigma_form(lat, conj)
-                    if not form.is_symmetric() or form.det() == 0:
+                    if not form.is_symmetric() or form.det() not in (1, -1):
                         problem = "form not symmetric and unimodular"
                 except (ValueError, AssertionError) as e:
                     problem = str(e)

@@ -55,6 +55,14 @@ def intersection_operator(lat: ThimbleLattice) -> IntMatrix:
     return lat.gram
 
 
+def _first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
+    """First ``(row, col)`` where ``a`` and ``b`` differ, or ``None``."""
+    if a.rows == b.rows:
+        return None
+    return next((r, c) for r, (x, y) in enumerate(zip(a.rows, b.rows))
+                for c, (u, v) in enumerate(zip(x, y)) if u != v)
+
+
 def check_s_relation(lat: ThimbleLattice) -> str | None:
     """Verify ``S = -M + (-1)^parity * M^T`` entrywise, ``M = var_inverse``.
 
@@ -65,13 +73,11 @@ def check_s_relation(lat: ThimbleLattice) -> str | None:
     m = var_inverse(lat)
     rhs = -m + (-1 if lat.parity % 2 else 1) * m.transpose()
     s = intersection_operator(lat)
-    for r in range(lat.nu):
-        for c in range(lat.nu):
-            if s[r, c] != rhs[r, c]:
-                return ("entry (%d, %d): pairing matrix has %d but "
-                        "-M + (-1)^%d M^T gives %d"
-                        % (r, c, s[r, c], lat.parity, rhs[r, c]))
-    return None
+    if (diff := _first_difference(s, rhs)) is None:
+        return None
+    return ("entry (%d, %d): pairing matrix has %d but "
+            "-M + (-1)^%d M^T gives %d"
+            % (*diff, s[diff], lat.parity, rhs[diff]))
 
 
 def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
@@ -81,13 +87,11 @@ def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
     h = monodromy(lat)
     m = var_inverse(lat)
     rhs = (-1 if lat.parity % 2 else 1) * (var(lat) * m.transpose())
-    for r in range(lat.nu):
-        for c in range(lat.nu):
-            if h[r, c] != rhs[r, c]:
-                return ("entry (%d, %d): monodromy has %d but "
-                        "(-1)^%d Var Var^{-1 T} gives %d"
-                        % (r, c, h[r, c], lat.parity, rhs[r, c]))
-    return None
+    if (diff := _first_difference(h, rhs)) is None:
+        return None
+    return ("entry (%d, %d): monodromy has %d but "
+            "(-1)^%d Var Var^{-1 T} gives %d"
+            % (*diff, h[diff], lat.parity, rhs[diff]))
 
 
 def var_inverse_as_operator_after_braid(lat: ThimbleLattice,
@@ -102,10 +106,8 @@ def var_inverse_as_operator_after_braid(lat: ThimbleLattice,
     fresh = var_inverse(new_lat)
     p = change.matrix
     transported = p.transpose() * var_inverse(lat) * p
-    for r in range(lat.nu):
-        for c in range(lat.nu):
-            if fresh[r, c] != transported[r, c]:
-                return ("entry (%d, %d) after word '%s': recomputed %d, "
-                        "congruence-transported %d"
-                        % (r, c, word, fresh[r, c], transported[r, c]))
-    return None
+    if (diff := _first_difference(fresh, transported)) is None:
+        return None
+    return ("entry (%d, %d) after word '%s': recomputed %d, "
+            "congruence-transported %d"
+            % (*diff, word, fresh[diff], transported[diff]))

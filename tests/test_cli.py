@@ -3,6 +3,7 @@ import pytest
 from conftest import instance_path
 from vanlat.basis import monodromy
 from vanlat.cli import main
+from vanlat.intmat import IntMatrix
 
 
 def run(capsys, *argv):
@@ -295,6 +296,19 @@ def test_verify_failure_serializes_reparseable_counterexample(
     from vanlat.instfile import parse_instance_text
     doc = parse_instance_text(out_file.read_text())
     assert doc.instance.p == 0
+
+
+def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
+                                                      monkeypatch):
+    # [[2]] is symmetric and nondegenerate but has det 2
+    import vanlat.suite as suite
+    monkeypatch.setattr(suite, "var_sigma_form",
+                        lambda lat, conj: IntMatrix.from_rows([[2]]))
+    code, out, _ = run(capsys, "verify", "--seed", "2", "--count", "7",
+                       "--rank-bound", "4", "--output", tmp_path / "ce.vl")
+    assert code == 1
+    assert ("FAIL symmetric-nondegenerate (instance 3): "
+            "form not symmetric and unimodular") in out.splitlines()
 
 
 def test_verify_rank_bound_32_passes(capsys):

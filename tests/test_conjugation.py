@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from vanlat.conjugation import (ConjugatePair, ConjugationData, MorseSpec,
                                 build_sigma, derive_sigma_tilde,
                                 generate_consistent_instance,
                                 signature_by_blocks, var_sigma_form)
-from vanlat.gen import random_lattice
+from vanlat.gen import random_icis_instance, random_lattice
+from vanlat.index import IcisInstance, LevelData
+from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce
-from vanlat.lattice import ThimbleLattice, validate_lattice
+from vanlat.lattice import SignVector, ThimbleLattice, validate_lattice
 from vanlat.signature import exact_signature
 
 
@@ -177,6 +180,36 @@ def test_generator_rank_zero_bound():
     assert lat.nu == 0 and conj.nu == 0
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_generator_rejects_negative_parity(seed):
+    # at bound 8 seed 0 would draw rank 6 and seed 2 rank 0; both are
+    # refused before the draw, so neither fails inside it nor returns
+    with pytest.raises(ValueError, match=r"parity must be >= 0 .*got -1"):
+        generate_consistent_instance(seed, 8, -1)
+
+
+def _generator_digest():
+    """md5 of the serialized generator output over a fixed seed list."""
+    h = hashlib.md5()
+    for rank_bound in (8, 16, 32):
+        for seed in range(60):
+            parity = seed % 5
+            lat, conj = generate_consistent_instance(seed, rank_bound, parity)
+            inst = IcisInstance(parity, 0, SignVector((1,)),
+                                (LevelData(0, lat, conj),))
+            h.update(serialize_instance(InstanceDocument(inst)).encode())
+    for seed in range(20):
+        inst = random_icis_instance(seed, 1 + seed % 3, 2, 6, with_cycles=True)
+        h.update(serialize_instance(InstanceDocument(inst)).encode())
+    return h.hexdigest()
+
+
+def test_generator_output_is_pinned():
+    # any change to the draws, the accepted chunks or their conjugations
+    # changes this digest
+    assert _generator_digest() == "bde18958a0f85cdb38f013e9ebd73ebd"
+
+
 def test_monodromy_split_closure_on_consistent_instances():
     # sigma * sigma_tilde recovers the monodromy, and the companion is an
     # involution, on every consistent instance
@@ -193,11 +226,11 @@ def _solve_sigma_upper(lat, morse):
     """Oracle: the upper entries that make ``sigma * monodromy`` vanish
     strictly above the block diagonal, from that linear system.
 
-    This route shares nothing with the generator's ``var * B``.  Row r
-    of the system has the trailing principal block of
-    the monodromy (+-var * var_inverse^T, upper times lower triangular
-    unimodular) as its matrix, so the solution exists, is unique and is
-    integral; None would mean it is not.
+    This route shares nothing with the generator's ``B^-1 * var_inverse``.
+    Row r of the system has the trailing principal block of the monodromy
+    (+-var * var_inverse^T, upper times lower triangular unimodular) as
+    its matrix, so the solution exists, is unique and is integral; None
+    would mean it is not.
     """
     nu = lat.nu
     block_of = morse.block_index()
@@ -224,8 +257,8 @@ def _solve_sigma_upper(lat, morse):
 
 
 def test_solve_sigma_upper_solutions_are_exact():
-    # the generator's sigma = var * B must be the exact solution of the
-    # linear system whenever either route gives a consistent instance,
+    # the generator's sigma = B^-1 * var_inverse must be the exact solution
+    # of the linear system whenever either route gives a consistent instance,
     # and the oracle's solution must be exact: sigma * monodromy vanishes
     # strictly above the block diagonal.
     agreed = 0
@@ -254,17 +287,17 @@ def test_solve_sigma_upper_solutions_are_exact():
         assert all(product[r, c] == 0 for r in range(size)
                    for c in range(size) if block_of[c] > block_of[r])
 
-        pinned, forced = _forced_conjugation(lat, points)
-        verdicts = []
-        for m, entries in ((pinned, forced), (morse, upper)):
-            try:
-                conj = build_sigma(m, parity, entries)
-            except ValueError:
-                verdicts.append(False)
-            else:
-                verdicts.append(derive_sigma_tilde(conj, lat).consistent)
+        forced = _forced_conjugation(lat, points)
+        verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
+                    and derive_sigma_tilde(forced, lat).consistent]
+        try:
+            solved = build_sigma(morse, parity, upper)
+        except ValueError:
+            verdicts.append(False)
+        else:
+            verdicts.append(derive_sigma_tilde(solved, lat).consistent)
         if any(verdicts):
             assert verdicts == [True, True]
-            assert forced == upper
+            assert forced.sigma == solved.sigma
             agreed += 1
     assert agreed >= 40  # 41 of the 200 draws are consistent

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanlat.basis import BraidWord, monodromy
+from vanlat import variation
+from vanlat.basis import BraidWord, monodromy, parse_braid_word
 from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice
@@ -75,6 +76,47 @@ def test_monodromy_relation_examples():
     assert check_monodromy_relation(ThimbleLattice(2, IntMatrix(()))) is None
 
 
+def a3():
+    return ThimbleLattice(1, IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1],
+                                                  [0, -1, 2]]))
+
+
+def bumped(m, *entries):
+    """``m`` with 1 added at each ``(row, col)`` in ``entries``."""
+    rows = m.to_lists()
+    for r, c in entries:
+        rows[r][c] += 1
+    return IntMatrix.from_rows(rows)
+
+
+def test_s_relation_reports_the_first_differing_entry(monkeypatch):
+    # a bump at (1, 2) of M shows in -M - M^T at (1, 2) and (2, 1)
+    original = variation.var_inverse
+    monkeypatch.setattr(variation, "var_inverse",
+                        lambda lat: bumped(original(lat), (1, 2)))
+    assert check_s_relation(a3()) == (
+        "entry (1, 2): pairing matrix has -1 but -M + (-1)^1 M^T gives -2")
+
+
+def test_monodromy_relation_reports_the_first_differing_entry(monkeypatch):
+    original = variation.monodromy
+    monkeypatch.setattr(variation, "monodromy",
+                        lambda lat: bumped(original(lat), (2, 2), (2, 1)))
+    assert check_monodromy_relation(a3()) == (
+        "entry (2, 1): monodromy has 2 but (-1)^1 Var Var^{-1 T} gives 1")
+
+
+def test_braid_invariance_reports_the_first_differing_entry(monkeypatch):
+    # a constant bump is not transported by congruence
+    original = variation.var_inverse
+    monkeypatch.setattr(variation, "var_inverse",
+                        lambda lat: bumped(original(lat), (1, 2)))
+    word = parse_braid_word("A2 f3")
+    assert var_inverse_as_operator_after_braid(a3(), word) == (
+        "entry (1, 2) after word 'A2 f3': recomputed 2, "
+        "congruence-transported 1")
+
+
 def test_triangularity_and_unimodularity():
     rng = random.Random(42)
     for _ in range(120):
@@ -103,7 +145,6 @@ def test_relations_hold_on_random_corpus():
 def test_braid_invariance_examples():
     lat = a2()
     assert var_inverse_as_operator_after_braid(lat, BraidWord(())) is None
-    from vanlat.basis import parse_braid_word
     assert var_inverse_as_operator_after_braid(lat, parse_braid_word("a1")) is None
 
 

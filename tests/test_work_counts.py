@@ -2,7 +2,9 @@
 
 The index and signature routes must not take a determinant (the form's
 signature already reports its radical), and every route that reads a
-level shares one analysis, so each level's monodromy is built once.
+level shares one analysis, so each level's monodromy is built once.  The
+generator forms each conjugation in closed form, without ``var`` and
+without assembling it again through ``build_sigma``.
 """
 
 import collections
@@ -12,8 +14,9 @@ import io
 import pytest
 
 from conftest import instance_path
-from vanlat import conjugation
+from vanlat import conjugation, variation
 from vanlat.cli import main
+from vanlat.conjugation import generate_consistent_instance
 from vanlat.gen import flip_last_sign, random_icis_instance
 from vanlat.index import gradient_index, sign_independence_check, telescoped_index
 from vanlat.intmat import IntMatrix
@@ -50,3 +53,13 @@ def test_index_routes_build_each_monodromy_once(monkeypatch, seed):
     assert sign_independence_check([inst, flipped]) is None
     lattices = {id(level.lattice) for level in inst.levels + flipped.levels}
     assert built == {k: 1 for k in lattices}
+
+
+def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
+    assert not hasattr(conjugation, "var")
+    counts = [_counting(monkeypatch, conjugation, "build_sigma"),
+              _counting(monkeypatch, variation, "var")]
+    for seed in range(12):
+        generate_consistent_instance(seed, 16, seed % 5)
+        random_icis_instance(seed, 1 + seed % 3, 2, 6, with_cycles=True)
+    assert [sum(c.values()) for c in counts] == [0, 0]
