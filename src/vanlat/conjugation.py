@@ -165,15 +165,21 @@ class LevelAnalysis:
     route below and in :mod:`vanlat.index` reads them from here.  The
     bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
+    A caller that has already formed ``var_inverse(lat)`` (the
+    generator) passes it as ``known_var_inverse`` instead.
     """
 
-    def __init__(self, lat: ThimbleLattice, conj: ConjugationData):
+    def __init__(self, lat: ThimbleLattice, conj: ConjugationData,
+                 known_var_inverse: IntMatrix | None = None):
         if conj.nu != lat.nu:
             raise ValueError("rank mismatch: sigma is %dx%d, lattice has rank %d"
                              % (conj.nu, conj.nu, lat.nu))
         require_valid(lat)
         self.lattice = lat
         self.conj = conj
+        if known_var_inverse is not None:
+            # an instance attribute shadows the cached property below
+            self.var_inverse = known_var_inverse
 
     @cached_property
     def _spans(self) -> list[tuple[int, int]]:
@@ -319,7 +325,7 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 # Search for consistent synthetic instances.
 # ---------------------------------------------------------------------------
 
-def _forced_conjugation(lat, points):
+def _forced_conjugation(lat, points, var_inv):
     """The candidate ``sigma = B^-1 * var_inverse``, with pinned descriptors.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
@@ -337,10 +343,12 @@ def _forced_conjugation(lat, points):
     ``[[a + d * var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a =
     -d * var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
     number.  ``points`` gives the real descriptors and where the pairs
-    go; their pairing numbers are ignored.
+    go; their pairing numbers are ignored.  ``var_inv`` is
+    ``var_inverse(lat)``, which the caller keeps for the analysis that
+    checks an accepted candidate.
     """
     d = diagonal_sign(lat.parity)
-    u = var_inverse(lat).rows
+    u = var_inv.rows
     rows = []
     pinned = []
     pos = 0
@@ -387,9 +395,10 @@ def _sample_chunk(rng, size, parity):
                 rows[r][c] = v
                 rows[c][r] = eps * v
         lat = ThimbleLattice(parity, IntMatrix.from_rows(rows, width=size))
-        conj = _forced_conjugation(lat, points)
+        u = var_inverse(lat)
+        conj = _forced_conjugation(lat, points, u)
         if conj.sigma * conj.sigma == IntMatrix.identity(size):
-            analysis = LevelAnalysis(lat, conj)
+            analysis = LevelAnalysis(lat, conj, known_var_inverse=u)
             assert analysis.companion.consistent
             assert analysis.block_structure_problem() is None
             return lat, conj

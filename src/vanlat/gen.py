@@ -9,8 +9,8 @@ data, and matched sign-flipped variants.
 import random
 
 from .basis import BraidMove, BraidWord
-from .conjugation import (ConjugationData, ConjugatePair, MorseSpec, RealPoint,
-                          derive_sigma_tilde, generate_consistent_instance)
+from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
+                          MorseSpec, RealPoint, generate_consistent_instance)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix
 from .lattice import SignVector, ThimbleLattice, self_intersection
@@ -44,20 +44,22 @@ def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWo
     return BraidWord(tuple(moves))
 
 
-def attach_cycles(lat: ThimbleLattice, conj: ConjugationData,
-                  pad: int = 0) -> CycleData:
-    """Cycle data matching a consistent level.
+def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
+                      pad: int = 0) -> LevelData:
+    """Level ``i`` of a consistent lattice and conjugation, with cycle data.
 
-    Uses the lattice pairing with both conjugation actions; ``pad`` extra
-    null directions model the radical that the boundary map contributes,
-    on which both actions are taken to be trivial.
+    The cycle data is the lattice pairing with both conjugation actions;
+    ``pad`` extra null directions model the radical that the boundary map
+    contributes, on which both actions are taken to be trivial.  The
+    companion action is read from the analysis that the level then keeps,
+    so the level's monodromy is built once.
     """
-    tilde = derive_sigma_tilde(conj, lat).matrix
-    if pad == 0:
-        return CycleData(lat.gram, conj.sigma, tilde)
+    analysis = LevelAnalysis(lat, conj)
     n = lat.nu + pad
 
     def padded(m, fill):
+        if pad == 0:
+            return m
         rows = [[0] * n for _ in range(n)]
         for r in range(lat.nu):
             for c in range(lat.nu):
@@ -66,8 +68,9 @@ def attach_cycles(lat: ThimbleLattice, conj: ConjugationData,
             rows[k][k] = fill
         return IntMatrix.from_rows(rows, width=n)
 
-    return CycleData(padded(lat.gram, 0), padded(conj.sigma, 1),
-                     padded(tilde, 1))
+    cycles = CycleData(padded(lat.gram, 0), padded(conj.sigma, 1),
+                       padded(analysis.companion.matrix, 1))
+    return LevelData(i, lat, conj, cycles, analysis)
 
 
 def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
@@ -90,10 +93,11 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
                     raise RuntimeError("no all-real level 0 found")
                 continue
             break
-        cycles = None
         if with_cycles and parity % 2 == 1:
-            cycles = attach_cycles(lat, conj, pad=rng.choice((0, 0, 1, 2)))
-        levels.append(LevelData(i, lat, conj, cycles))
+            levels.append(level_with_cycles(i, lat, conj,
+                                            pad=rng.choice((0, 0, 1, 2))))
+        else:
+            levels.append(LevelData(i, lat, conj))
     return IcisInstance(n, p, signs, tuple(levels))
 
 
@@ -125,10 +129,10 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
                        for pt in reversed(conj.morse.points))
     new_lat = ThimbleLattice(parity, new_gram)
     new_conj = ConjugationData(new_sigma, MorseSpec(new_points))
-    cycles = None
     if level0.cycles is not None:
-        cycles = attach_cycles(new_lat, new_conj)
-    new_level0 = LevelData(0, new_lat, new_conj, cycles)
+        new_level0 = level_with_cycles(0, new_lat, new_conj)
+    else:
+        new_level0 = LevelData(0, new_lat, new_conj)
     signs = inst.signs.entries
     new_signs = SignVector(signs[:-1] + (-signs[-1],))
     return IcisInstance(inst.n, inst.p, new_signs,

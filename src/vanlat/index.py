@@ -14,7 +14,7 @@ telescoped form of that recursion, and ``telescoped_index`` re-runs the
 recursion step by step so the two routes can be compared on any instance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .conjugation import ConjugationData, LevelAnalysis
@@ -41,17 +41,28 @@ class CycleData:
 
 @dataclass(frozen=True)
 class LevelData:
-    """One level of the tower: lattice, conjugation, optional cycle data."""
+    """One level of the tower: lattice, conjugation, optional cycle data.
+
+    ``prebuilt`` hands over an analysis of the same lattice and
+    conjugation that the caller has already built (to derive the cycle
+    data, say), so that the level does not build a second one.
+    """
 
     i: int
     lattice: ThimbleLattice
     conj: ConjugationData | None = None
     cycles: CycleData | None = None
+    prebuilt: LevelAnalysis | None = field(default=None, compare=False,
+                                           repr=False)
 
     def __post_init__(self):
         if self.conj is not None and self.conj.nu != self.lattice.nu:
             raise ValueError("level %d: conjugation rank %d != lattice rank %d"
                              % (self.i, self.conj.nu, self.lattice.nu))
+        if self.prebuilt is not None and (self.prebuilt.lattice is not self.lattice
+                                          or self.prebuilt.conj is not self.conj):
+            raise ValueError("level %d: the prebuilt analysis is of another "
+                             "lattice or conjugation" % self.i)
 
     def require_conj(self) -> ConjugationData:
         if self.conj is None:
@@ -61,7 +72,10 @@ class LevelData:
     @cached_property
     def analysis(self) -> LevelAnalysis:
         """The level's derived data (monodromy, companion, form, signature),
-        built on first use and shared by every route that reads it."""
+        built on first use (or handed over as ``prebuilt``) and shared by
+        every route that reads it."""
+        if self.prebuilt is not None:
+            return self.prebuilt
         return LevelAnalysis(self.lattice, self.require_conj())
 
 

@@ -6,7 +6,7 @@ as an error.
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, eliminate
+from .intmat import IntMatrix, components, eliminate
 
 
 @dataclass(frozen=True)
@@ -38,41 +38,23 @@ def exact_signature(m: IntMatrix) -> Signature:
 
     Inertia adds over an orthogonal direct sum, so the form is first split
     into the connected components of its nonzero pattern, found by one
-    O(nu^2) scan, and each component is eliminated on its own (see
-    :func:`_component_inertia`).  A diagonal form is nu components of size
-    one; a form with one component is eliminated whole.
+    O(nu^2) scan (:func:`vanlat.intmat.components`, the walker behind
+    ``IntMatrix.det`` too), and each component is eliminated on its own
+    (see :func:`_component_inertia`).  A diagonal form is nu components
+    of size one; a form with one component is eliminated whole.
     """
     if not m.is_square:
         raise ValueError("signature of a non-square matrix")
     if not m.is_symmetric():
         raise ValueError("signature of a non-symmetric matrix")
     n_plus = n_minus = n_zero = 0
-    for comp in _components(m.rows):
+    for comp in components(m.rows):
         p, q, z = _component_inertia([[m.rows[r][c] for c in comp]
                                       for r in comp])
         n_plus += p
         n_minus += q
         n_zero += z
     return Signature(n_plus, n_minus, n_zero)
-
-
-def _components(rows):
-    """Index sets of the connected components of a symmetric nonzero
-    pattern, each in increasing order."""
-    seen = [False] * len(rows)
-    out = []
-    for start in range(len(rows)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for r in comp:  # grows while it is walked
-            for c, x in enumerate(rows[r]):
-                if x and not seen[c]:
-                    seen[c] = True
-                    comp.append(c)
-        out.append(sorted(comp))
-    return out
 
 
 def _component_inertia(a):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .basis import apply_braid_word, monodromy
 from .conjugation import (LevelAnalysis, generate_consistent_instance,
                           signature_by_blocks, var_sigma_form)
-from .gen import (attach_cycles, flip_last_sign, random_braid_word,
+from .gen import (flip_last_sign, level_with_cycles, random_braid_word,
                   random_icis_instance, random_lattice)
 from .index import (IcisInstance, LevelData, sign_independence_check, gradient_index,
                     telescoped_index, level_index_sum, cycle_index_sum)
@@ -106,8 +106,7 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
             parity = rng.choice((1, 3, 5))
             lat, conj = generate_consistent_instance(
                 rng.randrange(2 ** 32), rank_bound, parity)
-            cycles = attach_cycles(lat, conj, pad=rng.choice((0, 0, 1)))
-            level = LevelData(0, lat, conj, cycles)
+            level = level_with_cycles(0, lat, conj, pad=rng.choice((0, 0, 1)))
             s = rng.choice((1, -1))
             t2 = level_index_sum(level, parity, s)
             try:

@@ -17,7 +17,7 @@ from vanlat.conjugation import (MorseSpec, RealPoint,
                                 block_diagonal_structure_check, build_sigma,
                                 generate_consistent_instance,
                                 signature_by_blocks, var_sigma_form)
-from vanlat.gen import (attach_cycles, random_braid_word,
+from vanlat.gen import (level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (EvenParityError, IcisInstance, LevelData,
                           gradient_index, telescoped_index, level_index_sum,
@@ -162,15 +162,14 @@ def test_criterion_08_cycle_route():
     for k in range(100):
         parity = rng.choice((1, 3, 5))
         lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 7, parity)
-        level = LevelData(0, lat, conj,
-                          attach_cycles(lat, conj, pad=rng.choice((0, 1, 2))))
+        level = level_with_cycles(0, lat, conj, pad=rng.choice((0, 1, 2)))
         s = rng.choice((1, -1))
         assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
     # even-parity refusal with a diagnostic
     lat = ThimbleLattice(2, IntMatrix.from_rows([[0]]))
     from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
     conj = build_sigma(MorseSpec((RealPoint(0),)), 2, [])
-    level = LevelData(0, lat, conj, attach_cycles(lat, conj))
+    level = level_with_cycles(0, lat, conj)
     with pytest.raises(EvenParityError, match="even parity"):
         cycle_index_sum(level, 1)
     _report("criterion 08 cycle-route agreement", "100 paired instances", t0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import triple_loop
-from vanlat import basis
+from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
                           orientation_flip, parse_braid_word,
@@ -228,6 +228,87 @@ def test_word_check_catches_a_corrupted_step(monkeypatch, kind):
     lat = random_lattice(random.Random(3), 5, 3)
     with pytest.raises(AssertionError, match="disagrees with congruence"):
         apply_braid_word(lat, parse_braid_word("a1 A3 f5 %s2" % kind))
+
+
+def _rank64_word(seed=11):
+    """A random rank-64 lattice and a 24-move word, eight moves of each kind."""
+    rng = random.Random(seed)
+    lat = random_lattice(rng, 64, 1 + seed % 4)
+    kinds = list("aAf" * 8)
+    rng.shuffle(kinds)
+    word = BraidWord(tuple(BraidMove(kind, rng.randint(1, 64 if kind == "f" else 63))
+                           for kind in kinds))
+    return lat, word
+
+
+def _corrupted_once(real, fired, corruption):
+    """``real`` step followed, on the first move of the word, by one
+    corrupted entry 32 places away from the moved rows."""
+    def step(g, cols, k, parity):
+        real(g, cols, k, parity)
+        if not fired:
+            fired.append(k)
+            far = (k + 32) % 64
+            if corruption == "gram-far-entry":
+                g[far][(far + 8) % 64] += 1
+            else:
+                cols[k][far] += 1
+    return step
+
+
+def _flip_without_column(g, cols, k, parity):
+    for row in g:
+        row[k] = -row[k]
+    g[k] = [-x for x in g[k]]
+
+
+@pytest.mark.parametrize("corruption", ["gram-far-entry", "column-entry",
+                                        "flip-skips-column"])
+def test_word_check_catches_a_corruption_at_rank_64(monkeypatch, corruption):
+    # the sparse association of the congruence must still see one wrong
+    # entry anywhere; a wrong column of P may instead break unimodularity
+    lat, word = _rank64_word()
+    if corruption == "flip-skips-column":
+        monkeypatch.setitem(basis._STEPS, "f", _flip_without_column)
+    else:
+        fired = []
+        for kind, real in list(basis._STEPS.items()):
+            monkeypatch.setitem(basis._STEPS, kind,
+                                _corrupted_once(real, fired, corruption))
+    with pytest.raises((AssertionError, ValueError),
+                       match="disagrees with congruence|must be unimodular"):
+        apply_braid_word(lat, word)
+
+
+def _nonzeros(m):
+    return sum(1 for row in m.rows for x in row if x)
+
+
+def test_word_check_work_follows_the_sparsity_of_p(monkeypatch):
+    # a product costs the nonzeros of its left factor times the columns
+    # of its right one: every left factor is sparse (so no product has two
+    # dense factors), and the determinant of P is reduced in blocks no
+    # larger than the largest component of its pattern
+    lat, word = _rank64_word()
+    reduced, products = [], []
+    real_reduce, real_mul = intmat.row_reduce, IntMatrix.__mul__
+
+    def reduce_counting(m, ncols):
+        reduced.append(len(m))
+        return real_reduce(m, ncols)
+
+    def mul_counting(a, b):
+        if isinstance(b, IntMatrix):
+            products.append(_nonzeros(a))
+        return real_mul(a, b)
+    monkeypatch.setattr(intmat, "row_reduce", reduce_counting)
+    monkeypatch.setattr(IntMatrix, "__mul__", mul_counting)
+    _, change = apply_braid_word(lat, word)
+    monkeypatch.undo()
+    largest = max(map(len, intmat.components(change.matrix.rows)))
+    assert 1 < largest < 64
+    assert reduced and max(reduced) <= largest
+    assert products and max(products) <= 2 * 64
 
 
 # -- orientation flips -------------------------------------------------------

@@ -17,6 +17,7 @@ from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce
 from vanlat.lattice import SignVector, ThimbleLattice, validate_lattice
 from vanlat.signature import exact_signature
+from vanlat.variation import var_inverse
 
 
 def a2_lat():
@@ -287,7 +288,7 @@ def test_solve_sigma_upper_solutions_are_exact():
         assert all(product[r, c] == 0 for r in range(size)
                    for c in range(size) if block_of[c] > block_of[r])
 
-        forced = _forced_conjugation(lat, points)
+        forced = _forced_conjugation(lat, points, var_inverse(lat))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and derive_sigma_tilde(forced, lat).consistent]
         try:

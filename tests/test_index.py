@@ -2,7 +2,7 @@ import pytest
 
 from vanlat.conjugation import (ConjugatePair, MorseSpec, RealPoint,
                                 build_sigma, derive_sigma_tilde)
-from vanlat.gen import attach_cycles, flip_last_sign, random_icis_instance
+from vanlat.gen import flip_last_sign, level_with_cycles, random_icis_instance
 from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           sign_independence_check, gradient_index, morse_recursion_step,
                           poincare_hopf_check, radial_indices,
@@ -18,14 +18,13 @@ def level_a1(sign=1):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     morse = MorseSpec((RealPoint(0 if sign == 1 else 1),))
     conj = build_sigma(morse, 1, [])
-    cycles = attach_cycles(lat, conj)
-    return LevelData(0, lat, conj, cycles)
+    return level_with_cycles(0, lat, conj)
 
 
 def level_a2():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, -1], [-1, 2]]))
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    return LevelData(0, lat, conj, attach_cycles(lat, conj))
+    return level_with_cycles(0, lat, conj)
 
 
 def inst_p0(level, n=1, sign=1):
@@ -143,15 +142,24 @@ def test_flip_last_sign_needs_all_real_level0():
 def test_cycle_sum_equal_signatures_give_zero():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj = build_sigma(MorseSpec((ConjugatePair(1),)), 1, [])
-    level = LevelData(0, lat, conj, attach_cycles(lat, conj))
+    level = level_with_cycles(0, lat, conj)
     assert cycle_index_sum(level, 1) == 0
     assert level_index_sum(level, 1, 1) == 0
+
+
+def test_level_shares_the_analysis_of_its_cycle_data():
+    level = level_a2()
+    assert level.analysis is level.prebuilt
+    # an analysis of another lattice is refused, not silently used
+    other = level_a1()
+    with pytest.raises(ValueError, match="prebuilt analysis is of another"):
+        LevelData(0, level.lattice, level.conj, level.cycles, other.analysis)
 
 
 def test_cycle_sum_rank_zero():
     lat = ThimbleLattice(1, IntMatrix(()))
     conj = build_sigma(MorseSpec(()), 1, [])
-    level = LevelData(0, lat, conj, attach_cycles(lat, conj))
+    level = level_with_cycles(0, lat, conj)
     assert cycle_index_sum(level, 1) == 0
 
 
@@ -161,7 +169,7 @@ def test_cycle_sum_matches_level_sum_on_generated_instances():
         parity = (1, 3, 5)[seed % 3]
         lat, conj = generate_consistent_instance(seed, 6, parity)
         for pad in (0, 2):
-            level = LevelData(0, lat, conj, attach_cycles(lat, conj, pad=pad))
+            level = level_with_cycles(0, lat, conj, pad=pad)
             for s in (1, -1):
                 assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
 

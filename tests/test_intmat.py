@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import vanlat
 from conftest import triple_loop
-from vanlat.intmat import IntMatrix, det, unimodular_inverse
+from vanlat import intmat
+from vanlat.intmat import IntMatrix, det, row_reduce, unimodular_inverse
 
 
 def test_construction_rejects_ragged():
@@ -129,6 +130,122 @@ def test_det_matches_cofactor_expansion(rows, singular, scale):
     assert m.det() == det(m) == want
     if singular and n:
         assert want == 0
+
+
+def _whole_det(rows):
+    """Oracle: the determinant by one reduction of the whole matrix."""
+    m = [list(r) for r in rows]
+    pivots, d, sign = row_reduce(m, len(m))
+    return sign * d if len(pivots) == len(m) else 0
+
+
+def _pattern_components(rows):
+    """Oracle: the components of the pattern of ``A + A^T`` by union-find."""
+    parent = list(range(len(rows)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                parent[root(r)] = root(c)
+    groups = {}
+    for i in range(len(rows)):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _block(draw):
+    """A square block: dense, coupled only below or only above the
+    diagonal (so ``A`` and ``A + A^T`` have different components),
+    singular, or a 1x1 zero."""
+    kind = draw(st.sampled_from(["dense", "lower", "upper", "singular", "zero"]))
+    if kind == "zero":
+        return [[0]]
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_small, min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    if kind in ("lower", "upper"):
+        for r in range(k):
+            for c in range(k):
+                if (c > r) if kind == "lower" else (c < r):
+                    rows[r][c] = 0
+    elif kind == "singular":
+        rows[-1] = [draw(_small) * x for x in rows[0]] if k > 1 else [0]
+    return rows
+
+
+@st.composite
+def _permuted_blocks(draw):
+    """``(rows, blocks)``: ``Q^T diag(B_i) Q`` for a permutation ``Q`` and
+    the index sets that the blocks occupy in it."""
+    blocks = draw(st.lists(_block(), max_size=5))
+    n = sum(len(b) for b in blocks)
+    perm = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    placed = []
+    pos = 0
+    for b in blocks:
+        at = [perm[pos + i] for i in range(len(b))]
+        for i, r in enumerate(at):
+            for j, c in enumerate(at):
+                rows[r][c] = b[i][j]
+        placed.append(sorted(at))
+        pos += len(b)
+    return rows, placed
+
+
+def _check_det_split(rows, blocks):
+    comps = intmat.components(rows)
+    assert comps == _pattern_components(rows)
+    # every component lies inside one block
+    block_of = {i: k for k, b in enumerate(blocks) for i in b}
+    assert all(len({block_of[i] for i in comp}) == 1 for comp in comps)
+    want = _whole_det(rows)
+    assert IntMatrix.from_rows(rows, width=len(rows)).det() == want
+    product = 1
+    for b in blocks:
+        product *= _whole_det([[rows[r][c] for c in b] for r in b])
+    assert want == product
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permuted_blocks())
+@example(([], []))
+@example(([[0]], [[0]]))
+@example(([[0, 0], [5, 1]], [[0, 1]]))
+def test_det_by_components_matches_whole_reduction(case):
+    _check_det_split(*case)
+
+
+def test_a_walk_over_rows_alone_is_caught(monkeypatch):
+    # a walk that follows only the nonzeros of each row misses entries
+    # below the diagonal that point back to an earlier index.  Its
+    # components still come out in block triangular order, so the
+    # determinant alone would not show the fault; the components do.
+    def rows_only(rows):
+        seen = [False] * len(rows)
+        out = []
+        for start in range(len(rows)):
+            if not seen[start]:
+                seen[start] = True
+                comp = [start]
+                for r in comp:
+                    for c, x in enumerate(rows[r]):
+                        if x and not seen[c]:
+                            seen[c] = True
+                            comp.append(c)
+                out.append(sorted(comp))
+        return out
+    monkeypatch.setattr(intmat, "components", rows_only)
+    with pytest.raises(AssertionError):
+        _check_det_split([[0, 0], [5, 1]], [[0, 1]])
 
 
 _wide = st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))

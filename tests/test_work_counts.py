@@ -2,9 +2,10 @@
 
 The index and signature routes must not take a determinant (the form's
 signature already reports its radical), and every route that reads a
-level shares one analysis, so each level's monodromy is built once.  The
-generator forms each conjugation in closed form, without ``var`` and
-without assembling it again through ``build_sigma``.
+level shares one analysis, so each level's monodromy is built once, also
+on levels that carry cycle data.  The generator forms each conjugation
+in closed form, without ``var`` and without assembling it again through
+``build_sigma``, and takes one ``var_inverse`` per chunk try.
 """
 
 import collections
@@ -14,11 +15,12 @@ import io
 import pytest
 
 from conftest import instance_path
-from vanlat import conjugation, variation
+from vanlat import conjugation, gen, suite, variation
 from vanlat.cli import main
 from vanlat.conjugation import generate_consistent_instance
 from vanlat.gen import flip_last_sign, random_icis_instance
-from vanlat.index import gradient_index, sign_independence_check, telescoped_index
+from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
+                          telescoped_index)
 from vanlat.intmat import IntMatrix
 
 
@@ -63,3 +65,71 @@ def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
         generate_consistent_instance(seed, 16, seed % 5)
         random_icis_instance(seed, 1 + seed % 3, 2, 6, with_cycles=True)
     assert [sum(c.values()) for c in counts] == [0, 0]
+
+
+def _monodromies_by_lattice(monkeypatch):
+    """Count ``conjugation.monodromy`` calls per lattice object.
+
+    The lattices are kept alive, so an ``id`` is never reused for another
+    lattice while the counts are read.
+    """
+    kept = []
+    return _counting(monkeypatch, conjugation, "monodromy",
+                     key=lambda lat: kept.append(lat) or id(lat))
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102, 103])
+def test_cycle_levels_build_their_monodromy_once_in_verify(monkeypatch, seed):
+    built = _monodromies_by_lattice(monkeypatch)
+    cycle_lattices = []
+    original = gen.level_with_cycles
+
+    def recording(*args, **kwargs):
+        level = original(*args, **kwargs)
+        cycle_lattices.append(level.lattice)
+        return level
+    monkeypatch.setattr(suite, "level_with_cycles", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--seed", str(seed), "--count", "35",
+                     "--rank-bound", "16"]) == 0
+    assert len(cycle_lattices) == 5  # one family in seven
+    assert [built[id(lat)] for lat in cycle_lattices] == [1] * 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_cycle_levels_build_their_monodromy_once(monkeypatch, seed):
+    built = _monodromies_by_lattice(monkeypatch)
+    inst = random_icis_instance(seed, 1, 2, 8, with_cycles=True)
+    gradient_index(inst)
+    with_cycles = [level for level in inst.levels if level.cycles is not None]
+    assert with_cycles
+    for level in with_cycles:
+        cycle_index_sum(level, 1)
+    # the generator's own chunk analyses are counted too, so read only the
+    # levels' lattices
+    assert [built[id(level.lattice)] for level in inst.levels] == [1] * 3
+
+
+def test_generator_takes_one_var_inverse_per_chunk_try(monkeypatch):
+    # every try forms one candidate from one var_inverse; an accepted one
+    # is checked by an analysis that reuses it
+    var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
+    outcomes = collections.Counter()
+    forced, sample = conjugation._forced_conjugation, conjugation._sample_chunk
+
+    def forced_counting(lat, points, var_inv):
+        conj = forced(lat, points, var_inv)
+        if conj.sigma * conj.sigma != IntMatrix.identity(lat.nu):
+            outcomes["failed"] += 1
+        return conj
+
+    def sample_counting(rng, size, parity):
+        got = sample(rng, size, parity)
+        outcomes["accepted" if got is not None else "exhausted"] += 1
+        return got
+    monkeypatch.setattr(conjugation, "_forced_conjugation", forced_counting)
+    monkeypatch.setattr(conjugation, "_sample_chunk", sample_counting)
+    for seed in range(40):
+        generate_consistent_instance(seed, 16, 1 + seed % 4)
+    assert outcomes["accepted"] > 0 and outcomes["failed"] > 0
+    assert sum(var_inverses.values()) == outcomes["accepted"] + outcomes["failed"]
