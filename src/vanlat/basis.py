@@ -8,17 +8,16 @@ The braid move at position ``j`` replaces basis thimbles ``j, j+1`` by
 with ``sgn = (-1)^(p(p+1)/2)`` for parity ``p``; everything else is fixed.
 Every move returns both the transformed lattice and the unimodular basis
 change whose columns express the new basis in the old one, so operator
-identities can be tested as congruences and conjugations.
+identities can be tested as congruences and conjugations, both on
+:class:`BasisChange`.
 
 Every word computes the new pairing matrix twice, by closed-form update
 rules move by move and by congruence through the composite basis change,
 and insists the two agree exactly; the tests check the same per move.
 The composite change of a word of ``L`` moves is the identity outside
-at most ``2 * L`` columns, so the congruence is associated to keep that
-sparse factor on the left of every product, at O((nu + L) * nu) rather
-than a dense O(nu^3), and its determinant is taken over the components
-of its pattern, which a short word keeps small (see
-:func:`apply_braid_word`).
+at most ``2 * L`` columns, so every product keeps that sparse factor on
+the left, at O((nu + L) * nu) rather than a dense O(nu^3), and its
+determinant is taken over the components of its sparse pattern.
 """
 
 import re
@@ -82,13 +81,29 @@ def parse_braid_word(text: str) -> BraidWord:
 
 @dataclass(frozen=True)
 class BasisChange:
-    """Unimodular matrix whose columns are the new basis in the old one."""
+    """Unimodular matrix ``P`` whose columns are the new basis in the old one.
+
+    A product costs the nonzeros of its left factor, so both rules below
+    keep ``P`` or ``P^T`` on the left of every product and never invert.
+    """
 
     matrix: IntMatrix
 
     def __post_init__(self):
         if self.matrix.det() not in (1, -1):
             raise ValueError("basis change must be unimodular")
+
+    def congruence(self, m: IntMatrix) -> IntMatrix:
+        """``P^T m P``, the new matrix of a pairing or of a map into the
+        dual, formed as ``(P^T * (P^T * m)^T)^T``."""
+        p_transpose = self.matrix.transpose()
+        return (p_transpose * (p_transpose * m).transpose()).transpose()
+
+    def conjugates(self, old: IntMatrix, new: IntMatrix) -> bool:
+        """Whether ``new = P^-1 old P``, the new matrix of an endomorphism,
+        tested as ``P * new == old * P = (P^T * old^T)^T``."""
+        p = self.matrix
+        return p * new == (p.transpose() * old.transpose()).transpose()
 
     @classmethod
     def identity(cls, n):
@@ -110,10 +125,9 @@ def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
         raise ValueError("index %d out of range 1..%d" % (j, lat.nu))
     k = j - 1
     s = diagonal_sign(lat.parity)
-    rows = [list(r) for r in IntMatrix.identity(lat.nu).rows]
-    for c in range(lat.nu):
-        rows[k][c] += s * lat.gram[k, c]
-    return IntMatrix.from_rows(rows)
+    rows = list(IntMatrix.identity(lat.nu).rows)
+    rows[k] = tuple(x + s * g for x, g in zip(rows[k], lat.gram.row(k)))
+    return IntMatrix(tuple(rows))
 
 
 def monodromy(lat: ThimbleLattice) -> IntMatrix:
@@ -134,7 +148,7 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
                 sw = s * w
                 acc = [x + sw * y for x, y in zip(acc, rows[c])]
         rows[k] = acc
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def _mirror(parity: int) -> int:
@@ -191,18 +205,10 @@ def apply_braid_word(lat: ThimbleLattice,
     Each move rewrites rows and columns ``k, k+1`` of one working gram by
     the closed-form rules and updates two columns of the composite change
     ``P``, so a move costs O(nu).  The closed-form gram is then checked
-    once against the congruence ``P^T G P``, and ``P`` must have
-    determinant +-1.
-
-    A word of ``L`` moves changes at most ``2 * L`` columns of the
-    identity, so a short word leaves ``P`` sparse.  A product costs the
-    nonzeros of its left factor times the columns of its right one, so
-    the congruence is formed as ``(P^T * (P^T * G)^T)^T``, with ``P^T``
-    on the left both times, for O(nnz(P) * nu) instead of the O(nu^3) of
-    ``(P^T G) * P``.  The determinant is taken over the components of
-    ``P``'s pattern (see ``IntMatrix.det``), which a short word keeps
-    small.  Both checks stay exact and independent of the closed-form
-    rules.
+    once against the congruence ``P^T G P``, which costs O(nnz(P) * nu)
+    for the sparse ``P`` of a short word, and ``P`` must have determinant
+    +-1, taken over the components of its pattern (see ``IntMatrix.det``).
+    Both checks stay exact and independent of the closed-form rules.
     """
     require_valid(lat)
     bad = word.first_out_of_range(lat.nu)
@@ -213,12 +219,9 @@ def apply_braid_word(lat: ThimbleLattice,
     cols = [[int(r == c) for r in range(lat.nu)] for c in range(lat.nu)]
     for move in word.moves:
         _STEPS[move.kind](g, cols, move.j - 1, lat.parity)
-    closed = IntMatrix.from_rows(g, width=lat.nu)
-    p_transpose = IntMatrix.from_rows(cols, width=lat.nu)
-    change = BasisChange(p_transpose.transpose())
-    # P^T G P, associated so that the sparse P^T is always the left factor
-    half = p_transpose * lat.gram
-    congruent = (p_transpose * half.transpose()).transpose()
+    closed = IntMatrix(tuple(map(tuple, g)))
+    change = BasisChange(IntMatrix(tuple(zip(*cols))))
+    congruent = change.congruence(lat.gram)
     if closed != congruent:
         raise AssertionError(
             "closed-form gram update disagrees with congruence: %s vs %s"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .basis import monodromy
-from .intmat import IntMatrix
+from .intmat import IntMatrix, non_integer_at
 from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
                       self_intersection, validate_lattice)
 from .signature import Signature, exact_signature
@@ -113,15 +113,15 @@ def _block_diagonal_part(morse: MorseSpec) -> IntMatrix:
         else:
             rows[start][start + 1] = 1
             rows[start + 1][start] = 1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     """Assemble a conjugation matrix from block data plus upper entries.
 
-    ``upper_data`` is an iterable of ``(row, col, value)`` triples that may
-    only populate positions strictly above the block diagonal.  The
-    assembled matrix must square to the identity.
+    ``upper_data`` is an iterable of ``(row, col, value)`` triples of
+    ints (not bools) that may only populate positions strictly above the
+    block diagonal.  The assembled matrix must square to the identity.
     """
     bad = morse.validate(parity)
     if bad is not None:
@@ -130,13 +130,15 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     block_of = morse.block_index()
     rows = [list(r) for r in _block_diagonal_part(morse).rows]
     for r, c, v in upper_data:
+        if non_integer_at((r, c, v)) is not None:
+            raise ValueError("entry %r is not an integer triple" % ((r, c, v),))
         if not (0 <= r < nu and 0 <= c < nu):
             raise ValueError("entry (%d, %d) out of range for rank %d" % (r, c, nu))
         if block_of[c] <= block_of[r]:
             raise ValueError(
                 "entry (%d, %d) is not strictly above the block diagonal" % (r, c))
-        rows[r][c] = int(v)
-    sigma = IntMatrix.from_rows(rows, width=nu) if nu else IntMatrix(())
+        rows[r][c] = v
+    sigma = IntMatrix(tuple(map(tuple, rows)))
     if sigma * sigma != IntMatrix.identity(nu):
         raise ValueError("assembled conjugation matrix is not an involution")
     return ConjugationData(sigma, morse)
@@ -394,7 +396,7 @@ def _sample_chunk(rng, size, parity):
                 v = rng.choice((0, 0, 0, 1, -1, 2, -2))
                 rows[r][c] = v
                 rows[c][r] = eps * v
-        lat = ThimbleLattice(parity, IntMatrix.from_rows(rows, width=size))
+        lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
         u = var_inverse(lat)
         conj = _forced_conjugation(lat, points, u)
         if conj.sigma * conj.sigma == IntMatrix.identity(size):
@@ -418,8 +420,8 @@ def _direct_sum(parity, parts):
                 sigma[pos + r][pos + c] = conj.sigma[r, c]
         points.extend(conj.morse.points)
         pos += lat.nu
-    lat = ThimbleLattice(parity, IntMatrix.from_rows(gram, width=nu))
-    conj = ConjugationData(IntMatrix.from_rows(sigma, width=nu),
+    lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, gram))))
+    conj = ConjugationData(IntMatrix(tuple(map(tuple, sigma))),
                            MorseSpec(tuple(points)))
     return lat, conj
 

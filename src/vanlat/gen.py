@@ -29,7 +29,7 @@ def random_lattice(rng: random.Random, nu: int, parity: int,
             v = rng.randint(-max_entry, max_entry)
             rows[r][c] = v
             rows[c][r] = eps * v
-    return ThimbleLattice(parity, IntMatrix.from_rows(rows, width=nu))
+    return ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
 
 
 def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWord:
@@ -66,7 +66,7 @@ def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
                 rows[r][c] = m[r, c]
         for k in range(lat.nu, n):
             rows[k][k] = fill
-        return IntMatrix.from_rows(rows, width=n)
+        return IntMatrix(tuple(map(tuple, rows)))
 
     cycles = CycleData(padded(lat.gram, 0), padded(conj.sigma, 1),
                        padded(analysis.companion.matrix, 1))
@@ -101,6 +101,11 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
     return IcisInstance(n, p, signs, tuple(levels))
 
 
+def _reversed(m: IntMatrix) -> IntMatrix:
+    """``R m R`` for the reversal ``R``: rows and columns in reverse order."""
+    return IntMatrix(tuple(row[::-1] for row in reversed(m.rows)))
+
+
 def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     """Matched variant of an instance with the last sign entry negated.
 
@@ -117,14 +122,9 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     if any(isinstance(pt, ConjugatePair) for pt in conj.morse.points):
         raise ValueError("sign flip needs an all-real level 0")
     lat = level0.lattice
-    nu = lat.nu
     parity = lat.parity
-    rev = IntMatrix.from_rows(
-        [[1 if r + c == nu - 1 else 0 for c in range(nu)] for r in range(nu)],
-        width=nu)
-    tilde = level0.analysis.companion.matrix
-    new_gram = rev * lat.gram.transpose() * rev
-    new_sigma = rev * tilde * rev
+    new_gram = _reversed(lat.gram.transpose())
+    new_sigma = _reversed(level0.analysis.companion.matrix)
     new_points = tuple(RealPoint(parity - pt.morse_index)
                        for pt in reversed(conj.morse.points))
     new_lat = ThimbleLattice(parity, new_gram)

@@ -18,22 +18,20 @@ class IntMatrix:
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        # entries are checked in from_rows; the other constructors and
-        # every operation make ints by construction
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows: %s" % sorted(widths))
-
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, width=None):
-        """Build from any iterable of row iterables, checking every entry.
+        """Build from any iterable of row iterables, checking row widths
+        and entries; operations and internal builders, whose rows are
+        tuples of ints of one width, call the constructor directly.
 
-        ``width`` pins the column count for matrices with zero rows.
+        ``width`` is checked against a matrix with rows and pins nothing.
         """
         m = cls(tuple(tuple(row) for row in rows))
+        widths = {len(r) for r in m.rows}
+        if len(widths) > 1:
+            raise ValueError("ragged rows: %s" % sorted(widths))
         for row in m.rows:
             c = non_integer_at(row)
             if c is not None:

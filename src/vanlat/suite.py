@@ -9,7 +9,6 @@ a given (seed, count, rank bound).
 import random
 from dataclasses import dataclass
 
-from .basis import apply_braid_word, monodromy
 from .conjugation import (LevelAnalysis, generate_consistent_instance,
                           signature_by_blocks, var_sigma_form)
 from .gen import (flip_last_sign, level_with_cycles, random_braid_word,
@@ -39,11 +38,9 @@ class VerificationResult:
     counterexample: str | None = None
 
 
-def _single_level_doc(lat, conj, n=None):
-    parity = lat.parity
-    n = parity if n is None else n
+def _single_level_doc(lat, conj):
     level = LevelData(0, lat, conj)
-    inst = IcisInstance(n, 0, SignVector((1,)), (level,))
+    inst = IcisInstance(lat.parity, 0, SignVector((1,)), (level,))
     return serialize_instance(InstanceDocument(inst))
 
 
@@ -52,8 +49,8 @@ def _check_lattice_identities(rng, rank_bound, which):
     nu = rng.randint(0, rank_bound)
     lat = random_lattice(rng, nu, parity)
     if which == "s-relation":
-        return check_s_relation(lat), lat, None
-    return check_monodromy_relation(lat), lat, None
+        return check_s_relation(lat), lat
+    return check_monodromy_relation(lat), lat
 
 
 def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResult:
@@ -65,7 +62,7 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
         problem = None
         witness = None
         if name in ("s-relation", "monodromy-relation"):
-            problem, lat, _ = _check_lattice_identities(rng, rank_bound, name)
+            problem, lat = _check_lattice_identities(rng, rank_bound, name)
             if problem:
                 witness = _single_level_doc(lat, None)
         elif name == "braid-invariance":
@@ -74,13 +71,6 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
             lat = random_lattice(rng, nu, parity)
             word = random_braid_word(rng, nu)
             problem = var_inverse_as_operator_after_braid(lat, word)
-            if problem is None:
-                new_lat, change = apply_braid_word(lat, word)
-                p = change.matrix
-                lhs = monodromy(new_lat)
-                rhs = p.unimodular_inverse() * monodromy(lat) * p
-                if lhs != rhs:
-                    problem = "monodromy not conjugation-covariant under '%s'" % word
             if problem:
                 witness = _single_level_doc(lat, None)
         elif name in ("symmetric-nondegenerate", "block-form"):

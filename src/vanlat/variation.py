@@ -96,18 +96,20 @@ def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
 
 def var_inverse_as_operator_after_braid(lat: ThimbleLattice,
                                         word: BraidWord) -> str | None:
-    """Check basis independence of the operator under a braid word.
+    """Check basis independence of the operator and monodromy under a word.
 
-    With ``(new_lat, P) = apply_braid_word(lat, word)`` the matrices must
-    satisfy ``var_inverse(new_lat) = P^T var_inverse(lat) P`` exactly.
+    With ``(new_lat, P) = apply_braid_word(lat, word)``, applied once, the
+    matrices must satisfy ``var_inverse(new_lat) = P^T var_inverse(lat) P``
+    and ``monodromy(new_lat) = P^-1 monodromy(lat) P`` exactly.
     """
     require_valid(lat)
     new_lat, change = apply_braid_word(lat, word)
     fresh = var_inverse(new_lat)
-    p = change.matrix
-    transported = p.transpose() * var_inverse(lat) * p
-    if (diff := _first_difference(fresh, transported)) is None:
-        return None
-    return ("entry (%d, %d) after word '%s': recomputed %d, "
-            "congruence-transported %d"
-            % (*diff, word, fresh[diff], transported[diff]))
+    transported = change.congruence(var_inverse(lat))
+    if (diff := _first_difference(fresh, transported)) is not None:
+        return ("entry (%d, %d) after word '%s': recomputed %d, "
+                "congruence-transported %d"
+                % (*diff, word, fresh[diff], transported[diff]))
+    if not change.conjugates(monodromy(lat), monodromy(new_lat)):
+        return "monodromy not conjugation-covariant under '%s'" % word
+    return None

@@ -13,6 +13,7 @@ from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
 from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice, self_intersection
+from vanlat.variation import var_inverse, var_inverse_as_operator_after_braid
 
 
 def a2():
@@ -308,6 +309,38 @@ def test_word_check_work_follows_the_sparsity_of_p(monkeypatch):
     largest = max(map(len, intmat.components(change.matrix.rows)))
     assert 1 < largest < 64
     assert reduced and max(reduced) <= largest
+    assert products and max(products) <= 2 * 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattices_and_words(max_len=12))
+def test_basis_change_transports_like_the_dense_rules(case):
+    # congruence against a triple-loop P^T M P; the inverse-free
+    # covariance test accepts the true new monodromy and nothing shifted
+    lat, word = case
+    new, change = apply_braid_word(lat, word)
+    p = change.matrix
+    m = var_inverse(lat)
+    assert change.congruence(m) == IntMatrix(
+        triple_loop(IntMatrix(triple_loop(p.transpose(), m)), p))
+    h = monodromy(lat)
+    assert change.conjugates(h, monodromy(new))
+    assert not change.conjugates(h, monodromy(new) + IntMatrix.identity(lat.nu))
+
+
+def test_braid_invariance_products_are_sparse_left(monkeypatch):
+    # both transports keep P or P^T on the left of every product
+    lat, word = _rank64_word()
+    products = []
+    real_mul = IntMatrix.__mul__
+
+    def mul_counting(a, b):
+        if isinstance(b, IntMatrix):
+            products.append(_nonzeros(a))
+        return real_mul(a, b)
+    monkeypatch.setattr(IntMatrix, "__mul__", mul_counting)
+    assert var_inverse_as_operator_after_braid(lat, word) is None
+    monkeypatch.undo()
     assert products and max(products) <= 2 * 64
 
 

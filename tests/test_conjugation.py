@@ -53,6 +53,18 @@ def test_build_sigma_rejects_entries_outside_upper_blocks():
         build_sigma(morse, 1, [(2, 0, 1)])  # below the diagonal
 
 
+@pytest.mark.parametrize("triple", [(0, 1, 1.5), (0, 1, True), (0, 1, "7"),
+                                    (0.0, 1, 1), (0, True, 1)])
+def test_build_sigma_rejects_non_integer_triples(triple):
+    # opposite Morse parities make any upper entry an involution, so only
+    # the type check can refuse these
+    morse = MorseSpec((RealPoint(0), RealPoint(1)))
+    assert build_sigma(morse, 1, [(0, 1, 7)]).sigma == \
+        IntMatrix.from_rows([[1, 7], [0, -1]])
+    with pytest.raises(ValueError, match="not an integer triple"):
+        build_sigma(morse, 1, [triple])
+
+
 def test_build_sigma_rejects_bad_morse_index():
     with pytest.raises(ValueError, match="Morse index"):
         build_sigma(MorseSpec((RealPoint(2),)), 1, [])

@@ -117,6 +117,18 @@ def test_braid_invariance_reports_the_first_differing_entry(monkeypatch):
         "congruence-transported 1")
 
 
+def test_braid_invariance_reports_a_monodromy_that_is_not_covariant(monkeypatch):
+    # the lattice the word produces gets a bumped monodromy; the message
+    # is the one the verify report has always printed
+    lat = a3()
+    original = variation.monodromy
+    monkeypatch.setattr(variation, "monodromy",
+                        lambda l: original(l) if l is lat
+                        else bumped(original(l), (0, 0)))
+    assert var_inverse_as_operator_after_braid(lat, parse_braid_word("a1 A2 f3")) == (
+        "monodromy not conjugation-covariant under 'a1 A2 f3'")
+
+
 def test_triangularity_and_unimodularity():
     rng = random.Random(42)
     for _ in range(120):

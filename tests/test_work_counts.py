@@ -5,17 +5,21 @@ signature already reports its radical), and every route that reads a
 level shares one analysis, so each level's monodromy is built once, also
 on levels that carry cycle data.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
-``build_sigma``, and takes one ``var_inverse`` per chunk try.
+``build_sigma``, and takes one ``var_inverse`` per chunk try.  The
+braid-invariance family of ``verify`` applies each word once and never
+inverts the basis change.
 """
 
 import collections
 import contextlib
 import io
+import sys
 
 import pytest
 
 from conftest import instance_path
 from vanlat import conjugation, gen, suite, variation
+from vanlat.basis import apply_braid_word
 from vanlat.cli import main
 from vanlat.conjugation import generate_consistent_instance
 from vanlat.gen import flip_last_sign, random_icis_instance
@@ -133,3 +137,25 @@ def test_generator_takes_one_var_inverse_per_chunk_try(monkeypatch):
         generate_consistent_instance(seed, 16, 1 + seed % 4)
     assert outcomes["accepted"] > 0 and outcomes["failed"] > 0
     assert sum(var_inverses.values()) == outcomes["accepted"] + outcomes["failed"]
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102, 103])
+def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
+    # count apply_braid_word under every name a vanlat module binds it to
+    applied = collections.Counter()
+
+    def counting(lat, word):
+        applied[None] += 1
+        return apply_braid_word(lat, word)
+    for module in [m for name, m in sys.modules.items() if name.startswith("vanlat")]:
+        for attr, value in list(vars(module).items()):
+            if value is apply_braid_word:
+                monkeypatch.setattr(module, attr, counting)
+    checked = _counting(monkeypatch, suite, "var_inverse_as_operator_after_braid")
+    inverses = _counting(monkeypatch, IntMatrix, "unimodular_inverse")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--seed", str(seed), "--count", "35",
+                     "--rank-bound", "16"]) == 0
+    assert sum(checked.values()) == 5  # one family in seven
+    assert sum(applied.values()) == 5
+    assert sum(inverses.values()) == 0
