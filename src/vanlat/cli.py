@@ -14,7 +14,7 @@ from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
                     level_index_sum, cycle_index_sum)
 from .instfile import (InstanceDocument, InstanceFormatError, load_instance,
                        serialize_instance)
-from .gen import random_icis_instance
+from .gen import GeneratorExhausted, random_icis_instance
 from .suite import run_verification
 from .variation import var_inverse
 
@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except GeneratorExhausted as e:
+        print("unsupported request: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .intmat import IntMatrix, non_integer_at
 from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
                       self_intersection, validate_lattice)
 from .signature import Signature, exact_signature
-from .variation import var_inverse
+from .variation import var_inverse, var_inverse_rows
 
 
 @dataclass(frozen=True)
@@ -167,21 +167,15 @@ class LevelAnalysis:
     route below and in :mod:`vanlat.index` reads them from here.  The
     bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
-    A caller that has already formed ``var_inverse(lat)`` (the
-    generator) passes it as ``known_var_inverse`` instead.
     """
 
-    def __init__(self, lat: ThimbleLattice, conj: ConjugationData,
-                 known_var_inverse: IntMatrix | None = None):
+    def __init__(self, lat: ThimbleLattice, conj: ConjugationData):
         if conj.nu != lat.nu:
             raise ValueError("rank mismatch: sigma is %dx%d, lattice has rank %d"
                              % (conj.nu, conj.nu, lat.nu))
         require_valid(lat)
         self.lattice = lat
         self.conj = conj
-        if known_var_inverse is not None:
-            # an instance attribute shadows the cached property below
-            self.var_inverse = known_var_inverse
 
     @cached_property
     def _spans(self) -> list[tuple[int, int]]:
@@ -327,8 +321,9 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 # Search for consistent synthetic instances.
 # ---------------------------------------------------------------------------
 
-def _forced_conjugation(lat, points, var_inv):
-    """The candidate ``sigma = B^-1 * var_inverse``, with pinned descriptors.
+def _forced_conjugation(parity, gram, u, points):
+    """Rows of the candidate ``sigma = B^-1 * var_inverse``, and the
+    descriptors with their pairing numbers pinned.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :func:`block_diagonal_structure_check`): ``d * (-1)^m`` on
@@ -345,12 +340,10 @@ def _forced_conjugation(lat, points, var_inv):
     ``[[a + d * var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a =
     -d * var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
     number.  ``points`` gives the real descriptors and where the pairs
-    go; their pairing numbers are ignored.  ``var_inv`` is
-    ``var_inverse(lat)``, which the caller keeps for the analysis that
-    checks an accepted candidate.
+    go; their pairing numbers are ignored.  ``gram`` and ``u`` are the
+    plain rows of the gram matrix and of ``var_inverse``.
     """
-    d = diagonal_sign(lat.parity)
-    u = var_inv.rows
+    d = diagonal_sign(parity)
     rows = []
     pinned = []
     pos = 0
@@ -359,14 +352,21 @@ def _forced_conjugation(lat, points, var_inv):
             e = d * (-1) ** point.morse_index
             rows.append(tuple(e * x for x in u[pos]))
         else:
-            point = ConjugatePair(-d * lat.gram[pos, pos + 1])
+            point = ConjugatePair(-d * gram[pos][pos + 1])
             a = point.pairing
             top, bottom = u[pos], u[pos + 1]
             rows.append(tuple(d * y for y in bottom))
             rows.append(tuple(d * (x - a * y) for x, y in zip(top, bottom)))
         pinned.append(point)
         pos += point.slots
-    return ConjugationData(IntMatrix(tuple(rows)), MorseSpec(tuple(pinned)))
+    return tuple(rows), tuple(pinned)
+
+
+def _squares_to_identity(rows):
+    """Whether these rows square to the identity; stops at the first miss."""
+    cols = tuple(zip(*rows))
+    return all(sum(x * y for x, y in zip(row, col)) == (r == c)
+               for r, row in enumerate(rows) for c, col in enumerate(cols))
 
 
 # Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
@@ -375,7 +375,9 @@ CHUNK_TRIES = 400
 
 def _sample_chunk(rng, size, parity):
     """One consistent instance of the given rank, coupled inside, or
-    ``None`` when ``CHUNK_TRIES`` draws all fail the involution law."""
+    ``None`` when ``CHUNK_TRIES`` draws all fail the involution law.  A
+    try is tested on plain rows; only an accepted one is built and checked
+    by an analysis, which takes the chunk's one ``var_inverse``."""
     eps = 1 if parity % 2 == 1 else -1
     diag = self_intersection(parity)
     for _ in range(CHUNK_TRIES):
@@ -396,11 +398,12 @@ def _sample_chunk(rng, size, parity):
                 v = rng.choice((0, 0, 0, 1, -1, 2, -2))
                 rows[r][c] = v
                 rows[c][r] = eps * v
-        lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
-        u = var_inverse(lat)
-        conj = _forced_conjugation(lat, points, u)
-        if conj.sigma * conj.sigma == IntMatrix.identity(size):
-            analysis = LevelAnalysis(lat, conj, known_var_inverse=u)
+        sigma, pinned = _forced_conjugation(
+            parity, rows, var_inverse_rows(parity, rows), points)
+        if _squares_to_identity(sigma):
+            lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
+            conj = ConjugationData(IntMatrix(sigma), MorseSpec(pinned))
+            analysis = LevelAnalysis(lat, conj)
             assert analysis.companion.consistent
             assert analysis.block_structure_problem() is None
             return lat, conj
@@ -423,22 +426,16 @@ def _direct_sum(parity, parts):
     lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, gram))))
     conj = ConjugationData(IntMatrix(tuple(map(tuple, sigma))),
                            MorseSpec(tuple(points)))
+    assert validate_lattice(lat) is None
     return lat, conj
 
 
-def generate_consistent_instance(seed: int, rank_bound: int, parity: int
-                                 ) -> tuple[ThimbleLattice, ConjugationData]:
-    """Deterministic search for a consistent (lattice, conjugation) pair.
+def _chunks(seed, rank_bound, parity):
+    """The chunks of the instance ``seed`` draws, lazily, in draw order.
 
-    Samples a rank up to ``rank_bound`` and assembles the instance as a
-    direct sum of consistent chunks of rank at most 4.  Inside a chunk the
-    gram couplings are random and the conjugation is ``B^-1 *
-    var_inverse`` for the forced block form ``B``; across chunks there is
-    no coupling, since consistency pins those entries to rigid arithmetic
-    relations that random data essentially never satisfies.  A chunk
-    whose draws all fail is shrunk by one until it succeeds, which a
-    rank-1 chunk always does.  Each chunk is asserted to be consistent
-    with the forced block form, which the direct sum inherits.
+    A rank up to ``rank_bound`` is filled by chunks of rank at most 4; a
+    chunk whose draws all fail is shrunk by one, and a rank-1 chunk never
+    fails.  The draws use a private ``random.Random(seed)`` only.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
@@ -446,17 +443,28 @@ def generate_consistent_instance(seed: int, rank_bound: int, parity: int
         raise ValueError("parity must be >= 0 (Morse indices lie in 0..parity), "
                          "got %d" % parity)
     rng = random.Random(seed)
-    nu = rng.randint(0, rank_bound)
-    parts = []
-    left = nu
+    left = rng.randint(0, rank_bound)
     while left > 0:
         size = min(left, rng.randint(1, 4))
         got = _sample_chunk(rng, size, parity)
         while got is None:
             size -= 1
             got = _sample_chunk(rng, size, parity)
-        parts.append(got)
+        yield got
         left -= size
-    lat, conj = _direct_sum(parity, parts)
-    assert validate_lattice(lat) is None
-    return lat, conj
+
+
+def generate_consistent_instance(seed: int, rank_bound: int, parity: int
+                                 ) -> tuple[ThimbleLattice, ConjugationData]:
+    """Deterministic search for a consistent (lattice, conjugation) pair.
+
+    The instance is the direct sum of the consistent chunks that
+    :func:`_chunks` draws from ``seed``.  Inside a chunk the
+    gram couplings are random and the conjugation is ``B^-1 *
+    var_inverse`` for the forced block form ``B``; across chunks there is
+    no coupling, since consistency pins those entries to rigid arithmetic
+    relations that random data essentially never satisfies.  Each chunk
+    is asserted to be consistent with the forced block form, which the
+    direct sum inherits.
+    """
+    return _direct_sum(parity, list(_chunks(seed, rank_bound, parity)))

@@ -8,8 +8,6 @@ eigenvalues.  Only ``float_signature`` touches floating point at all.
 
 from fractions import Fraction
 
-import numpy as np
-
 from .intmat import IntMatrix
 from .signature import Signature
 
@@ -137,7 +135,10 @@ def index_2d(grad, radius, samples: int | None = None) -> int:
 
 def float_signature(m, threshold: float = 1e-9) -> Signature:
     """Eigenvalue sign counts of a symmetric matrix, thresholded
-    relative to the largest magnitude."""
+    relative to the largest magnitude.  numpy is imported here, so the
+    package and its CLI load without it."""
+    import numpy as np
+
     if isinstance(m, IntMatrix):
         rows = m.to_lists()
     else:

@@ -1,8 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import vanlat
 from conftest import instance_path
+from vanlat import suite
 from vanlat.basis import monodromy
 from vanlat.cli import main
+from vanlat.gen import random_icis_instance
 from vanlat.intmat import IntMatrix
 
 
@@ -336,6 +344,36 @@ def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):
     assert f1.read_text() == f2.read_text()
     code, out, _ = run(capsys, "validate", f1)
     assert code == 0 and out.strip().endswith("ok")
+
+
+# seed 1 at rank bound 1000 draws no all-real level 0 within the budget
+NO_ALL_REAL = ("unsupported request: no all-real level 0 in 201 draws "
+               "(seed 1, n 1, levels 0, rank bound 1000)\n")
+
+
+def test_gen_without_an_all_real_level_0_is_an_unsupported_request(capsys):
+    code, out, err = run(capsys, "gen", "--seed", "1", "--rank-bound", "1000")
+    assert (code, out, err) == (2, "", NO_ALL_REAL)
+
+
+def test_verify_without_an_all_real_level_0_is_an_unsupported_request(
+        capsys, monkeypatch):
+    # the telescoping family, instance 6, asks for the request above; at
+    # rank bound 1000 the families before it would run for minutes
+    def unsupported(seed, n, p, rank_bound, real_only_level0):
+        return random_icis_instance(1, 1, 0, 1000, real_only_level0=True)
+    monkeypatch.setattr(suite, "random_icis_instance", unsupported)
+    code, out, err = run(capsys, "verify", "--count", "7", "--rank-bound", "4")
+    assert (code, err) == (2, NO_ALL_REAL)
+    assert out == "seed 20240001, count 7, rank bound 4\n"
+
+
+def test_cli_loads_without_numpy():
+    # numpy serves only the float oracle, so no command pays for its import
+    src = pathlib.Path(vanlat.__file__).resolve().parent.parent
+    probe = "import sys, vanlat.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_gen_parity_zero_writes_validating_instance(tmp_path, capsys):

@@ -223,6 +223,29 @@ def test_generator_output_is_pinned():
     assert _generator_digest() == "bde18958a0f85cdb38f013e9ebd73ebd"
 
 
+def _real_only_digest():
+    """md5 of the serialized towers with an all-real level 0 over a fixed
+    seed list; a draw budget that runs out enters as a fixed token."""
+    h = hashlib.md5()
+    for rank_bound in (4, 8, 16, 32):
+        for seed in range(20):
+            for with_cycles in (False, True):
+                try:
+                    inst = random_icis_instance(seed, 1 + seed % 3, seed % 3,
+                                                rank_bound, with_cycles=with_cycles,
+                                                real_only_level0=True)
+                except RuntimeError:
+                    h.update(b"no all-real level 0")
+                else:
+                    h.update(serialize_instance(InstanceDocument(inst)).encode())
+    return h.hexdigest()
+
+
+def test_real_only_generator_output_is_pinned():
+    # stopping a discarded level-0 draw early must not change any output
+    assert _real_only_digest() == "244942d9c3893264d66575311fe271c1"
+
+
 def test_monodromy_split_closure_on_consistent_instances():
     # sigma * sigma_tilde recovers the monodromy, and the companion is an
     # involution, on every consistent instance
@@ -300,7 +323,9 @@ def test_solve_sigma_upper_solutions_are_exact():
         assert all(product[r, c] == 0 for r in range(size)
                    for c in range(size) if block_of[c] > block_of[r])
 
-        forced = _forced_conjugation(lat, points, var_inverse(lat))
+        sigma, pinned = _forced_conjugation(parity, lat.gram.rows,
+                                            var_inverse(lat).rows, points)
+        forced = ConjugationData(IntMatrix(sigma), MorseSpec(pinned))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and derive_sigma_tilde(forced, lat).consistent]
         try:
