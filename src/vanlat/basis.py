@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .intmat import IntMatrix
-from .lattice import ThimbleLattice, diagonal_sign, require_valid
+from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,12 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
     return IntMatrix(tuple(map(tuple, rows)))
 
 
-def _mirror(parity: int) -> int:
-    return 1 if parity % 2 == 1 else -1
-
-
 def _replace_pair(g, k, top, bottom, parity):
     """Install new rows ``k, k+1`` and mirror them into columns ``k, k+1``.
 
     The 2x2 block on the diagonal keeps its diagonal and negates the rest.
     """
-    eps = _mirror(parity)
+    eps = mirror_sign(parity)
     a, b = g[k], g[k + 1]
     top[k], top[k + 1] = a[k], -a[k + 1]
     bottom[k], bottom[k + 1] = -b[k], b[k + 1]
@@ -179,9 +175,9 @@ def _alpha_step(g, cols, k, parity):
 
 
 def _alpha_inverse_step(g, cols, k, parity):
-    # inverse reflection coefficient: equals s for odd parity, -s for even
-    s = diagonal_sign(parity)
-    coeff = (s if parity % 2 == 1 else -s) * g[k + 1][k]  # c_inv * <old_k, old_{k+1}>
+    # inverse reflection coefficient: s for odd parity, -s for even
+    c_inv = mirror_sign(parity) * diagonal_sign(parity)
+    coeff = c_inv * g[k + 1][k]  # c_inv * <old_k, old_{k+1}>
     a, b = g[k], g[k + 1]
     _replace_pair(g, k, list(b), [x + coeff * y for x, y in zip(a, b)], parity)
     c, d = cols[k], cols[k + 1]

@@ -80,12 +80,7 @@ def cmd_validate(args):
             print("level %d: conjugation ok (companion involution, "
                   "block lower triangular)" % level.i)
         else:
-            why = []
-            if not report.involution:
-                why.append("companion not an involution")
-            if not report.lower_block_triangular:
-                why.append("companion not block lower triangular")
-            print("level %d: FAIL conjugation: %s" % (level.i, "; ".join(why)))
+            print("level %d: FAIL conjugation: %s" % (level.i, report.problems()))
             failures += 1
     for k, word in enumerate(doc.braid_words):
         top = inst.levels[0].lattice.nu

@@ -30,12 +30,12 @@ it squares to the identity (see :func:`_forced_conjugation`).
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .basis import monodromy
-from .intmat import IntMatrix, non_integer_at
-from .lattice import (ThimbleLattice, diagonal_sign, require_valid,
-                      self_intersection, validate_lattice)
+from .intmat import IntMatrix, block_diagonal, first_difference, non_integer_at
+from .lattice import (ThimbleLattice, diagonal_sign, random_gram_rows,
+                      require_valid)
 from .signature import Signature, exact_signature
 from .variation import var_inverse, var_inverse_rows
 
@@ -76,13 +76,21 @@ class MorseSpec:
             yield pos, p.slots, p
             pos += p.slots
 
-    def block_index(self):
-        """Map slot -> block number."""
-        out = {}
-        for b, (start, size, _) in enumerate(self.blocks()):
-            for t in range(size):
-                out[start + t] = b
-        return out
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """``(start, end)`` of the diagonal block of each slot."""
+        return tuple((start, start + size) for start, size, _ in self.blocks()
+                     for _ in range(size))
+
+    def forced_form(self, parity: int) -> IntMatrix:
+        """The block diagonal form ``B`` that ``var_inverse * sigma`` must be
+        on consistent data, with ``d = (-1)^(p(p+1)/2)``: ``d * (-1)^m`` on
+        a real slot of Morse index ``m`` and ``d * [[a, 1], [1, 0]]`` on a
+        pair of pairing number ``a``."""
+        d = diagonal_sign(parity)
+        return block_diagonal([
+            IntMatrix(((d * (-1) ** p.morse_index,),)) if isinstance(p, RealPoint)
+            else IntMatrix(((d * p.pairing, d), (d, 0))) for p in self.points])
 
     def validate(self, parity: int) -> str | None:
         for k, p in enumerate(self.points):
@@ -105,15 +113,10 @@ class ConjugationData:
 
 
 def _block_diagonal_part(morse: MorseSpec) -> IntMatrix:
-    nu = morse.total_slots
-    rows = [[0] * nu for _ in range(nu)]
-    for start, size, point in morse.blocks():
-        if isinstance(point, RealPoint):
-            rows[start][start] = (-1) ** point.morse_index
-        else:
-            rows[start][start + 1] = 1
-            rows[start + 1][start] = 1
-    return IntMatrix(tuple(map(tuple, rows)))
+    """The forced diagonal blocks of sigma: ``(-1)^m`` and the swap."""
+    return block_diagonal([
+        IntMatrix((((-1) ** p.morse_index,),)) if isinstance(p, RealPoint)
+        else IntMatrix(((0, 1), (1, 0))) for p in morse.points])
 
 
 def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
@@ -127,14 +130,13 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     if bad is not None:
         raise ValueError(bad)
     nu = morse.total_slots
-    block_of = morse.block_index()
     rows = [list(r) for r in _block_diagonal_part(morse).rows]
     for r, c, v in upper_data:
         if non_integer_at((r, c, v)) is not None:
             raise ValueError("entry %r is not an integer triple" % ((r, c, v),))
         if not (0 <= r < nu and 0 <= c < nu):
             raise ValueError("entry (%d, %d) out of range for rank %d" % (r, c, nu))
-        if block_of[c] <= block_of[r]:
+        if c < morse.spans[r][1]:
             raise ValueError(
                 "entry (%d, %d) is not strictly above the block diagonal" % (r, c))
         rows[r][c] = v
@@ -155,6 +157,15 @@ class SigmaTildeReport:
     @property
     def consistent(self) -> bool:
         return self.involution and self.lower_block_triangular
+
+    def problems(self) -> str:
+        """The failed verdicts, ``"; "``-separated; empty when consistent."""
+        why = []
+        if not self.involution:
+            why.append("companion not an involution")
+        if not self.lower_block_triangular:
+            why.append("companion not block lower triangular")
+        return "; ".join(why)
 
 
 class LevelAnalysis:
@@ -178,13 +189,6 @@ class LevelAnalysis:
         self.conj = conj
 
     @cached_property
-    def _spans(self) -> list[tuple[int, int]]:
-        """``(start, end)`` of the diagonal block of each slot."""
-        return [(start, start + size)
-                for start, size, _ in self.conj.morse.blocks()
-                for _ in range(size)]
-
-    @cached_property
     def monodromy(self) -> IntMatrix:
         return monodromy(self.lattice)
 
@@ -198,18 +202,13 @@ class LevelAnalysis:
         tilde = self.conj.sigma * self.monodromy
         involution = tilde * tilde == IntMatrix.identity(self.lattice.nu)
         lower = not any(any(row[end:])
-                        for row, (_, end) in zip(tilde.rows, self._spans))
+                        for row, (_, end) in zip(tilde.rows, self.conj.morse.spans))
         return SigmaTildeReport(tilde, involution, lower)
 
     def require_consistent(self) -> SigmaTildeReport:
         report = self.companion
         if not report.consistent:
-            why = []
-            if not report.involution:
-                why.append("companion is not an involution")
-            if not report.lower_block_triangular:
-                why.append("companion is not block lower triangular")
-            raise ValueError("inconsistent instance: " + "; ".join(why))
+            raise ValueError("inconsistent instance: " + report.problems())
         return report
 
     @cached_property
@@ -241,31 +240,24 @@ class LevelAnalysis:
         (see :func:`block_diagonal_structure_check`)."""
         report = self.companion
         if not report.consistent:
-            return ("instance inconsistent: companion involution=%s, "
-                    "lower block triangular=%s"
-                    % (report.involution, report.lower_block_triangular))
-        form = self.form
-        for r, (row, (start, end)) in enumerate(zip(form.rows, self._spans)):
-            if any(row[:start]) or any(row[end:]):
-                c = next(c for c, x in enumerate(row)
-                         if x and not start <= c < end)
-                return "off-block entry (%d, %d) = %d, expected 0" % (r, c, row[c])
-        d = diagonal_sign(self.lattice.parity)
-        for start, size, point in self.conj.morse.blocks():
-            if isinstance(point, RealPoint):
-                want = d * (-1) ** point.morse_index
-                if form[start, start] != want:
-                    return ("real block at slot %d: entry %d, expected %d"
-                            % (start, form[start, start], want))
-            else:
-                a = point.pairing
-                want = ((d * a, d), (d, 0))
-                got = ((form[start, start], form[start, start + 1]),
-                       (form[start + 1, start], form[start + 1, start + 1]))
-                if got != want:
-                    return ("pair block at slot %d: got %s, expected %s"
-                            % (start, got, want))
-        return None
+            return "inconsistent instance: " + report.problems()
+        morse = self.conj.morse
+        form, want = self.form, morse.forced_form(self.lattice.parity)
+        diff = first_difference(form, want)
+        if diff is None:
+            return None
+        r, c = diff
+        start, end = morse.spans[r]
+        if not start <= c < end:
+            return "off-block entry (%d, %d) = %d, expected 0" % (r, c, form[diff])
+        if end - start == 1:
+            return ("real block at slot %d: entry %d, expected %d"
+                    % (start, form[diff], want[diff]))
+
+        def block(m):
+            return tuple(row[start:end] for row in m.rows[start:end])
+        return ("pair block at slot %d: got %s, expected %s"
+                % (start, block(form), block(want)))
 
 
 def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTildeReport:
@@ -378,8 +370,7 @@ def _sample_chunk(rng, size, parity):
     ``None`` when ``CHUNK_TRIES`` draws all fail the involution law.  A
     try is tested on plain rows; only an accepted one is built and checked
     by an analysis, which takes the chunk's one ``var_inverse``."""
-    eps = 1 if parity % 2 == 1 else -1
-    diag = self_intersection(parity)
+    draw = partial(rng.choice, (0, 0, 0, 1, -1, 2, -2))
     for _ in range(CHUNK_TRIES):
         points = []
         left = size
@@ -390,18 +381,11 @@ def _sample_chunk(rng, size, parity):
             else:
                 points.append(RealPoint(rng.randrange(0, parity + 1)))
                 left -= 1
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][i] = diag
-        for r in range(size):
-            for c in range(r + 1, size):
-                v = rng.choice((0, 0, 0, 1, -1, 2, -2))
-                rows[r][c] = v
-                rows[c][r] = eps * v
+        rows = random_gram_rows(size, parity, draw)
         sigma, pinned = _forced_conjugation(
             parity, rows, var_inverse_rows(parity, rows), points)
         if _squares_to_identity(sigma):
-            lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
+            lat = ThimbleLattice(parity, IntMatrix(rows))
             conj = ConjugationData(IntMatrix(sigma), MorseSpec(pinned))
             analysis = LevelAnalysis(lat, conj)
             assert analysis.companion.consistent
@@ -411,22 +395,11 @@ def _sample_chunk(rng, size, parity):
 
 
 def _direct_sum(parity, parts):
-    nu = sum(lat.nu for lat, _ in parts)
-    gram = [[0] * nu for _ in range(nu)]
-    sigma = [[0] * nu for _ in range(nu)]
-    points = []
-    pos = 0
-    for lat, conj in parts:
-        for r in range(lat.nu):
-            for c in range(lat.nu):
-                gram[pos + r][pos + c] = lat.gram[r, c]
-                sigma[pos + r][pos + c] = conj.sigma[r, c]
-        points.extend(conj.morse.points)
-        pos += lat.nu
-    lat = ThimbleLattice(parity, IntMatrix(tuple(map(tuple, gram))))
-    conj = ConjugationData(IntMatrix(tuple(map(tuple, sigma))),
-                           MorseSpec(tuple(points)))
-    assert validate_lattice(lat) is None
+    lat = ThimbleLattice(parity, block_diagonal([lat.gram for lat, _ in parts]))
+    conj = ConjugationData(block_diagonal([conj.sigma for _, conj in parts]),
+                           MorseSpec(tuple(pt for _, conj in parts
+                                           for pt in conj.morse.points)))
+    assert lat.violation is None
     return lat, conj
 
 

@@ -2,35 +2,28 @@
 
 Everything here is deterministic given the seed.  Consistent single-level
 data comes from :func:`vanlat.conjugation.generate_consistent_instance`,
-or from its chunks for an all-real level 0; this module assembles lattices, braid words, whole tower instances, cycle
-data, and matched sign-flipped variants.
+or from its chunks for an all-real level 0; this module assembles
+lattices, braid words, whole tower instances, cycle data, and matched
+sign-flipped variants.
 """
 
 import random
+from functools import partial
 
 from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
                           MorseSpec, RealPoint, _chunks, _direct_sum,
                           generate_consistent_instance)
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix
-from .lattice import SignVector, ThimbleLattice, self_intersection
+from .intmat import IntMatrix, block_diagonal
+from .lattice import SignVector, ThimbleLattice, random_gram_rows
 
 
 def random_lattice(rng: random.Random, nu: int, parity: int,
                    max_entry: int = 5) -> ThimbleLattice:
     """Valid lattice with uniform off-diagonal entries in ``[-max, max]``."""
-    diag = self_intersection(parity)
-    eps = 1 if parity % 2 == 1 else -1
-    rows = [[0] * nu for _ in range(nu)]
-    for i in range(nu):
-        rows[i][i] = diag
-    for r in range(nu):
-        for c in range(r + 1, nu):
-            v = rng.randint(-max_entry, max_entry)
-            rows[r][c] = v
-            rows[c][r] = eps * v
-    return ThimbleLattice(parity, IntMatrix(tuple(map(tuple, rows))))
+    draw = partial(rng.randint, -max_entry, max_entry)
+    return ThimbleLattice(parity, IntMatrix(random_gram_rows(nu, parity, draw)))
 
 
 def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWord:
@@ -56,21 +49,10 @@ def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
     so the level's monodromy is built once.
     """
     analysis = LevelAnalysis(lat, conj)
-    n = lat.nu + pad
-
-    def padded(m, fill):
-        if pad == 0:
-            return m
-        rows = [[0] * n for _ in range(n)]
-        for r in range(lat.nu):
-            for c in range(lat.nu):
-                rows[r][c] = m[r, c]
-        for k in range(lat.nu, n):
-            rows[k][k] = fill
-        return IntMatrix(tuple(map(tuple, rows)))
-
-    cycles = CycleData(padded(lat.gram, 0), padded(conj.sigma, 1),
-                       padded(analysis.companion.matrix, 1))
+    null, trivial = IntMatrix.zeros(pad, pad), IntMatrix.identity(pad)
+    cycles = CycleData(block_diagonal([lat.gram, null]),
+                       block_diagonal([conj.sigma, trivial]),
+                       block_diagonal([analysis.companion.matrix, trivial]))
     return LevelData(i, lat, conj, cycles, analysis)
 
 

@@ -224,8 +224,8 @@ def cycle_index_sum(level: LevelData, s_entry: int) -> int:
     if diff % 2 != 0:
         raise ValueError("signature difference %d is odd; cycle data inconsistent"
                          % diff)
-    # (-1)^((parity+1)/2) for odd parity, as an int at every sign of parity
-    return s_entry * (-1 if parity % 4 == 1 else 1) * (diff // 2)
+    # diagonal_sign is (-1)^((parity+1)/2) at every odd parity
+    return s_entry * diagonal_sign(parity) * (diff // 2)
 
 
 def poincare_hopf_check(indices: list[int], chi: int) -> str | None:

@@ -448,11 +448,10 @@ def serialize_instance(doc: InstanceDocument) -> str:
                 else:
                     ents.append("[pair, %d]" % pt.pairing)
             lines.append("  morse: [%s]" % ", ".join(ents))
-            block_of = level.conj.morse.block_index()
-            upper = [(r, c, level.conj.sigma[r, c])
-                     for r in range(level.conj.nu)
-                     for c in range(level.conj.nu)
-                     if block_of[c] > block_of[r] and level.conj.sigma[r, c] != 0]
+            spans = level.conj.morse.spans
+            upper = [(r, c, row[c])
+                     for r, row in enumerate(level.conj.sigma.rows)
+                     for c in range(spans[r][1], len(row)) if row[c] != 0]
             lines.append("  sigma_upper: [%s]"
                          % ", ".join(_flow_row(e) for e in upper))
         if level.cycles is not None:

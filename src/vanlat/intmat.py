@@ -118,14 +118,6 @@ class IntMatrix:
     def __neg__(self):
         return IntMatrix(tuple(tuple(-x for x in r) for r in self.rows))
 
-    def __pow__(self, k):
-        if not self.is_square or k < 0:
-            raise ValueError("powers need a square matrix and k >= 0")
-        out = IntMatrix.identity(self.nrows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def transpose(self):
         if not self.rows:
             return IntMatrix(())
@@ -192,6 +184,26 @@ def non_integer_at(row):
         return None
     return next((c for c, x in enumerate(row)
                  if not isinstance(x, int) or isinstance(x, bool)), None)
+
+
+def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
+    """First ``(row, col)``, in reading order, where ``a`` and ``b`` differ,
+    or ``None``."""
+    if a.rows == b.rows:
+        return None
+    return next((r, c) for r, (x, y) in enumerate(zip(a.rows, b.rows))
+                for c, (u, v) in enumerate(zip(x, y)) if u != v)
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    """Direct sum of square matrices, each placed on the diagonal after
+    the ones before it; zero elsewhere."""
+    n = sum(b.nrows for b in blocks)
+    rows = []
+    for b in blocks:
+        left, right = (0,) * len(rows), (0,) * (n - len(rows) - b.nrows)
+        rows.extend([left + row + right for row in b.rows])
+    return IntMatrix(tuple(rows))
 
 
 def components(rows):

@@ -35,6 +35,25 @@ def diagonal_sign(parity: int) -> int:
     return -1 if (parity * (parity + 1)) // 2 % 2 else 1
 
 
+def mirror_sign(parity: int) -> int:
+    """``gram[c][r] / gram[r][c]``: +1 (symmetric) for odd parity, -1
+    (skew-symmetric) for even, negative parities included."""
+    return 1 if parity % 2 else -1
+
+
+def random_gram_rows(size: int, parity: int, draw) -> tuple[tuple[int, ...], ...]:
+    """Rows of a valid gram matrix of the given parity whose entries above
+    the diagonal are ``draw()``, called in row-major order."""
+    eps = mirror_sign(parity)
+    rows = [[self_intersection(parity)] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r + 1, size):
+            v = draw()
+            rows[r][c] = v
+            rows[c][r] = eps * v
+    return tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class ThimbleLattice:
     """Rank-``nu`` lattice with parity-governed pairing matrix."""
@@ -69,9 +88,9 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
     """
     g = lat.gram
     want = self_intersection(lat.parity)
-    odd = lat.parity % 2 == 1
+    eps = mirror_sign(lat.parity)
     image = tuple(zip(*g.rows))  # what the rule makes of the rows
-    if not odd:
+    if eps == -1:
         image = tuple(tuple(map(neg, col)) for col in image)
     if g.rows == image and all(row[r] == want for r, row in enumerate(g.rows)):
         return None
@@ -81,9 +100,8 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
             return ("diagonal entry gram[%d][%d] = %d, expected %d for parity %d"
                     % (r, r, g[r, r], want, lat.parity))
         for c in range(r + 1, g.ncols):
-            mirror = g[c, r] if odd else -g[c, r]
-            if g[r, c] != mirror:
-                kind = "symmetric" if odd else "skew-symmetric"
+            if g[r, c] != eps * g[c, r]:
+                kind = "symmetric" if eps == 1 else "skew-symmetric"
                 return ("entries gram[%d][%d] = %d and gram[%d][%d] = %d violate the %s rule"
                         % (r, c, g[r, c], c, r, g[c, r], kind))
     return None

@@ -1,9 +1,10 @@
 """Independent ground-truth computations used by the test suite.
 
 These deliberately avoid the machinery they are checked against: the 1-d
-and 2-d gradient indices come from exact sign and winding counts at
-rational sample points, and the floating signature comes from numpy
-eigenvalues.  Only ``float_signature`` touches floating point at all.
+gradient index comes from exact signs at rational sample points, the 2-d
+one from Sturm sequences over ``Fraction`` along a rational
+parametrization of the circle, and the floating signature comes from
+numpy eigenvalues.  Only ``float_signature`` touches floating point at all.
 """
 
 from fractions import Fraction
@@ -66,71 +67,92 @@ def _poly2_degree(terms):
     return max((i + j for (i, j) in terms), default=0)
 
 
-def _octant(a, b):
-    # sectors 0..7 counterclockwise starting at the positive x-axis
-    table = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
-             (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sa == 0 and sb == 0:
-        return None
-    return table[(sa, sb)]
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _circle_points(radius, half):
-    """Exact rational points tracing the circle counterclockwise.
-
-    Tangent half-angle parametrization over t in [-1, 1) covers the right
-    half; the antipodes cover the rest, so no trigonometry is needed and
-    every sample satisfies x^2 + y^2 = radius^2 exactly.
-    """
-    pts = []
-    for k in range(half):
-        t = Fraction(-1) + Fraction(2 * k, half)
-        den = 1 + t * t
-        pts.append((radius * (1 - t * t) / den, radius * 2 * t / den))
-    return pts + [(-x, -y) for (x, y) in pts]
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def index_2d(grad, radius, samples: int | None = None) -> int:
-    """Winding number of a polynomial plane field around a circle.
+def _poly_rem(a, b):
+    """Remainder of ``a`` on division by the nonzero ``b``."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        for k, y in enumerate(b, len(a) - len(b)):
+            a[k] -= f * y
+        _trim(a)
+    return a
 
-    ``grad`` is a pair of bivariate integer polynomials in the ``poly2``
-    encoding.  Sector transitions between consecutive samples must stay
-    within a quarter turn; an ambiguous step triggers denser resampling
-    (up to six doublings) rather than a guess, and a field vanishing at a
-    sample point is an error.  At least ``8 * (degree + 1)`` samples are
-    used.
+
+def _on_circle(terms, radius):
+    """A polynomial in ``t`` with the sign of the bivariate ``terms`` at
+    ``radius * (1 - t^2, 2t) / (1 + t^2)``, the circle but ``(-radius, 0)``:
+    the value there times ``(1 + t^2)^degree``."""
+    d = _poly2_degree(terms)
+    out = [Fraction(0)] * (2 * d + 1)
+    for (i, j), c in terms.items():
+        term = [c * radius ** (i + j)]
+        for factor in [[1, 0, -1]] * i + [[0, 2]] * j + [[1, 0, 1]] * (d - i - j):
+            term = _poly_mul(term, factor)
+        for k, x in enumerate(term):
+            out[k] += x
+    return _trim(out)
+
+
+def _cauchy_index(p, q):
+    """Cauchy index of ``q / p`` over the real line, for a nonzero ``p``,
+    and the gcd of ``p`` and ``q``: the sign changes of the signed
+    remainder sequence ``p, q, -rem(p, q), ...`` at ``-oo`` less those at
+    ``+oo`` (Sturm's theorem as generalised by Tarski), and its last
+    member."""
+    seq = [p]
+    while q:
+        seq.append(q)
+        p, q = q, [-x for x in _poly_rem(p, q)]
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return (changes([(s[-1] > 0) == (len(s) % 2 == 1) for s in seq])
+            - changes([s[-1] > 0 for s in seq]), seq[-1])
+
+
+def index_2d(grad, radius) -> int:
+    """Winding number of a polynomial plane field around a circle, exactly.
+
+    ``grad`` is a pair ``(P, Q)`` of bivariate integer polynomials in the
+    ``poly2`` encoding; along the circle each has the sign of a
+    polynomial in ``t`` (see :func:`_on_circle`).  Net, the field passes
+    the vertical (``P = 0``) counterclockwise twice per turn, and each
+    such pass adds -1 to the Cauchy index of ``Q / P``, so the winding
+    number is minus half that index, which Sturm sequences over
+    ``Fraction`` count exactly.  Where ``P`` vanishes at ``(-radius, 0)``,
+    the point ``t = oo``, the field is first turned by a quarter, which
+    keeps its winding number.  A field that vanishes anywhere on the
+    circle (a real root of the gcd of the two) is an error.
     """
     px, py = grad
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    deg = max(_poly2_degree(px), _poly2_degree(py))
-    minimum = 8 * (deg + 1)
-    n = max(samples or 0, minimum)
-    for _ in range(7):
-        pts = _circle_points(radius, (n + 1) // 2)
-        sectors = []
-        for (x, y) in pts:
-            s = _octant(_poly2_eval(px, x, y), _poly2_eval(py, x, y))
-            if s is None:
-                raise ValueError("field vanishes at sample point (%s, %s)" % (x, y))
-            sectors.append(s)
-        total = 0
-        ambiguous = False
-        for a, b in zip(sectors, sectors[1:] + sectors[:1]):
-            step = (b - a + 4) % 8 - 4  # minimal signed sector difference
-            if abs(step) > 2 or step == -4:
-                ambiguous = True
-                break
-            total += step
-        if not ambiguous:
-            if total % 8 != 0:
-                raise ValueError("winding did not close up; resample")
-            return total // 8
-        n *= 2
-    raise ValueError("ambiguous sector transitions persist at %d samples" % n)
+    p, q = _on_circle(px, radius), _on_circle(py, radius)
+    if _poly2_eval(px, -radius, 0):
+        index, common = _cauchy_index(p, q)
+        index = -index
+    elif _poly2_eval(py, -radius, 0):
+        index, common = _cauchy_index(q, p)  # of the turned field (Q, -P)
+    else:
+        raise ValueError("field vanishes on the circle at (%s, 0)" % -radius)
+    if _cauchy_index(common, _derivative(common))[0]:
+        raise ValueError("field vanishes on the circle")
+    return index // 2
 
 
 def float_signature(m, threshold: float = 1e-9) -> Signature:

@@ -12,8 +12,8 @@ as opposed to its matrix, independent of the distinguished basis.
 """
 
 from .basis import BraidWord, apply_braid_word, monodromy
-from .intmat import IntMatrix
-from .lattice import ThimbleLattice, diagonal_sign, require_valid
+from .intmat import IntMatrix, first_difference
+from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
 def var_inverse_rows(parity: int, gram_rows) -> tuple[tuple[int, ...], ...]:
@@ -60,14 +60,6 @@ def intersection_operator(lat: ThimbleLattice) -> IntMatrix:
     return lat.gram
 
 
-def _first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
-    """First ``(row, col)`` where ``a`` and ``b`` differ, or ``None``."""
-    if a.rows == b.rows:
-        return None
-    return next((r, c) for r, (x, y) in enumerate(zip(a.rows, b.rows))
-                for c, (u, v) in enumerate(zip(x, y)) if u != v)
-
-
 def check_s_relation(lat: ThimbleLattice) -> str | None:
     """Verify ``S = -M + (-1)^parity * M^T`` entrywise, ``M = var_inverse``.
 
@@ -76,9 +68,9 @@ def check_s_relation(lat: ThimbleLattice) -> str | None:
     """
     require_valid(lat)
     m = var_inverse(lat)
-    rhs = -m + (-1 if lat.parity % 2 else 1) * m.transpose()
+    rhs = -m - mirror_sign(lat.parity) * m.transpose()  # (-1)^p = -mirror_sign
     s = intersection_operator(lat)
-    if (diff := _first_difference(s, rhs)) is None:
+    if (diff := first_difference(s, rhs)) is None:
         return None
     return ("entry (%d, %d): pairing matrix has %d but "
             "-M + (-1)^%d M^T gives %d"
@@ -91,8 +83,8 @@ def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
     require_valid(lat)
     h = monodromy(lat)
     m = var_inverse(lat)
-    rhs = (-1 if lat.parity % 2 else 1) * (var(lat) * m.transpose())
-    if (diff := _first_difference(h, rhs)) is None:
+    rhs = -mirror_sign(lat.parity) * (var(lat) * m.transpose())
+    if (diff := first_difference(h, rhs)) is None:
         return None
     return ("entry (%d, %d): monodromy has %d but "
             "(-1)^%d Var Var^{-1 T} gives %d"
@@ -111,7 +103,7 @@ def var_inverse_as_operator_after_braid(lat: ThimbleLattice,
     new_lat, change = apply_braid_word(lat, word)
     fresh = var_inverse(new_lat)
     transported = change.congruence(var_inverse(lat))
-    if (diff := _first_difference(fresh, transported)) is not None:
+    if (diff := first_difference(fresh, transported)) is not None:
         return ("entry (%d, %d) after word '%s': recomputed %d, "
                 "congruence-transported %d"
                 % (*diff, word, fresh[diff], transported[diff]))

@@ -25,6 +25,14 @@ def triple_loop(a, b):
                  for i in range(a.nrows))
 
 
+def matrix_power(m, k):
+    """``m`` multiplied by itself ``k >= 0`` times (the identity at 0)."""
+    out = m.identity(m.nrows)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
 def generated_texts():
     """Serializer output with every optional part: p > 0, cycles, braid
     words, expected entries and provenance lines."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import triple_loop
+from conftest import matrix_power, triple_loop
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
@@ -71,8 +71,8 @@ def test_monodromy_rank_zero_and_one():
 
 def test_monodromy_a2_has_order_three():
     h = monodromy(a2())
-    assert h ** 3 == IntMatrix.identity(2)
-    assert h != IntMatrix.identity(2) and h ** 2 != IntMatrix.identity(2)
+    assert matrix_power(h, 3) == IntMatrix.identity(2)
+    assert h != IntMatrix.identity(2) and matrix_power(h, 2) != IntMatrix.identity(2)
 
 
 @st.composite

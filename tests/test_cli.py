@@ -31,7 +31,20 @@ def test_validate_shipped_instance_passes(capsys):
 def test_validate_corrupted_sigma_fails_with_location(capsys):
     code, out, _ = run(capsys, "validate", instance_path("bad_sigma.vl"))
     assert code == 1
-    assert "level 0: FAIL" in out
+    assert out == ("level 0: lattice ok (rank 2, parity 1)\n"
+                   "level 0: FAIL conjugation: companion not an involution; "
+                   "companion not block lower triangular\n"
+                   "FAIL (1 problems)\n")
+
+
+def test_index_of_corrupted_sigma_names_both_verdicts(capsys):
+    # the same wording as validate's, from the one rendering of the verdicts
+    code, out, err = run(capsys, "compute", instance_path("bad_sigma.vl"),
+                         "--what", "index")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: inconsistent instance: companion not an involution; "
+                   "companion not block lower triangular\n")
 
 
 def test_validate_parse_error_exit_code(tmp_path, capsys):

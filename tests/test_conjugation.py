@@ -152,6 +152,50 @@ def test_block_structure_check_locates_corruption():
     assert report is not None and "inconsistent" in report
 
 
+def test_block_structure_check_names_the_kind_of_block():
+    # consistent data that misses the forced form: a sub-diagonal entry,
+    # and a real slot carrying the other Morse index's sign
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 0], [0, 2]]))
+    conj = ConjugationData(IntMatrix.from_rows([[1, 0], [1, -1]]),
+                           MorseSpec((RealPoint(0), RealPoint(1))))
+    assert (block_diagonal_structure_check(lat, conj)
+            == "off-block entry (1, 0) = -1, expected 0")
+    one = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
+    conj = ConjugationData(IntMatrix.from_rows([[1]]), MorseSpec((RealPoint(1),)))
+    assert (block_diagonal_structure_check(one, conj)
+            == "real block at slot 0: entry -1, expected 1")
+
+
+def test_companion_problems_render_both_verdicts():
+    conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, 5)])
+    report = derive_sigma_tilde(conj, a2_lat())
+    assert report.problems() == ("companion not an involution; "
+                                 "companion not block lower triangular")
+    assert (block_diagonal_structure_check(a2_lat(), conj)
+            == "inconsistent instance: " + report.problems())
+    good = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
+    assert derive_sigma_tilde(good, a2_lat()).problems() == ""
+
+
+def test_spans_follow_the_blocks():
+    morse = MorseSpec((ConjugatePair(3), RealPoint(0), RealPoint(1),
+                       ConjugatePair(0), RealPoint(2)))
+    assert morse.spans == ((0, 2), (0, 2), (2, 3), (3, 4), (4, 6), (4, 6),
+                           (6, 7))
+    for start, size, _ in morse.blocks():
+        assert all(morse.spans[slot] == (start, start + size)
+                   for slot in range(start, start + size))
+    assert MorseSpec(()).spans == ()
+
+
+@pytest.mark.parametrize("parity", range(5))
+def test_forced_form_is_the_form_of_generated_instances(parity):
+    for seed in range(12):
+        lat, conj = generate_consistent_instance(seed, 10, parity)
+        assert (conj.morse.forced_form(parity)
+                == var_inverse(lat) * conj.sigma)
+
+
 def test_block_structure_check_wrong_pairing_number():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj = build_sigma(MorseSpec((ConjugatePair(7),)), 1, [])
@@ -269,11 +313,10 @@ def _solve_sigma_upper(lat, morse):
     would mean it is not.
     """
     nu = lat.nu
-    block_of = morse.block_index()
     fixed = _block_diagonal_part(morse)
     h = monodromy(lat)
-    positions = [(r, c) for r in range(nu) for c in range(nu)
-                 if block_of[c] > block_of[r]]
+    positions = [(r, c) for r in range(nu)
+                 for c in range(morse.spans[r][1], nu)]
     index = {p: k for k, p in enumerate(positions)}
     nunk = len(positions)
     aug = []
@@ -319,9 +362,8 @@ def test_solve_sigma_upper_solutions_are_exact():
         for r, c, v in upper:
             rows[r][c] = v
         product = IntMatrix.from_rows(rows) * monodromy(lat)
-        block_of = morse.block_index()
         assert all(product[r, c] == 0 for r in range(size)
-                   for c in range(size) if block_of[c] > block_of[r])
+                   for c in range(morse.spans[r][1], size))
 
         sigma, pinned = _forced_conjugation(parity, lat.gram.rows,
                                             var_inverse(lat).rows, points)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import vanlat
 from conftest import triple_loop
 from vanlat import intmat
-from vanlat.intmat import IntMatrix, det, row_reduce, unimodular_inverse
+from vanlat.intmat import (IntMatrix, block_diagonal, det, first_difference,
+                           row_reduce, unimodular_inverse)
 
 
 def test_construction_rejects_ragged():
@@ -276,6 +277,30 @@ def _factors(draw):
 def test_mul_matches_triple_loop(factors):
     a, b = factors
     assert (a * b).rows == triple_loop(a, b)
+
+
+def test_block_diagonal_of_nothing_and_of_empty_blocks():
+    assert block_diagonal([]) == IntMatrix(())
+    assert block_diagonal([IntMatrix(())]) == IntMatrix(())
+    one = IntMatrix.from_rows([[7]])
+    assert block_diagonal([IntMatrix(()), one, IntMatrix(())]) == one
+
+
+def test_block_diagonal_of_mixed_blocks():
+    a = IntMatrix.from_rows([[1]])
+    b = IntMatrix.from_rows([[2, 3], [4, 5]])
+    c = IntMatrix.from_rows([[-6]])
+    assert block_diagonal([a, b, c]) == IntMatrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 3, 0], [0, 4, 5, 0], [0, 0, 0, -6]])
+    assert block_diagonal([b, a]) == IntMatrix.from_rows(
+        [[2, 3, 0], [4, 5, 0], [0, 0, 1]])
+
+
+def test_first_difference_in_reading_order():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert first_difference(a, a) is None
+    assert first_difference(a, IntMatrix.from_rows([[1, 2], [0, 0]])) == (1, 0)
+    assert first_difference(a, IntMatrix.from_rows([[1, 0], [0, 4]])) == (0, 1)
 
 
 def test_str_format():

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import (SignVector, ThimbleLattice, diagonal_sign,
-                            milnor_number, self_intersection, validate_lattice)
+                            milnor_number, mirror_sign, random_gram_rows,
+                            self_intersection, validate_lattice)
 
 
 def test_self_intersection_examples():
@@ -62,6 +63,25 @@ def test_pairing_uses_column_first_convention():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 5], [5, 2]]))
     # pairing(i, j) reads gram[j][i]
     assert lat.pairing(0, 1) == lat.gram[1, 0]
+
+
+def test_mirror_sign_at_every_parity():
+    for parity in range(-5, 6):
+        want = 1 if parity % 2 else -1
+        assert mirror_sign(parity) == want and type(mirror_sign(parity)) is int
+
+
+@pytest.mark.parametrize("parity", [0, 1, 2, 3, -1])
+def test_random_gram_rows_draws_the_upper_triangle_row_by_row(parity):
+    draws = iter(range(1, 7))
+    rows = random_gram_rows(4, parity, lambda: next(draws))
+    eps, diag = mirror_sign(parity), self_intersection(parity)
+    assert rows == ((diag, 1, 2, 3),
+                    (eps * 1, diag, 4, 5),
+                    (eps * 2, eps * 4, diag, 6),
+                    (eps * 3, eps * 5, eps * 6, diag))
+    assert validate_lattice(ThimbleLattice(parity, IntMatrix(rows))) is None
+    assert random_gram_rows(0, parity, None) == ()
 
 
 def test_milnor_number_examples():

@@ -96,6 +96,50 @@ def test_index_2d_sum_of_enclosed_zeros():
     assert outer == 0
 
 
+def _line_product_gradient(slopes):
+    """Gradient of ``prod (y - a x)`` over the slopes ``a``, as ``poly2``s."""
+    f = {(0, 0): 1}
+    for a in slopes:
+        g = {}
+        for (i, j), c in f.items():
+            g[(i, j + 1)] = g.get((i, j + 1), 0) + c
+            g[(i + 1, j)] = g.get((i + 1, j), 0) - a * c
+        f = g
+    return (poly2({(i - 1, j): i * c for (i, j), c in f.items() if i}),
+            poly2({(i, j - 1): j * c for (i, j), c in f.items() if j}))
+
+
+@pytest.mark.parametrize("slopes", [(-8, 10, 14, 15), (12, 4, 16, 2),
+                                    (3, 18, 10, 20)])
+def test_index_2d_four_steep_lines(slopes):
+    # m lines through 0 in general position: the gradient has index 1 - m;
+    # the field turns a full cycle between nearby points of the circle
+    assert index_2d(_line_product_gradient(slopes), 1) == 1 - len(slopes)
+
+
+def test_index_2d_random_line_arrangements():
+    rng = random.Random(3)
+    for _ in range(40):
+        slopes = rng.sample(range(-20, 21), rng.randint(2, 6))
+        radius = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        assert index_2d(_line_product_gradient(slopes), radius) == 1 - len(slopes)
+
+
+def test_index_2d_turns_the_field_when_it_is_vertical_at_the_base_point():
+    # at (-1, 0) the first component vanishes, so the route through the
+    # quarter-turned field is taken
+    swapped = (poly2({(0, 1): 2}), poly2({(1, 0): 2}))  # (2y, 2x)
+    assert index_2d(swapped, 1) == -1
+    tangent = (poly2({(0, 1): -1}), poly2({(1, 0): 1}))  # (-y, x)
+    assert index_2d(tangent, 1) == 1
+
+
+def test_index_2d_vanishing_at_base_point_is_an_error():
+    f = (poly2({(1, 0): 1, (0, 0): 1}), poly2({(0, 1): 1}))  # (x + 1, y)
+    with pytest.raises(ValueError, match="vanishes"):
+        index_2d(f, 1)
+
+
 def test_index_2d_rejects_bad_radius():
     with pytest.raises(ValueError):
         index_2d(RADIAL, 0)
