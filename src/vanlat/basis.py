@@ -23,7 +23,7 @@ determinant is taken over the components of its sparse pattern.
 import re
 from dataclasses import dataclass
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, combine_rows, row_supports
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
@@ -83,8 +83,12 @@ def parse_braid_word(text: str) -> BraidWord:
 class BasisChange:
     """Unimodular matrix ``P`` whose columns are the new basis in the old one.
 
-    A product costs the nonzeros of its left factor, so both rules below
-    keep ``P`` or ``P^T`` on the left of every product and never invert.
+    A product costs, for each nonzero of its left factor, the nonzeros of
+    the matching row of its right factor when that row is wide and
+    sparse, and the row's width otherwise (see
+    :func:`~vanlat.intmat.combine_rows`).  The pairings and maps moved
+    here may be dense, so both rules below keep the sparse ``P`` or
+    ``P^T`` on the left of every product and never invert.
     """
 
     matrix: IntMatrix
@@ -134,21 +138,26 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
     """Composite of all basis reflections, first basis element outermost.
 
     Builds ``PL_1 * (PL_2 * (... * PL_nu))`` from the inside out.  Left
-    multiplication by ``PL_{k+1}`` only changes row ``k``, which gains
-    ``sgn * sum_c gram[k][c] * row_c``, so each reflection costs one
-    O(nu^2) row update and the whole product O(nu^3).
+    multiplication by ``PL_{k+1}`` only changes row ``k``, which becomes
+    ``e_k + sgn * sum_c gram[k][c] * row_c``.  The rows not yet replaced
+    are unit rows, and each replaced row's support is recorded once, so
+    :func:`~vanlat.intmat.combine_rows` adds a sparse row by its nonzero
+    columns alone: a reflection costs the work its row of the gram
+    matrix selects, at most O(nu^2), and the whole product at most
+    O(nu^3).  The ``c == k`` term reads the old unit row ``k``, since the
+    kernel sums into a fresh list.
     """
     require_valid(lat)
     s = diagonal_sign(lat.parity)
-    rows = IntMatrix.identity(lat.nu).to_lists()
-    for k in reversed(range(lat.nu)):
-        acc = rows[k]
-        for c, w in enumerate(lat.gram.row(k)):
-            if w:
-                sw = s * w
-                acc = [x + sw * y for x, y in zip(acc, rows[c])]
-        rows[k] = acc
-    return IntMatrix(tuple(map(tuple, rows)))
+    n = lat.nu
+    rows = list(IntMatrix.identity(n).rows)
+    supports = row_supports(rows, n)
+    for k in reversed(range(n)):
+        acc, = combine_rows((lat.gram.row(k),), rows, supports, n, s)
+        acc[k] += 1
+        rows[k] = tuple(acc)
+        supports[k], = row_supports((rows[k],), n)
+    return IntMatrix(tuple(rows))
 
 
 def _replace_pair(g, k, top, bottom, parity):

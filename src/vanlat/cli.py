@@ -92,7 +92,7 @@ def cmd_validate(args):
         else:
             print("braid word %d: ok (%s)" % (k, word))
     if failures:
-        print("FAIL (%d problems)" % failures)
+        print("FAIL (%d %s)" % (failures, "problem" if failures == 1 else "problems"))
         return 1
     print("ok")
     return 0

@@ -40,6 +40,12 @@ from .signature import Signature, exact_signature
 from .variation import var_inverse, var_inverse_rows
 
 
+def morse_sign(morse_index: int) -> int:
+    """``(-1)^m`` for the Morse index ``m``, an int at every ``m``,
+    negative ones included."""
+    return -1 if morse_index % 2 else 1
+
+
 @dataclass(frozen=True)
 class RealPoint:
     """Real critical point with its Morse index."""
@@ -89,7 +95,7 @@ class MorseSpec:
         pair of pairing number ``a``."""
         d = diagonal_sign(parity)
         return block_diagonal([
-            IntMatrix(((d * (-1) ** p.morse_index,),)) if isinstance(p, RealPoint)
+            IntMatrix(((d * morse_sign(p.morse_index),),)) if isinstance(p, RealPoint)
             else IntMatrix(((d * p.pairing, d), (d, 0))) for p in self.points])
 
     def validate(self, parity: int) -> str | None:
@@ -115,7 +121,7 @@ class ConjugationData:
 def _block_diagonal_part(morse: MorseSpec) -> IntMatrix:
     """The forced diagonal blocks of sigma: ``(-1)^m`` and the swap."""
     return block_diagonal([
-        IntMatrix((((-1) ** p.morse_index,),)) if isinstance(p, RealPoint)
+        IntMatrix(((morse_sign(p.morse_index),),)) if isinstance(p, RealPoint)
         else IntMatrix(((0, 1), (1, 0))) for p in morse.points])
 
 
@@ -305,7 +311,7 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
     total = 0
     for _, _, point in conj.morse.blocks():
         if isinstance(point, RealPoint):
-            total += d * (-1) ** point.morse_index
+            total += d * morse_sign(point.morse_index)
     return total
 
 
@@ -341,7 +347,7 @@ def _forced_conjugation(parity, gram, u, points):
     pos = 0
     for point in points:
         if isinstance(point, RealPoint):
-            e = d * (-1) ** point.morse_index
+            e = d * morse_sign(point.morse_index)
             rows.append(tuple(e * x for x in u[pos]))
         else:
             point = ConjugatePair(-d * gram[pos][pos + 1])

@@ -10,6 +10,14 @@ i.e. images are the *columns* of ``M``.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+
+# A right-hand row is added by its nonzero columns alone when it has at
+# least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of them is
+# nonzero; a shorter or denser row is added whole, where one list
+# comprehension over the row beats indexing its entries one by one.
+SPARSE_MIN_COLS = 16
+SPARSE_FILL = 4
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,14 @@ class IntMatrix:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         # each output row is a combination of the rows of ``other``, one
-        # term per nonzero entry of the row of ``self``
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for w, brow in zip(row, other.rows):
-                if w:
-                    acc = [x + w * y for x, y in zip(acc, brow)]
-            out.append(tuple(acc))
-        return IntMatrix(tuple(out))
+        # term per nonzero entry of the row of ``self``.  Each row of
+        # ``other`` is classed once per product: a term costs that row's
+        # nonzeros if it is wide and sparse, else its width, so a product
+        # costs O(nnz(self) * ncols) at most and less on sparse ``other``
+        width, right = other.ncols, other.rows
+        supports = row_supports(right, width)
+        return IntMatrix(tuple(map(tuple, combine_rows(self.rows, right, supports,
+                                                       width))))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -172,6 +179,52 @@ class IntMatrix:
     def __str__(self):
         return "[%s]" % ", ".join("[%s]" % ", ".join(str(x) for x in r)
                                   for r in self.rows)
+
+
+def row_supports(rows, width):
+    """For each of ``rows``, its nonzero columns if :func:`combine_rows`
+    should add it by those columns alone, or ``None`` if it should add
+    the whole row.
+
+    A row is added by columns when it has at least ``SPARSE_MIN_COLS``
+    columns and at most one in ``SPARSE_FILL`` of them is nonzero, so a
+    dense row costs one C-level count and a short one nothing.
+    """
+    if width < SPARSE_MIN_COLS:
+        return [None] * len(rows)
+    cols = range(width)
+    return [tuple(compress(cols, row))
+            if (width - row.count(0)) * SPARSE_FILL <= width else None
+            for row in rows]
+
+
+def combine_rows(weight_rows, rows, supports, width, scale=1):
+    """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
+    ``weight_rows``, as new lists of ``width`` ints.
+
+    The one row-combination kernel, behind every product and the
+    monodromy sweep.  It takes all the left rows of a product in one
+    call, so that the many small products of the package pay for the
+    call once.  Only the nonzero weights are visited.  A row
+    whose support (from :func:`row_supports`) is a tuple of columns adds
+    only those entries; a row whose support is ``None`` is added whole.
+    Each sum is accumulated in a fresh list, so a term may read a row
+    that the caller is about to replace.  A term costs the nonzeros of a
+    sparse row or the width of a dense one.
+    """
+    out = []
+    indices = range(len(rows))
+    for weights in weight_rows:
+        acc = [0] * width
+        for t in compress(indices, weights):
+            w, row, cols = scale * weights[t], rows[t], supports[t]
+            if cols is None:
+                acc = [x + w * y for x, y in zip(acc, row)]
+            else:
+                for c in cols:
+                    acc[c] += w * row[c]
+        out.append(acc)
+    return out
 
 
 def non_integer_at(row):

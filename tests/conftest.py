@@ -3,8 +3,11 @@ import pathlib
 import pytest
 
 from vanlat.basis import parse_braid_word
+from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
 from vanlat.instfile import InstanceDocument, serialize_instance
+from vanlat.intmat import IntMatrix
+from vanlat.lattice import ThimbleLattice
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -31,6 +34,27 @@ def matrix_power(m, k):
     for _ in range(k):
         out = out * m
     return out
+
+
+def a_k_level(k):
+    """The real morsification of ``x^(k+1)`` as a parity-1 lattice of rank
+    ``k`` and its conjugation.
+
+    Maxima come first in the basis, then minima; neighbours on the line
+    pair to -1, and the conjugation has +1 at (maximum, minimum) for each
+    line edge.  Every matrix of the level has about two nonzeros per row.
+    """
+    order = list(range(0, k, 2)) + list(range(1, k, 2))  # even positions are maxima
+    slot = {pos: s for s, pos in enumerate(order)}
+    gram = [[2 if r == c else 0 for c in range(k)] for r in range(k)]
+    upper = []
+    for pos in range(k - 1):
+        a, b = slot[pos], slot[pos + 1]
+        gram[a][b] = gram[b][a] = -1
+        upper.append((a, b, 1) if pos % 2 == 0 else (b, a, 1))
+    morse = MorseSpec(tuple(RealPoint(1 - pos % 2) for pos in order))
+    lat = ThimbleLattice(1, IntMatrix.from_rows(gram, width=k))
+    return lat, build_sigma(morse, 1, upper)
 
 
 def generated_texts():

@@ -10,11 +10,10 @@ import time
 
 import pytest
 
-from conftest import INSTANCE_DIR, instance_path, matrix_power
+from conftest import INSTANCE_DIR, a_k_level, instance_path, matrix_power
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (MorseSpec, RealPoint,
-                                block_diagonal_structure_check, build_sigma,
+from vanlat.conjugation import (block_diagonal_structure_check,
                                 generate_consistent_instance,
                                 signature_by_blocks, var_sigma_form)
 from vanlat.gen import (level_with_cycles, random_braid_word,
@@ -254,24 +253,9 @@ def test_criterion_13_braid_word_rank_64_budget():
 
 
 def _a_k_tower_text(k):
-    """Serialized A_k tower: the real morsification of ``x^(k+1)``.
-
-    Maxima come first in the basis, then minima; neighbours on the line
-    pair to -1, and the conjugation has +1 at (maximum, minimum) for each
-    line edge.
-    """
-    order = list(range(0, k, 2)) + list(range(1, k, 2))  # even positions are maxima
-    slot = {pos: s for s, pos in enumerate(order)}
-    gram = [[2 if r == c else 0 for c in range(k)] for r in range(k)]
-    upper = []
-    for pos in range(k - 1):
-        a, b = slot[pos], slot[pos + 1]
-        gram[a][b] = gram[b][a] = -1
-        upper.append((a, b, 1) if pos % 2 == 0 else (b, a, 1))
-    morse = MorseSpec(tuple(RealPoint(1 - pos % 2) for pos in order))
-    lat = ThimbleLattice(1, IntMatrix.from_rows(gram, width=k))
-    inst = IcisInstance(1, 0, SignVector((1,)),
-                        (LevelData(0, lat, build_sigma(morse, 1, upper)),))
+    """Serialized A_k tower: the level of :func:`conftest.a_k_level`."""
+    lat, conj = a_k_level(k)
+    inst = IcisInstance(1, 0, SignVector((1,)), (LevelData(0, lat, conj),))
     return serialize_instance(InstanceDocument(inst))
 
 

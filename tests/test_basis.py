@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_power, triple_loop
+from conftest import a_k_level, matrix_power, triple_loop
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
                           orientation_flip, parse_braid_word,
                           picard_lefschetz)
+from vanlat.conjugation import generate_consistent_instance
 from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice, self_intersection
@@ -93,6 +94,27 @@ def _lattices(draw, min_nu=0, max_nu=10):
 @given(_lattices())
 def test_monodromy_is_the_reflection_product(lat):
     # PL_1 * PL_2 * ... * PL_nu, formed left to right without IntMatrix.__mul__
+    want = IntMatrix.identity(lat.nu)
+    for j in range(1, lat.nu + 1):
+        want = IntMatrix(triple_loop(want, picard_lefschetz(lat, j)))
+    assert monodromy(lat) == want
+
+
+def _wide_lattices():
+    # A_k towers, direct sums of generated chunks at parities 0-3 (a
+    # nonzero diagonal at odd parity brings in the c == k term), and dense
+    # random lattices, whose rows turn from sparse unit rows to dense
+    cases = [("A%d" % k, a_k_level(k)[0]) for k in (16, 17, 33)]
+    cases += [("chunks-p%d" % p, generate_consistent_instance(seed, 40, p)[0])
+              for p, seed in [(0, 7), (1, 0), (2, 7), (3, 9)]]
+    cases += [("dense-p%d" % p, random_lattice(random.Random(p), 16, p))
+              for p in (1, 2)]
+    return [pytest.param(lat, id=name) for name, lat in cases]
+
+
+@pytest.mark.parametrize("lat", _wide_lattices())
+def test_monodromy_is_the_reflection_product_at_rank_16_to_40(lat):
+    assert 16 <= lat.nu <= 40
     want = IntMatrix.identity(lat.nu)
     for j in range(1, lat.nu + 1):
         want = IntMatrix(triple_loop(want, picard_lefschetz(lat, j)))

@@ -34,7 +34,17 @@ def test_validate_corrupted_sigma_fails_with_location(capsys):
     assert out == ("level 0: lattice ok (rank 2, parity 1)\n"
                    "level 0: FAIL conjugation: companion not an involution; "
                    "companion not block lower triangular\n"
-                   "FAIL (1 problems)\n")
+                   "FAIL (1 problem)\n")
+
+
+def test_validate_counts_several_problems_in_the_plural(tmp_path, capsys):
+    bad = tmp_path / "two.vl"
+    bad.write_text(instance_path("bad_sigma.vl").read_text()
+                   + 'braid_words: ["a2"]\n')
+    code, out, _ = run(capsys, "validate", bad)
+    assert code == 1
+    assert out.endswith("braid word 0: FAIL move a2 out of range for rank 2\n"
+                        "FAIL (2 problems)\n")
 
 
 def test_index_of_corrupted_sigma_names_both_verdicts(capsys):

@@ -9,7 +9,7 @@ from vanlat.conjugation import (ConjugatePair, ConjugationData, MorseSpec,
                                 _forced_conjugation,
                                 block_diagonal_structure_check,
                                 build_sigma, derive_sigma_tilde,
-                                generate_consistent_instance,
+                                generate_consistent_instance, morse_sign,
                                 signature_by_blocks, var_sigma_form)
 from vanlat.gen import random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
@@ -194,6 +194,20 @@ def test_forced_form_is_the_form_of_generated_instances(parity):
         lat, conj = generate_consistent_instance(seed, 10, parity)
         assert (conj.morse.forced_form(parity)
                 == var_inverse(lat) * conj.sigma)
+
+
+@pytest.mark.parametrize("m", [-3, -2, -1, 0, 1, 2, 3])
+def test_morse_signs_are_ints_at_every_index(m):
+    # a spec built directly skips validate, so negative indices reach these
+    want = 1 - 2 * (m % 2)
+    assert type(morse_sign(m)) is int and morse_sign(m) == want
+    morse = MorseSpec((RealPoint(m),))
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
+    got = [morse.forced_form(1)[0, 0], _block_diagonal_part(morse)[0, 0],
+           signature_by_blocks(lat, ConjugationData(IntMatrix.identity(1), morse)),
+           _forced_conjugation(1, ((2,),), ((-1,),), morse.points)[0][0][0]]
+    assert [type(x) for x in got] == [int] * 4
+    assert got == [-want, want, -want, want]
 
 
 def test_block_structure_check_wrong_pairing_number():

@@ -279,6 +279,49 @@ def test_mul_matches_triple_loop(factors):
     assert (a * b).rows == triple_loop(a, b)
 
 
+@st.composite
+def _row(draw, ncols):
+    # zero, one nonzero, exactly at the sparse threshold, one past it,
+    # full, or any count in between, at random columns; small entries or
+    # entries up to 10**40
+    quarter = ncols // intmat.SPARSE_FILL
+    count = draw(st.sampled_from([0, 1, quarter, quarter + 1, ncols])
+                 | st.integers(0, ncols))
+    bound = draw(st.sampled_from([3, 10 ** 40]))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    row = [0] * ncols
+    for c in rnd.sample(range(ncols), count):
+        row[c] = rnd.choice((-1, 1)) * rnd.randint(1, bound)
+    return row
+
+
+@st.composite
+def _wide_factors(draw):
+    # a right factor at least SPARSE_MIN_COLS wide, so that rows take the
+    # sparse path, the dense path, or both within one product
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    m = draw(st.integers(intmat.SPARSE_MIN_COLS, 40))
+    left = [draw(_row(k)) for _ in range(n)]
+    right = [draw(_row(m)) for _ in range(k)]
+    return IntMatrix.from_rows(left, width=k), IntMatrix.from_rows(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_factors())
+def test_mul_matches_triple_loop_on_wide_sparse_and_dense_rows(factors):
+    a, b = factors
+    assert (a * b).rows == triple_loop(a, b)
+
+
+def test_row_supports_threshold():
+    at = (0, 5, 0, 0) * 4  # 4 nonzeros in 16 columns: exactly a quarter
+    past = at[:-1] + (1,)  # one past a quarter
+    assert intmat.row_supports([at, past, (0,) * 16, (1,) * 16], 16) == [
+        (1, 5, 9, 13), None, (), None]
+    assert intmat.row_supports([(0,) * 15, (0, 1) + (0,) * 13], 15) == [None, None]
+    assert intmat.row_supports([], 40) == []
+
+
 def test_block_diagonal_of_nothing_and_of_empty_blocks():
     assert block_diagonal([]) == IntMatrix(())
     assert block_diagonal([IntMatrix(())]) == IntMatrix(())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import a_k_level
 from vanlat import variation
 from vanlat.basis import BraidWord, monodromy, parse_braid_word
 from vanlat.gen import random_braid_word, random_lattice
@@ -74,6 +75,11 @@ def test_monodromy_relation_examples():
     assert check_monodromy_relation(one) is None
     assert monodromy(one) == IntMatrix.from_rows([[-1]])
     assert check_monodromy_relation(ThimbleLattice(2, IntMatrix(()))) is None
+
+
+def test_monodromy_relation_on_a_64_tower():
+    # monodromy's sparse rows against the dense var * var_inverse^T route
+    assert check_monodromy_relation(a_k_level(64)[0]) is None
 
 
 def a3():

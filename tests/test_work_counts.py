@@ -9,22 +9,26 @@ in closed form, without ``var`` and without assembling it again through
 ``var_inverse`` per accepted chunk, and an all-real level 0 drops a
 draw at its first chunk with a conjugate pair.  The
 braid-invariance family of ``verify`` applies each word once and never
-inverts the basis change.
+inverts the basis change.  A product adds a wide sparse row of its right
+factor by its nonzero columns alone, and a dense row whole.
 """
 
 import collections
 import contextlib
 import io
+import random
 import sys
 
 import pytest
 
-from conftest import instance_path
-from vanlat import conjugation, gen, suite, variation
+from conftest import a_k_level, instance_path
+from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import apply_braid_word
 from vanlat.cli import main
-from vanlat.conjugation import ConjugatePair, generate_consistent_instance
-from vanlat.gen import flip_last_sign, random_icis_instance
+from vanlat.conjugation import (ConjugatePair, LevelAnalysis,
+                                generate_consistent_instance)
+from vanlat.gen import (flip_last_sign, random_braid_word, random_icis_instance,
+                        random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
                           telescoped_index)
 from vanlat.intmat import IntMatrix
@@ -177,3 +181,34 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
     assert sum(checked.values()) == 5  # one family in seven
     assert sum(applied.values()) == 5
     assert sum(inverses.values()) == 0
+
+
+def _product_paths(monkeypatch):
+    """Record, for each right-hand row a product classes, whether it is
+    added by its nonzero columns (True) or whole (False)."""
+    paths = []
+    original = intmat.row_supports
+
+    def recording(rows, width):
+        supports = original(rows, width)
+        paths.extend(support is not None for support in supports)
+        return supports
+    monkeypatch.setattr(intmat, "row_supports", recording)
+    return paths
+
+
+def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
+    analysis = LevelAnalysis(*a_k_level(64))
+    analysis.monodromy, analysis.var_inverse  # built before counting
+    paths = _product_paths(monkeypatch)
+    analysis.companion, analysis.form  # sigma * H, its square, var_inverse * sigma
+    assert paths == [True] * (3 * 64)
+
+
+def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
+    rng = random.Random(64)
+    lat = random_lattice(rng, 64, 1)
+    word = random_braid_word(rng, 64, max_len=24)
+    paths = _product_paths(monkeypatch)
+    apply_braid_word(lat, word)
+    assert paths == [False] * (2 * 64)  # the two products of P^T G P
