@@ -221,7 +221,9 @@ def apply_braid_word(lat: ThimbleLattice,
         raise ValueError("index %d out of range 1..%d"
                          % (bad.j, bad.last_position(lat.nu)))
     g = lat.gram.to_lists()
-    cols = [[int(r == c) for r in range(lat.nu)] for c in range(lat.nu)]
+    cols = [[0] * lat.nu for _ in range(lat.nu)]
+    for c, col in enumerate(cols):
+        col[c] = 1
     for move in word.moves:
         _STEPS[move.kind](g, cols, move.j - 1, lat.parity)
     closed = IntMatrix(tuple(map(tuple, g)))

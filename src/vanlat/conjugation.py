@@ -118,16 +118,11 @@ class ConjugationData:
         return self.sigma.nrows
 
 
-def _block_diagonal_part(morse: MorseSpec) -> IntMatrix:
-    """The forced diagonal blocks of sigma: ``(-1)^m`` and the swap."""
-    return block_diagonal([
-        IntMatrix(((morse_sign(p.morse_index),),)) if isinstance(p, RealPoint)
-        else IntMatrix(((0, 1), (1, 0))) for p in morse.points])
-
-
 def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     """Assemble a conjugation matrix from block data plus upper entries.
 
+    The diagonal blocks are forced: ``(-1)^m`` on a real slot of Morse
+    index ``m`` and the swap ``[[0, 1], [1, 0]]`` on a pair.
     ``upper_data`` is an iterable of ``(row, col, value)`` triples of
     ints (not bools) that may only populate positions strictly above the
     block diagonal.  The assembled matrix must square to the identity.
@@ -136,7 +131,12 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     if bad is not None:
         raise ValueError(bad)
     nu = morse.total_slots
-    rows = [list(r) for r in _block_diagonal_part(morse).rows]
+    rows = [[0] * nu for _ in range(nu)]
+    for start, _, p in morse.blocks():
+        if isinstance(p, RealPoint):
+            rows[start][start] = morse_sign(p.morse_index)
+        else:
+            rows[start][start + 1] = rows[start + 1][start] = 1
     for r, c, v in upper_data:
         if non_integer_at((r, c, v)) is not None:
             raise ValueError("entry %r is not an integer triple" % ((r, c, v),))

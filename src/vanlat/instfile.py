@@ -9,7 +9,11 @@ canonical, so parse-then-serialize is the identity on canonically
 formatted files.  Canonical text is read by a direct line reader and
 any other text by ``yaml.safe_load``; both build the same document, and
 all validation after the load is shared, so values and error messages
-do not depend on which reader ran.
+do not depend on which reader ran.  The line reader's regular
+expressions decide which texts it accepts; its integer grammar
+``-?(0|[1-9][0-9]*)`` is JSON's, so once a matrix's row lines, the sign
+list or the ``sigma_upper`` list are accepted, one ``json.loads`` of
+each converts them.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -84,7 +88,7 @@ def _want(mapping, key, kind, where, optional=False):
     return val
 
 
-def _matrix(rows, where, width=None):
+def _matrix(rows, where):
     if not isinstance(rows, list):
         raise InstanceFormatError("expected list of rows", where=where)
     for r, row in enumerate(rows):
@@ -94,10 +98,11 @@ def _matrix(rows, where, width=None):
         if c is not None:
             raise InstanceFormatError("expected integer",
                                       where="%s[%d][%d]" % (where, r, c))
-    try:
-        return IntMatrix.from_rows(rows, width=width)
-    except ValueError as e:
-        raise InstanceFormatError(str(e), where=where)
+    # every entry is checked above, so only the widths are left to check
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise InstanceFormatError("ragged rows: %s" % sorted(widths), where=where)
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def _morse(entries, where):
@@ -179,7 +184,9 @@ def _level(data, want_i, parity, where):
         raise InstanceFormatError(str(e), where=where)
 
 
-# The canonical reader.  An integer is written as below; YAML 1.1 reads
+# The canonical reader.  An integer is written as below, in JSON's own
+# integer grammar, so ``json.loads`` converts what the patterns accept
+# and decides nothing.  YAML 1.1 reads
 # more spellings (``010`` is 8, ``1_0`` is 10, ``1:20`` is 80, ``+1`` is
 # 1), and every one of them goes to ``yaml.safe_load`` instead.
 _INT = r"-?(?:0|[1-9][0-9]*)"
@@ -197,7 +204,6 @@ _RESERVED_KEYS = {"yes", "no", "true", "false", "on", "off", "null"}
 # anything but printable ASCII and "\n": tabs, "\r", control characters
 # and non-ASCII text all have YAML rules of their own
 _FOREIGN_CHAR = re.compile(r"[^\x20-\x7e\n]")
-_ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
 _POINT_PARTS = re.compile(r"\[(real|pair), (%s)\]" % _INT)
 _STR_BODY = re.compile(r'"([^"]*)"')
 
@@ -206,8 +212,29 @@ class _NotCanonical(Exception):
     """The text is not in the layout ``serialize_instance`` writes."""
 
 
-def _ints(items):
-    return list(map(int, items.split(", "))) if items else []
+def _line(pattern):
+    return re.compile(pattern).fullmatch
+
+
+# the fixed lines of the layout, each as a full-line match
+_COMMENT = _line(r"(#.*)")
+_HEAD_FIELDS = [(key, _line(r"%s: (%s)" % (key, _INT)))
+                for key in ("format", "n", "p")]
+_SIGNS = _line(r"signs: (\[%s\])" % _INTS)
+_LEVELS = _line(r"levels:")
+_LEVEL_HEAD = _line(r"- i: (%s)" % _INT)
+_MORSE = _line(r"  morse: \[(%s)\]" % _POINTS)
+_SIGMA_UPPER = _line(r"  sigma_upper: (\[%s\])" % _ROWS)
+_CYCLES = _line(r"  cycles:")
+_BRAID_WORDS = _line(r"braid_words: \[(%s)\]" % _STRS)
+_EXPECTED = _line(r"expected:")
+_EXPECTED_ENTRY = _line(r"  (%s): (%s|%s)" % (_KEY, _INT, _STR))
+# a matrix is written as "key: []" or as "key:" and its row lines
+_MATRIX_LINES = {
+    key: (_line(r"%s%s:( \[\])?" % (" " * indent, key)),
+          _line(r"%s- (\[%s\])" % (" " * indent, _INTS)))
+    for key, indent in (("gram", 2), ("form", 4), ("sigma", 4),
+                        ("sigma_tilde", 4))}
 
 
 class _CanonicalLines:
@@ -217,8 +244,8 @@ class _CanonicalLines:
         self.lines = lines
         self.k = 0
 
-    def take(self, pattern, optional=False):
-        """The groups of the next line if it matches ``pattern``.
+    def take(self, fullmatch, optional=False):
+        """The groups of the next line if ``fullmatch`` matches it.
 
         A pattern without groups gives an empty tuple.  A line that does
         not match raises :class:`_NotCanonical`, or returns None without
@@ -226,7 +253,7 @@ class _CanonicalLines:
         """
         m = None
         if self.k < len(self.lines):
-            m = re.fullmatch(pattern, self.lines[self.k])
+            m = fullmatch(self.lines[self.k])
         if m is None:
             if optional:
                 return None
@@ -234,16 +261,15 @@ class _CanonicalLines:
         self.k += 1
         return m.groups()
 
-    def matrix(self, key, indent):
-        """A matrix written as ``key: []`` or as ``key:`` and row lines."""
-        pad = " " * indent
-        if self.take(r"%s%s:( \[\])?" % (pad, key))[0]:
+    def matrix(self, key):
+        """The rows of matrix ``key``, decoded by one ``json.loads``."""
+        head, row = _MATRIX_LINES[key]
+        if self.take(head)[0]:
             return []
-        row = r"%s- \[(%s)\]" % (pad, _INTS)
-        rows = [_ints(self.take(row)[0])]
+        rows = [self.take(row)[0]]
         while (more := self.take(row, optional=True)):
-            rows.append(_ints(more[0]))
-        return rows
+            rows.append(more[0])
+        return json.loads("[%s]" % ",".join(rows))
 
 
 def _read_canonical(text):
@@ -263,38 +289,36 @@ def _read_canonical(text):
 
 def _canonical_document(src):
     """The document of :func:`_read_canonical`, from its lines ``src``."""
-    while src.take(r"(#.*)", optional=True):
+    while src.take(_COMMENT, optional=True):
         pass
     data = {}
-    for key in ("format", "n", "p"):
-        data[key] = int(src.take(r"%s: (%s)" % (key, _INT))[0])
-    data["signs"] = _ints(src.take(r"signs: \[(%s)\]" % _INTS)[0])
-    src.take(r"levels:")
+    for key, field_line in _HEAD_FIELDS:
+        data[key] = int(src.take(field_line)[0])
+    data["signs"] = json.loads(src.take(_SIGNS)[0])
+    src.take(_LEVELS)
     levels = []
-    while (head := src.take(r"- i: (%s)" % _INT, optional=True)):
-        level = {"i": int(head[0]), "gram": src.matrix("gram", 2)}
-        morse = src.take(r"  morse: \[(%s)\]" % _POINTS, optional=True)
+    while (head := src.take(_LEVEL_HEAD, optional=True)):
+        level = {"i": int(head[0]), "gram": src.matrix("gram")}
+        morse = src.take(_MORSE, optional=True)
         if morse:
             level["morse"] = [[kind, int(v)] for kind, v
                               in _POINT_PARTS.findall(morse[0])]
-        upper = src.take(r"  sigma_upper: \[(%s)\]" % _ROWS, optional=True)
+        upper = src.take(_SIGMA_UPPER, optional=True)
         if upper:
-            level["sigma_upper"] = [_ints(items) for items
-                                    in _ROW_BODY.findall(upper[0])]
-        if src.take(r"  cycles:", optional=True) is not None:
-            level["cycles"] = {key: src.matrix(key, 4)
+            level["sigma_upper"] = json.loads(upper[0])
+        if src.take(_CYCLES, optional=True) is not None:
+            level["cycles"] = {key: src.matrix(key)
                                for key in ("form", "sigma", "sigma_tilde")}
         levels.append(level)
     if not levels:  # YAML reads a bare "levels:" as None
         raise _NotCanonical
     data["levels"] = levels
-    words = src.take(r"braid_words: \[(%s)\]" % _STRS, optional=True)
+    words = src.take(_BRAID_WORDS, optional=True)
     if words:
         data["braid_words"] = _STR_BODY.findall(words[0])
-    if src.take(r"expected:", optional=True) is not None:
+    if src.take(_EXPECTED, optional=True) is not None:
         expected = {}
-        while (entry := src.take(r"  (%s): (%s|%s)" % (_KEY, _INT, _STR),
-                                 optional=True)):
+        while (entry := src.take(_EXPECTED_ENTRY, optional=True)):
             key, value = entry
             if key.lower() in _RESERVED_KEYS:
                 raise _NotCanonical
@@ -415,7 +439,7 @@ def load_instance(path) -> InstanceDocument:
 # ---------------------------------------------------------------------------
 
 def _flow_row(row):
-    return "[%s]" % ", ".join(str(x) for x in row)
+    return str(list(row))
 
 
 def _emit_matrix(lines, key, m, indent):

@@ -177,8 +177,7 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(x * d for x in row[n:]) for row in aug))
 
     def __str__(self):
-        return "[%s]" % ", ".join("[%s]" % ", ".join(str(x) for x in r)
-                                  for r in self.rows)
+        return str(list(map(list, self.rows)))
 
 
 def row_supports(rows, width):
@@ -207,23 +206,30 @@ def combine_rows(weight_rows, rows, supports, width, scale=1):
     call, so that the many small products of the package pay for the
     call once.  Only the nonzero weights are visited.  A row
     whose support (from :func:`row_supports`) is a tuple of columns adds
-    only those entries; a row whose support is ``None`` is added whole.
-    Each sum is accumulated in a fresh list, so a term may read a row
-    that the caller is about to replace.  A term costs the nonzeros of a
-    sparse row or the width of a dense one.
+    only those entries; a row whose support is ``None`` is added whole,
+    and when it is the first term it starts the sum as a copy of the
+    row, or the row scaled, rather than being added to zeros.  A left
+    row with no nonzero weight gives zeros.  Each sum is accumulated in
+    a fresh list, so a term may read a row that the caller is about to
+    replace.  A term costs the nonzeros of a sparse row or the width of
+    a dense one.
     """
     out = []
     indices = range(len(rows))
     for weights in weight_rows:
-        acc = [0] * width
+        acc = None
         for t in compress(indices, weights):
             w, row, cols = scale * weights[t], rows[t], supports[t]
-            if cols is None:
-                acc = [x + w * y for x, y in zip(acc, row)]
-            else:
+            if cols is not None:
+                if acc is None:
+                    acc = [0] * width
                 for c in cols:
                     acc[c] += w * row[c]
-        out.append(acc)
+            elif acc is None:
+                acc = list(row) if w == 1 else [w * y for y in row]
+            else:
+                acc = [x + w * y for x, y in zip(acc, row)]
+        out.append([0] * width if acc is None else acc)
     return out
 
 
@@ -271,10 +277,12 @@ def components(rows):
     own pattern.
     """
     adjacent = [[] for _ in rows]
+    cols = range(len(rows))
     for r, row in enumerate(rows):
-        for c in [c for c, x in enumerate(row) if x and c != r]:
-            adjacent[r].append(c)
-            adjacent[c].append(r)
+        for c in compress(cols, row):
+            if c != r:
+                adjacent[r].append(c)
+                adjacent[c].append(r)
     seen = [False] * len(rows)
     out = []
     for start in range(len(rows)):

@@ -1,9 +1,12 @@
+import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+import yaml
 
 import vanlat
 from conftest import instance_path
@@ -11,7 +14,10 @@ from vanlat import suite
 from vanlat.basis import monodromy
 from vanlat.cli import main
 from vanlat.gen import random_icis_instance
+from vanlat.index import IcisInstance, LevelData
+from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
+from vanlat.lattice import SignVector, ThimbleLattice, mirror_sign
 
 
 def run(capsys, *argv):
@@ -292,6 +298,45 @@ def test_braid_drops_conjugation_data_with_note(capsys):
     assert code == 0
     assert "dropping" in err
     assert "morse" not in out
+
+
+_INVERSE_KIND = {"a": "A", "A": "a", "f": "f"}
+
+
+def _rank_64_braid_outputs(capsys, tmp_path, parity, seed):
+    """Exit codes, stdout, stderr and the ``--output`` file of a seeded
+    24-move word on a random rank-64 lattice, then of its inverse."""
+    rng = random.Random(seed)
+    nu, eps = 64, mirror_sign(parity)
+    diag = 2 if eps == 1 else 0
+    gram = [[diag if r == c else 0 for c in range(nu)] for r in range(nu)]
+    for r in range(nu):
+        for c in range(r + 1, nu):
+            gram[r][c] = rng.randint(-5, 5)
+            gram[c][r] = eps * gram[r][c]
+    lat = ThimbleLattice(parity, IntMatrix.from_rows(gram))
+    src, moved = tmp_path / "lattice.vl", tmp_path / "moved.vl"
+    src.write_text(serialize_instance(InstanceDocument(
+        IcisInstance(parity, 0, SignVector((1,)), (LevelData(0, lat),)))))
+    moves = []
+    for _ in range(24):
+        kind = rng.choice("aAf")
+        moves.append((kind, rng.randint(1, nu if kind == "f" else nu - 1)))
+    word = " ".join("%s%d" % m for m in moves)
+    inverse = " ".join("%s%d" % (_INVERSE_KIND[k], j) for k, j in reversed(moves))
+    there = run(capsys, "braid", src, word, "--output", moved)
+    back = run(capsys, "braid", moved, inverse)
+    assert there[0] == back[0] == 0
+    assert yaml.safe_load(back[1])["levels"][0]["gram"] == gram
+    return repr((there, moved.read_text(), back))
+
+
+def test_braid_rank_64_golden(capsys, tmp_path):
+    # pins every byte of a dense rank-64 braid round trip at both parities
+    h = hashlib.md5()
+    for parity, seed in ((1, 64001), (2, 64002)):
+        h.update(_rank_64_braid_outputs(capsys, tmp_path, parity, seed).encode())
+    assert h.hexdigest() == "825387c494cd7e0c560627575af01728"
 
 
 # -- verify and gen -----------------------------------------------------------

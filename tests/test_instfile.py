@@ -1,15 +1,19 @@
 import json
+import random
 
 import pytest
 import yaml
 
-from conftest import (INSTANCE_DIR, generated_texts, instance_path,
+from conftest import (INSTANCE_DIR, a_k_level, generated_texts, instance_path,
                       matrix_power)
 from vanlat.cli import main
 from vanlat.gen import random_icis_instance
+from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import (InstanceDocument, InstanceFormatError,
                              _read_canonical, load_instance,
                              parse_instance_text, serialize_instance)
+from vanlat.intmat import IntMatrix
+from vanlat.lattice import SignVector, ThimbleLattice
 
 SHIPPED = sorted(p.name for p in INSTANCE_DIR.glob("*.vl"))
 
@@ -38,7 +42,6 @@ def test_serialize_parse_serialize_is_stable():
 def test_expected_goldens_hold(name):
     from vanlat.basis import monodromy
     from vanlat.index import gradient_index
-    from vanlat.intmat import IntMatrix
     doc = load_instance(instance_path(name))
     for key, want in doc.expected.items():
         if key == "index":
@@ -219,6 +222,19 @@ def test_serialized_text_takes_the_canonical_reader():
 # list.  The canonical reader must leave all of these to YAML.
 _A2 = instance_path("a2_index.vl").read_text(encoding="utf-8")
 _ASTRAL = _A2 + "  note: %s\n" % json.dumps("\U0001F600")
+# Flow lists that json.loads reads but the layout never writes, in a
+# gram row and in sigma_upper: the patterns, not the JSON decoder that
+# converts what they accept, decide what is canonical.
+_JSON_ONLY = {"no-space": "[1,2]", "inner-space": "[ 1, 2]",
+              "float": "[1.0, 2]", "exponent": "[1e3, 2]",
+              "json-bool": "[true, 2]", "nan": "[NaN, 2]",
+              "infinity": "[Infinity, 2]", "trailing-comma": "[1, 2,]"}
+_JSON_ONLY_TEXTS = {
+    **{"gram-" + name: _A2.replace("  - [2, -1]\n", "  - %s\n" % flow)
+       for name, flow in _JSON_ONLY.items()},
+    **{"sigma-upper-" + name: _A2.replace("sigma_upper: [[0, 1, -1]]",
+                                          "sigma_upper: [%s]" % flow)
+       for name, flow in _JSON_ONLY.items()}}
 
 
 @pytest.mark.parametrize("text", [
@@ -240,12 +256,29 @@ _ASTRAL = _A2 + "  note: %s\n" % json.dumps("\U0001F600")
     _A2.replace("index: 0", "index: 1" + "0" * 5000),
     _A2[:_A2.index("- i: 0")],
     _A2.replace("  index: 0\n", ""),
-], ids=["octal", "underscore", "plus", "sexagesimal", "hex", "tab", "crlf",
-        "cr-in-comment", "nel-in-comment", "control-char", "astral-escape",
-        "unbalanced", "bool-key", "null-key", "too-long-integer",
-        "bare-levels", "bare-expected"])
+] + list(_JSON_ONLY_TEXTS.values()),
+    ids=["octal", "underscore", "plus", "sexagesimal", "hex", "tab", "crlf",
+         "cr-in-comment", "nel-in-comment", "control-char", "astral-escape",
+         "unbalanced", "bool-key", "null-key", "too-long-integer",
+         "bare-levels", "bare-expected"] + list(_JSON_ONLY_TEXTS))
 def test_canonical_reader_leaves_other_spellings_to_yaml(text):
     assert _read_canonical(text) is None
+
+
+def test_canonical_reader_agrees_with_yaml_at_rank_64():
+    rng = random.Random(64)
+    gram = [[2 if r == c else 0 for c in range(64)] for r in range(64)]
+    for r in range(64):
+        for c in range(r + 1, 64):
+            gram[r][c] = gram[c][r] = rng.randint(-10 ** 40, 10 ** 40)
+    dense = ThimbleLattice(1, IntMatrix.from_rows(gram))
+    tower = LevelData(0, *a_k_level(64))
+    for level in (tower, LevelData(0, dense)):
+        text = serialize_instance(InstanceDocument(
+            IcisInstance(1, 0, SignVector((1,)), (level,))))
+        data = _read_canonical(text)
+        assert data == yaml.safe_load(text)
+        assert repr(data) == repr(yaml.safe_load(text))
 
 
 @pytest.mark.parametrize("text", [

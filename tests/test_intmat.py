@@ -313,6 +313,50 @@ def test_mul_matches_triple_loop_on_wide_sparse_and_dense_rows(factors):
     assert (a * b).rows == triple_loop(a, b)
 
 
+@st.composite
+def _combination(draw):
+    # weight rows over right rows at least SPARSE_MIN_COLS wide, each
+    # right row sparse or dense, under a scale
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(intmat.SPARSE_MIN_COLS, 40))
+    weights = [draw(_row(k)) for _ in range(draw(st.integers(0, 4)))]
+    rows = [tuple(draw(_row(m))) for _ in range(k)]
+    return weights, rows, draw(st.sampled_from([1, -1, 3]))
+
+
+_DENSE = tuple(range(1, 17))  # 16 nonzeros in 16 columns: added whole
+_SPARSE = (5,) + (0,) * 15  # 1 nonzero in 16 columns: added by its column
+
+
+@settings(max_examples=100, deadline=None)
+@given(_combination())
+@example(([[1]], [_DENSE], 1))  # a dense first term is copied ...
+@example(([[-1]], [_DENSE], 1))  # ... or scaled
+@example(([[10 ** 40]], [_DENSE], 1))
+@example(([[1]], [_DENSE], -1))  # a weight of 1 under scale -1 is scaled
+@example(([[2, 3]], [_SPARSE, _DENSE], 1))  # sparse first, then dense
+@example(([[2, 3]], [_DENSE, _SPARSE], 1))  # dense first, then sparse
+@example(([[0, 0], [1, 1]], [_SPARSE, _DENSE], 1))  # a left row of zeros
+@example(([[1, 2], [0, 1]], [_DENSE, _DENSE], -1))
+def test_combine_rows_matches_the_sum_of_terms(case):
+    weights, rows, scale = case
+    width = len(rows[0])
+    got = intmat.combine_rows(weights, rows, intmat.row_supports(rows, width),
+                              width, scale)
+    assert got == [[scale * sum(w * row[c] for w, row in zip(ws, rows))
+                    for c in range(width)] for ws in weights]
+    assert all(type(acc) is list for acc in got)
+
+
+def test_combine_rows_leaves_its_input_rows_alone():
+    # a dense first term of weight 1 starts the sum as a copy, so the
+    # sparse term after it must not write into the input row
+    rows = [list(_DENSE), list(_SPARSE)]
+    got, = intmat.combine_rows([[1, 1]], rows, intmat.row_supports(rows, 16), 16)
+    assert rows == [list(_DENSE), list(_SPARSE)]
+    assert got == [6] + list(_DENSE[1:])
+
+
 def test_row_supports_threshold():
     at = (0, 5, 0, 0) * 4  # 4 nonzeros in 16 columns: exactly a quarter
     past = at[:-1] + (1,)  # one past a quarter
