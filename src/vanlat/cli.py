@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: validate, compute, braid, verify, gen.  Exit codes: 0 on
-success, 1 when a validation or verification fails, 2 for usage, file,
-parse, or unsupported-request errors.  All output is deterministic given the
-arguments (and seed, where one applies).
+success, 1 when a validation or verification fails, 2 for usage, file
+and parse errors and refused requests.  All output is deterministic given
+the arguments (and seed, where one applies).
 """
 
 import argparse
+import functools
 import sys
 
 from .basis import apply_braid_word, monodromy, parse_braid_word
@@ -14,7 +15,7 @@ from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
                     level_index_sum, cycle_index_sum)
 from .instfile import (InstanceDocument, InstanceFormatError, load_instance,
                        serialize_instance)
-from .gen import GeneratorExhausted, random_icis_instance
+from .gen import random_icis_instance
 from .suite import run_verification
 from .variation import var_inverse
 
@@ -224,6 +225,7 @@ def cmd_gen(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vanlat",
@@ -272,8 +274,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceFormatError as e:
@@ -285,9 +286,6 @@ def main(argv=None) -> int:
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except GeneratorExhausted as e:
-        print("unsupported request: %s" % e, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

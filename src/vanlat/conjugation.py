@@ -371,17 +371,18 @@ def _squares_to_identity(rows):
 CHUNK_TRIES = 400
 
 
-def _sample_chunk(rng, size, parity):
+def _sample_chunk(rng, size, parity, pairs=True):
     """One consistent instance of the given rank, coupled inside, or
     ``None`` when ``CHUNK_TRIES`` draws all fail the involution law.  A
     try is tested on plain rows; only an accepted one is built and checked
-    by an analysis, which takes the chunk's one ``var_inverse``."""
+    by an analysis, which takes the chunk's one ``var_inverse``.  Without
+    ``pairs`` every descriptor is a real point."""
     draw = partial(rng.choice, (0, 0, 0, 1, -1, 2, -2))
     for _ in range(CHUNK_TRIES):
         points = []
         left = size
         while left > 0:
-            if left >= 2 and rng.random() < 0.3:
+            if pairs and left >= 2 and rng.random() < 0.3:
                 points.append(ConjugatePair(0))
                 left -= 2
             else:
@@ -409,12 +410,14 @@ def _direct_sum(parity, parts):
     return lat, conj
 
 
-def _chunks(seed, rank_bound, parity):
+def _chunks(seed, rank_bound, parity, pairs=True):
     """The chunks of the instance ``seed`` draws, lazily, in draw order.
 
     A rank up to ``rank_bound`` is filled by chunks of rank at most 4; a
     chunk whose draws all fail is shrunk by one, and a rank-1 chunk never
-    fails.  The draws use a private ``random.Random(seed)`` only.
+    fails, with or without a pair allowed.  Without ``pairs`` no chunk
+    holds a conjugate pair, so one pass gives an all-real instance.  The
+    draws use a private ``random.Random(seed)`` only.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
@@ -425,10 +428,10 @@ def _chunks(seed, rank_bound, parity):
     left = rng.randint(0, rank_bound)
     while left > 0:
         size = min(left, rng.randint(1, 4))
-        got = _sample_chunk(rng, size, parity)
+        got = _sample_chunk(rng, size, parity, pairs)
         while got is None:
             size -= 1
-            got = _sample_chunk(rng, size, parity)
+            got = _sample_chunk(rng, size, parity, pairs)
         yield got
         left -= size
 

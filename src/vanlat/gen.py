@@ -2,7 +2,8 @@
 
 Everything here is deterministic given the seed.  Consistent single-level
 data comes from :func:`vanlat.conjugation.generate_consistent_instance`,
-or from its chunks for an all-real level 0; this module assembles
+or, for an all-real level 0, from its chunks drawn without conjugate
+pairs, which succeeds at every rank bound; this module assembles
 lattices, braid words, whole tower instances, cycle data, and matched
 sign-flipped variants.
 """
@@ -56,38 +57,20 @@ def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
     return LevelData(i, lat, conj, cycles, analysis)
 
 
-class GeneratorExhausted(RuntimeError):
-    """No all-real level 0 in 201 draws: an unsupported request."""
-
-
-def _all_real_level0(rng, seed, n, p, rank_bound):
-    """The first of 201 level-0 draws with no conjugate pair.  Each draw
-    takes its seed from ``rng`` and is dropped at its first chunk with a
-    pair, since its later chunks would use only that seed."""
-    for _ in range(201):
-        parts = []
-        for lat, conj in _chunks(rng.randrange(2 ** 32), rank_bound, n):
-            if any(isinstance(pt, ConjugatePair) for pt in conj.morse.points):
-                break
-            parts.append((lat, conj))
-        else:
-            return _direct_sum(n, parts)
-    raise GeneratorExhausted("no all-real level 0 in 201 draws (seed %d, n %d, "
-                             "levels %d, rank bound %d)" % (seed, n, p, rank_bound))
-
-
 def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
                          with_cycles: bool = False,
                          real_only_level0: bool = False) -> IcisInstance:
     """Tower instance with a consistent level for each ``i = 0 .. p``;
-    with ``real_only_level0``, level 0 has no conjugate pair."""
+    with ``real_only_level0``, level 0 is drawn in one pass of chunks
+    without a conjugate pair, from one sub-seed as every other level is."""
     rng = random.Random(seed)
     signs = SignVector(tuple(rng.choice((1, -1)) for _ in range(p + 1)))
     levels = []
     for i in range(p + 1):
         parity = n + i
         if i == 0 and real_only_level0:
-            lat, conj = _all_real_level0(rng, seed, n, p, rank_bound)
+            lat, conj = _direct_sum(parity, list(_chunks(
+                rng.randrange(2 ** 32), rank_bound, parity, pairs=False)))
         else:
             lat, conj = generate_consistent_instance(
                 rng.randrange(2 ** 32), rank_bound, parity)

@@ -70,10 +70,8 @@ class InstanceDocument:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _want(mapping, key, kind, where, optional=False):
+def _want(mapping, key, kind, where):
     if key not in mapping:
-        if optional:
-            return None
         raise InstanceFormatError("missing key '%s'" % key, where=where)
     val = mapping[key]
     if kind is int:

@@ -140,18 +140,22 @@ class IntMatrix:
         of ``A + A^T`` (see :func:`components`) meet no other component,
         so permuting rows and columns together (which keeps the
         determinant) makes ``A`` block diagonal, and the determinant is
-        the product of the components' determinants.  Each component is
-        reduced alone by :func:`row_reduce`, which ends with its pivot
-        minor ``d``: at full rank its determinant is ``d`` times the sign
-        of the row swaps, and any rank-deficient component makes the
-        whole determinant 0.  A dense matrix is one component, so the
-        split costs one O(nu^2) scan; a sparse one, such as a braid
-        word's basis change, is reduced in small blocks.
+        the product of the components' determinants.  A 1x1 component's
+        determinant is its entry.  A larger one is reduced alone by
+        :func:`row_reduce`, which ends with its pivot minor ``d``: at full
+        rank its determinant is ``d`` times the sign of the row swaps, and
+        a rank-deficient component makes the whole determinant 0.  A dense
+        matrix is one component, so the split costs one O(nu^2) scan; a
+        sparse one, such as a braid word's basis change, is reduced in
+        small blocks.
         """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         out = 1
         for comp in components(self.rows):
+            if len(comp) == 1:
+                out *= self.rows[comp[0]][comp[0]]
+                continue
             block = [[self.rows[r][c] for c in comp] for r in comp]
             pivots, d, sign = row_reduce(block, len(comp))
             if len(pivots) < len(comp):

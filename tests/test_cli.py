@@ -10,10 +10,8 @@ import yaml
 
 import vanlat
 from conftest import instance_path
-from vanlat import suite
 from vanlat.basis import monodromy
 from vanlat.cli import main
-from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
@@ -394,8 +392,8 @@ def test_verify_rank_bound_32_passes(capsys):
 
 
 def test_gen_rank_bound_40_writes_validating_instance(tmp_path, capsys):
-    # failed chunk searches alone use up the generator budget, so large
-    # ranks built from many successful chunks still complete
+    # a rank built from many accepted chunks completes: a chunk whose
+    # tries all fail is shrunk, and a rank-1 chunk never fails
     out_file = tmp_path / "r40.vl"
     code, _, _ = run(capsys, "gen", "--rank-bound", "40", "--levels", "1",
                      "--output", out_file)
@@ -414,26 +412,15 @@ def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):
     assert code == 0 and out.strip().endswith("ok")
 
 
-# seed 1 at rank bound 1000 draws no all-real level 0 within the budget
-NO_ALL_REAL = ("unsupported request: no all-real level 0 in 201 draws "
-               "(seed 1, n 1, levels 0, rank bound 1000)\n")
-
-
-def test_gen_without_an_all_real_level_0_is_an_unsupported_request(capsys):
-    code, out, err = run(capsys, "gen", "--seed", "1", "--rank-bound", "1000")
-    assert (code, out, err) == (2, "", NO_ALL_REAL)
-
-
-def test_verify_without_an_all_real_level_0_is_an_unsupported_request(
-        capsys, monkeypatch):
-    # the telescoping family, instance 6, asks for the request above; at
-    # rank bound 1000 the families before it would run for minutes
-    def unsupported(seed, n, p, rank_bound, real_only_level0):
-        return random_icis_instance(1, 1, 0, 1000, real_only_level0=True)
-    monkeypatch.setattr(suite, "random_icis_instance", unsupported)
-    code, out, err = run(capsys, "verify", "--count", "7", "--rank-bound", "4")
-    assert (code, err) == (2, NO_ALL_REAL)
-    assert out == "seed 20240001, count 7, rank bound 4\n"
+def test_gen_rank_bound_512_writes_validating_instance(tmp_path, capsys):
+    # level 0 is drawn all-real in one pass, so a large rank bound has no
+    # draw budget to run out of
+    out_file = tmp_path / "r512.vl"
+    code, out, err = run(capsys, "gen", "--seed", "1", "--rank-bound", "512",
+                         "--output", out_file)
+    assert (code, out, err) == (0, "wrote %s\n" % out_file, "")
+    code, out, _ = run(capsys, "validate", out_file)
+    assert code == 0 and out.splitlines()[-1] == "ok"
 
 
 def test_cli_loads_without_numpy():

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from vanlat.conjugation import (ConjugatePair, MorseSpec, RealPoint,
@@ -127,6 +129,33 @@ def test_flip_last_sign_matches_on_generated_instances():
         assert sign_independence_check([inst, flipped]) is None
         again = flip_last_sign(flipped)
         assert again.levels[0].lattice.gram == inst.levels[0].lattice.gram
+
+
+def _all_real(level):
+    return not any(isinstance(pt, ConjugatePair)
+                   for pt in level.conj.morse.points)
+
+
+@pytest.mark.parametrize("seed", [1, 12, 18, 20, 25])
+def test_all_real_level0_at_rank_bound_512(seed):
+    # at this bound a draw that allows pairs nearly always holds one;
+    # level 0 is drawn without them, so every seed gives an all-real one
+    inst = random_icis_instance(seed, 1, 0, 512, real_only_level0=True)
+    assert _all_real(inst.levels[0])
+    assert gradient_index(inst) == telescoped_index(inst)
+    assert sign_independence_check([inst, flip_last_sign(inst)]) is None
+
+
+def test_all_real_level0_rank_is_not_biased_small():
+    # a draw is never thrown away for holding a pair, so large level-0
+    # ranks are as likely as small ones
+    ranks = []
+    for seed in range(40):
+        level0 = random_icis_instance(seed, 1, 0, 64,
+                                      real_only_level0=True).levels[0]
+        assert _all_real(level0)
+        ranks.append(level0.lattice.nu)
+    assert statistics.median(ranks) >= 16
 
 
 def test_flip_last_sign_needs_all_real_level0():

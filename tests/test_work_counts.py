@@ -6,8 +6,8 @@ level shares one analysis, so each level's monodromy is built once, also
 on levels that carry cycle data.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
 ``build_sigma``; it tests a chunk try on plain rows and takes one
-``var_inverse`` per accepted chunk, and an all-real level 0 drops a
-draw at its first chunk with a conjugate pair.  The
+``var_inverse`` per accepted chunk, and an all-real level 0 is one pass
+of chunks that draw no conjugate pair.  The
 braid-invariance family of ``verify`` applies each word once and never
 inverts the basis change.  A product adds a wide sparse row of its right
 factor by its nonzero columns alone, and a dense row whole.
@@ -39,9 +39,9 @@ def _counting(monkeypatch, owner, name, key=lambda *args: None):
     counts = collections.Counter()
     original = getattr(owner, name)
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         counts[key(*args)] += 1
-        return original(*args)
+        return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapped)
     return counts
 
@@ -137,28 +137,24 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     assert sum(lattices.values()) == accepted + len(seeds)
 
 
-def test_real_only_level_0_drops_a_draw_at_its_first_pair(monkeypatch):
-    # a level-0 draw that meets a chunk with a conjugate pair samples no
-    # further chunk: what follows would draw only from that draw's seed
-    draws = []
-    chunks, sample = gen._chunks, conjugation._sample_chunk
+def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
+    # level 0 is drawn once, and no sampled chunk holds a conjugate pair
+    passes = _counting(monkeypatch, gen, "_chunks")
+    sampled = []
+    sample = conjugation._sample_chunk
 
-    def chunks_logging(*args):
-        draws.append([])
-        return chunks(*args)
-
-    def sample_logging(rng, size, parity):
-        got = sample(rng, size, parity)
-        draws[-1].append(got is not None and any(
-            isinstance(pt, ConjugatePair) for pt in got[1].morse.points))
+    def sample_logging(*args):
+        got = sample(*args)
+        sampled.append(got)
         return got
-    monkeypatch.setattr(gen, "_chunks", chunks_logging)
     monkeypatch.setattr(conjugation, "_sample_chunk", sample_logging)
-    for seed in range(10):
+    seeds = range(10)
+    for seed in seeds:
         random_icis_instance(seed, 1 + seed % 3, 0, 24, real_only_level0=True)
-    dropped = [d for d in draws if any(d)]
-    assert len(dropped) > len(draws) // 2
-    assert all(d.index(True) == len(d) - 1 for d in dropped)
+    assert sum(passes.values()) == len(seeds)
+    points = [pt for got in sampled if got is not None
+              for pt in got[1].morse.points]
+    assert points and not any(isinstance(pt, ConjugatePair) for pt in points)
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
