@@ -42,9 +42,9 @@ def _write(path, text):
 
 
 def _monodromy_order(h):
-    power = h
+    power, identity = h, h.identity(h.nrows)
     for k in range(1, MONODROMY_ORDER_BOUND + 1):
-        if power == h.identity(h.nrows):
+        if power == identity:
             return k
         power = power * h
     return None

@@ -24,8 +24,11 @@ functions each build one analysis per call.  A
 over a level shares it.
 
 The generator forms each chunk's conjugation as ``sigma = B^-1 *
-var_inverse``, where ``B`` is the forced block form, and accepts it when
-it squares to the identity (see :func:`_forced_conjugation`).
+var_inverse``, where ``B`` is the forced block form, straight from the
+chunk's gram rows, and accepts it when it squares to the identity (see
+:func:`_forced_conjugation`).  Chunks stay plain rows; the level they sum
+to gets the one analysis, which asserts its consistency and forced block
+form and is handed to the caller (:func:`generate_level`).
 """
 
 import random
@@ -33,11 +36,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .basis import monodromy
-from .intmat import IntMatrix, block_diagonal, first_difference, non_integer_at
+from .intmat import (IntMatrix, block_diagonal, block_diagonal_rows,
+                     first_difference, non_integer_at)
 from .lattice import (ThimbleLattice, diagonal_sign, random_gram_rows,
                       require_valid)
 from .signature import Signature, exact_signature
-from .variation import var_inverse, var_inverse_rows
+from .variation import var_inverse
 
 
 def morse_sign(morse_index: int) -> int:
@@ -319,9 +323,16 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 # Search for consistent synthetic instances.
 # ---------------------------------------------------------------------------
 
-def _forced_conjugation(parity, gram, u, points):
-    """Rows of the candidate ``sigma = B^-1 * var_inverse``, and the
-    descriptors with their pairing numbers pinned.
+# A chunk's descriptors are drawn as plain values: the Morse index of a
+# real slot, or this marker for a conjugate pair, whose pairing number is
+# pinned by the gram rows (see :func:`_forced_conjugation`).
+_PAIR = None
+
+
+def _forced_conjugation(parity, gram, drawn):
+    """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the plain
+    ``gram`` rows and the ``drawn`` descriptors (a Morse index per real
+    slot, ``_PAIR`` per pair).
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :func:`block_diagonal_structure_check`): ``d * (-1)^m`` on
@@ -334,30 +345,48 @@ def _forced_conjugation(parity, gram, u, points):
 
     ``B^-1`` is ``d * (-1)^m`` on a real slot and ``d * [[0, 1], [1, -a]]``
     on a pair, so each block of rows of ``sigma`` combines the same rows
-    of ``var_inverse``.  The diagonal block of ``var * B`` at a pair is
-    ``[[a + d * var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a =
-    -d * var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
-    number.  ``points`` gives the real descriptors and where the pairs
-    go; their pairing numbers are ignored.  ``gram`` and ``u`` are the
-    plain rows of the gram matrix and of ``var_inverse``.
+    of ``var_inverse``, which are ``d`` on the diagonal and ``-gram`` to
+    its right.  The diagonal block of ``var * B`` at a pair is ``[[a + d *
+    var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a = -d *
+    var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
+    number (see :func:`_pinned_points`), and with it the pair's rows are
+    ``(0, 1, -d * gram[s+1][c]...)`` and ``(1, 0, -d * gram[s][c] -
+    gram[s][s+1] * gram[s+1][c]...)`` over the columns ``c > s + 1``.
     """
     d = diagonal_sign(parity)
     rows = []
-    pinned = []
     pos = 0
-    for point in points:
-        if isinstance(point, RealPoint):
-            e = d * morse_sign(point.morse_index)
-            rows.append(tuple(e * x for x in u[pos]))
+    for m in drawn:
+        lead = (0,) * pos
+        if m is _PAIR:
+            top, bottom = gram[pos], gram[pos + 1]
+            a = top[pos + 1]
+            rows.append(lead + (0, 1) + tuple(-d * y for y in bottom[pos + 2:]))
+            rows.append(lead + (1, 0) + tuple(-d * x - a * y for x, y
+                                              in zip(top[pos + 2:], bottom[pos + 2:])))
+            pos += 2
         else:
-            point = ConjugatePair(-d * gram[pos][pos + 1])
-            a = point.pairing
-            top, bottom = u[pos], u[pos + 1]
-            rows.append(tuple(d * y for y in bottom))
-            rows.append(tuple(d * (x - a * y) for x, y in zip(top, bottom)))
-        pinned.append(point)
-        pos += point.slots
-    return tuple(rows), tuple(pinned)
+            s = morse_sign(m)
+            e = -d * s
+            rows.append(lead + (s,) + tuple(e * x for x in gram[pos][pos + 1:]))
+            pos += 1
+    return tuple(rows)
+
+
+def _pinned_points(parity, gram, drawn):
+    """The descriptors of :func:`_forced_conjugation`'s ``drawn`` values,
+    each pair's pairing number pinned to ``-d * gram[s][s+1]``."""
+    d = diagonal_sign(parity)
+    points = []
+    pos = 0
+    for m in drawn:
+        if m is _PAIR:
+            points.append(ConjugatePair(-d * gram[pos][pos + 1]))
+            pos += 2
+        else:
+            points.append(RealPoint(m))
+            pos += 1
+    return tuple(points)
 
 
 def _squares_to_identity(rows):
@@ -372,51 +401,63 @@ CHUNK_TRIES = 400
 
 
 def _sample_chunk(rng, size, parity, pairs=True):
-    """One consistent instance of the given rank, coupled inside, or
-    ``None`` when ``CHUNK_TRIES`` draws all fail the involution law.  A
-    try is tested on plain rows; only an accepted one is built and checked
-    by an analysis, which takes the chunk's one ``var_inverse``.  Without
-    ``pairs`` every descriptor is a real point."""
+    """One consistent chunk of the given rank, coupled inside, as plain
+    ``(gram rows, sigma rows, descriptors)``, or ``None`` when
+    ``CHUNK_TRIES`` draws all fail the involution law.
+
+    A try draws its descriptors as plain values and its candidate sigma
+    straight from its gram rows, and is tested on those rows alone; no
+    lattice, matrix or analysis is built for a chunk.  The consistency of
+    what is accepted is asserted once, on the assembled level (see
+    :func:`_direct_sum`).  Without ``pairs`` every descriptor is a real
+    point.
+    """
     draw = partial(rng.choice, (0, 0, 0, 1, -1, 2, -2))
     for _ in range(CHUNK_TRIES):
-        points = []
+        drawn = []
         left = size
         while left > 0:
             if pairs and left >= 2 and rng.random() < 0.3:
-                points.append(ConjugatePair(0))
+                drawn.append(_PAIR)
                 left -= 2
             else:
-                points.append(RealPoint(rng.randrange(0, parity + 1)))
+                drawn.append(rng.randrange(0, parity + 1))
                 left -= 1
-        rows = random_gram_rows(size, parity, draw)
-        sigma, pinned = _forced_conjugation(
-            parity, rows, var_inverse_rows(parity, rows), points)
+        gram = random_gram_rows(size, parity, draw)
+        sigma = _forced_conjugation(parity, gram, drawn)
         if _squares_to_identity(sigma):
-            lat = ThimbleLattice(parity, IntMatrix(rows))
-            conj = ConjugationData(IntMatrix(sigma), MorseSpec(pinned))
-            analysis = LevelAnalysis(lat, conj)
-            assert analysis.companion.consistent
-            assert analysis.block_structure_problem() is None
-            return lat, conj
+            return gram, sigma, _pinned_points(parity, gram, drawn)
     return None
 
 
-def _direct_sum(parity, parts):
-    lat = ThimbleLattice(parity, block_diagonal([lat.gram for lat, _ in parts]))
-    conj = ConjugationData(block_diagonal([conj.sigma for _, conj in parts]),
-                           MorseSpec(tuple(pt for _, conj in parts
-                                           for pt in conj.morse.points)))
+def _direct_sum(parity, chunks) -> LevelAnalysis:
+    """The one analysis of the level that is the direct sum of ``chunks``.
+
+    The lattice must be valid, and the level must be consistent with the
+    forced block form.  Both are asserted here, once, on the whole level:
+    the companion and the form of a direct sum are the direct sums of the
+    chunks' companions and forms, so they hold for the sum exactly when
+    they hold for every chunk, and the assembly itself is checked too.
+    """
+    lat = ThimbleLattice(parity, IntMatrix(block_diagonal_rows(
+        [gram for gram, _, _ in chunks])))
+    conj = ConjugationData(
+        IntMatrix(block_diagonal_rows([sigma for _, sigma, _ in chunks])),
+        MorseSpec(tuple(pt for _, _, points in chunks for pt in points)))
     assert lat.violation is None
-    return lat, conj
+    analysis = LevelAnalysis(lat, conj)
+    assert analysis.companion.consistent
+    assert analysis.block_structure_problem() is None
+    return analysis
 
 
 def _chunks(seed, rank_bound, parity, pairs=True):
-    """The chunks of the instance ``seed`` draws, lazily, in draw order.
+    """The chunks of the level ``seed`` draws, lazily, in draw order.
 
     A rank up to ``rank_bound`` is filled by chunks of rank at most 4; a
     chunk whose draws all fail is shrunk by one, and a rank-1 chunk never
     fails, with or without a pair allowed.  Without ``pairs`` no chunk
-    holds a conjugate pair, so one pass gives an all-real instance.  The
+    holds a conjugate pair, so one pass gives an all-real level.  The
     draws use a private ``random.Random(seed)`` only.
     """
     if rank_bound < 0:
@@ -436,17 +477,26 @@ def _chunks(seed, rank_bound, parity, pairs=True):
         left -= size
 
 
+def generate_level(seed: int, rank_bound: int, parity: int,
+                   pairs: bool = True) -> LevelAnalysis:
+    """The analysis of the consistent level that ``seed`` draws.
+
+    The level is the direct sum of the chunks that :func:`_chunks` draws
+    from ``seed``.  Inside a chunk the gram couplings are random and the
+    conjugation is ``B^-1 * var_inverse`` for the forced block form ``B``;
+    across chunks there is no coupling, since consistency pins those
+    entries to rigid arithmetic relations that random data essentially
+    never satisfies.  The level is asserted to be consistent with the
+    forced block form, and the analysis that checked it is returned, so a
+    caller reads the monodromy, companion and form computed there.
+    Without ``pairs`` the level has no conjugate pair.
+    """
+    return _direct_sum(parity, list(_chunks(seed, rank_bound, parity, pairs)))
+
+
 def generate_consistent_instance(seed: int, rank_bound: int, parity: int
                                  ) -> tuple[ThimbleLattice, ConjugationData]:
-    """Deterministic search for a consistent (lattice, conjugation) pair.
-
-    The instance is the direct sum of the consistent chunks that
-    :func:`_chunks` draws from ``seed``.  Inside a chunk the
-    gram couplings are random and the conjugation is ``B^-1 *
-    var_inverse`` for the forced block form ``B``; across chunks there is
-    no coupling, since consistency pins those entries to rigid arithmetic
-    relations that random data essentially never satisfies.  Each chunk
-    is asserted to be consistent with the forced block form, which the
-    direct sum inherits.
-    """
-    return _direct_sum(parity, list(_chunks(seed, rank_bound, parity)))
+    """Deterministic search for a consistent (lattice, conjugation) pair:
+    the lattice and conjugation of :func:`generate_level`."""
+    analysis = generate_level(seed, rank_bound, parity)
+    return analysis.lattice, analysis.conj

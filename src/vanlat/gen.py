@@ -1,11 +1,11 @@
 """Seeded random data for property tests and the verification suite.
 
-Everything here is deterministic given the seed.  Consistent single-level
-data comes from :func:`vanlat.conjugation.generate_consistent_instance`,
-or, for an all-real level 0, from its chunks drawn without conjugate
-pairs, which succeeds at every rank bound; this module assembles
-lattices, braid words, whole tower instances, cycle data, and matched
-sign-flipped variants.
+Everything here is deterministic given the seed.  Each consistent level
+comes from :func:`vanlat.conjugation.generate_level` with the analysis
+that checked it, which the level then keeps; an all-real level 0 is the
+same draw without conjugate pairs, which succeeds at every rank bound.
+This module assembles lattices, braid words, whole tower instances,
+cycle data, and matched sign-flipped variants.
 """
 
 import random
@@ -13,8 +13,7 @@ from functools import partial
 
 from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
-                          MorseSpec, RealPoint, _chunks, _direct_sum,
-                          generate_consistent_instance)
+                          MorseSpec, RealPoint, generate_level)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix, block_diagonal
 from .lattice import SignVector, ThimbleLattice, random_gram_rows
@@ -39,17 +38,17 @@ def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWo
     return BraidWord(tuple(moves))
 
 
-def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
-                      pad: int = 0) -> LevelData:
-    """Level ``i`` of a consistent lattice and conjugation, with cycle data.
+def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelData:
+    """Level ``i`` of a consistent analysed lattice and conjugation, with
+    cycle data.
 
     The cycle data is the lattice pairing with both conjugation actions;
     ``pad`` extra null directions model the radical that the boundary map
     contributes, on which both actions are taken to be trivial.  The
-    companion action is read from the analysis that the level then keeps,
-    so the level's monodromy is built once.
+    companion action is read from ``analysis``, which the level then
+    keeps, so the level's monodromy is built once.
     """
-    analysis = LevelAnalysis(lat, conj)
+    lat, conj = analysis.lattice, analysis.conj
     null, trivial = IntMatrix.zeros(pad, pad), IntMatrix.identity(pad)
     cycles = CycleData(block_diagonal([lat.gram, null]),
                        block_diagonal([conj.sigma, trivial]),
@@ -60,25 +59,23 @@ def level_with_cycles(i: int, lat: ThimbleLattice, conj: ConjugationData,
 def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
                          with_cycles: bool = False,
                          real_only_level0: bool = False) -> IcisInstance:
-    """Tower instance with a consistent level for each ``i = 0 .. p``;
-    with ``real_only_level0``, level 0 is drawn in one pass of chunks
-    without a conjugate pair, from one sub-seed as every other level is."""
+    """Tower instance with a consistent level for each ``i = 0 .. p``,
+    each drawn from its own sub-seed and keeping the analysis that checked
+    it; with ``real_only_level0``, level 0 is drawn without a conjugate
+    pair."""
     rng = random.Random(seed)
     signs = SignVector(tuple(rng.choice((1, -1)) for _ in range(p + 1)))
     levels = []
     for i in range(p + 1):
         parity = n + i
-        if i == 0 and real_only_level0:
-            lat, conj = _direct_sum(parity, list(_chunks(
-                rng.randrange(2 ** 32), rank_bound, parity, pairs=False)))
-        else:
-            lat, conj = generate_consistent_instance(
-                rng.randrange(2 ** 32), rank_bound, parity)
+        analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity,
+                                  pairs=not (i == 0 and real_only_level0))
         if with_cycles and parity % 2 == 1:
-            levels.append(level_with_cycles(i, lat, conj,
+            levels.append(level_with_cycles(i, analysis,
                                             pad=rng.choice((0, 0, 1, 2))))
         else:
-            levels.append(LevelData(i, lat, conj))
+            levels.append(LevelData(i, analysis.lattice, analysis.conj,
+                                    prebuilt=analysis))
     return IcisInstance(n, p, signs, tuple(levels))
 
 
@@ -111,7 +108,7 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     new_lat = ThimbleLattice(parity, new_gram)
     new_conj = ConjugationData(new_sigma, MorseSpec(new_points))
     if level0.cycles is not None:
-        new_level0 = level_with_cycles(0, new_lat, new_conj)
+        new_level0 = level_with_cycles(0, LevelAnalysis(new_lat, new_conj))
     else:
         new_level0 = LevelData(0, new_lat, new_conj)
     signs = inst.signs.entries

@@ -170,7 +170,7 @@ class IntMatrix:
         ``d * A^-1`` in the right half.
         """
         if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
+            raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         aug = [list(row) + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.rows)]
@@ -261,12 +261,17 @@ def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
 def block_diagonal(blocks) -> IntMatrix:
     """Direct sum of square matrices, each placed on the diagonal after
     the ones before it; zero elsewhere."""
-    n = sum(b.nrows for b in blocks)
+    return IntMatrix(block_diagonal_rows([b.rows for b in blocks]))
+
+
+def block_diagonal_rows(blocks) -> tuple[tuple[int, ...], ...]:
+    """Rows of :func:`block_diagonal` of square blocks given by their rows."""
+    n = sum(map(len, blocks))
     rows = []
     for b in blocks:
-        left, right = (0,) * len(rows), (0,) * (n - len(rows) - b.nrows)
-        rows.extend([left + row + right for row in b.rows])
-    return IntMatrix(tuple(rows))
+        left, right = (0,) * len(rows), (0,) * (n - len(rows) - len(b))
+        rows.extend([left + row + right for row in b])
+    return tuple(rows)
 
 
 def components(rows):

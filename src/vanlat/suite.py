@@ -1,16 +1,16 @@
 """Seeded verification runs behind ``vanlat verify``.
 
 Seven structural identities are exercised round-robin over a budget of
-random instances.  Instance evaluation is independent per index and could
-run in parallel; it runs sequentially so the report is deterministic for
-a given (seed, count, rank bound).
+random instances.  Every instance draws from the one ``random.Random(seed)``
+of :func:`run_verification`, so instance ``k`` depends on every draw
+before it: the instances are evaluated in order, and the report is
+deterministic for a given (seed, count, rank bound).
 """
 
 import random
 from dataclasses import dataclass
 
-from .conjugation import (LevelAnalysis, generate_consistent_instance,
-                          signature_by_blocks, var_sigma_form)
+from .conjugation import generate_level, signature_by_blocks
 from .gen import (flip_last_sign, level_with_cycles, random_braid_word,
                   random_icis_instance, random_lattice)
 from .index import (IcisInstance, LevelData, sign_independence_check, gradient_index,
@@ -75,17 +75,17 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
                 witness = _single_level_doc(lat, None)
         elif name in ("symmetric-nondegenerate", "block-form"):
             parity = rng.choice((1, 2, 3, 4))
-            lat, conj = generate_consistent_instance(
-                rng.randrange(2 ** 32), rank_bound, parity)
+            analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
+            lat, conj = analysis.lattice, analysis.conj
             if name == "symmetric-nondegenerate":
                 try:
-                    form = var_sigma_form(lat, conj)
+                    analysis.signature  # asserts symmetric and nondegenerate
+                    form = analysis.form
                     if not form.is_symmetric() or form.det() not in (1, -1):
                         problem = "form not symmetric and unimodular"
                 except (ValueError, AssertionError) as e:
                     problem = str(e)
             else:
-                analysis = LevelAnalysis(lat, conj)
                 problem = analysis.block_structure_problem()
                 if problem is None:
                     if analysis.signature.sgn != signature_by_blocks(lat, conj):
@@ -94,9 +94,9 @@ def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResu
                 witness = _single_level_doc(lat, conj)
         elif name == "cycle-route-agreement":
             parity = rng.choice((1, 3, 5))
-            lat, conj = generate_consistent_instance(
-                rng.randrange(2 ** 32), rank_bound, parity)
-            level = level_with_cycles(0, lat, conj, pad=rng.choice((0, 0, 1)))
+            analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
+            lat, conj = analysis.lattice, analysis.conj
+            level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
             s = rng.choice((1, -1))
             t2 = level_index_sum(level, parity, s)
             try:

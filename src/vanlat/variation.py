@@ -16,17 +16,12 @@ from .intmat import IntMatrix, first_difference
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
-def var_inverse_rows(parity: int, gram_rows) -> tuple[tuple[int, ...], ...]:
-    """Rows of :func:`var_inverse` from plain gram rows, unvalidated."""
-    d = diagonal_sign(parity)
-    return tuple((0,) * r + (d,) + tuple(-x for x in row[r + 1:])
-                 for r, row in enumerate(gram_rows))
-
-
 def var_inverse(lat: ThimbleLattice) -> IntMatrix:
     """Upper-triangular matrix of the lattice-to-dual operator."""
     require_valid(lat)
-    return IntMatrix(var_inverse_rows(lat.parity, lat.gram.rows))
+    d = diagonal_sign(lat.parity)
+    return IntMatrix(tuple((0,) * r + (d,) + tuple(-x for x in row[r + 1:])
+                           for r, row in enumerate(lat.gram.rows)))
 
 
 def var(lat: ThimbleLattice) -> IntMatrix:

@@ -13,8 +13,8 @@ import pytest
 from conftest import INSTANCE_DIR, a_k_level, instance_path, matrix_power
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (block_diagonal_structure_check,
-                                generate_consistent_instance,
+from vanlat.conjugation import (LevelAnalysis, block_diagonal_structure_check,
+                                generate_consistent_instance, generate_level,
                                 signature_by_blocks, var_sigma_form)
 from vanlat.gen import (level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
@@ -160,15 +160,15 @@ def test_criterion_08_cycle_route():
     rng = random.Random(SEED + 5)
     for k in range(100):
         parity = rng.choice((1, 3, 5))
-        lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 7, parity)
-        level = level_with_cycles(0, lat, conj, pad=rng.choice((0, 1, 2)))
+        analysis = generate_level(rng.randrange(2 ** 32), 7, parity)
+        level = level_with_cycles(0, analysis, pad=rng.choice((0, 1, 2)))
         s = rng.choice((1, -1))
         assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
     # even-parity refusal with a diagnostic
     lat = ThimbleLattice(2, IntMatrix.from_rows([[0]]))
     from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
     conj = build_sigma(MorseSpec((RealPoint(0),)), 2, [])
-    level = level_with_cycles(0, lat, conj)
+    level = level_with_cycles(0, LevelAnalysis(lat, conj))
     with pytest.raises(EvenParityError, match="even parity"):
         cycle_index_sum(level, 1)
     _report("criterion 08 cycle-route agreement", "100 paired instances", t0)

@@ -374,15 +374,26 @@ def test_verify_failure_serializes_reparseable_counterexample(
 
 def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
                                                       monkeypatch):
-    # [[2]] is symmetric and nondegenerate but has det 2
+    # [[2]] is symmetric and nondegenerate but has det 2; it replaces the
+    # form of the analysis the family reads, after the generator's checks
     import vanlat.suite as suite
-    monkeypatch.setattr(suite, "var_sigma_form",
-                        lambda lat, conj: IntMatrix.from_rows([[2]]))
+    generate = suite.generate_level
+
+    def generate_with_form_2(*args):
+        analysis = generate(*args)
+        analysis.form = IntMatrix.from_rows([[2]])
+        return analysis
+    monkeypatch.setattr(suite, "generate_level", generate_with_form_2)
+    out_file = tmp_path / "ce.vl"
     code, out, _ = run(capsys, "verify", "--seed", "2", "--count", "7",
-                       "--rank-bound", "4", "--output", tmp_path / "ce.vl")
+                       "--rank-bound", "4", "--output", out_file)
     assert code == 1
     assert ("FAIL symmetric-nondegenerate (instance 3): "
             "form not symmetric and unimodular") in out.splitlines()
+    assert "counterexample written to %s" % out_file in out.splitlines()
+    from vanlat.instfile import parse_instance_text
+    doc = parse_instance_text(out_file.read_text())
+    assert doc.instance.levels[0].lattice.violation is None
 
 
 def test_verify_rank_bound_32_passes(capsys):

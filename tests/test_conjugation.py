@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from vanlat import conjugation
 from vanlat.basis import monodromy
-from vanlat.conjugation import (ConjugatePair, ConjugationData, MorseSpec,
-                                RealPoint, _forced_conjugation,
+from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
+                                MorseSpec, RealPoint, _forced_conjugation,
+                                _pinned_points,
                                 block_diagonal_structure_check,
                                 build_sigma, derive_sigma_tilde,
                                 generate_consistent_instance, morse_sign,
@@ -204,7 +206,7 @@ def test_morse_signs_are_ints_at_every_index(m):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     got = [morse.forced_form(1)[0, 0],
            signature_by_blocks(lat, ConjugationData(IntMatrix.identity(1), morse)),
-           _forced_conjugation(1, ((2,),), ((-1,),), morse.points)[0][0][0]]
+           _forced_conjugation(1, ((2,),), (m,))[0][0]]
     if m >= 0:  # build_sigma refuses a Morse index outside 0..parity
         got.append(build_sigma(morse, 3, ()).sigma[0, 0])
     assert [type(x) for x in got] == [int] * len(got)
@@ -250,6 +252,17 @@ def test_generator_reaches_the_minimum_instance_at_rank_one():
 def test_generator_rank_zero_bound():
     lat, conj = generate_consistent_instance(9, 0, 2)
     assert lat.nu == 0 and conj.nu == 0
+
+
+def test_generated_level_asserts_its_consistency(monkeypatch):
+    # consistency is asserted once, on the assembled level: with every
+    # try accepted, the inconsistent chunks that reach a level make its
+    # analysis fail, on both the pairs path and the all-real level 0
+    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    with pytest.raises(AssertionError):
+        generate_consistent_instance(5, 16, 1)
+    with pytest.raises(AssertionError):
+        random_icis_instance(5, 1, 0, 16, real_only_level0=True)
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -377,9 +390,11 @@ def test_solve_sigma_upper_solutions_are_exact():
         assert all(product[r, c] == 0 for r in range(size)
                    for c in range(morse.spans[r][1], size))
 
-        sigma, pinned = _forced_conjugation(parity, lat.gram.rows,
-                                            var_inverse(lat).rows, points)
-        forced = ConjugationData(IntMatrix(sigma), MorseSpec(pinned))
+        drawn = tuple(_PAIR if isinstance(pt, ConjugatePair) else pt.morse_index
+                      for pt in points)
+        forced = ConjugationData(
+            IntMatrix(_forced_conjugation(parity, lat.gram.rows, drawn)),
+            MorseSpec(_pinned_points(parity, lat.gram.rows, drawn)))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and derive_sigma_tilde(forced, lat).consistent]
         try:

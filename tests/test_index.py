@@ -2,8 +2,9 @@ import statistics
 
 import pytest
 
-from vanlat.conjugation import (ConjugatePair, MorseSpec, RealPoint,
-                                build_sigma, derive_sigma_tilde)
+from vanlat.conjugation import (ConjugatePair, LevelAnalysis, MorseSpec,
+                                RealPoint, build_sigma, derive_sigma_tilde,
+                                generate_level)
 from vanlat.gen import flip_last_sign, level_with_cycles, random_icis_instance
 from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           sign_independence_check, gradient_index, morse_recursion_step,
@@ -20,13 +21,13 @@ def level_a1(sign=1):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     morse = MorseSpec((RealPoint(0 if sign == 1 else 1),))
     conj = build_sigma(morse, 1, [])
-    return level_with_cycles(0, lat, conj)
+    return level_with_cycles(0, LevelAnalysis(lat, conj))
 
 
 def level_a2():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, -1], [-1, 2]]))
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    return level_with_cycles(0, lat, conj)
+    return level_with_cycles(0, LevelAnalysis(lat, conj))
 
 
 def inst_p0(level, n=1, sign=1):
@@ -171,7 +172,7 @@ def test_flip_last_sign_needs_all_real_level0():
 def test_cycle_sum_equal_signatures_give_zero():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj = build_sigma(MorseSpec((ConjugatePair(1),)), 1, [])
-    level = level_with_cycles(0, lat, conj)
+    level = level_with_cycles(0, LevelAnalysis(lat, conj))
     assert cycle_index_sum(level, 1) == 0
     assert level_index_sum(level, 1, 1) == 0
 
@@ -188,17 +189,16 @@ def test_level_shares_the_analysis_of_its_cycle_data():
 def test_cycle_sum_rank_zero():
     lat = ThimbleLattice(1, IntMatrix(()))
     conj = build_sigma(MorseSpec(()), 1, [])
-    level = level_with_cycles(0, lat, conj)
+    level = level_with_cycles(0, LevelAnalysis(lat, conj))
     assert cycle_index_sum(level, 1) == 0
 
 
 def test_cycle_sum_matches_level_sum_on_generated_instances():
-    from vanlat.conjugation import generate_consistent_instance
     for seed in range(40):
         parity = (1, 3, 5)[seed % 3]
-        lat, conj = generate_consistent_instance(seed, 6, parity)
+        analysis = generate_level(seed, 6, parity)
         for pad in (0, 2):
-            level = level_with_cycles(0, lat, conj, pad=pad)
+            level = level_with_cycles(0, analysis, pad=pad)
             for s in (1, -1):
                 assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
 

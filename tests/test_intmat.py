@@ -69,6 +69,14 @@ def test_unimodular_inverse_examples():
         unimodular_inverse(IntMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, 1]]))
 
 
+def test_non_square_errors_name_the_operation():
+    m = IntMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+        unimodular_inverse(m)
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        det(m)
+
+
 def _random_unimodular(rng, n):
     # product of elementary row additions and swaps: det stays +-1
     m = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -5,9 +5,11 @@ signature already reports its radical), and every route that reads a
 level shares one analysis, so each level's monodromy is built once, also
 on levels that carry cycle data.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
-``build_sigma``; it tests a chunk try on plain rows and takes one
-``var_inverse`` per accepted chunk, and an all-real level 0 is one pass
-of chunks that draw no conjugate pair.  The
+``build_sigma``; it tests every chunk try on plain rows, builds no matrix,
+lattice or analysis for a chunk, and builds one lattice, one
+``var_inverse`` and one analysis per generated level, which the level
+keeps.  An all-real level 0 is one call of the generator's entry point,
+whose chunks draw no conjugate pair.  The
 braid-invariance family of ``verify`` applies each word once and never
 inverts the basis change.  A product adds a wide sparse row of its right
 factor by its nonzero columns alone, and a dense row whole.
@@ -34,13 +36,13 @@ from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_che
 from vanlat.intmat import IntMatrix
 
 
-def _counting(monkeypatch, owner, name, key=lambda *args: None):
+def _counting(monkeypatch, owner, name, key=lambda *args, **kwargs: None):
     """Replace ``owner.name`` by a wrapper that counts its calls by key."""
     counts = collections.Counter()
     original = getattr(owner, name)
 
     def wrapped(*args, **kwargs):
-        counts[key(*args)] += 1
+        counts[key(*args, **kwargs)] += 1
         return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapped)
     return counts
@@ -58,8 +60,10 @@ def test_index_and_signature_take_no_determinant(monkeypatch, name):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_index_routes_build_each_monodromy_once(monkeypatch, seed):
+    # generation included: the generator's check of a level and every
+    # route over it read one analysis
+    built = _monodromies_by_lattice(monkeypatch)
     inst = random_icis_instance(seed, 1 + seed % 3, 2, 6, real_only_level0=True)
-    built = _counting(monkeypatch, conjugation, "monodromy", key=id)
     flipped = flip_last_sign(inst)
     assert telescoped_index(inst) == gradient_index(inst)
     assert sign_independence_check([inst, flipped]) is None
@@ -115,31 +119,44 @@ def test_generated_cycle_levels_build_their_monodromy_once(monkeypatch, seed):
     assert with_cycles
     for level in with_cycles:
         cycle_index_sum(level, 1)
-    # the generator's own chunk analyses are counted too, so read only the
-    # levels' lattices
     assert [built[id(level.lattice)] for level in inst.levels] == [1] * 3
+    assert sum(built.values()) == 3  # the generator analyses no chunk
 
 
 def test_generator_builds_only_accepted_chunks(monkeypatch):
-    # a rejected try is tested on plain rows: no lattice, no var_inverse;
-    # an accepted chunk builds one lattice and takes one var_inverse, and
-    # each instance builds one more lattice, its direct sum
+    # every try, accepted or not, is tested on plain rows: no matrix,
+    # lattice, var_inverse or analysis is built for a chunk, and each
+    # instance builds one lattice, one var_inverse and one analysis, of
+    # its direct sum
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
+    analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
+    matrices = _counting(monkeypatch, IntMatrix, "__init__")
     tries = _counting(monkeypatch, conjugation, "_squares_to_identity",
                       key=conjugation._squares_to_identity)
+    per_chunk = []
+    sample = conjugation._sample_chunk
+
+    def sample_counting(*args):
+        before = matrices.total()
+        got = sample(*args)
+        per_chunk.append(matrices.total() - before)
+        return got
+    monkeypatch.setattr(conjugation, "_sample_chunk", sample_counting)
     seeds = range(40)
     for seed in seeds:
         generate_consistent_instance(seed, 16, 1 + seed % 4)
     accepted = tries[True]
-    assert tries[False] > accepted > 0
-    assert sum(var_inverses.values()) == accepted
-    assert sum(lattices.values()) == accepted + len(seeds)
+    assert tries[False] > accepted > len(seeds)
+    assert per_chunk and set(per_chunk) == {0}
+    assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
 
 
 def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
-    # level 0 is drawn once, and no sampled chunk holds a conjugate pair
-    passes = _counting(monkeypatch, gen, "_chunks")
+    # level 0 is drawn once, by one call of the generator's entry point
+    # with pairs left out, and no sampled chunk holds a conjugate pair
+    passes = _counting(monkeypatch, gen, "generate_level",
+                       key=lambda *args, pairs=True: pairs)
     sampled = []
     sample = conjugation._sample_chunk
 
@@ -151,9 +168,8 @@ def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
     seeds = range(10)
     for seed in seeds:
         random_icis_instance(seed, 1 + seed % 3, 0, 24, real_only_level0=True)
-    assert sum(passes.values()) == len(seeds)
-    points = [pt for got in sampled if got is not None
-              for pt in got[1].morse.points]
+    assert passes == {False: len(seeds)}
+    points = [pt for got in sampled if got is not None for pt in got[2]]
     assert points and not any(isinstance(pt, ConjugatePair) for pt in points)
 
 
