@@ -130,7 +130,7 @@ def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
     k = j - 1
     s = diagonal_sign(lat.parity)
     rows = list(IntMatrix.identity(lat.nu).rows)
-    rows[k] = tuple(x + s * g for x, g in zip(rows[k], lat.gram.row(k)))
+    rows[k] = tuple(x + s * g for x, g in zip(rows[k], lat.gram.rows[k]))
     return IntMatrix(tuple(rows))
 
 
@@ -153,7 +153,7 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
     rows = list(IntMatrix.identity(n).rows)
     supports = row_supports(rows, n)
     for k in reversed(range(n)):
-        acc, = combine_rows((lat.gram.row(k),), rows, supports, n, s)
+        acc, = combine_rows((lat.gram.rows[k],), rows, supports, n, s)
         acc[k] += 1
         rows[k] = tuple(acc)
         supports[k], = row_supports((rows[k],), n)

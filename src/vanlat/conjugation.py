@@ -14,12 +14,11 @@ lower triangular.  On consistent instances the bilinear form
 and block diagonal, with prescribed diagonal blocks; those facts are what
 the index formulas consume.
 
-All of this is read from one :class:`LevelAnalysis` per level.  It
-validates the lattice once and computes the monodromy, the companion,
-``var_inverse``, the form and the form's signature once each, on first
-use.  The form's nondegeneracy is read off its signature (an empty
-radical), so no determinant is taken.  The public ``(lat, conj)``
-functions each build one analysis per call.  A
+All of this is read from :class:`LevelAnalysis`, the one level API, built
+once per level.  It validates the lattice once and computes the
+monodromy, the companion, ``var_inverse``, the form and the form's
+signature once each, on first use.  The form's nondegeneracy is read off
+its signature (an empty radical), so no determinant is taken.  A
 :class:`vanlat.index.LevelData` keeps its analysis, so every index route
 over a level shares it.
 
@@ -27,8 +26,9 @@ The generator forms each chunk's conjugation as ``sigma = B^-1 *
 var_inverse``, where ``B`` is the forced block form, straight from the
 chunk's gram rows, and accepts it when it squares to the identity (see
 :func:`_forced_conjugation`).  Chunks stay plain rows; the level they sum
-to gets the one analysis, which asserts its consistency and forced block
-form and is handed to the caller (:func:`generate_level`).
+to gets the one analysis, which checks its consistency and forced block
+form, raises :class:`GeneratedLevelError` when they fail, and is handed
+to the caller (:func:`generate_level`).
 """
 
 import random
@@ -246,8 +246,9 @@ class LevelAnalysis:
         return sig
 
     def block_structure_problem(self) -> str | None:
-        """The first violation of the forced block form, or ``None``
-        (see :func:`block_diagonal_structure_check`)."""
+        """The first entry where the form differs from the forced block
+        form (:meth:`MorseSpec.forced_form`), or ``None``; an inconsistent
+        level is reported by its companion's verdicts."""
         report = self.companion
         if not report.consistent:
             return "inconsistent instance: " + report.problems()
@@ -276,33 +277,11 @@ def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTilde
     The split of the monodromy into two conjugations forces the companion
     to be an involution and block lower triangular whenever the data comes
     from a genuine real critical-value picture; both properties are
-    reported so synthetic data can be screened.
+    reported so synthetic data can be screened.  It is
+    ``LevelAnalysis(lat, conj).companion``, kept under this name because
+    the benchmark's tracer counts its calls.
     """
     return LevelAnalysis(lat, conj).companion
-
-
-def var_sigma_form(lat: ThimbleLattice, conj: ConjugationData) -> IntMatrix:
-    """Symmetric pairing ``var_inverse * sigma`` of a consistent instance.
-
-    Raises ValueError on an inconsistent instance.  On a consistent one
-    the result is symmetric and nondegenerate (in fact unimodular);
-    violation of either would be an internal error, not bad input.
-    """
-    analysis = LevelAnalysis(lat, conj)
-    analysis.signature  # asserts that the form is symmetric and nondegenerate
-    return analysis.form
-
-
-def block_diagonal_structure_check(lat: ThimbleLattice,
-                                   conj: ConjugationData) -> str | None:
-    """Check ``var_inverse * sigma`` is block diagonal with forced blocks.
-
-    For parity sign ``d = (-1)^(p(p+1)/2)``: a real slot with Morse index
-    ``m`` must carry the 1x1 block ``d * (-1)^m``; a pair with pairing
-    number ``a`` must carry ``d * [[a, 1], [1, 0]]``.  Returns the first
-    offending entry, or ``None``.
-    """
-    return LevelAnalysis(lat, conj).block_structure_problem()
 
 
 def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
@@ -335,8 +314,8 @@ def _forced_conjugation(parity, gram, drawn):
     slot, ``_PAIR`` per pair).
 
     On consistent data ``var_inverse * sigma`` is the forced block form
-    ``B`` (see :func:`block_diagonal_structure_check`): ``d * (-1)^m`` on
-    a real slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  As
+    ``B`` (see :meth:`MorseSpec.forced_form`): ``d * (-1)^m`` on a real
+    slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  As
     ``sigma`` is an involution, ``sigma = (var * B)^-1 = B^-1 *
     var_inverse``; conversely, if ``B^-1 * var_inverse`` squares to the
     identity it equals its inverse ``var * B``.  Then the companion is
@@ -408,7 +387,7 @@ def _sample_chunk(rng, size, parity, pairs=True):
     A try draws its descriptors as plain values and its candidate sigma
     straight from its gram rows, and is tested on those rows alone; no
     lattice, matrix or analysis is built for a chunk.  The consistency of
-    what is accepted is asserted once, on the assembled level (see
+    what is accepted is checked once, on the assembled level (see
     :func:`_direct_sum`).  Without ``pairs`` every descriptor is a real
     point.
     """
@@ -430,12 +409,23 @@ def _sample_chunk(rng, size, parity, pairs=True):
     return None
 
 
+class GeneratedLevelError(ValueError):
+    """A generated level that fails its self-check: ``problem`` is the
+    :meth:`LevelAnalysis.block_structure_problem` text, and ``lattice``
+    and ``conj`` are the level, so that it can be written out."""
+
+    def __init__(self, lattice, conj, problem):
+        super().__init__("generated level fails its check: " + problem)
+        self.lattice, self.conj, self.problem = lattice, conj, problem
+
+
 def _direct_sum(parity, chunks) -> LevelAnalysis:
     """The one analysis of the level that is the direct sum of ``chunks``.
 
-    The lattice must be valid, and the level must be consistent with the
-    forced block form.  Both are asserted here, once, on the whole level:
-    the companion and the form of a direct sum are the direct sums of the
+    The analysis validates the lattice, and the level must be consistent
+    with the forced block form.  That is checked here, once, on the whole
+    level, and a failure raises :class:`GeneratedLevelError`: the
+    companion and the form of a direct sum are the direct sums of the
     chunks' companions and forms, so they hold for the sum exactly when
     they hold for every chunk, and the assembly itself is checked too.
     """
@@ -444,10 +434,10 @@ def _direct_sum(parity, chunks) -> LevelAnalysis:
     conj = ConjugationData(
         IntMatrix(block_diagonal_rows([sigma for _, sigma, _ in chunks])),
         MorseSpec(tuple(pt for _, _, points in chunks for pt in points)))
-    assert lat.violation is None
     analysis = LevelAnalysis(lat, conj)
-    assert analysis.companion.consistent
-    assert analysis.block_structure_problem() is None
+    problem = analysis.block_structure_problem()
+    if problem is not None:
+        raise GeneratedLevelError(lat, conj, problem)
     return analysis
 
 
@@ -486,10 +476,11 @@ def generate_level(seed: int, rank_bound: int, parity: int,
     conjugation is ``B^-1 * var_inverse`` for the forced block form ``B``;
     across chunks there is no coupling, since consistency pins those
     entries to rigid arithmetic relations that random data essentially
-    never satisfies.  The level is asserted to be consistent with the
-    forced block form, and the analysis that checked it is returned, so a
-    caller reads the monodromy, companion and form computed there.
-    Without ``pairs`` the level has no conjugate pair.
+    never satisfies.  The level is checked to be consistent with the
+    forced block form (:class:`GeneratedLevelError` if not), and the
+    analysis that checked it is returned, so a caller reads the
+    monodromy, companion and form computed there.  Without ``pairs`` the
+    level has no conjugate pair.
     """
     return _direct_sum(parity, list(_chunks(seed, rank_bound, parity, pairs)))
 
@@ -497,6 +488,7 @@ def generate_level(seed: int, rank_bound: int, parity: int,
 def generate_consistent_instance(seed: int, rank_bound: int, parity: int
                                  ) -> tuple[ThimbleLattice, ConjugationData]:
     """Deterministic search for a consistent (lattice, conjugation) pair:
-    the lattice and conjugation of :func:`generate_level`."""
+    the lattice and conjugation of :func:`generate_level`, kept under this
+    name because the benchmark's workloads and tracer call it."""
     analysis = generate_level(seed, rank_bound, parity)
     return analysis.lattice, analysis.conj

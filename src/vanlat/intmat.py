@@ -82,9 +82,6 @@ class IntMatrix:
         r, c = key
         return self.rows[r][c]
 
-    def row(self, r):
-        return self.rows[r]
-
     def to_lists(self):
         return [list(r) for r in self.rows]
 
@@ -354,12 +351,3 @@ def row_reduce(m, ncols):
         prev = m[k][c]
         pivots.append(c)
     return pivots, prev, sign
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (see ``IntMatrix.det``)."""
-    return m.det()
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    return m.unimodular_inverse()

@@ -51,24 +51,15 @@ def var(lat: ThimbleLattice) -> IntMatrix:
     return IntMatrix(tuple(map(tuple, x)))
 
 
-def intersection_operator(lat: ThimbleLattice) -> IntMatrix:
-    """Matrix of the pairing viewed as a map into the dual.
-
-    In the stored convention this is the gram matrix itself.
-    """
-    return lat.gram
-
-
 def check_s_relation(lat: ThimbleLattice) -> str | None:
     """Verify ``S = -M + (-1)^parity * M^T`` entrywise, ``M = var_inverse``.
 
     Holds identically on valid lattices; a failure indicates a convention
     bug, and the first offending entry is reported.
     """
-    require_valid(lat)
     m = var_inverse(lat)
     rhs = -m - mirror_sign(lat.parity) * m.transpose()  # (-1)^p = -mirror_sign
-    s = intersection_operator(lat)
+    s = lat.gram  # the pairing as a map into the dual, in storage convention
     if (diff := first_difference(s, rhs)) is None:
         return None
     return ("entry (%d, %d): pairing matrix has %d but "
@@ -79,7 +70,6 @@ def check_s_relation(lat: ThimbleLattice) -> str | None:
 def check_monodromy_relation(lat: ThimbleLattice) -> str | None:
     """Verify the reflection-product monodromy equals
     ``(-1)^parity * var * var_inverse^T`` exactly."""
-    require_valid(lat)
     h = monodromy(lat)
     m = var_inverse(lat)
     rhs = -mirror_sign(lat.parity) * (var(lat) * m.transpose())
@@ -98,7 +88,6 @@ def var_inverse_as_operator_after_braid(lat: ThimbleLattice,
     matrices must satisfy ``var_inverse(new_lat) = P^T var_inverse(lat) P``
     and ``monodromy(new_lat) = P^-1 monodromy(lat) P`` exactly.
     """
-    require_valid(lat)
     new_lat, change = apply_braid_word(lat, word)
     fresh = var_inverse(new_lat)
     transported = change.congruence(var_inverse(lat))

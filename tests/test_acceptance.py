@@ -13,9 +13,8 @@ import pytest
 from conftest import INSTANCE_DIR, a_k_level, instance_path, matrix_power
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (LevelAnalysis, block_diagonal_structure_check,
-                                generate_consistent_instance, generate_level,
-                                signature_by_blocks, var_sigma_form)
+from vanlat.conjugation import (LevelAnalysis, generate_consistent_instance,
+                                generate_level, signature_by_blocks)
 from vanlat.gen import (level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (EvenParityError, IcisInstance, LevelData,
@@ -91,7 +90,9 @@ def test_criterion_04_symmetric_nondegenerate():
     for k in range(200):
         parity = rng.choice((1, 2, 3, 4))
         lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 8, parity)
-        form = var_sigma_form(lat, conj)  # raises if asymmetric or degenerate
+        analysis = LevelAnalysis(lat, conj)
+        analysis.signature  # raises if asymmetric or degenerate
+        form = analysis.form
         assert form.is_symmetric()
         assert form.det() != 0
     elapsed = time.monotonic() - t0
@@ -106,8 +107,9 @@ def test_criterion_05_two_way_signature():
     for _ in range(200):
         parity = rng.choice((1, 2, 3, 4))
         lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 8, parity)
-        assert block_diagonal_structure_check(lat, conj) is None
-        form = var_sigma_form(lat, conj)
+        analysis = LevelAnalysis(lat, conj)
+        assert analysis.block_structure_problem() is None
+        form = analysis.form
         assert exact_signature(form).sgn == signature_by_blocks(lat, conj)
         # conjugate-pair blocks contribute exactly zero
         from vanlat.conjugation import ConjugatePair

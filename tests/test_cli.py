@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import pathlib
@@ -396,6 +397,42 @@ def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
     assert doc.instance.levels[0].lattice.violation is None
 
 
+@pytest.mark.parametrize("family", ["symmetric-nondegenerate", "block-form",
+                                    "cycle-route-agreement", "telescoping"])
+def test_verify_reports_a_generated_level_that_fails_its_check(
+        family, tmp_path, capsys, monkeypatch):
+    # with every chunk try accepted the generator's own check fails: each
+    # family that draws levels ends the run with one FAIL line and writes
+    # the failing level, which validate rejects (its sigma, rebuilt from
+    # the stored upper entries, is not an involution)
+    import vanlat.conjugation as conjugation
+    import vanlat.suite as suite
+    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
+                         "--rank-bound", "16", "--output", out_file)
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(
+        "FAIL %s (instance " % family)
+    assert fails[0].endswith("): generated level fails its check: "
+                             "inconsistent instance: companion not an involution")
+    assert out.splitlines()[-1] == "counterexample written to %s" % out_file
+    code, _, err = run(capsys, "validate", out_file)
+    assert code == 2 and err.startswith(
+        "parse error: assembled conjugation matrix is not an involution")
+
+
+def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
+    import vanlat.conjugation as conjugation
+    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
+    assert (code, out) == (1, "")
+    assert err == ("error: generated level fails its check: "
+                   "inconsistent instance: companion not an involution\n")
+
+
 def test_verify_rank_bound_32_passes(capsys):
     code, out, _ = run(capsys, "verify", "--rank-bound", "32", "--count", "14")
     assert code == 0
@@ -440,6 +477,23 @@ def test_cli_loads_without_numpy():
     probe = "import sys, vanlat.cli; assert 'numpy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_every_export_resolves():
+    assert "LevelAnalysis" in vanlat.__all__
+    missing = [name for name in vanlat.__all__ if not hasattr(vanlat, name)]
+    assert missing == []
+
+
+def test_the_library_holds_no_assert_statement():
+    # ``python -O`` strips assert statements, so every check the library
+    # relies on raises explicitly
+    package = pathlib.Path(vanlat.__file__).parent
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_gen_parity_zero_writes_validating_instance(tmp_path, capsys):

@@ -1,17 +1,20 @@
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from vanlat import conjugation
 from vanlat.basis import monodromy
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
-                                MorseSpec, RealPoint, _forced_conjugation,
-                                _pinned_points,
-                                block_diagonal_structure_check,
+                                GeneratedLevelError, LevelAnalysis, MorseSpec,
+                                RealPoint, _forced_conjugation, _pinned_points,
                                 build_sigma, derive_sigma_tilde,
                                 generate_consistent_instance, morse_sign,
-                                signature_by_blocks, var_sigma_form)
+                                signature_by_blocks)
 from vanlat.gen import random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -103,53 +106,58 @@ def test_derive_sigma_tilde_rank_mismatch():
 
 
 def test_var_sigma_form_examples():
+    # the analysis' form var_inverse * sigma and its signature, which
+    # raises on an asymmetric or degenerate form
     lat1 = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj1 = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
-    form = var_sigma_form(lat1, conj1)
-    assert form == IntMatrix.from_rows([[-1]])
-    assert exact_signature(form).sgn == -1
+    analysis = LevelAnalysis(lat1, conj1)
+    assert analysis.form == IntMatrix.from_rows([[-1]])
+    assert analysis.signature.sgn == -1
 
     # consistent two-real-point instance: upper sigma entry equals the coupling
     lat2 = a2_lat()
     conj2 = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    form2 = var_sigma_form(lat2, conj2)
-    assert form2 == IntMatrix.diagonal([-1, 1])
-    assert exact_signature(form2).sgn == 0
+    analysis2 = LevelAnalysis(lat2, conj2)
+    assert analysis2.form == IntMatrix.diagonal([-1, 1])
+    assert analysis2.signature.sgn == 0
 
     # conjugate pair at odd parity: forced block shape, signature zero
     g = 1
     lat3 = ThimbleLattice(1, IntMatrix.from_rows([[2, g], [g, 2]]))
     conj3 = build_sigma(MorseSpec((ConjugatePair(g),)), 1, [])
-    form3 = var_sigma_form(lat3, conj3)
-    assert form3 == IntMatrix.from_rows([[-g, -1], [-1, 0]])
-    assert exact_signature(form3).sgn == 0
+    analysis3 = LevelAnalysis(lat3, conj3)
+    assert analysis3.form == IntMatrix.from_rows([[-g, -1], [-1, 0]])
+    assert analysis3.signature.sgn == 0
+    assert analysis3.signature == exact_signature(analysis3.form)
 
 
 def test_var_sigma_form_rejects_inconsistent():
     conj = ConjugationData(IntMatrix.diagonal([1, -1]),
                            MorseSpec((RealPoint(0), RealPoint(1))))
     with pytest.raises(ValueError, match="inconsistent"):
-        var_sigma_form(a2_lat(), conj)
+        LevelAnalysis(a2_lat(), conj).form
+    with pytest.raises(ValueError, match="inconsistent"):
+        LevelAnalysis(a2_lat(), conj).signature
 
 
 def test_block_structure_check_positive_cases():
     lat1 = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj1 = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
-    assert block_diagonal_structure_check(lat1, conj1) is None
+    assert LevelAnalysis(lat1, conj1).block_structure_problem() is None
     conj2 = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    assert block_diagonal_structure_check(a2_lat(), conj2) is None
+    assert LevelAnalysis(a2_lat(), conj2).block_structure_problem() is None
     lat3 = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj3 = build_sigma(MorseSpec((ConjugatePair(1),)), 1, [])
-    assert block_diagonal_structure_check(lat3, conj3) is None
+    assert LevelAnalysis(lat3, conj3).block_structure_problem() is None
     lat0 = ThimbleLattice(1, IntMatrix(()))
     conj0 = build_sigma(MorseSpec(()), 1, [])
-    assert block_diagonal_structure_check(lat0, conj0) is None
+    assert LevelAnalysis(lat0, conj0).block_structure_problem() is None
 
 
 def test_block_structure_check_locates_corruption():
     # involution still holds with upper entry 5, but consistency breaks
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, 5)])
-    report = block_diagonal_structure_check(a2_lat(), conj)
+    report = LevelAnalysis(a2_lat(), conj).block_structure_problem()
     assert report is not None and "inconsistent" in report
 
 
@@ -159,11 +167,11 @@ def test_block_structure_check_names_the_kind_of_block():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 0], [0, 2]]))
     conj = ConjugationData(IntMatrix.from_rows([[1, 0], [1, -1]]),
                            MorseSpec((RealPoint(0), RealPoint(1))))
-    assert (block_diagonal_structure_check(lat, conj)
+    assert (LevelAnalysis(lat, conj).block_structure_problem()
             == "off-block entry (1, 0) = -1, expected 0")
     one = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj = ConjugationData(IntMatrix.from_rows([[1]]), MorseSpec((RealPoint(1),)))
-    assert (block_diagonal_structure_check(one, conj)
+    assert (LevelAnalysis(one, conj).block_structure_problem()
             == "real block at slot 0: entry -1, expected 1")
 
 
@@ -172,7 +180,7 @@ def test_companion_problems_render_both_verdicts():
     report = derive_sigma_tilde(conj, a2_lat())
     assert report.problems() == ("companion not an involution; "
                                  "companion not block lower triangular")
-    assert (block_diagonal_structure_check(a2_lat(), conj)
+    assert (LevelAnalysis(a2_lat(), conj).block_structure_problem()
             == "inconsistent instance: " + report.problems())
     good = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
     assert derive_sigma_tilde(good, a2_lat()).problems() == ""
@@ -216,7 +224,7 @@ def test_morse_signs_are_ints_at_every_index(m):
 def test_block_structure_check_wrong_pairing_number():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj = build_sigma(MorseSpec((ConjugatePair(7),)), 1, [])
-    report = block_diagonal_structure_check(lat, conj)
+    report = LevelAnalysis(lat, conj).block_structure_problem()
     assert report is not None and "pair block" in report
 
 
@@ -233,10 +241,11 @@ def test_generator_output_is_always_structurally_good():
         parity = 1 + seed % 4
         lat, conj = generate_consistent_instance(seed, 7, parity)
         assert validate_lattice(lat) is None
-        assert block_diagonal_structure_check(lat, conj) is None
+        analysis = LevelAnalysis(lat, conj)
+        assert analysis.block_structure_problem() is None
         assert derive_sigma_tilde(conj, lat).consistent
-        sig = exact_signature(var_sigma_form(lat, conj))
-        assert sig.sgn == signature_by_blocks(lat, conj)
+        # the signature raises on an asymmetric or degenerate form
+        assert analysis.signature.sgn == signature_by_blocks(lat, conj)
 
 
 def test_generator_reaches_the_minimum_instance_at_rank_one():
@@ -255,14 +264,35 @@ def test_generator_rank_zero_bound():
 
 
 def test_generated_level_asserts_its_consistency(monkeypatch):
-    # consistency is asserted once, on the assembled level: with every
-    # try accepted, the inconsistent chunks that reach a level make its
-    # analysis fail, on both the pairs path and the all-real level 0
+    # consistency is checked once, on the assembled level: with every try
+    # accepted, the inconsistent chunks that reach a level make it raise,
+    # on both the pairs path and the all-real level 0, with the level and
+    # its block-form problem
     monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(GeneratedLevelError) as caught:
         generate_consistent_instance(5, 16, 1)
-    with pytest.raises(AssertionError):
+    err = caught.value
+    assert isinstance(err, ValueError)
+    problem = LevelAnalysis(err.lattice, err.conj).block_structure_problem()
+    assert problem is not None and err.problem == problem
+    assert str(err) == "generated level fails its check: " + problem
+    with pytest.raises(GeneratedLevelError):
         random_icis_instance(5, 1, 0, 16, real_only_level0=True)
+
+
+def test_generated_level_check_survives_optimization():
+    # the check is an explicit raise, so ``python -O`` keeps it
+    src = pathlib.Path(conjugation.__file__).resolve().parent.parent
+    probe = ("from vanlat import conjugation\n"
+             "conjugation._squares_to_identity = lambda rows: True\n"
+             "try:\n"
+             "    conjugation.generate_level(5, 16, 1)\n"
+             "except conjugation.GeneratedLevelError as e:\n"
+             "    print(e.problem)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("inconsistent instance: ")
 
 
 @pytest.mark.parametrize("seed", [0, 2])

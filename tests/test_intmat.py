@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import vanlat
 from conftest import triple_loop
 from vanlat import intmat
-from vanlat.intmat import (IntMatrix, block_diagonal, det, first_difference,
-                           row_reduce, unimodular_inverse)
+from vanlat.intmat import IntMatrix, block_diagonal, first_difference, row_reduce
 
 
 def test_construction_rejects_ragged():
@@ -50,31 +49,31 @@ def test_transpose_involution():
 
 
 def test_det_examples():
-    assert det(IntMatrix.from_rows([[-1, 1], [0, -1]])) == 1
-    assert det(IntMatrix.from_rows([[2, -1], [-1, 2]])) == 3
-    assert det(IntMatrix.identity(0)) == 1
-    assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    assert IntMatrix.from_rows([[-1, 1], [0, -1]]).det() == 1
+    assert IntMatrix.from_rows([[2, -1], [-1, 2]]).det() == 3
+    assert IntMatrix.identity(0).det() == 1
+    assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
 
 
 def test_unimodular_inverse_examples():
     m = IntMatrix.from_rows([[-1, 1], [0, -1]])
-    assert unimodular_inverse(m) == IntMatrix.from_rows([[-1, -1], [0, -1]])
+    assert m.unimodular_inverse() == IntMatrix.from_rows([[-1, -1], [0, -1]])
     with pytest.raises(ValueError, match=r"not unimodular \(det = 2\)"):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        IntMatrix.from_rows([[2, 0], [0, 1]]).unimodular_inverse()
     with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
-        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        IntMatrix.from_rows([[1, 2], [2, 4]]).unimodular_inverse()
     with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
-        unimodular_inverse(IntMatrix.zeros(3, 3))
+        IntMatrix.zeros(3, 3).unimodular_inverse()
     with pytest.raises(ValueError, match=r"not unimodular \(det = -2\)"):
-        unimodular_inverse(IntMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, 1]]))
+        IntMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, 1]]).unimodular_inverse()
 
 
 def test_non_square_errors_name_the_operation():
     m = IntMatrix.zeros(2, 3)
     with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
-        unimodular_inverse(m)
+        m.unimodular_inverse()
     with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
-        det(m)
+        m.det()
 
 
 def _random_unimodular(rng, n):
@@ -136,7 +135,7 @@ def test_det_matches_cofactor_expansion(rows, singular, scale):
         rows[-1] = [scale * x for x in rows[0]] if n > 1 else [0]
     m = IntMatrix.from_rows(rows)
     want = _cofactor_det(rows)
-    assert m.det() == det(m) == want
+    assert m.det() == want
     if singular and n:
         assert want == 0
 

@@ -11,7 +11,7 @@ from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice
 from vanlat.variation import (check_monodromy_relation, check_s_relation,
-                              intersection_operator, var, var_inverse,
+                              var, var_inverse,
                               var_inverse_as_operator_after_braid)
 
 
@@ -55,12 +55,14 @@ def test_var_inverse_rejects_invalid_lattice():
         var_inverse(ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [-1, 2]])))
 
 
-def test_intersection_operator_is_gram_in_storage_convention():
-    assert intersection_operator(a2()) == a2().gram
-    skew = ThimbleLattice(2, IntMatrix.from_rows([[0, 1], [-1, 0]]))
-    assert intersection_operator(skew) == skew.gram
-    one = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
-    assert intersection_operator(one) == IntMatrix.from_rows([[2]])
+@pytest.mark.parametrize("check", [
+    check_s_relation, check_monodromy_relation,
+    lambda lat: var_inverse_as_operator_after_braid(lat, parse_braid_word("a1")),
+])
+def test_checks_reject_an_invalid_lattice(check):
+    # each check validates through the first computation it calls
+    with pytest.raises(ValueError, match="invalid lattice"):
+        check(ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [-1, 2]])))
 
 
 def test_s_relation_examples():

@@ -8,10 +8,11 @@ in closed form, without ``var`` and without assembling it again through
 ``build_sigma``; it tests every chunk try on plain rows, builds no matrix,
 lattice or analysis for a chunk, and builds one lattice, one
 ``var_inverse`` and one analysis per generated level, which the level
-keeps.  An all-real level 0 is one call of the generator's entry point,
-whose chunks draw no conjugate pair.  The
-braid-invariance family of ``verify`` applies each word once and never
-inverts the basis change.  A product adds a wide sparse row of its right
+keeps.  Each generated level's block form is checked once, by the
+generator, and never again by ``verify``.  An all-real level 0 is one
+call of the generator's entry point, whose chunks draw no conjugate
+pair.  The braid-invariance family of ``verify`` applies each word once
+and never inverts the basis change.  A product adds a wide sparse row of its right
 factor by its nonzero columns alone, and a dense row whole.
 """
 
@@ -150,6 +151,26 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     assert tries[False] > accepted > len(seeds)
     assert per_chunk and set(per_chunk) == {0}
     assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102, 103])
+def test_verify_checks_each_generated_level_once(monkeypatch, seed):
+    # the generator checks the block form of each level it draws, and no
+    # family of verify asks again
+    levels = []
+    direct_sum = conjugation._direct_sum
+
+    def recording(*args):
+        levels.append(direct_sum(*args))
+        return levels[-1]
+    monkeypatch.setattr(conjugation, "_direct_sum", recording)
+    checked = _counting(monkeypatch, LevelAnalysis, "block_structure_problem",
+                        key=id)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--seed", str(seed), "--count", "35",
+                     "--rank-bound", "16"]) == 0
+    assert len(levels) > 20  # four families in seven draw levels
+    assert checked == {id(analysis): 1 for analysis in levels}
 
 
 def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
