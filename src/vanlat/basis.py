@@ -23,7 +23,7 @@ determinant is taken over the components of its sparse pattern.
 import re
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, combine_rows, row_supports
+from .intmat import IntMatrix, combine_rows, dense_row, store_row
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
@@ -84,11 +84,13 @@ class BasisChange:
     """Unimodular matrix ``P`` whose columns are the new basis in the old one.
 
     A product costs, for each nonzero of its left factor, the nonzeros of
-    the matching row of its right factor when that row is wide and
-    sparse, and the row's width otherwise (see
-    :func:`~vanlat.intmat.combine_rows`).  The pairings and maps moved
-    here may be dense, so both rules below keep the sparse ``P`` or
-    ``P^T`` on the left of every product and never invert.
+    the matching row of its right factor when that row is stored sparse,
+    and the row's width when it is stored dense (see
+    :func:`~vanlat.intmat.combine_rows`).  ``P`` is the identity outside
+    a few columns, so its rows and those of ``P^T`` are stored sparse
+    from rank 16 on, while the pairings and maps moved here may be
+    dense; both rules below keep ``P`` or ``P^T`` on the left of every
+    product and never invert.
     """
 
     matrix: IntMatrix
@@ -129,9 +131,10 @@ def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
         raise ValueError("index %d out of range 1..%d" % (j, lat.nu))
     k = j - 1
     s = diagonal_sign(lat.parity)
-    rows = list(IntMatrix.identity(lat.nu).rows)
-    rows[k] = tuple(x + s * g for x, g in zip(rows[k], lat.gram.rows[k]))
-    return IntMatrix(tuple(rows))
+    rows = list(IntMatrix.identity(lat.nu).stored_rows)
+    rows[k] = [s * g for g in dense_row(lat.gram.stored_rows[k], lat.nu)]
+    rows[k][k] += 1
+    return IntMatrix(rows, lat.nu)
 
 
 def monodromy(lat: ThimbleLattice) -> IntMatrix:
@@ -140,24 +143,28 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
     Builds ``PL_1 * (PL_2 * (... * PL_nu))`` from the inside out.  Left
     multiplication by ``PL_{k+1}`` only changes row ``k``, which becomes
     ``e_k + sgn * sum_c gram[k][c] * row_c``.  The rows not yet replaced
-    are unit rows, and each replaced row's support is recorded once, so
-    :func:`~vanlat.intmat.combine_rows` adds a sparse row by its nonzero
-    columns alone: a reflection costs the work its row of the gram
-    matrix selects, at most O(nu^2), and the whole product at most
-    O(nu^3).  The ``c == k`` term reads the old unit row ``k``, since the
-    kernel sums into a fresh list.
+    are the identity's, and each replaced row is stored as
+    :func:`~vanlat.intmat.store_row` chooses, so
+    :func:`~vanlat.intmat.combine_rows` visits only the nonzeros of the
+    gram row and adds a sparse row by its nonzero entries alone: a
+    reflection costs the work its row of the gram matrix selects, at
+    most O(nu^2), and the whole product at most O(nu^3).  On an A_k
+    tower every row stays sparse, so the sweep costs O(nu).  The
+    ``c == k`` term reads the old unit row ``k``, since the kernel sums
+    into a fresh row.
     """
     require_valid(lat)
     s = diagonal_sign(lat.parity)
     n = lat.nu
-    rows = list(IntMatrix.identity(n).rows)
-    supports = row_supports(rows, n)
+    rows = list(IntMatrix.identity(n).stored_rows)
     for k in reversed(range(n)):
-        acc, = combine_rows((lat.gram.rows[k],), rows, supports, n, s)
-        acc[k] += 1
-        rows[k] = tuple(acc)
-        supports[k], = row_supports((rows[k],), n)
-    return IntMatrix(tuple(rows))
+        acc, = combine_rows((lat.gram.stored_rows[k],), rows, n, s)
+        if type(acc) is dict:
+            acc[k] = acc.get(k, 0) + 1
+        else:
+            acc[k] += 1
+        rows[k] = store_row(acc, n)
+    return IntMatrix(rows, n)
 
 
 def _replace_pair(g, k, top, bottom, parity):
@@ -180,7 +187,7 @@ def _alpha_step(g, cols, k, parity):
     a, b = g[k], g[k + 1]
     _replace_pair(g, k, [y + coeff * x for x, y in zip(a, b)], list(a), parity)
     c, d = cols[k], cols[k + 1]
-    cols[k], cols[k + 1] = [coeff * x + y for x, y in zip(c, d)], c
+    cols[k], cols[k + 1] = _plus(d, coeff, c, len(g)), c
 
 
 def _alpha_inverse_step(g, cols, k, parity):
@@ -190,14 +197,23 @@ def _alpha_inverse_step(g, cols, k, parity):
     a, b = g[k], g[k + 1]
     _replace_pair(g, k, list(b), [x + coeff * y for x, y in zip(a, b)], parity)
     c, d = cols[k], cols[k + 1]
-    cols[k], cols[k + 1] = d, [x + coeff * y for x, y in zip(c, d)]
+    cols[k], cols[k + 1] = d, _plus(c, coeff, d, len(g))
 
 
 def _flip_step(g, cols, k, parity):
     for row in g:
         row[k] = -row[k]
     g[k] = [-x for x in g[k]]
-    cols[k] = [-x for x in cols[k]]
+    cols[k] = {r: -v for r, v in cols[k].items()}
+
+
+def _plus(x, w, y, n):
+    """``x + w * y`` for columns of the basis change, kept as dicts of
+    their nonzeros and summed by the row kernel."""
+    if not w:
+        return x
+    acc, = combine_rows(({0: 1, 1: w},), (x, y), n)
+    return acc
 
 
 _STEPS = {"a": _alpha_step, "A": _alpha_inverse_step, "f": _flip_step}
@@ -208,8 +224,9 @@ def apply_braid_word(lat: ThimbleLattice,
     """Apply a word left to right, accumulating the total basis change.
 
     Each move rewrites rows and columns ``k, k+1`` of one working gram by
-    the closed-form rules and updates two columns of the composite change
-    ``P``, so a move costs O(nu).  The closed-form gram is then checked
+    the closed-form rules, at O(nu), and updates two columns of the
+    composite change ``P``, which are kept as dicts of their nonzeros, so
+    ``P^T`` is built from them sparse and ``P`` is its transpose.  The closed-form gram is then checked
     once against the congruence ``P^T G P``, which costs O(nnz(P) * nu)
     for the sparse ``P`` of a short word, and ``P`` must have determinant
     +-1, taken over the components of its pattern (see ``IntMatrix.det``).
@@ -221,13 +238,11 @@ def apply_braid_word(lat: ThimbleLattice,
         raise ValueError("index %d out of range 1..%d"
                          % (bad.j, bad.last_position(lat.nu)))
     g = lat.gram.to_lists()
-    cols = [[0] * lat.nu for _ in range(lat.nu)]
-    for c, col in enumerate(cols):
-        col[c] = 1
+    cols = [{c: 1} for c in range(lat.nu)]
     for move in word.moves:
         _STEPS[move.kind](g, cols, move.j - 1, lat.parity)
-    closed = IntMatrix(tuple(map(tuple, g)))
-    change = BasisChange(IntMatrix(tuple(zip(*cols))))
+    closed = IntMatrix(g, lat.nu)
+    change = BasisChange(IntMatrix(cols, lat.nu).transpose())
     congruent = change.congruence(lat.gram)
     if closed != congruent:
         raise AssertionError(

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .basis import monodromy
-from .intmat import (IntMatrix, block_diagonal, block_diagonal_rows,
-                     first_difference, non_integer_at)
+from .intmat import IntMatrix, direct_sum, first_difference, non_integer_at
 from .lattice import (ThimbleLattice, diagonal_sign, random_gram_rows,
                       require_valid)
 from .signature import Signature, exact_signature
@@ -98,9 +97,8 @@ class MorseSpec:
         a real slot of Morse index ``m`` and ``d * [[a, 1], [1, 0]]`` on a
         pair of pairing number ``a``."""
         d = diagonal_sign(parity)
-        return block_diagonal([
-            IntMatrix(((d * morse_sign(p.morse_index),),)) if isinstance(p, RealPoint)
-            else IntMatrix(((d * p.pairing, d), (d, 0))) for p in self.points])
+        return direct_sum([((d * morse_sign(p.morse_index),),) if isinstance(p, RealPoint)
+                           else ((d * p.pairing, d), (d, 0)) for p in self.points])
 
     def validate(self, parity: int) -> str | None:
         for k, p in enumerate(self.points):
@@ -134,23 +132,42 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     bad = morse.validate(parity)
     if bad is not None:
         raise ValueError(bad)
+    return assemble_sigma(morse, _integer_triples(upper_data))
+
+
+def _integer_triples(upper_data):
+    """The triples of ``upper_data``, each checked to hold three ints as
+    it is taken."""
+    for r, c, v in upper_data:
+        if non_integer_at((r, c, v)) is not None:
+            raise ValueError("entry %r is not an integer triple" % ((r, c, v),))
+        yield r, c, v
+
+
+def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
+    """:func:`build_sigma` of ``(row, col, value)`` triples already known
+    to be ints, for a ``morse`` already validated; the instance reader
+    checks both where the file gives them.
+
+    Each row is built as the dict of its entries and stored by its fill,
+    so the involution test costs the nonzeros of a sparse sigma.
+    """
     nu = morse.total_slots
-    rows = [[0] * nu for _ in range(nu)]
+    rows = [{} for _ in range(nu)]
     for start, _, p in morse.blocks():
         if isinstance(p, RealPoint):
             rows[start][start] = morse_sign(p.morse_index)
         else:
             rows[start][start + 1] = rows[start + 1][start] = 1
-    for r, c, v in upper_data:
-        if non_integer_at((r, c, v)) is not None:
-            raise ValueError("entry %r is not an integer triple" % ((r, c, v),))
+    spans = morse.spans
+    for r, c, v in triples:
         if not (0 <= r < nu and 0 <= c < nu):
             raise ValueError("entry (%d, %d) out of range for rank %d" % (r, c, nu))
-        if c < morse.spans[r][1]:
+        if c < spans[r][1]:
             raise ValueError(
                 "entry (%d, %d) is not strictly above the block diagonal" % (r, c))
         rows[r][c] = v
-    sigma = IntMatrix(tuple(map(tuple, rows)))
+    sigma = IntMatrix(rows, nu)
     if sigma * sigma != IntMatrix.identity(nu):
         raise ValueError("assembled conjugation matrix is not an involution")
     return ConjugationData(sigma, morse)
@@ -211,8 +228,10 @@ class LevelAnalysis:
         """``sigma * monodromy`` with its two consistency verdicts."""
         tilde = self.conj.sigma * self.monodromy
         involution = tilde * tilde == IntMatrix.identity(self.lattice.nu)
-        lower = not any(any(row[end:])
-                        for row, (_, end) in zip(tilde.rows, self.conj.morse.spans))
+        lower = not any(max(row, default=-1) >= end if type(row) is dict
+                        else any(row[end:])
+                        for row, (_, end) in zip(tilde.stored_rows,
+                                                 self.conj.morse.spans))
         return SigmaTildeReport(tilde, involution, lower)
 
     def require_consistent(self) -> SigmaTildeReport:
@@ -266,7 +285,8 @@ class LevelAnalysis:
                     % (start, form[diff], want[diff]))
 
         def block(m):
-            return tuple(row[start:end] for row in m.rows[start:end])
+            return tuple(tuple(m[r, c] for c in range(start, end))
+                         for r in range(start, end))
         return ("pair block at slot %d: got %s, expected %s"
                 % (start, block(form), block(want)))
 
@@ -429,11 +449,10 @@ def _direct_sum(parity, chunks) -> LevelAnalysis:
     chunks' companions and forms, so they hold for the sum exactly when
     they hold for every chunk, and the assembly itself is checked too.
     """
-    lat = ThimbleLattice(parity, IntMatrix(block_diagonal_rows(
-        [gram for gram, _, _ in chunks])))
-    conj = ConjugationData(
-        IntMatrix(block_diagonal_rows([sigma for _, sigma, _ in chunks])),
-        MorseSpec(tuple(pt for _, _, points in chunks for pt in points)))
+    lat = ThimbleLattice(parity, direct_sum([gram for gram, _, _ in chunks]))
+    conj = ConjugationData(direct_sum([sigma for _, sigma, _ in chunks]),
+                           MorseSpec(tuple(pt for _, _, points in chunks
+                                           for pt in points)))
     analysis = LevelAnalysis(lat, conj)
     problem = analysis.block_structure_problem()
     if problem is not None:

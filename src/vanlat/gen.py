@@ -81,7 +81,9 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
 
 def _reversed(m: IntMatrix) -> IntMatrix:
     """``R m R`` for the reversal ``R``: rows and columns in reverse order."""
-    return IntMatrix(tuple(row[::-1] for row in reversed(m.rows)))
+    last = m.ncols - 1
+    return IntMatrix([{last - c: v for c, v in row.items()} if type(row) is dict
+                      else row[::-1] for row in reversed(m.stored_rows)], m.ncols)
 
 
 def flip_last_sign(inst: IcisInstance) -> IcisInstance:

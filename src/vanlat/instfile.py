@@ -23,13 +23,14 @@ convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import yaml
 
 from .basis import BraidWord, parse_braid_word
-from .conjugation import ConjugatePair, MorseSpec, RealPoint, build_sigma
+from .conjugation import ConjugatePair, MorseSpec, RealPoint, assemble_sigma
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix, non_integer_at
+from .intmat import IntMatrix, non_integer_at, row_items
 from .lattice import SignVector, ThimbleLattice
 
 FORMAT_VERSION = 1
@@ -86,10 +87,18 @@ def _want(mapping, key, kind, where):
     return val
 
 
+def _int_lists(items):
+    """Whether every item is a list of ints (not bools), decided by
+    C-level passes over all of them at once."""
+    return ({list}.issuperset(map(type, items))
+            and {int}.issuperset(map(type, chain.from_iterable(items))))
+
+
 def _matrix(rows, where):
     if not isinstance(rows, list):
         raise InstanceFormatError("expected list of rows", where=where)
-    for r, row in enumerate(rows):
+    # rows that all pass at once skip the search for the first bad entry
+    for r, row in enumerate(() if _int_lists(rows) else rows):
         if not isinstance(row, list):
             raise InstanceFormatError("expected integer row", where="%s[%d]" % (where, r))
         c = non_integer_at(row)
@@ -100,7 +109,7 @@ def _matrix(rows, where):
     widths = set(map(len, rows))
     if len(widths) > 1:
         raise InstanceFormatError("ragged rows: %s" % sorted(widths), where=where)
-    return IntMatrix(tuple(map(tuple, rows)))
+    return IntMatrix(rows)
 
 
 def _morse(entries, where):
@@ -123,6 +132,17 @@ def _morse(entries, where):
     return MorseSpec(tuple(points))
 
 
+def _first_bad_triple(entries):
+    """Index of the first entry that is not a list of three ints (not
+    bools), or None; only a list that fails :func:`_int_lists` or holds
+    another length is searched entry by entry."""
+    if _int_lists(entries) and {3}.issuperset(map(len, entries)):
+        return None
+    return next((k for k, ent in enumerate(entries)
+                 if not isinstance(ent, list) or len(ent) != 3
+                 or non_integer_at(ent) is not None), None)
+
+
 def _level(data, want_i, parity, where):
     if not isinstance(data, dict):
         raise InstanceFormatError("expected mapping", where=where)
@@ -131,7 +151,7 @@ def _level(data, want_i, parity, where):
         raise InstanceFormatError("levels out of order: found i=%d, expected %d"
                                   % (i, want_i), where=where)
     gram = _matrix(_want(data, "gram", list, where), where + ".gram")
-    if gram.rows and not gram.is_square:
+    if gram.nrows and not gram.is_square:
         raise InstanceFormatError("gram must be square", where=where + ".gram")
     lat = ThimbleLattice(parity, gram)
 
@@ -149,17 +169,13 @@ def _level(data, want_i, parity, where):
         if raw_upper is not None and not isinstance(raw_upper, list):
             raise InstanceFormatError("expected list",
                                       where=where + ".sigma_upper")
-        upper = []
-        for k, ent in enumerate(raw_upper or []):
-            spot = "%s.sigma_upper[%d]" % (where, k)
-            if (not isinstance(ent, list) or len(ent) != 3
-                    or any(not isinstance(x, int) or isinstance(x, bool)
-                           for x in ent)):
-                raise InstanceFormatError("expected [row, col, value] triple",
-                                          where=spot)
-            upper.append(tuple(ent))
+        upper = raw_upper or []
+        k = _first_bad_triple(upper)
+        if k is not None:
+            raise InstanceFormatError("expected [row, col, value] triple",
+                                      where="%s.sigma_upper[%d]" % (where, k))
         try:
-            conj = build_sigma(morse, parity, upper)
+            conj = assemble_sigma(morse, upper)
         except ValueError as e:
             raise InstanceFormatError(str(e), where=where + ".sigma_upper")
     elif "sigma_upper" in data:
@@ -446,7 +462,7 @@ def _emit_matrix(lines, key, m, indent):
         lines.append("%s%s: []" % (pad, key))
         return
     lines.append("%s%s:" % (pad, key))
-    for row in m.rows:
+    for row in m.dense_rows():
         lines.append("%s- %s" % (pad, _flow_row(row)))
 
 
@@ -471,9 +487,11 @@ def serialize_instance(doc: InstanceDocument) -> str:
                     ents.append("[pair, %d]" % pt.pairing)
             lines.append("  morse: [%s]" % ", ".join(ents))
             spans = level.conj.morse.spans
-            upper = [(r, c, row[c])
-                     for r, row in enumerate(level.conj.sigma.rows)
-                     for c in range(spans[r][1], len(row)) if row[c] != 0]
+            upper = []
+            for r, row in enumerate(level.conj.sigma.stored_rows):
+                end = spans[r][1]
+                upper += [(r, c, v) for c, v in sorted(row_items(row))
+                          if c >= end]
             lines.append("  sigma_upper: [%s]"
                          % ", ".join(_flow_row(e) for e in upper))
         if level.cycles is not None:
@@ -492,6 +510,7 @@ def serialize_instance(doc: InstanceDocument) -> str:
                 lines.append("  %s: %s" % (key, json.dumps(val)))
             else:
                 lines.append("  %s: %s" % (key, val))
-    body = "\n".join(lines) + "\n"
-    prov = "".join("# provenance: %s\n" % line for line in doc.provenance)
-    return _HEADER + prov + body
+    # one join, so that a large document is copied once
+    head = _HEADER.splitlines() + ["# provenance: %s" % line
+                                   for line in doc.provenance]
+    return "\n".join(head + lines + [""])

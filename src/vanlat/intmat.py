@@ -2,29 +2,108 @@
 
 Everything in this package runs on plain Python integers, so there is no
 overflow at any magnitude.  Matrices are immutable: all operations return
-new values.
+new values.  Each row is stored once, when its matrix is built: a wide row
+with few nonzeros as the dict of its nonzero entries, any other row as a
+tuple (:func:`store_row`), and every kernel reads and writes the rows as
+stored, so a sparse matrix costs its nonzeros, not its area.
 
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
 i.e. images are the *columns* of ``M``.
 """
 
-from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, contains, methodcaller, neg
 
-# A right-hand row is added by its nonzero columns alone when it has at
-# least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of them is
-# nonzero; a shorter or denser row is added whole, where one list
-# comprehension over the row beats indexing its entries one by one.
+# A row is stored as a dict of its nonzero entries, ``{col: value}``, when
+# it has at least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of
+# them is nonzero, and as a tuple of all its entries otherwise: a kernel
+# term over a sparse row costs its nonzeros, and over a short or dense row
+# one list comprehension beats indexing its entries one by one.
 SPARSE_MIN_COLS = 16
 SPARSE_FILL = 4
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples."""
+def store_row(row, width):
+    """The stored form of ``row``, a sequence of ``width`` ints or a dict
+    ``{col: value}`` of some of them (zero values allowed).
 
-    rows: tuple[tuple[int, ...], ...]
+    The choice between the two storages depends on the row's entries and
+    ``width`` alone, so equal rows of equal width are stored alike.  A
+    dict that is returned is ``row`` itself when it holds no zero value.
+    """
+    if type(row) is dict:
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
+        return row if _sparse(len(row), width) else dense_row(row, width)
+    if _sparse(width - row.count(0), width):
+        return {c: row[c] for c in compress(range(width), row)}
+    return row if type(row) is tuple else tuple(row)
+
+
+def _sparse(nonzeros, width):
+    """The storage rule: whether a row of ``width`` columns with this
+    many nonzero entries is stored as a dict."""
+    return width >= SPARSE_MIN_COLS and nonzeros * SPARSE_FILL <= width
+
+
+def dense_row(row, width):
+    """A stored row as a tuple of all its ``width`` entries."""
+    if type(row) is not dict:
+        return row
+    out = [0] * width
+    for c, v in row.items():
+        out[c] = v
+    return tuple(out)
+
+
+def row_items(row):
+    """``(col, value)`` for each nonzero entry of a stored row, a dict's in
+    its own order and a tuple's left to right."""
+    if type(row) is dict:
+        return row.items()
+    return zip(compress(range(len(row)), row), filter(None, row))
+
+
+class IntMatrix:
+    """An immutable integer matrix; each row is stored once, as
+    :func:`store_row` chooses from its fill when the matrix is built.
+
+    ``stored_rows`` holds the rows as stored, tuples and dicts, which no
+    caller may change; ``rows`` is the dense tuple-of-tuples view, built
+    on each access for text and for callers outside the package.  Since
+    the storage of a row follows from its entries, equality and hashing
+    compare the stored rows.
+    """
+
+    __slots__ = ("stored_rows", "ncols", "_all_tuples")
+
+    def __init__(self, rows, ncols=None):
+        """Rows are tuples, lists or dicts ``{col: value}``, each stored as
+        :func:`store_row` chooses; ``ncols`` is taken from the first row
+        when not given, and is 0 without rows."""
+        rows = tuple(rows)
+        if not rows:
+            ncols = 0
+        elif ncols is None:
+            if type(rows[0]) is dict:
+                raise ValueError("a dict row does not give the width: pass ncols")
+            ncols = len(rows[0])
+        kinds = set(map(type, rows))
+        if ncols >= SPARSE_MIN_COLS or dict in kinds:
+            rows = _stored(rows, ncols, kinds)
+            kinds = set(map(type, rows))
+        elif list in kinds:
+            rows = tuple(map(tuple, rows))
+        _set_stored_rows(self, rows)
+        _set_ncols(self, ncols)
+        _set_all_tuples(self, dict not in kinds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return IntMatrix, (self.stored_rows, self.ncols)
 
     # -- construction ------------------------------------------------------
 
@@ -32,30 +111,32 @@ class IntMatrix:
     def from_rows(cls, rows, width=None):
         """Build from any iterable of row iterables, checking row widths
         and entries; operations and internal builders, whose rows are
-        tuples of ints of one width, call the constructor directly.
+        ints of one width, call the constructor directly.
 
         ``width`` is checked against a matrix with rows and pins nothing.
         """
-        m = cls(tuple(tuple(row) for row in rows))
-        widths = {len(r) for r in m.rows}
+        rows = [tuple(row) for row in rows]
+        widths = set(map(len, rows))
         if len(widths) > 1:
             raise ValueError("ragged rows: %s" % sorted(widths))
-        for row in m.rows:
+        for row in rows:
             c = non_integer_at(row)
             if c is not None:
                 raise ValueError("non-integer entry %r" % (row[c],))
-        if width is not None and m.rows and m.ncols != width:
+        m = cls(rows)
+        if width is not None and rows and m.ncols != width:
             raise ValueError("expected %d columns, got %d" % (width, m.ncols))
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
-                         for i in range(n)))
+        if n >= SPARSE_MIN_COLS:
+            return cls([{i: 1} for i in range(n)], n)
+        return cls(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
+        return cls([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def diagonal(cls, entries):
@@ -68,42 +149,65 @@ class IntMatrix:
 
     @property
     def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.stored_rows)
 
     @property
     def is_square(self):
         return self.nrows == self.ncols
 
+    @property
+    def rows(self):
+        """The rows as a hashable tuple of dense row tuples."""
+        if self._all_tuples:
+            return self.stored_rows
+        return tuple(self.dense_rows())
+
+    def dense_rows(self):
+        """Each row as a tuple of all its entries, one at a time."""
+        if self._all_tuples:
+            return iter(self.stored_rows)
+        return map(dense_row, self.stored_rows, repeat(self.ncols))
+
     def __getitem__(self, key):
         r, c = key
-        return self.rows[r][c]
+        row = self.stored_rows[r]
+        if type(row) is dict:
+            return row.get(c if c >= 0 else c + self.ncols, 0)
+        return row[c]
 
     def to_lists(self):
-        return [list(r) for r in self.rows]
+        return [list(r) for r in self.dense_rows()]
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.ncols == other.ncols and self.stored_rows == other.stored_rows
+
+    def __hash__(self):
+        return hash((self.ncols, tuple(frozenset(r.items()) if type(r) is dict else r
+                                       for r in self.stored_rows)))
+
+    def __repr__(self):
+        return "IntMatrix(rows=%r)" % (self.rows,)
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(tuple(tuple(other * x for x in r) for r in self.rows))
+            scale = other.__mul__
+            return IntMatrix([{c: scale(v) for c, v in r.items()} if type(r) is dict
+                              else tuple(map(scale, r)) for r in self.stored_rows],
+                             self.ncols)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         # each output row is a combination of the rows of ``other``, one
-        # term per nonzero entry of the row of ``self``.  Each row of
-        # ``other`` is classed once per product: a term costs that row's
-        # nonzeros if it is wide and sparse, else its width, so a product
-        # costs O(nnz(self) * ncols) at most and less on sparse ``other``
-        width, right = other.ncols, other.rows
-        supports = row_supports(right, width)
-        return IntMatrix(tuple(map(tuple, combine_rows(self.rows, right, supports,
-                                                       width))))
+        # term per nonzero entry of the row of ``self``, costing the
+        # nonzeros of a sparse row of ``other`` or the width of a dense one
+        return IntMatrix(combine_rows(self.stored_rows, other.stored_rows,
+                                      other.ncols), other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -113,22 +217,39 @@ class IntMatrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
+        return IntMatrix(map(_add_rows, self.stored_rows, other.stored_rows),
+                         self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self.rows))
+        return self * -1
 
     def transpose(self):
-        if not self.rows:
-            return IntMatrix(())
-        return IntMatrix(tuple(zip(*self.rows)))
+        """The transpose; a matrix of tuple rows is transposed by ``zip``,
+        any other column by column from the nonzeros of the rows."""
+        if self._all_tuples:
+            return IntMatrix(zip(*self.stored_rows), self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self.stored_rows):
+            for c, v in row_items(row):
+                cols[c][r] = v
+        return IntMatrix(cols, self.nrows)
 
-    def is_symmetric(self):
-        return self.is_square and self.rows == tuple(zip(*self.rows))
+    def is_symmetric(self, sign=1):
+        """Whether the matrix is ``sign`` times its transpose (``sign=-1``
+        asks for a skew-symmetric one); a matrix of tuple rows is compared
+        with its columns as ``zip`` gives them, with no matrix built."""
+        if not self.is_square:
+            return False
+        if self._all_tuples:
+            cols = zip(*self.stored_rows)
+            if sign == -1:
+                cols = (tuple(map(neg, col)) for col in cols)
+            return self.stored_rows == tuple(cols)
+        image = self.transpose()
+        return self == (image if sign == 1 else -image)
 
     def det(self):
         """Exact determinant, taken over the components of the nonzero pattern.
@@ -149,12 +270,12 @@ class IntMatrix:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         out = 1
-        for comp in components(self.rows):
+        for comp in components(self.stored_rows):
             if len(comp) == 1:
-                out *= self.rows[comp[0]][comp[0]]
+                out *= self[comp[0], comp[0]]
                 continue
-            block = [[self.rows[r][c] for c in comp] for r in comp]
-            pivots, d, sign = row_reduce(block, len(comp))
+            pivots, d, sign = row_reduce(submatrix(self.stored_rows, comp),
+                                         len(comp))
             if len(pivots) < len(comp):
                 return 0
             out *= sign * d
@@ -170,67 +291,120 @@ class IntMatrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.rows)]
+               for i, row in enumerate(self.dense_rows())]
         pivots, d, sign = row_reduce(aug, n)
         det = sign * d if len(pivots) == n else 0
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular (det = %d)" % det)
-        return IntMatrix(tuple(tuple(x * d for x in row[n:]) for row in aug))
+        return IntMatrix([[x * d for x in row[n:]] for row in aug], n)
 
     def __str__(self):
-        return str(list(map(list, self.rows)))
+        return str([list(r) for r in self.dense_rows()])
 
 
-def row_supports(rows, width):
-    """For each of ``rows``, its nonzero columns if :func:`combine_rows`
-    should add it by those columns alone, or ``None`` if it should add
-    the whole row.
+# the slots are written once, here, past the __setattr__ that refuses
+_set_stored_rows = IntMatrix.stored_rows.__set__
+_set_ncols = IntMatrix.ncols.__set__
+_set_all_tuples = IntMatrix._all_tuples.__set__
 
-    A row is added by columns when it has at least ``SPARSE_MIN_COLS``
-    columns and at most one in ``SPARSE_FILL`` of them is nonzero, so a
-    dense row costs one C-level count and a short one nothing.
-    """
-    if width < SPARSE_MIN_COLS:
-        return [None] * len(rows)
+
+def _stored(rows, width, kinds):
+    """:func:`store_row` of each of ``rows``, where a row's storage may
+    change; C-level passes over all the rows at once settle the common
+    cases, rows that are all stored already or all dense, and count each
+    sequence row's zeros once."""
+    if dict in kinds:
+        if (kinds == {dict} and not any(map(contains, map(dict.values, rows), repeat(0)))
+                and _sparse(max(map(len, rows)), width)):
+            return rows
+        return tuple([store_row(row, width) for row in rows])
+    zeros = list(map(_count_zeros, rows))
+    if not _sparse(width - max(zeros), width):
+        return rows if kinds == {tuple} else tuple(map(tuple, rows))
     cols = range(width)
-    return [tuple(compress(cols, row))
-            if (width - row.count(0)) * SPARSE_FILL <= width else None
-            for row in rows]
+    return tuple([{c: row[c] for c in compress(cols, row)} if _sparse(width - z, width)
+                  else tuple(row) for row, z in zip(rows, zeros)])
 
 
-def combine_rows(weight_rows, rows, supports, width, scale=1):
+_count_zeros = methodcaller("count", 0)
+
+
+def _add_rows(a, b):
+    """The sum of two stored rows of one width, as a row to store."""
+    if type(a) is dict:
+        a, b = b, a
+    if type(a) is dict:
+        out = dict(a)
+        for c, v in b.items():
+            out[c] = out.get(c, 0) + v
+        return out
+    if type(b) is dict:
+        out = list(a)
+        for c, v in b.items():
+            out[c] += v
+        return out
+    return tuple(map(add, a, b))
+
+
+def combine_rows(weight_rows, rows, width, scale=1):
     """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
-    ``weight_rows``, as new lists of ``width`` ints.
+    ``weight_rows``, as new rows to store (see :func:`store_row`).
 
     The one row-combination kernel, behind every product and the
     monodromy sweep.  It takes all the left rows of a product in one
     call, so that the many small products of the package pay for the
-    call once.  Only the nonzero weights are visited.  A row
-    whose support (from :func:`row_supports`) is a tuple of columns adds
-    only those entries; a row whose support is ``None`` is added whole,
-    and when it is the first term it starts the sum as a copy of the
-    row, or the row scaled, rather than being added to zeros.  A left
-    row with no nonzero weight gives zeros.  Each sum is accumulated in
-    a fresh list, so a term may read a row that the caller is about to
-    replace.  A term costs the nonzeros of a sparse row or the width of
-    a dense one.
+    call once.  Weight rows and ``rows`` are stored rows, tuples or
+    dicts, and only the nonzero weights are visited: a dict weight row
+    by its items, a tuple by ``itertools.compress``.  A dict row adds its
+    nonzero entries: into a dict while the weight row is a dict and
+    every term so far is a dict, otherwise into a list of ``width``
+    entries, which a tuple weight row's many terms would fill anyway.  A
+    tuple row is added whole, and when it is the first term it starts
+    the sum as a copy of the row, or the row scaled, rather than being
+    added to zeros.  A left row with no nonzero weight gives an empty
+    dict.  Each sum is accumulated in a fresh list or dict, so a term
+    may read a row that the caller is about to replace.  A term costs
+    the nonzeros of a sparse row or the width of a dense one.
     """
     out = []
     indices = range(len(rows))
     for weights in weight_rows:
         acc = None
-        for t in compress(indices, weights):
-            w, row, cols = scale * weights[t], rows[t], supports[t]
-            if cols is not None:
-                if acc is None:
-                    acc = [0] * width
-                for c in cols:
-                    acc[c] += w * row[c]
-            elif acc is None:
-                acc = list(row) if w == 1 else [w * y for y in row]
-            else:
-                acc = [x + w * y for x, y in zip(acc, row)]
-        out.append([0] * width if acc is None else acc)
+        if type(weights) is dict:
+            for t, w in weights.items():
+                w *= scale
+                row = rows[t]
+                if type(row) is dict:
+                    if acc is None:
+                        acc = {c: w * v for c, v in row.items()}
+                    elif type(acc) is dict:
+                        get = acc.get
+                        for c, v in row.items():
+                            acc[c] = get(c, 0) + w * v
+                    else:
+                        for c, v in row.items():
+                            acc[c] += w * v
+                elif acc is None:
+                    acc = list(row) if w == 1 else [w * y for y in row]
+                elif type(acc) is dict:
+                    sparse, acc = acc, list(row) if w == 1 else [w * y for y in row]
+                    for c, v in sparse.items():
+                        acc[c] += v
+                else:
+                    acc = [x + w * y for x, y in zip(acc, row)]
+        else:
+            for t in compress(indices, weights):
+                w, row = scale * weights[t], rows[t]
+                if type(row) is dict:
+                    if acc is None:
+                        acc = [0] * width
+                    for c, v in row.items():
+                        acc[c] += w * v
+                elif acc is None:
+                    acc = list(row) if w == 1 else [w * y for y in row]
+                else:
+                    acc = [x + w * y for x, y in zip(acc, row)]
+        out.append({} if acc is None else acc)
     return out
 
 
@@ -248,27 +422,51 @@ def non_integer_at(row):
 
 def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
     """First ``(row, col)``, in reading order, where ``a`` and ``b`` differ,
-    or ``None``."""
-    if a.rows == b.rows:
+    or ``None``; only the first differing row is read in full."""
+    if a == b:
         return None
-    return next((r, c) for r, (x, y) in enumerate(zip(a.rows, b.rows))
-                for c, (u, v) in enumerate(zip(x, y)) if u != v)
+    r, x, y = next((r, x, y) for r, (x, y) in enumerate(zip(a.stored_rows,
+                                                           b.stored_rows))
+                   if x != y)
+    x, y = dense_row(x, a.ncols), dense_row(y, b.ncols)
+    return r, next(c for c, (u, v) in enumerate(zip(x, y)) if u != v)
 
 
 def block_diagonal(blocks) -> IntMatrix:
     """Direct sum of square matrices, each placed on the diagonal after
     the ones before it; zero elsewhere."""
-    return IntMatrix(block_diagonal_rows([b.rows for b in blocks]))
+    return direct_sum([b.stored_rows for b in blocks])
 
 
-def block_diagonal_rows(blocks) -> tuple[tuple[int, ...], ...]:
-    """Rows of :func:`block_diagonal` of square blocks given by their rows."""
+def direct_sum(blocks) -> IntMatrix:
+    """:func:`block_diagonal` of square blocks given by their rows, tuples
+    or dicts as stored.
+
+    Below ``SPARSE_MIN_COLS`` columns every row is a tuple padded with
+    zeros; from there on each row is built as the dict of its nonzero
+    entries, shifted to its block's columns, and stored by its fill.
+    """
     n = sum(map(len, blocks))
     rows = []
     for b in blocks:
-        left, right = (0,) * len(rows), (0,) * (n - len(rows) - len(b))
-        rows.extend([left + row + right for row in b])
-    return tuple(rows)
+        at = len(rows)
+        if n < SPARSE_MIN_COLS:
+            left, right = (0,) * at, (0,) * (n - at - len(b))
+            rows.extend([left + row + right for row in b])
+        else:
+            rows.extend([{at + c: v for c, v in row_items(row)} for row in b])
+    return IntMatrix(rows, n)
+
+
+def submatrix(rows, index):
+    """The entries of the stored ``rows`` at rows and columns ``index``,
+    as a list of lists."""
+    out = []
+    for r in index:
+        row = rows[r]
+        out.append([row.get(c, 0) for c in index] if type(row) is dict
+                   else [row[c] for c in index])
+    return out
 
 
 def components(rows):
@@ -279,13 +477,15 @@ def components(rows):
     Entry ``(r, c)`` joins ``r`` and ``c`` whether it sits above or below
     the diagonal, so one pass over the rows builds the adjacency lists of
     the symmetrised pattern, and a walk over them collects the
-    components.  On a symmetric matrix these are the components of its
-    own pattern.
+    components.  A row may be a sequence of entries, whose nonzero
+    columns ``itertools.compress`` finds, or a stored dict, whose keys
+    are its nonzero columns.  On a symmetric matrix these are the
+    components of its own pattern.
     """
     adjacent = [[] for _ in rows]
     cols = range(len(rows))
     for r, row in enumerate(rows):
-        for c in compress(cols, row):
+        for c in (row if type(row) is dict else compress(cols, row)):
             if c != r:
                 adjacent[r].append(c)
                 adjacent[c].append(r)

@@ -14,7 +14,6 @@ Storage convention (fixed once for the whole package):
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
 
 from .intmat import IntMatrix
 
@@ -89,10 +88,9 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
     g = lat.gram
     want = self_intersection(lat.parity)
     eps = mirror_sign(lat.parity)
-    image = tuple(zip(*g.rows))  # what the rule makes of the rows
-    if eps == -1:
-        image = tuple(tuple(map(neg, col)) for col in image)
-    if g.rows == image and all(row[r] == want for r, row in enumerate(g.rows)):
+    diagonal = (row.get(r, 0) if type(row) is dict else row[r]
+                for r, row in enumerate(g.stored_rows))
+    if g.is_symmetric(eps) and all(x == want for x in diagonal):
         return None
     # something is wrong: find the first violation in reading order
     for r in range(g.nrows):

@@ -6,7 +6,7 @@ as an error.
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, components, eliminate
+from .intmat import IntMatrix, components, eliminate, submatrix
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,24 @@ def exact_signature(m: IntMatrix) -> Signature:
 
     Inertia adds over an orthogonal direct sum, so the form is first split
     into the connected components of its nonzero pattern, found by one
-    O(nu^2) scan (:func:`vanlat.intmat.components`, the walker behind
-    ``IntMatrix.det`` too), and each component is eliminated on its own
-    (see :func:`_component_inertia`).  A diagonal form is nu components
-    of size one; a form with one component is eliminated whole.
+    scan of the stored rows (:func:`vanlat.intmat.components`, the walker
+    behind ``IntMatrix.det`` too: O(nu^2) on dense rows, the nonzeros on
+    sparse ones), and each component is eliminated on its own
+    (see :func:`_component_inertia`), except that a 1x1 component counts
+    by the sign of its entry.  A diagonal form is nu components of size
+    one; a form with one component is eliminated whole.
     """
     if not m.is_square:
         raise ValueError("signature of a non-square matrix")
     if not m.is_symmetric():
         raise ValueError("signature of a non-symmetric matrix")
     n_plus = n_minus = n_zero = 0
-    for comp in components(m.rows):
-        p, q, z = _component_inertia([[m.rows[r][c] for c in comp]
-                                      for r in comp])
+    for comp in components(m.stored_rows):
+        if len(comp) == 1:
+            x = m[comp[0], comp[0]]
+            p, q, z = x > 0, x < 0, x == 0
+        else:
+            p, q, z = _component_inertia(submatrix(m.stored_rows, comp))
         n_plus += p
         n_minus += q
         n_zero += z

@@ -5,9 +5,10 @@ import pytest
 from vanlat.basis import parse_braid_word
 from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
+from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
-from vanlat.lattice import ThimbleLattice
+from vanlat.lattice import SignVector, ThimbleLattice
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -42,19 +43,28 @@ def a_k_level(k):
 
     Maxima come first in the basis, then minima; neighbours on the line
     pair to -1, and the conjugation has +1 at (maximum, minimum) for each
-    line edge.  Every matrix of the level has about two nonzeros per row.
+    line edge.  Every matrix of the level has about two nonzeros per row,
+    and the gram matrix is built from its nonzeros alone, as ``{col:
+    value}`` rows.
     """
     order = list(range(0, k, 2)) + list(range(1, k, 2))  # even positions are maxima
     slot = {pos: s for s, pos in enumerate(order)}
-    gram = [[2 if r == c else 0 for c in range(k)] for r in range(k)]
+    gram = [{s: 2} for s in range(k)]
     upper = []
     for pos in range(k - 1):
         a, b = slot[pos], slot[pos + 1]
         gram[a][b] = gram[b][a] = -1
         upper.append((a, b, 1) if pos % 2 == 0 else (b, a, 1))
     morse = MorseSpec(tuple(RealPoint(1 - pos % 2) for pos in order))
-    lat = ThimbleLattice(1, IntMatrix.from_rows(gram, width=k))
+    lat = ThimbleLattice(1, IntMatrix(gram, k))
     return lat, build_sigma(morse, 1, upper)
+
+
+def a_k_instance(k):
+    """The A_k level of :func:`a_k_level` as a one-level tower (n = 1,
+    p = 0, sign +1)."""
+    lat, conj = a_k_level(k)
+    return IcisInstance(1, 0, SignVector((1,)), (LevelData(0, lat, conj),))
 
 
 def generated_texts():

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import INSTANCE_DIR, a_k_level, instance_path, matrix_power
+from conftest import (INSTANCE_DIR, a_k_instance, a_k_level, instance_path,
+                      matrix_power)
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
 from vanlat.conjugation import (LevelAnalysis, generate_consistent_instance,
@@ -271,3 +272,15 @@ def test_criterion_14_parse_rank_64_budget():
     assert all(serialize_instance(doc) == text for doc in docs)
     assert elapsed < 0.3
     _report("criterion 14 rank-64 parse", "an A_64 tower parsed 10 times", t0)
+
+
+def test_criterion_15_a_2048_index_budget():
+    # every matrix of the tower is stored by its nonzeros, so the level's
+    # analysis costs about its nonzeros rather than nu^2 or nu^3
+    inst = a_k_instance(2048)
+    t0 = time.monotonic()
+    index = gradient_index(inst)
+    elapsed = time.monotonic() - t0
+    assert index == index_1d([0] * 2049 + [1])
+    assert elapsed < 0.5
+    _report("criterion 15 rank-2048 A_k index", "the A_2048 tower", t0)

@@ -274,8 +274,8 @@ def _corrupted_once(real, fired, corruption):
             far = (k + 32) % 64
             if corruption == "gram-far-entry":
                 g[far][(far + 8) % 64] += 1
-            else:
-                cols[k][far] += 1
+            else:  # the columns of P are dicts of their nonzeros
+                cols[k][far] = cols[k].get(far, 0) + 1
     return step
 
 

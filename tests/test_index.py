@@ -2,6 +2,7 @@ import statistics
 
 import pytest
 
+from conftest import a_k_instance
 from vanlat.conjugation import (ConjugatePair, LevelAnalysis, MorseSpec,
                                 RealPoint, build_sigma, derive_sigma_tilde,
                                 generate_level)
@@ -15,6 +16,7 @@ from vanlat.instfile import parse_instance_text
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import SignVector, ThimbleLattice
 from vanlat.oracle import index_1d, index_2d, poly2
+from vanlat.signature import Signature
 
 
 def level_a1(sign=1):
@@ -73,6 +75,17 @@ def test_index_x_squared():
 def test_index_x_cubed():
     assert gradient_index(inst_p0(level_a2())) == 0
     assert index_1d([0, 0, 0, 1]) == 0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 64, 257, 2048])
+def test_a_k_tower_index_matches_the_oracle_at_scale(k):
+    # a_k_level puts a maximum at the left end of the line, so it is the
+    # morsification of (-1)^k x^(k+1); the oracle reads that germ's index
+    # off the signs of its derivative and shares no code with the pipeline
+    inst = a_k_instance(k)
+    assert gradient_index(inst) == index_1d([0] * (k + 1) + [(-1) ** k])
+    n_max = (k + 1) // 2
+    assert inst.levels[0].analysis.signature == Signature(n_max, k - n_max, 0)
 
 
 def test_index_plane_minimum():

@@ -10,6 +10,7 @@ import vanlat
 from conftest import triple_loop
 from vanlat import intmat
 from vanlat.intmat import IntMatrix, block_diagonal, first_difference, row_reduce
+from vanlat.signature import exact_signature
 
 
 def test_construction_rejects_ragged():
@@ -326,8 +327,8 @@ def _row(draw, ncols):
 
 @st.composite
 def _wide_factors(draw):
-    # a right factor at least SPARSE_MIN_COLS wide, so that rows take the
-    # sparse path, the dense path, or both within one product
+    # a right factor at least SPARSE_MIN_COLS wide, so that its rows are
+    # stored sparse, dense, or both within one product
     n, k = draw(st.integers(1, 5)), draw(st.integers(1, 40))
     m = draw(st.integers(intmat.SPARSE_MIN_COLS, 40))
     left = [draw(_row(k)) for _ in range(n)]
@@ -353,8 +354,8 @@ def _combination(draw):
     return weights, rows, draw(st.sampled_from([1, -1, 3]))
 
 
-_DENSE = tuple(range(1, 17))  # 16 nonzeros in 16 columns: added whole
-_SPARSE = (5,) + (0,) * 15  # 1 nonzero in 16 columns: added by its column
+_DENSE = tuple(range(1, 17))  # 16 nonzeros in 16 columns: stored whole
+_SPARSE = (5,) + (0,) * 15  # 1 nonzero in 16 columns: stored by its column
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,32 +368,107 @@ _SPARSE = (5,) + (0,) * 15  # 1 nonzero in 16 columns: added by its column
 @example(([[2, 3]], [_DENSE, _SPARSE], 1))  # dense first, then sparse
 @example(([[0, 0], [1, 1]], [_SPARSE, _DENSE], 1))  # a left row of zeros
 @example(([[1, 2], [0, 1]], [_DENSE, _DENSE], -1))
+@example(([[1, -1]], [_SPARSE, _SPARSE], 1))  # sparse terms that cancel
 def test_combine_rows_matches_the_sum_of_terms(case):
+    # weights and rows as stored, each weight row once as a tuple and
+    # once as a dict of its nonzeros
     weights, rows, scale = case
     width = len(rows[0])
-    got = intmat.combine_rows(weights, rows, intmat.row_supports(rows, width),
-                              width, scale)
-    assert got == [[scale * sum(w * row[c] for w, row in zip(ws, rows))
-                    for c in range(width)] for ws in weights]
-    assert all(type(acc) is list for acc in got)
+    stored = [intmat.store_row(row, width) for row in rows]
+    want = [[scale * sum(w * row[c] for w, row in zip(ws, rows))
+             for c in range(width)] for ws in weights]
+    for left in ([tuple(ws) for ws in weights],
+                 [{t: w for t, w in enumerate(ws) if w} for ws in weights]):
+        got = intmat.combine_rows(left, stored, width, scale)
+        assert [list(intmat.dense_row(intmat.store_row(acc, width), width))
+                for acc in got] == want
+        assert all(type(acc) in (list, dict) for acc in got)
 
 
 def test_combine_rows_leaves_its_input_rows_alone():
-    # a dense first term of weight 1 starts the sum as a copy, so the
-    # sparse term after it must not write into the input row
-    rows = [list(_DENSE), list(_SPARSE)]
-    got, = intmat.combine_rows([[1, 1]], rows, intmat.row_supports(rows, 16), 16)
-    assert rows == [list(_DENSE), list(_SPARSE)]
+    # a dense first term of weight 1 starts the sum as a copy, and a
+    # sparse first term as a fresh dict, so no later term may write into
+    # an input row
+    rows = [_DENSE, {0: 5}]
+    got, = intmat.combine_rows([[1, 1]], rows, 16)
+    assert rows == [_DENSE, {0: 5}]
     assert got == [6] + list(_DENSE[1:])
+    got, = intmat.combine_rows([{1: 1, 0: 1}], rows, 16)
+    assert rows == [_DENSE, {0: 5}]
+    assert got == [6] + list(_DENSE[1:])
+    got, = intmat.combine_rows([{1: 2}], [{}, {0: 5}], 16)
+    assert got == {0: 10}
 
 
-def test_row_supports_threshold():
+def test_storage_threshold():
+    # a row of at least 16 columns with at most a quarter of them nonzero
+    # is stored as the dict of its nonzeros, any other row as a tuple,
+    # whichever form it is given in
     at = (0, 5, 0, 0) * 4  # 4 nonzeros in 16 columns: exactly a quarter
     past = at[:-1] + (1,)  # one past a quarter
-    assert intmat.row_supports([at, past, (0,) * 16, (1,) * 16], 16) == [
-        (1, 5, 9, 13), None, (), None]
-    assert intmat.row_supports([(0,) * 15, (0, 1) + (0,) * 13], 15) == [None, None]
-    assert intmat.row_supports([], 40) == []
+    store = intmat.store_row
+    assert store(at, 16) == {1: 5, 5: 5, 9: 5, 13: 5}
+    assert store(list(at), 16) == {1: 5, 5: 5, 9: 5, 13: 5}
+    assert store(past, 16) == past
+    assert store((0,) * 16, 16) == {}
+    assert store((1,) * 16, 16) == (1,) * 16
+    assert store({1: 5, 5: 5, 9: 5, 13: 5, 2: 0}, 16) == {1: 5, 5: 5, 9: 5, 13: 5}
+    assert store({1: 5, 5: 5, 9: 5, 13: 5, 15: 1}, 16) == past
+    # 15 columns: every row a tuple, however sparse
+    assert store((0, 1) + (0,) * 13, 15) == (0, 1) + (0,) * 13
+    assert store({1: 1}, 15) == (0, 1) + (0,) * 13
+    assert store({}, 15) == (0,) * 15
+    # 40 columns: a quarter is 10 nonzeros
+    assert type(store((1,) * 10 + (0,) * 30, 40)) is dict
+    assert type(store((1,) * 11 + (0,) * 29, 40)) is tuple
+    # a matrix stores each of its rows so
+    m = IntMatrix([at, past, {0: 0}, list(at)], 16)
+    assert [type(r) for r in m.stored_rows] == [dict, tuple, dict, dict]
+    assert m.rows == (at, past, (0,) * 16, at)
+    assert all(type(r) is tuple for r in IntMatrix.identity(15).stored_rows)
+    assert all(type(r) is dict for r in IntMatrix.identity(16).stored_rows)
+    with pytest.raises(ValueError, match="pass ncols"):
+        IntMatrix([{3: 1}])
+
+
+@st.composite
+def _sparse_square(draw):
+    # a square matrix on either side of the width threshold, with rows of
+    # every fill, drawn as dense lists
+    n = draw(st.sampled_from([0, 1, 3, 15, 16, 17, 24]))
+    rows = [draw(_row(n)) for _ in range(n)]
+    for r in range(n):  # small entries keep the determinant quick
+        rows[r] = [x % 7 - 3 if x else 0 for x in rows[r]]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_square())
+@example([])
+@example([[0] * 16 for _ in range(16)])
+def test_built_dense_and_built_sparse_agree(rows):
+    # the same matrix built from tuples and from dicts of its nonzeros,
+    # with zero values thrown in, is one value: its storage follows from
+    # its entries alone
+    n = len(rows)
+    dense = IntMatrix([tuple(row) for row in rows], n)
+    sparse = IntMatrix([{**{c: 0 for c in range(0, n, 5)},
+                         **{c: x for c, x in enumerate(row) if x}}
+                        for row in rows], n)
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert dense.stored_rows == sparse.stored_rows
+    assert dense.rows == sparse.rows == tuple(map(tuple, rows))
+    assert str(dense) == str(sparse) == str(rows)
+    assert dense.to_lists() == sparse.to_lists() == rows
+    assert (dense * sparse).rows == (sparse * dense).rows == triple_loop(dense, dense)
+    assert (dense * 3).rows == (sparse * 3).rows
+    assert dense.transpose() == sparse.transpose()
+    assert dense.transpose().rows == tuple(zip(*rows))
+    assert dense.det() == sparse.det()
+    symmetric = dense + dense.transpose()
+    assert symmetric == sparse + sparse.transpose()
+    assert symmetric.is_symmetric() and (sparse + sparse.transpose()).is_symmetric()
+    assert exact_signature(symmetric) == exact_signature(sparse + sparse.transpose())
 
 
 def test_block_diagonal_of_nothing_and_of_empty_blocks():

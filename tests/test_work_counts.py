@@ -12,8 +12,10 @@ keeps.  Each generated level's block form is checked once, by the
 generator, and never again by ``verify``.  An all-real level 0 is one
 call of the generator's entry point, whose chunks draw no conjugate
 pair.  The braid-invariance family of ``verify`` applies each word once
-and never inverts the basis change.  A product adds a wide sparse row of its right
-factor by its nonzero columns alone, and a dense row whole.
+and never inverts the basis change.  Each matrix row is stored by its
+fill: every matrix of the A_64 tower's analysis is sparse and the row
+kernel sums it as dicts, with no dense row built, while a dense random
+lattice and its braid congruence stay dense.
 """
 
 import collections
@@ -216,32 +218,58 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
     assert sum(inverses.values()) == 0
 
 
-def _product_paths(monkeypatch):
-    """Record, for each right-hand row a product classes, whether it is
-    added by its nonzero columns (True) or whole (False)."""
-    paths = []
-    original = intmat.row_supports
+def _built_rows(monkeypatch):
+    """Count the rows the row kernel sums, by type (``dict`` or
+    ``list``), and the dense rows built from sparse stored ones
+    (``densified``), under every name a vanlat module binds them to."""
+    built = collections.Counter()
+    combine, dense = intmat.combine_rows, intmat.dense_row
 
-    def recording(rows, width):
-        supports = original(rows, width)
-        paths.extend(support is not None for support in supports)
-        return supports
-    monkeypatch.setattr(intmat, "row_supports", recording)
-    return paths
+    def combining(*args, **kwargs):
+        out = combine(*args, **kwargs)
+        built.update(type(acc).__name__ for acc in out)
+        return out
+
+    def densifying(row, width):
+        if type(row) is dict:
+            built["densified"] += 1
+        return dense(row, width)
+    for module in [m for name, m in sys.modules.items() if name.startswith("vanlat")]:
+        for attr, value in list(vars(module).items()):
+            if value is combine:
+                monkeypatch.setattr(module, attr, combining)
+            elif value is dense:
+                monkeypatch.setattr(module, attr, densifying)
+    return built
 
 
 def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
-    analysis = LevelAnalysis(*a_k_level(64))
-    analysis.monodromy, analysis.var_inverse  # built before counting
-    paths = _product_paths(monkeypatch)
-    analysis.companion, analysis.form  # sigma * H, its square, var_inverse * sigma
-    assert paths == [True] * (3 * 64)
+    # the monodromy, the companion, its square, var_inverse and the form
+    # of the A_64 tower are stored sparse, and every row the kernel sums
+    # for them is a dict: no dense row is built
+    lat, conj = a_k_level(64)
+    built = _built_rows(monkeypatch)
+    analysis = LevelAnalysis(lat, conj)
+    tilde = analysis.companion.matrix
+    assert analysis.signature.n_zero == 0
+    for m in (lat.gram, conj.sigma, analysis.monodromy, tilde, tilde * tilde,
+              analysis.var_inverse, analysis.form):
+        assert {type(row) for row in m.stored_rows} == {dict}
+    # the sweep, sigma * H, its square (twice) and var_inverse * sigma
+    assert built == {"dict": 5 * 64}
 
 
 def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
+    # a dense random lattice and its congruence stay dense, while the
+    # basis change, the identity outside a few columns, is stored sparse
     rng = random.Random(64)
     lat = random_lattice(rng, 64, 1)
     word = random_braid_word(rng, 64, max_len=24)
-    paths = _product_paths(monkeypatch)
-    apply_braid_word(lat, word)
-    assert paths == [False] * (2 * 64)  # the two products of P^T G P
+    built = _built_rows(monkeypatch)
+    moved, change = apply_braid_word(lat, word)
+    # the two products of P^T G P sum into lists; the kernel's other rows
+    # are the moved columns of P, kept as dicts
+    assert built["list"] == 2 * 64 and set(built) == {"list", "dict"}
+    for m in (lat.gram, moved.gram):
+        assert {type(row) for row in m.stored_rows} == {tuple}
+    assert sum(type(row) is dict for row in change.matrix.stored_rows) >= 64 - 2 * len(word)
