@@ -150,7 +150,8 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
     checks both where the file gives them.
 
     Each row is built as the dict of its entries and stored by its fill,
-    so the involution test costs the nonzeros of a sparse sigma.
+    and :meth:`~vanlat.intmat.IntMatrix.is_involution` tests the square on
+    the kernel's rows, so the test costs the nonzeros of a sparse sigma.
     """
     nu = morse.total_slots
     rows = [{} for _ in range(nu)]
@@ -168,7 +169,7 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
                 "entry (%d, %d) is not strictly above the block diagonal" % (r, c))
         rows[r][c] = v
     sigma = IntMatrix(rows, nu)
-    if sigma * sigma != IntMatrix.identity(nu):
+    if not sigma.is_involution():
         raise ValueError("assembled conjugation matrix is not an involution")
     return ConjugationData(sigma, morse)
 
@@ -227,7 +228,7 @@ class LevelAnalysis:
     def companion(self) -> SigmaTildeReport:
         """``sigma * monodromy`` with its two consistency verdicts."""
         tilde = self.conj.sigma * self.monodromy
-        involution = tilde * tilde == IntMatrix.identity(self.lattice.nu)
+        involution = tilde.is_involution()
         lower = not any(max(row, default=-1) >= end if type(row) is dict
                         else any(row[end:])
                         for row, (_, end) in zip(tilde.stored_rows,

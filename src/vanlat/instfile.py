@@ -10,10 +10,11 @@ formatted files.  Canonical text is read by a direct line reader and
 any other text by ``yaml.safe_load``; both build the same document, and
 all validation after the load is shared, so values and error messages
 do not depend on which reader ran.  The line reader's regular
-expressions decide which texts it accepts; its integer grammar
-``-?(0|[1-9][0-9]*)`` is JSON's, so once a matrix's row lines, the sign
-list or the ``sigma_upper`` list are accepted, one ``json.loads`` of
-each converts them.
+expressions decide which fixed lines it accepts, and one layout pass
+per matrix which row lines; its integer grammar ``-?(0|[1-9][0-9]*)``
+is JSON's, so once a matrix's row lines, the sign list or the
+``sigma_upper`` list are accepted, one ``json.loads`` of each converts
+them, and each matrix becomes an ``IntMatrix`` as it is read.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -23,7 +24,8 @@ convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, takewhile
+from operator import methodcaller
 
 import yaml
 
@@ -94,9 +96,14 @@ def _int_lists(items):
             and {int}.issuperset(map(type, chain.from_iterable(items))))
 
 
-def _matrix(rows, where):
-    if not isinstance(rows, list):
-        raise InstanceFormatError("expected list of rows", where=where)
+def _matrix(mapping, key, where):
+    """The matrix under ``key``: one the canonical reader built, or one
+    from a list of rows, each checked with its location."""
+    rows = mapping.get(key)
+    if isinstance(rows, IntMatrix):
+        return rows
+    rows = _want(mapping, key, list, where)
+    where = "%s.%s" % (where, key)
     # rows that all pass at once skip the search for the first bad entry
     for r, row in enumerate(() if _int_lists(rows) else rows):
         if not isinstance(row, list):
@@ -150,7 +157,7 @@ def _level(data, want_i, parity, where):
     if i != want_i:
         raise InstanceFormatError("levels out of order: found i=%d, expected %d"
                                   % (i, want_i), where=where)
-    gram = _matrix(_want(data, "gram", list, where), where + ".gram")
+    gram = _matrix(data, "gram", where)
     if gram.nrows and not gram.is_square:
         raise InstanceFormatError("gram must be square", where=where + ".gram")
     lat = ThimbleLattice(parity, gram)
@@ -185,9 +192,9 @@ def _level(data, want_i, parity, where):
     if "cycles" in data:
         cyc = _want(data, "cycles", dict, where)
         cw = where + ".cycles"
-        form = _matrix(_want(cyc, "form", list, cw), cw + ".form")
-        sigma = _matrix(_want(cyc, "sigma", list, cw), cw + ".sigma")
-        tilde = _matrix(_want(cyc, "sigma_tilde", list, cw), cw + ".sigma_tilde")
+        form = _matrix(cyc, "form", cw)
+        sigma = _matrix(cyc, "sigma", cw)
+        tilde = _matrix(cyc, "sigma_tilde", cw)
         try:
             cycles = CycleData(form, sigma, tilde)
         except ValueError as e:
@@ -200,7 +207,9 @@ def _level(data, want_i, parity, where):
 
 # The canonical reader.  An integer is written as below, in JSON's own
 # integer grammar, so ``json.loads`` converts what the patterns accept
-# and decides nothing.  YAML 1.1 reads
+# and decides nothing; in matrix rows, whose layout pass leaves any run
+# of digits and minus signs between the commas, ``json.loads`` is that
+# grammar's check.  YAML 1.1 reads
 # more spellings (``010`` is 8, ``1_0`` is 10, ``1:20`` is 80, ``+1`` is
 # 1), and every one of them goes to ``yaml.safe_load`` instead.
 _INT = r"-?(?:0|[1-9][0-9]*)"
@@ -215,9 +224,10 @@ _STRS = _ITEMS(_STR)
 _KEY = r"[A-Za-z_][A-Za-z0-9_]*"
 # plain names that YAML 1.1 reads as a bool or null, not as a string
 _RESERVED_KEYS = {"yes", "no", "true", "false", "on", "off", "null"}
-# anything but printable ASCII and "\n": tabs, "\r", control characters
-# and non-ASCII text all have YAML rules of their own
-_FOREIGN_CHAR = re.compile(r"[^\x20-\x7e\n]")
+# printable ASCII and "\n"; tabs, "\r", control characters and non-ASCII
+# text all have YAML rules of their own
+_PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\n"
+_DIGIT_BYTES = b"-0123456789"
 _POINT_PARTS = re.compile(r"\[(real|pair), (%s)\]" % _INT)
 _STR_BODY = re.compile(r'"([^"]*)"')
 
@@ -243,10 +253,10 @@ _CYCLES = _line(r"  cycles:")
 _BRAID_WORDS = _line(r"braid_words: \[(%s)\]" % _STRS)
 _EXPECTED = _line(r"expected:")
 _EXPECTED_ENTRY = _line(r"  (%s): (%s|%s)" % (_KEY, _INT, _STR))
-# a matrix is written as "key: []" or as "key:" and its row lines
+# a matrix is written as "key: []" or as "key:" and its row lines, each
+# the row prefix at the matrix's indent, a list body and "]"
 _MATRIX_LINES = {
-    key: (_line(r"%s%s:( \[\])?" % (" " * indent, key)),
-          _line(r"%s- (\[%s\])" % (" " * indent, _INTS)))
+    key: (_line(r"%s%s:( \[\])?" % (" " * indent, key)), " " * indent + "- [")
     for key, indent in (("gram", 2), ("form", 4), ("sigma", 4),
                         ("sigma_tilde", 4))}
 
@@ -276,25 +286,53 @@ class _CanonicalLines:
         return m.groups()
 
     def matrix(self, key):
-        """The rows of matrix ``key``, decoded by one ``json.loads``."""
-        head, row = _MATRIX_LINES[key]
+        """Matrix ``key`` as an :class:`IntMatrix`, from its row lines
+        taken as one block.
+
+        The block is every following line that starts with the row
+        prefix.  Deleting its digits and minus signs must leave exactly
+        the layout of its row lines, each the prefix's, ``", "`` between
+        entries and the closing ``"]"``, with as many entries as the
+        first row: this one C-level pass rules out nesting, a second row
+        on a line, any other spacing, trailing text, and every JSON value
+        but integers and lists.  One ``json.loads`` then decodes the
+        rows, whose widths must agree (``[]`` and ``[5]`` share a
+        layout), and ``IntMatrix`` stores them by its one rule.  A block
+        that fails is left to YAML and its located errors.
+        """
+        head, prefix = _MATRIX_LINES[key]
         if self.take(head)[0]:
-            return []
-        rows = [self.take(row)[0]]
-        while (more := self.take(row, optional=True)):
-            rows.append(more[0])
-        return json.loads("[%s]" % ",".join(rows))
+            return IntMatrix(())
+        block = list(takewhile(methodcaller("startswith", prefix),
+                               islice(self.lines, self.k, None)))
+        if not block:
+            raise _NotCanonical
+        self.k += len(block)
+        text = "\n".join(block)
+        layout = prefix.replace("-", "") + ", " * block[0].count(",") + "]"
+        if (text.encode("ascii").translate(None, _DIGIT_BYTES)
+                != "\n".join([layout] * len(block)).encode("ascii")):
+            raise _NotCanonical
+        rows = json.loads("[%s]" % text[len(prefix) - 1:].replace(
+            "\n" + prefix[:-1], ","))
+        if len(set(map(len, rows))) != 1:
+            raise _NotCanonical
+        return IntMatrix(rows)
 
 
 def _read_canonical(text):
-    """What ``yaml.safe_load(text)`` builds, for canonical text only.
+    """What ``yaml.safe_load(text)`` builds, for canonical text only,
+    with each matrix as the :class:`IntMatrix` of its rows.
 
     Accepts exactly the layout :func:`serialize_instance` writes and
     returns None for any other text, which the caller hands to YAML.
     """
-    if not text.endswith("\n") or _FOREIGN_CHAR.search(text):
+    if (not (text.endswith("\n") and text.isascii())
+            or text.encode("ascii").translate(None, _PLAIN_BYTES)):
         return None
-    src = _CanonicalLines(text[:-1].split("\n"))
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final line end
+    src = _CanonicalLines(lines)
     try:
         return _canonical_document(src)
     except (_NotCanonical, ValueError):  # ValueError: an int too long to convert
@@ -444,6 +482,7 @@ def load_instance(path) -> InstanceDocument:
             "not valid UTF-8 (%s)" % e.reason,
             line=raw.count(b"\n", 0, e.start) + 1,
             column=e.start - raw.rfind(b"\n", 0, e.start))
+    del raw  # a large file's bytes are not held through the parse
     # line ends as a file opened in text mode reads them
     return parse_instance_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 

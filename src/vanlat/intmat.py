@@ -251,6 +251,19 @@ class IntMatrix:
         image = self.transpose()
         return self == (image if sign == 1 else -image)
 
+    def is_involution(self):
+        """Whether the matrix squares to the identity (a non-square one
+        does not).  The rows of the square are tested as the row kernel
+        emits them, each against its unit row, so neither the square nor
+        an identity is built."""
+        n = self.nrows
+        if n != self.ncols:
+            return False
+        square = combine_rows(self.stored_rows, self.stored_rows, n)
+        return all(row == {r: 1} if type(row) is dict
+                   else row[r] == 1 and row.count(0) == n - 1
+                   for r, row in enumerate(square))
+
     def det(self):
         """Exact determinant, taken over the components of the nonzero pattern.
 
@@ -359,6 +372,8 @@ def combine_rows(weight_rows, rows, width, scale=1):
     nonzero entries: into a dict while the weight row is a dict and
     every term so far is a dict, otherwise into a list of ``width``
     entries, which a tuple weight row's many terms would fill anyway.  A
+    dict sum is emitted without the zeros that cancellation leaves in it,
+    so a product whose rows are all sparse dicts is stored as emitted.  A
     tuple row is added whole, and when it is the first term it starts
     the sum as a copy of the row, or the row scaled, rather than being
     added to zeros.  A left row with no nonzero weight gives an empty
@@ -392,6 +407,8 @@ def combine_rows(weight_rows, rows, width, scale=1):
                         acc[c] += v
                 else:
                     acc = [x + w * y for x, y in zip(acc, row)]
+            if type(acc) is dict and 0 in acc.values():
+                acc = {c: v for c, v in acc.items() if v}
         else:
             for t in compress(indices, weights):
                 w, row = scale * weights[t], rows[t]

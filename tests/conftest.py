@@ -80,3 +80,16 @@ def generated_texts():
                                ("generated with seed %d" % seed, "second line"))
         texts.append(serialize_instance(doc))
     return texts
+
+
+def as_loaded(data):
+    """A document of the canonical reader as ``yaml.safe_load`` builds it:
+    each matrix, which the reader returns as an ``IntMatrix``, as its
+    list of row lists."""
+    if isinstance(data, IntMatrix):
+        return data.to_lists()
+    if isinstance(data, dict):
+        return {key: as_loaded(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [as_loaded(value) for value in data]
+    return data

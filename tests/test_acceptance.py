@@ -5,10 +5,18 @@ criterion.  Everything is seeded and exact; the stated runtime budgets
 are asserted with the monotonic clock.
 """
 
+import contextlib
+import io
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
+
+import vanlat
 
 from conftest import (INSTANCE_DIR, a_k_instance, a_k_level, instance_path,
                       matrix_power)
@@ -284,3 +292,40 @@ def test_criterion_15_a_2048_index_budget():
     assert index == index_1d([0] * 2049 + [1])
     assert elapsed < 0.5
     _report("criterion 15 rank-2048 A_k index", "the A_2048 tower", t0)
+
+
+# validate the file named by argv[1], then print this process's own peak
+# resident set in KiB: the high-water mark of its address space (VmHWM).
+# Its ru_maxrss would not do, since Linux carries the peak of the process
+# that forked it over the exec, here the test process's
+_VALIDATE_AND_PRINT_PEAK = """
+import sys
+from vanlat.cli import main
+code = main(["validate", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_criterion_16_rank_960_validate_peak(tmp_path):
+    # the reader decodes one matrix at a time into stored rows, and holds
+    # neither the file's bytes nor a copy of its text through the parse;
+    # the peak is read in a fresh process, so nothing else counts
+    path = tmp_path / "big.vl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["gen", "--seed", "1", "--rank-bound", "1000",
+                         "--output", str(path)]) == 0
+    src = str(pathlib.Path(vanlat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.monotonic()
+    child = subprocess.run([sys.executable, "-c", _VALIDATE_AND_PRINT_PEAK, str(path)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    *report, peak_kib = child.stdout.splitlines()
+    assert report[0] == "level 0: lattice ok (rank 960, parity 1)"
+    assert report[-1] == "ok"
+    assert int(peak_kib) <= 60 * 1024
+    _report("criterion 16 rank-960 validate peak", "%.1f MB" % (int(peak_kib) / 1024), t0)

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCE_DIR, generated_texts
+from conftest import INSTANCE_DIR, as_loaded, generated_texts
 from vanlat.cli import main
 from vanlat.instfile import (_read_canonical, parse_instance_text,
                              serialize_instance)
@@ -98,5 +98,5 @@ def test_canonical_reader_agrees_with_yaml(text, edits):
     data = _read_canonical(text)
     if data is not None:
         loaded = yaml.safe_load(text)
-        assert data == loaded
-        assert repr(data) == repr(loaded)
+        assert as_loaded(data) == loaded
+        assert repr(as_loaded(data)) == repr(loaded)

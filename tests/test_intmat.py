@@ -471,6 +471,59 @@ def test_built_dense_and_built_sparse_agree(rows):
     assert exact_signature(symmetric) == exact_signature(sparse + sparse.transpose())
 
 
+@st.composite
+def _near_involutions(draw):
+    # an involution, a signed permutation of order two conjugated by a
+    # few elementary unimodular matrices, at widths on either side of
+    # the sparse threshold; then maybe one entry changed, or a column of
+    # zeros added, so that both verdicts and non-square shapes are drawn
+    n = draw(st.integers(0, 24))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [[0] * n for _ in range(n)]
+    free = list(range(n))
+    rnd.shuffle(free)
+    while free:
+        i = free.pop()
+        if free and rnd.random() < 0.5:
+            j = free.pop()
+            rows[i][j] = rows[j][i] = rnd.choice((-1, 1))
+        else:
+            rows[i][i] = rnd.choice((-1, 1))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        # rows -> E * rows * E^-1 for E = I + t * e_ij
+        i, j = rnd.sample(range(n), 2)
+        t = rnd.randint(-3, 3)
+        rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] -= t * row[i]
+    change = draw(st.sampled_from(["none", "entry", "column"]))
+    if n and change == "entry":
+        rows[rnd.randrange(n)][rnd.randrange(n)] += rnd.choice((-1, 1))
+    elif n and change == "column":
+        rows = [row + [0] for row in rows]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_involutions())
+@example([])
+@example([[1]])
+@example([[0, 1], [1, 0]])
+@example([[1, 0]])
+@example([[int(r == c) for c in range(16)] for r in range(16)])
+@example([[int(r == c) for c in range(16)] + [0] for r in range(16)])
+def test_is_involution_matches_the_square(rows):
+    # the same matrix built from tuples and from dicts of its nonzeros
+    n, width = len(rows), len(rows[0]) if rows else 0
+    for m in (IntMatrix([tuple(row) for row in rows], width),
+              IntMatrix([{c: x for c, x in enumerate(row) if x} for row in rows],
+                        width)):
+        if m.is_square:
+            assert m.is_involution() == (m * m == IntMatrix.identity(n))
+        else:
+            assert not m.is_involution()
+
+
 def test_block_diagonal_of_nothing_and_of_empty_blocks():
     assert block_diagonal([]) == IntMatrix(())
     assert block_diagonal([IntMatrix(())]) == IntMatrix(())

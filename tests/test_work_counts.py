@@ -15,7 +15,9 @@ pair.  The braid-invariance family of ``verify`` applies each word once
 and never inverts the basis change.  Each matrix row is stored by its
 fill: every matrix of the A_64 tower's analysis is sparse and the row
 kernel sums it as dicts, with no dense row built, while a dense random
-lattice and its braid congruence stay dense.
+lattice and its braid congruence stay dense.  The kernel emits no dict
+row that holds a zero, so a product of sparse rows whose sums cancel is
+stored as emitted, with no row stored a second time.
 """
 
 import collections
@@ -26,7 +28,7 @@ import sys
 
 import pytest
 
-from conftest import a_k_level, instance_path
+from conftest import a_k_instance, a_k_level, instance_path
 from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import apply_braid_word
 from vanlat.cli import main
@@ -36,6 +38,7 @@ from vanlat.gen import (flip_last_sign, random_braid_word, random_icis_instance,
                         random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
                           telescoped_index)
+from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
 
 
@@ -220,14 +223,16 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
 
 def _built_rows(monkeypatch):
     """Count the rows the row kernel sums, by type (``dict`` or
-    ``list``), and the dense rows built from sparse stored ones
-    (``densified``), under every name a vanlat module binds them to."""
+    ``list``), the dict rows among them that hold a zero (``zero``), and
+    the dense rows built from sparse stored ones (``densified``), under
+    every name a vanlat module binds them to."""
     built = collections.Counter()
     combine, dense = intmat.combine_rows, intmat.dense_row
 
     def combining(*args, **kwargs):
         out = combine(*args, **kwargs)
         built.update(type(acc).__name__ for acc in out)
+        built.update("zero" for acc in out if type(acc) is dict and 0 in acc.values())
         return out
 
     def densifying(row, width):
@@ -257,6 +262,36 @@ def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
         assert {type(row) for row in m.stored_rows} == {dict}
     # the sweep, sigma * H, its square (twice) and var_inverse * sigma
     assert built == {"dict": 5 * 64}
+
+
+def test_row_kernel_emits_no_zero_in_a_dict_row(monkeypatch, tmp_path):
+    # a dict row is emitted without the zeros that cancellation leaves,
+    # over the A_64 tower's commands, a random lattice's braid word and
+    # a short verify run, whose products cancel
+    built = _built_rows(monkeypatch)
+    path = tmp_path / "a64.vl"
+    path.write_text(serialize_instance(InstanceDocument(a_k_instance(64))))
+    rng = random.Random(64)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["validate", str(path)], ["compute", str(path), "--what", "index"],
+                     ["verify", "--seed", "7", "--count", "14", "--rank-bound", "32"]):
+            assert main(argv) == 0
+    apply_braid_word(random_lattice(rng, 64, 1), random_braid_word(rng, 64, max_len=24))
+    assert built["dict"] > 1000 and built["zero"] == 0
+
+
+def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
+    # sigma^2 and the companion's square are the identity, so their sums
+    # cancel; the kernel drops those zeros, so each product is stored as
+    # the kernel emits it, with no store_row call per row
+    lat, conj = a_k_level(64)
+    analysis = LevelAnalysis(lat, conj)
+    stored = _counting(monkeypatch, intmat, "store_row")
+    tilde = analysis.companion.matrix
+    assert analysis.signature.n_zero == 0
+    assert conj.sigma * conj.sigma == tilde * tilde == IntMatrix.identity(64)
+    assert max(len(row) for row in conj.sigma.stored_rows) == 3
+    assert sum(stored.values()) == 0
 
 
 def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
