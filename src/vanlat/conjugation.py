@@ -23,12 +23,12 @@ its signature (an empty radical), so no determinant is taken.  A
 over a level shares it.
 
 The generator forms each chunk's conjugation as ``sigma = B^-1 *
-var_inverse``, where ``B`` is the forced block form, straight from the
-chunk's gram rows, and accepts it when it squares to the identity (see
-:func:`_forced_conjugation`).  Chunks stay plain rows; the level they sum
-to gets the one analysis, which checks its consistency and forced block
-form, raises :class:`GeneratedLevelError` when they fail, and is handed
-to the caller (:func:`generate_level`).
+var_inverse`` for the forced block form ``B``, straight from the chunk's
+gram rows (:func:`_forced_conjugation`), and accepts it when those plain
+rows pass :func:`vanlat.intmat.squares_to_identity`, the one involution
+test.  The level the chunks sum to gets the one analysis, which checks
+its consistency and forced block form, raises :class:`GeneratedLevelError`
+when they fail, and is handed to the caller (:func:`generate_level`).
 """
 
 import random
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .basis import monodromy
-from .intmat import IntMatrix, direct_sum, first_difference, non_integer_at
+from .intmat import (IntMatrix, direct_sum, first_difference, non_integer_at,
+                     squares_to_identity)
 from .lattice import (ThimbleLattice, diagonal_sign, random_gram_rows,
                       require_valid)
 from .signature import Signature, exact_signature
@@ -252,14 +253,15 @@ class LevelAnalysis:
         """Inertia of the form, which must be symmetric and nondegenerate.
 
         On a consistent level both hold, so a violation is an internal
-        error (AssertionError), not bad input.  The signature reports the
-        radical as ``n_zero``, so nondegeneracy costs no determinant.
+        error (AssertionError), not bad input.  The signature checks the
+        symmetry and reports the radical: no second scan, no determinant.
         """
         form = self.form
-        if not form.is_symmetric():
-            raise AssertionError("form %s is not symmetric on a consistent instance"
-                                 % (form,))
-        sig = exact_signature(form)
+        try:
+            sig = exact_signature(form)
+        except ValueError:
+            raise AssertionError("form %s is not symmetric on a consistent "
+                                 "instance" % (form,)) from None
         if sig.n_zero:
             raise AssertionError("form %s is degenerate on a consistent instance"
                                  % (form,))
@@ -389,13 +391,6 @@ def _pinned_points(parity, gram, drawn):
     return tuple(points)
 
 
-def _squares_to_identity(rows):
-    """Whether these rows square to the identity; stops at the first miss."""
-    cols = tuple(zip(*rows))
-    return all(sum(x * y for x, y in zip(row, col)) == (r == c)
-               for r, row in enumerate(rows) for c, col in enumerate(cols))
-
-
 # Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
 CHUNK_TRIES = 400
 
@@ -406,11 +401,11 @@ def _sample_chunk(rng, size, parity, pairs=True):
     ``CHUNK_TRIES`` draws all fail the involution law.
 
     A try draws its descriptors as plain values and its candidate sigma
-    straight from its gram rows, and is tested on those rows alone; no
-    lattice, matrix or analysis is built for a chunk.  The consistency of
-    what is accepted is checked once, on the assembled level (see
-    :func:`_direct_sum`).  Without ``pairs`` every descriptor is a real
-    point.
+    straight from its gram rows, whose plain rows take the one involution
+    test, :func:`~vanlat.intmat.squares_to_identity`; no matrix, lattice
+    or analysis is built for a chunk.  What is accepted is checked once,
+    on the assembled level (:func:`_direct_sum`).  Without ``pairs``
+    every descriptor is a real point.
     """
     draw = partial(rng.choice, (0, 0, 0, 1, -1, 2, -2))
     for _ in range(CHUNK_TRIES):
@@ -425,7 +420,7 @@ def _sample_chunk(rng, size, parity, pairs=True):
                 left -= 1
         gram = random_gram_rows(size, parity, draw)
         sigma = _forced_conjugation(parity, gram, drawn)
-        if _squares_to_identity(sigma):
+        if squares_to_identity(sigma):
             return gram, sigma, _pinned_points(parity, gram, drawn)
     return None
 

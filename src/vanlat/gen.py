@@ -15,7 +15,7 @@ from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
                           MorseSpec, RealPoint, generate_level)
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix, block_diagonal
+from .intmat import IntMatrix, block_diagonal, row_items
 from .lattice import SignVector, ThimbleLattice, random_gram_rows
 
 
@@ -82,8 +82,8 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
 def _reversed(m: IntMatrix) -> IntMatrix:
     """``R m R`` for the reversal ``R``: rows and columns in reverse order."""
     last = m.ncols - 1
-    return IntMatrix([{last - c: v for c, v in row.items()} if type(row) is dict
-                      else row[::-1] for row in reversed(m.stored_rows)], m.ncols)
+    return IntMatrix([{last - c: v for c, v in row_items(row)}
+                      for row in reversed(m.stored_rows)], m.ncols)
 
 
 def flip_last_sign(inst: IcisInstance) -> IcisInstance:

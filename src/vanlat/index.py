@@ -203,8 +203,8 @@ def cycle_index_sum(level: LevelData, s_entry: int) -> int:
     action on cycles.  The parity restriction is essential: at even
     parity the cycle space does not determine the sum (flipping the
     deeper sign changes the sum but not the cycle data), so the request
-    is refused.  The halved difference must come out an integer;
-    anything else means the supplied cycle data is inconsistent.
+    is refused.  A pairing that is not symmetric, which its signature
+    refuses, or an odd difference means the cycle data is inconsistent.
     """
     if s_entry not in (1, -1):
         raise ValueError("sign entry must be +1 or -1")
@@ -218,9 +218,11 @@ def cycle_index_sum(level: LevelData, s_entry: int) -> int:
     cyc = level.cycles
     form_s = cyc.form * cyc.sigma
     form_t = cyc.form * cyc.sigma_tilde
-    if not form_s.is_symmetric() or not form_t.is_symmetric():
-        raise ValueError("cycle pairings are not symmetric; data inconsistent")
-    diff = exact_signature(form_t).sgn - exact_signature(form_s).sgn
+    try:
+        diff = exact_signature(form_t).sgn - exact_signature(form_s).sgn
+    except ValueError:
+        raise ValueError("cycle pairings are not symmetric; "
+                         "data inconsistent") from None
     if diff % 2 != 0:
         raise ValueError("signature difference %d is odd; cycle data inconsistent"
                          % diff)

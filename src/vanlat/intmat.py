@@ -252,17 +252,8 @@ class IntMatrix:
         return self == (image if sign == 1 else -image)
 
     def is_involution(self):
-        """Whether the matrix squares to the identity (a non-square one
-        does not).  The rows of the square are tested as the row kernel
-        emits them, each against its unit row, so neither the square nor
-        an identity is built."""
-        n = self.nrows
-        if n != self.ncols:
-            return False
-        square = combine_rows(self.stored_rows, self.stored_rows, n)
-        return all(row == {r: 1} if type(row) is dict
-                   else row[r] == 1 and row.count(0) == n - 1
-                   for r, row in enumerate(square))
+        """Whether the matrix squares to the identity; a non-square one does not."""
+        return self.nrows == self.ncols and squares_to_identity(self.stored_rows)
 
     def det(self):
         """Exact determinant, taken over the components of the nonzero pattern.
@@ -423,6 +414,20 @@ def combine_rows(weight_rows, rows, width, scale=1):
                     acc = [x + w * y for x, y in zip(acc, row)]
         out.append({} if acc is None else acc)
     return out
+
+
+def squares_to_identity(rows):
+    """The one involution test: whether the square matrix of ``rows``,
+    stored rows or plain int sequences, squares to the identity.  The
+    kernel squares row 0 alone, then the rest, and each emitted row is
+    tested against its unit row: most misses cost one row."""
+    n = len(rows)
+    for first, part in ((0, rows[:1]), (1, rows[1:])):
+        for r, row in enumerate(combine_rows(part, rows, n), first):
+            if not (row == {r: 1} if type(row) is dict
+                    else row[r] == 1 and row.count(0) == n - 1):
+                return False
+    return True
 
 
 def non_integer_at(row):

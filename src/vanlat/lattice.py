@@ -88,9 +88,7 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
     g = lat.gram
     want = self_intersection(lat.parity)
     eps = mirror_sign(lat.parity)
-    diagonal = (row.get(r, 0) if type(row) is dict else row[r]
-                for r, row in enumerate(g.stored_rows))
-    if g.is_symmetric(eps) and all(x == want for x in diagonal):
+    if g.is_symmetric(eps) and all(g[r, r] == want for r in range(g.nrows)):
         return None
     # something is wrong: find the first violation in reading order
     for r in range(g.nrows):

@@ -407,7 +407,7 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     # the stored upper entries, is not an involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
-    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
     code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
@@ -426,7 +426,7 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
-    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
     assert (code, out) == (1, "")
     assert err == ("error: generated level fails its check: "

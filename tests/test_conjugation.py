@@ -140,6 +140,25 @@ def test_var_sigma_form_rejects_inconsistent():
         LevelAnalysis(a2_lat(), conj).signature
 
 
+def test_signature_asserts_a_symmetric_nondegenerate_form():
+    # on a consistent level the form is symmetric and unimodular, so a
+    # violation is an internal error: seed the cached form to reach both
+    asymmetric = IntMatrix.from_rows([[1, 2], [0, 1]])
+    analysis = LevelAnalysis(a2_lat(), build_sigma(
+        MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)]))
+    analysis.__dict__["form"] = asymmetric
+    with pytest.raises(AssertionError) as caught:
+        analysis.signature
+    assert str(caught.value) == ("form %s is not symmetric on a consistent "
+                                 "instance" % (asymmetric,))
+    degenerate = IntMatrix.from_rows([[1, 1], [1, 1]])
+    analysis.__dict__["form"] = degenerate
+    with pytest.raises(AssertionError) as caught:
+        analysis.signature
+    assert str(caught.value) == ("form %s is degenerate on a consistent "
+                                 "instance" % (degenerate,))
+
+
 def test_block_structure_check_positive_cases():
     lat1 = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj1 = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
@@ -268,7 +287,7 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     # accepted, the inconsistent chunks that reach a level make it raise,
     # on both the pairs path and the all-real level 0, with the level and
     # its block-form problem
-    monkeypatch.setattr(conjugation, "_squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     with pytest.raises(GeneratedLevelError) as caught:
         generate_consistent_instance(5, 16, 1)
     err = caught.value
@@ -284,7 +303,7 @@ def test_generated_level_check_survives_optimization():
     # the check is an explicit raise, so ``python -O`` keeps it
     src = pathlib.Path(conjugation.__file__).resolve().parent.parent
     probe = ("from vanlat import conjugation\n"
-             "conjugation._squares_to_identity = lambda rows: True\n"
+             "conjugation.squares_to_identity = lambda rows: True\n"
              "try:\n"
              "    conjugation.generate_level(5, 16, 1)\n"
              "except conjugation.GeneratedLevelError as e:\n"

@@ -237,6 +237,19 @@ def test_cycle_sum_rejects_missing_or_odd_data():
         cycle_index_sum(LevelData(0, lat, conj, bad), 1)
 
 
+def test_cycle_sum_rejects_asymmetric_pairings():
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
+    conj = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
+    one = IntMatrix.identity(2)
+    skew = IntMatrix.from_rows([[1, 1], [0, 1]])
+    for sigma, tilde in ((skew, one), (one, skew)):
+        bad = CycleData(one, sigma, tilde)
+        with pytest.raises(ValueError) as caught:
+            cycle_index_sum(LevelData(0, lat, conj, bad), 1)
+        assert str(caught.value) == ("cycle pairings are not symmetric; "
+                                     "data inconsistent")
+
+
 # -- bookkeeping identities -----------------------------------------------------
 
 def test_poincare_hopf_examples():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import vanlat
 from conftest import triple_loop
 from vanlat import intmat
-from vanlat.intmat import IntMatrix, block_diagonal, first_difference, row_reduce
+from vanlat.intmat import (IntMatrix, block_diagonal, first_difference, row_reduce,
+                           squares_to_identity)
 from vanlat.signature import exact_signature
 
 
@@ -512,16 +513,50 @@ def _near_involutions(draw):
 @example([[1, 0]])
 @example([[int(r == c) for c in range(16)] for r in range(16)])
 @example([[int(r == c) for c in range(16)] + [0] for r in range(16)])
+@example([[1, 1], [0, 1]])  # the square misses at row 0
+@example([[1, 0], [0, 2]])  # the square misses only at row 1
+@example([[int(r == c) * (1 + (r == 15)) for c in range(16)] for r in range(16)])
 def test_is_involution_matches_the_square(rows):
-    # the same matrix built from tuples and from dicts of its nonzeros
+    # the same matrix built from tuples and from dicts of its nonzeros,
+    # and the one square test on its plain tuple and list rows
     n, width = len(rows), len(rows[0]) if rows else 0
+    want = None
     for m in (IntMatrix([tuple(row) for row in rows], width),
               IntMatrix([{c: x for c, x in enumerate(row) if x} for row in rows],
                         width)):
         if m.is_square:
-            assert m.is_involution() == (m * m == IntMatrix.identity(n))
+            want = m * m == IntMatrix.identity(n)
+            assert m.is_involution() == want
         else:
             assert not m.is_involution()
+    if n == width:
+        assert squares_to_identity(tuple(map(tuple, rows))) == want
+        assert squares_to_identity([list(row) for row in rows]) == want
+
+
+@pytest.mark.parametrize("rows, want, squared", [
+    ([], True, 0),                          # rank 0 is an involution
+    ([[1, 1], [0, 1]], False, 1),           # misses at row 0
+    ([[-1, 0], [0, 2]], False, 2),          # misses only at row 1
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], True, 3),
+    ([[int(r == c) for c in range(16)] for r in range(16)], True, 16),
+])
+def test_squares_to_identity_squares_row_0_first(monkeypatch, rows, want, squared):
+    # the first row is squared alone, so a miss there squares no other row
+    weights = []
+    kernel = intmat.combine_rows
+
+    def counting(weight_rows, *args):
+        weights.extend(weight_rows)
+        return kernel(weight_rows, *args)
+    monkeypatch.setattr(intmat, "combine_rows", counting)
+    for plain in (tuple(map(tuple, rows)), [list(row) for row in rows]):
+        weights.clear()
+        assert squares_to_identity(plain) == want
+        assert len(weights) == squared
+    weights.clear()
+    assert IntMatrix([tuple(row) for row in rows], len(rows)).is_involution() == want
+    assert len(weights) == squared
 
 
 def test_block_diagonal_of_nothing_and_of_empty_blocks():

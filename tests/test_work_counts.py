@@ -1,8 +1,9 @@
 """Work guards: counts of the expensive calls, not timings.
 
 The index and signature routes must not take a determinant (the form's
-signature already reports its radical), and every route that reads a
-level shares one analysis, so each level's monodromy is built once, also
+signature already reports its radical), and each form's symmetry is
+checked once, by its signature.  Every route that reads a level shares
+one analysis, so each level's monodromy is built once, also
 on levels that carry cycle data.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
 ``build_sigma``; it tests every chunk try on plain rows, builds no matrix,
@@ -33,9 +34,9 @@ from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import apply_braid_word
 from vanlat.cli import main
 from vanlat.conjugation import (ConjugatePair, LevelAnalysis,
-                                generate_consistent_instance)
-from vanlat.gen import (flip_last_sign, random_braid_word, random_icis_instance,
-                        random_lattice)
+                                generate_consistent_instance, generate_level)
+from vanlat.gen import (flip_last_sign, level_with_cycles, random_braid_word,
+                        random_icis_instance, random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
                           telescoped_index)
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -62,6 +63,21 @@ def test_index_and_signature_take_no_determinant(monkeypatch, name):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["compute", str(instance_path(name)), "--what", what]) == 0
     assert sum(dets.values()) == 0
+
+
+def test_each_form_is_checked_symmetric_once(monkeypatch):
+    # the signature checks its form's symmetry, and neither the level's
+    # signature nor the cycle route checks it again
+    level = level_with_cycles(0, generate_level(3, 12, 1), pad=1)
+    form = level.analysis.form
+    kept = []
+    checks = _counting(monkeypatch, IntMatrix, "is_symmetric",
+                       key=lambda m, sign=1: kept.append(m) or id(m))
+    level.analysis.signature
+    assert checks == {id(form): 1}
+    checks.clear()
+    cycle_index_sum(level, 1)
+    assert len(kept) == 3 and sorted(checks.values()) == [1, 1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -138,8 +154,8 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
     matrices = _counting(monkeypatch, IntMatrix, "__init__")
-    tries = _counting(monkeypatch, conjugation, "_squares_to_identity",
-                      key=conjugation._squares_to_identity)
+    tries = _counting(monkeypatch, conjugation, "squares_to_identity",
+                      key=conjugation.squares_to_identity)
     per_chunk = []
     sample = conjugation._sample_chunk
 
