@@ -23,7 +23,7 @@ determinant is taken over the components of its sparse pattern.
 import re
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, combine_rows, dense_row, store_row
+from .intmat import IntMatrix, combine_rows, dense_row, sweep_rows
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
@@ -142,29 +142,15 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
 
     Builds ``PL_1 * (PL_2 * (... * PL_nu))`` from the inside out.  Left
     multiplication by ``PL_{k+1}`` only changes row ``k``, which becomes
-    ``e_k + sgn * sum_c gram[k][c] * row_c``.  The rows not yet replaced
-    are the identity's, and each replaced row is stored as
-    :func:`~vanlat.intmat.store_row` chooses, so
-    :func:`~vanlat.intmat.combine_rows` visits only the nonzeros of the
-    gram row and adds a sparse row by its nonzero entries alone: a
-    reflection costs the work its row of the gram matrix selects, at
-    most O(nu^2), and the whole product at most O(nu^3).  On an A_k
-    tower every row stays sparse, so the sweep costs O(nu).  The
-    ``c == k`` term reads the old unit row ``k``, since the kernel sums
-    into a fresh row.
+    ``e_k + sgn * sum_c gram[k][c] * row_c`` with ``row_k`` still a unit
+    row: a step of :func:`~vanlat.intmat.sweep_rows` from the identity.
+    A reflection costs what its gram row selects, at most O(nu^2); on an
+    A_k tower every row stays sparse, so the sweep costs O(nu).
     """
     require_valid(lat)
-    s = diagonal_sign(lat.parity)
     n = lat.nu
-    rows = list(IntMatrix.identity(n).stored_rows)
-    for k in reversed(range(n)):
-        acc, = combine_rows((lat.gram.stored_rows[k],), rows, n, s)
-        if type(acc) is dict:
-            acc[k] = acc.get(k, 0) + 1
-        else:
-            acc[k] += 1
-        rows[k] = store_row(acc, n)
-    return IntMatrix(rows, n)
+    return sweep_rows(lat.gram.stored_rows, IntMatrix.identity(n).stored_rows, n,
+                      diagonal_sign(lat.parity), 1)
 
 
 def _replace_pair(g, k, top, bottom, parity):

@@ -5,7 +5,8 @@ overflow at any magnitude.  Matrices are immutable: all operations return
 new values.  Each row is stored once, when its matrix is built: a wide row
 with few nonzeros as the dict of its nonzero entries, any other row as a
 tuple (:func:`store_row`), and every kernel reads and writes the rows as
-stored, so a sparse matrix costs its nonzeros, not its area.
+stored, so a sparse matrix costs its nonzeros, not its area.  One row
+kernel sums every product and the triangular sweep of monodromy and var.
 
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
@@ -172,6 +173,8 @@ class IntMatrix:
         r, c = key
         row = self.stored_rows[r]
         if type(row) is dict:
+            if not -self.ncols <= c < self.ncols:
+                raise IndexError("column %d out of range for width %d" % (c, self.ncols))
             return row.get(c if c >= 0 else c + self.ncols, 0)
         return row[c]
 
@@ -239,17 +242,23 @@ class IntMatrix:
 
     def is_symmetric(self, sign=1):
         """Whether the matrix is ``sign`` times its transpose (``sign=-1``
-        asks for a skew-symmetric one); a matrix of tuple rows is compared
-        with its columns as ``zip`` gives them, with no matrix built."""
+        asks for a skew-symmetric one), with no matrix built: tuple rows
+        are compared with the columns ``zip`` gives, any others by each
+        stored nonzero against its mirror entry, which covers the zeros."""
         if not self.is_square:
             return False
+        rows = self.stored_rows
         if self._all_tuples:
-            cols = zip(*self.stored_rows)
+            cols = zip(*rows)
             if sign == -1:
                 cols = (tuple(map(neg, col)) for col in cols)
-            return self.stored_rows == tuple(cols)
-        image = self.transpose()
-        return self == (image if sign == 1 else -image)
+            return rows == tuple(cols)
+        for r, row in enumerate(rows):
+            for c, v in row_items(row):
+                mirror = rows[c]
+                if (mirror.get(r, 0) if type(mirror) is dict else mirror[r]) != sign * v:
+                    return False
+        return True
 
     def is_involution(self):
         """Whether the matrix squares to the identity; a non-square one does not."""
@@ -354,8 +363,8 @@ def combine_rows(weight_rows, rows, width, scale=1):
     """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
     ``weight_rows``, as new rows to store (see :func:`store_row`).
 
-    The one row-combination kernel, behind every product and the
-    monodromy sweep.  It takes all the left rows of a product in one
+    The one row-combination kernel, behind every product and
+    :func:`sweep_rows`.  It takes all the left rows of a product in one
     call, so that the many small products of the package pay for the
     call once.  Weight rows and ``rows`` are stored rows, tuples or
     dicts, and only the nonzero weights are visited: a dict weight row
@@ -414,6 +423,27 @@ def combine_rows(weight_rows, rows, width, scale=1):
                     acc = [x + w * y for x, y in zip(acc, row)]
         out.append({} if acc is None else acc)
     return out
+
+
+def sweep_rows(weight_rows, rows, width, scale, unit):
+    """The triangular sweep: from the last row to the first, replace
+    ``rows[k]`` by ``unit * e_k + scale * sum_t weight_rows[k][t] *
+    rows[t]``, and return the matrix of the new rows.
+
+    Each sum is one :func:`combine_rows` call over the rows as they
+    stand, those past ``k`` replaced and the others as given (a start
+    row that is an empty dict costs nothing), and is stored at once by
+    :func:`store_row`, so a row that stays sparse is summed sparse.
+    """
+    rows = list(rows)
+    for k in reversed(range(len(rows))):
+        acc, = combine_rows((weight_rows[k],), rows, width, scale)
+        if type(acc) is dict:
+            acc[k] = acc.get(k, 0) + unit
+        else:
+            acc[k] += unit
+        rows[k] = store_row(acc, width)
+    return IntMatrix(rows, width)
 
 
 def squares_to_identity(rows):

@@ -12,7 +12,7 @@ as opposed to its matrix, independent of the distinguished basis.
 """
 
 from .basis import BraidWord, apply_braid_word, monodromy
-from .intmat import IntMatrix, first_difference
+from .intmat import IntMatrix, first_difference, sweep_rows
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
@@ -34,33 +34,17 @@ def var_inverse(lat: ThimbleLattice) -> IntMatrix:
 
 
 def var(lat: ThimbleLattice) -> IntMatrix:
-    """Exact integer inverse of :func:`var_inverse`, by back-substitution.
+    """Exact integer inverse ``X`` of :func:`var_inverse`, upper
+    triangular like it; row ``k`` of ``var_inverse * X = I`` gives
 
-    ``U = var_inverse`` is upper triangular with ``d = +-1`` on the
-    diagonal, so its inverse ``X`` is too, and row ``i`` of ``U X = I``
-    gives ``X_i = d * (e_i - sum_{j > i} U[i][j] * X_j)``.  Rows are
-    formed bottom up, one combination per nonzero ``U[i][j]``; row ``j``
-    of ``X`` vanishes left of column ``j``, so only that tail is touched.
-    That is why these rows are not summed by ``intmat.combine_rows``,
-    whose dense terms span the full width.  Timed on stored rows (minimum
-    of 8-40 runs, CPython 3.11 on a 2-core VM), the kernel takes 0.21 ms
-    against this loop's 0.44 ms on the A_64 tower and 0.87 against 4.5 ms
-    on A_256, but 6.2-7.0 against 5.7-6.4 ms on random odd lattices of
-    rank 64 and 51-53 against 45 ms at rank 128; those lattices are what
-    the ``verify`` families invert, so the loop stays.
+        X_k = d * e_k + d * sum_{c > k} gram[k][c] * X_c,
+
+    run by :func:`~vanlat.intmat.sweep_rows` from start rows that are
+    empty dicts, so the terms ``c <= k`` cost nothing.
     """
-    nu = lat.nu
+    require_valid(lat)
     d = diagonal_sign(lat.parity)
-    x = [None] * nu
-    for i, row in reversed(list(enumerate(var_inverse(lat).dense_rows()))):
-        acc = [0] * nu
-        acc[i] = d
-        for j in range(i + 1, nu):
-            if row[j]:
-                c = d * row[j]
-                acc[j:] = [a - c * b for a, b in zip(acc[j:], x[j][j:])]
-        x[i] = acc
-    return IntMatrix(x, nu)
+    return sweep_rows(lat.gram.stored_rows, [{} for _ in range(lat.nu)], lat.nu, d, d)
 
 
 def check_s_relation(lat: ThimbleLattice) -> str | None:

@@ -432,6 +432,16 @@ def test_storage_threshold():
         IntMatrix([{3: 1}])
 
 
+@pytest.mark.parametrize("n", [15, 20])
+def test_a_column_out_of_range_raises_in_either_storage(n):
+    # identity(15) stores tuple rows, identity(20) dict rows
+    m = IntMatrix.identity(n)
+    assert m[0, -n] == m[n - 1, -1] == 1 and m[0, n - 1] == 0
+    for c in (25, n, -n - 1):
+        with pytest.raises(IndexError):
+            m[0, c]
+
+
 @st.composite
 def _sparse_square(draw):
     # a square matrix on either side of the width threshold, with rows of
@@ -470,6 +480,30 @@ def test_built_dense_and_built_sparse_agree(rows):
     assert symmetric == sparse + sparse.transpose()
     assert symmetric.is_symmetric() and (sparse + sparse.transpose()).is_symmetric()
     assert exact_signature(symmetric) == exact_signature(sparse + sparse.transpose())
+    # false verdicts too: an entry changed off the diagonal, a skew
+    # matrix, and a skew one with a nonzero diagonal entry, each built
+    # from tuples and from dicts
+    skew = dense - dense.transpose()
+    assert skew.is_symmetric(-1)
+    changed, diagonal = symmetric.to_lists(), skew.to_lists()
+    if n > 1:
+        changed[0][n - 1] += 1
+        assert not IntMatrix(changed, n).is_symmetric()
+    if n:
+        diagonal[n - 1][n - 1] += 1
+        assert not IntMatrix(diagonal, n).is_symmetric(-1)
+    for lists in (changed, skew.to_lists(), diagonal):
+        for m in (IntMatrix(lists, n),
+                  IntMatrix([{c: x for c, x in enumerate(row) if x} for row in lists], n)):
+            for sign in (1, -1):
+                assert m.is_symmetric(sign) == (m == sign * m.transpose())
+    # a column is read alike from a row of either storage, and one past
+    # either end raises
+    for r, row in enumerate(rows):
+        assert [dense[r, c] for c in range(-n, n)] == row + row
+        for c in (n, n + 9, -n - 1):
+            with pytest.raises(IndexError):
+                dense[r, c]
 
 
 @st.composite

@@ -40,19 +40,28 @@ def test_var_examples():
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(-4, 6), st.integers(0, 9), st.integers(0, 5),
+@given(st.integers(-4, 6), st.integers(0, 24), st.integers(0, 5),
        st.integers(0, 2 ** 63))
 def test_back_substituted_var_is_the_unimodular_inverse(parity, nu, max_entry,
                                                         seed):
     # every parity, even, zero and negative ones included; max_entry 0
-    # gives the diagonal lattice
+    # gives the diagonal lattice; from rank 16 on, the last rows of var,
+    # upper triangular, are stored as dicts
     lat = random_lattice(random.Random(seed), nu, parity, max_entry=max_entry)
     assert var(lat) == var_inverse(lat).unimodular_inverse()
 
 
-def test_var_inverse_rejects_invalid_lattice():
+@pytest.mark.parametrize("k", [15, 16, 17, 64])
+def test_var_of_an_a_k_tower_is_the_unimodular_inverse(k):
+    # sparse gram rows on either side of the storage threshold
+    lat = a_k_level(k)[0]
+    assert var(lat) == var_inverse(lat).unimodular_inverse()
+
+
+@pytest.mark.parametrize("operator", [var_inverse, var])
+def test_var_inverse_rejects_invalid_lattice(operator):
     with pytest.raises(ValueError):
-        var_inverse(ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [-1, 2]])))
+        operator(ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [-1, 2]])))
 
 
 @pytest.mark.parametrize("check", [

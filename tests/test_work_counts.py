@@ -14,11 +14,11 @@ generator, and never again by ``verify``.  An all-real level 0 is one
 call of the generator's entry point, whose chunks draw no conjugate
 pair.  The braid-invariance family of ``verify`` applies each word once
 and never inverts the basis change.  Each matrix row is stored by its
-fill: every matrix of the A_64 tower's analysis is sparse and the row
-kernel sums it as dicts, with no dense row built, while a dense random
-lattice and its braid congruence stay dense.  The kernel emits no dict
-row that holds a zero, so a product of sparse rows whose sums cancel is
-stored as emitted, with no row stored a second time.
+fill: every matrix of the A_64 tower's analysis, and its ``var``, is
+sparse and the row kernel sums it as dicts, with no dense row built,
+while a dense random lattice and its braid congruence stay dense.  The
+kernel emits no dict row that holds a zero, so a product of sparse rows
+whose sums cancel is stored as emitted, with no row stored a second time.
 """
 
 import collections
@@ -302,12 +302,23 @@ def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
     # the kernel emits it, with no store_row call per row
     lat, conj = a_k_level(64)
     analysis = LevelAnalysis(lat, conj)
+    analysis.monodromy  # the sweep stores each of its rows, and is not counted
     stored = _counting(monkeypatch, intmat, "store_row")
     tilde = analysis.companion.matrix
     assert analysis.signature.n_zero == 0
     assert conj.sigma * conj.sigma == tilde * tilde == IntMatrix.identity(64)
     assert max(len(row) for row in conj.sigma.stored_rows) == 3
     assert sum(stored.values()) == 0
+
+
+def test_a_64_var_builds_no_dense_row(monkeypatch):
+    # var sweeps the gram's dict rows over start rows that are empty
+    # dicts, so every row it sums is a dict and none is densified
+    lat = a_k_level(64)[0]
+    built = _built_rows(monkeypatch)
+    x = variation.var(lat)
+    assert built == {"dict": 64}
+    assert {type(row) for row in x.stored_rows} == {dict}
 
 
 def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
