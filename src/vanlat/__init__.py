@@ -13,15 +13,14 @@ from .basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                     orientation_flip, parse_braid_word, picard_lefschetz)
 from .conjugation import (ConjugatePair, ConjugationData, LevelAnalysis,
                           MorseSpec, RealPoint, SigmaTildeReport, build_sigma,
-                          derive_sigma_tilde, generate_consistent_instance,
                           signature_by_blocks)
 from .index import (CycleData, EvenParityError, IcisInstance, LevelData,
                     sign_independence_check, gradient_index, morse_recursion_step,
-                    poincare_hopf_check, radial_indices, smoothable_index,
-                    telescoped_index, level_index_sum, cycle_index_sum)
+                    smoothable_index, telescoped_index, level_index_sum,
+                    cycle_index_sum)
 from .intmat import IntMatrix
-from .lattice import (SignVector, ThimbleLattice, milnor_number,
-                      self_intersection, validate_lattice)
+from .lattice import (SignVector, ThimbleLattice, self_intersection,
+                      validate_lattice)
 from .oracle import float_signature, index_1d, index_2d, poly2
 from .signature import Signature, exact_signature
 from .variation import (check_monodromy_relation, check_s_relation, var,
@@ -36,12 +35,10 @@ __all__ = [
     "Signature", "SigmaTildeReport", "SignVector", "ThimbleLattice",
     "apply_braid_word", "braid_alpha", "braid_alpha_inverse", "build_sigma",
     "check_monodromy_relation", "check_s_relation", "sign_independence_check",
-    "derive_sigma_tilde", "exact_signature", "float_signature",
-    "generate_consistent_instance", "index_1d", "index_2d", "gradient_index",
-    "milnor_number", "monodromy", "morse_recursion_step", "orientation_flip",
-    "parse_braid_word", "picard_lefschetz", "poincare_hopf_check", "poly2",
-    "radial_indices", "self_intersection", "signature_by_blocks",
-    "smoothable_index", "telescoped_index", "level_index_sum",
-    "cycle_index_sum", "validate_lattice", "var", "var_inverse",
-    "var_inverse_as_operator_after_braid",
+    "exact_signature", "float_signature", "index_1d", "index_2d",
+    "gradient_index", "monodromy", "morse_recursion_step", "orientation_flip",
+    "parse_braid_word", "picard_lefschetz", "poly2", "self_intersection",
+    "signature_by_blocks", "smoothable_index", "telescoped_index",
+    "level_index_sum", "cycle_index_sum", "validate_lattice", "var",
+    "var_inverse", "var_inverse_as_operator_after_braid",
 ]

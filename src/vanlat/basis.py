@@ -111,10 +111,6 @@ class BasisChange:
         p = self.matrix
         return p * new == (p.transpose() * old.transpose()).transpose()
 
-    @classmethod
-    def identity(cls, n):
-        return cls(IntMatrix.identity(n))
-
     def then(self, later: "BasisChange") -> "BasisChange":
         """Composite change: first self, then ``later`` in the new basis."""
         return BasisChange(self.matrix * later.matrix)

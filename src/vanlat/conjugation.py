@@ -34,6 +34,7 @@ when they fail, and is handed to the caller (:func:`generate_level`).
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 from .basis import monodromy
 from .intmat import (IntMatrix, direct_sum, first_difference, non_integer_at,
@@ -133,16 +134,24 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     bad = morse.validate(parity)
     if bad is not None:
         raise ValueError(bad)
-    return assemble_sigma(morse, _integer_triples(upper_data))
+    triples = list(upper_data)
+    k = first_bad_triple(triples)
+    if k is not None:
+        raise ValueError("entry %r is not an integer triple" % (triples[k],))
+    return assemble_sigma(morse, triples)
 
 
-def _integer_triples(upper_data):
-    """The triples of ``upper_data``, each checked to hold three ints as
-    it is taken."""
-    for r, c, v in upper_data:
-        if non_integer_at((r, c, v)) is not None:
-            raise ValueError("entry %r is not an integer triple" % ((r, c, v),))
-        yield r, c, v
+def first_bad_triple(entries):
+    """Index of the first entry of the list ``entries`` that is not a list
+    or tuple of three ints (not bools), or None; only a list that fails the
+    C-level passes over all entries is searched entry by entry."""
+    if ({list, tuple}.issuperset(map(type, entries))
+            and {3}.issuperset(map(len, entries))
+            and {int}.issuperset(map(type, chain.from_iterable(entries)))):
+        return None
+    return next((k for k, ent in enumerate(entries)
+                 if not isinstance(ent, (list, tuple)) or len(ent) != 3
+                 or non_integer_at(ent) is not None), None)
 
 
 def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
@@ -295,14 +304,11 @@ class LevelAnalysis:
 
 
 def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTildeReport:
-    """Companion conjugation ``sigma * monodromy`` with consistency verdicts.
+    """``LevelAnalysis(lat, conj).companion``.
 
-    The split of the monodromy into two conjugations forces the companion
-    to be an involution and block lower triangular whenever the data comes
-    from a genuine real critical-value picture; both properties are
-    reported so synthetic data can be screened.  It is
-    ``LevelAnalysis(lat, conj).companion``, kept under this name because
-    the benchmark's tracer counts its calls.
+    No library path calls this name: it exists only because the
+    benchmark's tracer under ``bench/`` wraps it, and it goes when the
+    tracer counts analyses instead (ROADMAP.md, item 1).
     """
     return LevelAnalysis(lat, conj).companion
 
@@ -502,8 +508,11 @@ def generate_level(seed: int, rank_bound: int, parity: int,
 
 def generate_consistent_instance(seed: int, rank_bound: int, parity: int
                                  ) -> tuple[ThimbleLattice, ConjugationData]:
-    """Deterministic search for a consistent (lattice, conjugation) pair:
-    the lattice and conjugation of :func:`generate_level`, kept under this
-    name because the benchmark's workloads and tracer call it."""
+    """The lattice and conjugation of :func:`generate_level`.
+
+    No library path calls this name: it exists only because the tracer and
+    the generator probe under ``bench/`` call it, and it goes when the
+    tracer counts ``generate_level`` instead (ROADMAP.md, item 1).
+    """
     analysis = generate_level(seed, rank_bound, parity)
     return analysis.lattice, analysis.conj

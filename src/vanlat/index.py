@@ -228,18 +228,3 @@ def cycle_index_sum(level: LevelData, s_entry: int) -> int:
                          % diff)
     # diagonal_sign is (-1)^((parity+1)/2) at every odd parity
     return s_entry * diagonal_sign(parity) * (diff // 2)
-
-
-def poincare_hopf_check(indices: list[int], chi: int) -> str | None:
-    """Verdict on the closed-manifold bookkeeping ``sum(indices) == chi``."""
-    total = sum(indices)
-    if total != chi:
-        return "index sum %d != Euler characteristic %d" % (total, chi)
-    return None
-
-
-def radial_indices(chi_link: int) -> tuple[int, int]:
-    """Indices of the cone field and its negative at a cone point:
-    ``(1, 1 - chi_link)``."""
-    return 1, 1 - chi_link
-

@@ -30,7 +30,8 @@ from operator import methodcaller
 import yaml
 
 from .basis import BraidWord, parse_braid_word
-from .conjugation import ConjugatePair, MorseSpec, RealPoint, assemble_sigma
+from .conjugation import (ConjugatePair, MorseSpec, RealPoint, assemble_sigma,
+                          first_bad_triple)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix, non_integer_at, row_items
 from .lattice import SignVector, ThimbleLattice
@@ -139,17 +140,6 @@ def _morse(entries, where):
     return MorseSpec(tuple(points))
 
 
-def _first_bad_triple(entries):
-    """Index of the first entry that is not a list of three ints (not
-    bools), or None; only a list that fails :func:`_int_lists` or holds
-    another length is searched entry by entry."""
-    if _int_lists(entries) and {3}.issuperset(map(len, entries)):
-        return None
-    return next((k for k, ent in enumerate(entries)
-                 if not isinstance(ent, list) or len(ent) != 3
-                 or non_integer_at(ent) is not None), None)
-
-
 def _level(data, want_i, parity, where):
     if not isinstance(data, dict):
         raise InstanceFormatError("expected mapping", where=where)
@@ -177,7 +167,7 @@ def _level(data, want_i, parity, where):
             raise InstanceFormatError("expected list",
                                       where=where + ".sigma_upper")
         upper = raw_upper or []
-        k = _first_bad_triple(upper)
+        k = first_bad_triple(upper)
         if k is not None:
             raise InstanceFormatError("expected [row, col, value] triple",
                                       where="%s.sigma_upper[%d]" % (where, k))

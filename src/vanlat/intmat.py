@@ -139,13 +139,6 @@ class IntMatrix:
     def zeros(cls, nrows, ncols):
         return cls([{} for _ in range(nrows)], ncols)
 
-    @classmethod
-    def diagonal(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls.from_rows([entries[i] if i == j else 0 for j in range(n)]
-                             for i in range(n))
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -218,12 +211,16 @@ class IntMatrix:
         return NotImplemented
 
     def __add__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in addition")
         return IntMatrix(map(_add_rows, self.stored_rows, other.stored_rows),
                          self.ncols)
 
     def __sub__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):

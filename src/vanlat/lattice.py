@@ -69,10 +69,6 @@ class ThimbleLattice:
     def nu(self) -> int:
         return self.gram.nrows
 
-    def pairing(self, i: int, j: int) -> int:
-        """Pairing of thimble ``i`` against thimble ``j`` (0-based)."""
-        return self.gram[j, i]
-
     @cached_property
     def violation(self) -> str | None:
         """:func:`validate_lattice` of this lattice, run once per lattice."""
@@ -106,15 +102,6 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
 def require_valid(lat: ThimbleLattice) -> None:
     if lat.violation is not None:
         raise ValueError("invalid lattice: " + lat.violation)
-
-
-def milnor_number(nus: list[int]) -> int:
-    """Alternating sum ``sum((-1)^i * nu_i)`` of a tower of thimble ranks."""
-    if not nus:
-        raise ValueError("empty rank list")
-    if any(v < 0 for v in nus):
-        raise ValueError("ranks must be non-negative")
-    return sum((-1) ** i * v for i, v in enumerate(nus))
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,10 @@ def index_2d(grad, radius) -> int:
     return index // 2
 
 
-def float_signature(m, threshold: float = 1e-9) -> Signature:
-    """Eigenvalue sign counts of a symmetric matrix, thresholded
-    relative to the largest magnitude.  numpy is imported here, so the
-    package and its CLI load without it."""
+def float_signature(m) -> Signature:
+    """Eigenvalue sign counts of a symmetric matrix, where an eigenvalue
+    of magnitude at most ``1e-9`` times the largest counts as zero.  numpy is
+    imported here, so the package and its CLI load without it."""
     import numpy as np
 
     if isinstance(m, IntMatrix):
@@ -173,7 +173,7 @@ def float_signature(m, threshold: float = 1e-9) -> Signature:
         raise ValueError("float_signature needs a symmetric matrix")
     eigs = np.linalg.eigvalsh(arr)
     top = float(np.max(np.abs(eigs)))
-    cut = threshold * top
+    cut = 1e-9 * top
     n_plus = int(np.sum(eigs > cut))
     n_minus = int(np.sum(eigs < -cut))
     return Signature(n_plus, n_minus, n - n_plus - n_minus)

@@ -22,10 +22,6 @@ class Signature:
             raise ValueError("inertia counts must be non-negative")
 
     @property
-    def rank_total(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
-    @property
     def sgn(self) -> int:
         return self.n_plus - self.n_minus
 

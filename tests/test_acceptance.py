@@ -22,8 +22,8 @@ from conftest import (INSTANCE_DIR, a_k_instance, a_k_level, instance_path,
                       matrix_power)
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (LevelAnalysis, generate_consistent_instance,
-                                generate_level, signature_by_blocks)
+from vanlat.conjugation import (LevelAnalysis, generate_level,
+                                signature_by_blocks)
 from vanlat.gen import (level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (EvenParityError, IcisInstance, LevelData,
@@ -98,8 +98,8 @@ def test_criterion_04_symmetric_nondegenerate():
     rng = random.Random(SEED + 2)
     for k in range(200):
         parity = rng.choice((1, 2, 3, 4))
-        lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 8, parity)
-        analysis = LevelAnalysis(lat, conj)
+        level = generate_level(rng.randrange(2 ** 32), 8, parity)
+        analysis = LevelAnalysis(level.lattice, level.conj)
         analysis.signature  # raises if asymmetric or degenerate
         form = analysis.form
         assert form.is_symmetric()
@@ -115,7 +115,8 @@ def test_criterion_05_two_way_signature():
     pair_blocks = 0
     for _ in range(200):
         parity = rng.choice((1, 2, 3, 4))
-        lat, conj = generate_consistent_instance(rng.randrange(2 ** 32), 8, parity)
+        level = generate_level(rng.randrange(2 ** 32), 8, parity)
+        lat, conj = level.lattice, level.conj
         analysis = LevelAnalysis(lat, conj)
         assert analysis.block_structure_problem() is None
         form = analysis.form

@@ -7,13 +7,13 @@ import sys
 
 import pytest
 
+import vanlat
 from vanlat import conjugation
 from vanlat.basis import monodromy
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
                                 RealPoint, _forced_conjugation, _pinned_points,
-                                build_sigma, derive_sigma_tilde,
-                                generate_consistent_instance, morse_sign,
+                                build_sigma, generate_level, morse_sign,
                                 signature_by_blocks)
 from vanlat.gen import random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
@@ -35,7 +35,7 @@ def test_build_sigma_single_minimum():
 
 def test_build_sigma_diagonal_real_points():
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [])
-    assert conj.sigma == IntMatrix.diagonal([1, -1])
+    assert conj.sigma == IntMatrix.from_rows([[1, 0], [0, -1]])
 
 
 def test_build_sigma_pair_block():
@@ -58,7 +58,8 @@ def test_build_sigma_rejects_entries_outside_upper_blocks():
 
 
 @pytest.mark.parametrize("triple", [(0, 1, 1.5), (0, 1, True), (0, 1, "7"),
-                                    (0.0, 1, 1), (0, True, 1)])
+                                    (0.0, 1, 1), (0, True, 1), (0, 1),
+                                    (0, 1, 1, 1), 5])
 def test_build_sigma_rejects_non_integer_triples(triple):
     # opposite Morse parities make any upper entry an involution, so only
     # the type check can refuse these
@@ -77,7 +78,7 @@ def test_build_sigma_rejects_bad_morse_index():
 def test_derive_sigma_tilde_a1_minimum():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
-    report = derive_sigma_tilde(conj, lat)
+    report = LevelAnalysis(lat, conj).companion
     assert report.matrix == IntMatrix.from_rows([[-1]])
     assert report.involution and report.lower_block_triangular
     assert report.consistent
@@ -86,14 +87,14 @@ def test_derive_sigma_tilde_a1_minimum():
 def test_derive_sigma_tilde_rank_zero():
     lat = ThimbleLattice(1, IntMatrix(()))
     conj = build_sigma(MorseSpec(()), 1, [])
-    assert derive_sigma_tilde(conj, lat).consistent
+    assert LevelAnalysis(lat, conj).companion.consistent
 
 
 def test_derive_sigma_tilde_a2_diag_verdict():
     # diag(1, -1) on the A2 lattice: the companion fails both properties
-    conj = ConjugationData(IntMatrix.diagonal([1, -1]),
+    conj = ConjugationData(IntMatrix.from_rows([[1, 0], [0, -1]]),
                            MorseSpec((RealPoint(0), RealPoint(1))))
-    report = derive_sigma_tilde(conj, a2_lat())
+    report = LevelAnalysis(a2_lat(), conj).companion
     assert report.matrix == IntMatrix.from_rows([[0, -1], [-1, 1]])
     assert not report.involution
     assert not report.lower_block_triangular
@@ -102,7 +103,7 @@ def test_derive_sigma_tilde_a2_diag_verdict():
 def test_derive_sigma_tilde_rank_mismatch():
     conj = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
     with pytest.raises(ValueError, match="rank"):
-        derive_sigma_tilde(conj, a2_lat())
+        LevelAnalysis(a2_lat(), conj).companion
 
 
 def test_var_sigma_form_examples():
@@ -118,7 +119,7 @@ def test_var_sigma_form_examples():
     lat2 = a2_lat()
     conj2 = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
     analysis2 = LevelAnalysis(lat2, conj2)
-    assert analysis2.form == IntMatrix.diagonal([-1, 1])
+    assert analysis2.form == IntMatrix.from_rows([[-1, 0], [0, 1]])
     assert analysis2.signature.sgn == 0
 
     # conjugate pair at odd parity: forced block shape, signature zero
@@ -132,7 +133,7 @@ def test_var_sigma_form_examples():
 
 
 def test_var_sigma_form_rejects_inconsistent():
-    conj = ConjugationData(IntMatrix.diagonal([1, -1]),
+    conj = ConjugationData(IntMatrix.from_rows([[1, 0], [0, -1]]),
                            MorseSpec((RealPoint(0), RealPoint(1))))
     with pytest.raises(ValueError, match="inconsistent"):
         LevelAnalysis(a2_lat(), conj).form
@@ -196,13 +197,13 @@ def test_block_structure_check_names_the_kind_of_block():
 
 def test_companion_problems_render_both_verdicts():
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, 5)])
-    report = derive_sigma_tilde(conj, a2_lat())
+    report = LevelAnalysis(a2_lat(), conj).companion
     assert report.problems() == ("companion not an involution; "
                                  "companion not block lower triangular")
     assert (LevelAnalysis(a2_lat(), conj).block_structure_problem()
             == "inconsistent instance: " + report.problems())
     good = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    assert derive_sigma_tilde(good, a2_lat()).problems() == ""
+    assert LevelAnalysis(a2_lat(), good).companion.problems() == ""
 
 
 def test_spans_follow_the_blocks():
@@ -219,9 +220,9 @@ def test_spans_follow_the_blocks():
 @pytest.mark.parametrize("parity", range(5))
 def test_forced_form_is_the_form_of_generated_instances(parity):
     for seed in range(12):
-        lat, conj = generate_consistent_instance(seed, 10, parity)
-        assert (conj.morse.forced_form(parity)
-                == var_inverse(lat) * conj.sigma)
+        level = generate_level(seed, 10, parity)
+        assert (level.conj.morse.forced_form(parity)
+                == var_inverse(level.lattice) * level.conj.sigma)
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1, 0, 1, 2, 3])
@@ -248,21 +249,42 @@ def test_block_structure_check_wrong_pairing_number():
 
 
 def test_generator_is_deterministic():
-    a = generate_consistent_instance(404, 6, 3)
-    b = generate_consistent_instance(404, 6, 3)
-    assert a[0].gram == b[0].gram
-    assert a[1].sigma == b[1].sigma
-    assert a[1].morse == b[1].morse
+    a = generate_level(404, 6, 3)
+    b = generate_level(404, 6, 3)
+    assert a.lattice.gram == b.lattice.gram
+    assert a.conj.sigma == b.conj.sigma
+    assert a.conj.morse == b.conj.morse
+
+
+def test_bench_shims_equal_the_api_they_wrap():
+    # the benchmark under bench/ calls these two names; each must stay
+    # what it wraps, on consistent levels and on an inconsistent one, and
+    # neither is exported
+    assert not ({"derive_sigma_tilde", "generate_consistent_instance"}
+                & set(vanlat.__all__))
+    for seed in (0, 1, 7, 404):
+        parity = seed % 5
+        level = generate_level(seed, 12, parity)
+        lat, conj = conjugation.generate_consistent_instance(seed, 12, parity)
+        assert (lat, conj) == (level.lattice, level.conj)
+        assert (conjugation.derive_sigma_tilde(conj, lat)
+                == LevelAnalysis(lat, conj).companion)
+    bad = ConjugationData(IntMatrix.from_rows([[1, 0], [0, -1]]),
+                          MorseSpec((RealPoint(0), RealPoint(1))))
+    report = conjugation.derive_sigma_tilde(bad, a2_lat())
+    assert not report.consistent
+    assert report == LevelAnalysis(a2_lat(), bad).companion
 
 
 def test_generator_output_is_always_structurally_good():
     for seed in range(40):
         parity = 1 + seed % 4
-        lat, conj = generate_consistent_instance(seed, 7, parity)
+        level = generate_level(seed, 7, parity)
+        lat, conj = level.lattice, level.conj
         assert validate_lattice(lat) is None
         analysis = LevelAnalysis(lat, conj)
         assert analysis.block_structure_problem() is None
-        assert derive_sigma_tilde(conj, lat).consistent
+        assert analysis.companion.consistent
         # the signature raises on an asymmetric or degenerate form
         assert analysis.signature.sgn == signature_by_blocks(lat, conj)
 
@@ -270,16 +292,16 @@ def test_generator_output_is_always_structurally_good():
 def test_generator_reaches_the_minimum_instance_at_rank_one():
     seen = set()
     for seed in range(60):
-        lat, conj = generate_consistent_instance(seed, 1, 1)
-        if lat.nu == 1:
-            seen.add(conj.sigma[0, 0])
-            assert lat.gram == IntMatrix.from_rows([[2]])
+        level = generate_level(seed, 1, 1)
+        if level.lattice.nu == 1:
+            seen.add(level.conj.sigma[0, 0])
+            assert level.lattice.gram == IntMatrix.from_rows([[2]])
     assert 1 in seen  # the minimum: sigma = [[1]]
 
 
 def test_generator_rank_zero_bound():
-    lat, conj = generate_consistent_instance(9, 0, 2)
-    assert lat.nu == 0 and conj.nu == 0
+    level = generate_level(9, 0, 2)
+    assert level.lattice.nu == 0 and level.conj.nu == 0
 
 
 def test_generated_level_asserts_its_consistency(monkeypatch):
@@ -289,7 +311,7 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     # its block-form problem
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     with pytest.raises(GeneratedLevelError) as caught:
-        generate_consistent_instance(5, 16, 1)
+        generate_level(5, 16, 1)
     err = caught.value
     assert isinstance(err, ValueError)
     problem = LevelAnalysis(err.lattice, err.conj).block_structure_problem()
@@ -319,7 +341,7 @@ def test_generator_rejects_negative_parity(seed):
     # at bound 8 seed 0 would draw rank 6 and seed 2 rank 0; both are
     # refused before the draw, so neither fails inside it nor returns
     with pytest.raises(ValueError, match=r"parity must be >= 0 .*got -1"):
-        generate_consistent_instance(seed, 8, -1)
+        generate_level(seed, 8, -1)
 
 
 def _generator_digest():
@@ -328,9 +350,9 @@ def _generator_digest():
     for rank_bound in (8, 16, 32):
         for seed in range(60):
             parity = seed % 5
-            lat, conj = generate_consistent_instance(seed, rank_bound, parity)
+            level = generate_level(seed, rank_bound, parity)
             inst = IcisInstance(parity, 0, SignVector((1,)),
-                                (LevelData(0, lat, conj),))
+                                (LevelData(0, level.lattice, level.conj),))
             h.update(serialize_instance(InstanceDocument(inst)).encode())
     for seed in range(20):
         inst = random_icis_instance(seed, 1 + seed % 3, 2, 6, with_cycles=True)
@@ -369,8 +391,9 @@ def test_monodromy_split_closure_on_consistent_instances():
     # involution, on every consistent instance
     for seed in range(30):
         parity = 1 + seed % 5
-        lat, conj = generate_consistent_instance(seed, 7, parity)
-        report = derive_sigma_tilde(conj, lat)
+        level = generate_level(seed, 7, parity)
+        lat, conj = level.lattice, level.conj
+        report = LevelAnalysis(lat, conj).companion
         assert conj.sigma * report.matrix == monodromy(lat)
         assert report.matrix * report.matrix == IntMatrix.identity(lat.nu)
 
@@ -445,13 +468,13 @@ def test_solve_sigma_upper_solutions_are_exact():
             IntMatrix(_forced_conjugation(parity, lat.gram.rows, drawn)),
             MorseSpec(_pinned_points(parity, lat.gram.rows, drawn)))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
-                    and derive_sigma_tilde(forced, lat).consistent]
+                    and LevelAnalysis(lat, forced).companion.consistent]
         try:
             solved = build_sigma(morse, parity, upper)
         except ValueError:
             verdicts.append(False)
         else:
-            verdicts.append(derive_sigma_tilde(solved, lat).consistent)
+            verdicts.append(LevelAnalysis(lat, solved).companion.consistent)
         if any(verdicts):
             assert verdicts == [True, True]
             assert forced.sigma == solved.sigma

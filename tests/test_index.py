@@ -4,12 +4,10 @@ import pytest
 
 from conftest import a_k_instance
 from vanlat.conjugation import (ConjugatePair, LevelAnalysis, MorseSpec,
-                                RealPoint, build_sigma, derive_sigma_tilde,
-                                generate_level)
+                                RealPoint, build_sigma, generate_level)
 from vanlat.gen import flip_last_sign, level_with_cycles, random_icis_instance
 from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           sign_independence_check, gradient_index, morse_recursion_step,
-                          poincare_hopf_check, radial_indices,
                           smoothable_index, telescoped_index, level_index_sum,
                           cycle_index_sum)
 from vanlat.instfile import parse_instance_text
@@ -219,7 +217,7 @@ def test_cycle_sum_matches_level_sum_on_generated_instances():
 def test_cycle_sum_refuses_even_parity():
     lat = ThimbleLattice(2, IntMatrix.from_rows([[0]]))
     conj = build_sigma(MorseSpec((RealPoint(0),)), 2, [])
-    tilde = derive_sigma_tilde(conj, lat).matrix
+    tilde = LevelAnalysis(lat, conj).companion.matrix
     level = LevelData(0, lat, conj, CycleData(lat.gram, conj.sigma, tilde))
     with pytest.raises(EvenParityError):
         cycle_index_sum(level, 1)
@@ -252,22 +250,10 @@ def test_cycle_sum_rejects_asymmetric_pairings():
 
 # -- bookkeeping identities -----------------------------------------------------
 
-def test_poincare_hopf_examples():
-    assert poincare_hopf_check([1, 1], 2) is None
-    assert poincare_hopf_check([], 0) is None
-    assert poincare_hopf_check([1], 2) is not None
-
-
 def test_smoothable_index_examples():
     assert smoothable_index(1, 1) == 1
     assert smoothable_index(0, 1) == 0
     assert smoothable_index(0, 0) == 1
-
-
-def test_radial_indices_examples():
-    assert radial_indices(0) == (1, 1)
-    assert radial_indices(2) == (1, -1)
-    assert radial_indices(1) == (1, 0)
 
 
 @pytest.mark.parametrize("n", [-4, -3])

@@ -26,7 +26,7 @@ def test_construction_rejects_non_integers():
         with pytest.raises(ValueError, match="non-integer entry %r" % (bad,)):
             IntMatrix.from_rows([[1, 2], [3, bad]])
         with pytest.raises(ValueError, match="non-integer entry"):
-            IntMatrix.diagonal([1, bad])
+            IntMatrix.from_rows([[1, 0], [0, bad]])
 
 
 def test_big_entries_are_exact():
@@ -42,6 +42,17 @@ def test_mul_identity_and_shapes():
     assert m * IntMatrix.identity(3) == m
     with pytest.raises(ValueError):
         m * m
+
+
+def test_adding_a_non_matrix_raises_type_error():
+    # an operand that is not an IntMatrix is refused by Python's operator
+    # protocol, as ``1 + m`` and ``m * 1.5`` are
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert m + m - m == m
+    for op in (lambda: m + 1, lambda: m - 1, lambda: 1 + m, lambda: 1 - m,
+               lambda: m + 1.5, lambda: m - [[1, 2], [3, 4]], lambda: m * 1.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 def test_transpose_involution():

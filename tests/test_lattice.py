@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import (SignVector, ThimbleLattice, diagonal_sign,
-                            milnor_number, mirror_sign, random_gram_rows,
-                            self_intersection, validate_lattice)
+                            mirror_sign, random_gram_rows, self_intersection,
+                            validate_lattice)
 
 
 def test_self_intersection_examples():
@@ -59,12 +59,6 @@ def test_gram_must_be_square():
         ThimbleLattice(1, IntMatrix.from_rows([[2, 0]]))
 
 
-def test_pairing_uses_column_first_convention():
-    lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 5], [5, 2]]))
-    # pairing(i, j) reads gram[j][i]
-    assert lat.pairing(0, 1) == lat.gram[1, 0]
-
-
 def test_mirror_sign_at_every_parity():
     for parity in range(-5, 6):
         want = 1 if parity % 2 else -1
@@ -82,30 +76,6 @@ def test_random_gram_rows_draws_the_upper_triangle_row_by_row(parity):
                     (eps * 3, eps * 5, eps * 6, diag))
     assert validate_lattice(ThimbleLattice(parity, IntMatrix(rows))) is None
     assert random_gram_rows(0, parity, None) == ()
-
-
-def test_milnor_number_examples():
-    assert milnor_number([5]) == 5
-    assert milnor_number([3, 1]) == 2
-    assert milnor_number([4, 2, 1]) == 3
-
-
-def test_milnor_number_errors():
-    with pytest.raises(ValueError):
-        milnor_number([])
-    with pytest.raises(ValueError):
-        milnor_number([1, -1])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=8))
-def test_milnor_number_alternating(nus):
-    total = 0
-    sign = 1
-    for v in nus:
-        total += sign * v
-        sign = -sign
-    assert milnor_number(nus) == total
 
 
 def test_sign_vector_validation():

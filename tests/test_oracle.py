@@ -149,7 +149,8 @@ def test_index_2d_rejects_bad_radius():
 
 def test_float_signature_examples():
     assert float_signature(IntMatrix.identity(3)) == Signature(3, 0, 0)
-    assert float_signature(IntMatrix.diagonal([5, -2, 0])) == Signature(1, 1, 1)
+    assert float_signature(IntMatrix.from_rows([[5, 0, 0], [0, -2, 0], [0, 0, 0]])
+                           ) == Signature(1, 1, 1)
     assert float_signature(IntMatrix.from_rows([[7, 1], [1, 0]])) == Signature(1, 1, 0)
 
 

@@ -32,10 +32,11 @@ def test_rejects_non_symmetric():
 
 
 def test_sgn_and_totals():
-    sig = exact_signature(IntMatrix.diagonal([5, -2, 0, 7]))
+    sig = exact_signature(IntMatrix.from_rows([[5, 0, 0, 0], [0, -2, 0, 0],
+                                               [0, 0, 0, 0], [0, 0, 0, 7]]))
     assert sig == Signature(2, 1, 1)
     assert sig.sgn == 1
-    assert sig.rank_total == 4
+    assert sig.n_plus + sig.n_minus + sig.n_zero == 4
 
 
 def _random_symmetric(rng, n, bound=10):
@@ -81,7 +82,7 @@ def test_inertia_counts_fill_the_rank(n, seed):
     rng = random.Random(seed)
     m = _random_symmetric(rng, n)
     sig = exact_signature(m)
-    assert sig.rank_total == n
+    assert sig.n_plus + sig.n_minus + sig.n_zero == n
     assert sig.n_zero == n - _rank(m)
 
 

@@ -33,8 +33,7 @@ from conftest import a_k_instance, a_k_level, instance_path
 from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import apply_braid_word
 from vanlat.cli import main
-from vanlat.conjugation import (ConjugatePair, LevelAnalysis,
-                                generate_consistent_instance, generate_level)
+from vanlat.conjugation import ConjugatePair, LevelAnalysis, generate_level
 from vanlat.gen import (flip_last_sign, level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
@@ -98,7 +97,7 @@ def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
     counts = [_counting(monkeypatch, conjugation, "build_sigma"),
               _counting(monkeypatch, variation, "var")]
     for seed in range(12):
-        generate_consistent_instance(seed, 16, seed % 5)
+        generate_level(seed, 16, seed % 5)
         random_icis_instance(seed, 1 + seed % 3, 2, 6, with_cycles=True)
     assert [sum(c.values()) for c in counts] == [0, 0]
 
@@ -167,7 +166,7 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     monkeypatch.setattr(conjugation, "_sample_chunk", sample_counting)
     seeds = range(40)
     for seed in seeds:
-        generate_consistent_instance(seed, 16, 1 + seed % 4)
+        generate_level(seed, 16, 1 + seed % 4)
     accepted = tries[True]
     assert tries[False] > accepted > len(seeds)
     assert per_chunk and set(per_chunk) == {0}
