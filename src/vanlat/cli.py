@@ -7,8 +7,10 @@ the arguments (and seed, where one applies).
 """
 
 import argparse
+import contextlib
 import functools
 import sys
+from itertools import chain
 
 from .basis import apply_braid_word, monodromy, parse_braid_word
 from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
@@ -33,12 +35,30 @@ def _load(path):
         raise FileAccessError("cannot read %s" % path)
 
 
-def _write(path, text):
+@contextlib.contextmanager
+def _writing(path):
+    """``path`` opened for writing text; an ``OSError`` from opening it or
+    from any write in the block is reported as ``cannot write PATH``."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError:
         raise FileAccessError("cannot write %s" % path)
+
+
+def _write(path, text):
+    with _writing(path) as fh:
+        fh.write(text)
+
+
+def _emit(doc, path):
+    """Stream the canonical text of ``doc`` to the file ``path``, or to
+    stdout without one."""
+    if not path:
+        serialize_instance(doc, out=sys.stdout)
+        return
+    with _writing(path) as fh:
+        serialize_instance(doc, out=fh)
 
 
 def _monodromy_order(h):
@@ -186,13 +206,15 @@ def cmd_braid(args):
         prov.append("conjugation/cycle data of level %d dropped" % target)
     out_doc = InstanceDocument(new_inst, doc.braid_words, doc.expected,
                                tuple(prov))
-    text = serialize_instance(out_doc)
-    if args.output:
-        _write(args.output, text)
-        print("basis change: %s" % change.matrix)
-    else:
-        sys.stdout.write(text)
-        print("basis change: %s" % change.matrix, file=sys.stderr)
+    # a long word can grow entries past the digit limit of str(); its
+    # ValueError must come before the first line is streamed, so that a
+    # failed run writes nothing, and the largest entry tells
+    str(max(map(abs, chain.from_iterable(
+        row.values() if type(row) is dict else row
+        for row in new_lat.gram.stored_rows)), default=0))
+    _emit(out_doc, args.output)
+    print("basis change: %s" % change.matrix,
+          file=sys.stdout if args.output else sys.stderr)
     return 0
 
 
@@ -217,11 +239,9 @@ def cmd_gen(args):
                                 real_only_level0=True)
     doc = InstanceDocument(inst, (), {},
                            ("generated with seed %d" % args.seed,))
+    _emit(doc, args.output)
     if args.output:
-        _write(args.output, serialize_instance(doc))
         print("wrote %s" % args.output)
-    else:
-        sys.stdout.write(serialize_instance(doc))
     return 0
 
 

@@ -12,9 +12,14 @@ all validation after the load is shared, so values and error messages
 do not depend on which reader ran.  The line reader's regular
 expressions decide which fixed lines it accepts, and one layout pass
 per matrix which row lines; its integer grammar ``-?(0|[1-9][0-9]*)``
-is JSON's, so once a matrix's row lines, the sign list or the
-``sigma_upper`` list are accepted, one ``json.loads`` of each converts
-them, and each matrix becomes an ``IntMatrix`` as it is read.
+is JSON's, so once the sign list or the ``sigma_upper`` list is
+accepted, one ``json.loads`` converts it.  A matrix becomes an
+``IntMatrix`` as it is read: a sparse one from its nonzero tokens
+alone, found at C speed and each checked whole against that grammar,
+any other by one ``json.loads`` of its row lines.  The ``morse`` list
+becomes its ``MorseSpec`` there too.  The writer emits each matrix row
+as it is stored, a sparse row from its nonzeros, and can stream the
+text line by line instead of returning it.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -33,7 +38,8 @@ from .basis import BraidWord, parse_braid_word
 from .conjugation import (ConjugatePair, MorseSpec, RealPoint, assemble_sigma,
                           first_bad_triple)
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix, non_integer_at, row_items
+from .intmat import (SPARSE_FILL, SPARSE_MIN_COLS, IntMatrix, non_integer_at,
+                     row_items, row_text)
 from .lattice import SignVector, ThimbleLattice
 
 FORMAT_VERSION = 1
@@ -121,6 +127,8 @@ def _matrix(mapping, key, where):
 
 
 def _morse(entries, where):
+    """The :class:`MorseSpec` of descriptors YAML loaded, each checked
+    with its location; the canonical reader builds its own."""
     points = []
     for k, ent in enumerate(entries):
         spot = "%s[%d]" % (where, k)
@@ -154,7 +162,9 @@ def _level(data, want_i, parity, where):
 
     conj = None
     if "morse" in data:
-        morse = _morse(_want(data, "morse", list, where), where + ".morse")
+        morse = data["morse"]
+        if not isinstance(morse, MorseSpec):
+            morse = _morse(_want(data, "morse", list, where), where + ".morse")
         if morse.total_slots != lat.nu:
             raise InstanceFormatError(
                 "critical-point slots (%d) do not match rank (%d)"
@@ -285,10 +295,13 @@ class _CanonicalLines:
         entries and the closing ``"]"``, with as many entries as the
         first row: this one C-level pass rules out nesting, a second row
         on a line, any other spacing, trailing text, and every JSON value
-        but integers and lists.  One ``json.loads`` then decodes the
-        rows, whose widths must agree (``[]`` and ``[5]`` share a
-        layout), and ``IntMatrix`` stores them by its one rule.  A block
-        that fails is left to YAML and its located errors.
+        but integers and lists.  A sparse block of at least
+        ``SPARSE_MIN_COLS`` columns is then decoded from its nonzero
+        tokens alone (:func:`_nonzero_rows`); any other block, and one
+        with a token that scan refuses, by one ``json.loads``, whose
+        rows' widths must agree (``[]`` and ``[5]`` share a layout).
+        ``IntMatrix`` stores the rows by its one rule either way.  A
+        block that fails is left to YAML and its located errors.
         """
         head, prefix = _MATRIX_LINES[key]
         if self.take(head)[0]:
@@ -299,10 +312,16 @@ class _CanonicalLines:
             raise _NotCanonical
         self.k += len(block)
         text = "\n".join(block)
-        layout = prefix.replace("-", "") + ", " * block[0].count(",") + "]"
+        commas = block[0].count(",")
+        layout = prefix.replace("-", "") + ", " * commas + "]"
         if (text.encode("ascii").translate(None, _DIGIT_BYTES)
                 != "\n".join([layout] * len(block)).encode("ascii")):
             raise _NotCanonical
+        width = commas + 1
+        if width >= SPARSE_MIN_COLS:
+            rows = _nonzero_rows(text, len(block), width)
+            if rows is not None:
+                return IntMatrix(rows, width)
         rows = json.loads("[%s]" % text[len(prefix) - 1:].replace(
             "\n" + prefix[:-1], ","))
         if len(set(map(len, rows))) != 1:
@@ -310,9 +329,67 @@ class _CanonicalLines:
         return IntMatrix(rows)
 
 
+# "x" at each nonzero digit, so that ``bytes.find`` finds the next one at
+# C speed; a nonzero token holds one, the row prefix's "-" does not
+_NONZERO_DIGITS = bytes.maketrans(b"123456789", b"x" * 9)
+# a whole nonzero token: after "[" or " ", and before "," or "]"
+_NONZERO_TOKEN = re.compile(r"(?<=[ \[])-?[1-9][0-9]*(?=[,\]])").match
+
+
+def _nonzero_rows(text, nrows, width):
+    """The rows of a sparse matrix block as dicts of their nonzero
+    entries; None for a block that is not sparse or has a token that is
+    not canonical integer text, which ``json.loads`` decodes instead.
+
+    ``text`` holds the block's ``nrows`` row lines of ``width`` tokens,
+    which passed the layout check.  The block is sparse when at most one
+    token in ``SPARSE_FILL`` is other than an exact ``0`` token, which
+    follows ``"["`` or ``" "`` and precedes ``","`` or ``"]"`` (past the
+    layout check a space comes only after a comma, and a row this wide
+    is never ``[0]``).  Each zero token holds a ``"0"``, so one count of
+    that character settles most dense blocks before the exact counts.
+
+    The first nonzero digit of each token is found by ``bytes.find``,
+    and the whole token around it, from the minus sign before the digit
+    if there is one, must match ``-?[1-9][0-9]*``: so ``010`` and
+    ``0-1`` are refused, not read from their inner digit.  A token with
+    no nonzero digit, such as ``00``, ``-0`` or an empty one, is not
+    found, so the tokens found must number the nonzero tokens counted.
+    A column is the count of commas since the start of its line.
+    """
+    total = nrows * width
+    if text.count("0") * SPARSE_FILL < total * (SPARSE_FILL - 1):
+        return None
+    nonzeros = total - (text.count(" 0,") + text.count("[0,") + text.count(" 0]"))
+    if nonzeros * SPARSE_FILL > total:
+        return None
+    find = text.encode("ascii").translate(_NONZERO_DIGITS).find
+    count = text.count
+    rows = [{} for _ in range(nrows)]
+    r = c = at = found = 0
+    pos = find(b"x")
+    while pos >= 0:
+        if text[pos - 1] == "-":
+            pos -= 1
+        m = _NONZERO_TOKEN(text, pos)
+        if m is None:
+            return None
+        if (lines := count("\n", at, pos)):
+            r += lines
+            at = text.rfind("\n", 0, pos)
+            c = 0
+        c += count(",", at, pos)
+        at = pos
+        rows[r][c] = int(m.group())
+        found += 1
+        pos = find(b"x", m.end())
+    return rows if found == nonzeros else None
+
+
 def _read_canonical(text):
     """What ``yaml.safe_load(text)`` builds, for canonical text only,
-    with each matrix as the :class:`IntMatrix` of its rows.
+    with each matrix as the :class:`IntMatrix` of its rows and each
+    ``morse`` list as its :class:`MorseSpec`.
 
     Accepts exactly the layout :func:`serialize_instance` writes and
     returns None for any other text, which the caller hands to YAML.
@@ -343,8 +420,7 @@ def _canonical_document(src):
         level = {"i": int(head[0]), "gram": src.matrix("gram")}
         morse = src.take(_MORSE, optional=True)
         if morse:
-            level["morse"] = [[kind, int(v)] for kind, v
-                              in _POINT_PARTS.findall(morse[0])]
+            level["morse"] = _canonical_morse(morse[0])
         upper = src.take(_SIGMA_UPPER, optional=True)
         if upper:
             level["sigma_upper"] = json.loads(upper[0])
@@ -371,6 +447,16 @@ def _canonical_document(src):
     if src.k != len(src.lines):
         raise _NotCanonical
     return data
+
+
+def _canonical_morse(text):
+    """The :class:`MorseSpec` of the descriptors ``text`` of a ``morse``
+    line, whose pattern fixed every kind and integer, with one point
+    object per distinct descriptor."""
+    parts = _POINT_PARTS.findall(text)
+    point = {part: (RealPoint if part[0] == "real" else ConjugatePair)(int(part[1]))
+             for part in set(parts)}
+    return MorseSpec(tuple(map(point.__getitem__, parts)))
 
 
 class _SafeLoader(yaml.SafeLoader):
@@ -485,28 +571,32 @@ def _flow_row(row):
     return str(list(row))
 
 
-def _emit_matrix(lines, key, m, indent):
+def _matrix_lines(key, m, indent):
     pad = " " * indent
     if m.nrows == 0:
-        lines.append("%s%s: []" % (pad, key))
+        yield "%s%s: []" % (pad, key)
         return
-    lines.append("%s%s:" % (pad, key))
-    for row in m.dense_rows():
-        lines.append("%s- %s" % (pad, _flow_row(row)))
+    yield "%s%s:" % (pad, key)
+    prefix = pad + "- "
+    for row in m.stored_rows:
+        yield prefix + row_text(row, m.ncols)
 
 
-def serialize_instance(doc: InstanceDocument) -> str:
-    """Canonical text for an instance document, stable byte for byte."""
+def _lines(doc):
+    """The lines of the canonical text of ``doc``, each made when asked
+    for, without its line end."""
     inst = doc.instance
-    lines = []
-    lines.append("format: %d" % FORMAT_VERSION)
-    lines.append("n: %d" % inst.n)
-    lines.append("p: %d" % inst.p)
-    lines.append("signs: %s" % _flow_row(inst.signs.entries))
-    lines.append("levels:")
+    yield from _HEADER.splitlines()
+    for line in doc.provenance:
+        yield "# provenance: %s" % line
+    yield "format: %d" % FORMAT_VERSION
+    yield "n: %d" % inst.n
+    yield "p: %d" % inst.p
+    yield "signs: %s" % _flow_row(inst.signs.entries)
+    yield "levels:"
     for level in inst.levels:
-        lines.append("- i: %d" % level.i)
-        _emit_matrix(lines, "gram", level.lattice.gram, 2)
+        yield "- i: %d" % level.i
+        yield from _matrix_lines("gram", level.lattice.gram, 2)
         if level.conj is not None:
             ents = []
             for pt in level.conj.morse.points:
@@ -514,32 +604,40 @@ def serialize_instance(doc: InstanceDocument) -> str:
                     ents.append("[real, %d]" % pt.morse_index)
                 else:
                     ents.append("[pair, %d]" % pt.pairing)
-            lines.append("  morse: [%s]" % ", ".join(ents))
+            yield "  morse: [%s]" % ", ".join(ents)
             spans = level.conj.morse.spans
             upper = []
             for r, row in enumerate(level.conj.sigma.stored_rows):
                 end = spans[r][1]
                 upper += [(r, c, v) for c, v in sorted(row_items(row))
                           if c >= end]
-            lines.append("  sigma_upper: [%s]"
-                         % ", ".join(_flow_row(e) for e in upper))
+            yield "  sigma_upper: [%s]" % ", ".join(_flow_row(e) for e in upper)
         if level.cycles is not None:
-            lines.append("  cycles:")
-            _emit_matrix(lines, "form", level.cycles.form, 4)
-            _emit_matrix(lines, "sigma", level.cycles.sigma, 4)
-            _emit_matrix(lines, "sigma_tilde", level.cycles.sigma_tilde, 4)
+            yield "  cycles:"
+            yield from _matrix_lines("form", level.cycles.form, 4)
+            yield from _matrix_lines("sigma", level.cycles.sigma, 4)
+            yield from _matrix_lines("sigma_tilde", level.cycles.sigma_tilde, 4)
     if doc.braid_words:
-        lines.append("braid_words: [%s]"
-                     % ", ".join('"%s"' % w for w in doc.braid_words))
+        yield "braid_words: [%s]" % ", ".join('"%s"' % w for w in doc.braid_words)
     if doc.expected:
-        lines.append("expected:")
+        yield "expected:"
         for key in sorted(doc.expected):
             val = doc.expected[key]
             if isinstance(val, str):
-                lines.append("  %s: %s" % (key, json.dumps(val)))
+                yield "  %s: %s" % (key, json.dumps(val))
             else:
-                lines.append("  %s: %s" % (key, val))
-    # one join, so that a large document is copied once
-    head = _HEADER.splitlines() + ["# provenance: %s" % line
-                                   for line in doc.provenance]
-    return "\n".join(head + lines + [""])
+                yield "  %s: %s" % (key, val)
+
+
+def serialize_instance(doc: InstanceDocument, out=None):
+    """Canonical text for an instance document, stable byte for byte.
+
+    Without ``out`` the text is returned.  Given a text stream ``out``,
+    each line is written to it as it is made, so that the whole text is
+    never held, and None is returned.
+    """
+    if out is None:
+        # one join, so that a large document is copied once
+        return "\n".join([*_lines(doc), ""])
+    for line in _lines(doc):
+        out.write(line + "\n")

@@ -58,6 +58,18 @@ def dense_row(row, width):
     return tuple(out)
 
 
+def row_text(row, width):
+    """The flow text ``[a, b, ...]`` of a stored row of ``width`` entries,
+    as ``str`` writes the list of its dense row; a dict row is written
+    from its nonzeros, with no dense row built."""
+    if type(row) is not dict:
+        return str(list(row))
+    out = ["0"] * width
+    for c, v in row.items():
+        out[c] = str(v)
+    return "[%s]" % ", ".join(out)
+
+
 def row_items(row):
     """``(col, value)`` for each nonzero entry of a stored row, a dict's in
     its own order and a tuple's left to right."""
@@ -309,7 +321,7 @@ class IntMatrix:
         return IntMatrix([[x * d for x in row[n:]] for row in aug], n)
 
     def __str__(self):
-        return str([list(r) for r in self.dense_rows()])
+        return "[%s]" % ", ".join(map(row_text, self.stored_rows, repeat(self.ncols)))
 
 
 # the slots are written once, here, past the __setattr__ that refuses

@@ -85,9 +85,13 @@ def generated_texts():
 def as_loaded(data):
     """A document of the canonical reader as ``yaml.safe_load`` builds it:
     each matrix, which the reader returns as an ``IntMatrix``, as its
-    list of row lists."""
+    list of row lists, and the ``MorseSpec`` of each ``morse`` line as
+    its list of ``[kind, value]`` pairs."""
     if isinstance(data, IntMatrix):
         return data.to_lists()
+    if isinstance(data, MorseSpec):
+        return [["real", p.morse_index] if isinstance(p, RealPoint)
+                else ["pair", p.pairing] for p in data.points]
     if isinstance(data, dict):
         return {key: as_loaded(value) for key, value in data.items()}
     if isinstance(data, list):

@@ -295,18 +295,31 @@ def test_criterion_15_a_2048_index_budget():
     _report("criterion 15 rank-2048 A_k index", "the A_2048 tower", t0)
 
 
-# validate the file named by argv[1], then print this process's own peak
+# run the vanlat command of argv[1:], then print this process's own peak
 # resident set in KiB: the high-water mark of its address space (VmHWM).
 # Its ru_maxrss would not do, since Linux carries the peak of the process
 # that forked it over the exec, here the test process's
-_VALIDATE_AND_PRINT_PEAK = """
+_RUN_AND_PRINT_PEAK = """
 import sys
 from vanlat.cli import main
-code = main(["validate", sys.argv[1]])
+code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 sys.exit(code)
 """
+
+
+def _run_for_peak(*argv):
+    """Exit code, stdout lines before the peak, and the peak in KiB of
+    ``vanlat argv`` run in a fresh process, where nothing else counts."""
+    src = str(pathlib.Path(vanlat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _RUN_AND_PRINT_PEAK, *argv],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    *report, peak_kib = child.stdout.splitlines()
+    return report, int(peak_kib)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -318,15 +331,27 @@ def test_criterion_16_rank_960_validate_peak(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["gen", "--seed", "1", "--rank-bound", "1000",
                          "--output", str(path)]) == 0
-    src = str(pathlib.Path(vanlat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     t0 = time.monotonic()
-    child = subprocess.run([sys.executable, "-c", _VALIDATE_AND_PRINT_PEAK, str(path)],
-                           capture_output=True, text=True, env=env, timeout=300)
-    assert child.returncode == 0, child.stderr
-    *report, peak_kib = child.stdout.splitlines()
+    report, peak_kib = _run_for_peak("validate", str(path))
     assert report[0] == "level 0: lattice ok (rank 960, parity 1)"
     assert report[-1] == "ok"
-    assert int(peak_kib) <= 60 * 1024
-    _report("criterion 16 rank-960 validate peak", "%.1f MB" % (int(peak_kib) / 1024), t0)
+    assert peak_kib <= 60 * 1024
+    _report("criterion 16 rank-960 validate peak", "%.1f MB" % (peak_kib / 1024), t0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_criterion_17_rank_960_gen_peak(tmp_path):
+    # the writer streams each line to the file as it is made, and writes
+    # a sparse row from its nonzeros, so neither the text nor a dense row
+    # is held; the file is the text gen writes to stdout
+    path = tmp_path / "big.vl"
+    t0 = time.monotonic()
+    report, peak_kib = _run_for_peak("gen", "--seed", "1", "--rank-bound", "1000",
+                                     "--output", str(path))
+    assert report == ["wrote %s" % path]
+    assert peak_kib <= 40 * 1024
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["gen", "--seed", "1", "--rank-bound", "1000"]) == 0
+    assert path.read_bytes() == out.getvalue().encode("utf-8")
+    _report("criterion 17 rank-960 gen peak", "%.1f MB" % (peak_kib / 1024), t0)

@@ -450,6 +450,33 @@ def test_gen_rank_bound_40_writes_validating_instance(tmp_path, capsys):
     assert code == 0 and out.strip().endswith("ok")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "3", "--levels", "1", "--rank-bound", "40"],
+    ["braid", instance_path("a2_lattice.vl"), "a1 f2"],
+    ["braid", instance_path("a2_index.vl"), "A1 f1"],
+], ids=["gen", "braid", "braid-dropping-data"])
+def test_output_file_and_stdout_get_the_same_bytes(argv, tmp_path, capsys):
+    # the writer streams to either; both routes give the same text
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--output", tmp_path / "out.vl")[0] == 0
+    assert (tmp_path / "out.vl").read_bytes() == out.encode("utf-8")
+
+
+def test_braid_past_the_digit_limit_writes_nothing(tmp_path, capsys):
+    # ten rounds of "a1 A2" grow this gram's entries past str()'s digit
+    # limit; the error comes before any line of the text is written
+    src, moved = tmp_path / "g3.vl", tmp_path / "moved.vl"
+    src.write_text("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n- i: 0\n"
+                   "  gram:\n  - [2, 3, 3]\n  - [3, 2, 3]\n  - [3, 3, 2]\n")
+    want = ("error: Exceeds the limit (4300 digits) for integer string "
+            "conversion; use sys.set_int_max_str_digits() to increase the limit\n")
+    word = " ".join(["a1 A2"] * 10)
+    assert run(capsys, "braid", src, word) == (1, "", want)
+    assert run(capsys, "braid", src, word, "--output", moved) == (1, "", want)
+    assert not moved.exists()
+
+
 def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):
     f1 = tmp_path / "g1.vl"
     f2 = tmp_path / "g2.vl"

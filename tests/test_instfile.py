@@ -1,11 +1,15 @@
+import io
 import json
 import random
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (INSTANCE_DIR, a_k_level, as_loaded, generated_texts,
                       instance_path, matrix_power)
+from vanlat import instfile
 from vanlat.cli import main
 from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
@@ -303,3 +307,119 @@ def test_canonical_reader_reads_these_as_yaml_does(text):
     data = _read_canonical(text)
     assert as_loaded(data) == yaml.safe_load(text)
     assert repr(as_loaded(data)) == repr(yaml.safe_load(text))
+
+
+# -- matrices read by their nonzeros ------------------------------------------
+
+def _gram_block_text(rows):
+    """A canonical one-level text whose gram block is ``rows``, of any
+    shape: the reader takes the block before any shape check."""
+    lines = ["format: 1", "n: 1", "p: 0", "signs: [1]", "levels:", "- i: 0",
+             "  gram:"] + ["  - %s" % row for row in rows]
+    return "\n".join(lines + [""])
+
+
+@st.composite
+def _block(draw):
+    # rows of widths 0-40 at every fill, from no nonzero to all, with
+    # negative entries and entries past 64 bits at random places
+    nrows, width = draw(st.integers(1, 8)), draw(st.integers(0, 40))
+    count = draw(st.integers(0, nrows * width))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = draw(st.lists(st.integers(-2 ** 80, 2 ** 80).filter(bool),
+                           min_size=count, max_size=count))
+    flat = [0] * (nrows * width)
+    for at, value in zip(rnd.sample(range(nrows * width), count), values):
+        flat[at] = value
+    return [flat[r * width:(r + 1) * width] for r in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block())
+@example([[0] * 16] * 3)
+@example([[1] + [0] * 15] * 4)  # one in 16: exactly a quarter of a row's share
+@example([[1] * 4 + [0] * 12] * 4)  # a quarter of the block nonzero
+@example([[1] * 5 + [0] * 11] * 4)  # just past a quarter
+@example([[1] * 16] + [[0] * 16] * 3)  # a dense row in a sparse block
+def test_matrix_block_reads_as_the_json_route(rows):
+    # whichever route a block takes, it is stored as the IntMatrix of its
+    # decoded rows, which is what json.loads of the block gives
+    data = _read_canonical(_gram_block_text(rows))
+    assert data["levels"][0]["gram"].stored_rows == IntMatrix(rows).stored_rows
+
+
+def test_a_sparse_block_is_decoded_from_its_nonzeros(monkeypatch):
+    # the A_64 gram, with -1 beside each 2, is read by the scan; a dense
+    # random gram is left to json.loads by the fill test
+    scans = []
+    scan = instfile._nonzero_rows
+    monkeypatch.setattr(instfile, "_nonzero_rows",
+                        lambda *args: scans.append(scan(*args)) or scans[-1])
+    rng = random.Random(64)
+    dense = [[rng.randint(-5, 5) for _ in range(64)] for _ in range(64)]
+    sparse_text = serialize_instance(InstanceDocument(
+        IcisInstance(1, 0, SignVector((1,)), (LevelData(0, *a_k_level(64)),))))
+    assert parse_instance_text(sparse_text).instance.levels[0].lattice.gram.stored_rows
+    assert scans.pop() is not None and not scans
+    assert _read_canonical(_gram_block_text(dense))["levels"][0]["gram"].to_lists() == dense
+    assert scans.pop() is None and not scans
+
+
+# The token at gram[3][9] of a 16-wide tridiagonal block, and what the
+# reader makes of it: the value read, and whether the canonical reader
+# took the text (None: YAML reads it), or the error.  YAML 1.1 reads
+# 010 as octal 8; -0 is canonical integer text for 0.
+_TRIDIAGONAL = [[2 if r == c else -1 if abs(r - c) == 1 else 0 for c in range(16)]
+                for r in range(16)]
+_TOKEN_OUTCOMES = {
+    "-0": (0, True),
+    "010": (8, False),
+    "00": (0, False),
+    "007": (7, False),
+    "": "not valid YAML: expected the node content, but found ','"
+        " at line 11, column 35",
+    "0-": "expected integer at levels[0].gram[3][9]",
+    "1-1": "expected integer at levels[0].gram[3][9]",
+    "-": "expected integer at levels[0].gram[3][9]",
+    "1" + "0" * 4999: "not valid YAML: Exceeds the limit (4300 digits) for"
+                      " integer string conversion: value has 5000 digits; use"
+                      " sys.set_int_max_str_digits() to increase the limit"
+                      " at line 11, column 35",
+}
+
+
+@pytest.mark.parametrize("token", sorted(_TOKEN_OUTCOMES),
+                         ids=lambda t: repr(t[:6] + ("..." if len(t) > 6 else "")))
+def test_a_corrupted_token_reads_as_it_always_has(token):
+    rows = [", ".join(map(str, row)) for row in _TRIDIAGONAL]
+    tokens = rows[3].split(", ")
+    tokens[9] = token
+    rows[3] = ", ".join(tokens)
+    text = _gram_block_text("[%s]" % row for row in rows)
+    want = _TOKEN_OUTCOMES[token]
+    if isinstance(want, str):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance_text(text)
+        assert str(err.value) == want
+        return
+    value, canonical = want
+    assert (_read_canonical(text) is not None) == canonical
+    gram = parse_instance_text(text).instance.levels[0].lattice.gram
+    assert gram[3, 9] == value
+    assert gram.to_lists() == [[value if (r, c) == (3, 9) else x
+                                for c, x in enumerate(row)]
+                               for r, row in enumerate(_TRIDIAGONAL)]
+
+
+def test_streamed_text_is_the_returned_text():
+    # the writer gives the same bytes whether it returns the text or
+    # writes it line by line to a stream
+    docs = [load_instance(instance_path(name)) for name in SHIPPED]
+    docs += [parse_instance_text(text) for text in generated_texts()]
+    docs += [InstanceDocument(IcisInstance(1, 0, SignVector((1,)),
+                                           (LevelData(0, *a_k_level(64)),)),
+                              expected={"index": 1}, provenance=("a", "b"))]
+    for doc in docs:
+        out = io.StringIO()
+        assert serialize_instance(doc, out=out) is None
+        assert out.getvalue() == serialize_instance(doc)

@@ -651,3 +651,32 @@ def test_no_inexact_arithmetic_outside_the_oracles():
             offenders += ["%s: %s" % (path.name, name) for name in names
                           if name.split(".")[0] in banned]
     assert offenders == []
+
+
+@st.composite
+def _flow_rows(draw):
+    # rows of widths 0-40 at every fill, with negative entries and
+    # entries past 64 bits
+    width = draw(st.integers(0, 40))
+    rows = [draw(_row(width)) if width else [] for _ in range(draw(st.integers(0, 4)))]
+    big = draw(st.sampled_from([1, -1, 2 ** 64, -3 ** 90]))
+    return [[x * big for x in row] for row in rows], width
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flow_rows())
+def test_row_text_is_the_flow_text_of_the_dense_row(case):
+    # a row is written from its storage: a dict row from its nonzeros
+    rows, width = case
+    for row in rows:
+        want = str(list(row))
+        assert intmat.row_text(tuple(row), width) == want
+        assert intmat.row_text({c: x for c, x in enumerate(row) if x}, width) == want
+        assert intmat.row_text(intmat.store_row(row, width), width) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flow_rows())
+def test_str_is_the_flow_text_of_the_dense_rows(case):
+    rows, width = case
+    assert str(IntMatrix(rows, width)) == str(rows)
