@@ -111,10 +111,6 @@ class BasisChange:
         p = self.matrix
         return p * new == (p.transpose() * old.transpose()).transpose()
 
-    def then(self, later: "BasisChange") -> "BasisChange":
-        """Composite change: first self, then ``later`` in the new basis."""
-        return BasisChange(self.matrix * later.matrix)
-
 
 def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
     """Matrix of the reflection in basis thimble ``j`` (1-based).

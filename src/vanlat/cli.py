@@ -24,15 +24,17 @@ from .variation import var_inverse
 MONODROMY_ORDER_BOUND = 24
 
 
-class FileAccessError(Exception):
-    """A file could not be read or written; the message names the file."""
+class Refusal(Exception):
+    """A request the CLI refuses: a file it cannot read or write, a level
+    or move that does not exist, a malformed word or an undefined value.
+    :func:`main` prints the message to stderr and exits with 2."""
 
 
 def _load(path):
     try:
         return load_instance(path)
     except OSError:
-        raise FileAccessError("cannot read %s" % path)
+        raise Refusal("cannot read %s" % path)
 
 
 @contextlib.contextmanager
@@ -43,12 +45,14 @@ def _writing(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError:
-        raise FileAccessError("cannot write %s" % path)
+        raise Refusal("cannot write %s" % path)
 
 
-def _write(path, text):
-    with _writing(path) as fh:
-        fh.write(text)
+def _level(inst, i):
+    """Level ``i`` of ``inst``; a :class:`Refusal` when it has none."""
+    if not 0 <= i <= inst.p:
+        raise Refusal("no level %d in this instance (p = %d)" % (i, inst.p))
+    return inst.levels[i]
 
 
 def _emit(doc, path):
@@ -124,11 +128,7 @@ def cmd_compute(args):
     inst = doc.instance
     levels = inst.levels
     if args.level is not None:
-        if not 0 <= args.level <= inst.p:
-            print("no level %d in this instance (p = %d)" % (args.level, inst.p),
-                  file=sys.stderr)
-            return 2
-        levels = (inst.levels[args.level],)
+        levels = (_level(inst, args.level),)
 
     def emit(rendered):
         if len(levels) == 1:
@@ -162,10 +162,8 @@ def cmd_compute(args):
             rendered = [(lv.i, str(cycle_index_sum(lv, inst.sign_for_level(lv.i))))
                         for lv in levels]
         except EvenParityError as e:
-            print("refused: %s" % e, file=sys.stderr)
-            print("(see README: the even-parity cone example shows why "
-                  "no such formula can exist)", file=sys.stderr)
-            return 2
+            raise Refusal("refused: %s\n(see README: the even-parity cone "
+                          "example shows why no such formula can exist)" % e)
         emit(rendered)
     else:  # index
         print(gradient_index(inst))
@@ -178,20 +176,13 @@ def cmd_braid(args):
     try:
         word = parse_braid_word(args.word)
     except ValueError as e:
-        print("malformed braid word: %s" % e, file=sys.stderr)
-        return 2
+        raise Refusal("malformed braid word: %s" % e)
     target = args.level
-    if not 0 <= target <= inst.p:
-        print("no level %d in this instance (p = %d)" % (target, inst.p),
-              file=sys.stderr)
-        return 2
-    level = inst.levels[target]
+    level = _level(inst, target)
     lat = level.lattice
     bad = word.first_out_of_range(lat.nu)
     if bad:
-        print("move %s out of range for rank %d" % (bad, lat.nu),
-              file=sys.stderr)
-        return 2
+        raise Refusal("move %s out of range for rank %d" % (bad, lat.nu))
     new_lat, change = apply_braid_word(lat, word)
     dropped = level.conj is not None or level.cycles is not None
     if dropped:
@@ -227,7 +218,8 @@ def cmd_verify(args):
     if not result.ok:
         if result.counterexample:
             out = args.output or "counterexample.vl"
-            _write(out, result.counterexample)
+            with _writing(out) as fh:
+                fh.write(result.counterexample)
             print("counterexample written to %s" % out)
         return 1
     return 0
@@ -300,7 +292,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
-    except FileAccessError as e:
+    except Refusal as e:
         print(e, file=sys.stderr)
         return 2
     except ValueError as e:

@@ -33,7 +33,7 @@ when they fail, and is handed to the caller (:func:`generate_level`).
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 
 from .basis import monodromy
@@ -333,14 +333,16 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 
 # A chunk's descriptors are drawn as plain values: the Morse index of a
 # real slot, or this marker for a conjugate pair, whose pairing number is
-# pinned by the gram rows (see :func:`_forced_conjugation`).
+# pinned by the gram rows (see :func:`_forced_conjugation`).  Most tries
+# fail, so a try looks its descriptor objects up, one object per value.
 _PAIR = None
+_real_point, _pair_point = cache(RealPoint), cache(ConjugatePair)
 
 
 def _forced_conjugation(parity, gram, drawn):
     """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the plain
     ``gram`` rows and the ``drawn`` descriptors (a Morse index per real
-    slot, ``_PAIR`` per pair).
+    slot, ``_PAIR`` per pair), with the descriptors they pin, in one walk.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :meth:`MorseSpec.forced_form`): ``d * (-1)^m`` on a real
@@ -357,44 +359,34 @@ def _forced_conjugation(parity, gram, drawn):
     its right.  The diagonal block of ``var * B`` at a pair is ``[[a + d *
     var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a = -d *
     var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
-    number (see :func:`_pinned_points`), and with it the pair's rows are
-    ``(0, 1, -d * gram[s+1][c]...)`` and ``(1, 0, -d * gram[s][c] -
-    gram[s][s+1] * gram[s+1][c]...)`` over the columns ``c > s + 1``.
+    number, and with it the pair's rows are ``(0, 1, -d *
+    gram[s+1][c]...)`` and ``(1, 0, d * (a * gram[s+1][c] -
+    gram[s][c])...)`` over the columns ``c > s + 1``.
+
+    Returns the tuple of rows and the tuple of descriptors, each pair's
+    :class:`ConjugatePair` carrying its pinned ``a``.
     """
     d = diagonal_sign(parity)
     rows = []
+    points = []
     pos = 0
     for m in drawn:
         lead = (0,) * pos
         if m is _PAIR:
             top, bottom = gram[pos], gram[pos + 1]
-            a = top[pos + 1]
+            a = -d * top[pos + 1]
             rows.append(lead + (0, 1) + tuple(-d * y for y in bottom[pos + 2:]))
-            rows.append(lead + (1, 0) + tuple(-d * x - a * y for x, y
+            rows.append(lead + (1, 0) + tuple(d * (a * y - x) for x, y
                                               in zip(top[pos + 2:], bottom[pos + 2:])))
+            points.append(_pair_point(a))
             pos += 2
         else:
             s = morse_sign(m)
             e = -d * s
             rows.append(lead + (s,) + tuple(e * x for x in gram[pos][pos + 1:]))
+            points.append(_real_point(m))
             pos += 1
-    return tuple(rows)
-
-
-def _pinned_points(parity, gram, drawn):
-    """The descriptors of :func:`_forced_conjugation`'s ``drawn`` values,
-    each pair's pairing number pinned to ``-d * gram[s][s+1]``."""
-    d = diagonal_sign(parity)
-    points = []
-    pos = 0
-    for m in drawn:
-        if m is _PAIR:
-            points.append(ConjugatePair(-d * gram[pos][pos + 1]))
-            pos += 2
-        else:
-            points.append(RealPoint(m))
-            pos += 1
-    return tuple(points)
+    return tuple(rows), tuple(points)
 
 
 # Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
@@ -425,9 +417,9 @@ def _sample_chunk(rng, size, parity, pairs=True):
                 drawn.append(rng.randrange(0, parity + 1))
                 left -= 1
         gram = random_gram_rows(size, parity, draw)
-        sigma = _forced_conjugation(parity, gram, drawn)
+        sigma, points = _forced_conjugation(parity, gram, drawn)
         if squares_to_identity(sigma):
-            return gram, sigma, _pinned_points(parity, gram, drawn)
+            return gram, sigma, points
     return None
 
 

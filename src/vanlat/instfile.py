@@ -29,7 +29,7 @@ convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice, takewhile
+from itertools import islice, takewhile
 from operator import methodcaller
 
 import yaml
@@ -96,13 +96,6 @@ def _want(mapping, key, kind, where):
     return val
 
 
-def _int_lists(items):
-    """Whether every item is a list of ints (not bools), decided by
-    C-level passes over all of them at once."""
-    return ({list}.issuperset(map(type, items))
-            and {int}.issuperset(map(type, chain.from_iterable(items))))
-
-
 def _matrix(mapping, key, where):
     """The matrix under ``key``: one the canonical reader built, or one
     from a list of rows, each checked with its location."""
@@ -111,8 +104,7 @@ def _matrix(mapping, key, where):
         return rows
     rows = _want(mapping, key, list, where)
     where = "%s.%s" % (where, key)
-    # rows that all pass at once skip the search for the first bad entry
-    for r, row in enumerate(() if _int_lists(rows) else rows):
+    for r, row in enumerate(rows):
         if not isinstance(row, list):
             raise InstanceFormatError("expected integer row", where="%s[%d]" % (where, r))
         c = non_integer_at(row)
@@ -567,10 +559,6 @@ def load_instance(path) -> InstanceDocument:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-def _flow_row(row):
-    return str(list(row))
-
-
 def _matrix_lines(key, m, indent):
     pad = " " * indent
     if m.nrows == 0:
@@ -592,7 +580,7 @@ def _lines(doc):
     yield "format: %d" % FORMAT_VERSION
     yield "n: %d" % inst.n
     yield "p: %d" % inst.p
-    yield "signs: %s" % _flow_row(inst.signs.entries)
+    yield "signs: %s" % list(inst.signs.entries)
     yield "levels:"
     for level in inst.levels:
         yield "- i: %d" % level.i
@@ -609,9 +597,9 @@ def _lines(doc):
             upper = []
             for r, row in enumerate(level.conj.sigma.stored_rows):
                 end = spans[r][1]
-                upper += [(r, c, v) for c, v in sorted(row_items(row))
+                upper += [[r, c, v] for c, v in sorted(row_items(row))
                           if c >= end]
-            yield "  sigma_upper: [%s]" % ", ".join(_flow_row(e) for e in upper)
+            yield "  sigma_upper: %s" % upper
         if level.cycles is not None:
             yield "  cycles:"
             yield from _matrix_lines("form", level.cycles.form, 4)

@@ -157,8 +157,9 @@ def index_2d(grad, radius) -> int:
 
 def float_signature(m) -> Signature:
     """Eigenvalue sign counts of a symmetric matrix, where an eigenvalue
-    of magnitude at most ``1e-9`` times the largest counts as zero.  numpy is
-    imported here, so the package and its CLI load without it."""
+    of magnitude at most ``1e-9`` times the largest counts as zero.  numpy,
+    from the ``test`` extra, is imported here, so the package and its CLI
+    load without it."""
     import numpy as np
 
     if isinstance(m, IntMatrix):

@@ -156,11 +156,11 @@ def test_braid_round_trip_both_orders():
         fwd, p1 = braid_alpha(lat, j)
         back, p2 = braid_alpha_inverse(fwd, j)
         assert back.gram == lat.gram
-        assert p1.then(p2).matrix == IntMatrix.identity(nu)
+        assert p1.matrix * p2.matrix == IntMatrix.identity(nu)
         inv, q1 = braid_alpha_inverse(lat, j)
         again, q2 = braid_alpha(inv, j)
         assert again.gram == lat.gram
-        assert q1.then(q2).matrix == IntMatrix.identity(nu)
+        assert q1.matrix * q2.matrix == IntMatrix.identity(nu)
 
 
 def test_braid_moves_preserve_diagonal():
@@ -235,7 +235,7 @@ def test_word_composite_is_the_product_of_its_moves(case):
     current, want = lat, BasisChange(IntMatrix.identity(lat.nu))
     for move in word.moves:
         current, step = _MOVES[move.kind](current, move.j)
-        want = want.then(step)
+        want = BasisChange(want.matrix * step.matrix)
     assert new.gram == current.gram
     assert change.matrix == want.matrix
 
@@ -373,7 +373,7 @@ def test_flip_double_is_identity():
     once, p1 = orientation_flip(lat, 2)
     twice, p2 = orientation_flip(once, 2)
     assert twice.gram == lat.gram
-    assert p1.then(p2).matrix == IntMatrix.identity(2)
+    assert p1.matrix * p2.matrix == IntMatrix.identity(2)
 
 
 def test_flip_a2_worked_example():

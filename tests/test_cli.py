@@ -71,9 +71,8 @@ def test_validate_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_validate_missing_file(capsys):
-    code, _, err = run(capsys, "validate", "no_such_file.vl")
-    assert code == 2
-    assert err == "cannot read no_such_file.vl\n"
+    code, out, err = run(capsys, "validate", "no_such_file.vl")
+    assert (code, out, err) == (2, "", "cannot read no_such_file.vl\n")
 
 
 # -- file errors: one line and exit 2, never a traceback ----------------------
@@ -103,9 +102,12 @@ def test_counterexample_write_failure_is_a_write_error(tmp_path, capsys,
                                                        monkeypatch):
     import vanlat.suite as suite
     monkeypatch.setattr(suite, "check_s_relation", lambda lat: "forced failure")
-    code, _, err = run(capsys, "verify", "--seed", "2", "--count", "7",
-                       "--rank-bound", "4", "--output", tmp_path)
-    assert (code, err) == (2, "cannot write %s\n" % tmp_path)
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "7",
+                         "--rank-bound", "4", "--output", tmp_path)
+    assert (code, out, err) == (
+        2, "seed 2, count 7, rank bound 4\n"
+           "FAIL s-relation (instance 0): forced failure\n",
+        "cannot write %s\n" % tmp_path)
 
 
 def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
@@ -186,10 +188,14 @@ def test_compute_cycle_index_sum_and_refusal(capsys):
     code, out, _ = run(capsys, "compute", instance_path("a1.vl"),
                        "--what", "cycle-sums")
     assert code == 0 and out.strip() == "1"
-    code, _, err = run(capsys, "compute", instance_path("plane_min.vl"),
-                       "--what", "cycle-sums")
-    assert code == 2
-    assert "even parity" in err
+    code, out, err = run(capsys, "compute", instance_path("plane_min.vl"),
+                         "--what", "cycle-sums")
+    assert (code, out) == (2, "")
+    assert err == ("refused: cycle-space index sums are undefined at even "
+                   "parity (n + i = 2): the vanishing-cycle data does not "
+                   "determine the value\n"
+                   "(see README: the even-parity cone example shows why no "
+                   "such formula can exist)\n")
 
 
 def test_compute_cycle_sum_is_an_int_at_negative_parity(tmp_path, capsys):
@@ -234,9 +240,9 @@ def test_compute_level_selector(capsys):
                        "--what", "var-inverse", "--level", "1")
     assert code == 0
     assert out.strip() == "[[1]]"
-    code, _, err = run(capsys, "compute", instance_path("cone_pos.vl"),
-                       "--what", "var-inverse", "--level", "5")
-    assert code == 2
+    code, out, err = run(capsys, "compute", instance_path("cone_pos.vl"),
+                         "--what", "var-inverse", "--level", "5")
+    assert (code, out, err) == (2, "", "no level 5 in this instance (p = 1)\n")
 
 
 # -- braid --------------------------------------------------------------------
@@ -270,15 +276,20 @@ def test_braid_word_and_inverse_restores(capsys, tmp_path):
 
 
 def test_braid_malformed_word(capsys):
-    code, _, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "z9")
-    assert code == 2
-    assert "malformed" in err
+    code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "z9")
+    assert (code, out, err) == (
+        2, "", "malformed braid word: malformed braid token 'z9'\n")
 
 
 def test_braid_out_of_range_move(capsys):
-    code, _, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a5")
-    assert code == 2
-    assert "out of range" in err
+    code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a5")
+    assert (code, out, err) == (2, "", "move a5 out of range for rank 2\n")
+
+
+def test_braid_level_out_of_range(capsys):
+    code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a1",
+                         "--level", "3")
+    assert (code, out, err) == (2, "", "no level 3 in this instance (p = 0)\n")
 
 
 def test_braid_invalid_lattice_is_an_error(tmp_path, capsys):

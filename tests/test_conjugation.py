@@ -12,9 +12,8 @@ from vanlat import conjugation
 from vanlat.basis import monodromy
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
-                                RealPoint, _forced_conjugation, _pinned_points,
-                                build_sigma, generate_level, morse_sign,
-                                signature_by_blocks)
+                                RealPoint, _forced_conjugation, build_sigma,
+                                generate_level, morse_sign, signature_by_blocks)
 from vanlat.gen import random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -234,7 +233,7 @@ def test_morse_signs_are_ints_at_every_index(m):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     got = [morse.forced_form(1)[0, 0],
            signature_by_blocks(lat, ConjugationData(IntMatrix.identity(1), morse)),
-           _forced_conjugation(1, ((2,),), (m,))[0][0]]
+           _forced_conjugation(1, ((2,),), (m,))[0][0][0]]
     if m >= 0:  # build_sigma refuses a Morse index outside 0..parity
         got.append(build_sigma(morse, 3, ()).sigma[0, 0])
     assert [type(x) for x in got] == [int] * len(got)
@@ -464,9 +463,9 @@ def test_solve_sigma_upper_solutions_are_exact():
 
         drawn = tuple(_PAIR if isinstance(pt, ConjugatePair) else pt.morse_index
                       for pt in points)
-        forced = ConjugationData(
-            IntMatrix(_forced_conjugation(parity, lat.gram.rows, drawn)),
-            MorseSpec(_pinned_points(parity, lat.gram.rows, drawn)))
+        forced_rows, forced_points = _forced_conjugation(parity, lat.gram.rows,
+                                                         drawn)
+        forced = ConjugationData(IntMatrix(forced_rows), MorseSpec(forced_points))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and LevelAnalysis(lat, forced).companion.consistent]
         try:
