@@ -134,30 +134,28 @@ def monodromy(lat: ThimbleLattice) -> IntMatrix:
 
     Builds ``PL_1 * (PL_2 * (... * PL_nu))`` from the inside out.  Left
     multiplication by ``PL_{k+1}`` only changes row ``k``, which becomes
-    ``e_k + sgn * sum_c gram[k][c] * row_c`` with ``row_k`` still a unit
-    row: a step of :func:`~vanlat.intmat.sweep_rows` from the identity.
-    A reflection costs what its gram row selects, at most O(nu^2); on an
+    ``e_k + sgn * sum_c gram[k][c] * row_c`` with ``row_c = e_c`` for ``c <=
+    k``: a step of :func:`~vanlat.intmat.sweep_rows` from start 1.  A
+    reflection costs what its gram row selects, at most O(nu^2); on an
     A_k tower every row stays sparse, so the sweep costs O(nu).
     """
     require_valid(lat)
-    n = lat.nu
-    return sweep_rows(lat.gram.stored_rows, IntMatrix.identity(n).stored_rows, n,
-                      diagonal_sign(lat.parity), 1)
+    return sweep_rows(lat.gram.stored_rows, lat.nu, diagonal_sign(lat.parity), 1, 1)
 
 
 def _replace_pair(g, k, top, bottom, parity):
     """Install new rows ``k, k+1`` and mirror them into columns ``k, k+1``.
 
-    The 2x2 block on the diagonal keeps its diagonal and negates the rest.
+    The 2x2 block on the diagonal keeps its diagonal and negates the rest;
+    it is set after the one pass that mirrors every row, itself included.
     """
-    eps = mirror_sign(parity)
-    a, b = g[k], g[k + 1]
-    top[k], top[k + 1] = a[k], -a[k + 1]
-    bottom[k], bottom[k + 1] = -b[k], b[k + 1]
-    g[k], g[k + 1] = top, bottom
-    for r, row in enumerate(g):
-        if r != k and r != k + 1:
-            row[k], row[k + 1] = eps * top[r], eps * bottom[r]
+    eps, j = mirror_sign(parity), k + 1
+    a, b = g[k], g[j]
+    g[k], g[j] = top, bottom
+    for row, x, y in zip(g, top, bottom):
+        row[k], row[j] = eps * x, eps * y
+    top[k], top[j] = a[k], -a[j]
+    bottom[k], bottom[j] = -b[k], b[j]
 
 
 def _alpha_step(g, cols, k, parity):

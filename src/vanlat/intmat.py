@@ -6,7 +6,7 @@ new values.  Each row is stored once, when its matrix is built: a wide row
 with few nonzeros as the dict of its nonzero entries, any other row as a
 tuple (:func:`store_row`), and every kernel reads and writes the rows as
 stored, so a sparse matrix costs its nonzeros, not its area.  One row
-kernel sums every product and the triangular sweep of monodromy and var.
+kernel, in one loop, sums every product and sweeps monodromy and var.
 
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
@@ -368,29 +368,34 @@ def _add_rows(a, b):
     return tuple(map(add, a, b))
 
 
-def combine_rows(weight_rows, rows, width, scale=1):
+def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
     """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
     ``weight_rows``, as new rows to store (see :func:`store_row`).
 
     The one row-combination kernel, behind every product and
-    :func:`sweep_rows`.  It takes all the left rows of a product in one
-    call, so that the many small products of the package pay for the
-    call once.  Weight rows and ``rows`` are stored rows, tuples or
-    dicts, and only the nonzero weights are visited: a dict weight row
-    by its items, a tuple by ``itertools.compress``.  A dict row adds its
-    nonzero entries: into a dict while the weight row is a dict and
-    every term so far is a dict, otherwise into a list of ``width``
-    entries, which a tuple weight row's many terms would fill anyway.  A
-    dict sum is emitted without the zeros that cancellation leaves in it,
-    so a product whose rows are all sparse dicts is stored as emitted.  A
-    tuple row is added whole, and when it is the first term it starts
-    the sum as a copy of the row, or the row scaled, rather than being
-    added to zeros.  A left row with no nonzero weight gives an empty
-    dict.  Each sum is accumulated in a fresh list or dict, so a term
-    may read a row that the caller is about to replace.  A term costs
-    the nonzeros of a sparse row or the width of a dense one.
+    :func:`sweep_rows`, called once for all the left rows of a product,
+    so that the many small products pay for one call.  Weight rows and
+    ``rows`` are stored rows, and only the nonzero weights are visited:
+    a dict's items, a tuple's by ``itertools.compress``.  A dict row adds
+    its nonzeros into a dict while the weight row is a dict and every
+    term so far is a dict, else into a list of ``width`` entries, which a
+    tuple weight row's many terms would fill anyway.  A dict sum is
+    emitted without the zeros that cancellation leaves, so a product of
+    sparse dict rows is stored as emitted.  A first term starts the sum
+    as a copy of its row, or the row scaled.  A left row with no nonzero
+    weight gives an empty dict.  Each sum is built fresh, so a term may
+    read a row that the caller is about to replace.  A term costs the
+    nonzeros of a sparse row or the width of a dense one.
+
+    With ``_sweep = (start, unit)``, from :func:`sweep_rows`, the loop
+    runs the triangular sweep: weight rows last first, each sum plus
+    ``unit * e_k`` stored at once as ``rows[k]``, where a row still
+    ``None`` is ``start * e_t`` and its term one entry.  Returns ``rows``.
     """
     out = []
+    if _sweep is not None:
+        (start, unit), k = _sweep, len(rows)
+        weight_rows = reversed(weight_rows)
     indices = range(len(rows))
     for weights in weight_rows:
         acc = None
@@ -400,7 +405,7 @@ def combine_rows(weight_rows, rows, width, scale=1):
                 row = rows[t]
                 if type(row) is dict:
                     if acc is None:
-                        acc = {c: w * v for c, v in row.items()}
+                        acc = dict(row) if w == 1 else {c: w * v for c, v in row.items()}
                     elif type(acc) is dict:
                         get = acc.get
                         for c, v in row.items():
@@ -408,6 +413,10 @@ def combine_rows(weight_rows, rows, width, scale=1):
                     else:
                         for c, v in row.items():
                             acc[c] += w * v
+                elif row is None:
+                    if start:
+                        acc = {} if acc is None else acc
+                        acc[t] = (acc.get(t, 0) if type(acc) is dict else acc[t]) + start * w
                 elif acc is None:
                     acc = list(row) if w == 1 else [w * y for y in row]
                 elif type(acc) is dict:
@@ -426,33 +435,33 @@ def combine_rows(weight_rows, rows, width, scale=1):
                         acc = [0] * width
                     for c, v in row.items():
                         acc[c] += w * v
+                elif row is None:
+                    if start:
+                        acc = [0] * width if acc is None else acc
+                        acc[t] += start * w
                 elif acc is None:
                     acc = list(row) if w == 1 else [w * y for y in row]
                 else:
                     acc = [x + w * y for x, y in zip(acc, row)]
-        out.append({} if acc is None else acc)
-    return out
-
-
-def sweep_rows(weight_rows, rows, width, scale, unit):
-    """The triangular sweep: from the last row to the first, replace
-    ``rows[k]`` by ``unit * e_k + scale * sum_t weight_rows[k][t] *
-    rows[t]``, and return the matrix of the new rows.
-
-    Each sum is one :func:`combine_rows` call over the rows as they
-    stand, those past ``k`` replaced and the others as given (a start
-    row that is an empty dict costs nothing), and is stored at once by
-    :func:`store_row`, so a row that stays sparse is summed sparse.
-    """
-    rows = list(rows)
-    for k in reversed(range(len(rows))):
-        acc, = combine_rows((weight_rows[k],), rows, width, scale)
-        if type(acc) is dict:
-            acc[k] = acc.get(k, 0) + unit
-        else:
-            acc[k] += unit
+        acc = {} if acc is None else acc
+        if _sweep is None:
+            out.append(acc)
+            continue
+        k -= 1
+        acc[k] = (acc.get(k, 0) if type(acc) is dict else acc[k]) + unit
         rows[k] = store_row(acc, width)
-    return IntMatrix(rows, width)
+    return out if _sweep is None else rows
+
+
+def sweep_rows(weight_rows, width, scale, unit, start):
+    """The triangular sweep: from the last row ``k`` to the first, row
+    ``k`` becomes ``unit * e_k + scale * sum_t weight_rows[k][t] * row_t``,
+    with ``row_t`` the new row for ``t > k`` and ``start * e_t`` for ``t <=
+    k``.  Returns the matrix of the new rows, each stored as it is made,
+    so a row that stays sparse is summed sparse (see :func:`combine_rows`).
+    """
+    return IntMatrix(combine_rows(weight_rows, [None] * width, width, scale,
+                                  _sweep=(start, unit)), width)
 
 
 def squares_to_identity(rows):
@@ -463,7 +472,7 @@ def squares_to_identity(rows):
     n = len(rows)
     for first, part in ((0, rows[:1]), (1, rows[1:])):
         for r, row in enumerate(combine_rows(part, rows, n), first):
-            if not (row == {r: 1} if type(row) is dict
+            if not (len(row) == 1 and row.get(r) == 1 if type(row) is dict
                     else row[r] == 1 and row.count(0) == n - 1):
                 return False
     return True

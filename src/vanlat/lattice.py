@@ -43,8 +43,8 @@ def mirror_sign(parity: int) -> int:
 def random_gram_rows(size: int, parity: int, draw) -> tuple[tuple[int, ...], ...]:
     """Rows of a valid gram matrix of the given parity whose entries above
     the diagonal are ``draw()``, called in row-major order."""
-    eps = mirror_sign(parity)
-    rows = [[self_intersection(parity)] * size for _ in range(size)]
+    eps, diagonal = mirror_sign(parity), self_intersection(parity)
+    rows = [[diagonal] * size for _ in range(size)]
     for r in range(size):
         for c in range(r + 1, size):
             v = draw()

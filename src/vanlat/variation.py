@@ -39,12 +39,12 @@ def var(lat: ThimbleLattice) -> IntMatrix:
 
         X_k = d * e_k + d * sum_{c > k} gram[k][c] * X_c,
 
-    run by :func:`~vanlat.intmat.sweep_rows` from start rows that are
-    empty dicts, so the terms ``c <= k`` cost nothing.
+    run by :func:`~vanlat.intmat.sweep_rows` with start 0, so the terms
+    ``c <= k`` add nothing.
     """
     require_valid(lat)
     d = diagonal_sign(lat.parity)
-    return sweep_rows(lat.gram.stored_rows, [{} for _ in range(lat.nu)], lat.nu, d, d)
+    return sweep_rows(lat.gram.stored_rows, lat.nu, d, d, 0)
 
 
 def check_s_relation(lat: ThimbleLattice) -> str | None:

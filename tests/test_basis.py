@@ -77,8 +77,8 @@ def test_monodromy_a2_has_order_three():
 
 
 @st.composite
-def _lattices(draw, min_nu=0, max_nu=10):
-    parity = draw(st.integers(0, 5))
+def _lattices(draw, min_nu=0, max_nu=10, min_parity=0, max_parity=5):
+    parity = draw(st.integers(min_parity, max_parity))
     nu = draw(st.integers(min_nu, max_nu))
     eps = 1 if parity % 2 == 1 else -1
     rows = [[self_intersection(parity) if r == c else 0 for c in range(nu)]
@@ -91,9 +91,11 @@ def _lattices(draw, min_nu=0, max_nu=10):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_lattices())
+@given(_lattices(max_nu=18, min_parity=-4, max_parity=6))
 def test_monodromy_is_the_reflection_product(lat):
-    # PL_1 * PL_2 * ... * PL_nu, formed left to right without IntMatrix.__mul__
+    # PL_1 * PL_2 * ... * PL_nu, formed left to right without IntMatrix.__mul__;
+    # the ranks straddle SPARSE_MIN_COLS, and the parities take both signs
+    # of the sweep's scale, which also scales its one-entry terms c <= k
     want = IntMatrix.identity(lat.nu)
     for j in range(1, lat.nu + 1):
         want = IntMatrix(triple_loop(want, picard_lefschetz(lat, j)))

@@ -349,6 +349,16 @@ def test_braid_rank_64_golden(capsys, tmp_path):
     assert h.hexdigest() == "825387c494cd7e0c560627575af01728"
 
 
+def test_compute_monodromy_rank_960_golden(capsys, tmp_path):
+    # pins every byte of the monodromy of the generated rank-960 level,
+    # whose rows the triangular sweep builds and stores sparse
+    path = tmp_path / "big.vl"
+    assert run(capsys, "gen", "--seed", 1, "--rank-bound", 1000, "--output", path)[0] == 0
+    code, out, err = run(capsys, "compute", path, "--what", "monodromy")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "197401c3fcec330508fda379cfca2d86"
+
+
 # -- verify and gen -----------------------------------------------------------
 
 def test_verify_small_run_passes_and_is_deterministic(capsys):

@@ -412,6 +412,37 @@ def test_combine_rows_leaves_its_input_rows_alone():
     assert got == {0: 10}
 
 
+@st.composite
+def _sweep(draw):
+    # square weight rows on both sides of SPARSE_MIN_COLS, with a scale,
+    # a unit and the start of the rows not yet replaced
+    n = draw(st.integers(0, 24))
+    weights = [draw(_row(n)) for _ in range(n)]
+    return (weights, draw(st.sampled_from([1, -1, 3])),
+            draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([0, 1, -1, 2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sweep())
+@example(([[2, -1], [-1, 2]], -1, 1, 1))  # the A_2 monodromy
+@example(([[2, -1], [-1, 2]], -1, -1, 0))  # its var
+@example(([[1, 1], [0, 1]], 1, -1, 1))  # a one-entry term cancels the unit
+@example(([[int(r == c) for c in range(16)] for r in range(16)], 1, -1, 1))  # in dicts
+def test_sweep_rows_matches_the_dense_sweep(case):
+    # from the last row k to the first, row k becomes unit * e_k + scale *
+    # sum_t weights[k][t] * row_t, where a row not yet replaced is start * e_t;
+    # the weight rows as stored, all tuples and all dicts
+    weights, scale, unit, start = case
+    n = len(weights)
+    rows = [[start * (c == t) for c in range(n)] for t in range(n)]
+    for k in reversed(range(n)):
+        rows[k] = [unit * (c == k) + scale * sum(w * row[c] for w, row in zip(weights[k], rows))
+                   for c in range(n)]
+    for left in ([intmat.store_row(ws, n) for ws in weights], [tuple(ws) for ws in weights],
+                 [{t: w for t, w in enumerate(ws) if w} for ws in weights]):
+        assert intmat.sweep_rows(left, n, scale, unit, start) == IntMatrix(rows, n)
+
+
 def test_storage_threshold():
     # a row of at least 16 columns with at most a quarter of them nonzero
     # is stored as the dict of its nonzeros, any other row as a tuple,

@@ -237,10 +237,12 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
 
 
 def _built_rows(monkeypatch):
-    """Count the rows the row kernel sums, by type (``dict`` or
-    ``list``), the dict rows among them that hold a zero (``zero``), and
-    the dense rows built from sparse stored ones (``densified``), under
-    every name a vanlat module binds them to."""
+    """Count the rows the row kernel emits, by type, the dict rows among
+    them that hold a zero (``zero``), and the dense rows built from
+    sparse stored ones (``densified``), under every name a vanlat module
+    binds them to.  A product's sums are a ``dict`` or a ``list``; in
+    sweep mode the kernel returns the rows it stored, one per row of the
+    sweep, each a ``dict`` or a ``tuple``."""
     built = collections.Counter()
     combine, dense = intmat.combine_rows, intmat.dense_row
 
@@ -311,8 +313,8 @@ def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
 
 
 def test_a_64_var_builds_no_dense_row(monkeypatch):
-    # var sweeps the gram's dict rows over start rows that are empty
-    # dicts, so every row it sums is a dict and none is densified
+    # var sweeps the gram's dict rows with start 0, so its terms c <= k
+    # add nothing, every row it stores is a dict and none is densified
     lat = a_k_level(64)[0]
     built = _built_rows(monkeypatch)
     x = variation.var(lat)
