@@ -150,8 +150,7 @@ def _replace_pair(g, k, top, bottom, parity):
     it is set after the one pass that mirrors every row, itself included.
     """
     eps, j = mirror_sign(parity), k + 1
-    a, b = g[k], g[j]
-    g[k], g[j] = top, bottom
+    a, b, g[k], g[j] = g[k], g[j], top, bottom
     for row, x, y in zip(g, top, bottom):
         row[k], row[j] = eps * x, eps * y
     top[k], top[j] = a[k], -a[j]

@@ -373,30 +373,27 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
     ``weight_rows``, as new rows to store (see :func:`store_row`).
 
     The one row-combination kernel, behind every product and
-    :func:`sweep_rows`, called once for all the left rows of a product,
-    so that the many small products pay for one call.  Weight rows and
-    ``rows`` are stored rows, and only the nonzero weights are visited:
-    a dict's items, a tuple's by ``itertools.compress``.  A dict row adds
-    its nonzeros into a dict while the weight row is a dict and every
-    term so far is a dict, else into a list of ``width`` entries, which a
-    tuple weight row's many terms would fill anyway.  A dict sum is
-    emitted without the zeros that cancellation leaves, so a product of
-    sparse dict rows is stored as emitted.  A first term starts the sum
-    as a copy of its row, or the row scaled.  A left row with no nonzero
-    weight gives an empty dict.  Each sum is built fresh, so a term may
-    read a row that the caller is about to replace.  A term costs the
-    nonzeros of a sparse row or the width of a dense one.
+    :func:`sweep_rows`, takes all the left rows of a product in one call.
+    Weight rows and ``rows`` are stored rows, and only the nonzero weights
+    are visited: a dict's items, a tuple's by ``itertools.compress``.  A
+    dict row adds its nonzeros into a dict while the weight row is a dict
+    and every term so far is a dict, else into a list of ``width``
+    entries, which a tuple weight row's many terms would fill anyway.  A
+    dict sum is emitted without the zeros that cancellation leaves, so a
+    product of sparse dict rows is stored as emitted.  A first term starts
+    the sum as a copy of its row, or the row scaled; a left row with no
+    nonzero weight gives an empty dict.  Each sum is built fresh, so a
+    term may read a row that the caller is about to replace.
 
-    With ``_sweep = (start, unit)``, from :func:`sweep_rows`, the loop
-    runs the triangular sweep: weight rows last first, each sum plus
-    ``unit * e_k`` stored at once as ``rows[k]``, where a row still
-    ``None`` is ``start * e_t`` and its term one entry.  Returns ``rows``.
+    With ``_sweep = (start, unit)`` it runs the sweep of :func:`sweep_rows`
+    on ``rows``, all ``None`` at first, a ``None`` row standing for ``start
+    * e_t`` (one entry), and returns the new rows as made, last row first.
     """
-    out = []
+    out, k = [], len(rows)
     if _sweep is not None:
-        (start, unit), k = _sweep, len(rows)
+        start, unit = _sweep
         weight_rows = reversed(weight_rows)
-    indices = range(len(rows))
+    indices = range(k)
     for weights in weight_rows:
         acc = None
         if type(weights) is dict:
@@ -444,24 +441,21 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
                 else:
                     acc = [x + w * y for x, y in zip(acc, row)]
         acc = {} if acc is None else acc
-        if _sweep is None:
-            out.append(acc)
-            continue
-        k -= 1
-        acc[k] = (acc.get(k, 0) if type(acc) is dict else acc[k]) + unit
-        rows[k] = store_row(acc, width)
-    return out if _sweep is None else rows
+        if _sweep is not None:
+            k -= 1
+            acc[k] = (acc.get(k, 0) if type(acc) is dict else acc[k]) + unit
+            acc = rows[k] = store_row(acc, width)
+        out.append(acc)
+    return out
 
 
 def sweep_rows(weight_rows, width, scale, unit, start):
     """The triangular sweep: from the last row ``k`` to the first, row
     ``k`` becomes ``unit * e_k + scale * sum_t weight_rows[k][t] * row_t``,
     with ``row_t`` the new row for ``t > k`` and ``start * e_t`` for ``t <=
-    k``.  Returns the matrix of the new rows, each stored as it is made,
-    so a row that stays sparse is summed sparse (see :func:`combine_rows`).
-    """
+    k``, and is stored at once, so a sparse row is summed sparse."""
     return IntMatrix(combine_rows(weight_rows, [None] * width, width, scale,
-                                  _sweep=(start, unit)), width)
+                                  _sweep=(start, unit))[::-1], width)
 
 
 def squares_to_identity(rows):

@@ -237,20 +237,38 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
 
 
 def _built_rows(monkeypatch):
-    """Count the rows the row kernel emits, by type, the dict rows among
-    them that hold a zero (``zero``), and the dense rows built from
-    sparse stored ones (``densified``), under every name a vanlat module
-    binds them to.  A product's sums are a ``dict`` or a ``list``; in
-    sweep mode the kernel returns the rows it stored, one per row of the
-    sweep, each a ``dict`` or a ``tuple``."""
+    """Count the rows the row kernel sums, by type (``dict`` or
+    ``list``), the dict rows among them that hold a zero (``zero``), and
+    the dense rows built from sparse stored ones (``densified``), under
+    every name a vanlat module binds them to.  A product's sums are
+    counted as the kernel returns them; a sweep's, as the kernel hands
+    each to ``store_row``, where a zero at the unit's column ``k``, left
+    by ``unit * e_k`` and dropped by ``store_row``, is not counted."""
     built = collections.Counter()
-    combine, dense = intmat.combine_rows, intmat.dense_row
+    combine, store, dense = intmat.combine_rows, intmat.store_row, intmat.dense_row
+    units = []  # the unit columns of the running sweep, the next one last
 
-    def combining(*args, **kwargs):
-        out = combine(*args, **kwargs)
-        built.update(type(acc).__name__ for acc in out)
-        built.update("zero" for acc in out if type(acc) is dict and 0 in acc.values())
-        return out
+    def count(acc, unit_column=None):
+        built[type(acc).__name__] += 1
+        if type(acc) is dict and any(v == 0 for c, v in acc.items() if c != unit_column):
+            built["zero"] += 1
+
+    def combining(weight_rows, rows, width, *args, **kwargs):
+        if "_sweep" not in kwargs:
+            out = combine(weight_rows, rows, width, *args, **kwargs)
+            for acc in out:
+                count(acc)
+            return out
+        units[:] = range(len(rows))
+        try:
+            return combine(weight_rows, rows, width, *args, **kwargs)
+        finally:
+            units.clear()
+
+    def storing(row, width):
+        if units:
+            count(row, units.pop())
+        return store(row, width)
 
     def densifying(row, width):
         if type(row) is dict:
@@ -260,6 +278,8 @@ def _built_rows(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is combine:
                 monkeypatch.setattr(module, attr, combining)
+            elif value is store:
+                monkeypatch.setattr(module, attr, storing)
             elif value is dense:
                 monkeypatch.setattr(module, attr, densifying)
     return built
@@ -314,7 +334,7 @@ def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
 
 def test_a_64_var_builds_no_dense_row(monkeypatch):
     # var sweeps the gram's dict rows with start 0, so its terms c <= k
-    # add nothing, every row it stores is a dict and none is densified
+    # add nothing, every row it sums is a dict and none is densified
     lat = a_k_level(64)[0]
     built = _built_rows(monkeypatch)
     x = variation.var(lat)
