@@ -17,13 +17,19 @@ and insists the two agree exactly; the tests check the same per move.
 The composite change of a word of ``L`` moves is the identity outside
 at most ``2 * L`` columns, so every product keeps that sparse factor on
 the left, at O((nu + L) * nu) rather than a dense O(nu^3), and its
-determinant is taken over the components of its sparse pattern.
+determinant is taken over the components of its sparse pattern.  The
+word builds the transpose of that change from its columns, and the
+transports run the row kernel on rows, so a word builds four matrices:
+the closed-form gram, ``P^T``, ``P`` and the congruence.
 """
 
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from functools import cache
+from math import inf
 
-from .intmat import IntMatrix, combine_rows, dense_row, sweep_rows
+from .intmat import IntMatrix, combine_rows, dense_row, sweep_rows, transposed
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
 
 
@@ -83,6 +89,11 @@ def parse_braid_word(text: str) -> BraidWord:
 class BasisChange:
     """Unimodular matrix ``P`` whose columns are the new basis in the old one.
 
+    The change is kept as ``columns = P^T``, whose rows are the columns of
+    ``P``, as a braid word builds them, and ``matrix = P`` is derived from
+    it once, or the other way round when ``P`` is given alone; the
+    determinant is taken on ``P^T``, which has the same one.
+
     A product costs, for each nonzero of its left factor, the nonzeros of
     the matching row of its right factor when that row is stored sparse,
     and the row's width when it is stored dense (see
@@ -90,26 +101,44 @@ class BasisChange:
     a few columns, so its rows and those of ``P^T`` are stored sparse
     from rank 16 on, while the pairings and maps moved here may be
     dense; both rules below keep ``P`` or ``P^T`` on the left of every
-    product and never invert.
+    product and never invert.  They run the row kernel on the stored
+    rows and its sums, transpose those by :func:`~vanlat.intmat.transposed`,
+    and build one matrix from them: the congruence, or the side ``old P``
+    that ``P * new`` is compared with.
     """
 
     matrix: IntMatrix
+    columns: IntMatrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.matrix.det() not in (1, -1):
+        if self.columns is None:
+            object.__setattr__(self, "columns", self.matrix.transpose())
+        if self.columns.det() not in (1, -1):
             raise ValueError("basis change must be unimodular")
+
+    @classmethod
+    def from_columns(cls, columns: IntMatrix) -> "BasisChange":
+        """The change whose ``P^T`` is ``columns``, with ``P`` its transpose."""
+        return cls(columns.transpose(), columns)
+
+    def _times_p(self, rows):
+        """The rows of ``m P`` for the rows of ``m``, stored or summed, as
+        the transpose of ``P^T m^T``."""
+        n = self.columns.ncols
+        return transposed(combine_rows(self.columns.stored_rows,
+                                       transposed(rows, n), n), n)
 
     def congruence(self, m: IntMatrix) -> IntMatrix:
         """``P^T m P``, the new matrix of a pairing or of a map into the
-        dual, formed as ``(P^T * (P^T * m)^T)^T``."""
-        p_transpose = self.matrix.transpose()
-        return (p_transpose * (p_transpose * m).transpose()).transpose()
+        dual, formed as ``(P^T m) P``."""
+        pt_m = combine_rows(self.columns.stored_rows, m.stored_rows, m.ncols)
+        return IntMatrix(self._times_p(pt_m), m.ncols)
 
     def conjugates(self, old: IntMatrix, new: IntMatrix) -> bool:
         """Whether ``new = P^-1 old P``, the new matrix of an endomorphism,
-        tested as ``P * new == old * P = (P^T * old^T)^T``."""
-        p = self.matrix
-        return p * new == (p.transpose() * old.transpose()).transpose()
+        tested as ``P * new == old P``."""
+        return self.matrix * new == IntMatrix(self._times_p(old.stored_rows),
+                                              old.ncols)
 
 
 def picard_lefschetz(lat: ThimbleLattice, j: int) -> IntMatrix:
@@ -194,30 +223,52 @@ def _plus(x, w, y, n):
 _STEPS = {"a": _alpha_step, "A": _alpha_inverse_step, "f": _flip_step}
 
 
+@cache
+def _str_limit_bits(digits):
+    """The bit length of ``10 ** digits``: an int with more bits has more
+    than ``digits`` decimal digits, so ``str()`` refuses it under that limit."""
+    return (10 ** digits).bit_length()
+
+
 def apply_braid_word(lat: ThimbleLattice,
                      word: BraidWord) -> tuple[ThimbleLattice, BasisChange]:
     """Apply a word left to right, accumulating the total basis change.
 
     Each move rewrites rows and columns ``k, k+1`` of one working gram by
     the closed-form rules, at O(nu), and updates two columns of the
-    composite change ``P``, which are kept as dicts of their nonzeros, so
-    ``P^T`` is built from them sparse and ``P`` is its transpose.  The closed-form gram is then checked
-    once against the congruence ``P^T G P``, which costs O(nnz(P) * nu)
-    for the sparse ``P`` of a short word, and ``P`` must have determinant
-    +-1, taken over the components of its pattern (see ``IntMatrix.det``).
-    Both checks stay exact and independent of the closed-form rules.
+    composite change ``P``, kept as dicts of their nonzeros; they are the
+    rows of ``P^T``, which is built from them once, sparse, and ``P`` is
+    derived from it (:meth:`BasisChange.from_columns`).  The closed-form
+    gram is then checked once against the congruence ``P^T G P``, which
+    costs O(nnz(P) * nu) for the sparse ``P`` of a short word, and ``P``
+    must have determinant +-1, taken over the components of the pattern
+    of ``P^T`` (see ``IntMatrix.det``).  Both checks stay exact and
+    independent of the closed-form rules.
+
+    Entries can grow without bound along a word, each move adding a
+    product with the move's coefficient.  A coefficient longer than
+    ``str()`` may write under ``sys.get_int_max_str_digits()`` is
+    converted with ``str()`` at any move, which raises the same
+    ``ValueError`` as writing the result would, before the entries grow
+    further.
     """
     require_valid(lat)
     bad = word.first_out_of_range(lat.nu)
     if bad is not None:
         raise ValueError("index %d out of range 1..%d"
                          % (bad.j, bad.last_position(lat.nu)))
+    # 0 is no limit; Pythons before 3.10.7 have neither the limit nor its getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    max_bits = _str_limit_bits(limit) if limit else inf
     g = lat.gram.to_lists()
     cols = [{c: 1} for c in range(lat.nu)]
     for move in word.moves:
-        _STEPS[move.kind](g, cols, move.j - 1, lat.parity)
+        k = move.j - 1
+        if move.kind != "f" and g[k][k + 1].bit_length() > max_bits:
+            str(g[k][k + 1])  # past the limit: raises ValueError
+        _STEPS[move.kind](g, cols, k, lat.parity)
     closed = IntMatrix(g, lat.nu)
-    change = BasisChange(IntMatrix(cols, lat.nu).transpose())
+    change = BasisChange.from_columns(IntMatrix(cols, lat.nu))
     congruent = change.congruence(lat.gram)
     if closed != congruent:
         raise AssertionError(

@@ -14,7 +14,7 @@ i.e. images are the *columns* of ``M``.
 """
 
 from itertools import compress, repeat
-from operator import add, contains, methodcaller, neg
+from operator import add, contains, countOf, methodcaller, neg
 
 # A row is stored as a dict of its nonzero entries, ``{col: value}``, when
 # it has at least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of
@@ -239,15 +239,8 @@ class IntMatrix:
         return self * -1
 
     def transpose(self):
-        """The transpose; a matrix of tuple rows is transposed by ``zip``,
-        any other column by column from the nonzeros of the rows."""
-        if self._all_tuples:
-            return IntMatrix(zip(*self.stored_rows), self.nrows)
-        cols = [{} for _ in range(self.ncols)]
-        for r, row in enumerate(self.stored_rows):
-            for c, v in row_items(row):
-                cols[c][r] = v
-        return IntMatrix(cols, self.nrows)
+        """The transpose, from the columns of :func:`transposed`."""
+        return IntMatrix(transposed(self.stored_rows, self.ncols), self.nrows)
 
     def is_symmetric(self, sign=1):
         """Whether the matrix is ``sign`` times its transpose (``sign=-1``
@@ -281,10 +274,11 @@ class IntMatrix:
         so permuting rows and columns together (which keeps the
         determinant) makes ``A`` block diagonal, and the determinant is
         the product of the components' determinants.  A 1x1 component's
-        determinant is its entry.  A larger one is reduced alone by
-        :func:`row_reduce`, which ends with its pivot minor ``d``: at full
-        rank its determinant is ``d`` times the sign of the row swaps, and
-        a rank-deficient component makes the whole determinant 0.  A dense
+        determinant is its entry, and a 2x2 one's is ``a d - b c``.  A
+        larger one is reduced alone by :func:`row_reduce`, which ends with
+        its pivot minor ``d``: at full rank its determinant is ``d`` times
+        the sign of the row swaps, and a rank-deficient component makes
+        the whole determinant 0.  A dense
         matrix is one component, so the split costs one O(nu^2) scan; a
         sparse one, such as a braid word's basis change, is reduced in
         small blocks.
@@ -296,8 +290,12 @@ class IntMatrix:
             if len(comp) == 1:
                 out *= self[comp[0], comp[0]]
                 continue
-            pivots, d, sign = row_reduce(submatrix(self.stored_rows, comp),
-                                         len(comp))
+            block = submatrix(self.stored_rows, comp)
+            if len(comp) == 2:
+                (a, b), (c, d) = block
+                out *= a * d - b * c
+                continue
+            pivots, d, sign = row_reduce(block, len(comp))
             if len(pivots) < len(comp):
                 return 0
             out *= sign * d
@@ -368,6 +366,19 @@ def _add_rows(a, b):
     return tuple(map(add, a, b))
 
 
+def transposed(rows, width):
+    """The ``width`` columns of the matrix of ``rows``, stored rows or the
+    kernel's sums: by ``zip`` when no row is a dict, else each column as
+    the dict of the entries the rows hold in it."""
+    if dict not in set(map(type, rows)):
+        return list(zip(*rows))
+    cols = [{} for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c, v in row_items(row):
+            cols[c][r] = v
+    return cols
+
+
 def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
     """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
     ``weight_rows``, as new rows to store (see :func:`store_row`).
@@ -379,8 +390,8 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
     dict row adds its nonzeros into a dict while the weight row is a dict
     and every term so far is a dict, else into a list of ``width``
     entries, which a tuple weight row's many terms would fill anyway.  A
-    dict sum is emitted without the zeros that cancellation leaves, so a
-    product of sparse dict rows is stored as emitted.  A first term starts
+    dict sum keeps the zeros that cancellation leaves, which
+    :func:`store_row` drops when the sum is stored.  A first term starts
     the sum as a copy of its row, or the row scaled; a left row with no
     nonzero weight gives an empty dict.  Each sum is built fresh, so a
     term may read a row that the caller is about to replace.
@@ -422,8 +433,6 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
                         acc[c] += v
                 else:
                     acc = [x + w * y for x, y in zip(acc, row)]
-            if type(acc) is dict and 0 in acc.values():
-                acc = {c: v for c, v in acc.items() if v}
         else:
             for t in compress(indices, weights):
                 w, row = scale * weights[t], rows[t]
@@ -462,12 +471,13 @@ def squares_to_identity(rows):
     """The one involution test: whether the square matrix of ``rows``,
     stored rows or plain int sequences, squares to the identity.  The
     kernel squares row 0 alone, then the rest, and each emitted row is
-    tested against its unit row: most misses cost one row."""
+    tested against its unit row, zeros and all, as the kernel sums it:
+    most misses cost one row, and no row is stored."""
     n = len(rows)
     for first, part in ((0, rows[:1]), (1, rows[1:])):
         for r, row in enumerate(combine_rows(part, rows, n), first):
-            if not (len(row) == 1 and row.get(r) == 1 if type(row) is dict
-                    else row[r] == 1 and row.count(0) == n - 1):
+            if not (row.get(r) == 1 and countOf(row.values(), 0) == len(row) - 1
+                    if type(row) is dict else row[r] == 1 and row.count(0) == n - 1):
                 return False
     return True
 

@@ -1,4 +1,6 @@
 import pathlib
+import sys
+from operator import mul
 
 import pytest
 
@@ -23,10 +25,19 @@ def instance_path(name):
 
 
 def triple_loop(a, b):
-    """Rows of the product ``a * b``, summed entry by entry."""
-    return tuple(tuple(sum(a[i, t] * b[t, j] for t in range(a.ncols))
-                       for j in range(b.ncols))
-                 for i in range(a.nrows))
+    """Rows of the product ``a * b``, summed entry by entry over the dense
+    rows of ``a`` and columns of ``b``."""
+    cols = list(zip(*b.rows))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.rows)
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace ``original`` by ``replacement`` under every name a vanlat
+    module binds it to."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("vanlat")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def matrix_power(m, k):

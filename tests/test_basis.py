@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import a_k_level, matrix_power, triple_loop
+from conftest import a_k_level, matrix_power, rebind, triple_loop
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           braid_alpha, braid_alpha_inverse, monodromy,
@@ -305,8 +306,20 @@ def test_word_check_catches_a_corruption_at_rank_64(monkeypatch, corruption):
         apply_braid_word(lat, word)
 
 
-def _nonzeros(m):
-    return sum(1 for row in m.rows for x in row if x)
+def _product_weights(monkeypatch):
+    """The nonzero weights of each product the row kernel sums, that is the
+    nonzeros of its left factor, under every name a vanlat module binds
+    the kernel to; a sweep is not a product and is not counted."""
+    products = []
+    real = intmat.combine_rows
+
+    def combining(weight_rows, rows, width, *args, **kwargs):
+        if "_sweep" not in kwargs:
+            weight_rows = list(weight_rows)
+            products.append(sum(1 for row in weight_rows for _ in intmat.row_items(row)))
+        return real(weight_rows, rows, width, *args, **kwargs)
+    rebind(monkeypatch, real, combining)
+    return products
 
 
 def test_word_check_work_follows_the_sparsity_of_p(monkeypatch):
@@ -315,19 +328,14 @@ def test_word_check_work_follows_the_sparsity_of_p(monkeypatch):
     # dense factors), and the determinant of P is reduced in blocks no
     # larger than the largest component of its pattern
     lat, word = _rank64_word()
-    reduced, products = [], []
-    real_reduce, real_mul = intmat.row_reduce, IntMatrix.__mul__
+    reduced = []
+    real_reduce = intmat.row_reduce
 
     def reduce_counting(m, ncols):
         reduced.append(len(m))
         return real_reduce(m, ncols)
-
-    def mul_counting(a, b):
-        if isinstance(b, IntMatrix):
-            products.append(_nonzeros(a))
-        return real_mul(a, b)
     monkeypatch.setattr(intmat, "row_reduce", reduce_counting)
-    monkeypatch.setattr(IntMatrix, "__mul__", mul_counting)
+    products = _product_weights(monkeypatch)
     _, change = apply_braid_word(lat, word)
     monkeypatch.undo()
     largest = max(map(len, intmat.components(change.matrix.rows)))
@@ -352,17 +360,61 @@ def test_basis_change_transports_like_the_dense_rules(case):
     assert not change.conjugates(h, monodromy(new) + IntMatrix.identity(lat.nu))
 
 
+def _dense_unimodular(rng, n):
+    """``L U`` for random unit lower and upper triangular ``L`` and ``U``
+    with entries in [-1, 1], its columns then shuffled and some negated:
+    a dense matrix of determinant +-1."""
+    lower = IntMatrix([[rng.randint(-1, 1) if c < r else int(c == r) for c in range(n)]
+                       for r in range(n)], n)
+    upper = IntMatrix([[rng.randint(-1, 1) if c > r else int(c == r) for c in range(n)]
+                       for r in range(n)], n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    return IntMatrix([[signs[c] * row[c] for c in order]
+                      for row in (lower * upper).rows], n)
+
+
+@st.composite
+def _changes_and_maps(draw, n):
+    """A basis change of rank ``n``, from a word on a random lattice or
+    given directly as a dense unimodular ``P``, and a dense or sparse
+    square matrix, their entries drawn from one seeded ``random``."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        lat = random_lattice(rng, n, rng.randint(1, 4))
+        _, change = apply_braid_word(lat, random_braid_word(rng, n, max_len=24))
+    else:
+        change = BasisChange(_dense_unimodular(rng, n))
+    fill = draw(st.sampled_from((1, 8)))  # every entry, or about one in 8
+    m = IntMatrix([[rng.randint(-9, 9) if rng.randrange(fill) == 0 else 0
+                    for _ in range(n)] for _ in range(n)], n)
+    return change, m, rng
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 64])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_transports_are_the_triple_loop_products(n, data):
+    # congruence is P^T M P and conjugates accepts P^-1 M P, both formed
+    # here entry by entry, and refuses it with one entry moved; the ranks
+    # straddle SPARSE_MIN_COLS
+    change, m, rng = data.draw(_changes_and_maps(n))
+    p = change.matrix
+    assert change.columns == p.transpose() and p.det() in (1, -1)
+    assert change.congruence(m) == IntMatrix(
+        triple_loop(IntMatrix(triple_loop(p.transpose(), m)), p), n)
+    want = IntMatrix(triple_loop(IntMatrix(triple_loop(p.unimodular_inverse(), m)), p), n)
+    assert change.conjugates(m, want)
+    if n:
+        r, c = rng.randrange(n), rng.randrange(n)
+        bump = IntMatrix([[int((i, j) == (r, c)) for j in range(n)] for i in range(n)], n)
+        assert not change.conjugates(m, want + bump)
+
+
 def test_braid_invariance_products_are_sparse_left(monkeypatch):
     # both transports keep P or P^T on the left of every product
     lat, word = _rank64_word()
-    products = []
-    real_mul = IntMatrix.__mul__
-
-    def mul_counting(a, b):
-        if isinstance(b, IntMatrix):
-            products.append(_nonzeros(a))
-        return real_mul(a, b)
-    monkeypatch.setattr(IntMatrix, "__mul__", mul_counting)
+    products = _product_weights(monkeypatch)
     assert var_inverse_as_operator_after_braid(lat, word) is None
     monkeypatch.undo()
     assert products and max(products) <= 2 * 64
@@ -410,6 +462,22 @@ def test_cancelling_words():
         new, change = apply_braid_word(lat, parse_braid_word(text))
         assert new.gram == lat.gram
         assert change.matrix == IntMatrix.identity(2)
+
+
+def test_word_past_the_digit_limit_raises_at_its_move(monkeypatch):
+    # each round of "a1 A2" on this gram multiplies the entry lengths by
+    # about 2.6; the coefficient of the 22nd move is longer than str() may
+    # write, so the word stops there, while with no limit (0, or a Python
+    # without the getter) the same word runs to its end
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 3, 3], [3, 2, 3], [3, 3, 2]]))
+    word = parse_braid_word(" ".join(["a1 A2"] * 11))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        apply_braid_word(lat, word)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    new, _ = apply_braid_word(lat, word)
+    assert max(abs(x).bit_length() for row in new.gram.rows for x in row) > 30000
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert apply_braid_word(lat, word)[0].gram == new.gram
 
 
 def test_parse_braid_word():

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
@@ -495,6 +496,24 @@ def test_braid_past_the_digit_limit_writes_nothing(tmp_path, capsys):
     word = " ".join(["a1 A2"] * 10)
     assert run(capsys, "braid", src, word) == (1, "", want)
     assert run(capsys, "braid", src, word, "--output", moved) == (1, "", want)
+    assert not moved.exists()
+
+
+def test_runaway_braid_word_stops_at_the_digit_limit(tmp_path, capsys):
+    # each round of "a1 A2" multiplies this gram's entry lengths by about
+    # 2.6, so twenty rounds would run for hours; the first move whose
+    # coefficient is past str()'s digit limit ends the word, in bounded
+    # time, with the same error and nothing written
+    src, moved = tmp_path / "g3.vl", tmp_path / "moved.vl"
+    src.write_text("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n- i: 0\n"
+                   "  gram:\n  - [2, 3, 3]\n  - [3, 2, 3]\n  - [3, 3, 2]\n")
+    want = ("error: Exceeds the limit (4300 digits) for integer string "
+            "conversion; use sys.set_int_max_str_digits() to increase the limit\n")
+    word = " ".join(["a1 A2"] * 20)
+    t0 = time.monotonic()
+    assert run(capsys, "braid", src, word, "--output", moved) == (1, "", want)
+    assert run(capsys, "braid", src, word) == (1, "", want)
+    assert time.monotonic() - t0 < 2.0
     assert not moved.exists()
 
 

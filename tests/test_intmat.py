@@ -249,22 +249,25 @@ def test_det_by_components_matches_whole_reduction(case):
     _check_det_split(*case)
 
 
-def test_det_reduces_only_components_above_1x1(monkeypatch):
-    # 1x1 components 3 and -1 around the 2x2 block [[2, 1], [1, 1]] of
-    # rows 1 and 3: only the block is reduced, and a zero singleton
-    # makes the determinant 0
+def test_det_reduces_only_components_above_2x2(monkeypatch):
+    # 1x1 components 3 and -1, the 2x2 block [[2, 1], [1, 1]] of rows 1
+    # and 3, taken as a d - b c, and a 3x3 block of determinant 4 on rows
+    # 4-6: only the 3x3 block is reduced, and a zero singleton makes the
+    # determinant 0
     reduced = []
 
     def counting(m, ncols):
         reduced.append(len(m))
         return row_reduce(m, ncols)
     monkeypatch.setattr(intmat, "row_reduce", counting)
-    rows = [[3, 0, 0, 0], [0, 2, 0, 1], [0, 0, -1, 0], [0, 1, 0, 1]]
-    assert IntMatrix.from_rows(rows).det() == -3
-    assert reduced == [2]
-    singular = [row + [0] for row in rows] + [[0] * 5]
+    rows = [[3, 0, 0, 0, 0, 0, 0], [0, 2, 0, 1, 0, 0, 0], [0, 0, -1, 0, 0, 0, 0],
+            [0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0], [0, 0, 0, 0, 1, 2, 1],
+            [0, 0, 0, 0, 0, 1, 2]]
+    assert IntMatrix.from_rows(rows).det() == -12
+    assert reduced == [3]
+    singular = [row + [0] for row in rows] + [[0] * 8]
     assert IntMatrix.from_rows(singular).det() == 0
-    assert reduced == [2, 2]
+    assert reduced == [3, 3]
 
 
 def test_a_walk_over_rows_alone_is_caught(monkeypatch):

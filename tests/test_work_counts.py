@@ -17,21 +17,21 @@ and never inverts the basis change.  Each matrix row is stored by its
 fill: every matrix of the A_64 tower's analysis, and its ``var``, is
 sparse and the row kernel sums it as dicts, with no dense row built,
 while a dense random lattice and its braid congruence stay dense.  The
-kernel emits no dict row that holds a zero, so a product of sparse rows
-whose sums cancel is stored as emitted, with no row stored a second time.
+kernel leaves the zeros of a dict sum that cancels, and storing the sum
+drops them, once per row; the involution test stores no row.  A braid
+word builds four matrices.
 """
 
 import collections
 import contextlib
 import io
 import random
-import sys
 
 import pytest
 
-from conftest import a_k_instance, a_k_level, instance_path
+from conftest import a_k_instance, a_k_level, instance_path, rebind
 from vanlat import conjugation, gen, intmat, suite, variation
-from vanlat.basis import apply_braid_word
+from vanlat.basis import BraidMove, BraidWord, apply_braid_word
 from vanlat.cli import main
 from vanlat.conjugation import ConjugatePair, LevelAnalysis, generate_level
 from vanlat.gen import (flip_last_sign, level_with_cycles, random_braid_word,
@@ -222,10 +222,7 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
     def counting(lat, word):
         applied[None] += 1
         return apply_braid_word(lat, word)
-    for module in [m for name, m in sys.modules.items() if name.startswith("vanlat")]:
-        for attr, value in list(vars(module).items()):
-            if value is apply_braid_word:
-                monkeypatch.setattr(module, attr, counting)
+    rebind(monkeypatch, apply_braid_word, counting)
     checked = _counting(monkeypatch, suite, "var_inverse_as_operator_after_braid")
     inverses = _counting(monkeypatch, IntMatrix, "unimodular_inverse")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -238,50 +235,37 @@ def test_braid_invariance_applies_each_word_once_in_verify(monkeypatch, seed):
 
 def _built_rows(monkeypatch):
     """Count the rows the row kernel sums, by type (``dict`` or
-    ``list``), the dict rows among them that hold a zero (``zero``), and
-    the dense rows built from sparse stored ones (``densified``), under
-    every name a vanlat module binds them to.  A product's sums are
-    counted as the kernel returns them; a sweep's, as the kernel hands
-    each to ``store_row``, where a zero at the unit's column ``k``, left
-    by ``unit * e_k`` and dropped by ``store_row``, is not counted."""
+    ``list``), and the dense rows built from sparse stored ones
+    (``densified``), under every name a vanlat module binds them to.  A
+    product's sums are counted as the kernel returns them; a sweep's, as
+    the kernel hands each to ``store_row``."""
     built = collections.Counter()
     combine, store, dense = intmat.combine_rows, intmat.store_row, intmat.dense_row
-    units = []  # the unit columns of the running sweep, the next one last
-
-    def count(acc, unit_column=None):
-        built[type(acc).__name__] += 1
-        if type(acc) is dict and any(v == 0 for c, v in acc.items() if c != unit_column):
-            built["zero"] += 1
+    sweeping = []
 
     def combining(weight_rows, rows, width, *args, **kwargs):
         if "_sweep" not in kwargs:
             out = combine(weight_rows, rows, width, *args, **kwargs)
-            for acc in out:
-                count(acc)
+            built.update(type(acc).__name__ for acc in out)
             return out
-        units[:] = range(len(rows))
+        sweeping.append(True)
         try:
             return combine(weight_rows, rows, width, *args, **kwargs)
         finally:
-            units.clear()
+            sweeping.pop()
 
     def storing(row, width):
-        if units:
-            count(row, units.pop())
+        if sweeping:
+            built[type(row).__name__] += 1
         return store(row, width)
 
     def densifying(row, width):
         if type(row) is dict:
             built["densified"] += 1
         return dense(row, width)
-    for module in [m for name, m in sys.modules.items() if name.startswith("vanlat")]:
-        for attr, value in list(vars(module).items()):
-            if value is combine:
-                monkeypatch.setattr(module, attr, combining)
-            elif value is store:
-                monkeypatch.setattr(module, attr, storing)
-            elif value is dense:
-                monkeypatch.setattr(module, attr, densifying)
+    rebind(monkeypatch, combine, combining)
+    rebind(monkeypatch, store, storing)
+    rebind(monkeypatch, dense, densifying)
     return built
 
 
@@ -301,11 +285,25 @@ def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
     assert built == {"dict": 5 * 64}
 
 
-def test_row_kernel_emits_no_zero_in_a_dict_row(monkeypatch, tmp_path):
-    # a dict row is emitted without the zeros that cancellation leaves,
-    # over the A_64 tower's commands, a random lattice's braid word and
-    # a short verify run, whose products cancel
-    built = _built_rows(monkeypatch)
+def test_no_stored_dict_row_holds_a_zero(monkeypatch, tmp_path):
+    # the kernel leaves the zeros that cancellation makes in a dict sum,
+    # and storing the sum drops them: over the A_64 tower's commands, a
+    # random lattice's braid word and a short verify run, whose products
+    # cancel, rows with zeros are stored, and no matrix holds one
+    counts = collections.Counter()
+    init, store = IntMatrix.__init__, intmat.store_row
+
+    def building(self, rows, ncols=None):
+        init(self, rows, ncols)
+        dicts = [row for row in self.stored_rows if type(row) is dict]
+        counts["dict"] += len(dicts)
+        counts["zero"] += sum(0 in row.values() for row in dicts)
+
+    def storing(row, width):
+        counts["cleaned"] += type(row) is dict and 0 in row.values()
+        return store(row, width)
+    monkeypatch.setattr(IntMatrix, "__init__", building)
+    monkeypatch.setattr(intmat, "store_row", storing)
     path = tmp_path / "a64.vl"
     path.write_text(serialize_instance(InstanceDocument(a_k_instance(64))))
     rng = random.Random(64)
@@ -314,22 +312,24 @@ def test_row_kernel_emits_no_zero_in_a_dict_row(monkeypatch, tmp_path):
                      ["verify", "--seed", "7", "--count", "14", "--rank-bound", "32"]):
             assert main(argv) == 0
     apply_braid_word(random_lattice(rng, 64, 1), random_braid_word(rng, 64, max_len=24))
-    assert built["dict"] > 1000 and built["zero"] == 0
+    assert counts["dict"] > 1000 and counts["cleaned"] > 0 and counts["zero"] == 0
 
 
 def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
     # sigma^2 and the companion's square are the identity, so their sums
-    # cancel; the kernel drops those zeros, so each product is stored as
-    # the kernel emits it, with no store_row call per row
+    # cancel; the involution test reads each square's rows as the kernel
+    # sums them, zeros and all, and stores none, and a product that is
+    # kept stores each row once, when store_row drops its zeros
     lat, conj = a_k_level(64)
     analysis = LevelAnalysis(lat, conj)
-    analysis.monodromy  # the sweep stores each of its rows, and is not counted
-    stored = _counting(monkeypatch, intmat, "store_row")
     tilde = analysis.companion.matrix
     assert analysis.signature.n_zero == 0
-    assert conj.sigma * conj.sigma == tilde * tilde == IntMatrix.identity(64)
-    assert max(len(row) for row in conj.sigma.stored_rows) == 3
+    stored = _counting(monkeypatch, intmat, "store_row")
+    assert conj.sigma.is_involution() and tilde.is_involution()
     assert sum(stored.values()) == 0
+    assert conj.sigma * conj.sigma == tilde * tilde == IntMatrix.identity(64)
+    assert sum(stored.values()) == 2 * 64
+    assert max(len(row) for row in conj.sigma.stored_rows) == 3
 
 
 def test_a_64_var_builds_no_dense_row(monkeypatch):
@@ -356,3 +356,19 @@ def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
     for m in (lat.gram, moved.gram):
         assert {type(row) for row in m.stored_rows} == {tuple}
     assert sum(type(row) is dict for row in change.matrix.stored_rows) >= 64 - 2 * len(word)
+
+
+def test_rank_64_braid_word_builds_four_matrices(monkeypatch):
+    # the closed-form gram, P^T from the word's columns, P derived from it
+    # and the congruence; the congruence's products and transposes run on
+    # rows, and the determinant is taken on P^T
+    rng = random.Random(64)
+    lat = random_lattice(rng, 64, 1)
+    kinds = list("aAf" * 8)
+    rng.shuffle(kinds)
+    word = BraidWord(tuple(BraidMove(kind, rng.randint(1, 64 if kind == "f" else 63))
+                           for kind in kinds))
+    built = _counting(monkeypatch, IntMatrix, "__init__")
+    moved, change = apply_braid_word(lat, word)
+    assert len(word) == 24 and sum(built.values()) == 4
+    assert change.columns == change.matrix.transpose()
