@@ -6,7 +6,9 @@ new values.  Each row is stored once, when its matrix is built: a wide row
 with few nonzeros as the dict of its nonzero entries, any other row as a
 tuple (:func:`store_row`), and every kernel reads and writes the rows as
 stored, so a sparse matrix costs its nonzeros, not its area.  One row
-kernel, in one loop, sums every product and sweeps monodromy and var.
+kernel sums every product and sweeps monodromy and var, in one loop over
+a weight row's nonzero terms, dict or tuple, with a flag for whether the
+sum so far is a dict.
 
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
@@ -143,9 +145,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        if n >= SPARSE_MIN_COLS:
-            return cls([{i: 1} for i in range(n)], n)
-        return cls(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
+        return cls([{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -331,19 +331,15 @@ _set_all_tuples = IntMatrix._all_tuples.__set__
 def _stored(rows, width, kinds):
     """:func:`store_row` of each of ``rows``, where a row's storage may
     change; C-level passes over all the rows at once settle the common
-    cases, rows that are all stored already or all dense, and count each
-    sequence row's zeros once."""
+    cases, rows that are all stored already or all dense, and hand any
+    other to :func:`store_row` row by row."""
     if dict in kinds:
         if (kinds == {dict} and not any(map(contains, map(dict.values, rows), repeat(0)))
                 and _sparse(max(map(len, rows)), width)):
             return rows
-        return tuple([store_row(row, width) for row in rows])
-    zeros = list(map(_count_zeros, rows))
-    if not _sparse(width - max(zeros), width):
+    elif not _sparse(width - max(map(_count_zeros, rows)), width):
         return rows if kinds == {tuple} else tuple(map(tuple, rows))
-    cols = range(width)
-    return tuple([{c: row[c] for c in compress(cols, row)} if _sparse(width - z, width)
-                  else tuple(row) for row, z in zip(rows, zeros)])
+    return tuple([store_row(row, width) for row in rows])
 
 
 _count_zeros = methodcaller("count", 0)
@@ -385,16 +381,19 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
 
     The one row-combination kernel, behind every product and
     :func:`sweep_rows`, takes all the left rows of a product in one call.
-    Weight rows and ``rows`` are stored rows, and only the nonzero weights
-    are visited: a dict's items, a tuple's by ``itertools.compress``.  A
-    dict row adds its nonzeros into a dict while the weight row is a dict
-    and every term so far is a dict, else into a list of ``width``
-    entries, which a tuple weight row's many terms would fill anyway.  A
-    dict sum keeps the zeros that cancellation leaves, which
-    :func:`store_row` drops when the sum is stored.  A first term starts
-    the sum as a copy of its row, or the row scaled; a left row with no
-    nonzero weight gives an empty dict.  Each sum is built fresh, so a
-    term may read a row that the caller is about to replace.
+    Weight rows and ``rows`` are stored rows.  One loop visits the
+    nonzero weights of either storage, a dict's keys or a tuple's columns
+    by ``itertools.compress``, and reads each weight by its column; a
+    local flag says whether the sum so far is a dict.  A dict row adds
+    its nonzeros into a dict while the weight row is a dict and every
+    term so far is a dict, else into a list of ``width`` entries, which a
+    tuple weight row's many terms would fill anyway; the first dense term
+    turns a dict sum into a list and clears the flag.  A dict sum keeps
+    the zeros that cancellation leaves, which :func:`store_row` drops when
+    the sum is stored.  A first term starts the sum as a copy of its row,
+    or the row scaled; a left row with no nonzero weight gives an empty
+    dict.  Each sum is built fresh, so a term may read a row that the
+    caller is about to replace.
 
     With ``_sweep = (start, unit)`` it runs the sweep of :func:`sweep_rows`
     on ``rows``, all ``None`` at first, a ``None`` row standing for ``start
@@ -406,49 +405,35 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
         weight_rows = reversed(weight_rows)
     indices = range(k)
     for weights in weight_rows:
-        acc = None
-        if type(weights) is dict:
-            for t, w in weights.items():
-                w *= scale
-                row = rows[t]
-                if type(row) is dict:
-                    if acc is None:
-                        acc = dict(row) if w == 1 else {c: w * v for c, v in row.items()}
-                    elif type(acc) is dict:
-                        get = acc.get
-                        for c, v in row.items():
-                            acc[c] = get(c, 0) + w * v
-                    else:
-                        for c, v in row.items():
-                            acc[c] += w * v
-                elif row is None:
-                    if start:
-                        acc = {} if acc is None else acc
-                        acc[t] = (acc.get(t, 0) if type(acc) is dict else acc[t]) + start * w
-                elif acc is None:
-                    acc = list(row) if w == 1 else [w * y for y in row]
-                elif type(acc) is dict:
-                    sparse, acc = acc, list(row) if w == 1 else [w * y for y in row]
-                    for c, v in sparse.items():
-                        acc[c] += v
+        acc, in_dict = None, False
+        by_dict = type(weights) is dict
+        for t in weights if by_dict else compress(indices, weights):
+            w, row = scale * weights[t], rows[t]
+            if type(row) is dict:
+                if acc is None and by_dict:
+                    acc = dict(row) if w == 1 else {c: w * v for c, v in row.items()}
+                    in_dict = True
+                elif in_dict:
+                    get = acc.get
+                    for c, v in row.items():
+                        acc[c] = get(c, 0) + w * v
                 else:
-                    acc = [x + w * y for x, y in zip(acc, row)]
-        else:
-            for t in compress(indices, weights):
-                w, row = scale * weights[t], rows[t]
-                if type(row) is dict:
-                    if acc is None:
-                        acc = [0] * width
+                    acc = [0] * width if acc is None else acc
                     for c, v in row.items():
                         acc[c] += w * v
-                elif row is None:
-                    if start:
-                        acc = [0] * width if acc is None else acc
-                        acc[t] += start * w
-                elif acc is None:
-                    acc = list(row) if w == 1 else [w * y for y in row]
-                else:
-                    acc = [x + w * y for x, y in zip(acc, row)]
+            elif row is None:
+                if start:
+                    if acc is None:
+                        in_dict, acc = by_dict, {} if by_dict else [0] * width
+                    acc[t] = (acc.get(t, 0) if in_dict else acc[t]) + start * w
+            elif acc is None or in_dict:
+                sparse, acc = acc, list(row) if w == 1 else [w * y for y in row]
+                if in_dict:
+                    in_dict = False
+                    for c, v in sparse.items():
+                        acc[c] += v
+            else:
+                acc = [x + w * y for x, y in zip(acc, row)]
         acc = {} if acc is None else acc
         if _sweep is not None:
             k -= 1

@@ -360,10 +360,10 @@ def test_mul_matches_triple_loop_on_wide_sparse_and_dense_rows(factors):
 
 @st.composite
 def _combination(draw):
-    # weight rows over right rows at least SPARSE_MIN_COLS wide, each
-    # right row sparse or dense, under a scale
+    # weight rows over right rows of any width, below SPARSE_MIN_COLS all
+    # stored as tuples and from there on each sparse or dense, under a scale
     k = draw(st.integers(1, 6))
-    m = draw(st.integers(intmat.SPARSE_MIN_COLS, 40))
+    m = draw(st.integers(1, 40))
     weights = [draw(_row(k)) for _ in range(draw(st.integers(0, 4)))]
     rows = [tuple(draw(_row(m))) for _ in range(k)]
     return weights, rows, draw(st.sampled_from([1, -1, 3]))
@@ -431,6 +431,9 @@ def _sweep(draw):
 @example(([[2, -1], [-1, 2]], -1, -1, 0))  # its var
 @example(([[1, 1], [0, 1]], 1, -1, 1))  # a one-entry term cancels the unit
 @example(([[int(r == c) for c in range(16)] for r in range(16)], 1, -1, 1))  # in dicts
+# row 0, a dict, starts its sum as a dict from the row not yet replaced
+# and switches to a list at the dense replaced row 15
+@example(([[1] + [0] * 14 + [1]] + [[0] * 16] * 14 + [[1] * 16], 1, 1, 1))
 def test_sweep_rows_matches_the_dense_sweep(case):
     # from the last row k to the first, row k becomes unit * e_k + scale *
     # sum_t weights[k][t] * row_t, where a row not yet replaced is start * e_t;
