@@ -9,11 +9,9 @@ isolated complete intersection point.
 """
 
 from .basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
-                    braid_alpha, braid_alpha_inverse, monodromy,
-                    orientation_flip, parse_braid_word, picard_lefschetz)
+                    monodromy, parse_braid_word, picard_lefschetz)
 from .conjugation import (ConjugatePair, ConjugationData, LevelAnalysis,
-                          MorseSpec, RealPoint, SigmaTildeReport, build_sigma,
-                          signature_by_blocks)
+                          MorseSpec, RealPoint, build_sigma, signature_by_blocks)
 from .index import (CycleData, EvenParityError, IcisInstance, LevelData,
                     sign_independence_check, gradient_index, morse_recursion_step,
                     smoothable_index, telescoped_index, level_index_sum,
@@ -32,13 +30,13 @@ __all__ = [
     "BasisChange", "BraidMove", "BraidWord", "ConjugatePair",
     "ConjugationData", "CycleData", "EvenParityError", "IcisInstance",
     "IntMatrix", "LevelAnalysis", "LevelData", "MorseSpec", "RealPoint",
-    "Signature", "SigmaTildeReport", "SignVector", "ThimbleLattice",
-    "apply_braid_word", "braid_alpha", "braid_alpha_inverse", "build_sigma",
-    "check_monodromy_relation", "check_s_relation", "sign_independence_check",
-    "exact_signature", "float_signature", "index_1d", "index_2d",
-    "gradient_index", "monodromy", "morse_recursion_step", "orientation_flip",
-    "parse_braid_word", "picard_lefschetz", "poly2", "self_intersection",
-    "signature_by_blocks", "smoothable_index", "telescoped_index",
-    "level_index_sum", "cycle_index_sum", "validate_lattice", "var",
-    "var_inverse", "var_inverse_as_operator_after_braid",
+    "Signature", "SignVector", "ThimbleLattice", "apply_braid_word",
+    "build_sigma", "check_monodromy_relation", "check_s_relation",
+    "sign_independence_check", "exact_signature", "float_signature",
+    "index_1d", "index_2d", "gradient_index", "monodromy",
+    "morse_recursion_step", "parse_braid_word", "picard_lefschetz", "poly2",
+    "self_intersection", "signature_by_blocks", "smoothable_index",
+    "telescoped_index", "level_index_sum", "cycle_index_sum",
+    "validate_lattice", "var", "var_inverse",
+    "var_inverse_as_operator_after_braid",
 ]

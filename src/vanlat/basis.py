@@ -278,15 +278,25 @@ def apply_braid_word(lat: ThimbleLattice,
 
 
 def braid_alpha(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
-    """Forward braid move at position ``j`` (1 <= j <= nu-1)."""
+    """Forward braid move at position ``j`` (1 <= j <= nu-1): the word
+    ``a<j>`` through :func:`apply_braid_word`.
+
+    No library path calls this name, nor the two moves below: they exist
+    only because the benchmark's tracer under ``bench/`` wraps them, and
+    they go when the tracer counts braid words instead (ROADMAP.md, items
+    1 and 11).
+    """
     return apply_braid_word(lat, BraidWord((BraidMove("a", j),)))
 
 
 def braid_alpha_inverse(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
-    """Inverse braid move; exact group inverse of :func:`braid_alpha`."""
+    """Inverse braid move, the word ``A<j>``; exact group inverse of
+    :func:`braid_alpha`, and like it kept only for the tracer."""
     return apply_braid_word(lat, BraidWord((BraidMove("A", j),)))
 
 
 def orientation_flip(lat: ThimbleLattice, j: int) -> tuple[ThimbleLattice, BasisChange]:
-    """Negate basis thimble ``j``: row and column ``j`` of the gram flip sign."""
+    """Negate basis thimble ``j``, the word ``f<j>``: row and column ``j``
+    of the gram flip sign.  Kept only for the tracer, like
+    :func:`braid_alpha`."""
     return apply_braid_word(lat, BraidWord((BraidMove("f", j),)))

@@ -16,11 +16,12 @@ the index formulas consume.
 
 All of this is read from :class:`LevelAnalysis`, the one level API, built
 once per level.  It validates the lattice once and computes the
-monodromy, the companion, ``var_inverse``, the form and the form's
-signature once each, on first use.  The form's nondegeneracy is read off
-its signature (an empty radical), so no determinant is taken.  A
-:class:`vanlat.index.LevelData` keeps its analysis, so every index route
-over a level shares it.
+monodromy, the ``companion`` matrix, its ``inconsistency`` (the failed
+verdicts, or ``None`` on a consistent level), ``var_inverse``, the form
+and the form's signature once each, on first use.  The form's
+nondegeneracy is read off its signature (an empty radical), so no
+determinant is taken.  A :class:`vanlat.index.LevelData` keeps its
+analysis, so every index route over a level shares it.
 
 The generator forms each chunk's conjugation as ``sigma = B^-1 *
 var_inverse`` for the forced block form ``B``, straight from the chunk's
@@ -184,37 +185,15 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
     return ConjugationData(sigma, morse)
 
 
-@dataclass(frozen=True)
-class SigmaTildeReport:
-    """Companion matrix from the monodromy split, with structure verdicts."""
-
-    matrix: IntMatrix
-    involution: bool
-    lower_block_triangular: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.involution and self.lower_block_triangular
-
-    def problems(self) -> str:
-        """The failed verdicts, ``"; "``-separated; empty when consistent."""
-        why = []
-        if not self.involution:
-            why.append("companion not an involution")
-        if not self.lower_block_triangular:
-            why.append("companion not block lower triangular")
-        return "; ".join(why)
-
-
 class LevelAnalysis:
     """The derived data of one level, each piece computed once, on first use.
 
     Construction checks the ranks and validates the lattice.  The
-    monodromy, the companion report, ``var_inverse``, the form
-    ``var_inverse * sigma`` and the form's signature are then computed
-    when first asked for and kept for the life of the object; every
-    route below and in :mod:`vanlat.index` reads them from here.  The
-    bodies call the module-level ``monodromy``, ``var_inverse`` and
+    monodromy, the ``companion``, its ``inconsistency``, ``var_inverse``,
+    the form ``var_inverse * sigma`` and the form's signature are then
+    computed when first asked for and kept for the life of the object;
+    every route below and in :mod:`vanlat.index` reads them from here.
+    The bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
     """
 
@@ -235,26 +214,28 @@ class LevelAnalysis:
         return var_inverse(self.lattice)
 
     @cached_property
-    def companion(self) -> SigmaTildeReport:
-        """``sigma * monodromy`` with its two consistency verdicts."""
-        tilde = self.conj.sigma * self.monodromy
-        involution = tilde.is_involution()
-        lower = not any(max(row, default=-1) >= end if type(row) is dict
-                        else any(row[end:])
-                        for row, (_, end) in zip(tilde.stored_rows,
-                                                 self.conj.morse.spans))
-        return SigmaTildeReport(tilde, involution, lower)
+    def companion(self) -> IntMatrix:
+        """``sigma_tilde = sigma * monodromy``."""
+        return self.conj.sigma * self.monodromy
 
-    def require_consistent(self) -> SigmaTildeReport:
-        report = self.companion
-        if not report.consistent:
-            raise ValueError("inconsistent instance: " + report.problems())
-        return report
+    @cached_property
+    def inconsistency(self) -> str | None:
+        """``None`` when the companion is an involution and is block lower
+        triangular, else the failed verdicts, ``"; "``-separated."""
+        tilde = self.companion
+        why = []
+        if not tilde.is_involution():
+            why.append("companion not an involution")
+        if any(max(row, default=-1) >= end if type(row) is dict else any(row[end:])
+               for row, (_, end) in zip(tilde.stored_rows, self.conj.morse.spans)):
+            why.append("companion not block lower triangular")
+        return "; ".join(why) or None
 
     @cached_property
     def form(self) -> IntMatrix:
         """``var_inverse * sigma``; ValueError on an inconsistent level."""
-        self.require_consistent()
+        if self.inconsistency is not None:
+            raise ValueError("inconsistent instance: " + self.inconsistency)
         return self.var_inverse * self.conj.sigma
 
     @cached_property
@@ -280,9 +261,8 @@ class LevelAnalysis:
         """The first entry where the form differs from the forced block
         form (:meth:`MorseSpec.forced_form`), or ``None``; an inconsistent
         level is reported by its companion's verdicts."""
-        report = self.companion
-        if not report.consistent:
-            return "inconsistent instance: " + report.problems()
+        if self.inconsistency is not None:
+            return "inconsistent instance: " + self.inconsistency
         morse = self.conj.morse
         form, want = self.form, morse.forced_form(self.lattice.parity)
         diff = first_difference(form, want)
@@ -303,7 +283,7 @@ class LevelAnalysis:
                 % (start, block(form), block(want)))
 
 
-def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> SigmaTildeReport:
+def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> IntMatrix:
     """``LevelAnalysis(lat, conj).companion``.
 
     No library path calls this name: it exists only because the

@@ -52,7 +52,7 @@ def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelDat
     null, trivial = IntMatrix.zeros(pad, pad), IntMatrix.identity(pad)
     cycles = CycleData(block_diagonal([lat.gram, null]),
                        block_diagonal([conj.sigma, trivial]),
-                       block_diagonal([analysis.companion.matrix, trivial]))
+                       block_diagonal([analysis.companion, trivial]))
     return LevelData(i, lat, conj, cycles, analysis)
 
 
@@ -104,7 +104,7 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     lat = level0.lattice
     parity = lat.parity
     new_gram = _reversed(lat.gram.transpose())
-    new_sigma = _reversed(level0.analysis.companion.matrix)
+    new_sigma = _reversed(level0.analysis.companion)
     new_points = tuple(RealPoint(parity - pt.morse_index)
                        for pt in reversed(conj.morse.points))
     new_lat = ThimbleLattice(parity, new_gram)

@@ -166,13 +166,7 @@ class IntMatrix:
         """The rows as a hashable tuple of dense row tuples."""
         if self._all_tuples:
             return self.stored_rows
-        return tuple(self.dense_rows())
-
-    def dense_rows(self):
-        """Each row as a tuple of all its entries, one at a time."""
-        if self._all_tuples:
-            return iter(self.stored_rows)
-        return map(dense_row, self.stored_rows, repeat(self.ncols))
+        return tuple(map(dense_row, self.stored_rows, repeat(self.ncols)))
 
     def __getitem__(self, key):
         r, c = key
@@ -184,7 +178,7 @@ class IntMatrix:
         return row[c]
 
     def to_lists(self):
-        return [list(r) for r in self.dense_rows()]
+        return [list(r) for r in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -311,7 +305,7 @@ class IntMatrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.dense_rows())]
+               for i, row in enumerate(self.rows)]
         pivots, d, sign = row_reduce(aug, n)
         det = sign * d if len(pivots) == n else 0
         if det not in (1, -1):

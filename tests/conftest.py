@@ -2,8 +2,6 @@ import pathlib
 import sys
 from operator import mul
 
-import pytest
-
 from vanlat.basis import parse_braid_word
 from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
@@ -13,11 +11,6 @@ from vanlat.intmat import IntMatrix
 from vanlat.lattice import SignVector, ThimbleLattice
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
-
-
-@pytest.fixture
-def instance_dir():
-    return INSTANCE_DIR
 
 
 def instance_path(name):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from conftest import a_k_level, matrix_power, rebind, triple_loop
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
-                          braid_alpha, braid_alpha_inverse, monodromy,
-                          orientation_flip, parse_braid_word,
-                          picard_lefschetz)
+                          monodromy, parse_braid_word, picard_lefschetz)
 from vanlat.conjugation import generate_level
 from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
@@ -133,19 +131,19 @@ def test_monodromy_requires_valid_lattice():
 # -- braid moves -------------------------------------------------------------
 
 def test_braid_alpha_a2_worked_example():
-    new, change = braid_alpha(a2(), 1)
+    new, change = apply_braid_word(a2(), parse_braid_word("a1"))
     assert new.gram == IntMatrix.from_rows([[2, 1], [1, 2]])
     assert change.matrix == IntMatrix.from_rows([[1, 1], [1, 0]])
 
 
 def test_braid_alpha_skew_flips_pairing():
-    new, _ = braid_alpha(skew2(), 1)
+    new, _ = apply_braid_word(skew2(), parse_braid_word("a1"))
     assert new.gram == IntMatrix.from_rows([[0, -1], [1, 0]])
 
 
 def test_braid_alpha_inverse_of_worked_example():
     mid = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
-    back, _ = braid_alpha_inverse(mid, 1)
+    back, _ = apply_braid_word(mid, parse_braid_word("A1"))
     assert back.gram == a2().gram
 
 
@@ -156,12 +154,12 @@ def test_braid_round_trip_both_orders():
         nu = rng.randint(2, 6)
         lat = random_lattice(rng, nu, parity)
         j = rng.randint(1, nu - 1)
-        fwd, p1 = braid_alpha(lat, j)
-        back, p2 = braid_alpha_inverse(fwd, j)
+        fwd, p1 = apply_braid_word(lat, parse_braid_word("a%d" % j))
+        back, p2 = apply_braid_word(fwd, parse_braid_word("A%d" % j))
         assert back.gram == lat.gram
         assert p1.matrix * p2.matrix == IntMatrix.identity(nu)
-        inv, q1 = braid_alpha_inverse(lat, j)
-        again, q2 = braid_alpha(inv, j)
+        inv, q1 = apply_braid_word(lat, parse_braid_word("A%d" % j))
+        again, q2 = apply_braid_word(inv, parse_braid_word("a%d" % j))
         assert again.gram == lat.gram
         assert q1.matrix * q2.matrix == IntMatrix.identity(nu)
 
@@ -203,9 +201,6 @@ def test_monodromy_is_conjugation_covariant():
         assert monodromy(new) == p.unimodular_inverse() * monodromy(lat) * p
 
 
-_MOVES = {"a": braid_alpha, "A": braid_alpha_inverse, "f": orientation_flip}
-
-
 @st.composite
 def _lattices_and_words(draw, max_len):
     lat = draw(_lattices(1, 8))
@@ -223,7 +218,7 @@ def test_every_move_is_a_congruence(case):
     # the per-move form of the check that apply_braid_word runs once per word
     lat, word = case
     (move,) = word.moves
-    new, change = _MOVES[move.kind](lat, move.j)
+    new, change = apply_braid_word(lat, BraidWord((move,)))
     p = change.matrix
     congruent = IntMatrix(triple_loop(IntMatrix(triple_loop(p.transpose(), lat.gram)), p))
     assert new.gram == congruent
@@ -237,7 +232,7 @@ def test_word_composite_is_the_product_of_its_moves(case):
     new, change = apply_braid_word(lat, word)
     current, want = lat, BasisChange(IntMatrix.identity(lat.nu))
     for move in word.moves:
-        current, step = _MOVES[move.kind](current, move.j)
+        current, step = apply_braid_word(current, BraidWord((move,)))
         want = BasisChange(want.matrix * step.matrix)
     assert new.gram == current.gram
     assert change.matrix == want.matrix
@@ -424,14 +419,14 @@ def test_braid_invariance_products_are_sparse_left(monkeypatch):
 
 def test_flip_double_is_identity():
     lat = a2()
-    once, p1 = orientation_flip(lat, 2)
-    twice, p2 = orientation_flip(once, 2)
+    once, p1 = apply_braid_word(lat, parse_braid_word("f2"))
+    twice, p2 = apply_braid_word(once, parse_braid_word("f2"))
     assert twice.gram == lat.gram
     assert p1.matrix * p2.matrix == IntMatrix.identity(2)
 
 
 def test_flip_a2_worked_example():
-    new, change = orientation_flip(a2(), 2)
+    new, change = apply_braid_word(a2(), parse_braid_word("f2"))
     assert new.gram == IntMatrix.from_rows([[2, 1], [1, 2]])
     assert change.matrix == IntMatrix.from_rows([[1, 0], [0, -1]])
 
@@ -443,7 +438,7 @@ def test_flip_preserves_diagonal():
         nu = rng.randint(1, 5)
         lat = random_lattice(rng, nu, parity)
         j = rng.randint(1, nu)
-        new, _ = orientation_flip(lat, j)
+        new, _ = apply_braid_word(lat, parse_braid_word("f%d" % j))
         assert all(new.gram[k, k] == lat.gram[k, k] for k in range(nu))
 
 

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import vanlat
-from vanlat import conjugation
-from vanlat.basis import monodromy
+from vanlat import basis, conjugation
+from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
                                 RealPoint, _forced_conjugation, build_sigma,
@@ -77,26 +77,43 @@ def test_build_sigma_rejects_bad_morse_index():
 def test_derive_sigma_tilde_a1_minimum():
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     conj = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
-    report = LevelAnalysis(lat, conj).companion
-    assert report.matrix == IntMatrix.from_rows([[-1]])
-    assert report.involution and report.lower_block_triangular
-    assert report.consistent
+    analysis = LevelAnalysis(lat, conj)
+    assert analysis.companion == IntMatrix.from_rows([[-1]])
+    assert analysis.inconsistency is None
 
 
 def test_derive_sigma_tilde_rank_zero():
     lat = ThimbleLattice(1, IntMatrix(()))
     conj = build_sigma(MorseSpec(()), 1, [])
-    assert LevelAnalysis(lat, conj).companion.consistent
+    assert LevelAnalysis(lat, conj).inconsistency is None
 
 
 def test_derive_sigma_tilde_a2_diag_verdict():
     # diag(1, -1) on the A2 lattice: the companion fails both properties
     conj = ConjugationData(IntMatrix.from_rows([[1, 0], [0, -1]]),
                            MorseSpec((RealPoint(0), RealPoint(1))))
-    report = LevelAnalysis(a2_lat(), conj).companion
-    assert report.matrix == IntMatrix.from_rows([[0, -1], [-1, 1]])
-    assert not report.involution
-    assert not report.lower_block_triangular
+    analysis = LevelAnalysis(a2_lat(), conj)
+    assert analysis.companion == IntMatrix.from_rows([[0, -1], [-1, 1]])
+    assert analysis.inconsistency == ("companion not an involution; "
+                                      "companion not block lower triangular")
+
+
+@pytest.mark.parametrize("sigma, companion, verdict", [
+    ([[-2, 2], [-2, -2]], [[2, 0], [-2, 4]], "companion not an involution"),
+    ([[-1, 0], [-1, 1]], [[0, 1], [1, 0]], "companion not block lower triangular"),
+], ids=["involution", "block-lower-triangular"])
+def test_companion_fails_one_verdict(sigma, companion, verdict):
+    # each verdict alone: the inconsistency is that verdict's text, and the
+    # block check and the form report it after the same prefix
+    conj = ConjugationData(IntMatrix.from_rows(sigma),
+                           MorseSpec((RealPoint(0), RealPoint(1))))
+    analysis = LevelAnalysis(a2_lat(), conj)
+    assert analysis.companion == IntMatrix.from_rows(companion)
+    assert analysis.inconsistency == verdict
+    assert analysis.block_structure_problem() == "inconsistent instance: " + verdict
+    with pytest.raises(ValueError) as caught:
+        analysis.form
+    assert str(caught.value) == "inconsistent instance: " + verdict
 
 
 def test_derive_sigma_tilde_rank_mismatch():
@@ -196,13 +213,13 @@ def test_block_structure_check_names_the_kind_of_block():
 
 def test_companion_problems_render_both_verdicts():
     conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, 5)])
-    report = LevelAnalysis(a2_lat(), conj).companion
-    assert report.problems() == ("companion not an involution; "
-                                 "companion not block lower triangular")
+    bad = LevelAnalysis(a2_lat(), conj).inconsistency
+    assert bad == ("companion not an involution; "
+                   "companion not block lower triangular")
     assert (LevelAnalysis(a2_lat(), conj).block_structure_problem()
-            == "inconsistent instance: " + report.problems())
+            == "inconsistent instance: " + bad)
     good = build_sigma(MorseSpec((RealPoint(0), RealPoint(1))), 1, [(0, 1, -1)])
-    assert LevelAnalysis(a2_lat(), good).companion.problems() == ""
+    assert LevelAnalysis(a2_lat(), good).inconsistency is None
 
 
 def test_spans_follow_the_blocks():
@@ -256,11 +273,18 @@ def test_generator_is_deterministic():
 
 
 def test_bench_shims_equal_the_api_they_wrap():
-    # the benchmark under bench/ calls these two names; each must stay
-    # what it wraps, on consistent levels and on an inconsistent one, and
-    # neither is exported
+    # the benchmark under bench/ calls these names; each must stay what it
+    # wraps, on consistent levels and on an inconsistent one, and none is
+    # exported
+    wrappers = {"a": basis.braid_alpha, "A": basis.braid_alpha_inverse,
+                "f": basis.orientation_flip}
     assert not ({"derive_sigma_tilde", "generate_consistent_instance"}
-                & set(vanlat.__all__))
+                | {f.__name__ for f in wrappers.values()}) & set(vanlat.__all__)
+    lat = random_lattice(random.Random(5), 6, 3)
+    for kind, move in wrappers.items():
+        for j in range(1, 6):
+            word = parse_braid_word("%s%d" % (kind, j))
+            assert move(lat, j) == apply_braid_word(lat, word)
     for seed in (0, 1, 7, 404):
         parity = seed % 5
         level = generate_level(seed, 12, parity)
@@ -270,9 +294,10 @@ def test_bench_shims_equal_the_api_they_wrap():
                 == LevelAnalysis(lat, conj).companion)
     bad = ConjugationData(IntMatrix.from_rows([[1, 0], [0, -1]]),
                           MorseSpec((RealPoint(0), RealPoint(1))))
-    report = conjugation.derive_sigma_tilde(bad, a2_lat())
-    assert not report.consistent
-    assert report == LevelAnalysis(a2_lat(), bad).companion
+    analysis = LevelAnalysis(a2_lat(), bad)
+    assert analysis.inconsistency == ("companion not an involution; "
+                                      "companion not block lower triangular")
+    assert conjugation.derive_sigma_tilde(bad, a2_lat()) == analysis.companion
 
 
 def test_generator_output_is_always_structurally_good():
@@ -283,7 +308,7 @@ def test_generator_output_is_always_structurally_good():
         assert validate_lattice(lat) is None
         analysis = LevelAnalysis(lat, conj)
         assert analysis.block_structure_problem() is None
-        assert analysis.companion.consistent
+        assert analysis.inconsistency is None
         # the signature raises on an asymmetric or degenerate form
         assert analysis.signature.sgn == signature_by_blocks(lat, conj)
 
@@ -392,9 +417,9 @@ def test_monodromy_split_closure_on_consistent_instances():
         parity = 1 + seed % 5
         level = generate_level(seed, 7, parity)
         lat, conj = level.lattice, level.conj
-        report = LevelAnalysis(lat, conj).companion
-        assert conj.sigma * report.matrix == monodromy(lat)
-        assert report.matrix * report.matrix == IntMatrix.identity(lat.nu)
+        tilde = LevelAnalysis(lat, conj).companion
+        assert conj.sigma * tilde == monodromy(lat)
+        assert tilde * tilde == IntMatrix.identity(lat.nu)
 
 
 
@@ -467,13 +492,13 @@ def test_solve_sigma_upper_solutions_are_exact():
                                                          drawn)
         forced = ConjugationData(IntMatrix(forced_rows), MorseSpec(forced_points))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
-                    and LevelAnalysis(lat, forced).companion.consistent]
+                    and LevelAnalysis(lat, forced).inconsistency is None]
         try:
             solved = build_sigma(morse, parity, upper)
         except ValueError:
             verdicts.append(False)
         else:
-            verdicts.append(LevelAnalysis(lat, solved).companion.consistent)
+            verdicts.append(LevelAnalysis(lat, solved).inconsistency is None)
         if any(verdicts):
             assert verdicts == [True, True]
             assert forced.sigma == solved.sigma

@@ -217,7 +217,7 @@ def test_cycle_sum_matches_level_sum_on_generated_instances():
 def test_cycle_sum_refuses_even_parity():
     lat = ThimbleLattice(2, IntMatrix.from_rows([[0]]))
     conj = build_sigma(MorseSpec((RealPoint(0),)), 2, [])
-    tilde = LevelAnalysis(lat, conj).companion.matrix
+    tilde = LevelAnalysis(lat, conj).companion
     level = LevelData(0, lat, conj, CycleData(lat.gram, conj.sigma, tilde))
     with pytest.raises(EvenParityError):
         cycle_index_sum(level, 1)

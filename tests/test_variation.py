@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import a_k_level
 from vanlat import variation
-from vanlat.basis import BraidWord, monodromy, parse_braid_word
+from vanlat.basis import (BraidWord, apply_braid_word, monodromy,
+                          parse_braid_word)
 from vanlat.gen import random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice
@@ -189,9 +190,8 @@ def test_braid_invariance_random():
 
 def test_congruence_law_explicit():
     # basis independence in matrix form on the worked move
-    from vanlat.basis import braid_alpha
     lat = a2()
-    new, change = braid_alpha(lat, 1)
+    new, change = apply_braid_word(lat, parse_braid_word("a1"))
     p = change.matrix
     assert var_inverse(new) == p.transpose() * var_inverse(lat) * p
 

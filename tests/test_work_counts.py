@@ -276,7 +276,7 @@ def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
     lat, conj = a_k_level(64)
     built = _built_rows(monkeypatch)
     analysis = LevelAnalysis(lat, conj)
-    tilde = analysis.companion.matrix
+    tilde = analysis.companion
     assert analysis.signature.n_zero == 0
     for m in (lat.gram, conj.sigma, analysis.monodromy, tilde, tilde * tilde,
               analysis.var_inverse, analysis.form):
@@ -322,7 +322,7 @@ def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
     # kept stores each row once, when store_row drops its zeros
     lat, conj = a_k_level(64)
     analysis = LevelAnalysis(lat, conj)
-    tilde = analysis.companion.matrix
+    tilde = analysis.companion
     assert analysis.signature.n_zero == 0
     stored = _counting(monkeypatch, intmat, "store_row")
     assert conj.sigma.is_involution() and tilde.is_involution()
