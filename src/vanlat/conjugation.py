@@ -14,14 +14,35 @@ lower triangular.  On consistent instances the bilinear form
 and block diagonal, with prescribed diagonal blocks; those facts are what
 the index formulas consume.
 
+The form decides consistency without the monodromy.  Write ``V =
+var_inverse`` (upper triangular, ``+-1`` on the diagonal) and ``F = V *
+sigma``; the monodromy is ``h = (-1)^p * V^-1 * V^T``.  If ``sigma^2 =
+I``, ``F`` is block diagonal and its 2x2 diagonal blocks are symmetric:
+
+- ``V^-1 = sigma * F^-1``, so the companion is ``sigma * h = (-1)^p *
+  F^-1 * V^T``;
+- ``F^-1`` is block diagonal and ``V^T`` lower triangular, so the
+  companion is block lower triangular;
+- ``F = F^T`` gives ``V^T = sigma^T * F``, so the companion's square is
+  ``F^-1 * (sigma^T)^2 * F = I``.
+
+Conversely, on a consistent level whose sigma has the forced block-upper
+shape (every level the reader, the generator or the sign flip builds),
+``F = (-1)^p * V^T * companion`` is block lower and block upper
+triangular, with diagonal blocks ``d * (-1)^m`` and ``[[-g, d], [d,
+0]]``, so the certificate holds there.  A level it does not certify has
+its two verdicts taken on the companion, as before.
+
 All of this is read from :class:`LevelAnalysis`, the one level API, built
-once per level.  It validates the lattice once and computes the
-monodromy, the ``companion`` matrix, its ``inconsistency`` (the failed
-verdicts, or ``None`` on a consistent level), ``var_inverse``, the form
-and the form's signature once each, on first use.  The form's
-nondegeneracy is read off its signature (an empty radical), so no
-determinant is taken.  A :class:`vanlat.index.LevelData` keeps its
-analysis, so every index route over a level shares it.
+once per level.  It validates the lattice once and computes
+``var_inverse``, the form, its ``inconsistency`` (the failed verdicts, or
+``None`` on a consistent level) and the form's signature once each, on
+first use; the monodromy and the ``companion`` matrix are built only
+where they are read, by the cycle data, the sign flip, or a level the
+form does not certify.  The form's nondegeneracy is read off its
+signature (an empty radical), so no determinant is taken.  A
+:class:`vanlat.index.LevelData` keeps its analysis, so every index route
+over a level shares it.
 
 The generator forms each chunk's conjugation as ``sigma = B^-1 *
 var_inverse`` for the forced block form ``B``, straight from the chunk's
@@ -188,12 +209,16 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
 class LevelAnalysis:
     """The derived data of one level, each piece computed once, on first use.
 
-    Construction checks the ranks and validates the lattice.  The
-    monodromy, the ``companion``, its ``inconsistency``, ``var_inverse``,
-    the form ``var_inverse * sigma`` and the form's signature are then
-    computed when first asked for and kept for the life of the object;
-    every route below and in :mod:`vanlat.index` reads them from here.
-    The bodies call the module-level ``monodromy``, ``var_inverse`` and
+    Construction checks the ranks, that the descriptors cover them, and
+    validates the lattice.  The monodromy, the ``companion``, the
+    ``inconsistency``, ``var_inverse``, the form ``var_inverse * sigma``
+    and the form's signature are then computed when first asked for and
+    kept for the life of the object; every route below and in
+    :mod:`vanlat.index` reads them from here.  The product ``var_inverse *
+    sigma`` is built once: the consistency verdict reads it first, and
+    where it certifies the level (see the module docstring) neither the
+    monodromy nor the companion is built unless a caller reads them.  The
+    bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
     """
 
@@ -201,6 +226,9 @@ class LevelAnalysis:
         if conj.nu != lat.nu:
             raise ValueError("rank mismatch: sigma is %dx%d, lattice has rank %d"
                              % (conj.nu, conj.nu, lat.nu))
+        if conj.morse.total_slots != lat.nu:
+            raise ValueError("rank mismatch: the descriptors cover %d slots, "
+                             "lattice has rank %d" % (conj.morse.total_slots, lat.nu))
         require_valid(lat)
         self.lattice = lat
         self.conj = conj
@@ -219,9 +247,28 @@ class LevelAnalysis:
         return self.conj.sigma * self.monodromy
 
     @cached_property
+    def _product(self) -> IntMatrix:
+        """``var_inverse * sigma``, built once, whether or not the level
+        is consistent: :attr:`form` returns it, and :attr:`inconsistency`
+        reads its certificate off it."""
+        return self.var_inverse * self.conj.sigma
+
+    @cached_property
     def inconsistency(self) -> str | None:
         """``None`` when the companion is an involution and is block lower
-        triangular, else the failed verdicts, ``"; "``-separated."""
+        triangular, else the failed verdicts, ``"; "``-separated.
+
+        When sigma is an involution and :attr:`_product`, ``F =
+        var_inverse * sigma``, is block diagonal with symmetric 2x2 blocks
+        (:func:`_certifies_consistency`), the level is consistent and
+        neither the monodromy nor the companion is built: the companion
+        is ``(-1)^p * F^-1 * var_inverse^T``, block lower triangular, and
+        ``F = F^T`` makes it square to the identity.  Any other level
+        takes both verdicts on the companion.
+        """
+        if (self.conj.sigma.is_involution()
+                and _certifies_consistency(self._product, self.conj.morse.spans)):
+            return None
         tilde = self.companion
         why = []
         if not tilde.is_involution():
@@ -236,7 +283,7 @@ class LevelAnalysis:
         """``var_inverse * sigma``; ValueError on an inconsistent level."""
         if self.inconsistency is not None:
             raise ValueError("inconsistent instance: " + self.inconsistency)
-        return self.var_inverse * self.conj.sigma
+        return self._product
 
     @cached_property
     def signature(self) -> Signature:
@@ -281,6 +328,27 @@ class LevelAnalysis:
                          for r in range(start, end))
         return ("pair block at slot %d: got %s, expected %s"
                 % (start, block(form), block(want)))
+
+
+def _certifies_consistency(form: IntMatrix, spans) -> bool:
+    """Whether ``form = var_inverse * sigma`` is block diagonal for the
+    block ``spans`` of its rows, one ``(start, end)`` per row, with each
+    2x2 diagonal block symmetric.
+
+    With sigma an involution this certifies the level consistent (see the
+    module docstring); the symmetry of the whole form is left to its
+    signature, which checks it once.
+    """
+    for r, (row, (start, end)) in enumerate(zip(form.stored_rows, spans)):
+        if type(row) is dict:
+            for c in row:  # at most two keys on a certified row
+                if not start <= c < end:
+                    return False
+        elif any(row[:start]) or any(row[end:]):
+            return False
+        if end - start == 2 and r == start and form[r, r + 1] != form[r + 1, r]:
+            return False
+    return True
 
 
 def derive_sigma_tilde(conj: ConjugationData, lat: ThimbleLattice) -> IntMatrix:
@@ -471,9 +539,10 @@ def generate_level(seed: int, rank_bound: int, parity: int,
     entries to rigid arithmetic relations that random data essentially
     never satisfies.  The level is checked to be consistent with the
     forced block form (:class:`GeneratedLevelError` if not), and the
-    analysis that checked it is returned, so a caller reads the
-    monodromy, companion and form computed there.  Without ``pairs`` the
-    level has no conjugate pair.
+    analysis that checked it is returned, so a caller reads the form
+    computed there, and the monodromy and companion, where it asks for
+    them, from the same analysis.  Without ``pairs`` the level has no
+    conjugate pair.
     """
     return _direct_sum(parity, list(_chunks(seed, rank_bound, parity, pairs)))
 

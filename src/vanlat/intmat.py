@@ -88,10 +88,13 @@ class IntMatrix:
     caller may change; ``rows`` is the dense tuple-of-tuples view, built
     on each access for text and for callers outside the package.  Since
     the storage of a row follows from its entries, equality and hashing
-    compare the stored rows.
+    compare the stored rows.  The one verdict kept is
+    :meth:`is_involution`'s, in the slot ``_involution``, written on its
+    first call: the matrix cannot change, so its square is tested once.
+    Equality, hashing, copies and pickles ignore the slot.
     """
 
-    __slots__ = ("stored_rows", "ncols", "_all_tuples")
+    __slots__ = ("stored_rows", "ncols", "_all_tuples", "_involution")
 
     def __init__(self, rows, ncols=None):
         """Rows are tuples, lists or dicts ``{col: value}``, each stored as
@@ -257,8 +260,15 @@ class IntMatrix:
         return True
 
     def is_involution(self):
-        """Whether the matrix squares to the identity; a non-square one does not."""
-        return self.nrows == self.ncols and squares_to_identity(self.stored_rows)
+        """Whether the matrix squares to the identity; a non-square one
+        does not.  The first call keeps the verdict, and later calls read
+        it."""
+        try:
+            return self._involution
+        except AttributeError:
+            verdict = self.nrows == self.ncols and squares_to_identity(self.stored_rows)
+            _set_involution(self, verdict)
+            return verdict
 
     def det(self):
         """Exact determinant, taken over the components of the nonzero pattern.
@@ -316,10 +326,12 @@ class IntMatrix:
         return "[%s]" % ", ".join(map(row_text, self.stored_rows, repeat(self.ncols)))
 
 
-# the slots are written once, here, past the __setattr__ that refuses
+# each slot is written once, through these setters, past the __setattr__
+# that refuses: three in the constructor, the verdict on its first call
 _set_stored_rows = IntMatrix.stored_rows.__set__
 _set_ncols = IntMatrix.ncols.__set__
 _set_all_tuples = IntMatrix._all_tuples.__set__
+_set_involution = IntMatrix._involution.__set__
 
 
 def _stored(rows, width, kinds):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import os
 import pathlib
@@ -12,15 +13,16 @@ from vanlat import basis, conjugation
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
-                                RealPoint, _forced_conjugation, build_sigma,
-                                generate_level, morse_sign, signature_by_blocks)
-from vanlat.gen import random_icis_instance, random_lattice
+                                RealPoint, _forced_conjugation, assemble_sigma,
+                                build_sigma, generate_level, morse_sign,
+                                signature_by_blocks)
+from vanlat.gen import flip_last_sign, random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce
 from vanlat.lattice import SignVector, ThimbleLattice, validate_lattice
 from vanlat.signature import exact_signature
-from vanlat.variation import var_inverse
+from vanlat.variation import var, var_inverse
 
 
 def a2_lat():
@@ -120,6 +122,17 @@ def test_derive_sigma_tilde_rank_mismatch():
     conj = build_sigma(MorseSpec((RealPoint(0),)), 1, [])
     with pytest.raises(ValueError, match="rank"):
         LevelAnalysis(a2_lat(), conj).companion
+
+
+def test_descriptors_must_cover_the_rank():
+    # one real slot on a rank-2 lattice: the block scans would read one
+    # span for two rows, so the analysis refuses the data at once
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 0], [0, 2]]))
+    conj = ConjugationData(IntMatrix.identity(2), MorseSpec((RealPoint(0),)))
+    with pytest.raises(ValueError) as caught:
+        LevelAnalysis(lat, conj)
+    assert str(caught.value) == ("rank mismatch: the descriptors cover 1 slots, "
+                                 "lattice has rank 2")
 
 
 def test_var_sigma_form_examples():
@@ -504,3 +517,162 @@ def test_solve_sigma_upper_solutions_are_exact():
             assert forced.sigma == solved.sigma
             agreed += 1
     assert agreed >= 40  # 41 of the 200 draws are consistent
+
+
+def _reference_inconsistency(lat, conj):
+    """The verdicts taken on the companion alone: ``sigma * monodromy``
+    squared against the identity, and its dense rows scanned right of
+    each block."""
+    tilde = conj.sigma * monodromy(lat)
+    why = []
+    if tilde * tilde != IntMatrix.identity(lat.nu):
+        why.append("companion not an involution")
+    if any(any(row[end:]) for row, (_, end) in zip(tilde.rows, conj.morse.spans)):
+        why.append("companion not block lower triangular")
+    return "; ".join(why) or None
+
+
+def _random_morse(rng, nu, parity):
+    points, left = [], nu
+    while left:
+        if left >= 2 and rng.random() < 0.3:
+            points.append(ConjugatePair(rng.randint(-2, 2)))
+            left -= 2
+        else:
+            points.append(RealPoint(rng.randint(0, parity)))
+            left -= 1
+    return MorseSpec(tuple(points))
+
+
+def _forced_shape_sigma(rng, lat, morse):
+    """A sigma of the forced block-upper shape, assembled from triples:
+    the solved upper entries, which make the level consistent when they
+    give an involution, or a few random entries that do."""
+    nu = lat.nu
+    if rng.random() < 0.5:
+        try:
+            return assemble_sigma(morse, _solve_sigma_upper(lat, morse))
+        except ValueError:
+            pass
+    upper = [(r, c) for r in range(nu) for c in range(morse.spans[r][1], nu)]
+    for _ in range(20):
+        triples = [(r, c, rng.choice((-2, -1, 1, 2)))
+                   for r, c in rng.sample(upper, min(len(upper), rng.randint(0, 3)))]
+        try:
+            return assemble_sigma(morse, triples)
+        except ValueError:
+            pass
+    return assemble_sigma(morse, ())
+
+
+def _arbitrary_sigma(rng, lat, morse):
+    """A sigma of any shape, most often not an involution: random small
+    entries, ``h^-1 * T`` for a random block lower ``T`` or a random
+    involution ``T`` (so the companion is ``T``), the generator's
+    candidate ``B^-1 * var_inverse`` before its involution test, or ``var
+    * F`` for an ``F`` that is block diagonal but for a few entries on
+    either side of the blocks, with symmetric or random 2x2 blocks (so the
+    form is ``F``)."""
+    nu = lat.nu
+    kind = rng.randrange(5)
+    if kind == 0:
+        return IntMatrix([[rng.randint(-1, 1) for _ in range(nu)] for _ in range(nu)], nu)
+    if kind == 1:
+        t = [[rng.randint(-1, 1) if c <= r + 1 else 0 for c in range(nu)]
+             for r in range(nu)]
+        return monodromy(lat).unimodular_inverse() * IntMatrix(t, nu)
+    if kind == 2:
+        e = [[int(r == c) for c in range(nu)] for r in range(nu)]
+        if nu >= 2:
+            i, j = rng.sample(range(nu), 2)
+            e[i][j] = rng.choice((-1, 1))
+        e = IntMatrix(e, nu)
+        d = IntMatrix([[rng.choice((-1, 1)) * (r == c) for c in range(nu)]
+                       for r in range(nu)], nu)
+        return monodromy(lat).unimodular_inverse() * (e * d * e.unimodular_inverse())
+    if kind == 3:
+        drawn = []
+        while len(drawn) + drawn.count(_PAIR) < nu:
+            pair = nu - len(drawn) - drawn.count(_PAIR) >= 2 and rng.random() < 0.3
+            drawn.append(_PAIR if pair else rng.randint(0, lat.parity))
+        rows, _ = _forced_conjugation(lat.parity, lat.gram.rows, drawn)
+        return IntMatrix(rows, nu)
+    f = [[0] * nu for _ in range(nu)]
+    for start, size, _ in morse.blocks():
+        if size == 1:
+            f[start][start] = rng.choice((-1, 1))
+        else:
+            a, b = rng.randint(-2, 2), rng.choice((-1, 1))
+            f[start][start:start + 2] = a, b
+            f[start + 1][start:start + 2] = rng.choice(((b, 0), (b, 1), (-b, 0)))
+    for _ in range(rng.choice((0, 0, 1, 2)) if nu else 0):
+        r, c = rng.randrange(nu), rng.randrange(nu)
+        f[r][c] = rng.randint(-1, 1)
+    return var(lat) * IntMatrix(f, nu)
+
+
+def _companion_route_taken(analysis):
+    return "companion" in vars(analysis)
+
+
+def test_inconsistency_equals_the_companion_verdicts():
+    # the verdict read off the form, where it certifies the level, is the
+    # verdict of the companion route on seeded random levels of ranks 0-8
+    # and parities 1-5, with every outcome reached; on forced-shape sigma
+    # a consistent level never builds its companion
+    outcomes = collections.Counter()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        nu, parity = rng.randint(0, 8), rng.randint(1, 5)
+        lat = random_lattice(rng, nu, parity, max_entry=2)
+        morse = _random_morse(rng, nu, parity)
+        forced = rng.random() < 0.5
+        sigma = (_forced_shape_sigma(rng, lat, morse).sigma if forced
+                 else _arbitrary_sigma(rng, lat, morse))
+        conj = ConjugationData(sigma, morse)
+        analysis = LevelAnalysis(lat, conj)
+        want = _reference_inconsistency(lat, conj)
+        assert analysis.inconsistency == want, seed
+        if forced and want is None:
+            assert not _companion_route_taken(analysis), seed
+        outcomes[want] += 1
+    assert set(outcomes) == {None, "companion not an involution",
+                             "companion not block lower triangular",
+                             "companion not an involution; "
+                             "companion not block lower triangular"}
+
+
+@pytest.mark.parametrize("gram, points, sigma", [
+    ([[2]], (RealPoint(0),), [[2]]),  # form [[-2]], sigma no involution
+    ([[2, 1], [1, 2]], (ConjugatePair(0),), [[1, 0], [0, -1]]),  # form [[-1, 1], [0, 1]]
+    ([[2, 0, 0], [0, 2, -2], [0, -2, 2]], (RealPoint(0), RealPoint(0), RealPoint(1)),
+     [[1, 0, 0], [-1, -1, 2], [0, 0, 1]]),  # form [[-1, 0, 0], [1, 1, 0], [0, 0, -1]]
+], ids=["sigma-not-an-involution", "asymmetric-pair-block", "block-lower-form"])
+def test_each_condition_of_the_certificate_is_needed(gram, points, sigma):
+    # sigma is no involution, the pair's block is not symmetric, or the
+    # form is block lower triangular but not block diagonal: the companion
+    # decides, and it fails
+    lat = ThimbleLattice(1, IntMatrix.from_rows(gram))
+    conj = ConjugationData(IntMatrix.from_rows(sigma), MorseSpec(points))
+    analysis = LevelAnalysis(lat, conj)
+    assert analysis.inconsistency == "companion not an involution"
+    assert _reference_inconsistency(lat, conj) == analysis.inconsistency
+    assert _companion_route_taken(analysis)
+
+
+def test_rank_zero_generated_and_flipped_levels_take_the_certificate():
+    # every level the generator or the sign flip builds, and a rank-0
+    # level, is consistent through the form alone, as the companion route
+    # says
+    levels = [LevelAnalysis(ThimbleLattice(p, IntMatrix(())),
+                            build_sigma(MorseSpec(()), p, [])) for p in range(1, 6)]
+    for seed in range(30):
+        levels.append(generate_level(seed, 12, 1 + seed % 5))
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 10,
+                                    real_only_level0=True)
+        flipped = flip_last_sign(inst)
+        levels.append(LevelAnalysis(flipped.levels[0].lattice, flipped.levels[0].conj))
+    for analysis in levels:
+        assert analysis.inconsistency is None
+        assert not _companion_route_taken(analysis)
+        assert _reference_inconsistency(analysis.lattice, analysis.conj) is None

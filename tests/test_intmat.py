@@ -1,5 +1,7 @@
 import ast
+import copy
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -639,6 +641,39 @@ def test_squares_to_identity_squares_row_0_first(monkeypatch, rows, want, square
     weights.clear()
     assert IntMatrix([tuple(row) for row in rows], len(rows)).is_involution() == want
     assert len(weights) == squared
+
+
+@pytest.mark.parametrize("rows, width, want", [
+    ([], 0, True),
+    ([[0, 1], [1, 0]], 2, True),
+    ([[1, 1], [0, 1]], 2, False),
+    ([{c: 1 for c in (r, 17 - r)} if r in (0, 17) else {r: 1} for r in range(18)],
+     18, False),
+    ([[1, 0]], 2, False),
+])
+def test_is_involution_keeps_its_verdict(monkeypatch, rows, width, want):
+    # the square is tested once per matrix object, a non-square one's not
+    # at all; a copy or a pickle round trip is a new matrix that does not
+    # carry the verdict, answers the same, and is equal to the original,
+    # with the same hash, whether or not either holds a verdict
+    calls = []
+    square = intmat.squares_to_identity
+
+    def counting(rows):
+        calls.append(rows)
+        return square(rows)
+    monkeypatch.setattr(intmat, "squares_to_identity", counting)
+    tested = int(len(rows) == width)
+    m = IntMatrix(rows, width)
+    fresh = IntMatrix(rows, width)
+    assert [m.is_involution() for _ in range(3)] == [want] * 3
+    assert len(calls) == tested
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert not hasattr(twin, "_involution")
+        assert twin == m == fresh and hash(twin) == hash(m) == hash(fresh)
+        assert twin.is_involution() == want
+    assert len(calls) == 4 * tested
+    assert not hasattr(fresh, "_involution")
 
 
 def test_block_diagonal_of_nothing_and_of_empty_blocks():

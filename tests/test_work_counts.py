@@ -3,8 +3,11 @@
 The index and signature routes must not take a determinant (the form's
 signature already reports its radical), and each form's symmetry is
 checked once, by its signature.  Every route that reads a level shares
-one analysis, so each level's monodromy is built once, also
-on levels that carry cycle data.  The generator forms each conjugation
+one analysis, and a consistent level's form certifies its consistency,
+so each level's monodromy is built at most once, and only where its
+companion is read: for cycle data and for the sign flip.  ``validate``,
+``compute --what index`` and ``--what signature`` on the A_64 tower
+build no monodromy and no companion.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
 ``build_sigma``; it tests every chunk try on plain rows, builds no matrix,
 lattice or analysis for a chunk, and builds one lattice, one
@@ -26,6 +29,7 @@ import collections
 import contextlib
 import io
 import random
+from functools import cached_property
 
 import pytest
 
@@ -82,14 +86,56 @@ def test_each_form_is_checked_symmetric_once(monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_index_routes_build_each_monodromy_once(monkeypatch, seed):
     # generation included: the generator's check of a level and every
-    # route over it read one analysis
+    # route over it read one analysis, whose form certifies the level
+    # consistent; only level 0 builds a monodromy, once, because the sign
+    # flip reads its companion
     built = _monodromies_by_lattice(monkeypatch)
     inst = random_icis_instance(seed, 1 + seed % 3, 2, 6, real_only_level0=True)
     flipped = flip_last_sign(inst)
     assert telescoped_index(inst) == gradient_index(inst)
     assert sign_independence_check([inst, flipped]) is None
-    lattices = {id(level.lattice) for level in inst.levels + flipped.levels}
-    assert built == {k: 1 for k in lattices}
+    assert built == {id(inst.levels[0].lattice): 1}
+
+
+def _companions_built(monkeypatch):
+    """Count the companions built, one per analysis that reads one."""
+    built = []
+    original = LevelAnalysis.companion
+
+    def building(analysis):
+        built.append(id(analysis))
+        return original.func(analysis)
+    counting = cached_property(building)
+    counting.__set_name__(LevelAnalysis, "companion")
+    monkeypatch.setattr(LevelAnalysis, "companion", counting)
+    return built
+
+
+def test_a_64_commands_build_no_monodromy_and_no_companion(monkeypatch, tmp_path):
+    # the form certifies the tower consistent, so validate, the index and
+    # the signature read neither the monodromy nor the companion
+    monodromies = _monodromies_by_lattice(monkeypatch)
+    companions = _companions_built(monkeypatch)
+    path = tmp_path / "a64.vl"
+    path.write_text(serialize_instance(InstanceDocument(a_k_instance(64))))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["validate", str(path)], ["compute", str(path), "--what", "index"],
+                     ["compute", str(path), "--what", "signature"]):
+            assert main(argv) == 0
+    assert sum(monodromies.values()) == 0 and companions == []
+
+
+def test_bad_sigma_builds_its_companion_once(monkeypatch):
+    # a level the form does not certify takes both verdicts on its
+    # companion, built once
+    monodromies = _monodromies_by_lattice(monkeypatch)
+    companions = _companions_built(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", str(instance_path("bad_sigma.vl"))]) == 1
+    assert ("level 0: FAIL conjugation: companion not an involution; "
+            "companion not block lower triangular") in out.getvalue().splitlines()
+    assert sum(monodromies.values()) == 1 and len(companions) == 1
 
 
 def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
@@ -140,8 +186,9 @@ def test_generated_cycle_levels_build_their_monodromy_once(monkeypatch, seed):
     assert with_cycles
     for level in with_cycles:
         cycle_index_sum(level, 1)
-    assert [built[id(level.lattice)] for level in inst.levels] == [1] * 3
-    assert sum(built.values()) == 3  # the generator analyses no chunk
+    # the levels with cycle data read their companion, the other none
+    assert [built[id(level.lattice)] for level in inst.levels] == [1, 0, 1]
+    assert sum(built.values()) == 2  # the generator analyses no chunk
 
 
 def test_generator_builds_only_accepted_chunks(monkeypatch):
@@ -281,8 +328,10 @@ def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
     for m in (lat.gram, conj.sigma, analysis.monodromy, tilde, tilde * tilde,
               analysis.var_inverse, analysis.form):
         assert {type(row) for row in m.stored_rows} == {dict}
-    # the sweep, sigma * H, its square (twice) and var_inverse * sigma
-    assert built == {"dict": 5 * 64}
+    # the sweep, sigma * H, var_inverse * sigma and the loop's square of
+    # the companion; sigma's involution verdict is read from its slot, and
+    # the form certifies the level, so the companion is not squared there
+    assert built == {"dict": 4 * 64}
 
 
 def test_no_stored_dict_row_holds_a_zero(monkeypatch, tmp_path):
