@@ -48,9 +48,14 @@ The generator forms each chunk's conjugation as ``sigma = B^-1 *
 var_inverse`` for the forced block form ``B``, straight from the chunk's
 gram rows (:func:`_forced_conjugation`), and accepts it when those plain
 rows pass :func:`vanlat.intmat.squares_to_identity`, the one involution
-test.  The level the chunks sum to gets the one analysis, which checks
-its consistency and forced block form, raises :class:`GeneratedLevelError`
-when they fail, and is handed to the caller (:func:`generate_level`).
+test.  Most tries fail it, and most of those fail a cheaper necessary
+condition first, read off the gram rows and the descriptors alone: the
+blocks of ``sigma^2`` beside its block diagonal must vanish
+(:func:`_square_vanishes_beside_diagonal`), and a try where one does not
+forms no sigma rows.  The level the chunks sum to gets the one analysis,
+which checks its consistency and forced block form, raises
+:class:`GeneratedLevelError` when they fail, and is handed to the caller
+(:func:`generate_level`).
 """
 
 import random
@@ -437,6 +442,48 @@ def _forced_conjugation(parity, gram, drawn):
     return tuple(rows), tuple(points)
 
 
+def _square_vanishes_beside_diagonal(parity, gram, drawn):
+    """Whether the candidate sigma of :func:`_forced_conjugation` has
+    ``sigma^2`` zero in each block beside the block diagonal, read off the
+    plain ``gram`` rows and the ``drawn`` descriptors without building it.
+
+    Sigma is block upper triangular with diagonal blocks ``D = (-1)^m`` on
+    a real slot and the swap ``J`` on a pair, so for consecutive blocks
+    ``b, b'`` the block of ``sigma^2`` between them is ``D_b N + N D_b'``,
+    ``N`` being sigma's block between them; no other term enters, and an
+    involution has it zero.  A real slot ``i`` has the row ``-d * s_i *
+    gram[i][c]`` right of its diagonal, and a pair at ``i`` the rows ``d *
+    -gram[i+1][c]`` and ``d * (a * gram[i+1][c] - gram[i][c])`` with ``a =
+    -d * gram[i][i+1]``; the factor ``d`` drops out of each condition.
+
+    A necessary condition of the involution law only: a try that passes
+    still takes :func:`~vanlat.intmat.squares_to_identity`.
+    """
+    d = diagonal_sign(parity)
+    i = 0
+    for m, n in zip(drawn, drawn[1:]):
+        if m is _PAIR:
+            top, bottom = gram[i], gram[i + 1]
+            a = -d * top[i + 1]
+            j = i + 2
+            w = a * bottom[j] - top[j]
+            if n is _PAIR:
+                if w != bottom[j + 1] or a * bottom[j + 1] - top[j + 1] != bottom[j]:
+                    return False
+            elif w != morse_sign(n) * bottom[j]:
+                return False
+            i = j
+        else:
+            row, s = gram[i], morse_sign(m)
+            if n is _PAIR:
+                if row[i + 2] != -s * row[i + 1]:
+                    return False
+            elif row[i + 1] and s == morse_sign(n):
+                return False
+            i += 1
+    return True
+
+
 # Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
 CHUNK_TRIES = 400
 
@@ -446,10 +493,13 @@ def _sample_chunk(rng, size, parity, pairs=True):
     ``(gram rows, sigma rows, descriptors)``, or ``None`` when
     ``CHUNK_TRIES`` draws all fail the involution law.
 
-    A try draws its descriptors as plain values and its candidate sigma
-    straight from its gram rows, whose plain rows take the one involution
-    test, :func:`~vanlat.intmat.squares_to_identity`; no matrix, lattice
-    or analysis is built for a chunk.  What is accepted is checked once,
+    A try draws its descriptors as plain values and its gram rows.  A try
+    whose ``sigma^2`` does not vanish beside the block diagonal
+    (:func:`_square_vanishes_beside_diagonal`) is rejected there; any other
+    forms its candidate sigma straight from its gram rows, whose plain rows
+    take the one involution test, which decides every acceptance,
+    :func:`~vanlat.intmat.squares_to_identity`.  No matrix, lattice or
+    analysis is built for a chunk.  What is accepted is checked once,
     on the assembled level (:func:`_direct_sum`).  Without ``pairs``
     every descriptor is a real point.
     """
@@ -465,6 +515,8 @@ def _sample_chunk(rng, size, parity, pairs=True):
                 drawn.append(rng.randrange(0, parity + 1))
                 left -= 1
         gram = random_gram_rows(size, parity, draw)
+        if not _square_vanishes_beside_diagonal(parity, gram, drawn):
+            continue
         sigma, points = _forced_conjugation(parity, gram, drawn)
         if squares_to_identity(sigma):
             return gram, sigma, points

@@ -429,6 +429,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     # the stored upper entries, is not an involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
+    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
+                        lambda *args: True)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
@@ -448,11 +450,27 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
+    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
+                        lambda *args: True)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
     assert (code, out) == (1, "")
     assert err == ("error: generated level fails its check: "
                    "inconsistent instance: companion not an involution\n")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["gen", "--seed", "3", "--n", "2", "--levels", "2", "--rank-bound", "40"],
+     "8768c098501691fd764f7e7eb164a966aed25933a8e647388e227be6c922f09e"),
+    (["gen", "--seed", "1", "--rank-bound", "1000"],
+     "0240e8c6890e3b59d694b85bf9872633b8f7ebca440ff995b6c1c37b917773ac"),
+], ids=["seed-3-two-levels", "seed-1-rank-960"])
+def test_gen_output_golden(argv, digest, capsys):
+    # pins every byte of two generated towers: a change to the draws, their
+    # order or the chunk tries the generator accepts changes a digest
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_rank_bound_32_passes(capsys):

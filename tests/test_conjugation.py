@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vanlat
 from vanlat import basis, conjugation
@@ -19,8 +22,9 @@ from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
 from vanlat.gen import flip_last_sign, random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
-from vanlat.intmat import IntMatrix, row_reduce
-from vanlat.lattice import SignVector, ThimbleLattice, validate_lattice
+from vanlat.intmat import IntMatrix, row_reduce, squares_to_identity
+from vanlat.lattice import (SignVector, ThimbleLattice, random_gram_rows,
+                            validate_lattice)
 from vanlat.signature import exact_signature
 from vanlat.variation import var, var_inverse
 
@@ -346,6 +350,8 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     # accepted, the inconsistent chunks that reach a level make it raise,
     # on both the pairs path and the all-real level 0, with the level and
     # its block-form problem
+    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
+                        lambda *args: True)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     with pytest.raises(GeneratedLevelError) as caught:
         generate_level(5, 16, 1)
@@ -362,6 +368,7 @@ def test_generated_level_check_survives_optimization():
     # the check is an explicit raise, so ``python -O`` keeps it
     src = pathlib.Path(conjugation.__file__).resolve().parent.parent
     probe = ("from vanlat import conjugation\n"
+             "conjugation._square_vanishes_beside_diagonal = lambda *args: True\n"
              "conjugation.squares_to_identity = lambda rows: True\n"
              "try:\n"
              "    conjugation.generate_level(5, 16, 1)\n"
@@ -371,6 +378,86 @@ def test_generated_level_check_survives_optimization():
     done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.startswith("inconsistent instance: ")
+
+
+def _descriptor_sequences(size, parity):
+    """Every drawn descriptor sequence over ``size`` slots: a Morse index
+    in ``0..parity`` per real slot, ``_PAIR`` per pair."""
+    if size == 0:
+        yield ()
+        return
+    for m in range(parity + 1):
+        for rest in _descriptor_sequences(size - 1, parity):
+            yield (m,) + rest
+    if size >= 2:
+        for rest in _descriptor_sequences(size - 2, parity):
+            yield (_PAIR,) + rest
+
+
+def _beside_diagonal_verdicts(parity, drawn, entries):
+    """The check's verdict on one chunk try, whether the blocks of sigma^2
+    beside its block diagonal vanish, squared out on sigma's plain rows,
+    and the involution test's verdict."""
+    size = sum(2 if m is _PAIR else 1 for m in drawn)
+    gram = random_gram_rows(size, parity, iter(entries).__next__)
+    checked = conjugation._square_vanishes_beside_diagonal(parity, gram, drawn)
+    sigma, points = _forced_conjugation(parity, gram, drawn)
+    spans = [(start, start + n) for start, n, _ in MorseSpec(points).blocks()]
+    vanish = all(sum(sigma[r][k] * sigma[k][c] for k in range(size)) == 0
+                 for (start, mid), (_, end) in zip(spans, spans[1:])
+                 for r in range(start, mid) for c in range(mid, end))
+    return checked, vanish, squares_to_identity(sigma)
+
+
+def _block_case(drawn):
+    return tuple("pair" if m is _PAIR else "real" for m in drawn)
+
+
+def test_beside_diagonal_check_is_exact_and_sound():
+    # exhaustively over ranks 1-3, parities 0-4, every descriptor sequence
+    # and entries in {0, +-1, +-2}, and over two pairs at rank 4 with
+    # entries in {0, +-1}: the check says whether sigma^2 vanishes beside
+    # its block diagonal, so a try it rejects is no involution; each of the
+    # four cases of two blocks both rejects and passes some try
+    seen = collections.defaultdict(set)
+    small, smaller = (0, 1, -1, 2, -2), (0, 1, -1)
+    tries = [(parity, drawn, small) for size in (1, 2, 3) for parity in range(5)
+             for drawn in _descriptor_sequences(size, parity)]
+    tries += [(parity, (_PAIR, _PAIR), smaller) for parity in range(5)]
+    for parity, drawn, values in tries:
+        size = sum(2 if m is _PAIR else 1 for m in drawn)
+        for entries in itertools.product(values, repeat=size * (size - 1) // 2):
+            checked, vanish, involution = _beside_diagonal_verdicts(
+                parity, drawn, entries)
+            assert checked == vanish, (parity, drawn, entries)
+            assert checked or not involution, (parity, drawn, entries)
+            if len(drawn) == 2:
+                seen[_block_case(drawn)].add(checked)
+    assert dict(seen) == {case: {False, True} for case in itertools.product(
+        ("real", "pair"), repeat=2)}
+
+
+@st.composite
+def _rank_4_tries(draw):
+    parity = draw(st.integers(0, 6))
+    drawn, left = [], 4
+    while left:
+        if left >= 2 and draw(st.booleans()):
+            drawn.append(_PAIR)
+            left -= 2
+        else:
+            drawn.append(draw(st.integers(0, parity)))
+            left -= 1
+    entry = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+    return parity, tuple(drawn), draw(st.lists(entry, min_size=6, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_4_tries())
+def test_beside_diagonal_check_is_sound_at_rank_4(try_):
+    checked, vanish, involution = _beside_diagonal_verdicts(*try_)
+    assert checked == vanish
+    assert checked or not involution
 
 
 @pytest.mark.parametrize("seed", [0, 2])

@@ -195,11 +195,15 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     # every try, accepted or not, is tested on plain rows: no matrix,
     # lattice, var_inverse or analysis is built for a chunk, and each
     # instance builds one lattice, one var_inverse and one analysis, of
-    # its direct sum
+    # its direct sum; a try whose sigma^2 is not zero beside the block
+    # diagonal is rejected before its sigma rows are formed, so of the 490
+    # tries 177 take the full involution test and 134 pass it
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
     matrices = _counting(monkeypatch, IntMatrix, "__init__")
+    checked = _counting(monkeypatch, conjugation, "_square_vanishes_beside_diagonal",
+                        key=conjugation._square_vanishes_beside_diagonal)
     tries = _counting(monkeypatch, conjugation, "squares_to_identity",
                       key=conjugation.squares_to_identity)
     per_chunk = []
@@ -214,8 +218,8 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     seeds = range(40)
     for seed in seeds:
         generate_level(seed, 16, 1 + seed % 4)
-    accepted = tries[True]
-    assert tries[False] > accepted > len(seeds)
+    assert (checked.total(), checked[True]) == (490, 177)
+    assert (tries.total(), tries[True]) == (177, 134)
     assert per_chunk and set(per_chunk) == {0}
     assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
 
