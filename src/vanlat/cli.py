@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from itertools import chain
 
 from .basis import apply_braid_word, monodromy, parse_braid_word
 from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
@@ -197,13 +196,14 @@ def cmd_braid(args):
         prov.append("conjugation/cycle data of level %d dropped" % target)
     out_doc = InstanceDocument(new_inst, doc.braid_words, doc.expected,
                                tuple(prov))
-    # a long word can grow entries past the digit limit of str(); its
-    # ValueError must come before the first line is streamed, so that a
-    # failed run writes nothing, and the largest entry tells
-    str(max(map(abs, chain.from_iterable(
-        row.values() if type(row) is dict else row
-        for row in new_lat.gram.stored_rows)), default=0))
-    _emit(out_doc, args.output)
+    # the whole text is made first: an entry past the digit limit of
+    # str() raises its ValueError here, so a failed run writes nothing
+    text = serialize_instance(out_doc)
+    if args.output:
+        with _writing(args.output) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     print("basis change: %s" % change.matrix,
           file=sys.stdout if args.output else sys.stderr)
     return 0

@@ -15,11 +15,12 @@ per matrix which row lines; its integer grammar ``-?(0|[1-9][0-9]*)``
 is JSON's, so once the sign list or the ``sigma_upper`` list is
 accepted, one ``json.loads`` converts it.  A matrix becomes an
 ``IntMatrix`` as it is read: a sparse one from its nonzero tokens
-alone, found at C speed and each checked whole against that grammar,
-any other by one ``json.loads`` of its row lines.  The ``morse`` list
-becomes its ``MorseSpec`` there too.  The writer emits each matrix row
-as it is stored, a sparse row from its nonzeros, and can stream the
-text line by line instead of returning it.
+alone, each found and checked whole against that grammar by one
+C-level regex scan and placed in its row and column by the layout's
+arithmetic, any other by one ``json.loads`` of its row lines.  The
+``morse`` list becomes its ``MorseSpec`` there too.  The writer emits
+each matrix row as it is stored, a sparse row from its nonzeros, and
+can stream the text line by line instead of returning it.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -311,7 +312,7 @@ class _CanonicalLines:
             raise _NotCanonical
         width = commas + 1
         if width >= SPARSE_MIN_COLS:
-            rows = _nonzero_rows(text, len(block), width)
+            rows = _nonzero_rows(text, len(block), width, len(prefix))
             if rows is not None:
                 return IntMatrix(rows, width)
         rows = json.loads("[%s]" % text[len(prefix) - 1:].replace(
@@ -321,33 +322,43 @@ class _CanonicalLines:
         return IntMatrix(rows)
 
 
-# "x" at each nonzero digit, so that ``bytes.find`` finds the next one at
-# C speed; a nonzero token holds one, the row prefix's "-" does not
+# "x" at each nonzero digit, so that a nonzero token starts with the
+# literal the scan below looks for; the row prefix's "-" is left alone
 _NONZERO_DIGITS = bytes.maketrans(b"123456789", b"x" * 9)
-# a whole nonzero token: after "[" or " ", and before "," or "]"
-_NONZERO_TOKEN = re.compile(r"(?<=[ \[])-?[1-9][0-9]*(?=[,\]])").match
+# a whole nonzero token ``-?[1-9][0-9]*`` in those bytes, matched from its
+# first digit: a literal start lets the regex engine skip to each
+# candidate in C, and the lookbehinds then ask for "[" or " " before the
+# token and its optional "-", the lookahead for "," or "]" after it
+_NONZERO_TOKENS = re.compile(
+    rb"x(?:(?<=[ \[]x)|(?<=[ \[]-x))[x0]*(?=[,\]])").finditer
 
 
-def _nonzero_rows(text, nrows, width):
+def _nonzero_rows(text, nrows, width, indent):
     """The rows of a sparse matrix block as dicts of their nonzero
     entries; None for a block that is not sparse or has a token that is
     not canonical integer text, which ``json.loads`` decodes instead.
 
     ``text`` holds the block's ``nrows`` row lines of ``width`` tokens,
-    which passed the layout check.  The block is sparse when at most one
-    token in ``SPARSE_FILL`` is other than an exact ``0`` token, which
-    follows ``"["`` or ``" "`` and precedes ``","`` or ``"]"`` (past the
-    layout check a space comes only after a comma, and a row this wide
-    is never ``[0]``).  Each zero token holds a ``"0"``, so one count of
-    that character settles most dense blocks before the exact counts.
+    each after a row prefix of ``indent`` characters, which passed the
+    layout check.  The block is sparse when at most one token in
+    ``SPARSE_FILL`` is other than an exact ``0`` token, which follows
+    ``"["`` or ``" "`` and precedes ``","`` or ``"]"`` (past the layout
+    check a space comes only after a comma, and a row this wide is never
+    ``[0]``).  Each zero token holds a ``"0"``, so one count of that
+    character settles most dense blocks before the exact counts.
 
-    The first nonzero digit of each token is found by ``bytes.find``,
-    and the whole token around it, from the minus sign before the digit
-    if there is one, must match ``-?[1-9][0-9]*``: so ``010`` and
-    ``0-1`` are refused, not read from their inner digit.  A token with
-    no nonzero digit, such as ``00``, ``-0`` or an empty one, is not
-    found, so the tokens found must number the nonzero tokens counted.
-    A column is the count of commas since the start of its line.
+    One regex scan finds every whole token ``-?[1-9][0-9]*``: so ``010``
+    and ``0-1`` are not read from their inner digits, and a token with no
+    nonzero digit, such as ``00``, ``-0`` or an empty one, is not found.
+    The tokens found must therefore number the nonzero tokens counted,
+    and only then is every other token an exact ``0``.  Past that check
+    the layout fixes where each token sits: a line of zeros, with its
+    line end, is ``indent + 3 * width`` characters long, and each nonzero
+    token before a column on its line lengthens the line by its length
+    less one.  So a token's row and column follow from its offset by
+    arithmetic, with the all-zero lines before it skipped by one floor
+    division.  Text that fails the check may place a token anywhere, and
+    is only kept from placing one past the last row.
     """
     total = nrows * width
     if text.count("0") * SPARSE_FILL < total * (SPARSE_FILL - 1):
@@ -355,26 +366,28 @@ def _nonzero_rows(text, nrows, width):
     nonzeros = total - (text.count(" 0,") + text.count("[0,") + text.count(" 0]"))
     if nonzeros * SPARSE_FILL > total:
         return None
-    find = text.encode("ascii").translate(_NONZERO_DIGITS).find
-    count = text.count
+    scanned = text.encode("ascii").translate(_NONZERO_DIGITS)
+    zero_line = indent + 3 * width
     rows = [{} for _ in range(nrows)]
-    r = c = at = found = 0
-    pos = find(b"x")
-    while pos >= 0:
-        if text[pos - 1] == "-":
-            pos -= 1
-        m = _NONZERO_TOKEN(text, pos)
-        if m is None:
-            return None
-        if (lines := count("\n", at, pos)):
+    row = rows[0]
+    r = found = 0
+    # where the line after row r's starts, given the nonzero tokens placed
+    # on row r so far: its column c starts 3 * (width - c) characters before
+    end = zero_line
+    for m in _NONZERO_TOKENS(scanned):
+        at, stop = m.span()
+        if scanned[at - 1] == 45:  # "-"
+            at -= 1
+        if at >= end:
+            lines = (at - end) // zero_line + 1
             r += lines
-            at = text.rfind("\n", 0, pos)
-            c = 0
-        c += count(",", at, pos)
-        at = pos
-        rows[r][c] = int(m.group())
+            if r >= nrows:
+                return None
+            row = rows[r]
+            end += lines * zero_line
+        row[(at - end) // 3 + width] = int(text[at:stop])
+        end += stop - at - 1
         found += 1
-        pos = find(b"x", m.end())
     return rows if found == nonzeros else None
 
 
@@ -551,8 +564,9 @@ def load_instance(path) -> InstanceDocument:
             line=raw.count(b"\n", 0, e.start) + 1,
             column=e.start - raw.rfind(b"\n", 0, e.start))
     del raw  # a large file's bytes are not held through the parse
-    # line ends as a file opened in text mode reads them
-    return parse_instance_text(text.replace("\r\n", "\n").replace("\r", "\n"))
+    if "\r" in text:  # line ends as a file opened in text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_instance_text(text)
 
 
 # ---------------------------------------------------------------------------

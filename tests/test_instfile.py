@@ -341,6 +341,12 @@ def _block(draw):
 @example([[1] * 4 + [0] * 12] * 4)  # a quarter of the block nonzero
 @example([[1] * 5 + [0] * 11] * 4)  # just past a quarter
 @example([[1] * 16] + [[0] * 16] * 3)  # a dense row in a sparse block
+# all-zero rows before and between nonzero rows
+@example([[0] * 16, [0] * 16, [5] + [0] * 15, [0] * 16, [0] * 15 + [-7]])
+# a long negative token before a later nonzero on its row
+@example([[-10 ** 25] + [0] * 14 + [3]] * 4)
+# the last column of the first row, then empty rows
+@example([[0] * 15 + [9]] + [[0] * 16] * 3)
 def test_matrix_block_reads_as_the_json_route(rows):
     # whichever route a block takes, it is stored as the IntMatrix of its
     # decoded rows, which is what json.loads of the block gives
@@ -365,6 +371,21 @@ def test_a_sparse_block_is_decoded_from_its_nonzeros(monkeypatch):
     assert scans.pop() is None and not scans
 
 
+def test_cycle_blocks_are_decoded_from_their_nonzeros(monkeypatch):
+    # a generated level's gram and its three rank-38 cycle blocks, at
+    # indent 4, all take the scan, and the text reads back byte for byte
+    scans = []
+    scan = instfile._nonzero_rows
+    monkeypatch.setattr(instfile, "_nonzero_rows",
+                        lambda *args: scans.append(scan(*args)) or scans[-1])
+    inst = random_icis_instance(1, 1, 0, 40, with_cycles=True,
+                                real_only_level0=True)
+    assert inst.levels[0].lattice.nu == 38
+    text = serialize_instance(InstanceDocument(inst))
+    assert serialize_instance(parse_instance_text(text)) == text
+    assert len(scans) == 4 and None not in scans
+
+
 # The token at gram[3][9] of a 16-wide tridiagonal block, and what the
 # reader makes of it: the value read, and whether the canonical reader
 # took the text (None: YAML reads it), or the error.  YAML 1.1 reads
@@ -381,6 +402,14 @@ _TOKEN_OUTCOMES = {
     "0-": "expected integer at levels[0].gram[3][9]",
     "1-1": "expected integer at levels[0].gram[3][9]",
     "-": "expected integer at levels[0].gram[3][9]",
+    "0-1": "expected integer at levels[0].gram[3][9]",
+    "1--": "expected integer at levels[0].gram[3][9]",
+    "--1": "expected integer at levels[0].gram[3][9]",
+    "10-": "expected integer at levels[0].gram[3][9]",
+    # int("-01") is -1 too, but only YAML may read it
+    "-01": (-1, False),
+    "-00": (0, False),
+    "0000": (0, False),
     "1" + "0" * 4999: "not valid YAML: Exceeds the limit (4300 digits) for"
                       " integer string conversion: value has 5000 digits; use"
                       " sys.set_int_max_str_digits() to increase the limit"
