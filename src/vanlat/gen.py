@@ -15,7 +15,7 @@ from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
                           MorseSpec, RealPoint, generate_level)
 from .index import CycleData, IcisInstance, LevelData
-from .intmat import IntMatrix, block_diagonal, row_items
+from .intmat import IntMatrix, direct_sum, row_items
 from .lattice import SignVector, ThimbleLattice, random_gram_rows
 
 
@@ -49,10 +49,11 @@ def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelDat
     keeps, so the level's monodromy is built once.
     """
     lat, conj = analysis.lattice, analysis.conj
-    null, trivial = IntMatrix.zeros(pad, pad), IntMatrix.identity(pad)
-    cycles = CycleData(block_diagonal([lat.gram, null]),
-                       block_diagonal([conj.sigma, trivial]),
-                       block_diagonal([analysis.companion, trivial]))
+    null = IntMatrix.zeros(pad, pad).stored_rows
+    trivial = IntMatrix.identity(pad).stored_rows
+    cycles = CycleData(direct_sum([lat.gram.stored_rows, null]),
+                       direct_sum([conj.sigma.stored_rows, trivial]),
+                       direct_sum([analysis.companion.stored_rows, trivial]))
     return LevelData(i, lat, conj, cycles, analysis)
 
 

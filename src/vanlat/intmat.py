@@ -260,9 +260,9 @@ class IntMatrix:
         return True
 
     def is_involution(self):
-        """Whether the matrix squares to the identity; a non-square one
-        does not.  The first call keeps the verdict, and later calls read
-        it."""
+        """Whether the matrix squares to the identity, by one kernel call
+        of :func:`squares_to_identity`; a non-square one does not.  The
+        first call keeps the verdict, and later calls read it."""
         try:
             return self._involution
         except AttributeError:
@@ -460,16 +460,15 @@ def sweep_rows(weight_rows, width, scale, unit, start):
 
 def squares_to_identity(rows):
     """The one involution test: whether the square matrix of ``rows``,
-    stored rows or plain int sequences, squares to the identity.  The
-    kernel squares row 0 alone, then the rest, and each emitted row is
-    tested against its unit row, zeros and all, as the kernel sums it:
-    most misses cost one row, and no row is stored."""
+    stored rows or plain int sequences, squares to the identity.  One
+    kernel call squares every row, and each emitted row is tested against
+    its unit row, zeros and all, as the kernel sums it; no row is
+    stored."""
     n = len(rows)
-    for first, part in ((0, rows[:1]), (1, rows[1:])):
-        for r, row in enumerate(combine_rows(part, rows, n), first):
-            if not (row.get(r) == 1 and countOf(row.values(), 0) == len(row) - 1
-                    if type(row) is dict else row[r] == 1 and row.count(0) == n - 1):
-                return False
+    for r, row in enumerate(combine_rows(rows, rows, n)):
+        if not (row.get(r) == 1 and countOf(row.values(), 0) == len(row) - 1
+                if type(row) is dict else row[r] == 1 and row.count(0) == n - 1):
+            return False
     return True
 
 
@@ -497,15 +496,10 @@ def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
     return r, next(c for c, (u, v) in enumerate(zip(x, y)) if u != v)
 
 
-def block_diagonal(blocks) -> IntMatrix:
-    """Direct sum of square matrices, each placed on the diagonal after
-    the ones before it; zero elsewhere."""
-    return direct_sum([b.stored_rows for b in blocks])
-
-
 def direct_sum(blocks) -> IntMatrix:
-    """:func:`block_diagonal` of square blocks given by their rows, tuples
-    or dicts as stored.
+    """Direct sum of square blocks given by their rows, tuples or dicts as
+    stored: each block is placed on the diagonal after the ones before
+    it, and every other entry is zero.
 
     Below ``SPARSE_MIN_COLS`` columns every row is a tuple padded with
     zeros; from there on each row is built as the dict of its nonzero

@@ -48,8 +48,8 @@ def _single_level_doc(lat, conj):
 def _check_instance(rng, name, rank_bound):
     """One random instance of family ``name``: ``(problem, witness)``, the
     problem ``None`` on a pass and the witness the instance file of a
-    failure."""
-    problem = witness = None
+    failure: the whole instance a family drew, else its one level."""
+    problem = conj = inst = None
     if name in ("s-relation", "monodromy-relation"):
         parity = rng.choice((1, 2, 3, 4, 5))
         nu = rng.randint(0, rank_bound)
@@ -57,16 +57,12 @@ def _check_instance(rng, name, rank_bound):
         check = (check_s_relation if name == "s-relation"
                  else check_monodromy_relation)
         problem = check(lat)
-        if problem:
-            witness = _single_level_doc(lat, None)
     elif name == "braid-invariance":
         parity = rng.choice((1, 2, 3, 4))
         nu = rng.randint(0, rank_bound)
         lat = random_lattice(rng, nu, parity)
         word = random_braid_word(rng, nu)
         problem = var_inverse_as_operator_after_braid(lat, word)
-        if problem:
-            witness = _single_level_doc(lat, None)
     elif name in ("symmetric-nondegenerate", "block-form"):
         # the generator has checked the level's consistency and block form
         parity = rng.choice((1, 2, 3, 4))
@@ -81,11 +77,10 @@ def _check_instance(rng, name, rank_bound):
                 problem = str(e)
         elif analysis.signature.sgn != signature_by_blocks(lat, conj):
             problem = "signature disagrees with block closed form"
-        if problem:
-            witness = _single_level_doc(lat, conj)
     elif name == "cycle-route-agreement":
         parity = rng.choice((1, 3, 5))
         analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
+        lat, conj = analysis.lattice, analysis.conj
         level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
         s = rng.choice((1, -1))
         t2 = level_index_sum(level, parity, s)
@@ -95,8 +90,6 @@ def _check_instance(rng, name, rank_bound):
                 problem = "cycle route gives %d, thimble route %d" % (t3, t2)
         except ValueError as e:
             problem = str(e)
-        if problem:
-            witness = _single_level_doc(analysis.lattice, analysis.conj)
     else:  # telescoping, plus the matched sign-flip comparison
         n = rng.choice((1, 2, 3))
         p = rng.choice((0, 1, 2))
@@ -106,9 +99,11 @@ def _check_instance(rng, name, rank_bound):
             problem = "telescoped recursion disagrees with closed formula"
         else:
             problem = sign_independence_check([inst, flip_last_sign(inst)])
-        if problem:
-            witness = serialize_instance(InstanceDocument(inst))
-    return problem, witness
+    if not problem:
+        return None, None
+    if inst is not None:
+        return problem, serialize_instance(InstanceDocument(inst))
+    return problem, _single_level_doc(lat, conj)
 
 
 def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResult:

@@ -2,7 +2,7 @@ import pathlib
 import sys
 from operator import mul
 
-from vanlat.basis import parse_braid_word
+from vanlat.basis import BraidMove, BraidWord, parse_braid_word
 from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
@@ -22,6 +22,30 @@ def triple_loop(a, b):
     rows of ``a`` and columns of ``b``."""
     cols = list(zip(*b.rows))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.rows)
+
+
+def unitriangular_inverse(rows):
+    """Dense rows of the inverse of a unit lower or upper triangular
+    matrix, given by its dense rows, by substitution: row ``r`` of the
+    inverse is ``e_r`` minus ``m[r][c]`` times row ``c`` of the inverse
+    for each other nonzero ``m[r][c]``, so the rows are found from the
+    first down for a lower matrix and from the last up for an upper one."""
+    n = len(rows)
+    lower = not any(rows[r][c] for r in range(n) for c in range(r + 1, n))
+    inverse = [None] * n
+    for r in range(n) if lower else reversed(range(n)):
+        out = [int(c == r) for c in range(n)]
+        for c, x in enumerate(rows[r]):
+            if c != r and x:
+                out = [y - x * z for y, z in zip(out, inverse[c])]
+        inverse[r] = out
+    return inverse
+
+
+def inverse_word(word):
+    """The word undoing ``word``: its moves reversed, each inverted."""
+    return BraidWord(tuple(BraidMove({"a": "A", "A": "a", "f": "f"}[m.kind], m.j)
+                           for m in reversed(word.moves)))
 
 
 def rebind(monkeypatch, original, replacement):

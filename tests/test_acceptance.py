@@ -19,7 +19,7 @@ import pytest
 import vanlat
 
 from conftest import (INSTANCE_DIR, a_k_instance, a_k_level, instance_path,
-                      matrix_power)
+                      inverse_word, matrix_power)
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
 from vanlat.conjugation import (LevelAnalysis, generate_level,
@@ -254,8 +254,7 @@ def test_criterion_13_braid_word_rank_64_budget():
         kind = rng.choice("aAf")
         moves.append("%s%d" % (kind, rng.randint(1, 64 if kind == "f" else 63)))
     word = parse_braid_word(" ".join(moves))
-    inverse = parse_braid_word(" ".join(
-        {"a": "A", "A": "a", "f": "f"}[m.kind] + str(m.j) for m in reversed(word.moves)))
+    inverse = inverse_word(word)
     t0 = time.monotonic()
     new, _ = apply_braid_word(lat, word)
     elapsed = time.monotonic() - t0

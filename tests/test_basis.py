@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import a_k_level, matrix_power, rebind, triple_loop
+from conftest import (a_k_level, inverse_word, matrix_power, rebind, triple_loop,
+                      unitriangular_inverse)
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           monodromy, parse_braid_word, picard_lefschetz)
@@ -198,7 +199,7 @@ def test_monodromy_is_conjugation_covariant():
         word = random_braid_word(rng, nu, max_len=6)
         new, change = apply_braid_word(lat, word)
         p = change.matrix
-        assert monodromy(new) == p.unimodular_inverse() * monodromy(lat) * p
+        assert p * monodromy(new) == monodromy(lat) * p
 
 
 @st.composite
@@ -356,34 +357,44 @@ def test_basis_change_transports_like_the_dense_rules(case):
 
 
 def _dense_unimodular(rng, n):
-    """``L U`` for random unit lower and upper triangular ``L`` and ``U``
-    with entries in [-1, 1], its columns then shuffled and some negated:
-    a dense matrix of determinant +-1."""
+    """``P = L U`` for random unit lower and upper triangular ``L`` and
+    ``U`` with entries in [-1, 1], its columns then shuffled and some
+    negated: a dense matrix of determinant +-1; and ``P^-1``, found by
+    undoing each step: the signs and the order of the columns become
+    those of the rows of ``U^-1 L^-1``."""
     lower = IntMatrix([[rng.randint(-1, 1) if c < r else int(c == r) for c in range(n)]
                        for r in range(n)], n)
     upper = IntMatrix([[rng.randint(-1, 1) if c > r else int(c == r) for c in range(n)]
                        for r in range(n)], n)
     signs = [rng.choice((1, -1)) for _ in range(n)]
     order = rng.sample(range(n), n)
-    return IntMatrix([[signs[c] * row[c] for c in order]
-                      for row in (lower * upper).rows], n)
+    p = IntMatrix([[signs[c] * row[c] for c in order]
+                   for row in (lower * upper).rows], n)
+    lu_inverse = triple_loop(IntMatrix(unitriangular_inverse(upper.rows), n),
+                             IntMatrix(unitriangular_inverse(lower.rows), n))
+    return p, IntMatrix([[signs[c] * x for x in lu_inverse[c]] for c in order], n)
 
 
 @st.composite
 def _changes_and_maps(draw, n):
     """A basis change of rank ``n``, from a word on a random lattice or
-    given directly as a dense unimodular ``P``, and a dense or sparse
-    square matrix, their entries drawn from one seeded ``random``."""
+    given directly as a dense unimodular ``P``, with ``P^-1`` built
+    without elimination (the change of the inverse word on the moved
+    lattice, or :func:`_dense_unimodular`'s), and a dense or sparse square
+    matrix, their entries drawn from one seeded ``random``."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         lat = random_lattice(rng, n, rng.randint(1, 4))
-        _, change = apply_braid_word(lat, random_braid_word(rng, n, max_len=24))
+        word = random_braid_word(rng, n, max_len=24)
+        moved, change = apply_braid_word(lat, word)
+        p_inverse = apply_braid_word(moved, inverse_word(word))[1].matrix
     else:
-        change = BasisChange(_dense_unimodular(rng, n))
+        p, p_inverse = _dense_unimodular(rng, n)
+        change = BasisChange(p)
     fill = draw(st.sampled_from((1, 8)))  # every entry, or about one in 8
     m = IntMatrix([[rng.randint(-9, 9) if rng.randrange(fill) == 0 else 0
                     for _ in range(n)] for _ in range(n)], n)
-    return change, m, rng
+    return change, p_inverse, m, rng
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 64])
@@ -393,12 +404,13 @@ def test_transports_are_the_triple_loop_products(n, data):
     # congruence is P^T M P and conjugates accepts P^-1 M P, both formed
     # here entry by entry, and refuses it with one entry moved; the ranks
     # straddle SPARSE_MIN_COLS
-    change, m, rng = data.draw(_changes_and_maps(n))
+    change, p_inverse, m, rng = data.draw(_changes_and_maps(n))
     p = change.matrix
     assert change.columns == p.transpose() and p.det() in (1, -1)
+    assert triple_loop(p, p_inverse) == IntMatrix.identity(n).rows
     assert change.congruence(m) == IntMatrix(
         triple_loop(IntMatrix(triple_loop(p.transpose(), m)), p), n)
-    want = IntMatrix(triple_loop(IntMatrix(triple_loop(p.unimodular_inverse(), m)), p), n)
+    want = IntMatrix(triple_loop(IntMatrix(triple_loop(p_inverse, m)), p), n)
     assert change.conjugates(m, want)
     if n:
         r, c = rng.randrange(n), rng.randrange(n)

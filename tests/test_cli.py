@@ -14,6 +14,7 @@ import vanlat
 from conftest import instance_path
 from vanlat.basis import monodromy
 from vanlat.cli import main
+from vanlat.conjugation import generate_level
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
@@ -395,18 +396,18 @@ def test_verify_failure_serializes_reparseable_counterexample(
     assert doc.instance.p == 0
 
 
-def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
-                                                      monkeypatch):
+def _generate_with_form_2(*args):
     # [[2]] is symmetric and nondegenerate but has det 2; it replaces the
     # form of the analysis the family reads, after the generator's checks
-    import vanlat.suite as suite
-    generate = suite.generate_level
+    analysis = generate_level(*args)
+    analysis.form = IntMatrix.from_rows([[2]])
+    return analysis
 
-    def generate_with_form_2(*args):
-        analysis = generate(*args)
-        analysis.form = IntMatrix.from_rows([[2]])
-        return analysis
-    monkeypatch.setattr(suite, "generate_level", generate_with_form_2)
+
+def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
+                                                      monkeypatch):
+    import vanlat.suite as suite
+    monkeypatch.setattr(suite, "generate_level", _generate_with_form_2)
     out_file = tmp_path / "ce.vl"
     code, out, _ = run(capsys, "verify", "--seed", "2", "--count", "7",
                        "--rank-bound", "4", "--output", out_file)
@@ -417,6 +418,58 @@ def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
     from vanlat.instfile import parse_instance_text
     doc = parse_instance_text(out_file.read_text())
     assert doc.instance.levels[0].lattice.violation is None
+
+
+# each family fails through the name ``suite`` calls for its check; the
+# FAIL line and every byte of the counterexample file are pinned
+_FORCED_FAILURES = {
+    "s-relation": (
+        ("check_s_relation", lambda lat: "forced failure"),
+        "forced failure",
+        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
+    "monodromy-relation": (
+        ("check_monodromy_relation", lambda lat: "forced failure"),
+        "forced failure",
+        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
+    "braid-invariance": (
+        ("var_inverse_as_operator_after_braid", lambda lat, word: "forced failure"),
+        "forced failure",
+        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
+    "symmetric-nondegenerate": (
+        ("generate_level", _generate_with_form_2),
+        "form not symmetric and unimodular",
+        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+    "block-form": (
+        ("signature_by_blocks", lambda lat, conj: None),
+        "signature disagrees with block closed form",
+        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+    "cycle-route-agreement": (
+        ("cycle_index_sum", lambda level, s: 1000),
+        "cycle route gives 1000, thimble route -2",
+        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+    "telescoping": (
+        ("telescoped_index", lambda inst: None),
+        "telescoped recursion disagrees with closed formula",
+        "0a66a3808b72c599077c283917d5baf7ef271e685156e599db41cf96ebb8f389"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FORCED_FAILURES))
+def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys,
+                                                        monkeypatch):
+    import vanlat.suite as suite
+    assert set(_FORCED_FAILURES) == set(suite.CHECK_NAMES)
+    patch, problem, digest = _FORCED_FAILURES[family]
+    monkeypatch.setattr(suite, *patch)
+    monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
+                         "--rank-bound", "8", "--output", out_file)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["seed 2, count 5, rank bound 8",
+                                "FAIL %s (instance 0): %s" % (family, problem),
+                                "counterexample written to %s" % out_file]
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family", ["symmetric-nondegenerate", "block-form",

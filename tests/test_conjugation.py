@@ -23,8 +23,8 @@ from vanlat.gen import flip_last_sign, random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce, squares_to_identity
-from vanlat.lattice import (SignVector, ThimbleLattice, random_gram_rows,
-                            validate_lattice)
+from vanlat.lattice import (SignVector, ThimbleLattice, mirror_sign,
+                            random_gram_rows, validate_lattice)
 from vanlat.signature import exact_signature
 from vanlat.variation import var, var_inverse
 
@@ -652,6 +652,13 @@ def _forced_shape_sigma(rng, lat, morse):
     return assemble_sigma(morse, ())
 
 
+def _monodromy_inverse(lat):
+    """``h^-1 = (-1)^p var^T var_inverse``: the monodromy relation ``h =
+    (-1)^p var var_inverse^T`` inverted factor by factor, as ``var`` and
+    ``var_inverse`` are inverse to each other."""
+    return -mirror_sign(lat.parity) * var(lat).transpose() * var_inverse(lat)
+
+
 def _arbitrary_sigma(rng, lat, morse):
     """A sigma of any shape, most often not an involution: random small
     entries, ``h^-1 * T`` for a random block lower ``T`` or a random
@@ -667,16 +674,19 @@ def _arbitrary_sigma(rng, lat, morse):
     if kind == 1:
         t = [[rng.randint(-1, 1) if c <= r + 1 else 0 for c in range(nu)]
              for r in range(nu)]
-        return monodromy(lat).unimodular_inverse() * IntMatrix(t, nu)
+        return _monodromy_inverse(lat) * IntMatrix(t, nu)
     if kind == 2:
+        # the elementary e = I + t e_ij has the inverse I - t e_ij
         e = [[int(r == c) for c in range(nu)] for r in range(nu)]
+        e_inv = [row[:] for row in e]
         if nu >= 2:
             i, j = rng.sample(range(nu), 2)
             e[i][j] = rng.choice((-1, 1))
-        e = IntMatrix(e, nu)
+            e_inv[i][j] = -e[i][j]
+        e, e_inv = IntMatrix(e, nu), IntMatrix(e_inv, nu)
         d = IntMatrix([[rng.choice((-1, 1)) * (r == c) for c in range(nu)]
                        for r in range(nu)], nu)
-        return monodromy(lat).unimodular_inverse() * (e * d * e.unimodular_inverse())
+        return _monodromy_inverse(lat) * (e * d * e_inv)
     if kind == 3:
         drawn = []
         while len(drawn) + drawn.count(_PAIR) < nu:

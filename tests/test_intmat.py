@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import vanlat
 from conftest import triple_loop
 from vanlat import intmat
-from vanlat.intmat import (IntMatrix, block_diagonal, first_difference, row_reduce,
-                           squares_to_identity)
+from vanlat.intmat import (SPARSE_MIN_COLS, IntMatrix, direct_sum, first_difference,
+                           row_reduce, squares_to_identity)
 from vanlat.signature import exact_signature
 
 
@@ -618,29 +618,33 @@ def test_is_involution_matches_the_square(rows):
         assert squares_to_identity([list(row) for row in rows]) == want
 
 
-@pytest.mark.parametrize("rows, want, squared", [
-    ([], True, 0),                          # rank 0 is an involution
-    ([[1, 1], [0, 1]], False, 1),           # misses at row 0
-    ([[-1, 0], [0, 2]], False, 2),          # misses only at row 1
-    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], True, 3),
-    ([[int(r == c) for c in range(16)] for r in range(16)], True, 16),
+@pytest.mark.parametrize("rows, want", [
+    ([], True),                             # rank 0 is an involution
+    ([[1, 1], [0, 1]], False),              # misses at row 0
+    ([[-1, 0], [0, 2]], False),             # misses only at row 1
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], True),
+    ([[int(r == c) for c in range(16)] for r in range(16)], True),
 ])
-def test_squares_to_identity_squares_row_0_first(monkeypatch, rows, want, squared):
-    # the first row is squared alone, so a miss there squares no other row
-    weights = []
+def test_squares_to_identity_squares_every_row_in_one_kernel_call(
+        monkeypatch, rows, want):
+    # plain tuples, plain lists, and the stored rows of both storages
+    calls = []
     kernel = intmat.combine_rows
 
     def counting(weight_rows, *args):
-        weights.extend(weight_rows)
+        calls.append(len(weight_rows))
         return kernel(weight_rows, *args)
     monkeypatch.setattr(intmat, "combine_rows", counting)
+    n = len(rows)
     for plain in (tuple(map(tuple, rows)), [list(row) for row in rows]):
-        weights.clear()
+        calls.clear()
         assert squares_to_identity(plain) == want
-        assert len(weights) == squared
-    weights.clear()
-    assert IntMatrix([tuple(row) for row in rows], len(rows)).is_involution() == want
-    assert len(weights) == squared
+        assert calls == [n]
+    for stored in ([tuple(row) for row in rows],
+                   [{c: x for c, x in enumerate(row) if x} for row in rows]):
+        calls.clear()
+        assert IntMatrix(stored, n).is_involution() == want
+        assert calls == [n]
 
 
 @pytest.mark.parametrize("rows, width, want", [
@@ -676,21 +680,55 @@ def test_is_involution_keeps_its_verdict(monkeypatch, rows, width, want):
     assert not hasattr(fresh, "_involution")
 
 
-def test_block_diagonal_of_nothing_and_of_empty_blocks():
-    assert block_diagonal([]) == IntMatrix(())
-    assert block_diagonal([IntMatrix(())]) == IntMatrix(())
-    one = IntMatrix.from_rows([[7]])
-    assert block_diagonal([IntMatrix(()), one, IntMatrix(())]) == one
+def test_direct_sum_of_nothing_and_of_empty_blocks():
+    assert direct_sum([]) == IntMatrix(())
+    assert direct_sum([()]) == IntMatrix(())
+    one = ((7,),)
+    assert direct_sum([(), one, ()]) == IntMatrix(one)
 
 
-def test_block_diagonal_of_mixed_blocks():
-    a = IntMatrix.from_rows([[1]])
-    b = IntMatrix.from_rows([[2, 3], [4, 5]])
-    c = IntMatrix.from_rows([[-6]])
-    assert block_diagonal([a, b, c]) == IntMatrix.from_rows(
+def test_direct_sum_of_mixed_blocks():
+    a = ((1,),)
+    b = ((2, 3), (4, 5))
+    c = ((-6,),)
+    assert direct_sum([a, b, c]) == IntMatrix.from_rows(
         [[1, 0, 0, 0], [0, 2, 3, 0], [0, 4, 5, 0], [0, 0, 0, -6]])
-    assert block_diagonal([b, a]) == IntMatrix.from_rows(
+    assert direct_sum([b, a]) == IntMatrix.from_rows(
         [[2, 3, 0], [4, 5, 0], [0, 0, 1]])
+
+
+@st.composite
+def _square_blocks(draw):
+    # the stored rows of square blocks of rank 1-6, entries in -3..3 and
+    # some rows zero, of total rank 12-20, so that the sum is built on
+    # either side of SPARSE_MIN_COLS; then up to two empty blocks
+    left = draw(st.integers(12, 20))
+    blocks = []
+    while left:
+        k = draw(st.integers(1, min(6, left)))
+        left -= k
+        rows = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+                if draw(st.booleans()) else [0] * k for _ in range(k)]
+        blocks.append(IntMatrix.from_rows(rows).stored_rows)
+    for at in draw(st.lists(st.integers(0, len(blocks)), max_size=2)):
+        blocks.insert(at, ())
+    return blocks
+
+
+@settings(deadline=None)
+@given(_square_blocks())
+@example([((1,),)] * (SPARSE_MIN_COLS - 1))
+@example([((1,),)] * SPARSE_MIN_COLS)
+@example([((0, 0), (0, 0))] * (SPARSE_MIN_COLS // 2))
+def test_direct_sum_is_the_dense_block_placement(blocks):
+    n = sum(map(len, blocks))
+    dense = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            dense[at + r][at:at + len(b)] = row
+        at += len(b)
+    assert direct_sum(blocks) == IntMatrix.from_rows(dense)
 
 
 def test_first_difference_in_reading_order():
