@@ -44,29 +44,34 @@ signature (an empty radical), so no determinant is taken.  A
 :class:`vanlat.index.LevelData` keeps its analysis, so every index route
 over a level shares it.
 
-The generator forms each chunk's conjugation as ``sigma = B^-1 *
-var_inverse`` for the forced block form ``B``, straight from the chunk's
-gram rows (:func:`_forced_conjugation`), and accepts it when those plain
-rows pass :func:`vanlat.intmat.squares_to_identity`, the one involution
-test.  Most tries fail it, and most of those fail a cheaper necessary
-condition first, read off the gram rows and the descriptors alone: the
-blocks of ``sigma^2`` beside its block diagonal must vanish
+A generator try draws a chunk's descriptors, then its gram entries
+above the diagonal as one flat row-major list, straight from the
+generator's ``getrandbits`` with the values and in the order of the
+stdlib draws (:func:`vanlat.lattice.draw_entries`).  It forms the
+chunk's conjugation as ``sigma = B^-1 * var_inverse`` for the forced
+block form ``B``, straight from that flat list
+(:func:`_forced_conjugation`), and accepts it when those plain rows pass
+:func:`vanlat.intmat.squares_to_identity`, the one involution test.
+Most tries fail it, and most of those fail a cheaper necessary condition
+first, read off the flat entries and the descriptors alone: the blocks
+of ``sigma^2`` beside its block diagonal must vanish
 (:func:`_square_vanishes_beside_diagonal`), and a try where one does not
-forms no sigma rows.  The level the chunks sum to gets the one analysis,
-which checks its consistency and forced block form, raises
-:class:`GeneratedLevelError` when they fail, and is handed to the caller
-(:func:`generate_level`).
+forms no sigma rows.  Only an accepted try builds its gram rows
+(:func:`vanlat.lattice.gram_rows`).  The level the chunks sum to gets
+the one analysis, which checks its consistency and forced block form,
+raises :class:`GeneratedLevelError` when they fail, and is handed to the
+caller (:func:`generate_level`).
 """
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain
 
 from .basis import monodromy
 from .intmat import (IntMatrix, direct_sum, first_difference, non_integer_at,
                      squares_to_identity)
-from .lattice import (ThimbleLattice, diagonal_sign, random_gram_rows,
+from .lattice import (ThimbleLattice, diagonal_sign, draw_entries, gram_rows,
                       require_valid)
 from .signature import Signature, exact_signature
 from .variation import var_inverse
@@ -392,10 +397,11 @@ _PAIR = None
 _real_point, _pair_point = cache(RealPoint), cache(ConjugatePair)
 
 
-def _forced_conjugation(parity, gram, drawn):
-    """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the plain
-    ``gram`` rows and the ``drawn`` descriptors (a Morse index per real
-    slot, ``_PAIR`` per pair), with the descriptors they pin, in one walk.
+def _forced_conjugation(parity, upper, drawn):
+    """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the gram
+    entries above the diagonal, the flat row-major list ``upper``, and
+    the ``drawn`` descriptors (a Morse index per real slot, ``_PAIR`` per
+    pair), with the descriptors they pin, in one walk.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :meth:`MorseSpec.forced_form`): ``d * (-1)^m`` on a real
@@ -416,36 +422,48 @@ def _forced_conjugation(parity, gram, drawn):
     gram[s+1][c]...)`` and ``(1, 0, d * (a * gram[s+1][c] -
     gram[s][c])...)`` over the columns ``c > s + 1``.
 
+    The rank is ``len(drawn) + drawn.count(_PAIR)``.  Row ``pos``'s
+    ``width = rank - 1 - pos`` entries right of the diagonal are the slice
+    of ``upper`` at ``start``, just after the rows above it; the walk
+    keeps ``start`` as it goes.
+
     Returns the tuple of rows and the tuple of descriptors, each pair's
     :class:`ConjugatePair` carrying its pinned ``a``.
     """
     d = diagonal_sign(parity)
     rows = []
     points = []
-    pos = 0
+    pos = start = 0
+    width = len(drawn) + drawn.count(_PAIR) - 1
     for m in drawn:
         lead = (0,) * pos
         if m is _PAIR:
-            top, bottom = gram[pos], gram[pos + 1]
-            a = -d * top[pos + 1]
-            rows.append(lead + (0, 1) + tuple(-d * y for y in bottom[pos + 2:]))
-            rows.append(lead + (1, 0) + tuple(d * (a * y - x) for x, y
-                                              in zip(top[pos + 2:], bottom[pos + 2:])))
+            below = start + width
+            a = -d * upper[start]
+            top, bottom = upper[start + 1:below], upper[below:below + width - 1]
+            rows.append(lead + (0, 1) + tuple(-d * y for y in bottom))
+            rows.append(lead + (1, 0) + tuple(d * (a * y - x)
+                                              for x, y in zip(top, bottom)))
             points.append(_pair_point(a))
             pos += 2
+            start = below + width - 1
+            width -= 2
         else:
             s = morse_sign(m)
             e = -d * s
-            rows.append(lead + (s,) + tuple(e * x for x in gram[pos][pos + 1:]))
+            rows.append(lead + (s,) + tuple(e * x for x in upper[start:start + width]))
             points.append(_real_point(m))
             pos += 1
+            start += width
+            width -= 1
     return tuple(rows), tuple(points)
 
 
-def _square_vanishes_beside_diagonal(parity, gram, drawn):
+def _square_vanishes_beside_diagonal(parity, upper, drawn):
     """Whether the candidate sigma of :func:`_forced_conjugation` has
     ``sigma^2`` zero in each block beside the block diagonal, read off the
-    plain ``gram`` rows and the ``drawn`` descriptors without building it.
+    flat row-major gram entries ``upper`` above the diagonal and the
+    ``drawn`` descriptors without building it.
 
     Sigma is block upper triangular with diagonal blocks ``D = (-1)^m`` on
     a real slot and the swap ``J`` on a pair, so for consecutive blocks
@@ -456,31 +474,39 @@ def _square_vanishes_beside_diagonal(parity, gram, drawn):
     -gram[i+1][c]`` and ``d * (a * gram[i+1][c] - gram[i][c])`` with ``a =
     -d * gram[i][i+1]``; the factor ``d`` drops out of each condition.
 
+    The entries are walked as in :func:`_forced_conjugation`: row ``i``'s
+    entries right of the diagonal, from column ``i + 1`` on, start at
+    ``start``, and at a pair row ``i + 1``'s, from column ``i + 2`` on,
+    start at ``below``.
+
     A necessary condition of the involution law only: a try that passes
     still takes :func:`~vanlat.intmat.squares_to_identity`.
     """
     d = diagonal_sign(parity)
-    i = 0
+    start = 0
+    width = len(drawn) + drawn.count(_PAIR) - 1
     for m, n in zip(drawn, drawn[1:]):
         if m is _PAIR:
-            top, bottom = gram[i], gram[i + 1]
-            a = -d * top[i + 1]
-            j = i + 2
-            w = a * bottom[j] - top[j]
+            below = start + width
+            a = -d * upper[start]
+            w = a * upper[below] - upper[start + 1]
             if n is _PAIR:
-                if w != bottom[j + 1] or a * bottom[j + 1] - top[j + 1] != bottom[j]:
+                if (w != upper[below + 1]
+                        or a * upper[below + 1] - upper[start + 2] != upper[below]):
                     return False
-            elif w != morse_sign(n) * bottom[j]:
+            elif w != morse_sign(n) * upper[below]:
                 return False
-            i = j
+            start = below + width - 1
+            width -= 2
         else:
-            row, s = gram[i], morse_sign(m)
+            s = morse_sign(m)
             if n is _PAIR:
-                if row[i + 2] != -s * row[i + 1]:
+                if upper[start + 1] != -s * upper[start]:
                     return False
-            elif row[i + 1] and s == morse_sign(n):
+            elif upper[start] and s == morse_sign(n):
                 return False
-            i += 1
+            start += width
+            width -= 1
     return True
 
 
@@ -493,33 +519,46 @@ def _sample_chunk(rng, size, parity, pairs=True):
     ``(gram rows, sigma rows, descriptors)``, or ``None`` when
     ``CHUNK_TRIES`` draws all fail the involution law.
 
-    A try draws its descriptors as plain values and its gram rows.  A try
-    whose ``sigma^2`` does not vanish beside the block diagonal
+    A try draws, from ``rng`` and in this order, its descriptors as plain
+    values (``rng.random() < 0.3`` where a pair may start, else the Morse
+    index ``rng.randrange(0, parity + 1)``), then its gram entries above
+    the diagonal as one flat row-major list of ``rng.choice`` draws
+    (:func:`~vanlat.lattice.draw_entries`).  A try whose ``sigma^2`` does
+    not vanish beside the block diagonal
     (:func:`_square_vanishes_beside_diagonal`) is rejected there; any other
-    forms its candidate sigma straight from its gram rows, whose plain rows
-    take the one involution test, which decides every acceptance,
-    :func:`~vanlat.intmat.squares_to_identity`.  No matrix, lattice or
-    analysis is built for a chunk.  What is accepted is checked once,
-    on the assembled level (:func:`_direct_sum`).  Without ``pairs``
-    every descriptor is a real point.
+    forms its candidate sigma straight from the flat entries, whose plain
+    rows take the one involution test, which decides every acceptance,
+    :func:`~vanlat.intmat.squares_to_identity`.  Only the accepted try
+    builds its gram rows (:func:`~vanlat.lattice.gram_rows`), and no
+    matrix, lattice or analysis is built for a chunk.  What is accepted is
+    checked once, on the assembled level (:func:`_direct_sum`).  Without
+    ``pairs`` every descriptor is a real point.
     """
-    draw = partial(rng.choice, (0, 0, 0, 1, -1, 2, -2))
+    uniform, getrandbits = rng.random, rng.getrandbits
+    # the Morse index is drawn by draw_entries' rule for randrange(0, n):
+    # getrandbits(n.bit_length()) until it is below n
+    n = parity + 1
+    k = n.bit_length()
+    count = size * (size - 1) // 2
     for _ in range(CHUNK_TRIES):
         drawn = []
         left = size
         while left > 0:
-            if pairs and left >= 2 and rng.random() < 0.3:
+            if pairs and left >= 2 and uniform() < 0.3:
                 drawn.append(_PAIR)
                 left -= 2
             else:
-                drawn.append(rng.randrange(0, parity + 1))
+                m = getrandbits(k)
+                while m >= n:
+                    m = getrandbits(k)
+                drawn.append(m)
                 left -= 1
-        gram = random_gram_rows(size, parity, draw)
-        if not _square_vanishes_beside_diagonal(parity, gram, drawn):
+        upper = draw_entries(getrandbits, count, (0, 0, 0, 1, -1, 2, -2))
+        if not _square_vanishes_beside_diagonal(parity, upper, drawn):
             continue
-        sigma, points = _forced_conjugation(parity, gram, drawn)
+        sigma, points = _forced_conjugation(parity, upper, drawn)
         if squares_to_identity(sigma):
-            return gram, sigma, points
+            return gram_rows(size, parity, upper), sigma, points
     return None
 
 

@@ -9,21 +9,23 @@ cycle data, and matched sign-flipped variants.
 """
 
 import random
-from functools import partial
 
 from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
                           MorseSpec, RealPoint, generate_level)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix, direct_sum, row_items
-from .lattice import SignVector, ThimbleLattice, random_gram_rows
+from .lattice import SignVector, ThimbleLattice, draw_entries, gram_rows
 
 
 def random_lattice(rng: random.Random, nu: int, parity: int,
                    max_entry: int = 5) -> ThimbleLattice:
-    """Valid lattice with uniform off-diagonal entries in ``[-max, max]``."""
-    draw = partial(rng.randint, -max_entry, max_entry)
-    return ThimbleLattice(parity, IntMatrix(random_gram_rows(nu, parity, draw)))
+    """Valid lattice with uniform off-diagonal entries in ``[-max, max]``,
+    drawn above the diagonal in row-major order as ``rng.randint(-max,
+    max)`` would draw them."""
+    upper = draw_entries(rng.getrandbits, nu * (nu - 1) // 2,
+                         range(-max_entry, max_entry + 1))
+    return ThimbleLattice(parity, IntMatrix(gram_rows(nu, parity, upper)))
 
 
 def random_braid_word(rng: random.Random, nu: int, max_len: int = 12) -> BraidWord:

@@ -40,16 +40,47 @@ def mirror_sign(parity: int) -> int:
     return 1 if parity % 2 else -1
 
 
-def random_gram_rows(size: int, parity: int, draw) -> tuple[tuple[int, ...], ...]:
-    """Rows of a valid gram matrix of the given parity whose entries above
-    the diagonal are ``draw()``, called in row-major order."""
+def draw_entries(getrandbits, count: int, values) -> list:
+    """``count`` draws of ``random.Random.choice(values)``, made from the
+    generator's ``getrandbits`` exactly as CPython makes them, so the
+    values and the generator's state afterwards are the stdlib's.
+
+    CPython's ``choice(s)`` is ``s[_randbelow(len(s))]``, and
+    ``randint(a, b) = randrange(a, b + 1) = a + _randbelow(b + 1 - a)``,
+    so ``values = range(a, b + 1)`` draws ``randint(a, b)``.
+    ``_randbelow(n)`` draws ``getrandbits(k)`` with ``k =
+    n.bit_length()`` (not ``(n - 1).bit_length()``: ``k`` is 4 at ``n =
+    8``) until a value is below ``n``.  An empty ``values`` raises
+    ``ValueError`` when anything is to be drawn, as the stdlib's
+    ``randint`` does, instead of rejecting ``getrandbits(0)`` forever.
+    """
+    n = len(values)
+    if count > 0 and not n:
+        raise ValueError("cannot draw from an empty range")
+    k = n.bit_length()
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(values[r])
+    return drawn
+
+
+def gram_rows(size: int, parity: int, upper) -> tuple[tuple[int, ...], ...]:
+    """Rows of the valid gram matrix of the given parity whose entries
+    above the diagonal are the flat list ``upper``, in row-major order:
+    row ``r``'s ``size - 1 - r`` entries right of the diagonal follow the
+    rows above it, and the entries below mirror them."""
     eps, diagonal = mirror_sign(parity), self_intersection(parity)
     rows = [[diagonal] * size for _ in range(size)]
+    start = 0
     for r in range(size):
-        for c in range(r + 1, size):
-            v = draw()
-            rows[r][c] = v
+        right = upper[start:start + size - 1 - r]
+        rows[r][r + 1:] = right
+        for c, v in enumerate(right, r + 1):
             rows[c][r] = eps * v
+        start += size - 1 - r
     return tuple(map(tuple, rows))
 
 

@@ -48,6 +48,12 @@ def inverse_word(word):
                            for m in reversed(word.moves)))
 
 
+def upper_entries(rows):
+    """The entries of the square ``rows`` above the diagonal, as one flat
+    row-major list: the generator's draw of a gram matrix."""
+    return [x for r, row in enumerate(rows) for x in row[r + 1:]]
+
+
 def rebind(monkeypatch, original, replacement):
     """Replace ``original`` by ``replacement`` under every name a vanlat
     module binds it to."""

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanlat
+from conftest import upper_entries
 from vanlat import basis, conjugation
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
@@ -24,7 +25,7 @@ from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce, squares_to_identity
 from vanlat.lattice import (SignVector, ThimbleLattice, mirror_sign,
-                            random_gram_rows, validate_lattice)
+                            validate_lattice)
 from vanlat.signature import exact_signature
 from vanlat.variation import var, var_inverse
 
@@ -267,7 +268,7 @@ def test_morse_signs_are_ints_at_every_index(m):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     got = [morse.forced_form(1)[0, 0],
            signature_by_blocks(lat, ConjugationData(IntMatrix.identity(1), morse)),
-           _forced_conjugation(1, ((2,),), (m,))[0][0][0]]
+           _forced_conjugation(1, [], (m,))[0][0][0]]
     if m >= 0:  # build_sigma refuses a Morse index outside 0..parity
         got.append(build_sigma(morse, 3, ()).sigma[0, 0])
     assert [type(x) for x in got] == [int] * len(got)
@@ -399,9 +400,9 @@ def _beside_diagonal_verdicts(parity, drawn, entries):
     beside its block diagonal vanish, squared out on sigma's plain rows,
     and the involution test's verdict."""
     size = sum(2 if m is _PAIR else 1 for m in drawn)
-    gram = random_gram_rows(size, parity, iter(entries).__next__)
-    checked = conjugation._square_vanishes_beside_diagonal(parity, gram, drawn)
-    sigma, points = _forced_conjugation(parity, gram, drawn)
+    upper = list(entries)
+    checked = conjugation._square_vanishes_beside_diagonal(parity, upper, drawn)
+    sigma, points = _forced_conjugation(parity, upper, drawn)
     spans = [(start, start + n) for start, n, _ in MorseSpec(points).blocks()]
     vanish = all(sum(sigma[r][k] * sigma[k][c] for k in range(size)) == 0
                  for (start, mid), (_, end) in zip(spans, spans[1:])
@@ -588,8 +589,8 @@ def test_solve_sigma_upper_solutions_are_exact():
 
         drawn = tuple(_PAIR if isinstance(pt, ConjugatePair) else pt.morse_index
                       for pt in points)
-        forced_rows, forced_points = _forced_conjugation(parity, lat.gram.rows,
-                                                         drawn)
+        forced_rows, forced_points = _forced_conjugation(
+            parity, upper_entries(lat.gram.rows), drawn)
         forced = ConjugationData(IntMatrix(forced_rows), MorseSpec(forced_points))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and LevelAnalysis(lat, forced).inconsistency is None]
@@ -692,7 +693,8 @@ def _arbitrary_sigma(rng, lat, morse):
         while len(drawn) + drawn.count(_PAIR) < nu:
             pair = nu - len(drawn) - drawn.count(_PAIR) >= 2 and rng.random() < 0.3
             drawn.append(_PAIR if pair else rng.randint(0, lat.parity))
-        rows, _ = _forced_conjugation(lat.parity, lat.gram.rows, drawn)
+        rows, _ = _forced_conjugation(lat.parity, upper_entries(lat.gram.rows),
+                                      drawn)
         return IntMatrix(rows, nu)
     f = [[0] * nu for _ in range(nu)]
     for start, size, _ in morse.blocks():

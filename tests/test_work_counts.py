@@ -9,15 +9,16 @@ companion is read: for cycle data and for the sign flip.  ``validate``,
 ``compute --what index`` and ``--what signature`` on the A_64 tower
 build no monodromy and no companion.  The generator forms each conjugation
 in closed form, without ``var`` and without assembling it again through
-``build_sigma``; it tests every chunk try on plain rows, builds no matrix,
-lattice or analysis for a chunk, and builds one lattice, one
-``var_inverse`` and one analysis per generated level, which the level
-keeps.  Each generated level's block form is checked once, by the
-generator, and never again by ``verify``.  An all-real level 0 is one
-call of the generator's entry point, whose chunks draw no conjugate
-pair.  The braid-invariance family of ``verify`` applies each word once
-and never inverts the basis change.  Each matrix row is stored by its
-fill: every matrix of the A_64 tower's analysis, and its ``var``, is
+``build_sigma``; it tests every chunk try on plain rows, builds gram rows
+for the accepted tries only and no matrix, lattice or analysis for a
+chunk, and builds one lattice, one ``var_inverse`` and one analysis per
+generated level, which the level keeps.  Each generated level's block
+form is checked once, by the generator, and never again by ``verify``.
+An all-real level 0 is one call of the generator's entry point, whose
+chunks draw no conjugate pair.  The braid-invariance family of
+``verify`` applies each word once and never inverts the basis change.
+Each matrix row is stored by its fill: every matrix of the A_64 tower's
+analysis, and its ``var``, is
 sparse and the row kernel sums it as dicts, with no dense row built,
 while a dense random lattice and its braid congruence stay dense.  The
 kernel leaves the zeros of a dict sum that cancels, and storing the sum
@@ -197,7 +198,8 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     # instance builds one lattice, one var_inverse and one analysis, of
     # its direct sum; a try whose sigma^2 is not zero beside the block
     # diagonal is rejected before its sigma rows are formed, so of the 490
-    # tries 177 take the full involution test and 134 pass it
+    # tries 177 take the full involution test and 134 pass it; each try
+    # draws its entries once, and only the 134 accepted build gram rows
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
@@ -206,6 +208,8 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
                         key=conjugation._square_vanishes_beside_diagonal)
     tries = _counting(monkeypatch, conjugation, "squares_to_identity",
                       key=conjugation.squares_to_identity)
+    draws = _counting(monkeypatch, conjugation, "draw_entries")
+    grams = _counting(monkeypatch, conjugation, "gram_rows")
     per_chunk = []
     sample = conjugation._sample_chunk
 
@@ -220,6 +224,7 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
         generate_level(seed, 16, 1 + seed % 4)
     assert (checked.total(), checked[True]) == (490, 177)
     assert (tries.total(), tries[True]) == (177, 134)
+    assert (draws.total(), grams.total()) == (490, 134)
     assert per_chunk and set(per_chunk) == {0}
     assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
 
