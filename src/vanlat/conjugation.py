@@ -47,16 +47,15 @@ over a level shares it.
 A generator try draws a chunk's descriptors, then its gram entries
 above the diagonal as one flat row-major list, straight from the
 generator's ``getrandbits`` with the values and in the order of the
-stdlib draws (:func:`vanlat.lattice.draw_entries`).  It forms the
-chunk's conjugation as ``sigma = B^-1 * var_inverse`` for the forced
-block form ``B``, straight from that flat list
-(:func:`_forced_conjugation`), and accepts it when those plain rows pass
+stdlib draws (:func:`vanlat.lattice.draw_entries`).  One walk over that
+list (:func:`_forced_conjugation`) forms the chunk's conjugation as
+``sigma = B^-1 * var_inverse`` for the forced block form ``B``, block by
+block, and rejects the try as soon as a block of ``sigma^2`` beside the
+block diagonal does not vanish, a cheaper necessary condition read off
+the same entries, which most tries fail.  A try it does not reject is
+accepted when its plain rows pass
 :func:`vanlat.intmat.squares_to_identity`, the one involution test.
-Most tries fail it, and most of those fail a cheaper necessary condition
-first, read off the flat entries and the descriptors alone: the blocks
-of ``sigma^2`` beside its block diagonal must vanish
-(:func:`_square_vanishes_beside_diagonal`), and a try where one does not
-forms no sigma rows.  Only an accepted try builds its gram rows
+Only an accepted try builds its gram rows
 (:func:`vanlat.lattice.gram_rows`).  The level the chunks sum to gets
 the one analysis, which checks its consistency and forced block form,
 raises :class:`GeneratedLevelError` when they fail, and is handed to the
@@ -401,7 +400,8 @@ def _forced_conjugation(parity, upper, drawn):
     """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the gram
     entries above the diagonal, the flat row-major list ``upper``, and
     the ``drawn`` descriptors (a Morse index per real slot, ``_PAIR`` per
-    pair), with the descriptors they pin, in one walk.
+    pair), with the descriptors they pin, in one walk; or ``None`` when
+    ``sigma^2`` does not vanish beside the block diagonal.
 
     On consistent data ``var_inverse * sigma`` is the forced block form
     ``B`` (see :meth:`MorseSpec.forced_form`): ``d * (-1)^m`` on a real
@@ -422,10 +422,22 @@ def _forced_conjugation(parity, upper, drawn):
     gram[s+1][c]...)`` and ``(1, 0, d * (a * gram[s+1][c] -
     gram[s][c])...)`` over the columns ``c > s + 1``.
 
+    Sigma is block upper triangular with diagonal blocks ``D = (-1)^m`` on
+    a real slot and the swap ``J`` on a pair, so for consecutive blocks
+    ``b, b'`` the block of ``sigma^2`` between them is ``D_b N + N D_b'``,
+    ``N`` being sigma's block between them; no other term enters, and an
+    involution has it zero.  ``N`` is the head of block ``b``'s rows right
+    of its diagonal block, so the condition is read off the gram entries
+    those rows are formed from, and the factor ``d`` drops out of it.  It
+    is necessary only: rows that are returned still take the involution
+    test, :func:`~vanlat.intmat.squares_to_identity`.
+
     The rank is ``len(drawn) + drawn.count(_PAIR)``.  Row ``pos``'s
     ``width = rank - 1 - pos`` entries right of the diagonal are the slice
     of ``upper`` at ``start``, just after the rows above it; the walk
-    keeps ``start`` as it goes.
+    keeps ``start`` as it goes, and tests each block's condition with the
+    next block before it forms the block's rows, so a rejected try forms
+    the rows of the blocks before the failing one only.
 
     Returns the tuple of rows and the tuple of descriptors, each pair's
     :class:`ConjugatePair` carrying its pinned ``a``.
@@ -435,12 +447,20 @@ def _forced_conjugation(parity, upper, drawn):
     points = []
     pos = start = 0
     width = len(drawn) + drawn.count(_PAIR) - 1
-    for m in drawn:
+    for i, m in enumerate(drawn):
         lead = (0,) * pos
         if m is _PAIR:
             below = start + width
             a = -d * upper[start]
             top, bottom = upper[start + 1:below], upper[below:below + width - 1]
+            if bottom:
+                n = drawn[i + 1]
+                w = a * bottom[0] - top[0]
+                if n is _PAIR:
+                    if w != bottom[1] or a * bottom[1] - top[1] != bottom[0]:
+                        return None
+                elif w != morse_sign(n) * bottom[0]:
+                    return None
             rows.append(lead + (0, 1) + tuple(-d * y for y in bottom))
             rows.append(lead + (1, 0) + tuple(d * (a * y - x)
                                               for x, y in zip(top, bottom)))
@@ -450,64 +470,21 @@ def _forced_conjugation(parity, upper, drawn):
             width -= 2
         else:
             s = morse_sign(m)
+            x = upper[start:start + width]
+            if x:
+                n = drawn[i + 1]
+                if n is _PAIR:
+                    if x[1] != -s * x[0]:
+                        return None
+                elif x[0] and s == morse_sign(n):
+                    return None
             e = -d * s
-            rows.append(lead + (s,) + tuple(e * x for x in upper[start:start + width]))
+            rows.append(lead + (s,) + tuple(e * y for y in x))
             points.append(_real_point(m))
             pos += 1
             start += width
             width -= 1
     return tuple(rows), tuple(points)
-
-
-def _square_vanishes_beside_diagonal(parity, upper, drawn):
-    """Whether the candidate sigma of :func:`_forced_conjugation` has
-    ``sigma^2`` zero in each block beside the block diagonal, read off the
-    flat row-major gram entries ``upper`` above the diagonal and the
-    ``drawn`` descriptors without building it.
-
-    Sigma is block upper triangular with diagonal blocks ``D = (-1)^m`` on
-    a real slot and the swap ``J`` on a pair, so for consecutive blocks
-    ``b, b'`` the block of ``sigma^2`` between them is ``D_b N + N D_b'``,
-    ``N`` being sigma's block between them; no other term enters, and an
-    involution has it zero.  A real slot ``i`` has the row ``-d * s_i *
-    gram[i][c]`` right of its diagonal, and a pair at ``i`` the rows ``d *
-    -gram[i+1][c]`` and ``d * (a * gram[i+1][c] - gram[i][c])`` with ``a =
-    -d * gram[i][i+1]``; the factor ``d`` drops out of each condition.
-
-    The entries are walked as in :func:`_forced_conjugation`: row ``i``'s
-    entries right of the diagonal, from column ``i + 1`` on, start at
-    ``start``, and at a pair row ``i + 1``'s, from column ``i + 2`` on,
-    start at ``below``.
-
-    A necessary condition of the involution law only: a try that passes
-    still takes :func:`~vanlat.intmat.squares_to_identity`.
-    """
-    d = diagonal_sign(parity)
-    start = 0
-    width = len(drawn) + drawn.count(_PAIR) - 1
-    for m, n in zip(drawn, drawn[1:]):
-        if m is _PAIR:
-            below = start + width
-            a = -d * upper[start]
-            w = a * upper[below] - upper[start + 1]
-            if n is _PAIR:
-                if (w != upper[below + 1]
-                        or a * upper[below + 1] - upper[start + 2] != upper[below]):
-                    return False
-            elif w != morse_sign(n) * upper[below]:
-                return False
-            start = below + width - 1
-            width -= 2
-        else:
-            s = morse_sign(m)
-            if n is _PAIR:
-                if upper[start + 1] != -s * upper[start]:
-                    return False
-            elif upper[start] and s == morse_sign(n):
-                return False
-            start += width
-            width -= 1
-    return True
 
 
 # Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
@@ -523,11 +500,11 @@ def _sample_chunk(rng, size, parity, pairs=True):
     values (``rng.random() < 0.3`` where a pair may start, else the Morse
     index ``rng.randrange(0, parity + 1)``), then its gram entries above
     the diagonal as one flat row-major list of ``rng.choice`` draws
-    (:func:`~vanlat.lattice.draw_entries`).  A try whose ``sigma^2`` does
-    not vanish beside the block diagonal
-    (:func:`_square_vanishes_beside_diagonal`) is rejected there; any other
-    forms its candidate sigma straight from the flat entries, whose plain
-    rows take the one involution test, which decides every acceptance,
+    (:func:`~vanlat.lattice.draw_entries`).  One walk over the flat
+    entries forms its candidate sigma, or rejects the try where ``sigma^2``
+    does not vanish beside the block diagonal
+    (:func:`_forced_conjugation`); the plain rows of any other take the one
+    involution test, which decides every acceptance,
     :func:`~vanlat.intmat.squares_to_identity`.  Only the accepted try
     builds its gram rows (:func:`~vanlat.lattice.gram_rows`), and no
     matrix, lattice or analysis is built for a chunk.  What is accepted is
@@ -554,9 +531,10 @@ def _sample_chunk(rng, size, parity, pairs=True):
                 drawn.append(m)
                 left -= 1
         upper = draw_entries(getrandbits, count, (0, 0, 0, 1, -1, 2, -2))
-        if not _square_vanishes_beside_diagonal(parity, upper, drawn):
+        built = _forced_conjugation(parity, upper, drawn)
+        if built is None:
             continue
-        sigma, points = _forced_conjugation(parity, upper, drawn)
+        sigma, points = built
         if squares_to_identity(sigma):
             return gram_rows(size, parity, upper), sigma, points
     return None

@@ -137,13 +137,14 @@ def require_valid(lat: ThimbleLattice) -> None:
 
 @dataclass(frozen=True)
 class SignVector:
-    """Tuple of signs ``s_1, ..., s_{p+1}``, each +1 or -1."""
+    """Tuple of signs ``s_1, ..., s_{p+1}``, each the int +1 or -1 (``1.0
+    in (1, -1)`` holds, so the type is tested too)."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
         for s in self.entries:
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError("sign entries must be +1 or -1, got %r" % (s,))
 
     def __len__(self):

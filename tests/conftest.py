@@ -3,12 +3,14 @@ import sys
 from operator import mul
 
 from vanlat.basis import BraidMove, BraidWord, parse_braid_word
-from vanlat.conjugation import MorseSpec, RealPoint, build_sigma
+from vanlat.conjugation import (_PAIR, ConjugatePair, MorseSpec, RealPoint,
+                                build_sigma)
 from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
-from vanlat.intmat import IntMatrix
-from vanlat.lattice import SignVector, ThimbleLattice
+from vanlat.intmat import IntMatrix, direct_sum
+from vanlat.lattice import SignVector, ThimbleLattice, diagonal_sign, gram_rows
+from vanlat.variation import var_inverse
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -52,6 +54,34 @@ def upper_entries(rows):
     """The entries of the square ``rows`` above the diagonal, as one flat
     row-major list: the generator's draw of a gram matrix."""
     return [x for r, row in enumerate(rows) for x in row[r + 1:]]
+
+
+def forced_conjugation_reference(parity, upper, drawn):
+    """The generator's candidate conjugation of a chunk try, taken as the
+    product ``B^-1 * var_inverse`` over dense rows, with its descriptors.
+
+    ``upper`` is the flat row-major list of gram entries above the
+    diagonal, and ``drawn`` a Morse index per real slot and ``_PAIR`` per
+    pair.  ``B^-1`` is the direct sum of ``d * (-1)^m`` on a real slot and
+    ``d * [[0, 1], [1, -a]]`` on a pair at slot ``s``, whose pairing number
+    is ``a = -d * gram[s][s+1]``.  Every try gives rows, whether or not
+    they square to the identity.
+    """
+    size = len(drawn) + drawn.count(_PAIR)
+    lat = ThimbleLattice(parity, IntMatrix(gram_rows(size, parity, upper), size))
+    d = diagonal_sign(parity)
+    blocks, points, s = [], [], 0
+    for m in drawn:
+        if m is _PAIR:
+            a = -d * lat.gram[s, s + 1]
+            blocks.append(((0, d), (d, -d * a)))
+            points.append(ConjugatePair(a))
+            s += 2
+        else:
+            blocks.append(((d * (-1) ** m,),))
+            points.append(RealPoint(m))
+            s += 1
+    return triple_loop(direct_sum(blocks), var_inverse(lat)), tuple(points)
 
 
 def rebind(monkeypatch, original, replacement):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import vanlat
-from conftest import instance_path
+from conftest import forced_conjugation_reference, instance_path
 from vanlat.basis import monodromy
 from vanlat.cli import main
 from vanlat.conjugation import generate_level
@@ -482,8 +482,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     # the stored upper entries, is not an involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
-    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
-                        lambda *args: True)
+    monkeypatch.setattr(conjugation, "_forced_conjugation",
+                        forced_conjugation_reference)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
@@ -503,8 +503,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
-    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
-                        lambda *args: True)
+    monkeypatch.setattr(conjugation, "_forced_conjugation",
+                        forced_conjugation_reference)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
     assert (code, out) == (1, "")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanlat
-from conftest import upper_entries
+from conftest import forced_conjugation_reference, upper_entries
 from vanlat import basis, conjugation
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (_PAIR, ConjugatePair, ConjugationData,
@@ -351,8 +351,8 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     # accepted, the inconsistent chunks that reach a level make it raise,
     # on both the pairs path and the all-real level 0, with the level and
     # its block-form problem
-    monkeypatch.setattr(conjugation, "_square_vanishes_beside_diagonal",
-                        lambda *args: True)
+    monkeypatch.setattr(conjugation, "_forced_conjugation",
+                        forced_conjugation_reference)
     monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
     with pytest.raises(GeneratedLevelError) as caught:
         generate_level(5, 16, 1)
@@ -368,14 +368,16 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
 def test_generated_level_check_survives_optimization():
     # the check is an explicit raise, so ``python -O`` keeps it
     src = pathlib.Path(conjugation.__file__).resolve().parent.parent
-    probe = ("from vanlat import conjugation\n"
-             "conjugation._square_vanishes_beside_diagonal = lambda *args: True\n"
+    tests = pathlib.Path(__file__).resolve().parent
+    probe = ("from conftest import forced_conjugation_reference\n"
+             "from vanlat import conjugation\n"
+             "conjugation._forced_conjugation = forced_conjugation_reference\n"
              "conjugation.squares_to_identity = lambda rows: True\n"
              "try:\n"
              "    conjugation.generate_level(5, 16, 1)\n"
              "except conjugation.GeneratedLevelError as e:\n"
              "    print(e.problem)\n")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(tests))))
     done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.startswith("inconsistent instance: ")
@@ -395,19 +397,26 @@ def _descriptor_sequences(size, parity):
             yield (_PAIR,) + rest
 
 
-def _beside_diagonal_verdicts(parity, drawn, entries):
-    """The check's verdict on one chunk try, whether the blocks of sigma^2
-    beside its block diagonal vanish, squared out on sigma's plain rows,
-    and the involution test's verdict."""
-    size = sum(2 if m is _PAIR else 1 for m in drawn)
-    upper = list(entries)
-    checked = conjugation._square_vanishes_beside_diagonal(parity, upper, drawn)
-    sigma, points = _forced_conjugation(parity, upper, drawn)
+def _square_vanishes_beside_blocks(sigma, points):
+    """Whether the blocks of sigma^2 beside its block diagonal vanish,
+    squared out on sigma's plain rows."""
     spans = [(start, start + n) for start, n, _ in MorseSpec(points).blocks()]
-    vanish = all(sum(sigma[r][k] * sigma[k][c] for k in range(size)) == 0
-                 for (start, mid), (_, end) in zip(spans, spans[1:])
-                 for r in range(start, mid) for c in range(mid, end))
-    return checked, vanish, squares_to_identity(sigma)
+    return all(sum(sigma[r][k] * sigma[k][c] for k in range(len(sigma))) == 0
+               for (start, mid), (_, end) in zip(spans, spans[1:])
+               for r in range(start, mid) for c in range(mid, end))
+
+
+def _beside_diagonal_verdicts(parity, drawn, entries):
+    """The builder's verdict on one chunk try, whether it gives rows (the
+    reference's, asserted here) or rejects the try, whether the blocks of
+    the reference sigma^2 beside its block diagonal vanish, and the
+    involution test's verdict on the reference rows."""
+    upper = list(entries)
+    built = _forced_conjugation(parity, upper, drawn)
+    sigma, points = reference = forced_conjugation_reference(parity, upper, drawn)
+    assert built is None or built == reference, (parity, drawn, entries)
+    return (built is not None, _square_vanishes_beside_blocks(sigma, points),
+            squares_to_identity(sigma))
 
 
 def _block_case(drawn):
@@ -417,9 +426,10 @@ def _block_case(drawn):
 def test_beside_diagonal_check_is_exact_and_sound():
     # exhaustively over ranks 1-3, parities 0-4, every descriptor sequence
     # and entries in {0, +-1, +-2}, and over two pairs at rank 4 with
-    # entries in {0, +-1}: the check says whether sigma^2 vanishes beside
-    # its block diagonal, so a try it rejects is no involution; each of the
-    # four cases of two blocks both rejects and passes some try
+    # entries in {0, +-1}: the builder rejects a try exactly when the
+    # reference sigma^2 does not vanish beside its block diagonal, so a try
+    # it rejects is no involution, and gives the reference rows otherwise;
+    # each of the four cases of two blocks both rejects and passes some try
     seen = collections.defaultdict(set)
     small, smaller = (0, 1, -1, 2, -2), (0, 1, -1)
     tries = [(parity, drawn, small) for size in (1, 2, 3) for parity in range(5)
@@ -439,9 +449,13 @@ def test_beside_diagonal_check_is_exact_and_sound():
 
 
 @st.composite
-def _rank_4_tries(draw):
-    parity = draw(st.integers(0, 6))
-    drawn, left = [], 4
+def _chunk_tries(draw, ranks, bound):
+    """A chunk try: parity, drawn descriptors and flat gram entries, all
+    drawn from the generator's values in half the tries, so that many pass
+    the builder's check, and from those or up to ``bound`` in size in the
+    others."""
+    parity, size = draw(st.integers(0, 6)), draw(ranks)
+    drawn, left = [], size
     while left:
         if left >= 2 and draw(st.booleans()):
             drawn.append(_PAIR)
@@ -449,16 +463,35 @@ def _rank_4_tries(draw):
         else:
             drawn.append(draw(st.integers(0, parity)))
             left -= 1
-    entry = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
-    return parity, tuple(drawn), draw(st.lists(entry, min_size=6, max_size=6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.integers(-bound, bound))
+    count = size * (size - 1) // 2
+    return parity, tuple(drawn), draw(st.lists(entry, min_size=count,
+                                               max_size=count))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rank_4_tries())
+@given(_chunk_tries(st.just(4), 10**6))
 def test_beside_diagonal_check_is_sound_at_rank_4(try_):
     checked, vanish, involution = _beside_diagonal_verdicts(*try_)
     assert checked == vanish
     assert checked or not involution
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chunk_tries(st.integers(0, 8), 10**9))
+def test_forced_conjugation_is_the_reference_product(try_):
+    # the builder against the dense product B^-1 * var_inverse, on tries
+    # consistent or not: it rejects a try exactly when the reference
+    # sigma^2 is nonzero beside the block diagonal, and otherwise its rows
+    # and descriptors are the reference's
+    parity, drawn, upper = try_
+    built = _forced_conjugation(parity, upper, drawn)
+    reference = forced_conjugation_reference(parity, upper, drawn)
+    assert (built is None) == (not _square_vanishes_beside_blocks(*reference))
+    if built is not None:
+        assert built == reference
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -589,11 +622,13 @@ def test_solve_sigma_upper_solutions_are_exact():
 
         drawn = tuple(_PAIR if isinstance(pt, ConjugatePair) else pt.morse_index
                       for pt in points)
-        forced_rows, forced_points = _forced_conjugation(
-            parity, upper_entries(lat.gram.rows), drawn)
-        forced = ConjugationData(IntMatrix(forced_rows), MorseSpec(forced_points))
-        verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
-                    and LevelAnalysis(lat, forced).inconsistency is None]
+        built = _forced_conjugation(parity, upper_entries(lat.gram.rows), drawn)
+        if built is None:  # rejected: sigma^2 is nonzero beside the diagonal
+            verdicts = [False]
+        else:
+            forced = ConjugationData(IntMatrix(built[0]), MorseSpec(built[1]))
+            verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
+                        and LevelAnalysis(lat, forced).inconsistency is None]
         try:
             solved = build_sigma(morse, parity, upper)
         except ValueError:
@@ -693,8 +728,8 @@ def _arbitrary_sigma(rng, lat, morse):
         while len(drawn) + drawn.count(_PAIR) < nu:
             pair = nu - len(drawn) - drawn.count(_PAIR) >= 2 and rng.random() < 0.3
             drawn.append(_PAIR if pair else rng.randint(0, lat.parity))
-        rows, _ = _forced_conjugation(lat.parity, upper_entries(lat.gram.rows),
-                                      drawn)
+        rows, _ = forced_conjugation_reference(
+            lat.parity, upper_entries(lat.gram.rows), drawn)
         return IntMatrix(rows, nu)
     f = [[0] * nu for _ in range(nu)]
     for start, size, _ in morse.blocks():

@@ -147,10 +147,12 @@ def _rejected_at(tmp_path, capsys, text, where):
     assert capsys.readouterr().err.strip().endswith("at %s" % where)
 
 
-def test_boolean_signs_are_rejected(tmp_path, capsys):
-    # bool is an int subclass; accepting it would serialize as 'True'
-    text = ("format: 1\nn: 1\np: 0\nsigns: [true]\nlevels:\n"
-            "- i: 0\n  gram:\n  - [2]\n")
+@pytest.mark.parametrize("sign", ["true", "1.0", "-1.0"])
+def test_boolean_signs_are_rejected(tmp_path, capsys, sign):
+    # bool is an int subclass; accepting it would serialize as 'True', and
+    # a float sign equals its int but would print as 1.0 in every output
+    text = ("format: 1\nn: 1\np: 0\nsigns: [%s]\nlevels:\n"
+            "- i: 0\n  gram:\n  - [2]\n" % sign)
     _rejected_at(tmp_path, capsys, text, "signs")
 
 

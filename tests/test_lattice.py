@@ -140,3 +140,6 @@ def test_sign_vector_validation():
     assert len(SignVector((1, -1))) == 2
     with pytest.raises(ValueError):
         SignVector((1, 0))
+    # 1.0 == 1, but a float sign would print as 1.0 in every output
+    with pytest.raises(ValueError, match=r"got 1\.0"):
+        SignVector((1.0,))

@@ -196,16 +196,17 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     # every try, accepted or not, is tested on plain rows: no matrix,
     # lattice, var_inverse or analysis is built for a chunk, and each
     # instance builds one lattice, one var_inverse and one analysis, of
-    # its direct sum; a try whose sigma^2 is not zero beside the block
-    # diagonal is rejected before its sigma rows are formed, so of the 490
-    # tries 177 take the full involution test and 134 pass it; each try
-    # draws its entries once, and only the 134 accepted build gram rows
+    # its direct sum; the builder rejects a try whose sigma^2 is not zero
+    # beside the block diagonal, so of the 490 tries 177 take the full
+    # involution test and 134 pass it; each try draws its entries once,
+    # and only the 134 accepted build gram rows
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
     matrices = _counting(monkeypatch, IntMatrix, "__init__")
-    checked = _counting(monkeypatch, conjugation, "_square_vanishes_beside_diagonal",
-                        key=conjugation._square_vanishes_beside_diagonal)
+    build = conjugation._forced_conjugation
+    built = _counting(monkeypatch, conjugation, "_forced_conjugation",
+                      key=lambda *args: build(*args) is not None)
     tries = _counting(monkeypatch, conjugation, "squares_to_identity",
                       key=conjugation.squares_to_identity)
     draws = _counting(monkeypatch, conjugation, "draw_entries")
@@ -222,7 +223,7 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
     seeds = range(40)
     for seed in seeds:
         generate_level(seed, 16, 1 + seed % 4)
-    assert (checked.total(), checked[True]) == (490, 177)
+    assert (built.total(), built[True]) == (490, 177)
     assert (tries.total(), tries[True]) == (177, 134)
     assert (draws.total(), grams.total()) == (490, 134)
     assert per_chunk and set(per_chunk) == {0}
