@@ -57,9 +57,13 @@ accepted when its plain rows pass
 :func:`vanlat.intmat.squares_to_identity`, the one involution test.
 Only an accepted try builds its gram rows
 (:func:`vanlat.lattice.gram_rows`).  The level the chunks sum to gets
-the one analysis, which checks its consistency and forced block form,
-raises :class:`GeneratedLevelError` when they fail, and is handed to the
-caller (:func:`generate_level`).
+the one analysis, and its verdict comes from the generator, not from a
+second square of sigma: the level's sigma is the direct sum of accepted
+involutions, so one exact comparison of the form with the forced block
+form is both the certificate above and the forced-form test
+(:func:`_direct_sum`).  A level that passes is recorded consistent and
+handed to the caller (:func:`generate_level`); one that fails raises
+:class:`GeneratedLevelError` with its block-form problem.
 """
 
 import random
@@ -258,8 +262,9 @@ class LevelAnalysis:
     @cached_property
     def _product(self) -> IntMatrix:
         """``var_inverse * sigma``, built once, whether or not the level
-        is consistent: :attr:`form` returns it, and :attr:`inconsistency`
-        reads its certificate off it."""
+        is consistent: :attr:`form` returns it, :attr:`inconsistency`
+        reads its certificate off it, and the generator compares it with
+        the forced block form (:func:`_direct_sum`)."""
         return self.var_inverse * self.conj.sigma
 
     @cached_property
@@ -274,6 +279,11 @@ class LevelAnalysis:
         is ``(-1)^p * F^-1 * var_inverse^T``, block lower triangular, and
         ``F = F^T`` makes it square to the identity.  Any other level
         takes both verdicts on the companion.
+
+        A generated level's verdict is recorded by the generator instead
+        (:func:`_direct_sum`): its sigma is a direct sum of involutions
+        and its form equals the forced block form, which certifies it, so
+        it is ``None`` there without a second square of sigma.
         """
         if (self.conj.sigma.is_involution()
                 and _certifies_consistency(self._product, self.conj.morse.spans)):
@@ -507,9 +517,11 @@ def _sample_chunk(rng, size, parity, pairs=True):
     involution test, which decides every acceptance,
     :func:`~vanlat.intmat.squares_to_identity`.  Only the accepted try
     builds its gram rows (:func:`~vanlat.lattice.gram_rows`), and no
-    matrix, lattice or analysis is built for a chunk.  What is accepted is
-    checked once, on the assembled level (:func:`_direct_sum`).  Without
-    ``pairs`` every descriptor is a real point.
+    matrix, lattice or analysis is built for a chunk.  Every accepted
+    sigma is an involution, so the assembled level's sigma is one too, and
+    the level is checked once, by one comparison of its form with the
+    forced block form (:func:`_direct_sum`).  Without ``pairs`` every
+    descriptor is a real point.
     """
     uniform, getrandbits = rng.random, rng.getrandbits
     # the Morse index is drawn by draw_entries' rule for randrange(0, n):
@@ -555,19 +567,26 @@ def _direct_sum(parity, chunks) -> LevelAnalysis:
 
     The analysis validates the lattice, and the level must be consistent
     with the forced block form.  That is checked here, once, on the whole
-    level, and a failure raises :class:`GeneratedLevelError`: the
-    companion and the form of a direct sum are the direct sums of the
-    chunks' companions and forms, so they hold for the sum exactly when
-    they hold for every chunk, and the assembly itself is checked too.
+    level, by one exact comparison of the forced block form ``B`` with
+    the product ``F = var_inverse * sigma``, which the analysis builds
+    once.  It is exact: the level's sigma is the direct sum of chunks that
+    :func:`~vanlat.intmat.squares_to_identity` accepted, so it is an
+    involution, and ``F == B`` is then both the certificate of consistency
+    (``B`` is block diagonal with symmetric 2x2 blocks; see the module
+    docstring) and the forced-form test, so it holds exactly when
+    :meth:`LevelAnalysis.block_structure_problem` is ``None``.  A level
+    that passes is recorded as consistent, and its sigma is not squared
+    again; one that fails raises :class:`GeneratedLevelError` with the
+    problem that method reports, read off the same product.
     """
     lat = ThimbleLattice(parity, direct_sum([gram for gram, _, _ in chunks]))
     conj = ConjugationData(direct_sum([sigma for _, sigma, _ in chunks]),
                            MorseSpec(tuple(pt for _, _, points in chunks
                                            for pt in points)))
     analysis = LevelAnalysis(lat, conj)
-    problem = analysis.block_structure_problem()
-    if problem is not None:
-        raise GeneratedLevelError(lat, conj, problem)
+    if analysis._product != conj.morse.forced_form(parity):
+        raise GeneratedLevelError(lat, conj, analysis.block_structure_problem())
+    analysis.inconsistency = None
     return analysis
 
 
@@ -606,12 +625,15 @@ def generate_level(seed: int, rank_bound: int, parity: int,
     conjugation is ``B^-1 * var_inverse`` for the forced block form ``B``;
     across chunks there is no coupling, since consistency pins those
     entries to rigid arithmetic relations that random data essentially
-    never satisfies.  The level is checked to be consistent with the
-    forced block form (:class:`GeneratedLevelError` if not), and the
-    analysis that checked it is returned, so a caller reads the form
-    computed there, and the monodromy and companion, where it asks for
-    them, from the same analysis.  Without ``pairs`` the level has no
-    conjugate pair.
+    never satisfies.  The level's sigma is then a direct sum of
+    involutions, so its verdict is one exact comparison of its form with
+    the forced block form, which certifies it consistent (see
+    :func:`_direct_sum`; :class:`GeneratedLevelError` if the two differ).
+    The analysis that checked it is returned with that verdict recorded,
+    so a caller reads the form computed there, and the monodromy and
+    companion, where it asks for them, from the same analysis, and sigma
+    is not squared again.  Without ``pairs`` the level has no conjugate
+    pair.
     """
     return _direct_sum(parity, list(_chunks(seed, rank_bound, parity, pairs)))
 

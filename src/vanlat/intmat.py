@@ -486,9 +486,13 @@ def non_integer_at(row):
 
 def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
     """First ``(row, col)``, in reading order, where ``a`` and ``b`` differ,
-    or ``None``; only the first differing row is read in full."""
+    or ``None``; only the first differing row is read in full.  Matrices
+    of different shapes raise ValueError."""
     if a == b:
         return None
+    if a.nrows != b.nrows or a.ncols != b.ncols:
+        raise ValueError("shape mismatch: %dx%d against %dx%d"
+                         % (a.nrows, a.ncols, b.nrows, b.ncols))
     r, x, y = next((r, x, y) for r, (x, y) in enumerate(zip(a.stored_rows,
                                                            b.stored_rows))
                    if x != y)

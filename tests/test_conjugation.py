@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vanlat
@@ -383,6 +383,61 @@ def test_generated_level_check_survives_optimization():
     assert done.stdout.startswith("inconsistent instance: ")
 
 
+@pytest.mark.parametrize("pairs", [True, False])
+@pytest.mark.parametrize("rank_bound", [0, 8, 16, 64])
+def test_generated_level_verdict_is_a_fresh_analysis_verdict(rank_bound, pairs):
+    # the generator records a level consistent by one comparison of its
+    # form with the forced block form; a fresh analysis, which squares
+    # sigma and reads the certificate, gives the same verdict, form and
+    # signature, and finds no block-form problem
+    for seed in range(200):
+        for parity in range(6):
+            level = generate_level(seed, rank_bound, parity, pairs)
+            fresh = LevelAnalysis(level.lattice, level.conj)
+            assert fresh.block_structure_problem() is None
+            assert level.inconsistency is fresh.inconsistency is None
+            assert level.form == fresh.form
+            assert level.signature == fresh.signature
+
+
+def _forced_blocks_only(parity, upper, drawn):
+    """A chunk's forced diagonal blocks with zeros above them: an
+    involution, but not ``B^-1 * var_inverse`` on coupled gram entries."""
+    _, points = forced_conjugation_reference(parity, upper, drawn)
+    return build_sigma(MorseSpec(points), parity, []).sigma.rows, points
+
+
+def _pairing_off_by_one(parity, upper, drawn):
+    """The builder's rows, with every pair's pairing number one off the
+    one the gram entries pin."""
+    built = _forced_conjugation(parity, upper, drawn)
+    if built is None:
+        return None
+    rows, points = built
+    return rows, tuple(ConjugatePair(p.pairing + 1) if isinstance(p, ConjugatePair)
+                       else p for p in points)
+
+
+@pytest.mark.parametrize("builder, kind", [
+    (_forced_blocks_only, "inconsistent instance: "),
+    (_pairing_off_by_one, "pair block at slot "),
+])
+def test_generated_level_that_fails_reports_the_block_structure_problem(
+        monkeypatch, builder, kind):
+    # chunks whose sigma passes the involution test but whose form is not
+    # the forced block form, for the certificate's failing or for a wrong
+    # pairing number: the level raises, and its problem is the text a
+    # fresh analysis of it reports
+    monkeypatch.setattr(conjugation, "_forced_conjugation", builder)
+    with pytest.raises(GeneratedLevelError) as caught:
+        generate_level(5, 16, 1)
+    err = caught.value
+    assert err.conj.sigma.is_involution()
+    problem = LevelAnalysis(err.lattice, err.conj).block_structure_problem()
+    assert problem.startswith(kind) and err.problem == problem
+    assert str(err) == "generated level fails its check: " + problem
+
+
 def _descriptor_sequences(size, parity):
     """Every drawn descriptor sequence over ``size`` slots: a Morse index
     in ``0..parity`` per real slot, ``_PAIR`` per pair."""
@@ -481,6 +536,16 @@ def test_beside_diagonal_check_is_sound_at_rank_4(try_):
 
 @settings(max_examples=300, deadline=None)
 @given(_chunk_tries(st.integers(0, 8), 10**9))
+# accepted involutions with nonzero entries beside the block diagonal, one
+# or more per case of two blocks, the first with a nonzero top[1] between
+# two pairs, which random tries rarely reach
+@example((1, (_PAIR, _PAIR), [1, 1, -1, 0, -1, 0]))
+@example((1, (_PAIR, _PAIR), [0, 1, 1, -1, -1, 1]))
+@example((1, (0, 1), [2]))
+@example((1, (0, _PAIR), [1, -1, 0]))
+@example((1, (_PAIR, 0), [0, 1, -1]))
+@example((1, (_PAIR, 1), [0, 1, 1]))
+@example((2, (1, _PAIR, 0), [1, 1, 2, 0, -1, 1]))
 def test_forced_conjugation_is_the_reference_product(try_):
     # the builder against the dense product B^-1 * var_inverse, on tries
     # consistent or not: it rejects a try exactly when the reference

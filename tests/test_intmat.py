@@ -738,6 +738,15 @@ def test_first_difference_in_reading_order():
     assert first_difference(a, IntMatrix.from_rows([[1, 0], [0, 4]])) == (0, 1)
 
 
+@pytest.mark.parametrize("other", [[[1, 2], [3, 4], [5, 6]], [[1, 2, 0], [3, 4, 0]]])
+def test_first_difference_of_different_shapes_raises(other):
+    # the first rows agree, so the walk over them would find no difference
+    a, b = IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.from_rows(other)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="^shape mismatch: "):
+            first_difference(x, y)
+
+
 def test_str_format():
     assert str(IntMatrix.from_rows([[-1, 1], [0, -1]])) == "[[-1, 1], [0, -1]]"
     assert str(IntMatrix(())) == "[]"

@@ -98,17 +98,18 @@ def test_index_routes_build_each_monodromy_once(monkeypatch, seed):
     assert built == {id(inst.levels[0].lattice): 1}
 
 
-def _companions_built(monkeypatch):
-    """Count the companions built, one per analysis that reads one."""
+def _computed(monkeypatch, name):
+    """Log the analyses that compute the cached property ``name`` of
+    :class:`LevelAnalysis`, one entry per computation."""
     built = []
-    original = LevelAnalysis.companion
+    original = getattr(LevelAnalysis, name)
 
     def building(analysis):
-        built.append(id(analysis))
+        built.append(analysis)
         return original.func(analysis)
     counting = cached_property(building)
-    counting.__set_name__(LevelAnalysis, "companion")
-    monkeypatch.setattr(LevelAnalysis, "companion", counting)
+    counting.__set_name__(LevelAnalysis, name)
+    monkeypatch.setattr(LevelAnalysis, name, counting)
     return built
 
 
@@ -116,7 +117,7 @@ def test_a_64_commands_build_no_monodromy_and_no_companion(monkeypatch, tmp_path
     # the form certifies the tower consistent, so validate, the index and
     # the signature read neither the monodromy nor the companion
     monodromies = _monodromies_by_lattice(monkeypatch)
-    companions = _companions_built(monkeypatch)
+    companions = _computed(monkeypatch, "companion")
     path = tmp_path / "a64.vl"
     path.write_text(serialize_instance(InstanceDocument(a_k_instance(64))))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -130,7 +131,7 @@ def test_bad_sigma_builds_its_companion_once(monkeypatch):
     # a level the form does not certify takes both verdicts on its
     # companion, built once
     monodromies = _monodromies_by_lattice(monkeypatch)
-    companions = _companions_built(monkeypatch)
+    companions = _computed(monkeypatch, "companion")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["validate", str(instance_path("bad_sigma.vl"))]) == 1
@@ -232,8 +233,11 @@ def test_generator_builds_only_accepted_chunks(monkeypatch):
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
 def test_verify_checks_each_generated_level_once(monkeypatch, seed):
-    # the generator checks the block form of each level it draws, and no
-    # family of verify asks again
+    # the generator checks each level it draws by one comparison of the
+    # product var_inverse * sigma, built once, with the forced block form:
+    # a passing level neither takes the block-form report nor squares its
+    # sigma, since every chunk's sigma passed the involution test, and no
+    # family of verify checks it again
     levels = []
     direct_sum = conjugation._direct_sum
 
@@ -241,13 +245,23 @@ def test_verify_checks_each_generated_level_once(monkeypatch, seed):
         levels.append(direct_sum(*args))
         return levels[-1]
     monkeypatch.setattr(conjugation, "_direct_sum", recording)
+    products = _computed(monkeypatch, "_product")
+    verdicts = _computed(monkeypatch, "inconsistency")
+    kept = []  # alive, so that no id is reused while the counts are read
     checked = _counting(monkeypatch, LevelAnalysis, "block_structure_problem",
-                        key=id)
+                        key=lambda analysis: kept.append(analysis) or id(analysis))
+    squared = _counting(monkeypatch, IntMatrix, "is_involution",
+                        key=lambda m: kept.append(m) or id(m))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--seed", str(seed), "--count", "35",
                      "--rank-bound", "16"]) == 0
     assert len(levels) > 20  # four families in seven draw levels
-    assert checked == {id(analysis): 1 for analysis in levels}
+    ids = {id(analysis) for analysis in levels}
+    assert (collections.Counter(id(a) for a in products if id(a) in ids)
+            == dict.fromkeys(ids, 1))
+    assert ids.isdisjoint(map(id, verdicts)) and ids.isdisjoint(checked)
+    assert not {id(analysis.conj.sigma) for analysis in levels} & set(squared)
+    assert all(analysis.inconsistency is None for analysis in levels)
 
 
 def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
