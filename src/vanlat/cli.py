@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, compute, braid, verify, gen.  Exit codes: 0 on
-success, 1 when a validation or verification fails, 2 for usage, file
-and parse errors and refused requests.  All output is deterministic given
-the arguments (and seed, where one applies).
+success, 1 when a validation or verification fails or memory runs out,
+2 for usage, file and parse errors and refused requests.  All output is
+deterministic given the arguments (and seed, where one applies).
 """
 
 import argparse
@@ -21,6 +21,11 @@ from .suite import run_verification
 from .variation import var_inverse
 
 MONODROMY_ORDER_BOUND = 24
+
+# The largest ``--rank-bound`` of ``gen`` and ``verify``: time and memory
+# grow with the ranks drawn, the cube of the rank for a dense ``verify``
+# instance's monodromy (FORMAT.md gives the measurements).
+_RANK_BOUND_CEILING = 1000
 
 
 class Refusal(Exception):
@@ -245,6 +250,8 @@ def build_parser():
                     "distinguished bases, braid moves, variation operators, "
                     "conjugation data, and gradient index formulas.")
     sub = parser.add_subparsers(dest="command", required=True)
+    rank_bound_help = ("largest rank drawn, at most %d: time and memory grow "
+                       "with the rank" % _RANK_BOUND_CEILING)
 
     p_val = sub.add_parser("validate", help="check an instance file")
     p_val.add_argument("path")
@@ -269,7 +276,8 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run the seeded identity suite")
     p_ver.add_argument("--seed", type=int, default=20240001)
     p_ver.add_argument("--count", type=_non_negative, default=500)
-    p_ver.add_argument("--rank-bound", type=_non_negative, default=8)
+    p_ver.add_argument("--rank-bound", type=_non_negative, default=8,
+                       help=rank_bound_help)
     p_ver.add_argument("--output", default=None,
                        help="where to write a counterexample, if any")
     p_ver.set_defaults(func=cmd_verify)
@@ -279,7 +287,8 @@ def build_parser():
     p_gen.add_argument("--n", type=_non_negative, default=1)
     p_gen.add_argument("--levels", type=_non_negative, default=0, metavar="P",
                        help="codimension p (instance has p+1 levels)")
-    p_gen.add_argument("--rank-bound", type=_non_negative, default=4)
+    p_gen.add_argument("--rank-bound", type=_non_negative, default=4,
+                       help=rank_bound_help)
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
     return parser
@@ -288,6 +297,9 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "rank_bound", 0) > _RANK_BOUND_CEILING:  # before any draw
+            raise Refusal("refused: --rank-bound %d is above the ceiling %d"
+                          % (args.rank_bound, _RANK_BOUND_CEILING))
         return args.func(args)
     except InstanceFormatError as e:
         print("parse error: %s" % e, file=sys.stderr)
@@ -297,6 +309,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -44,38 +44,28 @@ signature (an empty radical), so no determinant is taken.  A
 :class:`vanlat.index.LevelData` keeps its analysis, so every index route
 over a level shares it.
 
-A generator try draws a chunk's descriptors, then its gram entries
-above the diagonal as one flat row-major list, straight from the
-generator's ``getrandbits`` with the values and in the order of the
-stdlib draws (:func:`vanlat.lattice.draw_entries`).  One walk over that
-list (:func:`_forced_conjugation`) forms the chunk's conjugation as
-``sigma = B^-1 * var_inverse`` for the forced block form ``B``, block by
-block, and rejects the try as soon as a block of ``sigma^2`` beside the
-block diagonal does not vanish, a cheaper necessary condition read off
-the same entries, which most tries fail.  A try it does not reject is
-accepted when its plain rows pass
-:func:`vanlat.intmat.squares_to_identity`, the one involution test.
-Only an accepted try builds its gram rows
-(:func:`vanlat.lattice.gram_rows`).  The level the chunks sum to gets
-the one analysis, and its verdict comes from the generator, not from a
-second square of sigma: the level's sigma is the direct sum of accepted
-involutions, so one exact comparison of the form with the forced block
-form is both the certificate above and the forced-form test
-(:func:`_direct_sum`).  A level that passes is recorded consistent and
-handed to the caller (:func:`generate_level`); one that fails raises
-:class:`GeneratedLevelError` with its block-form problem.
+A generated level is consistent by construction (:func:`generate_level`).
+Its draws give the descriptors, an involution ``S`` with the forced
+diagonal blocks and a strictly block upper triangular ``K``; with ``U =
+I + K`` its conjugation is ``sigma = U S U^-1``, and its gram is read off
+``V = B * sigma`` for the forced block form ``B``.  Then ``sigma^2 = I``
+and ``V`` has the shape of ``var_inverse``, so ``F = V * sigma = B``,
+and no draw is rejected.  The level still takes both checks, sigma
+squared once and ``F`` compared exactly with ``B``, which together are
+the certificate above and the forced-form test; a level that fails
+raises :class:`GeneratedLevelError` with its block-form problem.
 """
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 
 from .basis import monodromy
-from .intmat import (IntMatrix, direct_sum, first_difference, non_integer_at,
-                     squares_to_identity)
-from .lattice import (ThimbleLattice, diagonal_sign, draw_entries, gram_rows,
-                      require_valid)
+from .intmat import (IntMatrix, combine_rows, direct_sum, first_difference,
+                     non_integer_at, row_items, sweep_rows)
+from .lattice import (ThimbleLattice, diagonal_sign, mirror_sign, require_valid,
+                      self_intersection)
 from .signature import Signature, exact_signature
 from .variation import var_inverse
 
@@ -199,12 +189,7 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
     the kernel's rows, so the test costs the nonzeros of a sparse sigma.
     """
     nu = morse.total_slots
-    rows = [{} for _ in range(nu)]
-    for start, _, p in morse.blocks():
-        if isinstance(p, RealPoint):
-            rows[start][start] = morse_sign(p.morse_index)
-        else:
-            rows[start][start + 1] = rows[start + 1][start] = 1
+    rows = _forced_rows(morse)
     spans = morse.spans
     for r, c, v in triples:
         if not (0 <= r < nu and 0 <= c < nu):
@@ -217,6 +202,18 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
     if not sigma.is_involution():
         raise ValueError("assembled conjugation matrix is not an involution")
     return ConjugationData(sigma, morse)
+
+
+def _forced_rows(morse: MorseSpec) -> list[dict]:
+    """The forced diagonal blocks of sigma as one ``{col: value}`` row per
+    slot: ``(-1)^m`` on a real slot and the swap on a pair."""
+    rows = [{} for _ in range(morse.total_slots)]
+    for start, _, p in morse.blocks():
+        if isinstance(p, RealPoint):
+            rows[start][start] = morse_sign(p.morse_index)
+        else:
+            rows[start][start + 1] = rows[start + 1][start] = 1
+    return rows
 
 
 class LevelAnalysis:
@@ -264,7 +261,7 @@ class LevelAnalysis:
         """``var_inverse * sigma``, built once, whether or not the level
         is consistent: :attr:`form` returns it, :attr:`inconsistency`
         reads its certificate off it, and the generator compares it with
-        the forced block form (:func:`_direct_sum`)."""
+        the forced block form (:func:`generate_level`)."""
         return self.var_inverse * self.conj.sigma
 
     @cached_property
@@ -281,9 +278,9 @@ class LevelAnalysis:
         takes both verdicts on the companion.
 
         A generated level's verdict is recorded by the generator instead
-        (:func:`_direct_sum`): its sigma is a direct sum of involutions
-        and its form equals the forced block form, which certifies it, so
-        it is ``None`` there without a second square of sigma.
+        (:func:`generate_level`): its sigma has been squared once and its
+        form equals the forced block form, which certifies it, so it is
+        ``None`` there without a second square of sigma.
         """
         if (self.conj.sigma.is_involution()
                 and _certifies_consistency(self._product, self.conj.morse.spans)):
@@ -395,161 +392,11 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Search for consistent synthetic instances.
+# Consistent synthetic levels, by construction.
 # ---------------------------------------------------------------------------
 
-# A chunk's descriptors are drawn as plain values: the Morse index of a
-# real slot, or this marker for a conjugate pair, whose pairing number is
-# pinned by the gram rows (see :func:`_forced_conjugation`).  Most tries
-# fail, so a try looks its descriptor objects up, one object per value.
-_PAIR = None
-_real_point, _pair_point = cache(RealPoint), cache(ConjugatePair)
-
-
-def _forced_conjugation(parity, upper, drawn):
-    """Rows of the candidate ``sigma = B^-1 * var_inverse`` from the gram
-    entries above the diagonal, the flat row-major list ``upper``, and
-    the ``drawn`` descriptors (a Morse index per real slot, ``_PAIR`` per
-    pair), with the descriptors they pin, in one walk; or ``None`` when
-    ``sigma^2`` does not vanish beside the block diagonal.
-
-    On consistent data ``var_inverse * sigma`` is the forced block form
-    ``B`` (see :meth:`MorseSpec.forced_form`): ``d * (-1)^m`` on a real
-    slot and ``d * [[a, 1], [1, 0]]`` on a pair at slot ``s``.  As
-    ``sigma`` is an involution, ``sigma = (var * B)^-1 = B^-1 *
-    var_inverse``; conversely, if ``B^-1 * var_inverse`` squares to the
-    identity it equals its inverse ``var * B``.  Then the companion is
-    ``+-B^-1 * var_inverse^T``, block lower triangular and an involution,
-    so the involution law alone accepts a candidate.
-
-    ``B^-1`` is ``d * (-1)^m`` on a real slot and ``d * [[0, 1], [1, -a]]``
-    on a pair, so each block of rows of ``sigma`` combines the same rows
-    of ``var_inverse``, which are ``d`` on the diagonal and ``-gram`` to
-    its right.  The diagonal block of ``var * B`` at a pair is ``[[a + d *
-    var[s][s+1], 1], [1, 0]]``, the swap exactly when ``a = -d *
-    var[s][s+1] = -d * gram[s][s+1]``; that pins each pair's pairing
-    number, and with it the pair's rows are ``(0, 1, -d *
-    gram[s+1][c]...)`` and ``(1, 0, d * (a * gram[s+1][c] -
-    gram[s][c])...)`` over the columns ``c > s + 1``.
-
-    Sigma is block upper triangular with diagonal blocks ``D = (-1)^m`` on
-    a real slot and the swap ``J`` on a pair, so for consecutive blocks
-    ``b, b'`` the block of ``sigma^2`` between them is ``D_b N + N D_b'``,
-    ``N`` being sigma's block between them; no other term enters, and an
-    involution has it zero.  ``N`` is the head of block ``b``'s rows right
-    of its diagonal block, so the condition is read off the gram entries
-    those rows are formed from, and the factor ``d`` drops out of it.  It
-    is necessary only: rows that are returned still take the involution
-    test, :func:`~vanlat.intmat.squares_to_identity`.
-
-    The rank is ``len(drawn) + drawn.count(_PAIR)``.  Row ``pos``'s
-    ``width = rank - 1 - pos`` entries right of the diagonal are the slice
-    of ``upper`` at ``start``, just after the rows above it; the walk
-    keeps ``start`` as it goes, and tests each block's condition with the
-    next block before it forms the block's rows, so a rejected try forms
-    the rows of the blocks before the failing one only.
-
-    Returns the tuple of rows and the tuple of descriptors, each pair's
-    :class:`ConjugatePair` carrying its pinned ``a``.
-    """
-    d = diagonal_sign(parity)
-    rows = []
-    points = []
-    pos = start = 0
-    width = len(drawn) + drawn.count(_PAIR) - 1
-    for i, m in enumerate(drawn):
-        lead = (0,) * pos
-        if m is _PAIR:
-            below = start + width
-            a = -d * upper[start]
-            top, bottom = upper[start + 1:below], upper[below:below + width - 1]
-            if bottom:
-                n = drawn[i + 1]
-                w = a * bottom[0] - top[0]
-                if n is _PAIR:
-                    if w != bottom[1] or a * bottom[1] - top[1] != bottom[0]:
-                        return None
-                elif w != morse_sign(n) * bottom[0]:
-                    return None
-            rows.append(lead + (0, 1) + tuple(-d * y for y in bottom))
-            rows.append(lead + (1, 0) + tuple(d * (a * y - x)
-                                              for x, y in zip(top, bottom)))
-            points.append(_pair_point(a))
-            pos += 2
-            start = below + width - 1
-            width -= 2
-        else:
-            s = morse_sign(m)
-            x = upper[start:start + width]
-            if x:
-                n = drawn[i + 1]
-                if n is _PAIR:
-                    if x[1] != -s * x[0]:
-                        return None
-                elif x[0] and s == morse_sign(n):
-                    return None
-            e = -d * s
-            rows.append(lead + (s,) + tuple(e * y for y in x))
-            points.append(_real_point(m))
-            pos += 1
-            start += width
-            width -= 1
-    return tuple(rows), tuple(points)
-
-
-# Draws per chunk before the caller shrinks it; a rank-1 chunk never fails.
-CHUNK_TRIES = 400
-
-
-def _sample_chunk(rng, size, parity, pairs=True):
-    """One consistent chunk of the given rank, coupled inside, as plain
-    ``(gram rows, sigma rows, descriptors)``, or ``None`` when
-    ``CHUNK_TRIES`` draws all fail the involution law.
-
-    A try draws, from ``rng`` and in this order, its descriptors as plain
-    values (``rng.random() < 0.3`` where a pair may start, else the Morse
-    index ``rng.randrange(0, parity + 1)``), then its gram entries above
-    the diagonal as one flat row-major list of ``rng.choice`` draws
-    (:func:`~vanlat.lattice.draw_entries`).  One walk over the flat
-    entries forms its candidate sigma, or rejects the try where ``sigma^2``
-    does not vanish beside the block diagonal
-    (:func:`_forced_conjugation`); the plain rows of any other take the one
-    involution test, which decides every acceptance,
-    :func:`~vanlat.intmat.squares_to_identity`.  Only the accepted try
-    builds its gram rows (:func:`~vanlat.lattice.gram_rows`), and no
-    matrix, lattice or analysis is built for a chunk.  Every accepted
-    sigma is an involution, so the assembled level's sigma is one too, and
-    the level is checked once, by one comparison of its form with the
-    forced block form (:func:`_direct_sum`).  Without ``pairs`` every
-    descriptor is a real point.
-    """
-    uniform, getrandbits = rng.random, rng.getrandbits
-    # the Morse index is drawn by draw_entries' rule for randrange(0, n):
-    # getrandbits(n.bit_length()) until it is below n
-    n = parity + 1
-    k = n.bit_length()
-    count = size * (size - 1) // 2
-    for _ in range(CHUNK_TRIES):
-        drawn = []
-        left = size
-        while left > 0:
-            if pairs and left >= 2 and uniform() < 0.3:
-                drawn.append(_PAIR)
-                left -= 2
-            else:
-                m = getrandbits(k)
-                while m >= n:
-                    m = getrandbits(k)
-                drawn.append(m)
-                left -= 1
-        upper = draw_entries(getrandbits, count, (0, 0, 0, 1, -1, 2, -2))
-        built = _forced_conjugation(parity, upper, drawn)
-        if built is None:
-            continue
-        sigma, points = built
-        if squares_to_identity(sigma):
-            return gram_rows(size, parity, upper), sigma, points
-    return None
+# The values a pair's pairing number and each entry of ``K`` are drawn from.
+_VALUES = (0, 0, 0, 1, -1, 2, -2)
 
 
 class GeneratedLevelError(ValueError):
@@ -562,42 +409,20 @@ class GeneratedLevelError(ValueError):
         self.lattice, self.conj, self.problem = lattice, conj, problem
 
 
-def _direct_sum(parity, chunks) -> LevelAnalysis:
-    """The one analysis of the level that is the direct sum of ``chunks``.
+def _draw_level(seed, rank_bound, parity, pairs=True):
+    """The values :func:`generate_level` draws for ``seed``: the
+    :class:`MorseSpec`, then the entries of ``K`` and the couplings of
+    ``S`` as lists of ``(row, col, value)`` triples, values nonzero.
 
-    The analysis validates the lattice, and the level must be consistent
-    with the forced block form.  That is checked here, once, on the whole
-    level, by one exact comparison of the forced block form ``B`` with
-    the product ``F = var_inverse * sigma``, which the analysis builds
-    once.  It is exact: the level's sigma is the direct sum of chunks that
-    :func:`~vanlat.intmat.squares_to_identity` accepted, so it is an
-    involution, and ``F == B`` is then both the certificate of consistency
-    (``B`` is block diagonal with symmetric 2x2 blocks; see the module
-    docstring) and the forced-form test, so it holds exactly when
-    :meth:`LevelAnalysis.block_structure_problem` is ``None``.  A level
-    that passes is recorded as consistent, and its sigma is not squared
-    again; one that fails raises :class:`GeneratedLevelError` with the
-    problem that method reports, read off the same product.
-    """
-    lat = ThimbleLattice(parity, direct_sum([gram for gram, _, _ in chunks]))
-    conj = ConjugationData(direct_sum([sigma for _, sigma, _ in chunks]),
-                           MorseSpec(tuple(pt for _, _, points in chunks
-                                           for pt in points)))
-    analysis = LevelAnalysis(lat, conj)
-    if analysis._product != conj.morse.forced_form(parity):
-        raise GeneratedLevelError(lat, conj, analysis.block_structure_problem())
-    analysis.inconsistency = None
-    return analysis
-
-
-def _chunks(seed, rank_bound, parity, pairs=True):
-    """The chunks of the level ``seed`` draws, lazily, in draw order.
-
-    A rank up to ``rank_bound`` is filled by chunks of rank at most 4; a
-    chunk whose draws all fail is shrunk by one, and a rank-1 chunk never
-    fails, with or without a pair allowed.  Without ``pairs`` no chunk
-    holds a conjugate pair, so one pass gives an all-real level.  The
-    draws use a private ``random.Random(seed)`` only.
+    A private ``random.Random(seed)`` draws the rank, up to
+    ``rank_bound``, first, then fills it with chunks of rank at most 4.
+    Each block of a chunk is a pair with probability 0.3 where ``pairs``
+    is set and two slots are left, its pairing number from ``_VALUES``,
+    else a real point of Morse index uniform in ``0..parity``; its rows
+    of ``K`` right of it in the chunk follow, from ``_VALUES``.  Then each
+    two real slots of the chunk of opposite sign, neither yet coupled,
+    draw a coupling of 0 or +-1, so no slot is in two couplings.  Nothing
+    couples two chunks.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
@@ -605,37 +430,96 @@ def _chunks(seed, rank_bound, parity, pairs=True):
         raise ValueError("parity must be >= 0 (Morse indices lie in 0..parity), "
                          "got %d" % parity)
     rng = random.Random(seed)
-    left = rng.randint(0, rank_bound)
-    while left > 0:
-        size = min(left, rng.randint(1, 4))
-        got = _sample_chunk(rng, size, parity, pairs)
-        while got is None:
-            size -= 1
-            got = _sample_chunk(rng, size, parity, pairs)
-        yield got
-        left -= size
+    nu = rng.randint(0, rank_bound)
+    uniform, choice = rng.random, rng.choice
+    points, k_entries, couplings = [], [], []
+    slot = 0
+    while slot < nu:
+        end = min(nu, slot + rng.randint(1, 4))
+        real = []  # (slot, (-1)^m) of each real slot of the chunk
+        while slot < end:
+            if pairs and end - slot >= 2 and uniform() < 0.3:
+                points.append(ConjugatePair(choice(_VALUES)))
+                rows, slot = (slot, slot + 1), slot + 2
+            else:
+                m = rng.randint(0, parity)
+                points.append(RealPoint(m))
+                real.append((slot, morse_sign(m)))
+                rows, slot = (slot,), slot + 1
+            k_entries += [(r, c, v) for r in rows for c in range(slot, end)
+                          if (v := choice(_VALUES))]
+        coupled = set()
+        for i, (r, s) in enumerate(real):
+            for c, t in real[i + 1:]:
+                if (s != t and r not in coupled and c not in coupled
+                        and (x := choice((0, 1, -1)))):
+                    couplings.append((r, c, x))
+                    coupled.update((r, c))
+    return MorseSpec(tuple(points)), k_entries, couplings
+
+
+def _build_level(parity, morse, form, k_entries, couplings):
+    """The lattice and sigma of the drawn values, unchecked: ``sigma = U S
+    U^-1`` and the gram read off ``V = B * sigma``, ``B`` being ``form``
+    (see :func:`generate_level`).  ``U^-1`` is one triangular sweep, the
+    products run on the row kernel, and the gram rows are built from the
+    nonzeros of ``V``, so a level costs its nonzeros, not its area."""
+    nu = morse.total_slots
+    u_rows = [{} for _ in range(nu)]  # the rows of K, then of U = I + K
+    for r, c, v in k_entries:
+        u_rows[r][c] = v
+    u_inverse = sweep_rows(u_rows, nu, -1, 1, 0).stored_rows
+    for r, row in enumerate(u_rows):
+        row[r] = 1
+    s_rows = _forced_rows(morse)
+    for r, c, v in couplings:
+        s_rows[r][c] = v
+    sigma = IntMatrix(combine_rows(u_rows, combine_rows(s_rows, u_inverse, nu), nu), nu)
+    eps, diagonal = mirror_sign(parity), self_intersection(parity)
+    gram = [{r: diagonal} for r in range(nu)]
+    for r, row in enumerate(combine_rows(form.stored_rows, sigma.stored_rows, nu)):
+        for c, v in row_items(row):
+            if c > r:
+                gram[r][c], gram[c][r] = -v, -eps * v
+    return ThimbleLattice(parity, IntMatrix(gram, nu)), sigma
 
 
 def generate_level(seed: int, rank_bound: int, parity: int,
                    pairs: bool = True) -> LevelAnalysis:
-    """The analysis of the consistent level that ``seed`` draws.
+    """The analysis of the level that ``seed`` draws, consistent by
+    construction.
 
-    The level is the direct sum of the chunks that :func:`_chunks` draws
-    from ``seed``.  Inside a chunk the gram couplings are random and the
-    conjugation is ``B^-1 * var_inverse`` for the forced block form ``B``;
-    across chunks there is no coupling, since consistency pins those
-    entries to rigid arithmetic relations that random data essentially
-    never satisfies.  The level's sigma is then a direct sum of
-    involutions, so its verdict is one exact comparison of its form with
-    the forced block form, which certifies it consistent (see
-    :func:`_direct_sum`; :class:`GeneratedLevelError` if the two differ).
-    The analysis that checked it is returned with that verdict recorded,
-    so a caller reads the form computed there, and the monodromy and
-    companion, where it asks for them, from the same analysis, and sigma
-    is not squared again.  Without ``pairs`` the level has no conjugate
-    pair.
+    ``B`` is the forced block form of the drawn descriptors, ``S`` the
+    forced diagonal blocks ``D`` plus couplings ``N`` of +-1 between real
+    slots of opposite sign, no slot in two, and ``K`` strictly block upper
+    triangular (:func:`_draw_level`).  ``S^2 = I``, as ``D N + N D`` and
+    ``N^2`` vanish.  With ``U = I + K``, ``sigma = U S U^-1`` is an
+    involution, block upper triangular with the diagonal blocks of ``S``,
+    so ``V = B * sigma`` is upper triangular with ``d`` on the diagonal:
+    ``d * (-1)^m * (-1)^m`` on a real slot, ``d * [[a, 1], [1, 0]] * J =
+    d * [[1, a], [0, 1]]`` on a pair.  The gram is read off ``V``, the
+    shape of ``var_inverse`` (:func:`_build_level`), and then ``F =
+    var_inverse * sigma = B * sigma^2 = B``.  No draw is rejected.
+
+    The level still takes both checks on its one analysis: sigma is
+    squared once, and ``F`` is compared exactly with ``B``.  ``F == B``
+    alone holds for any ``sigma = V^-1 * B``, an involution or not, and
+    ``sigma^2 = I`` alone says nothing of the gram; together they are the
+    certificate of the module docstring and the forced-form test.  A
+    level that passes is recorded consistent, and sigma is not squared
+    again; one that fails raises :class:`GeneratedLevelError` with its
+    :meth:`LevelAnalysis.block_structure_problem`.  Without ``pairs`` the
+    level has no conjugate pair.
     """
-    return _direct_sum(parity, list(_chunks(seed, rank_bound, parity, pairs)))
+    morse, k_entries, couplings = _draw_level(seed, rank_bound, parity, pairs)
+    form = morse.forced_form(parity)
+    lat, sigma = _build_level(parity, morse, form, k_entries, couplings)
+    conj = ConjugationData(sigma, morse)
+    analysis = LevelAnalysis(lat, conj)
+    if not (sigma.is_involution() and analysis._product == form):
+        raise GeneratedLevelError(lat, conj, analysis.block_structure_problem())
+    analysis.inconsistency = None
+    return analysis
 
 
 def generate_consistent_instance(seed: int, rank_bound: int, parity: int

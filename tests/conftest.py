@@ -3,8 +3,7 @@ import sys
 from operator import mul
 
 from vanlat.basis import BraidMove, BraidWord, parse_braid_word
-from vanlat.conjugation import (_PAIR, ConjugatePair, MorseSpec, RealPoint,
-                                build_sigma)
+from vanlat.conjugation import ConjugatePair, MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -52,27 +51,34 @@ def inverse_word(word):
 
 def upper_entries(rows):
     """The entries of the square ``rows`` above the diagonal, as one flat
-    row-major list: the generator's draw of a gram matrix."""
+    row-major list: the form :func:`vanlat.lattice.gram_rows` reads."""
     return [x for r, row in enumerate(rows) for x in row[r + 1:]]
 
 
+# The marker of a conjugate pair in a drawn descriptor sequence, beside
+# the Morse index of each real slot.
+PAIR = "pair"
+
+
 def forced_conjugation_reference(parity, upper, drawn):
-    """The generator's candidate conjugation of a chunk try, taken as the
-    product ``B^-1 * var_inverse`` over dense rows, with its descriptors.
+    """The conjugation ``B^-1 * var_inverse`` of a chunk's gram entries,
+    taken as a product over dense rows, with its descriptors: sigma on
+    consistent data, so a chunk is consistent exactly when these rows
+    square to the identity.
 
     ``upper`` is the flat row-major list of gram entries above the
-    diagonal, and ``drawn`` a Morse index per real slot and ``_PAIR`` per
+    diagonal, and ``drawn`` a Morse index per real slot and ``PAIR`` per
     pair.  ``B^-1`` is the direct sum of ``d * (-1)^m`` on a real slot and
     ``d * [[0, 1], [1, -a]]`` on a pair at slot ``s``, whose pairing number
-    is ``a = -d * gram[s][s+1]``.  Every try gives rows, whether or not
+    is ``a = -d * gram[s][s+1]``.  Every chunk gives rows, whether or not
     they square to the identity.
     """
-    size = len(drawn) + drawn.count(_PAIR)
+    size = len(drawn) + drawn.count(PAIR)
     lat = ThimbleLattice(parity, IntMatrix(gram_rows(size, parity, upper), size))
     d = diagonal_sign(parity)
     blocks, points, s = [], [], 0
     for m in drawn:
-        if m is _PAIR:
+        if m == PAIR:
             a = -d * lat.gram[s, s + 1]
             blocks.append(((0, d), (d, -d * a)))
             points.append(ConjugatePair(a))
@@ -82,6 +88,22 @@ def forced_conjugation_reference(parity, upper, drawn):
             points.append(RealPoint(m))
             s += 1
     return triple_loop(direct_sum(blocks), var_inverse(lat)), tuple(points)
+
+
+def coupled_alike(build):
+    """The generator's build step ``build`` with a coupling of 1 added to
+    ``S`` between each two neighbouring real slots of one sign, which the
+    draws never couple: ``S^2`` is ``2 * (-1)^m`` there, so sigma is no
+    involution on a level with two such slots."""
+    def build_coupled_alike(parity, morse, form, k_entries, couplings):
+        signs = [None] * morse.total_slots
+        for start, _, p in morse.blocks():
+            if isinstance(p, RealPoint):
+                signs[start] = (-1) ** p.morse_index
+        alike = [(r, r + 1, 1) for r, (s, t) in enumerate(zip(signs, signs[1:]))
+                 if s is not None and s == t]
+        return build(parity, morse, form, k_entries, list(couplings) + alike)
+    return build_coupled_alike
 
 
 def rebind(monkeypatch, original, replacement):

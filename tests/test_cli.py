@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import vanlat
-from conftest import forced_conjugation_reference, instance_path
+from conftest import coupled_alike, instance_path
 from vanlat.basis import monodromy
 from vanlat.cli import main
 from vanlat.conjugation import generate_level
@@ -358,7 +358,7 @@ def test_compute_monodromy_rank_960_golden(capsys, tmp_path):
     assert run(capsys, "gen", "--seed", 1, "--rank-bound", 1000, "--output", path)[0] == 0
     code, out, err = run(capsys, "compute", path, "--what", "monodromy")
     assert (code, err) == (0, "")
-    assert hashlib.md5(out.encode()).hexdigest() == "197401c3fcec330508fda379cfca2d86"
+    assert hashlib.md5(out.encode()).hexdigest() == "0d70ffa629c9641c17a34300bb592b38"
 
 
 # -- verify and gen -----------------------------------------------------------
@@ -438,15 +438,15 @@ _FORCED_FAILURES = {
     "symmetric-nondegenerate": (
         ("generate_level", _generate_with_form_2),
         "form not symmetric and unimodular",
-        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
     "block-form": (
         ("signature_by_blocks", lambda lat, conj: None),
         "signature disagrees with block closed form",
-        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
     "cycle-route-agreement": (
         ("cycle_index_sum", lambda level, s: 1000),
-        "cycle route gives 1000, thimble route -2",
-        "253c6eccc47b4cfd1751a2e420b00a79571353c6d464153c35867d0a047e5abf"),
+        "cycle route gives 1000, thimble route -4",
+        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
     "telescoping": (
         ("telescoped_index", lambda inst: None),
         "telescoped recursion disagrees with closed formula",
@@ -476,15 +476,15 @@ def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys
                                     "cycle-route-agreement", "telescoping"])
 def test_verify_reports_a_generated_level_that_fails_its_check(
         family, tmp_path, capsys, monkeypatch):
-    # with every chunk try accepted the generator's own check fails: each
-    # family that draws levels ends the run with one FAIL line and writes
-    # the failing level, which validate rejects (its sigma, rebuilt from
-    # the stored upper entries, is not an involution)
+    # with S coupled between neighbouring real slots of one sign the
+    # generator's own check fails: each family that draws levels ends the
+    # run with one FAIL line and writes the failing level, which validate
+    # rejects (its sigma, rebuilt from the stored upper entries, is not an
+    # involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
-    monkeypatch.setattr(conjugation, "_forced_conjugation",
-                        forced_conjugation_reference)
-    monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(conjugation, "_build_level",
+                        coupled_alike(conjugation._build_level))
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
     code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
@@ -503,9 +503,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
-    monkeypatch.setattr(conjugation, "_forced_conjugation",
-                        forced_conjugation_reference)
-    monkeypatch.setattr(conjugation, "squares_to_identity", lambda rows: True)
+    monkeypatch.setattr(conjugation, "_build_level",
+                        coupled_alike(conjugation._build_level))
     code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
     assert (code, out) == (1, "")
     assert err == ("error: generated level fails its check: "
@@ -514,13 +513,13 @@ def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv, digest", [
     (["gen", "--seed", "3", "--n", "2", "--levels", "2", "--rank-bound", "40"],
-     "8768c098501691fd764f7e7eb164a966aed25933a8e647388e227be6c922f09e"),
+     "f71d61794640e985f817ff111a6272e5337c66ace121d1f4200d9ee77c5fc8f1"),
     (["gen", "--seed", "1", "--rank-bound", "1000"],
-     "0240e8c6890e3b59d694b85bf9872633b8f7ebca440ff995b6c1c37b917773ac"),
+     "9c1ac6ae1add90e0b1679c47585b24de29eed527981724cad19a1f217d25da83"),
 ], ids=["seed-3-two-levels", "seed-1-rank-960"])
 def test_gen_output_golden(argv, digest, capsys):
     # pins every byte of two generated towers: a change to the draws, their
-    # order or the chunk tries the generator accepts changes a digest
+    # order or the construction of their levels changes a digest
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -533,8 +532,8 @@ def test_verify_rank_bound_32_passes(capsys):
 
 
 def test_gen_rank_bound_40_writes_validating_instance(tmp_path, capsys):
-    # a rank built from many accepted chunks completes: a chunk whose
-    # tries all fail is shrunk, and a rank-1 chunk never fails
+    # a rank built from many chunks completes, with conjugate pairs in
+    # the level above level 0
     out_file = tmp_path / "r40.vl"
     code, _, _ = run(capsys, "gen", "--rank-bound", "40", "--levels", "1",
                      "--output", out_file)
@@ -599,8 +598,8 @@ def test_gen_writes_validating_deterministic_instance(tmp_path, capsys):
 
 
 def test_gen_rank_bound_512_writes_validating_instance(tmp_path, capsys):
-    # level 0 is drawn all-real in one pass, so a large rank bound has no
-    # draw budget to run out of
+    # level 0 is drawn all-real and consistent by construction, so a large
+    # rank bound has no draw budget to run out of
     out_file = tmp_path / "r512.vl"
     code, out, err = run(capsys, "gen", "--seed", "1", "--rank-bound", "512",
                          "--output", out_file)
@@ -655,3 +654,53 @@ def test_negative_counts_are_usage_errors(command, flag, capsys):
     assert out.out == ""
     assert out.err.splitlines()[-1].endswith(
         "argument %s: must be >= 0, got -5" % flag)
+
+
+class _Drawn(Exception):
+    """Raised by a stub in place of the first draw of ``verify`` or ``gen``."""
+
+
+def _stub_draws(monkeypatch):
+    import vanlat.cli as cli
+
+    def drawing(*args, **kwargs):
+        raise _Drawn
+    monkeypatch.setattr(cli, "run_verification", drawing)
+    monkeypatch.setattr(cli, "random_icis_instance", drawing)
+    return cli._RANK_BOUND_CEILING
+
+
+@pytest.mark.parametrize("command", ["verify", "gen"])
+@pytest.mark.parametrize("above", [1, 10**9, 10**20])
+def test_rank_bound_above_the_ceiling_is_refused_before_any_draw(
+        command, above, capsys, monkeypatch):
+    # the bound is refused by argument checks alone: one line and exit 2,
+    # with nothing printed before it and no draw made
+    bound = _stub_draws(monkeypatch) + above
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--rank-bound", bound)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "refused: --rank-bound %d is above the ceiling %d\n" % (
+        bound, bound - above)
+
+
+@pytest.mark.parametrize("command", ["verify", "gen"])
+def test_rank_bound_at_the_ceiling_is_drawn(command, capsys, monkeypatch):
+    ceiling = _stub_draws(monkeypatch)
+    with pytest.raises(_Drawn):
+        main([command, "--rank-bound", str(ceiling)])
+
+
+@pytest.mark.parametrize("command, target", [("verify", "run_verification"),
+                                             ("gen", "random_icis_instance")])
+def test_out_of_memory_is_one_line_and_exit_1(command, target, capsys,
+                                               monkeypatch):
+    import vanlat.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run(capsys, command, "--seed", "1", "--rank-bound", "8")
+    assert (code, err) == (1, "error: out of memory\n")
+    assert out == ("seed 1, count 500, rank bound 8\n" if command == "verify" else "")

@@ -8,14 +8,14 @@ so each level's monodromy is built at most once, and only where its
 companion is read: for cycle data and for the sign flip.  ``validate``,
 ``compute --what index`` and ``--what signature`` on the A_64 tower
 build no monodromy and no companion.  The generator forms each conjugation
-in closed form, without ``var`` and without assembling it again through
-``build_sigma``; it tests every chunk try on plain rows, builds gram rows
-for the accepted tries only and no matrix, lattice or analysis for a
-chunk, and builds one lattice, one ``var_inverse`` and one analysis per
-generated level, which the level keeps.  Each generated level's block
-form is checked once, by the generator, and never again by ``verify``.
-An all-real level 0 is one call of the generator's entry point, whose
-chunks draw no conjugate pair.  The braid-invariance family of
+as ``U S U^-1``, without ``var`` and without assembling it again through
+``build_sigma``; it tries no draw, so every level of positive rank makes
+the same row-kernel calls, and it builds one lattice, one
+``var_inverse`` and one analysis per generated level, which the level
+keeps.  Each generated level's sigma is squared once and its block form
+checked once, by the generator, and never again by ``verify``.  An
+all-real level 0 is one call of the generator's entry point, which
+draws no conjugate pair.  The braid-invariance family of
 ``verify`` applies each word once and never inverts the basis change.
 Each matrix row is stored by its fill: every matrix of the A_64 tower's
 analysis, and its ``var``, is
@@ -193,58 +193,43 @@ def test_generated_cycle_levels_build_their_monodromy_once(monkeypatch, seed):
     assert sum(built.values()) == 2  # the generator analyses no chunk
 
 
-def test_generator_builds_only_accepted_chunks(monkeypatch):
-    # every try, accepted or not, is tested on plain rows: no matrix,
-    # lattice, var_inverse or analysis is built for a chunk, and each
-    # instance builds one lattice, one var_inverse and one analysis, of
-    # its direct sum; the builder rejects a try whose sigma^2 is not zero
-    # beside the block diagonal, so of the 490 tries 177 take the full
-    # involution test and 134 pass it; each try draws its entries once,
-    # and only the 134 accepted build gram rows
+def test_generator_makes_the_same_kernel_calls_for_every_level(monkeypatch):
+    # no draw is tried and rejected: every level of rank >= 1 makes six
+    # row-kernel calls, the sweep for U^-1, the two products of sigma = U
+    # S U^-1, V = B * sigma, the form var_inverse * sigma and the square of
+    # sigma, and builds one lattice, one var_inverse and one analysis
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
-    matrices = _counting(monkeypatch, IntMatrix, "__init__")
-    build = conjugation._forced_conjugation
-    built = _counting(monkeypatch, conjugation, "_forced_conjugation",
-                      key=lambda *args: build(*args) is not None)
-    tries = _counting(monkeypatch, conjugation, "squares_to_identity",
-                      key=conjugation.squares_to_identity)
-    draws = _counting(monkeypatch, conjugation, "draw_entries")
-    grams = _counting(monkeypatch, conjugation, "gram_rows")
-    per_chunk = []
-    sample = conjugation._sample_chunk
+    calls = collections.Counter()
+    combine = intmat.combine_rows
 
-    def sample_counting(*args):
-        before = matrices.total()
-        got = sample(*args)
-        per_chunk.append(matrices.total() - before)
-        return got
-    monkeypatch.setattr(conjugation, "_sample_chunk", sample_counting)
+    def counting(*args, **kwargs):
+        calls[None] += 1
+        return combine(*args, **kwargs)
+    rebind(monkeypatch, combine, counting)
+    per_level = []
     seeds = range(40)
     for seed in seeds:
-        generate_level(seed, 16, 1 + seed % 4)
-    assert (built.total(), built[True]) == (490, 177)
-    assert (tries.total(), tries[True]) == (177, 134)
-    assert (draws.total(), grams.total()) == (490, 134)
-    assert per_chunk and set(per_chunk) == {0}
+        calls.clear()
+        if generate_level(seed, 16, 1 + seed % 4).lattice.nu:
+            per_level.append(calls[None])
+    assert len(per_level) > 30 and set(per_level) == {6}
     assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
 def test_verify_checks_each_generated_level_once(monkeypatch, seed):
-    # the generator checks each level it draws by one comparison of the
-    # product var_inverse * sigma, built once, with the forced block form:
-    # a passing level neither takes the block-form report nor squares its
-    # sigma, since every chunk's sigma passed the involution test, and no
-    # family of verify checks it again
+    # the generator checks each level it draws once: sigma is squared once,
+    # and the product var_inverse * sigma, built once, is compared with the
+    # forced block form; a passing level never takes the block-form report
+    # or the verdict again, and no family of verify checks it again
     levels = []
-    direct_sum = conjugation._direct_sum
 
-    def recording(*args):
-        levels.append(direct_sum(*args))
+    def recording(*args, **kwargs):
+        levels.append(generate_level(*args, **kwargs))
         return levels[-1]
-    monkeypatch.setattr(conjugation, "_direct_sum", recording)
+    rebind(monkeypatch, generate_level, recording)
     products = _computed(monkeypatch, "_product")
     verdicts = _computed(monkeypatch, "inconsistency")
     kept = []  # alive, so that no id is reused while the counts are read
@@ -260,28 +245,27 @@ def test_verify_checks_each_generated_level_once(monkeypatch, seed):
     assert (collections.Counter(id(a) for a in products if id(a) in ids)
             == dict.fromkeys(ids, 1))
     assert ids.isdisjoint(map(id, verdicts)) and ids.isdisjoint(checked)
-    assert not {id(analysis.conj.sigma) for analysis in levels} & set(squared)
+    assert [squared[id(analysis.conj.sigma)] for analysis in levels] == [1] * len(levels)
     assert all(analysis.inconsistency is None for analysis in levels)
 
 
 def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
     # level 0 is drawn once, by one call of the generator's entry point
-    # with pairs left out, and no sampled chunk holds a conjugate pair
+    # with pairs left out, and no drawn descriptor is a conjugate pair
     passes = _counting(monkeypatch, gen, "generate_level",
                        key=lambda *args, pairs=True: pairs)
-    sampled = []
-    sample = conjugation._sample_chunk
+    drawn = []
+    draw = conjugation._draw_level
 
-    def sample_logging(*args):
-        got = sample(*args)
-        sampled.append(got)
-        return got
-    monkeypatch.setattr(conjugation, "_sample_chunk", sample_logging)
+    def draw_logging(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+    monkeypatch.setattr(conjugation, "_draw_level", draw_logging)
     seeds = range(10)
     for seed in seeds:
         random_icis_instance(seed, 1 + seed % 3, 0, 24, real_only_level0=True)
     assert passes == {False: len(seeds)}
-    points = [pt for got in sampled if got is not None for pt in got[2]]
+    points = [pt for morse, _, _ in drawn for pt in morse.points]
     assert points and not any(isinstance(pt, ConjugatePair) for pt in points)
 
 
