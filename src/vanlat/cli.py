@@ -232,8 +232,7 @@ def cmd_verify(args):
 
 def cmd_gen(args):
     inst = random_icis_instance(args.seed, args.n, args.levels,
-                                args.rank_bound, with_cycles=True,
-                                real_only_level0=True)
+                                args.rank_bound, with_cycles=True)
     doc = InstanceDocument(inst, (), {},
                            ("generated with seed %d" % args.seed,))
     _emit(doc, args.output)

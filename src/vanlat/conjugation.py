@@ -27,11 +27,11 @@ I``, ``F`` is block diagonal and its 2x2 diagonal blocks are symmetric:
   ``F^-1 * (sigma^T)^2 * F = I``.
 
 Conversely, on a consistent level whose sigma has the forced block-upper
-shape (every level the reader, the generator or the sign flip builds),
-``F = (-1)^p * V^T * companion`` is block lower and block upper
-triangular, with diagonal blocks ``d * (-1)^m`` and ``[[-g, d], [d,
-0]]``, so the certificate holds there.  A level it does not certify has
-its two verdicts taken on the companion, as before.
+shape (the reader's and the generator's), ``F = (-1)^p * V^T *
+companion`` is block lower and upper triangular, with diagonal blocks
+``d * (-1)^m`` and ``[[-g, d], [d, 0]]``; a sign-flipped level's form is
+its parent's, reversed, times ``(-1)^p``.  The certificate holds on both,
+and any other level has its two verdicts taken on the companion.
 
 All of this is read from :class:`LevelAnalysis`, the one level API, built
 once per level.  It validates the lattice once and computes
@@ -409,17 +409,17 @@ class GeneratedLevelError(ValueError):
         self.lattice, self.conj, self.problem = lattice, conj, problem
 
 
-def _draw_level(seed, rank_bound, parity, pairs=True):
+def _draw_level(seed, rank_bound, parity):
     """The values :func:`generate_level` draws for ``seed``: the
     :class:`MorseSpec`, then the entries of ``K`` and the couplings of
     ``S`` as lists of ``(row, col, value)`` triples, values nonzero.
 
     A private ``random.Random(seed)`` draws the rank, up to
     ``rank_bound``, first, then fills it with chunks of rank at most 4.
-    Each block of a chunk is a pair with probability 0.3 where ``pairs``
-    is set and two slots are left, its pairing number from ``_VALUES``,
-    else a real point of Morse index uniform in ``0..parity``; its rows
-    of ``K`` right of it in the chunk follow, from ``_VALUES``.  Then each
+    Each block of a chunk is a pair with probability 0.3 where two slots
+    are left, its pairing number from ``_VALUES``, else a real point of
+    Morse index uniform in ``0..parity``; its rows of ``K`` right of it in
+    the chunk follow, from ``_VALUES``.  Then each
     two real slots of the chunk of opposite sign, neither yet coupled,
     draw a coupling of 0 or +-1, so no slot is in two couplings.  Nothing
     couples two chunks.
@@ -438,7 +438,7 @@ def _draw_level(seed, rank_bound, parity, pairs=True):
         end = min(nu, slot + rng.randint(1, 4))
         real = []  # (slot, (-1)^m) of each real slot of the chunk
         while slot < end:
-            if pairs and end - slot >= 2 and uniform() < 0.3:
+            if end - slot >= 2 and uniform() < 0.3:
                 points.append(ConjugatePair(choice(_VALUES)))
                 rows, slot = (slot, slot + 1), slot + 2
             else:
@@ -484,8 +484,7 @@ def _build_level(parity, morse, form, k_entries, couplings):
     return ThimbleLattice(parity, IntMatrix(gram, nu)), sigma
 
 
-def generate_level(seed: int, rank_bound: int, parity: int,
-                   pairs: bool = True) -> LevelAnalysis:
+def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
     """The analysis of the level that ``seed`` draws, consistent by
     construction.
 
@@ -508,10 +507,9 @@ def generate_level(seed: int, rank_bound: int, parity: int,
     certificate of the module docstring and the forced-form test.  A
     level that passes is recorded consistent, and sigma is not squared
     again; one that fails raises :class:`GeneratedLevelError` with its
-    :meth:`LevelAnalysis.block_structure_problem`.  Without ``pairs`` the
-    level has no conjugate pair.
+    :meth:`LevelAnalysis.block_structure_problem`.
     """
-    morse, k_entries, couplings = _draw_level(seed, rank_bound, parity, pairs)
+    morse, k_entries, couplings = _draw_level(seed, rank_bound, parity)
     form = morse.forced_form(parity)
     lat, sigma = _build_level(parity, morse, form, k_entries, couplings)
     conj = ConjugationData(sigma, morse)

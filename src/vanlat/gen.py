@@ -1,10 +1,9 @@
 """Seeded random data for property tests and the verification suite.
 
-Everything here is deterministic given the seed.  Each consistent level
-comes from :func:`vanlat.conjugation.generate_level` with the analysis
-that checked it, which the level then keeps; an all-real level 0 is the
-same draw without conjugate pairs, which succeeds at every rank bound.
-This module assembles lattices, braid words, whole tower instances,
+Everything here is deterministic given the seed.  Each consistent level,
+level 0 included, comes from :func:`vanlat.conjugation.generate_level`
+with the analysis that checked it, which the level then keeps.  This
+module assembles lattices, braid words, whole tower instances,
 cycle data, and matched sign-flipped variants.
 """
 
@@ -15,7 +14,7 @@ from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
                           MorseSpec, RealPoint, generate_level)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix, direct_sum, row_items
-from .lattice import SignVector, ThimbleLattice, draw_entries, gram_rows
+from .lattice import SignVector, ThimbleLattice, diagonal_sign, draw_entries, gram_rows
 
 
 def random_lattice(rng: random.Random, nu: int, parity: int,
@@ -60,19 +59,16 @@ def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelDat
 
 
 def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
-                         with_cycles: bool = False,
-                         real_only_level0: bool = False) -> IcisInstance:
+                         with_cycles: bool = False) -> IcisInstance:
     """Tower instance with a consistent level for each ``i = 0 .. p``,
     each drawn from its own sub-seed and keeping the analysis that checked
-    it; with ``real_only_level0``, level 0 is drawn without a conjugate
-    pair."""
+    it."""
     rng = random.Random(seed)
     signs = SignVector(tuple(rng.choice((1, -1)) for _ in range(p + 1)))
     levels = []
     for i in range(p + 1):
         parity = n + i
-        analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity,
-                                  pairs=not (i == 0 and real_only_level0))
+        analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
         if with_cycles and parity % 2 == 1:
             levels.append(level_with_cycles(i, analysis,
                                             pad=rng.choice((0, 0, 1, 2))))
@@ -93,23 +89,27 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     """Matched variant of an instance with the last sign entry negated.
 
     Only the last sign's flip leaves every deeper level's data meaningful,
-    and the level-0 data transforms by reversing the basis: Morse indices
-    become ``parity - m``, the gram matrix is transposed and reversed, and
-    the companion conjugation, reversed, becomes the new conjugation.  The
-    construction needs an all-real level 0 (a conjugate pair's thimbles
-    would also pick up a path twist that this bookkeeping does not model).
-    The flip is an involution and preserves the total index.
+    and the level-0 data transforms by reversing the basis: the gram
+    matrix is transposed and reversed, the reversed companion is the new
+    conjugation, a Morse index ``m`` becomes ``parity - m``, and a pair at
+    slots ``s, s + 1`` stays a pair, its pairing number ``-d * gram[s][s +
+    1]`` (the new gram's entry at its reversed slots), as the forced form
+    ``d * [[a, 1], [1, 0]]`` relates them.  The new form is the old one,
+    reversed, times ``(-1)^parity``, so it certifies the level, but a pair
+    block ``(-1)^parity * d * [[0, 1], [1, a]]`` has the forced shape only
+    at even parity with ``a = 0``.  The flip is an involution and
+    preserves the total index.
     """
     level0 = inst.levels[0]
     conj = level0.require_conj()
-    if any(isinstance(pt, ConjugatePair) for pt in conj.morse.points):
-        raise ValueError("sign flip needs an all-real level 0")
     lat = level0.lattice
     parity = lat.parity
+    d = diagonal_sign(parity)
     new_gram = _reversed(lat.gram.transpose())
     new_sigma = _reversed(level0.analysis.companion)
-    new_points = tuple(RealPoint(parity - pt.morse_index)
-                       for pt in reversed(conj.morse.points))
+    new_points = tuple(RealPoint(parity - pt.morse_index) if isinstance(pt, RealPoint)
+                       else ConjugatePair(-d * lat.gram[s, s + 1])
+                       for s, _, pt in reversed(list(conj.morse.blocks())))
     new_lat = ThimbleLattice(parity, new_gram)
     new_conj = ConjugationData(new_sigma, MorseSpec(new_points))
     if level0.cycles is not None:

@@ -118,7 +118,7 @@ def level_index_sum(level: LevelData, n: int, s_entry: int) -> int:
 
         s^(n+i) * (-1)^((n+i)(n+i+1)/2) * sgn(var_inverse * sigma)
     """
-    if s_entry not in (1, -1):
+    if type(s_entry) is not int or s_entry not in (1, -1):
         raise ValueError("sign entry must be +1 or -1")
     parity = n + level.i
     if level.lattice.parity != parity:
@@ -152,7 +152,7 @@ def smoothable_index(sum_smoothing_indices: int, chi_smoothing: int) -> int:
 
 def morse_recursion_step(chi_prev: int, sum_ind: int, s: int, exponent: int) -> int:
     """One Euler-characteristic step: ``chi_prev + (-s)^exponent * sum_ind``."""
-    if s not in (1, -1):
+    if type(s) is not int or s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return chi_prev + _sign_power(-s, exponent) * sum_ind
 
@@ -206,7 +206,7 @@ def cycle_index_sum(level: LevelData, s_entry: int) -> int:
     is refused.  A pairing that is not symmetric, which its signature
     refuses, or an odd difference means the cycle data is inconsistent.
     """
-    if s_entry not in (1, -1):
+    if type(s_entry) is not int or s_entry not in (1, -1):
         raise ValueError("sign entry must be +1 or -1")
     parity = level.lattice.parity
     if parity % 2 == 0:

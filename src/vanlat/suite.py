@@ -93,8 +93,7 @@ def _check_instance(rng, name, rank_bound):
     else:  # telescoping, plus the matched sign-flip comparison
         n = rng.choice((1, 2, 3))
         p = rng.choice((0, 1, 2))
-        inst = random_icis_instance(rng.randrange(2 ** 32), n, p,
-                                    max(rank_bound, 0), real_only_level0=True)
+        inst = random_icis_instance(rng.randrange(2 ** 32), n, p, max(rank_bound, 0))
         if telescoped_index(inst) != gradient_index(inst):
             problem = "telescoped recursion disagrees with closed formula"
         else:

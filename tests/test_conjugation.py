@@ -349,8 +349,8 @@ def test_generator_rank_zero_bound():
 
 def test_generated_level_asserts_its_consistency(monkeypatch):
     # with S coupled between neighbouring real slots of one sign, sigma is
-    # no involution, and the level raises, on both the pairs path and the
-    # all-real level 0, with the level and its block-form problem
+    # no involution, and the level raises, alone and as level 0 of a
+    # tower, with the level and its block-form problem
     monkeypatch.setattr(conjugation, "_build_level",
                         coupled_alike(conjugation._build_level))
     with pytest.raises(GeneratedLevelError) as caught:
@@ -361,7 +361,7 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     assert problem is not None and err.problem == problem
     assert str(err) == "generated level fails its check: " + problem
     with pytest.raises(GeneratedLevelError):
-        random_icis_instance(5, 1, 0, 16, real_only_level0=True)
+        random_icis_instance(5, 1, 0, 16)
 
 
 def test_generated_level_check_survives_optimization():
@@ -381,16 +381,15 @@ def test_generated_level_check_survives_optimization():
     assert done.stdout.startswith("inconsistent instance: ")
 
 
-@pytest.mark.parametrize("pairs", [True, False])
 @pytest.mark.parametrize("rank_bound", [0, 8, 16, 64])
-def test_generated_level_verdict_is_a_fresh_analysis_verdict(rank_bound, pairs):
+def test_generated_level_verdict_is_a_fresh_analysis_verdict(rank_bound):
     # the generator records a level consistent by one comparison of its
     # form with the forced block form; a fresh analysis, which squares
     # sigma and reads the certificate, gives the same verdict, form and
     # signature, and finds no block-form problem
     for seed in range(200):
         for parity in range(6):
-            level = generate_level(seed, rank_bound, parity, pairs)
+            level = generate_level(seed, rank_bound, parity)
             fresh = LevelAnalysis(level.lattice, level.conj)
             assert fresh.block_structure_problem() is None
             assert level.inconsistency is fresh.inconsistency is None
@@ -635,26 +634,6 @@ def test_generator_output_is_pinned():
     # any change to the draws or to the construction of their levels
     # changes this digest
     assert _generator_digest() == "11099597c97638274c4e588d9a3a2a28"
-
-
-def _real_only_digest():
-    """md5 of the serialized towers with an all-real level 0 over a fixed
-    seed list."""
-    h = hashlib.md5()
-    for rank_bound in (4, 8, 16, 32):
-        for seed in range(20):
-            for with_cycles in (False, True):
-                inst = random_icis_instance(seed, 1 + seed % 3, seed % 3,
-                                            rank_bound, with_cycles=with_cycles,
-                                            real_only_level0=True)
-                h.update(serialize_instance(InstanceDocument(inst)).encode())
-    return h.hexdigest()
-
-
-def test_real_only_generator_output_is_pinned():
-    # any change to the all-real level-0 draws or to the levels above it
-    # changes this digest
-    assert _real_only_digest() == "1238b2e46c19f63bd2d59d0b48b23aec"
 
 
 def test_monodromy_split_closure_on_consistent_instances():
@@ -913,8 +892,7 @@ def test_rank_zero_generated_and_flipped_levels_take_the_certificate():
                             build_sigma(MorseSpec(()), p, [])) for p in range(1, 6)]
     for seed in range(30):
         levels.append(generate_level(seed, 12, 1 + seed % 5))
-        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 10,
-                                    real_only_level0=True)
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 10)
         flipped = flip_last_sign(inst)
         levels.append(LevelAnalysis(flipped.levels[0].lattice, flipped.levels[0].conj))
     for analysis in levels:

@@ -1,5 +1,3 @@
-import statistics
-
 import pytest
 
 from conftest import a_k_instance
@@ -61,6 +59,17 @@ def test_level_sum_rejects_bad_sign_and_parity():
         level_index_sum(level_a1(), 1, 0)
     with pytest.raises(ValueError):
         level_index_sum(level_a1(), 2, 1)  # parity 1 != n + i = 2
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0, True])
+def test_index_functions_take_only_an_int_sign(s):
+    # 1.0 in (1, -1) holds, so the type is tested too, as SignVector does
+    with pytest.raises(ValueError, match="sign entry must be"):
+        level_index_sum(level_a1(), 1, s)
+    with pytest.raises(ValueError, match="sign entry must be"):
+        cycle_index_sum(level_a1(), s)
+    with pytest.raises(ValueError, match="sign must be"):
+        morse_recursion_step(0, 3, s, 1)
 
 
 # -- gradient_index and desk examples ----------------------------------------------
@@ -134,48 +143,71 @@ def test_sign_independence_reports_discrepancy():
 
 def test_flip_last_sign_matches_on_generated_instances():
     for seed in range(25):
-        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 5,
-                                    real_only_level0=True)
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 5)
         flipped = flip_last_sign(inst)
         assert flipped.signs.entries[-1] == -inst.signs.entries[-1]
         assert sign_independence_check([inst, flipped]) is None
         again = flip_last_sign(flipped)
         assert again.levels[0].lattice.gram == inst.levels[0].lattice.gram
+        assert again.levels[0].conj == inst.levels[0].conj
 
 
-def _all_real(level):
-    return not any(isinstance(pt, ConjugatePair)
-                   for pt in level.conj.morse.points)
+def _pairs(level):
+    return sum(isinstance(pt, ConjugatePair) for pt in level.conj.morse.points)
 
 
 @pytest.mark.parametrize("seed", [1, 12, 18, 20, 25])
-def test_all_real_level0_at_rank_bound_512(seed):
-    # at this bound a draw that allows pairs nearly always holds one;
-    # level 0 is drawn without them, so every seed gives an all-real one
-    inst = random_icis_instance(seed, 1, 0, 512, real_only_level0=True)
-    assert _all_real(inst.levels[0])
+def test_level0_with_pairs_at_rank_bound_512(seed):
+    # at this bound level 0 holds pairs on every seed, and the sign flip
+    # takes them
+    inst = random_icis_instance(seed, 1, 0, 512)
+    assert _pairs(inst.levels[0]) >= 10
     assert gradient_index(inst) == telescoped_index(inst)
     assert sign_independence_check([inst, flip_last_sign(inst)]) is None
 
 
-def test_all_real_level0_rank_is_not_biased_small():
-    # a draw is never thrown away for holding a pair, so large level-0
-    # ranks are as likely as small ones
-    ranks = []
-    for seed in range(40):
-        level0 = random_icis_instance(seed, 1, 0, 64,
-                                      real_only_level0=True).levels[0]
-        assert _all_real(level0)
-        ranks.append(level0.lattice.nu)
-    assert statistics.median(ranks) >= 16
-
-
-def test_flip_last_sign_needs_all_real_level0():
+def test_flip_last_sign_flips_a_pair_at_level0():
+    # the pair stays a pair, its pairing number read off the new gram;
+    # the new sigma is the reversed companion [[-1, -1], [0, 1]], and the
+    # form [[-1, -1], [-1, 0]] turns into minus its reversal
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
     conj = build_sigma(MorseSpec((ConjugatePair(1),)), 1, [])
     inst = inst_p0(LevelData(0, lat, conj))
-    with pytest.raises(ValueError, match="all-real"):
-        flip_last_sign(inst)
+    flipped = flip_last_sign(inst)
+    level0 = flipped.levels[0]
+    assert flipped.signs == SignVector((-1,))
+    assert level0.lattice.gram == IntMatrix.from_rows([[2, 1], [1, 2]])
+    assert level0.conj.sigma == IntMatrix.from_rows([[1, 0], [-1, -1]])
+    assert level0.conj.morse == MorseSpec((ConjugatePair(1),))
+    assert level0.analysis.form == IntMatrix.from_rows([[0, 1], [1, 1]])
+    assert gradient_index(inst) == gradient_index(flipped) == 0
+    again = flip_last_sign(flipped).levels[0]
+    assert (again.lattice, again.conj) == (lat, conj)
+
+
+@pytest.mark.parametrize("rank_bound", [16, 64])
+def test_flip_takes_every_pair_at_level0(rank_bound):
+    # over 800 seeds per bound, two in three towers or more hold a pair at
+    # level 0; each flipped level is certified by its form alone, with no
+    # monodromy or companion built, flipping twice gives it back, and the
+    # index does not move
+    towers = 0
+    for seed in range(800):
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, rank_bound)
+        if not _pairs(inst.levels[0]):
+            continue
+        towers += 1
+        flipped = flip_last_sign(inst)
+        level0 = flipped.levels[0]
+        analysis = LevelAnalysis(level0.lattice, level0.conj)
+        assert analysis.inconsistency is None
+        assert "monodromy" not in vars(analysis) and "companion" not in vars(analysis)
+        again = flip_last_sign(flipped)
+        assert again.signs == inst.signs
+        assert again.levels[0].lattice == inst.levels[0].lattice
+        assert again.levels[0].conj == inst.levels[0].conj
+        assert gradient_index(flipped) == gradient_index(inst) == telescoped_index(inst)
+    assert towers >= 500
 
 
 # -- cycle-space route -----------------------------------------------------------------

@@ -380,8 +380,7 @@ def test_cycle_blocks_are_decoded_from_their_nonzeros(monkeypatch):
     scan = instfile._nonzero_rows
     monkeypatch.setattr(instfile, "_nonzero_rows",
                         lambda *args: scans.append(scan(*args)) or scans[-1])
-    inst = random_icis_instance(1, 1, 0, 40, with_cycles=True,
-                                real_only_level0=True)
+    inst = random_icis_instance(1, 1, 0, 40, with_cycles=True)
     assert inst.levels[0].lattice.nu == 38
     text = serialize_instance(InstanceDocument(inst))
     assert serialize_instance(parse_instance_text(text)) == text

@@ -13,10 +13,9 @@ as ``U S U^-1``, without ``var`` and without assembling it again through
 the same row-kernel calls, and it builds one lattice, one
 ``var_inverse`` and one analysis per generated level, which the level
 keeps.  Each generated level's sigma is squared once and its block form
-checked once, by the generator, and never again by ``verify``.  An
-all-real level 0 is one call of the generator's entry point, which
-draws no conjugate pair.  The braid-invariance family of
-``verify`` applies each word once and never inverts the basis change.
+checked once, by the generator, and never again by ``verify``.  The
+braid-invariance family of ``verify`` applies each word once and never
+inverts the basis change.
 Each matrix row is stored by its fill: every matrix of the A_64 tower's
 analysis, and its ``var``, is
 sparse and the row kernel sums it as dicts, with no dense row built,
@@ -38,7 +37,7 @@ from conftest import a_k_instance, a_k_level, instance_path, rebind
 from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import BraidMove, BraidWord, apply_braid_word
 from vanlat.cli import main
-from vanlat.conjugation import ConjugatePair, LevelAnalysis, generate_level
+from vanlat.conjugation import LevelAnalysis, generate_level
 from vanlat.gen import (flip_last_sign, level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
@@ -91,7 +90,7 @@ def test_index_routes_build_each_monodromy_once(monkeypatch, seed):
     # consistent; only level 0 builds a monodromy, once, because the sign
     # flip reads its companion
     built = _monodromies_by_lattice(monkeypatch)
-    inst = random_icis_instance(seed, 1 + seed % 3, 2, 6, real_only_level0=True)
+    inst = random_icis_instance(seed, 1 + seed % 3, 2, 6)
     flipped = flip_last_sign(inst)
     assert telescoped_index(inst) == gradient_index(inst)
     assert sign_independence_check([inst, flipped]) is None
@@ -247,26 +246,6 @@ def test_verify_checks_each_generated_level_once(monkeypatch, seed):
     assert ids.isdisjoint(map(id, verdicts)) and ids.isdisjoint(checked)
     assert [squared[id(analysis.conj.sigma)] for analysis in levels] == [1] * len(levels)
     assert all(analysis.inconsistency is None for analysis in levels)
-
-
-def test_real_only_level_0_is_one_pass_of_real_chunks(monkeypatch):
-    # level 0 is drawn once, by one call of the generator's entry point
-    # with pairs left out, and no drawn descriptor is a conjugate pair
-    passes = _counting(monkeypatch, gen, "generate_level",
-                       key=lambda *args, pairs=True: pairs)
-    drawn = []
-    draw = conjugation._draw_level
-
-    def draw_logging(*args):
-        drawn.append(draw(*args))
-        return drawn[-1]
-    monkeypatch.setattr(conjugation, "_draw_level", draw_logging)
-    seeds = range(10)
-    for seed in seeds:
-        random_icis_instance(seed, 1 + seed % 3, 0, 24, real_only_level0=True)
-    assert passes == {False: len(seeds)}
-    points = [pt for morse, _, _ in drawn for pt in morse.points]
-    assert points and not any(isinstance(pt, ConjugatePair) for pt in points)
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
