@@ -47,25 +47,27 @@ over a level shares it.
 A generated level is consistent by construction (:func:`generate_level`).
 Its draws give the descriptors, an involution ``S`` with the forced
 diagonal blocks and a strictly block upper triangular ``K``; with ``U =
-I + K`` its conjugation is ``sigma = U S U^-1``, and its gram is read off
-``V = B * sigma`` for the forced block form ``B``.  Then ``sigma^2 = I``
-and ``V`` has the shape of ``var_inverse``, so ``F = V * sigma = B``,
-and no draw is rejected.  The level still takes both checks, sigma
-squared once and ``F`` compared exactly with ``B``, which together are
-the certificate above and the forced-form test; a level that fails
-raises :class:`GeneratedLevelError` with its block-form problem.
+I + K`` its conjugation is ``sigma = U S U^-1``.  ``V = B * sigma``, for
+the forced block form ``B``, is formed once, and its gram is read off
+``V``.  Then ``sigma^2 = I`` and ``V`` has the shape of ``var_inverse``,
+so ``F = V * sigma = B``, and no draw is rejected.  The level still
+takes both checks, sigma squared once and ``var_inverse`` compared
+exactly with ``V``: given ``sigma^2 = I`` that comparison holds exactly
+when ``F = B`` does, so together they are the certificate above and the
+forced-form test, and ``F`` is not formed.  A level that fails raises
+:class:`GeneratedLevelError` with its block-form problem.
 """
 
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 from .basis import monodromy
-from .intmat import (IntMatrix, combine_rows, direct_sum, first_difference,
-                     non_integer_at, row_items, sweep_rows)
-from .lattice import (ThimbleLattice, diagonal_sign, mirror_sign, require_valid,
-                      self_intersection)
+from .intmat import (SPARSE_MIN_COLS, IntMatrix, combine_rows, direct_sum,
+                     first_difference, non_integer_at, row_items, sweep_rows)
+from .lattice import (ThimbleLattice, diagonal_sign, draw_entries, gram_rows,
+                      mirror_sign, require_valid, self_intersection)
 from .signature import Signature, exact_signature
 from .variation import var_inverse
 
@@ -101,7 +103,7 @@ class MorseSpec:
 
     points: tuple[CriticalPoint, ...]
 
-    @property
+    @cached_property
     def total_slots(self) -> int:
         return sum(p.slots for p in self.points)
 
@@ -225,9 +227,10 @@ class LevelAnalysis:
     and the form's signature are then computed when first asked for and
     kept for the life of the object; every route below and in
     :mod:`vanlat.index` reads them from here.  The product ``var_inverse *
-    sigma`` is built once: the consistency verdict reads it first, and
-    where it certifies the level (see the module docstring) neither the
-    monodromy nor the companion is built unless a caller reads them.  The
+    sigma`` is built at most once: the consistency verdict reads it first,
+    and where it certifies the level (see the module docstring) neither
+    the monodromy nor the companion is built unless a caller reads them,
+    and a generated level never builds it (:func:`generate_level`).  The
     bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
     """
@@ -259,9 +262,10 @@ class LevelAnalysis:
     @cached_property
     def _product(self) -> IntMatrix:
         """``var_inverse * sigma``, built once, whether or not the level
-        is consistent: :attr:`form` returns it, :attr:`inconsistency`
-        reads its certificate off it, and the generator compares it with
-        the forced block form (:func:`generate_level`)."""
+        is consistent: :attr:`form` returns it, and :attr:`inconsistency`
+        reads its certificate off it.  A generated level never builds it:
+        the generator records the forced block form ``B`` here once its
+        checks prove ``var_inverse * sigma == B`` (:func:`generate_level`)."""
         return self.var_inverse * self.conj.sigma
 
     @cached_property
@@ -278,9 +282,10 @@ class LevelAnalysis:
         takes both verdicts on the companion.
 
         A generated level's verdict is recorded by the generator instead
-        (:func:`generate_level`): its sigma has been squared once and its
-        form equals the forced block form, which certifies it, so it is
-        ``None`` there without a second square of sigma.
+        (:func:`generate_level`): its sigma has been squared once and
+        ``var_inverse`` equals ``B * sigma``, so its form is the forced
+        block form ``B``, which certifies it, and the verdict is ``None``
+        there without a second square of sigma.
         """
         if (self.conj.sigma.is_involution()
                 and _certifies_consistency(self._product, self.conj.morse.spans)):
@@ -423,6 +428,15 @@ def _draw_level(seed, rank_bound, parity):
     two real slots of the chunk of opposite sign, neither yet coupled,
     draw a coupling of 0 or +-1, so no slot is in two couplings.  Nothing
     couples two chunks.
+
+    Every draw but the rank and the pair test is made from the
+    generator's ``getrandbits`` by CPython's rule for ``randint`` and
+    ``choice`` (:func:`~vanlat.lattice.draw_entries`): ``_randbelow(n)``
+    draws ``getrandbits(n.bit_length())`` until a value is below ``n``.
+    So the values, and the generator's state after each, are those of
+    ``rng.randint(1, 4)`` for the chunk size, ``rng.randint(0, parity)``
+    for a Morse index and ``rng.choice`` for the rest; a block's entries
+    of ``K`` are one :func:`~vanlat.lattice.draw_entries` call.
     """
     if rank_bound < 0:
         raise ValueError("rank bound must be >= 0")
@@ -431,39 +445,53 @@ def _draw_level(seed, rank_bound, parity):
                          "got %d" % parity)
     rng = random.Random(seed)
     nu = rng.randint(0, rank_bound)
-    uniform, choice = rng.random, rng.choice
+    uniform, getrandbits = rng.random, rng.getrandbits
+    morse_bits = (parity + 1).bit_length()
     points, k_entries, couplings = [], [], []
     slot = 0
     while slot < nu:
-        end = min(nu, slot + rng.randint(1, 4))
+        size = getrandbits(3)  # randint(1, 4) is 1 + _randbelow(4)
+        while size >= 4:
+            size = getrandbits(3)
+        end = min(nu, slot + 1 + size)
         real = []  # (slot, (-1)^m) of each real slot of the chunk
         while slot < end:
             if end - slot >= 2 and uniform() < 0.3:
-                points.append(ConjugatePair(choice(_VALUES)))
+                a = getrandbits(3)  # choice(_VALUES), of 7 values
+                while a >= 7:
+                    a = getrandbits(3)
+                points.append(ConjugatePair(_VALUES[a]))
                 rows, slot = (slot, slot + 1), slot + 2
             else:
-                m = rng.randint(0, parity)
+                m = getrandbits(morse_bits)
+                while m > parity:
+                    m = getrandbits(morse_bits)
                 points.append(RealPoint(m))
                 real.append((slot, morse_sign(m)))
                 rows, slot = (slot,), slot + 1
-            k_entries += [(r, c, v) for r in rows for c in range(slot, end)
-                          if (v := choice(_VALUES))]
+            cols = range(slot, end)
+            values = draw_entries(getrandbits, len(rows) * len(cols), _VALUES)
+            k_entries += [(r, c, v) for (r, c), v in zip(product(rows, cols), values)
+                          if v]
         coupled = set()
         for i, (r, s) in enumerate(real):
             for c, t in real[i + 1:]:
-                if (s != t and r not in coupled and c not in coupled
-                        and (x := choice((0, 1, -1)))):
-                    couplings.append((r, c, x))
-                    coupled.update((r, c))
+                if s != t and r not in coupled and c not in coupled:
+                    x = getrandbits(2)  # choice((0, 1, -1))
+                    while x == 3:
+                        x = getrandbits(2)
+                    if x:
+                        couplings.append((r, c, (0, 1, -1)[x]))
+                        coupled.update((r, c))
     return MorseSpec(tuple(points)), k_entries, couplings
 
 
-def _build_level(parity, morse, form, k_entries, couplings):
-    """The lattice and sigma of the drawn values, unchecked: ``sigma = U S
-    U^-1`` and the gram read off ``V = B * sigma``, ``B`` being ``form``
-    (see :func:`generate_level`).  ``U^-1`` is one triangular sweep, the
-    products run on the row kernel, and the gram rows are built from the
-    nonzeros of ``V``, so a level costs its nonzeros, not its area."""
+def _build_sigma(morse, k_entries, couplings):
+    """``sigma = U S U^-1`` of the drawn values, unchecked (see
+    :func:`generate_level`).  ``U^-1`` is one triangular sweep and ``U *
+    S`` a product of two matrices of dict rows, so only the second product
+    reads the rows of ``U^-1``; a level costs its nonzeros, not its
+    area."""
     nu = morse.total_slots
     u_rows = [{} for _ in range(nu)]  # the rows of K, then of U = I + K
     for r, c, v in k_entries:
@@ -474,14 +502,28 @@ def _build_level(parity, morse, form, k_entries, couplings):
     s_rows = _forced_rows(morse)
     for r, c, v in couplings:
         s_rows[r][c] = v
-    sigma = IntMatrix(combine_rows(u_rows, combine_rows(s_rows, u_inverse, nu), nu), nu)
+    return IntMatrix(combine_rows(combine_rows(u_rows, s_rows, nu), u_inverse, nu), nu)
+
+
+def _lattice_of(parity, v):
+    """The lattice whose gram is read off the strict upper triangle of
+    ``v``: ``-v`` right of the diagonal, mirrored by the parity's rule,
+    and the self-pairing on it.  Its ``var_inverse`` is ``v`` exactly when
+    ``v`` is upper triangular with ``(-1)^(p(p+1)/2)`` on the diagonal.
+    Below ``SPARSE_MIN_COLS`` columns, where every row is stored as a
+    tuple, the gram rows are built dense; from there on, from the
+    nonzeros of ``v``."""
+    nu = v.nrows
+    if nu < SPARSE_MIN_COLS:
+        upper = [-x for r, row in enumerate(v.stored_rows) for x in row[r + 1:]]
+        return ThimbleLattice(parity, IntMatrix(gram_rows(nu, parity, upper), nu))
     eps, diagonal = mirror_sign(parity), self_intersection(parity)
     gram = [{r: diagonal} for r in range(nu)]
-    for r, row in enumerate(combine_rows(form.stored_rows, sigma.stored_rows, nu)):
-        for c, v in row_items(row):
+    for r, row in enumerate(v.stored_rows):
+        for c, x in row_items(row):
             if c > r:
-                gram[r][c], gram[c][r] = -v, -eps * v
-    return ThimbleLattice(parity, IntMatrix(gram, nu)), sigma
+                gram[r][c], gram[c][r] = -x, -eps * x
+    return ThimbleLattice(parity, IntMatrix(gram, nu))
 
 
 def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
@@ -493,29 +535,36 @@ def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
     slots of opposite sign, no slot in two, and ``K`` strictly block upper
     triangular (:func:`_draw_level`).  ``S^2 = I``, as ``D N + N D`` and
     ``N^2`` vanish.  With ``U = I + K``, ``sigma = U S U^-1`` is an
-    involution, block upper triangular with the diagonal blocks of ``S``,
-    so ``V = B * sigma`` is upper triangular with ``d`` on the diagonal:
-    ``d * (-1)^m * (-1)^m`` on a real slot, ``d * [[a, 1], [1, 0]] * J =
-    d * [[1, a], [0, 1]]`` on a pair.  The gram is read off ``V``, the
-    shape of ``var_inverse`` (:func:`_build_level`), and then ``F =
+    involution, block upper triangular with the diagonal blocks of ``S``
+    (:func:`_build_sigma`), so ``V = B * sigma`` is upper triangular with
+    ``d`` on the diagonal: ``d * (-1)^m * (-1)^m`` on a real slot, ``d *
+    [[a, 1], [1, 0]] * J = d * [[1, a], [0, 1]]`` on a pair.  ``V`` is
+    formed once.  The gram is read off its strict upper triangle
+    (:func:`_lattice_of`), so ``var_inverse = V`` and the form ``F =
     var_inverse * sigma = B * sigma^2 = B``.  No draw is rejected.
 
     The level still takes both checks on its one analysis: sigma is
-    squared once, and ``F`` is compared exactly with ``B``.  ``F == B``
-    alone holds for any ``sigma = V^-1 * B``, an involution or not, and
-    ``sigma^2 = I`` alone says nothing of the gram; together they are the
-    certificate of the module docstring and the forced-form test.  A
-    level that passes is recorded consistent, and sigma is not squared
+    squared once, and ``var_inverse`` is compared exactly with ``V``.
+    Given ``sigma^2 = I``, ``var_inverse == B * sigma`` holds exactly when
+    ``var_inverse * sigma == B`` does, so the two checks together are the
+    certificate of the module docstring and the forced-form test, and
+    ``var_inverse * sigma`` is never formed.  ``var_inverse == V`` alone
+    fails only where ``V`` is not of the shape of ``var_inverse``, and
+    ``sigma^2 = I`` alone says nothing of the gram.  A level that passes
+    is recorded consistent with the form ``B``, and sigma is not squared
     again; one that fails raises :class:`GeneratedLevelError` with its
     :meth:`LevelAnalysis.block_structure_problem`.
     """
     morse, k_entries, couplings = _draw_level(seed, rank_bound, parity)
     form = morse.forced_form(parity)
-    lat, sigma = _build_level(parity, morse, form, k_entries, couplings)
+    sigma = _build_sigma(morse, k_entries, couplings)
+    v = form * sigma
+    lat = _lattice_of(parity, v)
     conj = ConjugationData(sigma, morse)
     analysis = LevelAnalysis(lat, conj)
-    if not (sigma.is_involution() and analysis._product == form):
+    if not (sigma.is_involution() and analysis.var_inverse == v):
         raise GeneratedLevelError(lat, conj, analysis.block_structure_problem())
+    analysis._product = form
     analysis.inconsistency = None
     return analysis
 

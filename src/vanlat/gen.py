@@ -97,8 +97,8 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     ``d * [[a, 1], [1, 0]]`` relates them.  The new form is the old one,
     reversed, times ``(-1)^parity``, so it certifies the level, but a pair
     block ``(-1)^parity * d * [[0, 1], [1, a]]`` has the forced shape only
-    at even parity with ``a = 0``.  The flip is an involution and
-    preserves the total index.
+    at even parity with ``a = 0``.  Cycle data keeps its null
+    directions.  The flip is an involution and preserves the total index.
     """
     level0 = inst.levels[0]
     conj = level0.require_conj()
@@ -113,7 +113,8 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     new_lat = ThimbleLattice(parity, new_gram)
     new_conj = ConjugationData(new_sigma, MorseSpec(new_points))
     if level0.cycles is not None:
-        new_level0 = level_with_cycles(0, LevelAnalysis(new_lat, new_conj))
+        new_level0 = level_with_cycles(0, LevelAnalysis(new_lat, new_conj),
+                                       pad=level0.cycles.form.nrows - lat.nu)
     else:
         new_level0 = LevelData(0, new_lat, new_conj)
     signs = inst.signs.entries

@@ -323,14 +323,14 @@ class _CanonicalLines:
 
 
 # "x" at each nonzero digit, so that a nonzero token starts with the
-# literal the scan below looks for; the row prefix's "-" is left alone
-_NONZERO_DIGITS = bytes.maketrans(b"123456789", b"x" * 9)
+# literal the scan below looks for, and "|" at each of " ", "[", "," and
+# "]", the bytes that delimit a token; the row prefix's "-" is left alone
+_NONZERO_DIGITS = bytes.maketrans(b"123456789 [,]", b"x" * 9 + b"|" * 4)
 # a whole nonzero token ``-?[1-9][0-9]*`` in those bytes, matched from its
 # first digit: a literal start lets the regex engine skip to each
-# candidate in C, and the lookbehinds then ask for "[" or " " before the
-# token and its optional "-", the lookahead for "," or "]" after it
-_NONZERO_TOKENS = re.compile(
-    rb"x(?:(?<=[ \[]x)|(?<=[ \[]-x))[x0]*(?=[,\]])").finditer
+# candidate in C, and the lookbehinds then ask for a delimiter before the
+# token and its optional "-", the lookahead for one after it
+_NONZERO_TOKENS = re.compile(rb"x(?:(?<=\|x)|(?<=\|-x))[x0]*(?=\|)").finditer
 
 
 def _nonzero_rows(text, nrows, width, indent):
@@ -341,11 +341,13 @@ def _nonzero_rows(text, nrows, width, indent):
     ``text`` holds the block's ``nrows`` row lines of ``width`` tokens,
     each after a row prefix of ``indent`` characters, which passed the
     layout check.  The block is sparse when at most one token in
-    ``SPARSE_FILL`` is other than an exact ``0`` token, which follows
-    ``"["`` or ``" "`` and precedes ``","`` or ``"]"`` (past the layout
-    check a space comes only after a comma, and a row this wide is never
-    ``[0]``).  Each zero token holds a ``"0"``, so one count of that
-    character settles most dense blocks before the exact counts.
+    ``SPARSE_FILL`` is other than an exact ``0`` token.  Each zero token
+    holds a ``"0"``, so one count of that character settles most dense
+    blocks before anything else is done.  In the scanned bytes each
+    delimiter is one ``"|"``, and past the layout check two of them
+    (``", "``) stand between neighbouring tokens, so the exact ``0``
+    tokens are the matches of ``"|0|"``, counted once, and a token such
+    as ``00``, ``-0`` or an empty one is not among them.
 
     One regex scan finds every whole token ``-?[1-9][0-9]*``: so ``010``
     and ``0-1`` are not read from their inner digits, and a token with no
@@ -363,10 +365,10 @@ def _nonzero_rows(text, nrows, width, indent):
     total = nrows * width
     if text.count("0") * SPARSE_FILL < total * (SPARSE_FILL - 1):
         return None
-    nonzeros = total - (text.count(" 0,") + text.count("[0,") + text.count(" 0]"))
+    scanned = text.encode("ascii").translate(_NONZERO_DIGITS)
+    nonzeros = total - scanned.count(b"|0|")
     if nonzeros * SPARSE_FILL > total:
         return None
-    scanned = text.encode("ascii").translate(_NONZERO_DIGITS)
     zero_line = indent + 3 * width
     rows = [{} for _ in range(nrows)]
     row = rows[0]

@@ -290,11 +290,13 @@ class IntMatrix:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         out = 1
-        for comp in components(self.stored_rows):
+        rows = self.stored_rows
+        for comp in components(rows):
             if len(comp) == 1:
-                out *= self[comp[0], comp[0]]
+                r = comp[0]
+                out *= rows[r].get(r, 0) if type(rows[r]) is dict else rows[r][r]
                 continue
-            block = submatrix(self.stored_rows, comp)
+            block = submatrix(rows, comp)
             if len(comp) == 2:
                 (a, b), (c, d) = block
                 out *= a * d - b * c

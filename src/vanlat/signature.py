@@ -48,7 +48,9 @@ def exact_signature(m: IntMatrix) -> Signature:
     n_plus = n_minus = n_zero = 0
     for comp in components(m.stored_rows):
         if len(comp) == 1:
-            x = m[comp[0], comp[0]]
+            r = comp[0]
+            row = m.stored_rows[r]
+            x = row.get(r, 0) if type(row) is dict else row[r]
             p, q, z = x > 0, x < 0, x == 0
         else:
             p, q, z = _component_inertia(submatrix(m.stored_rows, comp))

@@ -11,6 +11,8 @@ change ``P`` (``M -> P^T M P``), which is what makes the operator itself,
 as opposed to its matrix, independent of the distinguished basis.
 """
 
+from operator import neg
+
 from .basis import BraidWord, apply_braid_word, monodromy
 from .intmat import IntMatrix, first_difference, sweep_rows
 from .lattice import ThimbleLattice, diagonal_sign, mirror_sign, require_valid
@@ -25,10 +27,10 @@ def var_inverse(lat: ThimbleLattice) -> IntMatrix:
     rows = []
     for r, row in enumerate(lat.gram.stored_rows):
         if type(row) is dict:
-            upper = {r: d}
-            upper.update((c, -v) for c, v in row.items() if c > r)
+            upper = {c: -v for c, v in row.items() if c > r}
+            upper[r] = d
         else:
-            upper = (0,) * r + (d,) + tuple(-x for x in row[r + 1:])
+            upper = (0,) * r + (d,) + tuple(map(neg, row[r + 1:]))
         rows.append(upper)
     return IntMatrix(rows, lat.nu)
 

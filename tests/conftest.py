@@ -1,4 +1,6 @@
 import pathlib
+import random
+import re
 import sys
 from operator import mul
 
@@ -7,7 +9,7 @@ from vanlat.conjugation import ConjugatePair, MorseSpec, RealPoint, build_sigma
 from vanlat.gen import random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
-from vanlat.intmat import IntMatrix, direct_sum
+from vanlat.intmat import SPARSE_FILL, IntMatrix, direct_sum
 from vanlat.lattice import SignVector, ThimbleLattice, diagonal_sign, gram_rows
 from vanlat.variation import var_inverse
 
@@ -95,15 +97,62 @@ def coupled_alike(build):
     ``S`` between each two neighbouring real slots of one sign, which the
     draws never couple: ``S^2`` is ``2 * (-1)^m`` there, so sigma is no
     involution on a level with two such slots."""
-    def build_coupled_alike(parity, morse, form, k_entries, couplings):
+    def build_coupled_alike(morse, k_entries, couplings):
         signs = [None] * morse.total_slots
         for start, _, p in morse.blocks():
             if isinstance(p, RealPoint):
                 signs[start] = (-1) ** p.morse_index
         alike = [(r, r + 1, 1) for r, (s, t) in enumerate(zip(signs, signs[1:]))
                  if s is not None and s == t]
-        return build(parity, morse, form, k_entries, list(couplings) + alike)
+        return build(morse, k_entries, list(couplings) + alike)
     return build_coupled_alike
+
+
+# The values a pair's pairing number and each entry of ``K`` are drawn
+# from, as the generator draws them.
+DRAWN_VALUES = (0, 0, 0, 1, -1, 2, -2)
+
+
+def draw_level_reference(seed, rank_bound, parity):
+    """The generator's draws for ``seed`` made with ``rng.randint`` and
+    ``rng.choice``, entry by entry: the descriptors, then the entries of
+    ``K`` and the couplings of ``S`` as ``(row, col, value)`` triples,
+    values nonzero.  Chunks of rank ``randint(1, 4)`` fill a rank
+    ``randint(0, rank_bound)``; each block is a pair where two slots are
+    left and ``random() < 0.3``, else a real point of Morse index
+    ``randint(0, parity)``, and its rows of ``K`` right of it in the chunk
+    follow; then each two uncoupled real slots of the chunk of opposite
+    sign draw a coupling from ``(0, 1, -1)``."""
+    rng = random.Random(seed)
+    nu = rng.randint(0, rank_bound)
+    points, k_entries, couplings = [], [], []
+    slot = 0
+    while slot < nu:
+        end = min(nu, slot + rng.randint(1, 4))
+        real = []
+        while slot < end:
+            if end - slot >= 2 and rng.random() < 0.3:
+                points.append(ConjugatePair(rng.choice(DRAWN_VALUES)))
+                rows, slot = (slot, slot + 1), slot + 2
+            else:
+                m = rng.randint(0, parity)
+                points.append(RealPoint(m))
+                real.append((slot, (-1) ** m))
+                rows, slot = (slot,), slot + 1
+            for r in rows:
+                for c in range(slot, end):
+                    v = rng.choice(DRAWN_VALUES)
+                    if v:
+                        k_entries.append((r, c, v))
+        coupled = set()
+        for i, (r, s) in enumerate(real):
+            for c, t in real[i + 1:]:
+                if s != t and r not in coupled and c not in coupled:
+                    x = rng.choice((0, 1, -1))
+                    if x:
+                        couplings.append((r, c, x))
+                        coupled.update((r, c))
+    return MorseSpec(tuple(points)), k_entries, couplings
 
 
 def rebind(monkeypatch, original, replacement):
@@ -183,3 +232,47 @@ def as_loaded(data):
     if isinstance(data, list):
         return [as_loaded(value) for value in data]
     return data
+
+
+# The sparse block decoder as it counted zero tokens by three substring
+# counts of the block text, kept as the reference its one count of the
+# scanned bytes must agree with.
+_REFERENCE_DIGITS = bytes.maketrans(b"123456789", b"x" * 9)
+_REFERENCE_TOKENS = re.compile(
+    rb"x(?:(?<=[ \[]x)|(?<=[ \[]-x))[x0]*(?=[,\]])").finditer
+
+
+def nonzero_rows_reference(text, nrows, width, indent):
+    """The rows of a sparse matrix block, as dicts of their nonzero
+    entries, or None, as :func:`vanlat.instfile._nonzero_rows` gives them
+    for a block that passed the layout check: the exact ``0`` tokens are
+    the matches of ``" 0,"``, ``"[0,"`` and ``" 0]"``, and the nonzero
+    tokens the matches of a scan that asks for ``"["`` or ``" "`` before
+    a token and ``","`` or ``"]"`` after it."""
+    total = nrows * width
+    if text.count("0") * SPARSE_FILL < total * (SPARSE_FILL - 1):
+        return None
+    nonzeros = total - (text.count(" 0,") + text.count("[0,") + text.count(" 0]"))
+    if nonzeros * SPARSE_FILL > total:
+        return None
+    scanned = text.encode("ascii").translate(_REFERENCE_DIGITS)
+    zero_line = indent + 3 * width
+    rows = [{} for _ in range(nrows)]
+    row = rows[0]
+    r = found = 0
+    end = zero_line
+    for m in _REFERENCE_TOKENS(scanned):
+        at, stop = m.span()
+        if scanned[at - 1] == 45:  # "-"
+            at -= 1
+        if at >= end:
+            lines = (at - end) // zero_line + 1
+            r += lines
+            if r >= nrows:
+                return None
+            row = rows[r]
+            end += lines * zero_line
+        row[(at - end) // 3 + width] = int(text[at:stop])
+        end += stop - at - 1
+        found += 1
+    return rows if found == nonzeros else None

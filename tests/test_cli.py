@@ -483,8 +483,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     # involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
-    monkeypatch.setattr(conjugation, "_build_level",
-                        coupled_alike(conjugation._build_level))
+    monkeypatch.setattr(conjugation, "_build_sigma",
+                        coupled_alike(conjugation._build_sigma))
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
     code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
@@ -503,8 +503,8 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
-    monkeypatch.setattr(conjugation, "_build_level",
-                        coupled_alike(conjugation._build_level))
+    monkeypatch.setattr(conjugation, "_build_sigma",
+                        coupled_alike(conjugation._build_sigma))
     code, out, err = run(capsys, "gen", "--seed", "5", "--rank-bound", "16")
     assert (code, out) == (1, "")
     assert err == ("error: generated level fails its check: "

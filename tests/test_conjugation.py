@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanlat
-from conftest import (PAIR, coupled_alike, forced_conjugation_reference,
-                      triple_loop, upper_entries)
+from conftest import (PAIR, coupled_alike, draw_level_reference,
+                      forced_conjugation_reference, triple_loop, upper_entries)
 from vanlat import basis, conjugation
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
-                                RealPoint, _build_level, assemble_sigma,
-                                build_sigma, generate_level, morse_sign,
-                                signature_by_blocks)
+                                RealPoint, _build_sigma, _draw_level,
+                                _lattice_of, assemble_sigma, build_sigma,
+                                generate_level, morse_sign, signature_by_blocks)
 from vanlat.gen import flip_last_sign, random_icis_instance, random_lattice
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -269,7 +269,7 @@ def test_morse_signs_are_ints_at_every_index(m):
     lat = ThimbleLattice(1, IntMatrix.from_rows([[2]]))
     got = [morse.forced_form(1)[0, 0],
            signature_by_blocks(lat, ConjugationData(IntMatrix.identity(1), morse)),
-           _build_level(1, morse, morse.forced_form(1), (), ())[1][0, 0]]
+           _build_sigma(morse, (), ())[0, 0]]
     if m >= 0:  # build_sigma refuses a Morse index outside 0..parity
         got.append(build_sigma(morse, 3, ()).sigma[0, 0])
     assert [type(x) for x in got] == [int] * len(got)
@@ -289,6 +289,17 @@ def test_generator_is_deterministic():
     assert a.lattice.gram == b.lattice.gram
     assert a.conj.sigma == b.conj.sigma
     assert a.conj.morse == b.conj.morse
+
+
+@pytest.mark.parametrize("rank_bound", [0, 4, 16, 64])
+def test_level_draws_are_the_stdlib_draws(rank_bound):
+    # the draws made from getrandbits give the descriptors, K entries and
+    # couplings that randint and choice give, at each parity the Morse
+    # index draw covers, over thousands of draws in a row from one seed
+    for seed in range(3000):
+        for parity in range(6):
+            assert (_draw_level(seed, rank_bound, parity)
+                    == draw_level_reference(seed, rank_bound, parity))
 
 
 def test_bench_shims_equal_the_api_they_wrap():
@@ -351,8 +362,8 @@ def test_generated_level_asserts_its_consistency(monkeypatch):
     # with S coupled between neighbouring real slots of one sign, sigma is
     # no involution, and the level raises, alone and as level 0 of a
     # tower, with the level and its block-form problem
-    monkeypatch.setattr(conjugation, "_build_level",
-                        coupled_alike(conjugation._build_level))
+    monkeypatch.setattr(conjugation, "_build_sigma",
+                        coupled_alike(conjugation._build_sigma))
     with pytest.raises(GeneratedLevelError) as caught:
         generate_level(5, 16, 1)
     err = caught.value
@@ -370,7 +381,7 @@ def test_generated_level_check_survives_optimization():
     tests = pathlib.Path(__file__).resolve().parent
     probe = ("from conftest import coupled_alike\n"
              "from vanlat import conjugation\n"
-             "conjugation._build_level = coupled_alike(conjugation._build_level)\n"
+             "conjugation._build_sigma = coupled_alike(conjugation._build_sigma)\n"
              "try:\n"
              "    conjugation.generate_level(5, 16, 1)\n"
              "except conjugation.GeneratedLevelError as e:\n"
@@ -397,39 +408,42 @@ def test_generated_level_verdict_is_a_fresh_analysis_verdict(rank_bound):
             assert level.signature == fresh.signature
 
 
-_build = conjugation._build_level
+_build = conjugation._build_sigma
 
 
-def _forced_blocks_only(parity, morse, form, k_entries, couplings):
-    """The built gram, with sigma cut to its forced diagonal blocks: an
-    involution, but not ``B^-1 * var_inverse`` on coupled gram entries."""
-    lat, _ = _build(parity, morse, form, k_entries, couplings)
-    return lat, build_sigma(morse, parity, []).sigma
+def _transposed(morse, k_entries, couplings):
+    """The transpose of the built sigma: an involution, but block lower
+    triangular, so ``B * sigma`` is not upper triangular and the gram
+    read off it is not the one of this sigma."""
+    return _build(morse, k_entries, couplings).transpose()
 
 
-def _pairing_off_by_one(parity, morse, form, k_entries, couplings):
-    """The level built for the forced form of every pair's pairing number
-    one off the one drawn."""
-    off = MorseSpec(tuple(ConjugatePair(p.pairing + 1) if isinstance(p, ConjugatePair)
-                          else p for p in morse.points))
-    return _build(parity, morse, off.forced_form(parity), k_entries, couplings)
+def _last_pair_turned(morse, k_entries, couplings):
+    """The built sigma conjugated by the sign change of the second slot of
+    the last pair: an involution, block upper triangular, whose block at
+    that pair is ``-J``, so ``B * sigma`` has ``-d`` on its diagonal there
+    and the gram read off it gives the pair another block of the form."""
+    q = [start for start, _, p in morse.blocks() if isinstance(p, ConjugatePair)][-1] + 1
+    sigma = _build(morse, k_entries, couplings)
+    return IntMatrix([[-x if (r == q) != (c == q) else x for c, x in enumerate(row)]
+                      for r, row in enumerate(sigma.rows)])
 
 
 _coupled_alike = coupled_alike(_build)
 
 
 @pytest.mark.parametrize("builder, kind", [
-    (_forced_blocks_only, "inconsistent instance: "),
-    (_pairing_off_by_one, "pair block at slot "),
+    (_transposed, "inconsistent instance: "),
+    (_last_pair_turned, "pair block at slot "),
     (_coupled_alike, "inconsistent instance: "),
 ])
 def test_generated_level_that_fails_reports_the_block_structure_problem(
         monkeypatch, builder, kind):
-    # a level whose sigma is an involution but whose form is not the forced
-    # block form, for the certificate's failing or for a wrong pairing
-    # number, and a level whose sigma is no involution: each raises, and
+    # a level whose sigma is an involution but whose var_inverse is not B *
+    # sigma, for the certificate's failing or for a wrong pair block of
+    # the form, and a level whose sigma is no involution: each raises, and
     # its problem is the text a fresh analysis of it reports
-    monkeypatch.setattr(conjugation, "_build_level", builder)
+    monkeypatch.setattr(conjugation, "_build_sigma", builder)
     with pytest.raises(GeneratedLevelError) as caught:
         generate_level(0, 16, 1)  # coupled, with a pair and two real slots alike
     err = caught.value
@@ -525,10 +539,9 @@ def _constructed_chunks(size, parity):
                 matchings = list(_signed_matchings(_real_signs(morse)))
                 form = morse.forced_form(parity)
                 grams[key] = {
-                    tuple(upper_entries(_build_level(
-                        parity, morse, form, [(r, c, v) for (r, c), v in
-                                              zip(above, values) if v],
-                        couplings)[0].gram.rows))
+                    tuple(upper_entries(_lattice_of(parity, form * _build_sigma(
+                        morse, [(r, c, v) for (r, c), v in zip(above, values) if v],
+                        couplings)).gram.rows))
                     for values in itertools.product(_ENTRIES, repeat=len(above))
                     for couplings in matchings}
             chunks.update((morse.points, upper) for upper in grams[key])
@@ -556,7 +569,8 @@ def test_build_without_k_or_couplings_is_s(parity):
                    (ConjugatePair(-1), ConjugatePair(1), RealPoint(parity))]:
         morse = MorseSpec(points)
         form = morse.forced_form(parity)
-        lat, sigma = _build_level(parity, morse, form, [], [])
+        sigma = _build_sigma(morse, [], [])
+        lat = _lattice_of(parity, form * sigma)
         s = build_sigma(morse, parity, []).sigma
         assert sigma == s
         assert var_inverse(lat) == form * s
@@ -594,9 +608,11 @@ def _drawn_values(draw):
 @given(_drawn_values())
 def test_built_level_is_consistent_by_construction(values):
     # sigma^2 = I over dense rows, sigma has the forced diagonal blocks and
-    # nothing below them, and var_inverse of the built gram is B * sigma
-    parity, morse, form = values[:3]
-    lat, sigma = _build_level(*values)
+    # nothing below them, and var_inverse of the gram read off B * sigma
+    # is B * sigma
+    parity, morse, form, k_entries, couplings = values
+    sigma = _build_sigma(morse, k_entries, couplings)
+    lat = _lattice_of(parity, form * sigma)
     size = morse.total_slots
     assert validate_lattice(lat) is None
     assert triple_loop(sigma, sigma) == IntMatrix.identity(size).rows

@@ -152,6 +152,23 @@ def test_flip_last_sign_matches_on_generated_instances():
         assert again.levels[0].conj == inst.levels[0].conj
 
 
+def test_flip_last_sign_keeps_the_cycle_padding():
+    # cycle data at level 0 keeps its null directions through the flip, so
+    # two flips give back the cycle data, padded or not
+    padded = with_cycles = 0
+    for seed in range(100):
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 16, with_cycles=True)
+        cycles = inst.levels[0].cycles
+        if cycles is None:
+            continue
+        with_cycles += 1
+        padded += cycles.form.nrows > inst.levels[0].lattice.nu
+        flipped = flip_last_sign(inst)
+        assert flipped.levels[0].cycles.form.nrows == cycles.form.nrows
+        assert flip_last_sign(flipped).levels[0].cycles == cycles
+    assert (with_cycles, padded) == (67, 37)
+
+
 def _pairs(level):
     return sum(isinstance(pt, ConjugatePair) for pt in level.conj.morse.points)
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (INSTANCE_DIR, a_k_level, as_loaded, generated_texts,
-                      instance_path, matrix_power)
+                      instance_path, matrix_power, nonzero_rows_reference)
 from vanlat import instfile
 from vanlat.cli import main
 from vanlat.gen import random_icis_instance
@@ -354,6 +354,55 @@ def test_matrix_block_reads_as_the_json_route(rows):
     # decoded rows, which is what json.loads of the block gives
     data = _read_canonical(_gram_block_text(rows))
     assert data["levels"][0]["gram"].stored_rows == IntMatrix(rows).stored_rows
+
+
+# Tokens that pass the layout check but are not canonical integer text,
+# or are read from some digits only by a careless scan.
+_ODD_TOKENS = ("00", "-0", "1-2", "", "010", "0-1", "-00")
+
+
+@st.composite
+def _sparse_block(draw):
+    # the text of a block of widths 16-80 with up to a third of its tokens
+    # nonzero, at indent 2 or 4, and at times a few odd tokens, with the
+    # arguments the reader passes along with it
+    nrows, width = draw(st.integers(1, 6)), draw(st.integers(16, 80))
+    total = nrows * width
+    count = draw(st.integers(0, total // 3))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = draw(st.lists(st.integers(-2 ** 70, 2 ** 70).filter(bool),
+                           min_size=count, max_size=count))
+    tokens = ["0"] * total
+    for at, value in zip(rnd.sample(range(total), count), values):
+        tokens[at] = str(value)
+    for at, token in draw(st.lists(st.tuples(st.integers(0, total - 1),
+                                             st.sampled_from(_ODD_TOKENS)),
+                                   max_size=3)):
+        tokens[at] = token
+    prefix = " " * draw(st.sampled_from((2, 4))) + "- ["
+    text = "\n".join(prefix + ", ".join(tokens[r * width:(r + 1) * width]) + "]"
+                     for r in range(nrows))
+    return text, nrows, width, len(prefix)
+
+
+def _block_args(rows, indent=2):
+    prefix = " " * indent + "- ["
+    return ("\n".join(prefix + ", ".join(row) + "]" for row in rows),
+            len(rows), len(rows[0]), len(prefix))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparse_block())
+@example(_block_args([["0"] * 16] * 2))
+@example(_block_args([["5"] + ["0"] * 15, ["0"] * 15 + ["-7"]], indent=4))
+@example(_block_args([["0"] * 8 + [token] + ["0"] * 7 for token in _ODD_TOKENS]))
+@example(_block_args([[token] + ["0"] * 15 for token in _ODD_TOKENS]))
+@example(_block_args([["0"] * 15 + [token] for token in _ODD_TOKENS]))
+def test_sparse_decoder_counts_zero_tokens_as_the_reference(block):
+    # one count of "|0|" in the scanned bytes finds the zero tokens the
+    # three substring counts of the text found, so the decoder gives the
+    # rows, or refuses the block, as the reference does
+    assert instfile._nonzero_rows(*block) == nonzero_rows_reference(*block)
 
 
 def test_a_sparse_block_is_decoded_from_its_nonzeros(monkeypatch):

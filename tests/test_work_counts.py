@@ -13,7 +13,8 @@ as ``U S U^-1``, without ``var`` and without assembling it again through
 the same row-kernel calls, and it builds one lattice, one
 ``var_inverse`` and one analysis per generated level, which the level
 keeps.  Each generated level's sigma is squared once and its block form
-checked once, by the generator, and never again by ``verify``.  The
+checked once, by the generator, and never again by ``verify``; it forms
+no ``var_inverse * sigma``, since its form is known to be ``B``.  The
 braid-invariance family of ``verify`` applies each word once and never
 inverts the basis change.
 Each matrix row is stored by its fill: every matrix of the A_64 tower's
@@ -193,10 +194,11 @@ def test_generated_cycle_levels_build_their_monodromy_once(monkeypatch, seed):
 
 
 def test_generator_makes_the_same_kernel_calls_for_every_level(monkeypatch):
-    # no draw is tried and rejected: every level of rank >= 1 makes six
-    # row-kernel calls, the sweep for U^-1, the two products of sigma = U
-    # S U^-1, V = B * sigma, the form var_inverse * sigma and the square of
-    # sigma, and builds one lattice, one var_inverse and one analysis
+    # no draw is tried and rejected: every level of rank >= 1 makes five
+    # row-kernel calls, the sweep for U^-1, the two products of sigma = (U
+    # S) U^-1, V = B * sigma and the square of sigma, and builds one
+    # lattice, one var_inverse and one analysis, and no var_inverse * sigma
+    products = _computed(monkeypatch, "_product")
     lattices = _counting(monkeypatch, conjugation, "ThimbleLattice")
     var_inverses = _counting(monkeypatch, conjugation, "var_inverse")
     analyses = _counting(monkeypatch, conjugation, "LevelAnalysis")
@@ -213,16 +215,18 @@ def test_generator_makes_the_same_kernel_calls_for_every_level(monkeypatch):
         calls.clear()
         if generate_level(seed, 16, 1 + seed % 4).lattice.nu:
             per_level.append(calls[None])
-    assert len(per_level) > 30 and set(per_level) == {6}
+    assert len(per_level) > 30 and set(per_level) == {5}
     assert [c.total() for c in (lattices, var_inverses, analyses)] == [len(seeds)] * 3
+    assert products == []
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
 def test_verify_checks_each_generated_level_once(monkeypatch, seed):
     # the generator checks each level it draws once: sigma is squared once,
-    # and the product var_inverse * sigma, built once, is compared with the
-    # forced block form; a passing level never takes the block-form report
-    # or the verdict again, and no family of verify checks it again
+    # and var_inverse is compared with B * sigma, so no level forms the
+    # product var_inverse * sigma, and its form is the forced block form
+    # B; a passing level never takes the block-form report or the verdict
+    # again, and no family of verify checks it again
     levels = []
 
     def recording(*args, **kwargs):
@@ -241,8 +245,9 @@ def test_verify_checks_each_generated_level_once(monkeypatch, seed):
                      "--rank-bound", "16"]) == 0
     assert len(levels) > 20  # four families in seven draw levels
     ids = {id(analysis) for analysis in levels}
-    assert (collections.Counter(id(a) for a in products if id(a) in ids)
-            == dict.fromkeys(ids, 1))
+    assert ids.isdisjoint(map(id, products))
+    assert all(analysis.form == analysis.conj.morse.forced_form(analysis.lattice.parity)
+               for analysis in levels)
     assert ids.isdisjoint(map(id, verdicts)) and ids.isdisjoint(checked)
     assert [squared[id(analysis.conj.sigma)] for analysis in levels] == [1] * len(levels)
     assert all(analysis.inconsistency is None for analysis in levels)
