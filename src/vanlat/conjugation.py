@@ -1,5 +1,11 @@
 """Conjugation actions on distinguished bases, built from critical-point data.
 
+This module holds the paper's objects (critical-point descriptors,
+conjugation matrices, their consistency verdicts and the level analysis
+that computes each level's derived data once) and the deterministic
+build of a generated level from its drawn values.  It draws nothing:
+a level's values are drawn in :mod:`vanlat.gen`.
+
 An ordered list of critical-point descriptors (real point with a Morse
 index, or a complex-conjugate pair) carves the basis into blocks of size
 1 and 2.  The conjugation matrix is block upper triangular for that
@@ -44,30 +50,30 @@ signature (an empty radical), so no determinant is taken.  A
 :class:`vanlat.index.LevelData` keeps its analysis, so every index route
 over a level shares it.
 
-A generated level is consistent by construction (:func:`generate_level`).
-Its draws give the descriptors, an involution ``S`` with the forced
-diagonal blocks and a strictly block upper triangular ``K``; with ``U =
-I + K`` its conjugation is ``sigma = U S U^-1``.  ``V = B * sigma``, for
-the forced block form ``B``, is formed once, and its gram is read off
-``V``.  Then ``sigma^2 = I`` and ``V`` has the shape of ``var_inverse``,
-so ``F = V * sigma = B``, and no draw is rejected.  The level still
-takes both checks, sigma squared once and ``var_inverse`` compared
-exactly with ``V``: given ``sigma^2 = I`` that comparison holds exactly
-when ``F = B`` does, so together they are the certificate above and the
-forced-form test, and ``F`` is not formed.  A level that fails raises
-:class:`GeneratedLevelError` with its block-form problem.
+A generated level is consistent by construction (:func:`build_level`).
+Its drawn values (:func:`vanlat.gen.generate_level` draws them) give the
+descriptors, an involution ``S`` with the forced diagonal blocks and a
+strictly block upper triangular ``K``; with ``U = I + K`` its
+conjugation is ``sigma = U S U^-1``.  ``V = B * sigma``, for the forced
+block form ``B``, is formed once, and its gram is read off ``V``.  Then
+``sigma^2 = I`` and ``V`` has the shape of ``var_inverse``, so ``F = V *
+sigma = B``.  The level still takes both checks, sigma squared once and
+``var_inverse`` compared exactly with ``V``: given ``sigma^2 = I`` that
+comparison holds exactly when ``F = B`` does, so together they are the
+certificate above and the forced-form test, and ``F`` is not formed.  A
+level that fails raises :class:`GeneratedLevelError` with its
+block-form problem.
 """
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 
 from .basis import monodromy
 from .intmat import (SPARSE_MIN_COLS, IntMatrix, combine_rows, direct_sum,
                      first_difference, non_integer_at, row_items, sweep_rows)
-from .lattice import (ThimbleLattice, diagonal_sign, draw_entries, gram_rows,
-                      mirror_sign, require_valid, self_intersection)
+from .lattice import (ThimbleLattice, diagonal_sign, gram_rows, mirror_sign,
+                      require_valid, self_intersection)
 from .signature import Signature, exact_signature
 from .variation import var_inverse
 
@@ -165,7 +171,10 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     k = first_bad_triple(triples)
     if k is not None:
         raise ValueError("entry %r is not an integer triple" % (triples[k],))
-    return assemble_sigma(morse, triples)
+    conj = assemble_sigma(morse, triples)
+    if not conj.sigma.is_involution():
+        raise ValueError("assembled conjugation matrix is not an involution")
+    return conj
 
 
 def first_bad_triple(entries):
@@ -182,13 +191,14 @@ def first_bad_triple(entries):
 
 
 def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
-    """:func:`build_sigma` of ``(row, col, value)`` triples already known
-    to be ints, for a ``morse`` already validated; the instance reader
-    checks both where the file gives them.
+    """The conjugation of ``(row, col, value)`` triples already known to
+    be ints, for a ``morse`` already validated; the instance reader checks
+    both where the file gives them.  Each row is built as the dict of its
+    entries and stored by its fill.
 
-    Each row is built as the dict of its entries and stored by its fill,
-    and :meth:`~vanlat.intmat.IntMatrix.is_involution` tests the square on
-    the kernel's rows, so the test costs the nonzeros of a sparse sigma.
+    Unlike :func:`build_sigma`, this only assembles: a sigma that is no
+    involution is returned, and :attr:`LevelAnalysis.inconsistency`
+    reports it as a failed consistency verdict.
     """
     nu = morse.total_slots
     rows = _forced_rows(morse)
@@ -200,10 +210,34 @@ def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
             raise ValueError(
                 "entry (%d, %d) is not strictly above the block diagonal" % (r, c))
         rows[r][c] = v
-    sigma = IntMatrix(rows, nu)
-    if not sigma.is_involution():
-        raise ValueError("assembled conjugation matrix is not an involution")
-    return ConjugationData(sigma, morse)
+    return ConjugationData(IntMatrix(rows, nu), morse)
+
+
+def sigma_upper(conj: ConjugationData) -> list[list[int]]:
+    """The inverse of :func:`assemble_sigma`: the ``[row, col, value]``
+    triples of the nonzero entries of ``conj.sigma`` strictly above its
+    block diagonal, row by row and left to right, as an instance file
+    stores them.
+
+    ValueError where sigma has an entry left of its row's diagonal block,
+    or a diagonal block other than the forced one, since no triples give
+    such a sigma back.
+    """
+    forced = _forced_rows(conj.morse)
+    triples = []
+    for r, (row, (start, end)) in enumerate(zip(conj.sigma.stored_rows,
+                                                conj.morse.spans)):
+        items = sorted(row_items(row))
+        block = {c: v for c, v in items if c < end}
+        if block != forced[r]:
+            c = next(iter(block), end)
+            if c < start:
+                raise ValueError("sigma entry (%d, %d) = %d is left of the "
+                                 "diagonal block of its row" % (r, c, block[c]))
+            raise ValueError("the diagonal block of sigma at slot %d is not "
+                             "the forced one" % start)
+        triples += [[r, c, v] for c, v in items if c >= end]
+    return triples
 
 
 def _forced_rows(morse: MorseSpec) -> list[dict]:
@@ -230,7 +264,7 @@ class LevelAnalysis:
     sigma`` is built at most once: the consistency verdict reads it first,
     and where it certifies the level (see the module docstring) neither
     the monodromy nor the companion is built unless a caller reads them,
-    and a generated level never builds it (:func:`generate_level`).  The
+    and a generated level never builds it (:func:`build_level`).  The
     bodies call the module-level ``monodromy``, ``var_inverse`` and
     ``exact_signature``, so wrappers installed on those names see them.
     """
@@ -265,7 +299,7 @@ class LevelAnalysis:
         is consistent: :attr:`form` returns it, and :attr:`inconsistency`
         reads its certificate off it.  A generated level never builds it:
         the generator records the forced block form ``B`` here once its
-        checks prove ``var_inverse * sigma == B`` (:func:`generate_level`)."""
+        checks prove ``var_inverse * sigma == B`` (:func:`build_level`)."""
         return self.var_inverse * self.conj.sigma
 
     @cached_property
@@ -279,10 +313,13 @@ class LevelAnalysis:
         neither the monodromy nor the companion is built: the companion
         is ``(-1)^p * F^-1 * var_inverse^T``, block lower triangular, and
         ``F = F^T`` makes it square to the identity.  Any other level
-        takes both verdicts on the companion.
+        takes both verdicts on the companion.  The instance reader
+        assembles sigma without squaring it, so a file's sigma is first
+        squared here, and one that is no involution is reported here:
+        its companion fails a verdict.
 
         A generated level's verdict is recorded by the generator instead
-        (:func:`generate_level`): its sigma has been squared once and
+        (:func:`build_level`): its sigma has been squared once and
         ``var_inverse`` equals ``B * sigma``, so its form is the forced
         block form ``B``, which certifies it, and the verdict is ``None``
         there without a second square of sigma.
@@ -397,12 +434,8 @@ def signature_by_blocks(lat: ThimbleLattice, conj: ConjugationData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Consistent synthetic levels, by construction.
+# Consistent synthetic levels, by construction from drawn values.
 # ---------------------------------------------------------------------------
-
-# The values a pair's pairing number and each entry of ``K`` are drawn from.
-_VALUES = (0, 0, 0, 1, -1, 2, -2)
-
 
 class GeneratedLevelError(ValueError):
     """A generated level that fails its self-check: ``problem`` is the
@@ -414,81 +447,9 @@ class GeneratedLevelError(ValueError):
         self.lattice, self.conj, self.problem = lattice, conj, problem
 
 
-def _draw_level(seed, rank_bound, parity):
-    """The values :func:`generate_level` draws for ``seed``: the
-    :class:`MorseSpec`, then the entries of ``K`` and the couplings of
-    ``S`` as lists of ``(row, col, value)`` triples, values nonzero.
-
-    A private ``random.Random(seed)`` draws the rank, up to
-    ``rank_bound``, first, then fills it with chunks of rank at most 4.
-    Each block of a chunk is a pair with probability 0.3 where two slots
-    are left, its pairing number from ``_VALUES``, else a real point of
-    Morse index uniform in ``0..parity``; its rows of ``K`` right of it in
-    the chunk follow, from ``_VALUES``.  Then each
-    two real slots of the chunk of opposite sign, neither yet coupled,
-    draw a coupling of 0 or +-1, so no slot is in two couplings.  Nothing
-    couples two chunks.
-
-    Every draw but the rank and the pair test is made from the
-    generator's ``getrandbits`` by CPython's rule for ``randint`` and
-    ``choice`` (:func:`~vanlat.lattice.draw_entries`): ``_randbelow(n)``
-    draws ``getrandbits(n.bit_length())`` until a value is below ``n``.
-    So the values, and the generator's state after each, are those of
-    ``rng.randint(1, 4)`` for the chunk size, ``rng.randint(0, parity)``
-    for a Morse index and ``rng.choice`` for the rest; a block's entries
-    of ``K`` are one :func:`~vanlat.lattice.draw_entries` call.
-    """
-    if rank_bound < 0:
-        raise ValueError("rank bound must be >= 0")
-    if parity < 0:
-        raise ValueError("parity must be >= 0 (Morse indices lie in 0..parity), "
-                         "got %d" % parity)
-    rng = random.Random(seed)
-    nu = rng.randint(0, rank_bound)
-    uniform, getrandbits = rng.random, rng.getrandbits
-    morse_bits = (parity + 1).bit_length()
-    points, k_entries, couplings = [], [], []
-    slot = 0
-    while slot < nu:
-        size = getrandbits(3)  # randint(1, 4) is 1 + _randbelow(4)
-        while size >= 4:
-            size = getrandbits(3)
-        end = min(nu, slot + 1 + size)
-        real = []  # (slot, (-1)^m) of each real slot of the chunk
-        while slot < end:
-            if end - slot >= 2 and uniform() < 0.3:
-                a = getrandbits(3)  # choice(_VALUES), of 7 values
-                while a >= 7:
-                    a = getrandbits(3)
-                points.append(ConjugatePair(_VALUES[a]))
-                rows, slot = (slot, slot + 1), slot + 2
-            else:
-                m = getrandbits(morse_bits)
-                while m > parity:
-                    m = getrandbits(morse_bits)
-                points.append(RealPoint(m))
-                real.append((slot, morse_sign(m)))
-                rows, slot = (slot,), slot + 1
-            cols = range(slot, end)
-            values = draw_entries(getrandbits, len(rows) * len(cols), _VALUES)
-            k_entries += [(r, c, v) for (r, c), v in zip(product(rows, cols), values)
-                          if v]
-        coupled = set()
-        for i, (r, s) in enumerate(real):
-            for c, t in real[i + 1:]:
-                if s != t and r not in coupled and c not in coupled:
-                    x = getrandbits(2)  # choice((0, 1, -1))
-                    while x == 3:
-                        x = getrandbits(2)
-                    if x:
-                        couplings.append((r, c, (0, 1, -1)[x]))
-                        coupled.update((r, c))
-    return MorseSpec(tuple(points)), k_entries, couplings
-
-
 def _build_sigma(morse, k_entries, couplings):
     """``sigma = U S U^-1`` of the drawn values, unchecked (see
-    :func:`generate_level`).  ``U^-1`` is one triangular sweep and ``U *
+    :func:`build_level`).  ``U^-1`` is one triangular sweep and ``U *
     S`` a product of two matrices of dict rows, so only the second product
     reads the rows of ``U^-1``; a level costs its nonzeros, not its
     area."""
@@ -526,22 +487,24 @@ def _lattice_of(parity, v):
     return ThimbleLattice(parity, IntMatrix(gram, nu))
 
 
-def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
-    """The analysis of the level that ``seed`` draws, consistent by
-    construction.
+def build_level(parity: int, morse: MorseSpec, k_entries, couplings
+                ) -> LevelAnalysis:
+    """The analysis of the level built from drawn values, consistent by
+    construction: the descriptors ``morse``, and the entries of ``K`` and
+    the couplings of ``S`` as ``(row, col, value)`` triples.
 
-    ``B`` is the forced block form of the drawn descriptors, ``S`` the
-    forced diagonal blocks ``D`` plus couplings ``N`` of +-1 between real
-    slots of opposite sign, no slot in two, and ``K`` strictly block upper
-    triangular (:func:`_draw_level`).  ``S^2 = I``, as ``D N + N D`` and
-    ``N^2`` vanish.  With ``U = I + K``, ``sigma = U S U^-1`` is an
-    involution, block upper triangular with the diagonal blocks of ``S``
-    (:func:`_build_sigma`), so ``V = B * sigma`` is upper triangular with
-    ``d`` on the diagonal: ``d * (-1)^m * (-1)^m`` on a real slot, ``d *
-    [[a, 1], [1, 0]] * J = d * [[1, a], [0, 1]]`` on a pair.  ``V`` is
-    formed once.  The gram is read off its strict upper triangle
-    (:func:`_lattice_of`), so ``var_inverse = V`` and the form ``F =
-    var_inverse * sigma = B * sigma^2 = B``.  No draw is rejected.
+    ``B`` is the forced block form of ``morse``, ``S`` the forced diagonal
+    blocks ``D`` plus ``couplings`` ``N`` of +-1 between real slots of
+    opposite sign, no slot in two, and ``K`` strictly block upper
+    triangular.  ``S^2 = I``, as ``D N + N D`` and ``N^2`` vanish.  With
+    ``U = I + K``, ``sigma = U S U^-1`` is an involution, block upper
+    triangular with the diagonal blocks of ``S`` (:func:`_build_sigma`),
+    so ``V = B * sigma`` is upper triangular with ``d`` on the diagonal:
+    ``d * (-1)^m * (-1)^m`` on a real slot, ``d * [[a, 1], [1, 0]] * J =
+    d * [[1, a], [0, 1]]`` on a pair.  ``V`` is formed once.  The gram is
+    read off its strict upper triangle (:func:`_lattice_of`), so
+    ``var_inverse = V`` and the form ``F = var_inverse * sigma = B *
+    sigma^2 = B``.
 
     The level still takes both checks on its one analysis: sigma is
     squared once, and ``var_inverse`` is compared exactly with ``V``.
@@ -555,7 +518,6 @@ def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
     again; one that fails raises :class:`GeneratedLevelError` with its
     :meth:`LevelAnalysis.block_structure_problem`.
     """
-    morse, k_entries, couplings = _draw_level(seed, rank_bound, parity)
     form = morse.forced_form(parity)
     sigma = _build_sigma(morse, k_entries, couplings)
     v = form * sigma
@@ -571,11 +533,14 @@ def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
 
 def generate_consistent_instance(seed: int, rank_bound: int, parity: int
                                  ) -> tuple[ThimbleLattice, ConjugationData]:
-    """The lattice and conjugation of :func:`generate_level`.
+    """The lattice and conjugation of :func:`vanlat.gen.generate_level`.
 
     No library path calls this name: it exists only because the tracer and
     the generator probe under ``bench/`` call it, and it goes when the
-    tracer counts ``generate_level`` instead (ROADMAP.md, item 1).
+    tracer counts ``generate_level`` instead (ROADMAP.md, item 1).  It
+    imports :mod:`vanlat.gen` when called, since ``gen`` imports this
+    module.
     """
+    from .gen import generate_level
     analysis = generate_level(seed, rank_bound, parity)
     return analysis.lattice, analysis.conj

@@ -1,20 +1,137 @@
 """Seeded random data for property tests and the verification suite.
 
-Everything here is deterministic given the seed.  Each consistent level,
-level 0 included, comes from :func:`vanlat.conjugation.generate_level`
-with the analysis that checked it, which the level then keeps.  This
-module assembles lattices, braid words, whole tower instances,
-cycle data, and matched sign-flipped variants.
+Every random object of the package is drawn here, and everything is
+deterministic given the seed: lattices, braid words, the values of each
+consistent level, whole tower instances with cycle data, and matched
+sign-flipped variants.  Only :mod:`vanlat.suite` draws besides, its
+families' parameters and sub-seeds, with the stdlib's methods on its
+one ``random.Random``.  The paper's objects, and the deterministic
+build of a level from its drawn values
+(:func:`vanlat.conjugation.build_level`), are in
+:mod:`vanlat.conjugation`.
+
+A level's draws (:func:`_draw_level`) come from a private
+``random.Random(seed)``: the rank, up to the rank bound, first, then
+chunks of rank at most 4 that fill it.  Each block of a chunk is a pair
+with probability 0.3 where two slots are left, its pairing number from
+``_VALUES``, else a real point of Morse index uniform in ``0..parity``;
+its rows of ``K`` right of it in the chunk follow, from ``_VALUES``.
+Then each two real slots of the chunk of opposite sign, neither yet
+coupled, draw a coupling of 0 or +-1, so no slot is in two couplings.
+Nothing couples two chunks.
+
+Every draw but the rank and the pair test is made from the generator's
+``getrandbits`` by CPython's rule for ``randint`` and ``choice``, which
+only :func:`draw_entries`, for many draws, and :func:`_draw`, for one,
+state: ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until a
+value is below ``n``.  So the values, and the generator's state after
+each, are the stdlib's.
 """
 
 import random
+from itertools import product
 
 from .basis import BraidMove, BraidWord
 from .conjugation import (ConjugationData, ConjugatePair, LevelAnalysis,
-                          MorseSpec, RealPoint, generate_level)
+                          MorseSpec, RealPoint, build_level)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import IntMatrix, direct_sum, row_items
-from .lattice import SignVector, ThimbleLattice, diagonal_sign, draw_entries, gram_rows
+from .lattice import SignVector, ThimbleLattice, diagonal_sign, gram_rows
+
+# The values a pair's pairing number and each entry of ``K`` are drawn from.
+_VALUES = (0, 0, 0, 1, -1, 2, -2)
+
+
+def draw_entries(getrandbits, count: int, values) -> list:
+    """``count`` draws of ``random.Random.choice(values)``, made from the
+    generator's ``getrandbits`` exactly as CPython makes them, so the
+    values and the generator's state afterwards are the stdlib's.
+
+    CPython's ``choice(s)`` is ``s[_randbelow(len(s))]``, and
+    ``randint(a, b) = randrange(a, b + 1) = a + _randbelow(b + 1 - a)``,
+    so ``values = range(a, b + 1)`` draws ``randint(a, b)``.
+    ``_randbelow(n)`` draws ``getrandbits(k)`` with ``k =
+    n.bit_length()`` (not ``(n - 1).bit_length()``: ``k`` is 4 at ``n =
+    8``) until a value is below ``n``.  An empty ``values`` raises
+    ``ValueError`` when anything is to be drawn, as the stdlib's
+    ``randint`` does, instead of rejecting ``getrandbits(0)`` forever.
+    """
+    n = len(values)
+    if count > 0 and not n:
+        raise ValueError("cannot draw from an empty range")
+    k = n.bit_length()
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(values[r])
+    return drawn
+
+
+def _draw(getrandbits, values):
+    """One draw of :func:`draw_entries` from a non-empty ``values``,
+    without building a list."""
+    n = len(values)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return values[r]
+
+
+def _draw_level(seed, rank_bound, parity):
+    """The values :func:`generate_level` draws for ``seed``, as the module
+    docstring says: the :class:`MorseSpec`, then the entries of ``K`` and
+    the couplings of ``S`` as lists of ``(row, col, value)`` triples,
+    values nonzero.  The chunk size is ``rng.randint(1, 4)``, a Morse
+    index ``rng.randint(0, parity)`` and every other value an
+    ``rng.choice``; a block's entries of ``K`` are one
+    :func:`draw_entries` call."""
+    if rank_bound < 0:
+        raise ValueError("rank bound must be >= 0")
+    if parity < 0:
+        raise ValueError("parity must be >= 0 (Morse indices lie in 0..parity), "
+                         "got %d" % parity)
+    rng = random.Random(seed)
+    nu = rng.randint(0, rank_bound)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    morse_indices = range(parity + 1)
+    points, k_entries, couplings = [], [], []
+    slot = 0
+    while slot < nu:
+        end = min(nu, slot + _draw(getrandbits, (1, 2, 3, 4)))
+        real = []  # (slot, m mod 2) of each real slot of the chunk
+        while slot < end:
+            if end - slot >= 2 and uniform() < 0.3:
+                points.append(ConjugatePair(_draw(getrandbits, _VALUES)))
+                rows, slot = (slot, slot + 1), slot + 2
+            else:
+                m = _draw(getrandbits, morse_indices)
+                points.append(RealPoint(m))
+                real.append((slot, m % 2))
+                rows, slot = (slot,), slot + 1
+            cols = range(slot, end)
+            values = draw_entries(getrandbits, len(rows) * len(cols), _VALUES)
+            k_entries += [(r, c, v) for (r, c), v in zip(product(rows, cols), values)
+                          if v]
+        coupled = set()
+        for i, (r, s) in enumerate(real):
+            for c, t in real[i + 1:]:
+                if s != t and r not in coupled and c not in coupled:
+                    x = _draw(getrandbits, (0, 1, -1))
+                    if x:
+                        couplings.append((r, c, x))
+                        coupled.update((r, c))
+    return MorseSpec(tuple(points)), k_entries, couplings
+
+
+def generate_level(seed: int, rank_bound: int, parity: int) -> LevelAnalysis:
+    """The analysis of the level that ``seed`` draws, built and checked by
+    :func:`vanlat.conjugation.build_level`, which raises
+    :class:`~vanlat.conjugation.GeneratedLevelError` on a level that
+    fails its check."""
+    return build_level(parity, *_draw_level(seed, rank_bound, parity))
 
 
 def random_lattice(rng: random.Random, nu: int, parity: int,

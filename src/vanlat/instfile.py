@@ -20,7 +20,10 @@ C-level regex scan and placed in its row and column by the layout's
 arithmetic, any other by one ``json.loads`` of its row lines.  The
 ``morse`` list becomes its ``MorseSpec`` there too.  The writer emits
 each matrix row as it is stored, a sparse row from its nonzeros, and
-can stream the text line by line instead of returning it.
+can stream the text line by line instead of returning it.  It writes a
+conjugation as its :func:`~vanlat.conjugation.sigma_upper` triples, and
+raises ValueError, naming the level, for a sigma that no triples give
+back.
 
 Matrices are row-major integer lists in the package-wide storage
 convention: ``gram[r][c]`` pairs basis thimble ``c`` against thimble
@@ -37,10 +40,10 @@ import yaml
 
 from .basis import BraidWord, parse_braid_word
 from .conjugation import (ConjugatePair, MorseSpec, RealPoint, assemble_sigma,
-                          first_bad_triple)
+                          first_bad_triple, sigma_upper)
 from .index import CycleData, IcisInstance, LevelData
 from .intmat import (SPARSE_FILL, SPARSE_MIN_COLS, IntMatrix, non_integer_at,
-                     row_items, row_text)
+                     row_text)
 from .lattice import SignVector, ThimbleLattice
 
 FORMAT_VERSION = 1
@@ -609,12 +612,10 @@ def _lines(doc):
                 else:
                     ents.append("[pair, %d]" % pt.pairing)
             yield "  morse: [%s]" % ", ".join(ents)
-            spans = level.conj.morse.spans
-            upper = []
-            for r, row in enumerate(level.conj.sigma.stored_rows):
-                end = spans[r][1]
-                upper += [[r, c, v] for c, v in sorted(row_items(row))
-                          if c >= end]
+            try:
+                upper = sigma_upper(level.conj)
+            except ValueError as e:
+                raise ValueError("level %d: %s" % (level.i, e)) from None
             yield "  sigma_upper: %s" % upper
         if level.cycles is not None:
             yield "  cycles:"

@@ -3,7 +3,10 @@
 A ``ThimbleLattice`` is a free Z-module of rank ``nu`` together with the
 integer pairing matrix of an ordered basis of thimbles and a parity
 parameter: the pairing is symmetric when the parity is odd and
-skew-symmetric when it is even.
+skew-symmetric when it is even.  This module holds the lattice, its
+validation, the parity's signs and the gram rows of given entries above
+the diagonal, and draws nothing: random lattices are drawn in
+:mod:`vanlat.gen`.
 
 Storage convention (fixed once for the whole package):
 
@@ -38,33 +41,6 @@ def mirror_sign(parity: int) -> int:
     """``gram[c][r] / gram[r][c]``: +1 (symmetric) for odd parity, -1
     (skew-symmetric) for even, negative parities included."""
     return 1 if parity % 2 else -1
-
-
-def draw_entries(getrandbits, count: int, values) -> list:
-    """``count`` draws of ``random.Random.choice(values)``, made from the
-    generator's ``getrandbits`` exactly as CPython makes them, so the
-    values and the generator's state afterwards are the stdlib's.
-
-    CPython's ``choice(s)`` is ``s[_randbelow(len(s))]``, and
-    ``randint(a, b) = randrange(a, b + 1) = a + _randbelow(b + 1 - a)``,
-    so ``values = range(a, b + 1)`` draws ``randint(a, b)``.
-    ``_randbelow(n)`` draws ``getrandbits(k)`` with ``k =
-    n.bit_length()`` (not ``(n - 1).bit_length()``: ``k`` is 4 at ``n =
-    8``) until a value is below ``n``.  An empty ``values`` raises
-    ``ValueError`` when anything is to be drawn, as the stdlib's
-    ``randint`` does, instead of rejecting ``getrandbits(0)`` forever.
-    """
-    n = len(values)
-    if count > 0 and not n:
-        raise ValueError("cannot draw from an empty range")
-    k = n.bit_length()
-    drawn = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        drawn.append(values[r])
-    return drawn
 
 
 def gram_rows(size: int, parity: int, upper) -> tuple[tuple[int, ...], ...]:

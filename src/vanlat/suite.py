@@ -10,10 +10,9 @@ deterministic for a given (seed, count, rank bound).
 import random
 from dataclasses import dataclass
 
-from .conjugation import (GeneratedLevelError, generate_level,
-                          signature_by_blocks)
-from .gen import (flip_last_sign, level_with_cycles, random_braid_word,
-                  random_icis_instance, random_lattice)
+from .conjugation import GeneratedLevelError, signature_by_blocks
+from .gen import (flip_last_sign, generate_level, level_with_cycles,
+                  random_braid_word, random_icis_instance, random_lattice)
 from .index import (IcisInstance, LevelData, sign_independence_check, gradient_index,
                     telescoped_index, level_index_sum, cycle_index_sum)
 from .instfile import InstanceDocument, serialize_instance

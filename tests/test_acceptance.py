@@ -22,9 +22,8 @@ from conftest import (INSTANCE_DIR, a_k_instance, a_k_level, instance_path,
                       inverse_word, matrix_power)
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.cli import main as cli_main
-from vanlat.conjugation import (LevelAnalysis, generate_level,
-                                signature_by_blocks)
-from vanlat.gen import (level_with_cycles, random_braid_word,
+from vanlat.conjugation import LevelAnalysis, signature_by_blocks
+from vanlat.gen import (generate_level, level_with_cycles, random_braid_word,
                         random_icis_instance, random_lattice)
 from vanlat.index import (EvenParityError, IcisInstance, LevelData,
                           gradient_index, telescoped_index, level_index_sum,

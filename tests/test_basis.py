@@ -10,8 +10,7 @@ from conftest import (a_k_level, inverse_word, matrix_power, rebind, triple_loop
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           monodromy, parse_braid_word, picard_lefschetz)
-from vanlat.conjugation import generate_level
-from vanlat.gen import random_braid_word, random_lattice
+from vanlat.gen import generate_level, random_braid_word, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import ThimbleLattice, self_intersection
 from vanlat.variation import var_inverse, var_inverse_as_operator_after_braid

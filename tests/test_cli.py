@@ -14,7 +14,7 @@ import vanlat
 from conftest import coupled_alike, instance_path
 from vanlat.basis import monodromy
 from vanlat.cli import main
-from vanlat.conjugation import generate_level
+from vanlat.gen import generate_level
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
@@ -62,6 +62,57 @@ def test_index_of_corrupted_sigma_names_both_verdicts(capsys):
     assert out == ""
     assert err == ("error: inconsistent instance: companion not an involution; "
                    "companion not block lower triangular\n")
+
+
+# sigma = [[1, 1], [0, 1]], of the forced shape but no involution, with
+# cycle data
+_NON_INVOLUTION = """\
+format: 1
+n: 1
+p: 0
+signs: [1]
+levels:
+- i: 0
+  gram:
+  - [2, -1]
+  - [-1, 2]
+  morse: [[real, 0], [real, 0]]
+  sigma_upper: [[0, 1, 1]]
+  cycles:
+    form:
+    - [2, -1]
+    - [-1, 2]
+    sigma:
+    - [1, 0]
+    - [0, 1]
+    sigma_tilde:
+    - [-1, 0]
+    - [0, -1]
+"""
+
+
+def test_a_sigma_that_is_no_involution_fails_consistency(tmp_path, capsys):
+    # the reader assembles such a sigma without squaring it: validate and
+    # the routes that read the analysis end with its consistency verdicts
+    # (exit 1), and the commands that read no analysis run on the file
+    path = tmp_path / "no_involution.vl"
+    path.write_text(_NON_INVOLUTION)
+    verdicts = ("companion not an involution; "
+                "companion not block lower triangular")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == ["level 0: FAIL conjugation: " + verdicts,
+                                    "FAIL (1 problem)"]
+    for what in ("index", "signature", "level-sums"):
+        assert run(capsys, "compute", path, "--what", what) == (
+            1, "", "error: inconsistent instance: %s\n" % verdicts)
+    for what, want in (("var-inverse", "[[-1, 1], [0, -1]]\n"),
+                       ("monodromy", "[[0, -1], [1, -1]]\n"
+                                     "verified: monodromy^3 = identity\n"),
+                       ("cycle-sums", "2\n")):
+        assert run(capsys, "compute", path, "--what", what) == (0, want, "")
+    code, out, _ = run(capsys, "braid", path, "a1")
+    assert code == 0 and "  - [2, 1]\n  - [1, 2]\n" in out
 
 
 def test_validate_parse_error_exit_code(tmp_path, capsys):
@@ -478,9 +529,9 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
         family, tmp_path, capsys, monkeypatch):
     # with S coupled between neighbouring real slots of one sign the
     # generator's own check fails: each family that draws levels ends the
-    # run with one FAIL line and writes the failing level, which validate
-    # rejects (its sigma, rebuilt from the stored upper entries, is not an
-    # involution)
+    # run with one FAIL line and writes the failing level, which reads
+    # back and fails validate's consistency verdict (its sigma, rebuilt
+    # from the stored upper entries, is not an involution)
     import vanlat.conjugation as conjugation
     import vanlat.suite as suite
     monkeypatch.setattr(conjugation, "_build_sigma",
@@ -496,9 +547,9 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     assert fails[0].endswith("): generated level fails its check: "
                              "inconsistent instance: companion not an involution")
     assert out.splitlines()[-1] == "counterexample written to %s" % out_file
-    code, _, err = run(capsys, "validate", out_file)
-    assert code == 2 and err.startswith(
-        "parse error: assembled conjugation matrix is not an involution")
+    code, out, err = run(capsys, "validate", out_file)
+    assert (code, err) == (1, "")
+    assert "level 0: FAIL conjugation: companion not an involution" in out.splitlines()
 
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):

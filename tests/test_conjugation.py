@@ -1,3 +1,4 @@
+import ast
 import collections
 import hashlib
 import itertools
@@ -18,10 +19,11 @@ from vanlat import basis, conjugation
 from vanlat.basis import apply_braid_word, monodromy, parse_braid_word
 from vanlat.conjugation import (ConjugatePair, ConjugationData,
                                 GeneratedLevelError, LevelAnalysis, MorseSpec,
-                                RealPoint, _build_sigma, _draw_level,
-                                _lattice_of, assemble_sigma, build_sigma,
-                                generate_level, morse_sign, signature_by_blocks)
-from vanlat.gen import flip_last_sign, random_icis_instance, random_lattice
+                                RealPoint, _build_sigma, _lattice_of,
+                                assemble_sigma, build_sigma, morse_sign,
+                                sigma_upper, signature_by_blocks)
+from vanlat.gen import (_draw_level, flip_last_sign, generate_level,
+                        random_icis_instance, random_lattice)
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix, row_reduce, squares_to_identity
@@ -302,6 +304,61 @@ def test_level_draws_are_the_stdlib_draws(rank_bound):
                     == draw_level_reference(seed, rank_bound, parity))
 
 
+def _names_and_imports(path):
+    """The names, attribute names and imported modules of a source file."""
+    names, imports = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imports.add(node.module)
+    return names, imports
+
+
+def test_every_draw_rule_lives_in_gen():
+    # conjugation and lattice import no random and call no getrandbits,
+    # and gen is the one module that draws from getrandbits by CPython's
+    # rule
+    package = pathlib.Path(vanlat.__file__).resolve().parent
+    for name in ("conjugation.py", "lattice.py"):
+        names, imports = _names_and_imports(package / name)
+        assert "random" not in imports and "getrandbits" not in names, name
+    assert {path.name for path in package.glob("*.py")
+            if "getrandbits" in _names_and_imports(path)[0]} == {"gen.py"}
+
+
+@pytest.mark.parametrize("rank_bound", [4, 16, 64])
+def test_sigma_upper_is_the_inverse_of_assemble_sigma(rank_bound):
+    # the triples an instance file stores give every generated sigma back
+    for seed in range(1000):
+        conj = generate_level(seed, rank_bound, seed % 6).conj
+        assert assemble_sigma(conj.morse, sigma_upper(conj)).sigma == conj.sigma
+
+
+def test_sigma_upper_refuses_what_no_triples_give_back():
+    # an entry left of a row's diagonal block, or a diagonal block other
+    # than the forced one, is not stored by any sigma_upper
+    morse = MorseSpec((ConjugatePair(0), RealPoint(1)))
+    good = build_sigma(morse, 1, [(0, 2, 3), (1, 2, 3)])
+    assert sigma_upper(good) == [[0, 2, 3], [1, 2, 3]]
+    for (r, c), want in [((2, 0), r"^sigma entry \(2, 0\) = 1 is left of the "
+                                  r"diagonal block of its row$"),
+                         ((2, 1), r"^sigma entry \(2, 1\) = 1 is left"),
+                         ((1, 1), "^the diagonal block of sigma at slot 0 is not "
+                                  "the forced one$"),
+                         ((0, 0), "at slot 0 is not"),
+                         ((2, 2), "at slot 2 is not")]:
+        rows = good.sigma.to_lists()
+        rows[r][c] += 1
+        bad = ConjugationData(IntMatrix.from_rows(rows), morse)
+        with pytest.raises(ValueError, match=want):
+            sigma_upper(bad)
+
+
 def test_bench_shims_equal_the_api_they_wrap():
     # the benchmark under bench/ calls these names; each must stay what it
     # wraps, on consistent levels and on an inconsistent one, and none is
@@ -380,10 +437,10 @@ def test_generated_level_check_survives_optimization():
     src = pathlib.Path(conjugation.__file__).resolve().parent.parent
     tests = pathlib.Path(__file__).resolve().parent
     probe = ("from conftest import coupled_alike\n"
-             "from vanlat import conjugation\n"
+             "from vanlat import conjugation, gen\n"
              "conjugation._build_sigma = coupled_alike(conjugation._build_sigma)\n"
              "try:\n"
-             "    conjugation.generate_level(5, 16, 1)\n"
+             "    gen.generate_level(5, 16, 1)\n"
              "except conjugation.GeneratedLevelError as e:\n"
              "    print(e.problem)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(tests))))
@@ -774,13 +831,14 @@ def _random_morse(rng, nu, parity):
 
 
 def _forced_shape_sigma(rng, lat, morse):
-    """A sigma of the forced block-upper shape, assembled from triples:
-    the solved upper entries, which make the level consistent when they
-    give an involution, or a few random entries that do."""
+    """A sigma of the forced block-upper shape, built from triples by
+    :func:`build_sigma`, which refuses a non-involution: the solved upper
+    entries, which make the level consistent when they give an
+    involution, or a few random entries that do."""
     nu = lat.nu
     if rng.random() < 0.5:
         try:
-            return assemble_sigma(morse, _solve_sigma_upper(lat, morse))
+            return build_sigma(morse, lat.parity, _solve_sigma_upper(lat, morse))
         except ValueError:
             pass
     upper = [(r, c) for r in range(nu) for c in range(morse.spans[r][1], nu)]
@@ -788,7 +846,7 @@ def _forced_shape_sigma(rng, lat, morse):
         triples = [(r, c, rng.choice((-2, -1, 1, 2)))
                    for r, c in rng.sample(upper, min(len(upper), rng.randint(0, 3)))]
         try:
-            return assemble_sigma(morse, triples)
+            return build_sigma(morse, lat.parity, triples)
         except ValueError:
             pass
     return assemble_sigma(morse, ())
@@ -880,6 +938,34 @@ def test_inconsistency_equals_the_companion_verdicts():
                              "companion not block lower triangular",
                              "companion not an involution; "
                              "companion not block lower triangular"}
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_analysis_never_accepts_a_non_involution(nu):
+    # the reader assembles sigma without squaring it, so the analysis is
+    # what refuses a sigma of the forced shape that is no involution: the
+    # solved upper entries with one entry moved by +-1, and a few random
+    # entries, on seeded lattices of parities 0-5, are never consistent
+    refused = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        parity = rng.randint(0, 5)
+        lat = random_lattice(rng, nu, parity, max_entry=2)
+        morse = _random_morse(rng, nu, parity)
+        above = _above_blocks(morse)
+        solved = {(r, c): v for r, c, v in _solve_sigma_upper(lat, morse)}
+        tries = [{**solved, pos: solved.get(pos, 0) + step}
+                 for pos in above for step in (1, -1)]
+        tries += [{pos: rng.choice((-2, -1, 1, 2))
+                   for pos in rng.sample(above, rng.randint(0, len(above)))}
+                  for _ in range(4)]
+        for entries in tries:
+            conj = assemble_sigma(morse, [(r, c, v) for (r, c), v in entries.items()
+                                          if v])
+            if not conj.sigma.is_involution():
+                assert LevelAnalysis(lat, conj).inconsistency is not None, seed
+                refused += 1
+    assert refused == {2: 783, 3: 3423, 4: 6805}[nu]
 
 
 @pytest.mark.parametrize("gram, points, sigma", [

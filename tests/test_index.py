@@ -2,8 +2,9 @@ import pytest
 
 from conftest import a_k_instance
 from vanlat.conjugation import (ConjugatePair, LevelAnalysis, MorseSpec,
-                                RealPoint, build_sigma, generate_level)
-from vanlat.gen import flip_last_sign, level_with_cycles, random_icis_instance
+                                RealPoint, build_sigma)
+from vanlat.gen import (flip_last_sign, generate_level, level_with_cycles,
+                        random_icis_instance)
 from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           sign_independence_check, gradient_index, morse_recursion_step,
                           smoothable_index, telescoped_index, level_index_sum,

@@ -11,7 +11,7 @@ from conftest import (INSTANCE_DIR, a_k_level, as_loaded, generated_texts,
                       instance_path, matrix_power, nonzero_rows_reference)
 from vanlat import instfile
 from vanlat.cli import main
-from vanlat.gen import random_icis_instance
+from vanlat.gen import flip_last_sign, random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import (InstanceDocument, InstanceFormatError,
                              _read_canonical, load_instance,
@@ -40,6 +40,32 @@ def test_serialize_parse_serialize_is_stable():
                                     with_cycles=True)
         text = serialize_instance(InstanceDocument(inst))
         assert serialize_instance(parse_instance_text(text)) == text
+
+
+def test_a_sigma_that_is_no_involution_reads_and_writes_back():
+    # both readers assemble a sigma of the forced shape that is no
+    # involution, [[1, 1], [0, 1]], and the writer gives the text back
+    text = instance_path("a2_index.vl").read_text(encoding="utf-8").replace(
+        "morse: [[real, 0], [real, 1]]\n  sigma_upper: [[0, 1, -1]]",
+        "morse: [[real, 0], [real, 0]]\n  sigma_upper: [[0, 1, 1]]")
+    doc = parse_instance_text(text)
+    sigma = doc.instance.levels[0].conj.sigma
+    assert sigma.rows == ((1, 1), (0, 1)) and not sigma.is_involution()
+    assert serialize_instance(doc) == text
+    as_json = parse_instance_text(json.dumps(yaml.safe_load(text)))
+    assert as_json.instance.levels[0].conj.sigma == sigma
+
+
+def test_writer_refuses_a_level_it_cannot_write_back():
+    # the sign flip of this tower gives level 0 the pair block [[-2, 3],
+    # [-1, 2]], not the forced swap, which no sigma_upper entries restore
+    inst = flip_last_sign(random_icis_instance(0, 1, 0, 16))
+    assert inst.levels[0].conj.sigma.rows[0][:2] == (-2, 3)
+    want = "^level 0: the diagonal block of sigma at slot 0 is not the forced one$"
+    with pytest.raises(ValueError, match=want):
+        serialize_instance(InstanceDocument(inst))
+    with pytest.raises(ValueError, match=want):
+        serialize_instance(InstanceDocument(inst), out=io.StringIO())
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanlat.gen import random_lattice
+from vanlat.gen import draw_entries, random_lattice
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import (SignVector, ThimbleLattice, diagonal_sign,
-                            draw_entries, gram_rows, mirror_sign,
-                            self_intersection, validate_lattice)
+                            gram_rows, mirror_sign, self_intersection,
+                            validate_lattice)
 
 
 def test_self_intersection_examples():

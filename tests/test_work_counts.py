@@ -24,6 +24,11 @@ while a dense random lattice and its braid congruence stay dense.  The
 kernel leaves the zeros of a dict sum that cancels, and storing the sum
 drops them, once per row; the involution test stores no row.  A braid
 word builds four matrices.
+
+The row kernel's cost, each nonzero weight charged the stored length of
+the row it reads, grows at most cubically in the rank on dense random
+lattices and at most linearly on A_k towers.  The counts are
+deterministic, so these growth gates cannot flake where timings would.
 """
 
 import collections
@@ -36,11 +41,11 @@ import pytest
 
 from conftest import a_k_instance, a_k_level, instance_path, rebind
 from vanlat import conjugation, gen, intmat, suite, variation
-from vanlat.basis import BraidMove, BraidWord, apply_braid_word
+from vanlat.basis import BraidMove, BraidWord, apply_braid_word, monodromy
 from vanlat.cli import main
-from vanlat.conjugation import LevelAnalysis, generate_level
-from vanlat.gen import (flip_last_sign, level_with_cycles, random_braid_word,
-                        random_icis_instance, random_lattice)
+from vanlat.conjugation import LevelAnalysis
+from vanlat.gen import (flip_last_sign, generate_level, level_with_cycles,
+                        random_braid_word, random_icis_instance, random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
                           telescoped_index)
 from vanlat.instfile import InstanceDocument, serialize_instance
@@ -413,3 +418,70 @@ def test_rank_64_braid_word_builds_four_matrices(monkeypatch):
     moved, change = apply_braid_word(lat, word)
     assert len(word) == 24 and sum(built.values()) == 4
     assert change.columns == change.matrix.transpose()
+
+
+def _kernel_cost(monkeypatch):
+    """Charge the row kernel's reads, under every name a vanlat module
+    binds it to: each nonzero weight costs the stored length of the row
+    it reads, a dict's size or a tuple's width, and 1 for a sweep's start
+    row.  A sweep's rows are read as the sweep makes them, since the
+    kernel writes each new row into the list it reads from."""
+    cost = collections.Counter()
+    combine = intmat.combine_rows
+
+    class Reading(list):
+        def __getitem__(self, t):
+            row = list.__getitem__(self, t)
+            cost[None] += 1 if row is None else len(row)
+            return row
+
+    def charging(weight_rows, rows, width, *args, **kwargs):
+        return combine(weight_rows, Reading(rows), width, *args, **kwargs)
+    rebind(monkeypatch, combine, charging)
+    return cost
+
+
+def _costs(monkeypatch, run, sizes):
+    """The kernel cost of ``run(operand)`` for the operand of each size,
+    built before its cost is counted."""
+    cost = _kernel_cost(monkeypatch)
+    out = []
+    for operand in sizes:
+        cost.clear()
+        run(operand)
+        out.append(cost[None])
+    return out
+
+
+# A braid word valid at every rank from 32 on, fixed for all of them.
+_WORD_RNG = random.Random(24)
+_WORD_24 = BraidWord(tuple(BraidMove(kind, _WORD_RNG.randint(1, 31))
+                           for kind in _WORD_RNG.choices("aAf", k=24)))
+
+
+@pytest.mark.parametrize("run", [
+    monodromy,
+    variation.var,
+    lambda lat: variation.var(lat) * variation.var_inverse(lat).transpose(),
+    lambda lat: apply_braid_word(lat, _WORD_24),
+], ids=["monodromy", "var", "var-times-var-inverse-transposed", "braid-word-24"])
+def test_dense_costs_grow_at_most_cubically(monkeypatch, run):
+    # on dense random lattices of ranks 32, 64 and 128 each doubling
+    # multiplies the kernel cost by at most 8.5: cubic in the rank, with
+    # room for the lower-order terms
+    lattices = [random_lattice(random.Random(nu), nu, 1) for nu in (32, 64, 128)]
+    costs = _costs(monkeypatch, run, lattices)
+    assert costs[0] > 0
+    assert max(b / a for a, b in zip(costs, costs[1:])) <= 8.5, costs
+
+
+@pytest.mark.parametrize("read", ["signature", "monodromy"])
+def test_a_k_costs_grow_at_most_linearly(monkeypatch, read):
+    # on A_k towers of ranks 256, 512 and 1024, whose rows stay sparse, a
+    # fresh analysis's signature or monodromy costs at most 2.2 times as
+    # much per doubling
+    levels = [a_k_instance(k).levels[0] for k in (256, 512, 1024)]
+    costs = _costs(monkeypatch, lambda level: getattr(
+        LevelAnalysis(level.lattice, level.conj), read), levels)
+    assert costs[0] > 0
+    assert max(b / a for a, b in zip(costs, costs[1:])) <= 2.2, costs
