@@ -3,10 +3,10 @@
 Every random object of the package is drawn here, and everything is
 deterministic given the seed: lattices, braid words, the values of each
 consistent level, whole tower instances with cycle data, and matched
-sign-flipped variants.  Only :mod:`vanlat.suite` draws besides, its
-families' parameters and sub-seeds, with the stdlib's methods on its
-one ``random.Random``.  The paper's objects, and the deterministic
-build of a level from its drawn values
+sign-flipped variants.  Only :mod:`vanlat.suite` draws besides, each
+``verify`` family's parameters and sub-seeds, with the stdlib's methods
+on each instance's own ``random.Random``.  The paper's objects, and the
+deterministic build of a level from its drawn values
 (:func:`vanlat.conjugation.build_level`), are in
 :mod:`vanlat.conjugation`.
 

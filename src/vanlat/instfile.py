@@ -591,8 +591,16 @@ def _matrix_lines(key, m, indent):
 
 def _lines(doc):
     """The lines of the canonical text of ``doc``, each made when asked
-    for, without its line end."""
+    for, without its line end.  Every level's ``sigma_upper`` triples are
+    taken before the first line, so a level that cannot be written back
+    is refused before anything is written."""
     inst = doc.instance
+    uppers = []
+    for level in inst.levels:
+        try:
+            uppers.append(None if level.conj is None else sigma_upper(level.conj))
+        except ValueError as e:
+            raise ValueError("level %d: %s" % (level.i, e)) from None
     yield from _HEADER.splitlines()
     for line in doc.provenance:
         yield "# provenance: %s" % line
@@ -601,7 +609,7 @@ def _lines(doc):
     yield "p: %d" % inst.p
     yield "signs: %s" % list(inst.signs.entries)
     yield "levels:"
-    for level in inst.levels:
+    for level, upper in zip(inst.levels, uppers):
         yield "- i: %d" % level.i
         yield from _matrix_lines("gram", level.lattice.gram, 2)
         if level.conj is not None:
@@ -612,10 +620,6 @@ def _lines(doc):
                 else:
                     ents.append("[pair, %d]" % pt.pairing)
             yield "  morse: [%s]" % ", ".join(ents)
-            try:
-                upper = sigma_upper(level.conj)
-            except ValueError as e:
-                raise ValueError("level %d: %s" % (level.i, e)) from None
             yield "  sigma_upper: %s" % upper
         if level.cycles is not None:
             yield "  cycles:"

@@ -1,10 +1,13 @@
 """Seeded verification runs behind ``vanlat verify``.
 
 Seven structural identities are exercised round-robin over a budget of
-random instances.  Every instance draws from the one ``random.Random(seed)``
-of :func:`run_verification`, so instance ``k`` depends on every draw
-before it: the instances are evaluated in order, and the report is
-deterministic for a given (seed, count, rank bound).
+random instances.  Instance ``k`` of a run is instance ``j = k // 7`` of
+family ``f = CHECK_NAMES[k % 7]``, and it draws from its own
+``random.Random(f"{seed} {f} {j}")``, so no instance depends on another
+and :func:`check_instance` checks any one of them alone.  CPython seeds
+from a str through its SHA-512 digest, so the draws are the same on
+every supported CPython and under any ``PYTHONHASHSEED``, and the report
+is deterministic for a given (seed, count, rank bound).
 """
 
 import random
@@ -38,86 +41,84 @@ class VerificationResult:
     counterexample: str | None = None
 
 
-def _single_level_doc(lat, conj):
-    level = LevelData(0, lat, conj)
-    inst = IcisInstance(lat.parity, 0, SignVector((1,)), (level,))
-    return serialize_instance(InstanceDocument(inst))
-
-
-def _check_instance(rng, name, rank_bound):
-    """One random instance of family ``name``: ``(problem, witness)``, the
-    problem ``None`` on a pass and the witness the instance file of a
-    failure: the whole instance a family drew, else its one level."""
+def check_instance(seed: int, family: str, j: int, rank_bound: int):
+    """Instance ``j`` of ``family`` in the run seeded ``seed``: ``(problem,
+    witness)``, the problem ``None`` on a pass and the witness the
+    instance file of a failure: the whole instance a family drew, else
+    its one level, with the braid word it drew.  A generated level that
+    fails its own check fails the family that drew it, with that level as
+    the witness, and a cross-check that raises ``AssertionError`` fails
+    the instance it checks."""
+    rng = random.Random(f"{seed} {family} {j}")
     problem = conj = inst = None
-    if name in ("s-relation", "monodromy-relation"):
-        parity = rng.choice((1, 2, 3, 4, 5))
-        nu = rng.randint(0, rank_bound)
-        lat = random_lattice(rng, nu, parity)
-        check = (check_s_relation if name == "s-relation"
-                 else check_monodromy_relation)
-        problem = check(lat)
-    elif name == "braid-invariance":
-        parity = rng.choice((1, 2, 3, 4))
-        nu = rng.randint(0, rank_bound)
-        lat = random_lattice(rng, nu, parity)
-        word = random_braid_word(rng, nu)
-        problem = var_inverse_as_operator_after_braid(lat, word)
-    elif name in ("symmetric-nondegenerate", "block-form"):
-        # the generator has checked the level's consistency and block form
-        parity = rng.choice((1, 2, 3, 4))
-        analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
-        lat, conj = analysis.lattice, analysis.conj
-        if name == "symmetric-nondegenerate":
-            try:
+    words = ()
+    try:
+        if family in ("s-relation", "monodromy-relation"):
+            parity = rng.choice((1, 2, 3, 4, 5))
+            lat = random_lattice(rng, rng.randint(0, rank_bound), parity)
+            check = (check_s_relation if family == "s-relation"
+                     else check_monodromy_relation)
+            problem = check(lat)
+        elif family == "braid-invariance":
+            parity = rng.choice((1, 2, 3, 4))
+            nu = rng.randint(0, rank_bound)
+            lat = random_lattice(rng, nu, parity)
+            word = random_braid_word(rng, nu)
+            words = (word,)
+            problem = var_inverse_as_operator_after_braid(lat, word)
+        elif family in ("symmetric-nondegenerate", "block-form"):
+            # the generator has checked the level's consistency and block form
+            parity = rng.choice((1, 2, 3, 4))
+            analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
+            lat, conj = analysis.lattice, analysis.conj
+            if family == "symmetric-nondegenerate":
                 analysis.signature  # raises on an asymmetric or degenerate form
                 if analysis.form.det() not in (1, -1):
                     problem = "form not symmetric and unimodular"
-            except (ValueError, AssertionError) as e:
+            elif analysis.signature.sgn != signature_by_blocks(lat, conj):
+                problem = "signature disagrees with block closed form"
+        elif family == "cycle-route-agreement":
+            parity = rng.choice((1, 3, 5))
+            analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
+            lat, conj = analysis.lattice, analysis.conj
+            level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
+            s = rng.choice((1, -1))
+            t2 = level_index_sum(level, parity, s)
+            try:
+                t3 = cycle_index_sum(level, s)
+                if t2 != t3:
+                    problem = "cycle route gives %d, thimble route %d" % (t3, t2)
+            except ValueError as e:
                 problem = str(e)
-        elif analysis.signature.sgn != signature_by_blocks(lat, conj):
-            problem = "signature disagrees with block closed form"
-    elif name == "cycle-route-agreement":
-        parity = rng.choice((1, 3, 5))
-        analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
-        lat, conj = analysis.lattice, analysis.conj
-        level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
-        s = rng.choice((1, -1))
-        t2 = level_index_sum(level, parity, s)
-        try:
-            t3 = cycle_index_sum(level, s)
-            if t2 != t3:
-                problem = "cycle route gives %d, thimble route %d" % (t3, t2)
-        except ValueError as e:
-            problem = str(e)
-    else:  # telescoping, plus the matched sign-flip comparison
-        n = rng.choice((1, 2, 3))
-        p = rng.choice((0, 1, 2))
-        inst = random_icis_instance(rng.randrange(2 ** 32), n, p, max(rank_bound, 0))
-        if telescoped_index(inst) != gradient_index(inst):
-            problem = "telescoped recursion disagrees with closed formula"
-        else:
-            problem = sign_independence_check([inst, flip_last_sign(inst)])
+        else:  # telescoping, plus the matched sign-flip comparison
+            n = rng.choice((1, 2, 3))
+            p = rng.choice((0, 1, 2))
+            inst = random_icis_instance(rng.randrange(2 ** 32), n, p, max(rank_bound, 0))
+            if telescoped_index(inst) != gradient_index(inst):
+                problem = "telescoped recursion disagrees with closed formula"
+            else:
+                problem = sign_independence_check([inst, flip_last_sign(inst)])
+    except GeneratedLevelError as e:
+        problem, lat, conj = str(e), e.lattice, e.conj
+    except AssertionError as e:
+        problem = str(e)
     if not problem:
         return None, None
-    if inst is not None:
-        return problem, serialize_instance(InstanceDocument(inst))
-    return problem, _single_level_doc(lat, conj)
+    if inst is None:
+        inst = IcisInstance(lat.parity, 0, SignVector((1,)), (LevelData(0, lat, conj),))
+    return problem, serialize_instance(InstanceDocument(inst, words))
 
 
 def run_verification(seed: int, count: int, rank_bound: int) -> VerificationResult:
-    """Run ``count`` instances round-robin over the families; stop at the
-    first failure, with its line and counterexample.  A generated level
-    that fails its own check fails the family that drew it, with that
-    level as the counterexample."""
-    rng = random.Random(seed)
+    """Run ``count`` instances round-robin over the families, each by
+    :func:`check_instance`; stop at the first failure, with its line and
+    counterexample."""
     passed = {name: 0 for name in CHECK_NAMES}
     lines = []
     for k in range(count):
         name = CHECK_NAMES[k % len(CHECK_NAMES)]
-        try:
-            problem, witness = _check_instance(rng, name, rank_bound)
-        except GeneratedLevelError as e:
-            problem, witness = str(e), _single_level_doc(e.lattice, e.conj)
+        problem, witness = check_instance(seed, name, k // len(CHECK_NAMES),
+                                          rank_bound)
         if problem:
             lines.append("FAIL %s (instance %d): %s" % (name, k, problem))
             return VerificationResult(False, lines, witness)

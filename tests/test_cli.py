@@ -11,10 +11,10 @@ import pytest
 import yaml
 
 import vanlat
-from conftest import coupled_alike, instance_path
+from conftest import (FORCED_FAILURES, coupled_alike, generate_with_form_2,
+                      instance_path)
 from vanlat.basis import monodromy
 from vanlat.cli import main
-from vanlat.gen import generate_level
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
@@ -447,18 +447,10 @@ def test_verify_failure_serializes_reparseable_counterexample(
     assert doc.instance.p == 0
 
 
-def _generate_with_form_2(*args):
-    # [[2]] is symmetric and nondegenerate but has det 2; it replaces the
-    # form of the analysis the family reads, after the generator's checks
-    analysis = generate_level(*args)
-    analysis.form = IntMatrix.from_rows([[2]])
-    return analysis
-
-
 def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
                                                       monkeypatch):
     import vanlat.suite as suite
-    monkeypatch.setattr(suite, "generate_level", _generate_with_form_2)
+    monkeypatch.setattr(suite, "generate_level", generate_with_form_2)
     out_file = tmp_path / "ce.vl"
     code, out, _ = run(capsys, "verify", "--seed", "2", "--count", "7",
                        "--rank-bound", "4", "--output", out_file)
@@ -471,46 +463,12 @@ def test_verify_rejects_a_form_that_is_not_unimodular(tmp_path, capsys,
     assert doc.instance.levels[0].lattice.violation is None
 
 
-# each family fails through the name ``suite`` calls for its check; the
-# FAIL line and every byte of the counterexample file are pinned
-_FORCED_FAILURES = {
-    "s-relation": (
-        ("check_s_relation", lambda lat: "forced failure"),
-        "forced failure",
-        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
-    "monodromy-relation": (
-        ("check_monodromy_relation", lambda lat: "forced failure"),
-        "forced failure",
-        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
-    "braid-invariance": (
-        ("var_inverse_as_operator_after_braid", lambda lat, word: "forced failure"),
-        "forced failure",
-        "94d1920c5de978a39ab488d5ba5a7bb1f5a54f907a0f0afe34a1ae2f5265402c"),
-    "symmetric-nondegenerate": (
-        ("generate_level", _generate_with_form_2),
-        "form not symmetric and unimodular",
-        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
-    "block-form": (
-        ("signature_by_blocks", lambda lat, conj: None),
-        "signature disagrees with block closed form",
-        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
-    "cycle-route-agreement": (
-        ("cycle_index_sum", lambda level, s: 1000),
-        "cycle route gives 1000, thimble route -4",
-        "da79130cb423d5f5765f97109beac9046fae7970d467a6e2c3c2db25eaec0182"),
-    "telescoping": (
-        ("telescoped_index", lambda inst: None),
-        "telescoped recursion disagrees with closed formula",
-        "0a66a3808b72c599077c283917d5baf7ef271e685156e599db41cf96ebb8f389"),
-}
-
-
-@pytest.mark.parametrize("family", sorted(_FORCED_FAILURES))
+@pytest.mark.parametrize("family", sorted(FORCED_FAILURES))
 def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys,
                                                         monkeypatch):
     import vanlat.suite as suite
-    assert set(_FORCED_FAILURES) == set(suite.CHECK_NAMES)
-    patch, problem, digest = _FORCED_FAILURES[family]
+    assert set(FORCED_FAILURES) == set(suite.CHECK_NAMES)
+    patch, problem, digest = FORCED_FAILURES[family]
     monkeypatch.setattr(suite, *patch)
     monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
     out_file = tmp_path / "ce.vl"
@@ -521,6 +479,12 @@ def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys
                                 "FAIL %s (instance 0): %s" % (family, problem),
                                 "counterexample written to %s" % out_file]
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    # the witness reads back and validates, the braid word it drew included
+    code, out, err = run(capsys, "validate", out_file)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "ok"
+    assert (("braid word 0: ok (f3 A2 f7 f8 a1 f2 A1)" in out.splitlines())
+            == (family == "braid-invariance"))
 
 
 @pytest.mark.parametrize("family", ["symmetric-nondegenerate", "block-form",
@@ -551,6 +515,62 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     assert (code, err) == (1, "")
     assert "level 0: FAIL conjugation: companion not an involution" in out.splitlines()
 
+
+def test_verify_reports_a_braid_cross_check_that_raises(tmp_path, capsys,
+                                                        monkeypatch):
+    # the real braid step, then 1 added to the diagonal entry it moved: the
+    # closed-form gram update no longer agrees with the congruence, and
+    # the AssertionError that reports it ends the run with one FAIL line
+    # and the lattice and word that drew it, not a traceback
+    import vanlat.basis as basis
+    import vanlat.suite as suite
+    real = basis._STEPS["a"]
+
+    def bumped_step(g, cols, k, parity):
+        real(g, cols, k, parity)
+        g[k][k] += 1
+
+    monkeypatch.setitem(basis._STEPS, "a", bumped_step)
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "21",
+                         "--rank-bound", "8", "--output", out_file)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("FAIL braid-invariance (instance 2): closed-form "
+                               "gram update disagrees with congruence: [[")
+    assert lines[2:] == ["counterexample written to %s" % out_file]
+    # instance 2 is the family's instance 0, which replays alone
+    problem = lines[1].split(": ", 1)[1]
+    assert suite.check_instance(2, "braid-invariance", 0, 8) == (
+        problem, out_file.read_text())
+    from vanlat.instfile import parse_instance_text
+    doc = parse_instance_text(out_file.read_text())
+    assert [str(w) for w in doc.braid_words] == ["f3 A2 f7 f8 a1 f2 A1"]
+
+
+@pytest.mark.parametrize("family", ["block-form", "cycle-route-agreement"])
+def test_verify_reports_a_signature_that_raises(family, tmp_path, capsys,
+                                                monkeypatch):
+    # exact_signature reads every form as wholly null, so
+    # LevelAnalysis.signature raises AssertionError on a level of positive
+    # rank: that fails the family that read it, with that level as the
+    # counterexample
+    import vanlat.conjugation as conjugation
+    import vanlat.suite as suite
+    from vanlat.signature import Signature
+    monkeypatch.setattr(conjugation, "exact_signature",
+                        lambda form: Signature(0, 0, form.nrows))
+    monkeypatch.setattr(suite, "CHECK_NAMES", (family,))
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
+                         "--rank-bound", "8", "--output", out_file)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("FAIL %s (instance 0): form [[" % family)
+    assert lines[1].endswith("]] is degenerate on a consistent instance")
+    assert lines[2:] == ["counterexample written to %s" % out_file]
+    code, out, err = run(capsys, "validate", out_file)
+    assert (code, err) == (0, "")
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation

@@ -170,6 +170,27 @@ def test_flip_last_sign_keeps_the_cycle_padding():
     assert (with_cycles, padded) == (67, 37)
 
 
+def test_level_index_sum_is_the_signed_trace_of_sigma():
+    # on a consistent level sgn(var_inverse * sigma) = d * tr(sigma), so
+    # the level's index sum is s^(n+i) * tr(sigma): the signed count of
+    # its real critical points by Morse index.  The flipped pair blocks
+    # at level 0, which are not of the forced shape, keep it too
+    levels = of_positive_rank = 0
+    for seed in range(400):
+        n = 1 + seed % 3
+        inst = random_icis_instance(seed, n, seed % 3, (4, 8, 16, 64)[seed % 4])
+        for tower in (inst, flip_last_sign(inst)):
+            for level in tower.levels:
+                sigma = level.conj.sigma
+                trace = sum(sigma[r, r] for r in range(sigma.nrows))
+                for s in (1, -1):
+                    power = s if (n + level.i) % 2 else 1
+                    assert level_index_sum(level, n, s) == power * trace
+                levels += 1
+                of_positive_rank += level.lattice.nu > 0
+    assert (levels, of_positive_rank) == (1598, 1424)
+
+
 def _pairs(level):
     return sum(isinstance(pt, ConjugatePair) for pt in level.conj.morse.points)
 

@@ -64,8 +64,11 @@ def test_writer_refuses_a_level_it_cannot_write_back():
     want = "^level 0: the diagonal block of sigma at slot 0 is not the forced one$"
     with pytest.raises(ValueError, match=want):
         serialize_instance(InstanceDocument(inst))
+    # the streaming writer refuses the level before its first line
+    stream = io.StringIO()
     with pytest.raises(ValueError, match=want):
-        serialize_instance(InstanceDocument(inst), out=io.StringIO())
+        serialize_instance(InstanceDocument(inst), out=stream)
+    assert stream.getvalue() == ""
 
 
 @pytest.mark.parametrize("name", SHIPPED)
