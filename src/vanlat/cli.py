@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: validate, compute, braid, verify, gen.  Exit codes: 0 on
-success, 1 when a validation or verification fails or memory runs out,
-2 for usage, file and parse errors and refused requests.  All output is
-deterministic given the arguments (and seed, where one applies).
+success, 1 when a validation, verification or cross-check fails or
+memory runs out, 2 for usage, file and parse errors, refused requests
+and a closed stdout.  All output is deterministic given the arguments
+(and seed, where one applies).
 """
 
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from .basis import apply_braid_word, monodromy, parse_braid_word
@@ -159,7 +161,7 @@ def cmd_compute(args):
             return "%s, sgn = %d" % (sig, sig.sgn)
         emit([(lv.i, render(lv)) for lv in levels])
     elif args.what == "level-sums":
-        emit([(lv.i, str(level_index_sum(lv, inst.n, inst.sign_for_level(lv.i))))
+        emit([(lv.i, str(level_index_sum(lv, inst.sign_for_level(lv.i))))
               for lv in levels])
     elif args.what == "cycle-sums":
         try:
@@ -299,14 +301,22 @@ def main(argv=None) -> int:
         if getattr(args, "rank_bound", 0) > _RANK_BOUND_CEILING:  # before any draw
             raise Refusal("refused: --rank-bound %d is above the ceiling %d"
                           % (args.rank_bound, _RANK_BOUND_CEILING))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+        return code
+    except BrokenPipeError:
+        # whatever is still buffered goes to devnull, so that the
+        # interpreter's last flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("cannot write stdout", file=sys.stderr)
+        return 2
     except InstanceFormatError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
     except Refusal as e:
         print(e, file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, AssertionError) as e:  # bad input, or a failed cross-check
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError:

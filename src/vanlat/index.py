@@ -113,19 +113,17 @@ def _sign_power(s: int, exponent: int) -> int:
     return s if exponent % 2 else 1
 
 
-def level_index_sum(level: LevelData, n: int, s_entry: int) -> int:
+def level_index_sum(level: LevelData, s_entry: int) -> int:
     """Index sum over the level's real critical points, from signatures:
 
-        s^(n+i) * (-1)^((n+i)(n+i+1)/2) * sgn(var_inverse * sigma)
+        s^p * (-1)^(p(p+1)/2) * sgn(var_inverse * sigma)
+
+    where ``p`` is the level's parity, ``n + i`` in its tower.
     """
     if type(s_entry) is not int or s_entry not in (1, -1):
         raise ValueError("sign entry must be +1 or -1")
-    parity = n + level.i
-    if level.lattice.parity != parity:
-        raise ValueError("level %d: parity %d != n + i = %d"
-                         % (level.i, level.lattice.parity, parity))
-    sgn = level.analysis.signature.sgn
-    return _sign_power(s_entry, parity) * diagonal_sign(parity) * sgn
+    p = level.lattice.parity
+    return _sign_power(s_entry, p) * diagonal_sign(p) * level.analysis.signature.sgn
 
 
 def gradient_index(inst: IcisInstance) -> int:
@@ -136,11 +134,10 @@ def gradient_index(inst: IcisInstance) -> int:
     cancels and the summand reduces to
     ``(-1)^((n+i)(n+i-1)/2) * sgn(var_inverse * sigma)``.
     """
-    total = level_index_sum(inst.levels[0], inst.n, inst.sign_for_level(0))
+    total = level_index_sum(inst.levels[0], inst.sign_for_level(0))
     for level in inst.levels[1:]:
         s = inst.sign_for_level(level.i)
-        coeff = _sign_power(-s, inst.n + level.i)
-        total += coeff * level_index_sum(level, inst.n, s)
+        total += _sign_power(-s, level.lattice.parity) * level_index_sum(level, s)
     return total
 
 
@@ -168,12 +165,11 @@ def telescoped_index(inst: IcisInstance) -> int:
     """
     chi = 1
     for level in reversed(inst.levels[1:]):
-        i = level.i
-        s = inst.sign_for_level(i)
-        sum_ind = level_index_sum(level, inst.n, s)
+        s = inst.sign_for_level(level.i)
+        sum_ind = level_index_sum(level, s)
         # descending the tower inverts the step, so feed it the negated sum
-        chi = morse_recursion_step(chi, -sum_ind, s, inst.n + i)
-    sum0 = level_index_sum(inst.levels[0], inst.n, inst.sign_for_level(0))
+        chi = morse_recursion_step(chi, -sum_ind, s, level.lattice.parity)
+    sum0 = level_index_sum(inst.levels[0], inst.sign_for_level(0))
     return smoothable_index(sum0, chi)
 
 

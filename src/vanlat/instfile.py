@@ -195,10 +195,7 @@ def _level(data, want_i, parity, where):
             cycles = CycleData(form, sigma, tilde)
         except ValueError as e:
             raise InstanceFormatError(str(e), where=cw)
-    try:
-        return LevelData(i, lat, conj, cycles)
-    except ValueError as e:
-        raise InstanceFormatError(str(e), where=where)
+    return LevelData(i, lat, conj, cycles)
 
 
 # The canonical reader.  An integer is written as below, in JSON's own
@@ -526,10 +523,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
                                   % (p + 1, len(raw_levels)), where="levels")
     levels = tuple(_level(raw, i, n + i, "levels[%d]" % i)
                    for i, raw in enumerate(raw_levels))
-    try:
-        instance = IcisInstance(n, p, signs, levels)
-    except ValueError as e:
-        raise InstanceFormatError(str(e), where="levels")
+    instance = IcisInstance(n, p, signs, levels)
 
     raw_words = data.get("braid_words")
     if raw_words is not None and not isinstance(raw_words, list):

@@ -183,6 +183,11 @@ class IntMatrix:
     def to_lists(self):
         return [list(r) for r in self.rows]
 
+    def diagonal(self):
+        """The entries ``(a[0][0], a[1][1], ...)``, read off the stored rows."""
+        return tuple(row.get(r, 0) if type(row) is dict else row[r]
+                     for r, row in enumerate(self.stored_rows[:self.ncols]))
+
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -290,11 +295,10 @@ class IntMatrix:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         out = 1
-        rows = self.stored_rows
+        rows, diagonal = self.stored_rows, self.diagonal()
         for comp in components(rows):
             if len(comp) == 1:
-                r = comp[0]
-                out *= rows[r].get(r, 0) if type(rows[r]) is dict else rows[r][r]
+                out *= diagonal[comp[0]]
                 continue
             block = submatrix(rows, comp)
             if len(comp) == 2:

@@ -91,9 +91,7 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
     g = lat.gram
     want = self_intersection(lat.parity)
     eps = mirror_sign(lat.parity)
-    if g.is_symmetric(eps) and all(
-            (row.get(r, 0) if type(row) is dict else row[r]) == want
-            for r, row in enumerate(g.stored_rows)):
+    if g.is_symmetric(eps) and all(x == want for x in g.diagonal()):
         return None
     # something is wrong: find the first violation in reading order
     for r in range(g.nrows):

@@ -46,11 +46,10 @@ def exact_signature(m: IntMatrix) -> Signature:
     if not m.is_symmetric():
         raise ValueError("signature of a non-symmetric matrix")
     n_plus = n_minus = n_zero = 0
+    diagonal = m.diagonal()
     for comp in components(m.stored_rows):
         if len(comp) == 1:
-            r = comp[0]
-            row = m.stored_rows[r]
-            x = row.get(r, 0) if type(row) is dict else row[r]
+            x = diagonal[comp[0]]
             p, q, z = x > 0, x < 0, x == 0
         else:
             p, q, z = _component_inertia(submatrix(m.stored_rows, comp))

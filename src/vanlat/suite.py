@@ -19,7 +19,7 @@ from .gen import (flip_last_sign, generate_level, level_with_cycles,
 from .index import (IcisInstance, LevelData, sign_independence_check, gradient_index,
                     telescoped_index, level_index_sum, cycle_index_sum)
 from .instfile import InstanceDocument, serialize_instance
-from .lattice import SignVector
+from .lattice import SignVector, diagonal_sign
 from .variation import (check_monodromy_relation, check_s_relation,
                         var_inverse_as_operator_after_braid)
 
@@ -77,13 +77,16 @@ def check_instance(seed: int, family: str, j: int, rank_bound: int):
                     problem = "form not symmetric and unimodular"
             elif analysis.signature.sgn != signature_by_blocks(lat, conj):
                 problem = "signature disagrees with block closed form"
+            elif analysis.signature.sgn != (diagonal_sign(parity)
+                                            * sum(conj.sigma.diagonal())):
+                problem = "signature disagrees with d * tr(sigma)"
         elif family == "cycle-route-agreement":
             parity = rng.choice((1, 3, 5))
             analysis = generate_level(rng.randrange(2 ** 32), rank_bound, parity)
             lat, conj = analysis.lattice, analysis.conj
             level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
             s = rng.choice((1, -1))
-            t2 = level_index_sum(level, parity, s)
+            t2 = level_index_sum(level, s)
             try:
                 t3 = cycle_index_sum(level, s)
                 if t2 != t3:

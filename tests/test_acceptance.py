@@ -174,7 +174,7 @@ def test_criterion_08_cycle_route():
         analysis = generate_level(rng.randrange(2 ** 32), 7, parity)
         level = level_with_cycles(0, analysis, pad=rng.choice((0, 1, 2)))
         s = rng.choice((1, -1))
-        assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
+        assert cycle_index_sum(level, s) == level_index_sum(level, s)
     # even-parity refusal with a diagnostic
     lat = ThimbleLattice(2, IntMatrix.from_rows([[0]]))
     from vanlat.conjugation import MorseSpec, RealPoint, build_sigma

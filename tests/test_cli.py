@@ -487,6 +487,23 @@ def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys
             == (family == "braid-invariance"))
 
 
+def test_block_form_checks_the_trace_identity(tmp_path, capsys, monkeypatch):
+    # with d negated the block closed form still agrees, and the signed
+    # trace of sigma is the check that fails
+    import vanlat.suite as suite
+    real = suite.diagonal_sign
+    monkeypatch.setattr(suite, "diagonal_sign", lambda parity: -real(parity))
+    monkeypatch.setattr(suite, "CHECK_NAMES", ("block-form",))
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
+                         "--rank-bound", "8", "--output", out_file)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == ("FAIL block-form (instance 0): signature "
+                                   "disagrees with d * tr(sigma)")
+    code, out, err = run(capsys, "validate", out_file)
+    assert (code, out.splitlines()[-1], err) == (0, "ok", "")
+
+
 @pytest.mark.parametrize("family", ["symmetric-nondegenerate", "block-form",
                                     "cycle-route-agreement", "telescoping"])
 def test_verify_reports_a_generated_level_that_fails_its_check(
@@ -516,14 +533,12 @@ def test_verify_reports_a_generated_level_that_fails_its_check(
     assert "level 0: FAIL conjugation: companion not an involution" in out.splitlines()
 
 
-def test_verify_reports_a_braid_cross_check_that_raises(tmp_path, capsys,
-                                                        monkeypatch):
-    # the real braid step, then 1 added to the diagonal entry it moved: the
-    # closed-form gram update no longer agrees with the congruence, and
-    # the AssertionError that reports it ends the run with one FAIL line
-    # and the lattice and word that drew it, not a traceback
+def _bump_the_a_step(monkeypatch):
+    """Patch the forward braid step to add 1 to the diagonal entry it
+    moved, after the real step: the closed-form gram update then no
+    longer agrees with the congruence, and ``apply_braid_word`` raises
+    the AssertionError that reports it."""
     import vanlat.basis as basis
-    import vanlat.suite as suite
     real = basis._STEPS["a"]
 
     def bumped_step(g, cols, k, parity):
@@ -531,6 +546,14 @@ def test_verify_reports_a_braid_cross_check_that_raises(tmp_path, capsys,
         g[k][k] += 1
 
     monkeypatch.setitem(basis._STEPS, "a", bumped_step)
+
+
+def test_verify_reports_a_braid_cross_check_that_raises(tmp_path, capsys,
+                                                        monkeypatch):
+    # the AssertionError of the bumped step ends the run with one FAIL line
+    # and the lattice and word that drew it, not a traceback
+    import vanlat.suite as suite
+    _bump_the_a_step(monkeypatch)
     out_file = tmp_path / "ce.vl"
     code, out, err = run(capsys, "verify", "--seed", "2", "--count", "21",
                          "--rank-bound", "8", "--output", out_file)
@@ -775,3 +798,46 @@ def test_out_of_memory_is_one_line_and_exit_1(command, target, capsys,
     code, out, err = run(capsys, command, "--seed", "1", "--rank-bound", "8")
     assert (code, err) == (1, "error: out of memory\n")
     assert out == ("seed 1, count 500, rank bound 8\n" if command == "verify" else "")
+
+
+def test_braid_ends_a_failed_cross_check_in_one_line(tmp_path, capsys,
+                                                     monkeypatch):
+    # the braid-invariance witness of the bumped step, moved by its word
+    # outside verify: the AssertionError is one line and exit 1
+    import vanlat.suite as suite
+    _bump_the_a_step(monkeypatch)
+    problem, witness = suite.check_instance(2, "braid-invariance", 0, 8)
+    path = tmp_path / "witness.vl"
+    path.write_text(witness)
+    code, out, err = run(capsys, "braid", path, "f3 A2 f7 f8 a1 f2 A1")
+    assert (code, out, err) == (1, "", "error: %s\n" % problem)
+
+
+def test_compute_ends_a_failed_cross_check_in_one_line(capsys, monkeypatch):
+    # a signature that raises on a consistent level fails the analysis's
+    # own check, an AssertionError: one line and exit 1
+    import vanlat.conjugation as conjugation
+
+    def refuses(form):
+        raise ValueError("signature of a non-symmetric matrix")
+    monkeypatch.setattr(conjugation, "exact_signature", refuses)
+    code, out, err = run(capsys, "compute", instance_path("a2_index.vl"),
+                         "--what", "signature")
+    assert (code, out) == (1, "")
+    assert err == ("error: form [[-1, 0], [0, 1]] is not symmetric on a "
+                   "consistent instance\n")
+
+
+def test_a_closed_stdout_is_one_line_and_exit_2():
+    # the reader takes 100 bytes of a 288 kB instance and closes the pipe:
+    # the write that fails ends the run, and so does no later flush
+    src = pathlib.Path(vanlat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vanlat.cli", "gen", "--seed", "1",
+         "--rank-bound", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (2, b"cannot write stdout\n")

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import a_k_instance
-from vanlat.conjugation import (ConjugatePair, LevelAnalysis, MorseSpec,
-                                RealPoint, build_sigma)
+from vanlat.conjugation import (ConjugatePair, ConjugationData, LevelAnalysis,
+                                MorseSpec, RealPoint, build_sigma, sigma_upper)
 from vanlat.gen import (flip_last_sign, generate_level, level_with_cycles,
                         random_icis_instance)
 from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
@@ -11,9 +11,9 @@ from vanlat.index import (CycleData, EvenParityError, IcisInstance, LevelData,
                           cycle_index_sum)
 from vanlat.instfile import parse_instance_text
 from vanlat.intmat import IntMatrix
-from vanlat.lattice import SignVector, ThimbleLattice
+from vanlat.lattice import SignVector, ThimbleLattice, diagonal_sign, gram_rows
 from vanlat.oracle import index_1d, index_2d, poly2
-from vanlat.signature import Signature
+from vanlat.signature import Signature, exact_signature
 
 
 def level_a1(sign=1):
@@ -36,12 +36,12 @@ def inst_p0(level, n=1, sign=1):
 # -- level_index_sum -----------------------------------------------------------
 
 def test_level_sum_a1_minimum_matches_1d_oracle():
-    assert level_index_sum(level_a1(), 1, 1) == 1
+    assert level_index_sum(level_a1(), 1) == 1
     assert index_1d([0, 0, 1]) == 1  # the germ of x^2
 
 
 def test_level_sum_a2_matches_1d_oracle():
-    assert level_index_sum(level_a2(), 1, 1) == 0
+    assert level_index_sum(level_a2(), 1) == 0
     # morsified cubic x^3 - 3x: critical points at +-1, indices +1 and -1
     at_plus_one = index_1d([-2, 0, 3, 1])    # shift x -> x+1
     at_minus_one = index_1d([2, 0, -3, 1])   # shift x -> x-1
@@ -52,21 +52,19 @@ def test_level_sum_a2_matches_1d_oracle():
 def test_level_sum_rank_zero():
     lat = ThimbleLattice(1, IntMatrix(()))
     conj = build_sigma(MorseSpec(()), 1, [])
-    assert level_index_sum(LevelData(0, lat, conj), 1, 1) == 0
+    assert level_index_sum(LevelData(0, lat, conj), 1) == 0
 
 
-def test_level_sum_rejects_bad_sign_and_parity():
+def test_level_sum_rejects_bad_sign():
     with pytest.raises(ValueError):
-        level_index_sum(level_a1(), 1, 0)
-    with pytest.raises(ValueError):
-        level_index_sum(level_a1(), 2, 1)  # parity 1 != n + i = 2
+        level_index_sum(level_a1(), 0)
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0, True])
 def test_index_functions_take_only_an_int_sign(s):
     # 1.0 in (1, -1) holds, so the type is tested too, as SignVector does
     with pytest.raises(ValueError, match="sign entry must be"):
-        level_index_sum(level_a1(), 1, s)
+        level_index_sum(level_a1(), s)
     with pytest.raises(ValueError, match="sign entry must be"):
         cycle_index_sum(level_a1(), s)
     with pytest.raises(ValueError, match="sign must be"):
@@ -185,10 +183,34 @@ def test_level_index_sum_is_the_signed_trace_of_sigma():
                 trace = sum(sigma[r, r] for r in range(sigma.nrows))
                 for s in (1, -1):
                     power = s if (n + level.i) % 2 else 1
-                    assert level_index_sum(level, n, s) == power * trace
+                    assert level_index_sum(level, s) == power * trace
                 levels += 1
                 of_positive_rank += level.lattice.nu > 0
     assert (levels, of_positive_rank) == (1598, 1424)
+
+
+@pytest.mark.parametrize("indices", [(0, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 1)])
+def test_the_basis_invariant_half_of_consistency_does_not_fix_the_index(indices):
+    # sigma^2 = I and F = var_inverse * sigma symmetric (so the companion
+    # is an involution), yet sgn F != d * tr(sigma): only the companion's
+    # block-lower-triangular verdict, which needs the descriptors, tells
+    # this level from a consistent one.  No instance file holds it, since
+    # sigma has entries left of its block diagonal
+    v = IntMatrix.from_rows([[1, 4, 5, 5], [0, 1, 2, 6], [0, 0, 1, 5], [0, 0, 0, 1]])
+    sigma = IntMatrix.from_rows([[-1, -4, -4, -2], [0, 1, 0, 0], [1, 2, 3, 1],
+                                 [-2, -4, -4, -1]])
+    upper = [-x for r, row in enumerate(v.rows) for x in row[r + 1:]]
+    lat = ThimbleLattice(3, IntMatrix(gram_rows(4, 3, upper), 4))
+    conj = ConjugationData(sigma, MorseSpec(tuple(map(RealPoint, indices))))
+    analysis = LevelAnalysis(lat, conj)
+    assert analysis.var_inverse == v
+    form = v * sigma
+    assert sigma.is_involution() and form.is_symmetric()
+    assert analysis.inconsistency == "companion not block lower triangular"
+    assert exact_signature(form).sgn == -2
+    assert diagonal_sign(3) * sum(sigma.diagonal()) == 2
+    with pytest.raises(ValueError, match="sigma"):
+        sigma_upper(conj)
 
 
 def _pairs(level):
@@ -256,7 +278,7 @@ def test_cycle_sum_equal_signatures_give_zero():
     conj = build_sigma(MorseSpec((ConjugatePair(1),)), 1, [])
     level = level_with_cycles(0, LevelAnalysis(lat, conj))
     assert cycle_index_sum(level, 1) == 0
-    assert level_index_sum(level, 1, 1) == 0
+    assert level_index_sum(level, 1) == 0
 
 
 def test_level_shares_the_analysis_of_its_cycle_data():
@@ -282,7 +304,7 @@ def test_cycle_sum_matches_level_sum_on_generated_instances():
         for pad in (0, 2):
             level = level_with_cycles(0, analysis, pad=pad)
             for s in (1, -1):
-                assert cycle_index_sum(level, s) == level_index_sum(level, parity, s)
+                assert cycle_index_sum(level, s) == level_index_sum(level, s)
 
 
 def test_cycle_sum_refuses_even_parity():
@@ -335,7 +357,7 @@ def test_index_is_an_int_at_negative_parity(n):
             + "".join("- i: %d\n  gram: %s\n  morse: [[pair, 1]]\n"
                       % (i, gram[(n + i) % 2]) for i in (0, 1)))
     inst = parse_instance_text(text).instance
-    values = [level_index_sum(lv, n, -1) for lv in inst.levels]
+    values = [level_index_sum(lv, -1) for lv in inst.levels]
     values += [gradient_index(inst), telescoped_index(inst)]
     assert values == [0, 0, 0, 0]
     assert all(type(v) is int for v in values)

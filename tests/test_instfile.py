@@ -156,6 +156,27 @@ def test_sign_count_must_match_p():
         parse_instance_text(text)
 
 
+@pytest.mark.parametrize("order, k, found", [((1, 0), 0, 1), ((0, 0), 1, 0)])
+def test_out_of_order_levels_are_refused_at_the_level(order, k, found):
+    text = ("format: 1\nn: 1\np: 1\nsigns: [1, 1]\nlevels:\n"
+            + "".join("- i: %d\n  gram: []\n" % i for i in order))
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance_text(text)
+    assert err.value.where == "levels[%d]" % k
+    assert str(err.value) == ("levels out of order: found i=%d, expected %d "
+                              "at levels[%d]" % (found, k, k))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_level_list_of_the_wrong_length_is_refused_at_levels(count):
+    text = ("format: 1\nn: 1\np: 1\nsigns: [1, 1]\nlevels:\n"
+            + "".join("- i: %d\n  gram: []\n" % i for i in range(count)))
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance_text(text)
+    assert err.value.where == "levels"
+    assert str(err.value) == "expected 2 levels, got %d at levels" % count
+
+
 def test_non_canonical_yaml_still_parses():
     # flow style and reordered keys parse to the same instance
     text = ("signs: [1]\nformat: 1\nlevels: [{i: 0, gram: [[2]],"

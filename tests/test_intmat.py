@@ -518,6 +518,8 @@ def test_built_dense_and_built_sparse_agree(rows):
                         for row in rows], n)
     assert dense == sparse and hash(dense) == hash(sparse)
     assert dense.stored_rows == sparse.stored_rows
+    assert dense.diagonal() == sparse.diagonal() == tuple(
+        rows[r][r] for r in range(n))
     assert dense.rows == sparse.rows == tuple(map(tuple, rows))
     assert str(dense) == str(sparse) == str(rows)
     assert dense.to_lists() == sparse.to_lists() == rows
@@ -554,6 +556,13 @@ def test_built_dense_and_built_sparse_agree(rows):
         for c in (n, n + 9, -n - 1):
             with pytest.raises(IndexError):
                 dense[r, c]
+
+
+@pytest.mark.parametrize("width", [2, 3, SPARSE_MIN_COLS + 1])
+def test_diagonal_of_a_non_square_matrix_stops_at_the_shorter_side(width):
+    wide = IntMatrix([[r * width + c for c in range(width)] for r in range(2)])
+    assert wide.diagonal() == (0, width + 1)
+    assert wide.transpose().diagonal() == (0, width + 1)
 
 
 @st.composite
