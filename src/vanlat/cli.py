@@ -306,9 +306,14 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # whatever is still buffered goes to devnull, so that the
-        # interpreter's last flush of stdout cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("cannot write stdout", file=sys.stderr)
+        # interpreter's last flush of stdout cannot raise again; where
+        # stderr shares the closed pipe, its line goes there too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("cannot write stdout", file=sys.stderr)
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except InstanceFormatError as e:
         print("parse error: %s" % e, file=sys.stderr)

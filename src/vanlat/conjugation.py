@@ -156,13 +156,16 @@ class ConjugationData:
 
 
 def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
-    """Assemble a conjugation matrix from block data plus upper entries.
+    """Assemble a conjugation matrix from block data plus upper entries,
+    as the instance reader does, after checking both.
 
     The diagonal blocks are forced: ``(-1)^m`` on a real slot of Morse
     index ``m`` and the swap ``[[0, 1], [1, 0]]`` on a pair.
     ``upper_data`` is an iterable of ``(row, col, value)`` triples of
     ints (not bools) that may only populate positions strictly above the
-    block diagonal.  The assembled matrix must square to the identity.
+    block diagonal.  Sigma is not squared here: one that is no
+    involution is returned, and :attr:`LevelAnalysis.inconsistency`
+    reports it.
     """
     bad = morse.validate(parity)
     if bad is not None:
@@ -171,10 +174,7 @@ def build_sigma(morse: MorseSpec, parity: int, upper_data) -> ConjugationData:
     k = first_bad_triple(triples)
     if k is not None:
         raise ValueError("entry %r is not an integer triple" % (triples[k],))
-    conj = assemble_sigma(morse, triples)
-    if not conj.sigma.is_involution():
-        raise ValueError("assembled conjugation matrix is not an involution")
-    return conj
+    return assemble_sigma(morse, triples)
 
 
 def first_bad_triple(entries):
@@ -193,12 +193,10 @@ def first_bad_triple(entries):
 def assemble_sigma(morse: MorseSpec, triples) -> ConjugationData:
     """The conjugation of ``(row, col, value)`` triples already known to
     be ints, for a ``morse`` already validated; the instance reader checks
-    both where the file gives them.  Each row is built as the dict of its
-    entries and stored by its fill.
-
-    Unlike :func:`build_sigma`, this only assembles: a sigma that is no
-    involution is returned, and :attr:`LevelAnalysis.inconsistency`
-    reports it as a failed consistency verdict.
+    both where the file gives them, and :func:`build_sigma` where a
+    caller does.  Each row is built as the dict of its entries and stored
+    by its fill.  Sigma is not squared: :attr:`LevelAnalysis.inconsistency`
+    reports one that is no involution as a failed consistency verdict.
     """
     nu = morse.total_slots
     rows = _forced_rows(morse)
@@ -313,10 +311,10 @@ class LevelAnalysis:
         neither the monodromy nor the companion is built: the companion
         is ``(-1)^p * F^-1 * var_inverse^T``, block lower triangular, and
         ``F = F^T`` makes it square to the identity.  Any other level
-        takes both verdicts on the companion.  The instance reader
-        assembles sigma without squaring it, so a file's sigma is first
-        squared here, and one that is no involution is reported here:
-        its companion fails a verdict.
+        takes both verdicts on the companion.  Neither the instance
+        reader nor :func:`build_sigma` squares sigma, so a file's or a
+        caller's sigma is first squared here, once, and one that is no
+        involution is reported here: its companion fails a verdict.
 
         A generated level's verdict is recorded by the generator instead
         (:func:`build_level`): its sigma has been squared once and

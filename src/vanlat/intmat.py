@@ -88,13 +88,11 @@ class IntMatrix:
     caller may change; ``rows`` is the dense tuple-of-tuples view, built
     on each access for text and for callers outside the package.  Since
     the storage of a row follows from its entries, equality and hashing
-    compare the stored rows.  The one verdict kept is
-    :meth:`is_involution`'s, in the slot ``_involution``, written on its
-    first call: the matrix cannot change, so its square is tested once.
-    Equality, hashing, copies and pickles ignore the slot.
+    compare the stored rows.  No verdict is kept: each level's analysis
+    asks once whether its sigma is an involution.
     """
 
-    __slots__ = ("stored_rows", "ncols", "_all_tuples", "_involution")
+    __slots__ = ("stored_rows", "ncols", "_all_tuples")
 
     def __init__(self, rows, ncols=None):
         """Rows are tuples, lists or dicts ``{col: value}``, each stored as
@@ -266,14 +264,9 @@ class IntMatrix:
 
     def is_involution(self):
         """Whether the matrix squares to the identity, by one kernel call
-        of :func:`squares_to_identity`; a non-square one does not.  The
-        first call keeps the verdict, and later calls read it."""
-        try:
-            return self._involution
-        except AttributeError:
-            verdict = self.nrows == self.ncols and squares_to_identity(self.stored_rows)
-            _set_involution(self, verdict)
-            return verdict
+        of :func:`squares_to_identity` on each call; a non-square one does
+        not, and is not squared."""
+        return self.nrows == self.ncols and squares_to_identity(self.stored_rows)
 
     def det(self):
         """Exact determinant, taken over the components of the nonzero pattern.
@@ -332,12 +325,11 @@ class IntMatrix:
         return "[%s]" % ", ".join(map(row_text, self.stored_rows, repeat(self.ncols)))
 
 
-# each slot is written once, through these setters, past the __setattr__
-# that refuses: three in the constructor, the verdict on its first call
+# each slot is written once, by the constructor, through these setters,
+# past the __setattr__ that refuses
 _set_stored_rows = IntMatrix.stored_rows.__set__
 _set_ncols = IntMatrix.ncols.__set__
 _set_all_tuples = IntMatrix._all_tuples.__set__
-_set_involution = IntMatrix._involution.__set__
 
 
 def _stored(rows, width, kinds):

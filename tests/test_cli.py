@@ -841,3 +841,19 @@ def test_a_closed_stdout_is_one_line_and_exit_2():
     child.stdout.close()
     err = child.stderr.read()
     assert (child.wait(timeout=60), err) == (2, b"cannot write stdout\n")
+
+
+def test_a_closed_stdout_shared_with_stderr_is_exit_2():
+    # stderr joined to stdout: the reader takes 100 bytes and closes the
+    # pipe, so the one line cannot be written either, and the run still
+    # ends in exit 2 with no traceback
+    src = pathlib.Path(vanlat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vanlat.cli", "gen", "--seed", "1",
+         "--rank-bound", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    head = child.stdout.read(100)
+    child.stdout.close()
+    assert len(head) == 100 and b"Traceback" not in head
+    assert child.wait(timeout=60) == 2

@@ -52,10 +52,14 @@ def test_build_sigma_pair_block():
     assert conj.sigma == IntMatrix.from_rows([[0, 1], [1, 0]])
 
 
-def test_build_sigma_rejects_non_involution():
-    # equal Morse parity on both slots forces the upper entry to vanish
-    with pytest.raises(ValueError, match="involution"):
-        build_sigma(MorseSpec((RealPoint(0), RealPoint(0))), 1, [(0, 1, 1)])
+def test_build_sigma_leaves_a_non_involution_to_the_analysis():
+    # equal Morse parity on both slots forces the upper entry to vanish;
+    # build_sigma assembles the sigma anyway, as the reader does, and the
+    # analysis reports it
+    conj = build_sigma(MorseSpec((RealPoint(0), RealPoint(0))), 1, [(0, 1, 1)])
+    assert conj.sigma.rows == ((1, 1), (0, 1))
+    lat = ThimbleLattice(1, IntMatrix.from_rows([[2, 1], [1, 2]]))
+    assert LevelAnalysis(lat, conj).inconsistency == "companion not an involution"
 
 
 def test_build_sigma_rejects_entries_outside_upper_blocks():
@@ -792,12 +796,9 @@ def test_solve_sigma_upper_solutions_are_exact():
         forced = ConjugationData(IntMatrix(built[0]), MorseSpec(built[1]))
         verdicts = [forced.sigma * forced.sigma == IntMatrix.identity(size)
                     and LevelAnalysis(lat, forced).inconsistency is None]
-        try:
-            solved = build_sigma(morse, parity, upper)
-        except ValueError:
-            verdicts.append(False)
-        else:
-            verdicts.append(LevelAnalysis(lat, solved).inconsistency is None)
+        solved = build_sigma(morse, parity, upper)
+        verdicts.append(solved.sigma.is_involution()
+                        and LevelAnalysis(lat, solved).inconsistency is None)
         if any(verdicts):
             assert verdicts == [True, True]
             assert forced.sigma == solved.sigma
@@ -831,24 +832,22 @@ def _random_morse(rng, nu, parity):
 
 
 def _forced_shape_sigma(rng, lat, morse):
-    """A sigma of the forced block-upper shape, built from triples by
-    :func:`build_sigma`, which refuses a non-involution: the solved upper
-    entries, which make the level consistent when they give an
-    involution, or a few random entries that do."""
+    """An involution of the forced block-upper shape, built from triples
+    by :func:`build_sigma`: the solved upper entries, which make the level
+    consistent when they give an involution, or a few random entries
+    that do."""
     nu = lat.nu
     if rng.random() < 0.5:
-        try:
-            return build_sigma(morse, lat.parity, _solve_sigma_upper(lat, morse))
-        except ValueError:
-            pass
+        conj = build_sigma(morse, lat.parity, _solve_sigma_upper(lat, morse))
+        if conj.sigma.is_involution():
+            return conj
     upper = [(r, c) for r in range(nu) for c in range(morse.spans[r][1], nu)]
     for _ in range(20):
         triples = [(r, c, rng.choice((-2, -1, 1, 2)))
                    for r, c in rng.sample(upper, min(len(upper), rng.randint(0, 3)))]
-        try:
-            return build_sigma(morse, lat.parity, triples)
-        except ValueError:
-            pass
+        conj = build_sigma(morse, lat.parity, triples)
+        if conj.sigma.is_involution():
+            return conj
     return assemble_sigma(morse, ())
 
 

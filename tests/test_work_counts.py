@@ -16,7 +16,8 @@ keeps.  Each generated level's sigma is squared once and its block form
 checked once, by the generator, and never again by ``verify``; it forms
 no ``var_inverse * sigma``, since its form is known to be ``B``.  The
 braid-invariance family of ``verify`` applies each word once and never
-inverts the basis change.
+inverts the basis change.  Each level's sigma is squared once, whether
+it was assembled by ``build_sigma``, read from a file or generated.
 Each matrix row is stored by its fill: every matrix of the A_64 tower's
 analysis, and its ``var``, is
 sparse and the row kernel sums it as dicts, with no dense row built,
@@ -27,8 +28,11 @@ word builds four matrices.
 
 The row kernel's cost, each nonzero weight charged the stored length of
 the row it reads, grows at most cubically in the rank on dense random
-lattices and at most linearly on A_k towers.  The counts are
-deterministic, so these growth gates cannot flake where timings would.
+lattices and at most linearly on A_k towers.  So does the work of the
+elimination steps behind ``IntMatrix.det`` and ``exact_signature``, each
+step charged the rows it is handed times its pivot row's width, on dense
+random grams.  The counts are deterministic, so these growth gates cannot
+flake where timings would.
 """
 
 import collections
@@ -50,6 +54,7 @@ from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_che
                           telescoped_index)
 from vanlat.instfile import InstanceDocument, serialize_instance
 from vanlat.intmat import IntMatrix
+from vanlat.signature import exact_signature
 
 
 def _counting(monkeypatch, owner, name, key=lambda *args, **kwargs: None):
@@ -143,6 +148,33 @@ def test_bad_sigma_builds_its_companion_once(monkeypatch):
     assert ("level 0: FAIL conjugation: companion not an involution; "
             "companion not block lower triangular") in out.getvalue().splitlines()
     assert sum(monodromies.values()) == 1 and len(companions) == 1
+
+
+def test_each_route_squares_its_sigma_once(monkeypatch, tmp_path):
+    # the A_64 tower assembled by build_sigma and indexed, its file through
+    # compute --what index, and a generated level indexed: each squares
+    # its one sigma once, in the analysis or in the generator, and the
+    # certified form leaves the companion unsquared
+    squared = []
+    square = intmat.squares_to_identity
+
+    def counting(rows):
+        squared.append(rows)
+        return square(rows)
+    rebind(monkeypatch, square, counting)
+    inst = a_k_instance(64)
+    assert gradient_index(inst) == 0
+    assert len(squared) == 1 and squared[0] is inst.levels[0].conj.sigma.stored_rows
+    squared.clear()
+    path = tmp_path / "a64.vl"
+    path.write_text(serialize_instance(InstanceDocument(inst)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compute", str(path), "--what", "index"]) == 0
+    assert len(squared) == 1
+    squared.clear()
+    inst = random_icis_instance(5, 1, 0, 16)
+    gradient_index(inst)
+    assert len(squared) == 1 and squared[0] is inst.levels[0].conj.sigma.stored_rows
 
 
 def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
@@ -325,10 +357,10 @@ def test_a_64_companion_and_form_take_the_sparse_path(monkeypatch):
     for m in (lat.gram, conj.sigma, analysis.monodromy, tilde, tilde * tilde,
               analysis.var_inverse, analysis.form):
         assert {type(row) for row in m.stored_rows} == {dict}
-    # the sweep, sigma * H, var_inverse * sigma and the loop's square of
-    # the companion; sigma's involution verdict is read from its slot, and
-    # the form certifies the level, so the companion is not squared there
-    assert built == {"dict": 4 * 64}
+    # the square of sigma, the sweep, sigma * H, var_inverse * sigma and
+    # the loop's square of the companion; the analysis squares sigma once,
+    # and the form certifies the level, so the companion is not squared there
+    assert built == {"dict": 5 * 64}
 
 
 def test_no_stored_dict_row_holds_a_zero(monkeypatch, tmp_path):
@@ -441,10 +473,27 @@ def _kernel_cost(monkeypatch):
     return cost
 
 
-def _costs(monkeypatch, run, sizes):
-    """The kernel cost of ``run(operand)`` for the operand of each size,
-    built before its cost is counted."""
-    cost = _kernel_cost(monkeypatch)
+def _elimination_cost(monkeypatch):
+    """Charge each elimination step, under every name a vanlat module
+    binds it to, the rows it is handed times the width of its pivot row.
+    ``row_reduce`` hands a generator of rows, so they are counted as a
+    list."""
+    cost = collections.Counter()
+    step = intmat.eliminate
+
+    def charging(m, k, c, rows, prev):
+        rows = list(rows)
+        cost[None] += len(rows) * len(m[k])
+        return step(m, k, c, rows, prev)
+    rebind(monkeypatch, step, charging)
+    return cost
+
+
+def _costs(monkeypatch, run, sizes, charge=_kernel_cost):
+    """The cost of ``run(operand)`` that ``charge`` counts, the row
+    kernel's by default, for the operand of each size, built before its
+    cost is counted."""
+    cost = charge(monkeypatch)
     out = []
     for operand in sizes:
         cost.clear()
@@ -471,6 +520,20 @@ def test_dense_costs_grow_at_most_cubically(monkeypatch, run):
     # room for the lower-order terms
     lattices = [random_lattice(random.Random(nu), nu, 1) for nu in (32, 64, 128)]
     costs = _costs(monkeypatch, run, lattices)
+    assert costs[0] > 0
+    assert max(b / a for a, b in zip(costs, costs[1:])) <= 8.5, costs
+
+
+@pytest.mark.parametrize("run", [IntMatrix.det, exact_signature],
+                         ids=["det", "exact-signature"])
+def test_dense_elimination_steps_grow_at_most_cubically(monkeypatch, run):
+    # on the grams of dense random lattices of ranks 16, 32 and 64 each
+    # doubling multiplies the rows times the width that the elimination
+    # steps touch by at most 8.5, the bar of the row-kernel gates.  Wall
+    # time is not gated: it grows faster than cubically there, because
+    # the Bareiss entries grow with the rank
+    grams = [random_lattice(random.Random(nu), nu, 1).gram for nu in (16, 32, 64)]
+    costs = _costs(monkeypatch, run, grams, charge=_elimination_cost)
     assert costs[0] > 0
     assert max(b / a for a, b in zip(costs, costs[1:])) <= 8.5, costs
 
