@@ -47,7 +47,9 @@ first use; the monodromy and the ``companion`` matrix are built only
 where they are read, by the cycle data, the sign flip, or a level the
 form does not certify.  The form's nondegeneracy is read off its
 signature (an empty radical), so no determinant is taken.  A
-:class:`vanlat.index.LevelData` keeps its analysis, so every index route
+:class:`vanlat.index.LevelData` keeps its analysis, the one it builds on
+first use or the one it was made from
+(:meth:`~vanlat.index.LevelData.from_analysis`), so every index route
 over a level shares it.
 
 A generated level is consistent by construction (:func:`build_level`).

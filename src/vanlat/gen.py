@@ -164,7 +164,8 @@ def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelDat
     ``pad`` extra null directions model the radical that the boundary map
     contributes, on which both actions are taken to be trivial.  The
     companion action is read from ``analysis``, which the level then
-    keeps, so the level's monodromy is built once.
+    keeps (:meth:`~vanlat.index.LevelData.from_analysis`), so the level's
+    monodromy is built once.
     """
     lat, conj = analysis.lattice, analysis.conj
     null = IntMatrix.zeros(pad, pad).stored_rows
@@ -172,14 +173,15 @@ def level_with_cycles(i: int, analysis: LevelAnalysis, pad: int = 0) -> LevelDat
     cycles = CycleData(direct_sum([lat.gram.stored_rows, null]),
                        direct_sum([conj.sigma.stored_rows, trivial]),
                        direct_sum([analysis.companion.stored_rows, trivial]))
-    return LevelData(i, lat, conj, cycles, analysis)
+    return LevelData.from_analysis(i, analysis, cycles)
 
 
 def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
                          with_cycles: bool = False) -> IcisInstance:
     """Tower instance with a consistent level for each ``i = 0 .. p``,
-    each drawn from its own sub-seed and keeping the analysis that checked
-    it."""
+    each drawn from its own sub-seed and built by
+    :meth:`~vanlat.index.LevelData.from_analysis` from the analysis that
+    checked it."""
     rng = random.Random(seed)
     signs = SignVector(tuple(rng.choice((1, -1)) for _ in range(p + 1)))
     levels = []
@@ -190,8 +192,7 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
             levels.append(level_with_cycles(i, analysis,
                                             pad=rng.choice((0, 0, 1, 2))))
         else:
-            levels.append(LevelData(i, analysis.lattice, analysis.conj,
-                                    prebuilt=analysis))
+            levels.append(LevelData.from_analysis(i, analysis))
     return IcisInstance(n, p, signs, tuple(levels))
 
 

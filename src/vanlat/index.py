@@ -14,7 +14,7 @@ telescoped form of that recursion, and ``telescoped_index`` re-runs the
 recursion step by step so the two routes can be compared on any instance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .conjugation import ConjugationData, LevelAnalysis
@@ -43,26 +43,29 @@ class CycleData:
 class LevelData:
     """One level of the tower: lattice, conjugation, optional cycle data.
 
-    ``prebuilt`` hands over an analysis of the same lattice and
-    conjugation that the caller has already built (to derive the cycle
-    data, say), so that the level does not build a second one.
+    A level whose analysis is already built (to check the level or to
+    derive its cycle data, say) is made by :meth:`from_analysis`, which
+    keeps that analysis, so the level does not build a second one.
     """
 
     i: int
     lattice: ThimbleLattice
     conj: ConjugationData | None = None
     cycles: CycleData | None = None
-    prebuilt: LevelAnalysis | None = field(default=None, compare=False,
-                                           repr=False)
 
     def __post_init__(self):
         if self.conj is not None and self.conj.nu != self.lattice.nu:
             raise ValueError("level %d: conjugation rank %d != lattice rank %d"
                              % (self.i, self.conj.nu, self.lattice.nu))
-        if self.prebuilt is not None and (self.prebuilt.lattice is not self.lattice
-                                          or self.prebuilt.conj is not self.conj):
-            raise ValueError("level %d: the prebuilt analysis is of another "
-                             "lattice or conjugation" % self.i)
+
+    @classmethod
+    def from_analysis(cls, i: int, analysis: LevelAnalysis, cycles=None):
+        """Level ``i`` of the lattice and conjugation of ``analysis``,
+        which it keeps as its :attr:`analysis`."""
+        level = cls(i, analysis.lattice, analysis.conj, cycles)
+        # fills the cached property, as its first read would, on the frozen level
+        object.__setattr__(level, "analysis", analysis)
+        return level
 
     def require_conj(self) -> ConjugationData:
         if self.conj is None:
@@ -72,10 +75,8 @@ class LevelData:
     @cached_property
     def analysis(self) -> LevelAnalysis:
         """The level's derived data (monodromy, companion, form, signature),
-        built on first use (or handed over as ``prebuilt``) and shared by
-        every route that reads it."""
-        if self.prebuilt is not None:
-            return self.prebuilt
+        built on first use (or kept from :meth:`from_analysis`) and shared
+        by every route that reads it."""
         return LevelAnalysis(self.lattice, self.require_conj())
 
 

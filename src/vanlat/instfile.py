@@ -152,7 +152,7 @@ def _level(data, want_i, parity, where):
         raise InstanceFormatError("levels out of order: found i=%d, expected %d"
                                   % (i, want_i), where=where)
     gram = _matrix(data, "gram", where)
-    if gram.nrows and not gram.is_square:
+    if not gram.is_square:
         raise InstanceFormatError("gram must be square", where=where + ".gram")
     lat = ThimbleLattice(parity, gram)
 
@@ -489,6 +489,12 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if data is None:
         try:
             data = yaml.load(text, Loader=_SafeLoader)
+        except yaml.reader.ReaderError as e:
+            # a refused character has no mark; its position indexes the text
+            raise InstanceFormatError(
+                "not valid YAML: %s" % str(e).partition("\n")[0],
+                line=text.count("\n", 0, e.position) + 1,
+                column=e.position - text.rfind("\n", 0, e.position))
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
             if mark is not None:
@@ -507,12 +513,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if p < 0:
         raise InstanceFormatError("p must be >= 0", where="p")
     raw_signs = _want(data, "signs", list, "top level")
-    if any(isinstance(x, bool) for x in raw_signs):
-        raise InstanceFormatError("sign entries must be +1 or -1, not booleans",
-                                  where="signs")
     try:
         signs = SignVector(tuple(raw_signs))
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise InstanceFormatError(str(e), where="signs")
     if len(signs) != p + 1:
         raise InstanceFormatError("expected %d signs, got %d"

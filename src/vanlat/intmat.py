@@ -600,8 +600,6 @@ def row_reduce(m, ncols):
     prev = sign = 1
     for c in range(ncols):
         k = len(pivots)
-        if k == len(m):
-            break
         piv = next((r for r in range(k, len(m)) if m[r][c]), None)
         if piv is None:
             continue

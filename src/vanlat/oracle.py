@@ -27,9 +27,13 @@ def _derivative(coeffs):
 def index_1d(poly: list[int]) -> int:
     """Index at 0 of the derivative of an integer polynomial.
 
-    Evaluates the derivative at ``+-rho`` for a rational ``rho`` chosen
-    below every nonzero root (root bound), so the signs are the germ's
-    own: ``(sign at +rho - sign at -rho) / 2``.
+    Evaluates the derivative ``h`` at ``+-rho`` for a rational ``rho``
+    below every nonzero root of ``h``, so the signs are the germ's own:
+    ``(sign at +rho - sign at -rho) / 2``.  Write ``h = x^low * u`` with
+    ``u_0 != 0`` and ``b = max |u_i| / |u_0|`` over ``i >= 1``; then
+    ``rho = 1 / (2 * (1 + b))`` gives ``|u(+-rho) - u_0| <= |u_0| * b *
+    rho / (1 - rho) = |u_0| * b / (2b + 1) < |u_0| / 2``, so neither
+    sample vanishes and each is evaluated once.
     """
     h = _derivative([Fraction(c) for c in poly])
     if not any(h):
@@ -40,15 +44,8 @@ def index_1d(poly: list[int]) -> int:
     u = h[low:]
     bound = max(abs(c) for c in u[1:]) / abs(u[0]) if len(u) > 1 else Fraction(0)
     rho = 1 / (2 * (1 + bound))
-    for _ in range(64):
-        plus, minus = _poly_eval(h, rho), _poly_eval(h, -rho)
-        if plus != 0 and minus != 0:
-            break
-        rho /= 2
-    else:
-        raise ValueError("could not find nonvanishing sample points")
-    sp = 1 if plus > 0 else -1
-    sm = 1 if minus > 0 else -1
+    sp = 1 if _poly_eval(h, rho) > 0 else -1
+    sm = 1 if _poly_eval(h, -rho) > 0 else -1
     return (sp - sm) // 2
 
 

@@ -96,7 +96,7 @@ def check_instance(seed: int, family: str, j: int, rank_bound: int):
         else:  # telescoping, plus the matched sign-flip comparison
             n = rng.choice((1, 2, 3))
             p = rng.choice((0, 1, 2))
-            inst = random_icis_instance(rng.randrange(2 ** 32), n, p, max(rank_bound, 0))
+            inst = random_icis_instance(rng.randrange(2 ** 32), n, p, rank_bound)
             if telescoped_index(inst) != gradient_index(inst):
                 problem = "telescoped recursion disagrees with closed formula"
             else:

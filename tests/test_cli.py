@@ -840,6 +840,7 @@ def test_a_closed_stdout_is_one_line_and_exit_2():
     assert len(child.stdout.read(100)) == 100
     child.stdout.close()
     err = child.stderr.read()
+    child.stderr.close()
     assert (child.wait(timeout=60), err) == (2, b"cannot write stdout\n")
 
 

@@ -26,7 +26,7 @@ from vanlat.gen import (_draw_level, flip_last_sign, generate_level,
                         random_icis_instance, random_lattice)
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
-from vanlat.intmat import IntMatrix, row_reduce, squares_to_identity
+from vanlat.intmat import SPARSE_MIN_COLS, IntMatrix, row_reduce, squares_to_identity
 from vanlat.lattice import (SignVector, ThimbleLattice, mirror_sign,
                             validate_lattice)
 from vanlat.signature import exact_signature
@@ -967,22 +967,41 @@ def test_analysis_never_accepts_a_non_involution(nu):
     assert refused == {2: 783, 3: 3423, 4: 6805}[nu]
 
 
+_BLOCK_LOWER_FORM = ([[2, 0, 0], [0, 2, -2], [0, -2, 2]],
+                     (RealPoint(0), RealPoint(0), RealPoint(1)),
+                     [[1, 0, 0], [-1, -1, 2], [0, 0, 1]])
+
+
+def _with_minima(gram, points, sigma, count):
+    """A case with ``count`` real slots of Morse index 0 after it, each
+    with gram entry 2 and sigma entry 1 and nothing off the diagonal."""
+    nu = len(gram) + count
+    return ([row + [0] * count for row in gram]
+            + [[2 * (c == r) for c in range(nu)] for r in range(len(gram), nu)],
+            points + (RealPoint(0),) * count,
+            [row + [0] * count for row in sigma]
+            + [[int(c == r) for c in range(nu)] for r in range(len(sigma), nu)])
+
+
 @pytest.mark.parametrize("gram, points, sigma", [
     ([[2]], (RealPoint(0),), [[2]]),  # form [[-2]], sigma no involution
     ([[2, 1], [1, 2]], (ConjugatePair(0),), [[1, 0], [0, -1]]),  # form [[-1, 1], [0, 1]]
-    ([[2, 0, 0], [0, 2, -2], [0, -2, 2]], (RealPoint(0), RealPoint(0), RealPoint(1)),
-     [[1, 0, 0], [-1, -1, 2], [0, 0, 1]]),  # form [[-1, 0, 0], [1, 1, 0], [0, 0, -1]]
-], ids=["sigma-not-an-involution", "asymmetric-pair-block", "block-lower-form"])
+    _BLOCK_LOWER_FORM,  # form [[-1, 0, 0], [1, 1, 0], [0, 0, -1]]
+    _with_minima(*_BLOCK_LOWER_FORM, 13),  # the same at rank 16, form rows sparse
+], ids=["sigma-not-an-involution", "asymmetric-pair-block", "block-lower-form",
+        "block-lower-form-sparse"])
 def test_each_condition_of_the_certificate_is_needed(gram, points, sigma):
     # sigma is no involution, the pair's block is not symmetric, or the
-    # form is block lower triangular but not block diagonal: the companion
-    # decides, and it fails
+    # form is block lower triangular but not block diagonal, on dense and
+    # on sparse form rows: the companion decides, and it fails
     lat = ThimbleLattice(1, IntMatrix.from_rows(gram))
     conj = ConjugationData(IntMatrix.from_rows(sigma), MorseSpec(points))
     analysis = LevelAnalysis(lat, conj)
     assert analysis.inconsistency == "companion not an involution"
     assert _reference_inconsistency(lat, conj) == analysis.inconsistency
     assert _companion_route_taken(analysis)
+    sparse = {type(row) is dict for row in analysis._product.stored_rows}
+    assert sparse == {lat.nu >= SPARSE_MIN_COLS}
 
 
 def test_rank_zero_generated_and_flipped_levels_take_the_certificate():

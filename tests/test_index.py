@@ -282,12 +282,25 @@ def test_cycle_sum_equal_signatures_give_zero():
 
 
 def test_level_shares_the_analysis_of_its_cycle_data():
+    # the level keeps the analysis its cycle data was read from
     level = level_a2()
-    assert level.analysis is level.prebuilt
-    # an analysis of another lattice is refused, not silently used
-    other = level_a1()
-    with pytest.raises(ValueError, match="prebuilt analysis is of another"):
-        LevelData(0, level.lattice, level.conj, level.cycles, other.analysis)
+    a = level.analysis
+    assert level_with_cycles(0, a).analysis is a
+    assert LevelData.from_analysis(0, a, level.cycles).analysis is a
+
+
+def test_from_analysis_is_the_level_of_its_lattice_and_conjugation():
+    # a level built from its analysis is the level of that lattice and
+    # conjugation, and keeps the analysis instead of building another
+    for seed in range(20):
+        a = generate_level(seed, 12, 1 + seed % 4)
+        level = LevelData.from_analysis(3, a)
+        plain = LevelData(3, a.lattice, a.conj)
+        assert level == plain and hash(level) == hash(plain)
+        assert level.analysis is a and plain.analysis is not a
+        assert level_index_sum(level, 1) == level_index_sum(plain, 1)
+    inst = random_icis_instance(5, 1, 2, 10)
+    assert all("analysis" in vars(level) for level in inst.levels)
 
 
 def test_cycle_sum_rank_zero():

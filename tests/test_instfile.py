@@ -206,6 +206,52 @@ def test_boolean_signs_are_rejected(tmp_path, capsys, sign):
     _rejected_at(tmp_path, capsys, text, "signs")
 
 
+_HEAD = "format: 1\nn: 1\np: 0\nsigns: [1]\n"
+_RANK_1 = _HEAD + "levels:\n- i: 0\n  gram:\n  - [2]\n"
+_RANK_2 = (_HEAD + "levels:\n- i: 0\n  gram:\n  - [2, 0]\n  - [0, 2]\n"
+           "  morse: [[real, 0], [real, 0]]\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    (_RANK_1 + "  cycles: 5\n", "levels[0].cycles"),
+    (_HEAD + "levels:\n- i: 0\n  gram: [[2, 0], [0]]\n", "levels[0].gram"),
+    (_HEAD + "levels:\n- 5\n", "levels[0]"),
+    (_HEAD + "levels:\n- i: 0\n  gram: [[2, 0]]\n", "levels[0].gram"),
+    (_RANK_1 + "  morse: [[real]]\n", "levels[0].morse[0]"),
+    (_RANK_1 + "  morse: [[real, x]]\n", "levels[0].morse[0]"),
+    (_RANK_2 + "  sigma_upper: [[0, 1]]\n", "levels[0].sigma_upper[0]"),
+    (_RANK_2 + "  sigma_upper: [[1, 0, 1]]\n", "levels[0].sigma_upper"),
+    (_RANK_2 + "  sigma_upper: [[0, 5, 1]]\n", "levels[0].sigma_upper"),
+    (_RANK_1 + "  cycles: {form: [[1]], sigma: [[1, 0], [0, 1]], sigma_tilde: [[1]]}\n",
+     "levels[0].cycles"),
+    ("- 1\n", "top level"),
+    (_RANK_1.replace("p: 0", "p: -1"), "p"),
+    (_RANK_1 + "braid_words: [5]\n", "braid_words[0]"),
+    (_RANK_1 + 'braid_words: ["x1"]\n', "braid_words[0]"),
+    (_RANK_1 + "expected: [1]\n", "expected"),
+], ids=["cycles-not-a-mapping", "ragged-gram", "level-not-a-mapping",
+        "gram-not-square", "morse-one-entry", "morse-value-not-integer",
+        "triple-of-two", "triple-below-the-blocks", "triple-out-of-range",
+        "cycle-matrices-unequal", "document-not-a-mapping", "p-negative",
+        "braid-word-not-a-string", "braid-word-unknown-move",
+        "expected-not-a-mapping"])
+def test_each_reader_refusal_is_located(tmp_path, capsys, text, where):
+    _rejected_at(tmp_path, capsys, text, where)
+
+
+@pytest.mark.parametrize("char", ["\x07", "\x00", "\x7f", "\x9b"],
+                         ids=["bel", "nul", "del", "c1-csi"])
+def test_a_character_yaml_refuses_is_one_located_line(tmp_path, capsys, char):
+    # YAML's refusal carries a position, not a mark: it is read as a line
+    # and column, and the two-line message of PyYAML is not printed
+    path = tmp_path / "bad.vl"
+    path.write_text(_RANK_1 + "x: %s\n" % char, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: not valid YAML: unacceptable character #x%04x: special "
+        "characters are not allowed at line 9, column 4\n" % ord(char))
+
+
 def test_morse_index_out_of_range_is_located_at_morse(tmp_path, capsys):
     text = ("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n"
             "- i: 0\n  gram:\n  - [2]\n  morse: [[real, 7]]\n"

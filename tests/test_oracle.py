@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vanlat import oracle
 from vanlat.intmat import IntMatrix
 from vanlat.oracle import float_signature, index_1d, index_2d, poly2
 from vanlat.signature import Signature, exact_signature
@@ -20,6 +24,28 @@ def test_index_1d_higher_order():
     assert index_1d([0, 0, 0, 0, 1]) == 1    # x^4
     assert index_1d([0, 0, 0, 0, -1]) == -1  # -x^4
     assert index_1d([0, 0, 0, 0, 0, 1]) == 0  # x^5
+
+
+@st.composite
+def _polynomials(draw):
+    """Integer polynomials whose derivative is ``x^low * u``, with a small
+    ``u_0`` and large later coefficients, so ``u`` has a root near 0."""
+    low = draw(st.integers(0, 4))
+    small = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+    big = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8 - low))
+    return [draw(st.integers(-9, 9))] + [0] * low + [small] + big, low, small
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomials())
+def test_index_1d_evaluates_the_derivative_twice(case):
+    # the first rho already keeps both samples off the derivative's roots
+    poly, low, small = case
+    with mock.patch.object(oracle, "_poly_eval", wraps=oracle._poly_eval) as ev:
+        got = index_1d(poly)
+    assert ev.call_count == 2
+    # the sign of x^low * u near 0: an odd power changes sign, an even one not
+    assert got == ((1 if small > 0 else -1) if low % 2 else 0)
 
 
 def test_index_1d_rejects_constant():

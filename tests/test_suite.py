@@ -120,3 +120,11 @@ def test_first_draws_of_each_family_are_pinned(family, monkeypatch):
     events = _recording(monkeypatch)
     assert suite.check_instance(2, family, 0, 8) == (None, None)
     assert [(name, args) for name, args, _ in events] == _FIRST_DRAWS[family]
+
+
+@pytest.mark.parametrize("family", suite.CHECK_NAMES)
+def test_a_negative_rank_bound_is_refused_by_every_family(family):
+    # no family reads a negative bound as 0: each draw that takes the
+    # bound refuses it
+    with pytest.raises(ValueError):
+        suite.check_instance(1, family, 0, -1)
