@@ -91,7 +91,7 @@ class BasisChange:
 
     The change is kept as ``columns = P^T``, whose rows are the columns of
     ``P``, as a braid word builds them, and ``matrix = P`` is derived from
-    it once, or the other way round when ``P`` is given alone; the
+    it once by :meth:`from_columns`, the one way a change is built; the
     determinant is taken on ``P^T``, which has the same one.
 
     A product costs, for each nonzero of its left factor, the nonzeros of
@@ -108,11 +108,9 @@ class BasisChange:
     """
 
     matrix: IntMatrix
-    columns: IntMatrix = field(default=None, repr=False, compare=False)
+    columns: IntMatrix = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.columns is None:
-            object.__setattr__(self, "columns", self.matrix.transpose())
         if self.columns.det() not in (1, -1):
             raise ValueError("basis change must be unimodular")
 

@@ -135,6 +135,15 @@ def cmd_compute(args):
     levels = inst.levels
     if args.level is not None:
         levels = (_level(inst, args.level),)
+    # a level the route reads that lacks its data is refused before any
+    # value is computed; the cycle route refuses an even parity first
+    if args.what in ("signature", "index", "level-sums", "cycle-sums"):
+        data = "cycle" if args.what == "cycle-sums" else "conjugation"
+        for lv in inst.levels if args.what == "index" else levels:
+            if data == "cycle" and lv.lattice.parity % 2 == 0:
+                break
+            if (lv.cycles if data == "cycle" else lv.conj) is None:
+                raise Refusal("refused: level %d carries no %s data" % (lv.i, data))
 
     def emit(rendered):
         if len(levels) == 1:
@@ -223,11 +232,10 @@ def cmd_verify(args):
     for line in result.lines:
         print(line)
     if not result.ok:
-        if result.counterexample:
-            out = args.output or "counterexample.vl"
-            with _writing(out) as fh:
-                fh.write(result.counterexample)
-            print("counterexample written to %s" % out)
+        out = args.output or "counterexample.vl"
+        with _writing(out) as fh:
+            fh.write(result.counterexample)
+        print("counterexample written to %s" % out)
         return 1
     return 0
 

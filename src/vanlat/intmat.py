@@ -217,10 +217,7 @@ class IntMatrix:
         return IntMatrix(combine_rows(self.stored_rows, other.stored_rows,
                                       other.ncols), other.ncols)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # called only with a left operand that is no IntMatrix
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):

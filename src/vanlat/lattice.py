@@ -103,7 +103,6 @@ def validate_lattice(lat: ThimbleLattice) -> str | None:
                 kind = "symmetric" if eps == 1 else "skew-symmetric"
                 return ("entries gram[%d][%d] = %d and gram[%d][%d] = %d violate the %s rule"
                         % (r, c, g[r, c], c, r, g[c, r], kind))
-    return None
 
 
 def require_valid(lat: ThimbleLattice) -> None:

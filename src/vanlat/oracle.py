@@ -9,7 +9,6 @@ numpy eigenvalues.  Only ``float_signature`` touches floating point at all.
 
 from fractions import Fraction
 
-from .intmat import IntMatrix
 from .signature import Signature
 
 
@@ -153,16 +152,13 @@ def index_2d(grad, radius) -> int:
 
 
 def float_signature(m) -> Signature:
-    """Eigenvalue sign counts of a symmetric matrix, where an eigenvalue
+    """Eigenvalue sign counts of a symmetric ``IntMatrix``, where an eigenvalue
     of magnitude at most ``1e-9`` times the largest counts as zero.  numpy,
     from the ``test`` extra, is imported here, so the package and its CLI
     load without it."""
     import numpy as np
 
-    if isinstance(m, IntMatrix):
-        rows = m.to_lists()
-    else:
-        rows = [list(r) for r in m]
+    rows = m.to_lists()
     n = len(rows)
     if n == 0:
         return Signature(0, 0, 0)

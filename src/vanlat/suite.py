@@ -44,7 +44,7 @@ class VerificationResult:
 def check_instance(seed: int, family: str, j: int, rank_bound: int):
     """Instance ``j`` of ``family`` in the run seeded ``seed``: ``(problem,
     witness)``, the problem ``None`` on a pass and the witness the
-    instance file of a failure: the whole instance a family drew, else
+    instance file of a failure: the whole instance a family checked, else
     its one level, with the braid word it drew.  A generated level that
     fails its own check fails the family that drew it, with that level as
     the witness, and a cross-check that raises ``AssertionError`` fails
@@ -86,6 +86,7 @@ def check_instance(seed: int, family: str, j: int, rank_bound: int):
             lat, conj = analysis.lattice, analysis.conj
             level = level_with_cycles(0, analysis, pad=rng.choice((0, 0, 1)))
             s = rng.choice((1, -1))
+            inst = IcisInstance(parity, 0, SignVector((s,)), (level,))
             t2 = level_index_sum(level, s)
             try:
                 t3 = cycle_index_sum(level, s)

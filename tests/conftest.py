@@ -192,7 +192,7 @@ FORCED_FAILURES = {
     "cycle-route-agreement": (
         ("cycle_index_sum", lambda level, s: 1000),
         "cycle route gives 1000, thimble route 1",
-        "a4f568bcceed669d25cc0cc080333456cebf483506ca070ddd48abbb901cacf6"),
+        "08d174f94c7dcb6dc1bf3de7ca4f3b26920ff3d364115b6b30f6cab444a4ff5f"),
     "telescoping": (
         ("telescoped_index", lambda inst: None),
         "telescoped recursion disagrees with closed formula",

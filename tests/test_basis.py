@@ -230,10 +230,10 @@ def test_every_move_is_a_congruence(case):
 def test_word_composite_is_the_product_of_its_moves(case):
     lat, word = case
     new, change = apply_braid_word(lat, word)
-    current, want = lat, BasisChange(IntMatrix.identity(lat.nu))
+    current, want = lat, BasisChange.from_columns(IntMatrix.identity(lat.nu))
     for move in word.moves:
         current, step = apply_braid_word(current, BraidWord((move,)))
-        want = BasisChange(want.matrix * step.matrix)
+        want = BasisChange.from_columns((want.matrix * step.matrix).transpose())
     assert new.gram == current.gram
     assert change.matrix == want.matrix
 
@@ -389,7 +389,7 @@ def _changes_and_maps(draw, n):
         p_inverse = apply_braid_word(moved, inverse_word(word))[1].matrix
     else:
         p, p_inverse = _dense_unimodular(rng, n)
-        change = BasisChange(p)
+        change = BasisChange.from_columns(p.transpose())
     fill = draw(st.sampled_from((1, 8)))  # every entry, or about one in 8
     m = IntMatrix([[rng.randint(-9, 9) if rng.randrange(fill) == 0 else 0
                     for _ in range(n)] for _ in range(n)], n)
@@ -512,4 +512,4 @@ def test_word_position_out_of_range():
 
 def test_basis_change_must_be_unimodular():
     with pytest.raises(ValueError):
-        BasisChange(IntMatrix.from_rows([[2]]))
+        BasisChange.from_columns(IntMatrix.from_rows([[2]]))

@@ -251,6 +251,36 @@ def test_compute_cycle_index_sum_and_refusal(capsys):
                    "such formula can exist)\n")
 
 
+@pytest.mark.parametrize("name, what, data", [
+    ("a2_lattice.vl", "signature", "conjugation"),
+    ("a2_lattice.vl", "index", "conjugation"),
+    ("a2_lattice.vl", "level-sums", "conjugation"),
+    ("a2_index.vl", "cycle-sums", "cycle"),
+    ("a2_lattice.vl", "cycle-sums", "cycle"),
+    ("bad_sigma.vl", "cycle-sums", "cycle"),
+    ("empty.vl", "cycle-sums", "cycle"),
+])
+def test_compute_refuses_a_level_without_the_data_it_reads(name, what, data,
+                                                           capsys):
+    code, out, err = run(capsys, "compute", instance_path(name), "--what", what)
+    assert (code, out, err) == (
+        2, "", "refused: level 0 carries no %s data\n" % data)
+
+
+def test_compute_index_refuses_a_deeper_level_without_conjugation(tmp_path,
+                                                                  capsys):
+    # the index reads every level, whatever --level selects
+    path = tmp_path / "bare_level_1.vl"
+    text = instance_path("cone_pos.vl").read_text()
+    path.write_text(text.replace("  morse: [[real, 1]]\n  sigma_upper: []\n", ""))
+    code, out, err = run(capsys, "compute", path, "--what", "index", "--level", "0")
+    assert (code, out, err) == (
+        2, "", "refused: level 1 carries no conjugation data\n")
+    code, out, err = run(capsys, "compute", path, "--what", "signature",
+                         "--level", "0")
+    assert (code, err) == (0, "")
+
+
 def test_compute_cycle_sum_is_an_int_at_negative_parity(tmp_path, capsys):
     path = tmp_path / "neg.vl"
     path.write_text("format: 1\nn: -3\np: 0\nsigns: [1]\nlevels:\n"
@@ -485,6 +515,13 @@ def test_verify_counterexample_of_each_family_is_pinned(family, tmp_path, capsys
     assert out.splitlines()[-1] == "ok"
     assert (("braid word 0: ok (f3 A2 f7 f8 a1 f2 A1)" in out.splitlines())
             == (family == "braid-invariance"))
+    if family == "cycle-route-agreement":
+        # the witness is the instance checked, its cycle data and drawn
+        # sign included, so both routes replay from the file
+        code, out, err = run(capsys, "compute", out_file, "--what", "level-sums")
+        assert (code, out, err) == (0, problem.rsplit(" ", 1)[1] + "\n", "")
+        code, _, err = run(capsys, "compute", out_file, "--what", "cycle-sums")
+        assert (code, err) == (0, "")
 
 
 def test_block_form_checks_the_trace_identity(tmp_path, capsys, monkeypatch):
@@ -594,6 +631,29 @@ def test_verify_reports_a_signature_that_raises(family, tmp_path, capsys,
     assert lines[2:] == ["counterexample written to %s" % out_file]
     code, out, err = run(capsys, "validate", out_file)
     assert (code, err) == (0, "")
+
+
+def test_verify_reports_the_cycle_route_refusing_its_data(tmp_path, capsys,
+                                                          monkeypatch):
+    # a ValueError of the cycle route is the instance's FAIL line, with
+    # the message it raised
+    import vanlat.suite as suite
+    message = "signature difference 1 is odd; cycle data inconsistent"
+
+    def refusing(level, s):
+        raise ValueError(message)
+    monkeypatch.setattr(suite, "cycle_index_sum", refusing)
+    monkeypatch.setattr(suite, "CHECK_NAMES", ("cycle-route-agreement",))
+    out_file = tmp_path / "ce.vl"
+    code, out, err = run(capsys, "verify", "--seed", "2", "--count", "5",
+                         "--rank-bound", "8", "--output", out_file)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "FAIL cycle-route-agreement (instance 0): " + message,
+        "counterexample written to %s" % out_file]
+    code, out, err = run(capsys, "validate", out_file)
+    assert (code, out.splitlines()[-1], err) == (0, "ok", "")
+
 
 def test_gen_reports_a_generated_level_that_fails_its_check(capsys, monkeypatch):
     import vanlat.conjugation as conjugation
@@ -748,6 +808,19 @@ def test_negative_counts_are_usage_errors(command, flag, capsys):
     assert out.out == ""
     assert out.err.splitlines()[-1].endswith(
         "argument %s: must be >= 0, got -5" % flag)
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("verify", "--count", "x"), ("gen", "--rank-bound", "1.5"),
+])
+def test_non_integer_counts_are_usage_errors(command, flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, text])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].endswith(
+        "argument %s: invalid int value: '%s'" % (flag, text))
 
 
 class _Drawn(Exception):

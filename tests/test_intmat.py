@@ -57,6 +57,20 @@ def test_adding_a_non_matrix_raises_type_error():
             op()
 
 
+@pytest.mark.parametrize("n", [2, SPARSE_MIN_COLS])
+def test_scaling_commutes_and_refuses_a_float(n):
+    # ``k * m`` reaches ``__rmul__``, which is ``__mul__``: the same matrix
+    # as ``m * k`` for an int (a bool included), and a float is refused by
+    # the operator protocol
+    m = IntMatrix.from_rows([[r - c if (r + c) % 3 else 0 for c in range(n)]
+                             for r in range(n)])
+    for k in (-2, 0, 3, True):
+        assert k * m == m * k
+        assert (k * m).to_lists() == [[k * x for x in row] for row in m.to_lists()]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        2.0 * m
+
+
 def test_transpose_involution():
     m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.transpose().transpose() == m
