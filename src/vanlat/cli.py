@@ -13,13 +13,15 @@ import functools
 import os
 import sys
 
+# only ``gen`` runs the generator, but bench/tracer.py finds the functions
+# it wraps in sys.modules when a traced run starts, before any command has
+# run, so the module is loaded with the CLI
+from . import gen
 from .basis import apply_braid_word, monodromy, parse_braid_word
 from .index import (EvenParityError, IcisInstance, LevelData, gradient_index,
                     level_index_sum, cycle_index_sum)
 from .instfile import (InstanceDocument, InstanceFormatError, load_instance,
                        serialize_instance)
-from .gen import random_icis_instance
-from .suite import run_verification
 from .variation import var_inverse
 
 MONODROMY_ORDER_BOUND = 24
@@ -59,16 +61,6 @@ def _level(inst, i):
     if not 0 <= i <= inst.p:
         raise Refusal("no level %d in this instance (p = %d)" % (i, inst.p))
     return inst.levels[i]
-
-
-def _emit(doc, path):
-    """Stream the canonical text of ``doc`` to the file ``path``, or to
-    stdout without one."""
-    if not path:
-        serialize_instance(doc, out=sys.stdout)
-        return
-    with _writing(path) as fh:
-        serialize_instance(doc, out=fh)
 
 
 def _monodromy_order(h):
@@ -226,6 +218,8 @@ def cmd_braid(args):
 
 
 def cmd_verify(args):
+    from .suite import run_verification
+
     print("seed %d, count %d, rank bound %d"
           % (args.seed, args.count, args.rank_bound))
     result = run_verification(args.seed, args.count, args.rank_bound)
@@ -241,13 +235,16 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    inst = random_icis_instance(args.seed, args.n, args.levels,
-                                args.rank_bound, with_cycles=True)
+    inst = gen.random_icis_instance(args.seed, args.n, args.levels,
+                                    args.rank_bound, with_cycles=True)
     doc = InstanceDocument(inst, (), {},
                            ("generated with seed %d" % args.seed,))
-    _emit(doc, args.output)
-    if args.output:
-        print("wrote %s" % args.output)
+    if not args.output:
+        serialize_instance(doc, out=sys.stdout)
+        return 0
+    with _writing(args.output) as fh:
+        serialize_instance(doc, out=fh)
+    print("wrote %s" % args.output)
     return 0
 
 

@@ -7,9 +7,10 @@ pairings), plus optional braid words and expected outputs for golden
 tests.  Parsing accepts any YAML presentation; serialization is
 canonical, so parse-then-serialize is the identity on canonically
 formatted files.  Canonical text is read by a direct line reader and
-any other text by ``yaml.safe_load``; both build the same document, and
-all validation after the load is shared, so values and error messages
-do not depend on which reader ran.  The line reader's regular
+any other text by ``yaml.safe_load``, for which alone PyYAML is
+imported; both build the same document, and all validation after the
+load is shared, so values and error messages do not depend on which
+reader ran.  The line reader's regular
 expressions decide which fixed lines it accepts, and one layout pass
 per matrix which row lines; its integer grammar ``-?(0|[1-9][0-9]*)``
 is JSON's, so once the sign list or the ``sigma_upper`` list is
@@ -35,8 +36,6 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
 from operator import methodcaller
-
-import yaml
 
 from .basis import BraidWord, parse_braid_word
 from .conjugation import (ConjugatePair, MorseSpec, RealPoint, assemble_sigma,
@@ -215,14 +214,21 @@ _POINTS = _ITEMS(r"\[(?:real|pair), %s\]" % _INT)
 _STR = r'"[^"\\]*"'
 _STRS = _ITEMS(_STR)
 _KEY = r"[A-Za-z_][A-Za-z0-9_]*"
-# plain names that YAML 1.1 reads as a bool or null, not as a string
-_RESERVED_KEYS = {"yes", "no", "true", "false", "on", "off", "null"}
+# the names that PyYAML's resolver reads as a bool or null, not as a string
+_NOT_STRINGS = {case(word) for word in "yes no true false on off null".split()
+                for case in (str, str.title, str.upper)}
 # printable ASCII and "\n"; tabs, "\r", control characters and non-ASCII
 # text all have YAML rules of their own
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\n"
 _DIGIT_BYTES = b"-0123456789"
 _POINT_PARTS = re.compile(r"\[(real|pair), (%s)\]" % _INT)
 _STR_BODY = re.compile(r'"([^"]*)"')
+
+
+def _is_plain_key(key):
+    """Whether ``key`` can be written bare as an ``expected:`` key and
+    read back as the same string, as ``yaml.safe_load(key) == key``."""
+    return isinstance(key, str) and key.isidentifier() and key not in _NOT_STRINGS
 
 
 class _NotCanonical(Exception):
@@ -445,7 +451,7 @@ def _canonical_document(src):
         expected = {}
         while (entry := src.take(_EXPECTED_ENTRY, optional=True)):
             key, value = entry
-            if key.lower() in _RESERVED_KEYS:
+            if not _is_plain_key(key):
                 raise _NotCanonical
             expected[key] = value[1:-1] if value[0] == '"' else int(value)
         if not expected:  # likewise a bare "expected:"
@@ -466,41 +472,46 @@ def _canonical_morse(text):
     return MorseSpec(tuple(map(point.__getitem__, parts)))
 
 
-class _SafeLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` whose scalar failures carry a position.
+def _load_yaml(text):
+    """What ``yaml.safe_load(text)`` builds, for text the canonical reader
+    declines; a YAML error is an :class:`InstanceFormatError` at its line
+    and column.
 
-    PyYAML builds scalars with ``int()`` and ``datetime()``, whose
-    ValueError (an integer past Python's digit limit, a date such as
-    ``2024-13-01``) would escape with no position; here it becomes a
-    YAML error marked at the scalar.  Everything it loads, it loads as
-    ``yaml.safe_load`` does.
+    PyYAML is imported here, so that canonical text is read without it.
+    It builds scalars with ``int()`` and ``datetime()``, whose ValueError
+    (an integer past Python's digit limit, a date such as ``2024-13-01``)
+    would escape with no position; the loader turns it into a YAML error
+    marked at the scalar, and loads everything else as ``yaml.safe_load``
+    does.
     """
+    import yaml
 
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep=deep)
-        except ValueError as e:
-            raise yaml.constructor.ConstructorError(
-                None, None, str(e), node.start_mark) from None
+    class SafeLoader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep=deep)
+            except ValueError as e:
+                raise yaml.constructor.ConstructorError(
+                    None, None, str(e), node.start_mark) from None
+
+    try:
+        return yaml.load(text, Loader=SafeLoader)
+    except yaml.reader.ReaderError as e:
+        # a refused character has no mark; its position indexes the text
+        raise InstanceFormatError(
+            "not valid YAML: %s" % str(e).partition("\n")[0],
+            line=text.count("\n", 0, e.position) + 1,
+            column=e.position - text.rfind("\n", 0, e.position))
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        if mark is not None:
+            raise InstanceFormatError("not valid YAML: %s" % getattr(e, "problem", e),
+                                      line=mark.line + 1, column=mark.column + 1)
+        raise InstanceFormatError("not valid YAML: %s" % e)
 
 
 def parse_instance_text(text: str) -> InstanceDocument:
-    data = _read_canonical(text)
-    if data is None:
-        try:
-            data = yaml.load(text, Loader=_SafeLoader)
-        except yaml.reader.ReaderError as e:
-            # a refused character has no mark; its position indexes the text
-            raise InstanceFormatError(
-                "not valid YAML: %s" % str(e).partition("\n")[0],
-                line=text.count("\n", 0, e.position) + 1,
-                column=e.position - text.rfind("\n", 0, e.position))
-        except yaml.YAMLError as e:
-            mark = getattr(e, "problem_mark", None)
-            if mark is not None:
-                raise InstanceFormatError("not valid YAML: %s" % getattr(e, "problem", e),
-                                          line=mark.line + 1, column=mark.column + 1)
-            raise InstanceFormatError("not valid YAML: %s" % e)
+    data = _read_canonical(text) or _load_yaml(text)
     if not isinstance(data, dict):
         raise InstanceFormatError("document is not a mapping", where="top level")
 
@@ -540,13 +551,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
         except ValueError as e:
             raise InstanceFormatError(str(e), where="braid_words[%d]" % k)
 
-    expected = data.get("expected") or {}
+    expected = {} if data.get("expected") is None else data["expected"]
     if not isinstance(expected, dict):
         raise InstanceFormatError("expected mapping", where="expected")
     for key, value in expected.items():
-        # keys are written bare, so each must read back as the same string
-        if not (isinstance(key, str) and key.isidentifier()
-                and yaml.safe_load(key) == key):
+        if not _is_plain_key(key):
             raise InstanceFormatError("key %r is not a plain name" % (key,),
                                       where="expected")
         if isinstance(value, bool) or not isinstance(value, (int, str)):

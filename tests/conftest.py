@@ -247,6 +247,34 @@ def a_k_instance(k):
     return IcisInstance(1, 0, SignVector((1,)), (LevelData(0, lat, conj),))
 
 
+def dynkin(kind, k):
+    """The lattice of the Dynkin diagram ``kind`` in ``"ADE"`` with ``k``
+    nodes, at parity 1: 2 on the diagonal and -1 on each edge, in a
+    bipartite order, one colour class first.
+
+    A_k is a path; D_k a path of ``k - 1`` nodes with one more at its
+    second; E_k a path of ``k - 1`` nodes with one more at its third, so
+    that E_9 is the affine diagram of E_8.  These are the Milnor lattices
+    of the simple singularities in a distinguished basis (Gabrielov), and
+    the product of the reflections in this order is the bipartite Coxeter
+    element, whose order is the Coxeter number: ``k + 1``, ``2k - 2``, 12,
+    18 and 30 for A_k, D_k, E_6, E_7 and E_8.
+    """
+    path = k if kind == "A" else k - 1
+    edges = [(a, a + 1) for a in range(path - 1)]
+    if kind != "A":
+        edges.append(({"D": 1, "E": 2}[kind], k - 1))
+    colour = [0] * k
+    for a, b in edges:  # each edge leads from a node already coloured
+        colour[b] = 1 - colour[a]
+    order = sorted(range(k), key=colour.__getitem__)
+    slot = {node: s for s, node in enumerate(order)}
+    gram = [{s: 2} for s in range(k)]
+    for a, b in edges:
+        gram[slot[a]][slot[b]] = gram[slot[b]][slot[a]] = -1
+    return ThimbleLattice(1, IntMatrix(gram, k))
+
+
 def generated_texts():
     """Serializer output with every optional part: p > 0, cycles, braid
     words, expected entries and provenance lines."""

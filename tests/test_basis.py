@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (a_k_level, inverse_word, matrix_power, rebind, triple_loop,
-                      unitriangular_inverse)
+from conftest import (a_k_level, dynkin, inverse_word, matrix_power, rebind,
+                      triple_loop, unitriangular_inverse)
 from vanlat import basis, intmat
 from vanlat.basis import (BasisChange, BraidMove, BraidWord, apply_braid_word,
                           monodromy, parse_braid_word, picard_lefschetz)
 from vanlat.gen import generate_level, random_braid_word, random_lattice
-from vanlat.intmat import IntMatrix
+from vanlat.intmat import IntMatrix, row_items
 from vanlat.lattice import ThimbleLattice, self_intersection
 from vanlat.variation import var_inverse, var_inverse_as_operator_after_braid
 
@@ -120,6 +120,54 @@ def test_monodromy_is_the_reflection_product_at_rank_16_to_40(lat):
     for j in range(1, lat.nu + 1):
         want = IntMatrix(triple_loop(want, picard_lefschetz(lat, j)))
     assert monodromy(lat) == want
+
+
+def _orbit_length(m, v, bound):
+    """The least ``j <= bound`` with ``m^j v = v``, by products of ``m``'s
+    nonzeros with the vector, no matrix power built; None past ``bound``."""
+    rows = [list(row_items(row)) for row in m.stored_rows]
+    w = v
+    for j in range(1, bound + 1):
+        w = [sum(x * w[c] for c, x in items) for items in rows]
+        if w == v:
+            return j
+    return None
+
+
+# the Coxeter number of each simple singularity: the order of its
+# monodromy, which no change of distinguished basis can move
+_COXETER = {("A", 6): 7, ("D", 5): 8, ("D", 8): 14, ("E", 6): 12, ("E", 7): 18,
+            ("E", 8): 30}
+
+
+@pytest.mark.parametrize("kind, k", sorted(_COXETER))
+def test_simple_singularity_monodromy_has_the_coxeter_order(kind, k):
+    # truth from outside the pipeline: the orbit of a vector closes at h
+    # and tr M = (-1)^parity (A'Campo), in the diagram's basis and after
+    # each of two random words of up to 10 moves
+    rng = random.Random("%s%d" % (kind, k))
+    lat = dynkin(kind, k)
+    for _ in range(3):
+        m = monodromy(lat)
+        assert sum(m.diagonal()) == -1
+        for _ in range(2):
+            v = [rng.randint(-3, 3) for _ in range(k)]
+            assert _orbit_length(m, v, 60) == _COXETER[kind, k]
+        lat, _ = apply_braid_word(lat, random_braid_word(rng, k, 10))
+
+
+def test_affine_e8_monodromy_has_no_finite_orbit():
+    # the negative control: E_9 is not of finite type, so no orbit closes
+    rng = random.Random(9)
+    v = [rng.randint(-3, 3) for _ in range(9)]
+    assert _orbit_length(monodromy(dynkin("E", 9)), v, 60) is None
+
+
+def test_d1000_monodromy_closes_at_its_coxeter_number():
+    # the rows of M stay sparse, so 1998 products with a vector are cheap
+    rng = random.Random(1000)
+    v = [rng.randint(-3, 3) for _ in range(1000)]
+    assert _orbit_length(monodromy(dynkin("D", 1000)), v, 2000) == 1998
 
 
 def test_monodromy_requires_valid_lattice():

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import os
 import pathlib
 import random
@@ -11,8 +12,8 @@ import pytest
 import yaml
 
 import vanlat
-from conftest import (FORCED_FAILURES, coupled_alike, generate_with_form_2,
-                      instance_path)
+from conftest import (FORCED_FAILURES, INSTANCE_DIR, coupled_alike,
+                      generate_with_form_2, instance_path)
 from vanlat.basis import monodromy
 from vanlat.cli import main
 from vanlat.index import IcisInstance, LevelData
@@ -763,11 +764,60 @@ def test_gen_rank_bound_512_writes_validating_instance(tmp_path, capsys):
 
 
 def test_cli_loads_without_numpy():
-    # numpy serves only the float oracle, so no command pays for its import
+    # numpy serves only the float oracle, PyYAML only text the canonical
+    # reader declines, and the suite only verify, so no other command pays
+    # for their import (vanlat.gen stays loaded for the benchmark's tracer)
     src = pathlib.Path(vanlat.__file__).resolve().parent.parent
-    probe = "import sys, vanlat.cli; assert 'numpy' not in sys.modules"
+    probe = ("import sys, vanlat.cli; print(sorted({'numpy', 'yaml', "
+             "'vanlat.suite'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded == "[]\n"
+
+
+# runs each argv through main in one interpreter, PyYAML blocked if asked,
+# and prints each run's exit code, stdout and stderr as JSON
+_RUN_ALL = """
+import contextlib, io, json, sys
+if sys.argv[1] == "without-yaml":
+    sys.modules["yaml"] = None  # any import of yaml now raises ImportError
+from vanlat.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_commands_on_canonical_text_run_without_yaml(tmp_path):
+    # the shipped instances and the text gen and braid write all take the
+    # canonical reader, so no command on them needs PyYAML, and each run
+    # is the run with it, byte for byte and exit code for exit code
+    shipped = sorted(str(path) for path in INSTANCE_DIR.glob("*.vl"))
+    assert len(shipped) == 9
+    argvs = [argv for path in shipped
+             for argv in (["validate", path], ["compute", path, "--what", "index"])]
+    argvs += [["braid", str(instance_path("a2_lattice.vl")), "a1 f2"],
+              ["gen", "--seed", "1", "--rank-bound", "16"],
+              ["verify", "--count", "70", "--rank-bound", "16"]]
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(vanlat.__file__).resolve().parent.parent))
+    runs = {}
+    for mode in ("with-yaml", "without-yaml"):
+        done = subprocess.run([sys.executable, "-c", _RUN_ALL, mode, json.dumps(argvs)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), mode
+        runs[mode] = json.loads(done.stdout)
+    assert runs["without-yaml"] == runs["with-yaml"]
+    # bad_sigma.vl fails validate and compute, and a2_lattice.vl carries
+    # no conjugation data for the index
+    assert sorted(code for code, _, _ in runs["with-yaml"]) == (
+        [0] * (len(argvs) - 3) + [1, 1, 2])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_export_resolves():
@@ -832,8 +882,10 @@ def _stub_draws(monkeypatch):
 
     def drawing(*args, **kwargs):
         raise _Drawn
-    monkeypatch.setattr(cli, "run_verification", drawing)
-    monkeypatch.setattr(cli, "random_icis_instance", drawing)
+    # verify imports the suite when it runs, and gen calls the generator
+    # through its module, so the stubs replace the names where defined
+    monkeypatch.setattr("vanlat.suite.run_verification", drawing)
+    monkeypatch.setattr("vanlat.gen.random_icis_instance", drawing)
     return cli._RANK_BOUND_CEILING
 
 
@@ -863,11 +915,10 @@ def test_rank_bound_at_the_ceiling_is_drawn(command, capsys, monkeypatch):
                                              ("gen", "random_icis_instance")])
 def test_out_of_memory_is_one_line_and_exit_1(command, target, capsys,
                                                monkeypatch):
-    import vanlat.cli as cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr(cli, target, exhausted)
+    module = "vanlat.suite" if command == "verify" else "vanlat.gen"
+    monkeypatch.setattr("%s.%s" % (module, target), exhausted)
     code, out, err = run(capsys, command, "--seed", "1", "--rank-bound", "8")
     assert (code, err) == (1, "error: out of memory\n")
     assert out == ("seed 1, count 500, rank bound 8\n" if command == "verify" else "")

@@ -151,6 +151,21 @@ def test_flip_last_sign_matches_on_generated_instances():
         assert again.levels[0].conj == inst.levels[0].conj
 
 
+def test_flipped_all_real_level0_keeps_the_forced_shape():
+    # a real point of Morse index m becomes one of index parity - m, whose
+    # forced diagonal entry is the flipped form's; the flipped form does
+    # not read the descriptors, so only this check sees them
+    levels = 0
+    for seed in range(400):
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 16)
+        if _pairs(inst.levels[0]):
+            continue
+        levels += 1
+        level0 = flip_last_sign(inst).levels[0]
+        assert LevelAnalysis(level0.lattice, level0.conj).block_structure_problem() is None
+    assert levels == 145
+
+
 def test_flip_last_sign_keeps_the_cycle_padding():
     # cycle data at level 0 keeps its null directions through the flip, so
     # two flips give back the cycle data, padded or not

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 
@@ -14,7 +15,7 @@ from vanlat.cli import main
 from vanlat.gen import flip_last_sign, random_icis_instance
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import (InstanceDocument, InstanceFormatError,
-                             _read_canonical, load_instance,
+                             _is_plain_key, _read_canonical, load_instance,
                              parse_instance_text, serialize_instance)
 from vanlat.intmat import IntMatrix
 from vanlat.lattice import SignVector, ThimbleLattice
@@ -229,12 +230,18 @@ _RANK_2 = (_HEAD + "levels:\n- i: 0\n  gram:\n  - [2, 0]\n  - [0, 2]\n"
     (_RANK_1 + "braid_words: [5]\n", "braid_words[0]"),
     (_RANK_1 + 'braid_words: ["x1"]\n', "braid_words[0]"),
     (_RANK_1 + "expected: [1]\n", "expected"),
+    # a falsy value is no more a mapping than a truthy one
+    (_RANK_1 + "expected: 0\n", "expected"),
+    (_RANK_1 + "expected: false\n", "expected"),
+    (_RANK_1 + 'expected: ""\n', "expected"),
+    (_RANK_1 + "expected: []\n", "expected"),
 ], ids=["cycles-not-a-mapping", "ragged-gram", "level-not-a-mapping",
         "gram-not-square", "morse-one-entry", "morse-value-not-integer",
         "triple-of-two", "triple-below-the-blocks", "triple-out-of-range",
         "cycle-matrices-unequal", "document-not-a-mapping", "p-negative",
         "braid-word-not-a-string", "braid-word-unknown-move",
-        "expected-not-a-mapping"])
+        "expected-not-a-mapping", "expected-zero", "expected-false",
+        "expected-empty-string", "expected-empty-list"])
 def test_each_reader_refusal_is_located(tmp_path, capsys, text, where):
     _rejected_at(tmp_path, capsys, text, where)
 
@@ -250,6 +257,13 @@ def test_a_character_yaml_refuses_is_one_located_line(tmp_path, capsys, char):
     assert capsys.readouterr().err == (
         "parse error: not valid YAML: unacceptable character #x%04x: special "
         "characters are not allowed at line 9, column 4\n" % ord(char))
+
+
+@pytest.mark.parametrize("key", ["expected", "braid_words"])
+def test_a_bare_optional_key_means_none(key):
+    # YAML reads a bare "expected:" or "braid_words:" as null
+    doc = parse_instance_text(_RANK_1 + "%s:\n" % key)
+    assert (doc.expected, doc.braid_words) == ({}, ())
 
 
 def test_morse_index_out_of_range_is_located_at_morse(tmp_path, capsys):
@@ -272,6 +286,30 @@ def test_expected_entries_must_serialize_back(tmp_path, capsys, entry, where):
     text = ("format: 1\nn: 1\np: 0\nsigns: [1]\nlevels:\n"
             "- i: 0\n  gram:\n  - [2]\nexpected: {index: 1, %s}\n" % entry)
     _rejected_at(tmp_path, capsys, text, where)
+
+
+# every casing of the words PyYAML resolves to a bool or null, and of the
+# YAML 1.1 bools it leaves as strings
+_CASED_WORDS = ["".join(chars) for word in "yes no true false on off null y n".split()
+                for chars in itertools.product(*((c, c.upper()) for c in word))]
+
+
+def _yaml_reads_back(key):
+    return key.isidentifier() and yaml.safe_load(key) == key
+
+
+def test_plain_key_rule_on_every_casing_of_the_yaml_words():
+    # the rule restates PyYAML's resolver, and PyYAML is not pinned
+    assert [key for key in _CASED_WORDS
+            if _is_plain_key(key) != _yaml_reads_back(key)] == []
+    assert sum(not _is_plain_key(key) for key in _CASED_WORDS) == 21
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+                 st.from_regex(r"[^\W\d]\w*", fullmatch=True).filter(str.isidentifier)))
+def test_plain_key_rule_is_yamls_on_drawn_identifiers(key):
+    assert _is_plain_key(key) == _yaml_reads_back(key)
 
 
 def test_expected_strings_are_escaped():
@@ -400,7 +438,9 @@ def test_canonical_reader_agrees_with_yaml_at_rank_64():
 @pytest.mark.parametrize("text", [
     _A2.replace("index: 0", "index: -0"),
     _A2 + "  index: 1\n",
-], ids=["minus-zero", "repeated-key"])
+    # YAML resolves yes, Yes and YES, not yEs
+    _A2.replace("index: 0", "yEs: 0"),
+], ids=["minus-zero", "repeated-key", "mixed-case-word-key"])
 def test_canonical_reader_reads_these_as_yaml_does(text):
     data = _read_canonical(text)
     assert as_loaded(data) == yaml.safe_load(text)
