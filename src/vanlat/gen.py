@@ -22,8 +22,8 @@ Nothing couples two chunks.
 
 Every draw but the rank and the pair test is made from the generator's
 ``getrandbits`` by CPython's rule for ``randint`` and ``choice``, which
-only :func:`draw_entries`, for many draws, and :func:`_draw`, for one,
-state: ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until a
+only :func:`draw_entries` states, one draw being a call with ``count``
+1: ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until a
 value is below ``n``.  So the values, and the generator's state after
 each, are the stdlib's.
 """
@@ -69,17 +69,6 @@ def draw_entries(getrandbits, count: int, values) -> list:
     return drawn
 
 
-def _draw(getrandbits, values):
-    """One draw of :func:`draw_entries` from a non-empty ``values``,
-    without building a list."""
-    n = len(values)
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return values[r]
-
-
 def _draw_level(seed, rank_bound, parity):
     """The values :func:`generate_level` draws for ``seed``, as the module
     docstring says: the :class:`MorseSpec`, then the entries of ``K`` and
@@ -100,14 +89,14 @@ def _draw_level(seed, rank_bound, parity):
     points, k_entries, couplings = [], [], []
     slot = 0
     while slot < nu:
-        end = min(nu, slot + _draw(getrandbits, (1, 2, 3, 4)))
+        end = min(nu, slot + draw_entries(getrandbits, 1, (1, 2, 3, 4))[0])
         real = []  # (slot, m mod 2) of each real slot of the chunk
         while slot < end:
             if end - slot >= 2 and uniform() < 0.3:
-                points.append(ConjugatePair(_draw(getrandbits, _VALUES)))
+                points.append(ConjugatePair(draw_entries(getrandbits, 1, _VALUES)[0]))
                 rows, slot = (slot, slot + 1), slot + 2
             else:
-                m = _draw(getrandbits, morse_indices)
+                m = draw_entries(getrandbits, 1, morse_indices)[0]
                 points.append(RealPoint(m))
                 real.append((slot, m % 2))
                 rows, slot = (slot,), slot + 1
@@ -119,7 +108,7 @@ def _draw_level(seed, rank_bound, parity):
         for i, (r, s) in enumerate(real):
             for c, t in real[i + 1:]:
                 if s != t and r not in coupled and c not in coupled:
-                    x = _draw(getrandbits, (0, 1, -1))
+                    x = draw_entries(getrandbits, 1, (0, 1, -1))[0]
                     if x:
                         couplings.append((r, c, x))
                         coupled.update((r, c))

@@ -16,7 +16,7 @@ i.e. images are the *columns* of ``M``.
 """
 
 from itertools import compress, repeat
-from operator import add, contains, countOf, methodcaller, neg
+from operator import add, contains, countOf, neg
 
 # A row is stored as a dict of its nonzero entries, ``{col: value}``, when
 # it has at least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of
@@ -92,7 +92,7 @@ class IntMatrix:
     asks once whether its sigma is an involution.
     """
 
-    __slots__ = ("stored_rows", "ncols", "_all_tuples")
+    __slots__ = ("stored_rows", "ncols")
 
     def __init__(self, rows, ncols=None):
         """Rows are tuples, lists or dicts ``{col: value}``, each stored as
@@ -108,12 +108,10 @@ class IntMatrix:
         kinds = set(map(type, rows))
         if ncols >= SPARSE_MIN_COLS or dict in kinds:
             rows = _stored(rows, ncols, kinds)
-            kinds = set(map(type, rows))
         elif list in kinds:
             rows = tuple(map(tuple, rows))
         _set_stored_rows(self, rows)
         _set_ncols(self, ncols)
-        _set_all_tuples(self, dict not in kinds)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -165,8 +163,6 @@ class IntMatrix:
     @property
     def rows(self):
         """The rows as a hashable tuple of dense row tuples."""
-        if self._all_tuples:
-            return self.stored_rows
         return tuple(map(dense_row, self.stored_rows, repeat(self.ncols)))
 
     def __getitem__(self, key):
@@ -247,7 +243,7 @@ class IntMatrix:
         if not self.is_square:
             return False
         rows = self.stored_rows
-        if self._all_tuples:
+        if dict not in set(map(type, rows)):
             cols = zip(*rows)
             if sign == -1:
                 cols = (tuple(map(neg, col)) for col in cols)
@@ -273,11 +269,10 @@ class IntMatrix:
         so permuting rows and columns together (which keeps the
         determinant) makes ``A`` block diagonal, and the determinant is
         the product of the components' determinants.  A 1x1 component's
-        determinant is its entry, and a 2x2 one's is ``a d - b c``.  A
-        larger one is reduced alone by :func:`row_reduce`, which ends with
-        its pivot minor ``d``: at full rank its determinant is ``d`` times
-        the sign of the row swaps, and a rank-deficient component makes
-        the whole determinant 0.  A dense
+        determinant is its entry.  A larger one is reduced alone by
+        :func:`row_reduce`, which ends with its pivot minor ``d``: at full
+        rank its determinant is ``d`` times the sign of the row swaps, and
+        a rank-deficient component makes the whole determinant 0.  A dense
         matrix is one component, so the split costs one O(nu^2) scan; a
         sparse one, such as a braid word's basis change, is reduced in
         small blocks.
@@ -290,12 +285,7 @@ class IntMatrix:
             if len(comp) == 1:
                 out *= diagonal[comp[0]]
                 continue
-            block = submatrix(rows, comp)
-            if len(comp) == 2:
-                (a, b), (c, d) = block
-                out *= a * d - b * c
-                continue
-            pivots, d, sign = row_reduce(block, len(comp))
+            pivots, d, sign = row_reduce(submatrix(rows, comp), len(comp))
             if len(pivots) < len(comp):
                 return 0
             out *= sign * d
@@ -326,24 +316,16 @@ class IntMatrix:
 # past the __setattr__ that refuses
 _set_stored_rows = IntMatrix.stored_rows.__set__
 _set_ncols = IntMatrix.ncols.__set__
-_set_all_tuples = IntMatrix._all_tuples.__set__
 
 
 def _stored(rows, width, kinds):
     """:func:`store_row` of each of ``rows``, where a row's storage may
-    change; C-level passes over all the rows at once settle the common
-    cases, rows that are all stored already or all dense, and hand any
-    other to :func:`store_row` row by row."""
-    if dict in kinds:
-        if (kinds == {dict} and not any(map(contains, map(dict.values, rows), repeat(0)))
-                and _sparse(max(map(len, rows)), width)):
-            return rows
-    elif not _sparse(width - max(map(_count_zeros, rows)), width):
-        return rows if kinds == {tuple} else tuple(map(tuple, rows))
+    change; rows that are all stored dicts already, as the identity's,
+    are kept by C-level passes, with no row handed to :func:`store_row`."""
+    if (kinds == {dict} and not any(map(contains, map(dict.values, rows), repeat(0)))
+            and _sparse(max(map(len, rows)), width)):
+        return rows
     return tuple([store_row(row, width) for row in rows])
-
-
-_count_zeros = methodcaller("count", 0)
 
 
 def _add_rows(a, b):

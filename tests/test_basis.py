@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 
@@ -168,6 +169,64 @@ def test_d1000_monodromy_closes_at_its_coxeter_number():
     rng = random.Random(1000)
     v = [rng.randint(-3, 3) for _ in range(1000)]
     assert _orbit_length(monodromy(dynkin("D", 1000)), v, 2000) == 1998
+
+
+def _characteristic_polynomial(m):
+    """The coefficients of ``det(t I - m)``, from the top degree down, by
+    Newton's identities on the power sums ``tr(m^j)``, ``j = 1..nu``, in
+    exact integers."""
+    power, sums = m, []
+    for _ in range(m.nrows):
+        sums.append(sum(power.diagonal()))
+        power = power * m
+    coefficients = [1]
+    for k in range(1, m.nrows + 1):
+        total = sum(map(operator.mul, coefficients, reversed(sums[:k])))
+        assert total % k == 0
+        coefficients.append(-total // k)
+    return coefficients
+
+
+def _times(*polynomials):
+    """The product of polynomials given by their coefficients, top degree
+    first."""
+    out = [1]
+    for q in polynomials:
+        product = [0] * (len(out) + len(q) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(q):
+                product[i + j] += x * y
+        out = product
+    return out
+
+
+# cyclotomic polynomials, top degree first
+_PHI = {2: [1, 1], 3: [1, 1, 1], 12: [1, 0, -1, 0, 1], 18: [1, 0, 0, -1, 0, 0, 1],
+        30: [1, 1, 0, -1, -1, -1, 0, 1, 1]}
+
+
+def _simple_characteristic_polynomials(kind):
+    # (k, the polynomial) from the exponents m_j and the Coxeter number h,
+    # the eigenvalues being exp(2 pi i m_j / h): 1 + t + ... + t^k on A_k,
+    # (t^(k-1) + 1)(t + 1) on D_k, and Phi_3 Phi_12, Phi_2 Phi_18 and
+    # Phi_30 on E_6, E_7 and E_8
+    if kind == "A":
+        return [(k, [1] * (k + 1)) for k in range(1, 31)]
+    if kind == "D":
+        return [(k, _times([1] + [0] * (k - 2) + [1], _PHI[2])) for k in range(4, 31)]
+    return [(6, _times(_PHI[3], _PHI[12])), (7, _times(_PHI[2], _PHI[18])), (8, _PHI[30])]
+
+
+@pytest.mark.parametrize("kind", "ADE")
+def test_simple_singularity_monodromy_has_the_characteristic_polynomial(kind):
+    # truth from outside the pipeline, in the diagram's basis and after one
+    # random word of up to 10 moves, which cannot move the conjugacy class
+    for k, want in _simple_characteristic_polynomials(kind):
+        rng = random.Random("%s%d" % (kind, k))
+        lat = dynkin(kind, k)
+        assert _characteristic_polynomial(monodromy(lat)) == want, k
+        moved, _ = apply_braid_word(lat, random_braid_word(rng, k, 10))
+        assert _characteristic_polynomial(monodromy(moved)) == want, k
 
 
 def test_monodromy_requires_valid_lattice():

@@ -265,11 +265,11 @@ def test_det_by_components_matches_whole_reduction(case):
     _check_det_split(*case)
 
 
-def test_det_reduces_only_components_above_2x2(monkeypatch):
-    # 1x1 components 3 and -1, the 2x2 block [[2, 1], [1, 1]] of rows 1
-    # and 3, taken as a d - b c, and a 3x3 block of determinant 4 on rows
-    # 4-6: only the 3x3 block is reduced, and a zero singleton makes the
-    # determinant 0
+def test_det_reduces_only_components_above_1x1(monkeypatch):
+    # 1x1 components 3 and -1, taken as their entries, the 2x2 block
+    # [[2, 1], [1, 1]] of rows 1 and 3 and a 3x3 block of determinant 4 on
+    # rows 4-6: only the two blocks are reduced, and a zero singleton makes
+    # the determinant 0
     reduced = []
 
     def counting(m, ncols):
@@ -280,10 +280,34 @@ def test_det_reduces_only_components_above_2x2(monkeypatch):
             [0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0], [0, 0, 0, 0, 1, 2, 1],
             [0, 0, 0, 0, 0, 1, 2]]
     assert IntMatrix.from_rows(rows).det() == -12
-    assert reduced == [3]
+    assert reduced == [2, 3]
     singular = [row + [0] for row in rows] + [[0] * 8]
     assert IntMatrix.from_rows(singular).det() == 0
-    assert reduced == [3, 3]
+    assert reduced == [2, 3, 2, 3]
+
+
+@st.composite
+def _two_by_two(draw):
+    # the block [[a, b], [c, d]] at rows and columns i < j of the n x n
+    # identity, n on both sides of SPARSE_MIN_COLS, with small entries or
+    # entries up to 10**40
+    n = draw(st.sampled_from([2, 5, 17]))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                unique=True)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))
+    return draw(st.lists(entry, min_size=4, max_size=4)), n, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_by_two())
+@example(([0, 5, -7, 3], 2, 0, 1))  # a zero first pivot: the rows swap
+@example(([0, 0, -7, 3], 5, 1, 3))  # a zero first column: det 0
+@example(([10 ** 40, -10 ** 40, 10 ** 40, -1], 17, 0, 16))
+def test_det_of_a_2x2_component_is_a_d_minus_b_c(case):
+    (a, b, c, d), n, i, j = case
+    rows = [[int(r == col) for col in range(n)] for r in range(n)]
+    rows[i][i], rows[i][j], rows[j][i], rows[j][j] = a, b, c, d
+    assert IntMatrix.from_rows(rows).det() == a * d - b * c
 
 
 def test_a_walk_over_rows_alone_is_caught(monkeypatch):
@@ -429,6 +453,53 @@ def test_combine_rows_leaves_its_input_rows_alone():
     assert got == [6] + list(_DENSE[1:])
     got, = intmat.combine_rows([{1: 2}], [{}, {0: 5}], 16)
     assert got == {0: 10}
+
+
+@st.composite
+def _summands(draw):
+    # two matrices of one shape at widths on both sides of SPARSE_MIN_COLS,
+    # their rows stored as dicts or tuples by their fill; a row of the
+    # second is drawn alone, or is the negated row of the first plus at
+    # most a quarter of the width nonzero, so that the sum cancels to a
+    # row stored sparse
+    width = draw(st.sampled_from([0, 15, 16, 17, 64]))
+
+    def drawn_row():
+        return draw(_row(width)) if width else []
+    first = [drawn_row() for _ in range(draw(st.integers(0, 4)))]
+    second = []
+    for row in first:
+        other = drawn_row()
+        if width and draw(st.booleans()):
+            other = [-x for x in row]
+            for c in draw(st.lists(st.integers(0, width - 1), unique=True,
+                                   max_size=width // intmat.SPARSE_FILL)):
+                other[c] += draw(_wide)
+        second.append(other)
+    return first, second, width
+
+
+_QUARTER = [0] * 15 + [7]  # 1 nonzero in 16 columns: stored as a dict
+
+
+@settings(max_examples=150, deadline=None)
+@given(_summands())
+@example(([], [], 0))
+@example(([[], []], [[], []], 0))
+@example(([_QUARTER, _DENSE], [list(_DENSE), _QUARTER], 16))  # dict + tuple, tuple + dict
+@example(([_QUARTER], [[-x for x in _QUARTER]], 16))  # two dicts that cancel
+@example(([list(_DENSE)], [[-x for x in _DENSE[:-1]] + [0]], 16))  # tuples to a dict
+def test_add_sub_neg_are_the_entrywise_sums(case):
+    first, second, width = case
+    a, b = IntMatrix(first, width), IntMatrix(second, width)
+    la, lb = a.to_lists(), b.to_lists()
+    want = {"+": [[x + y for x, y in zip(r, s)] for r, s in zip(la, lb)],
+            "-": [[x - y for x, y in zip(r, s)] for r, s in zip(la, lb)],
+            "neg": [[-x for x in r] for r in la]}
+    for op, got in (("+", a + b), ("-", a - b), ("neg", -a)):
+        assert got.to_lists() == want[op]
+        # each row is stored as its entries choose, however it was summed
+        assert got == IntMatrix(want[op], width)
 
 
 @st.composite
