@@ -19,14 +19,15 @@ at most ``2 * L`` columns, so every product keeps that sparse factor on
 the left, at O((nu + L) * nu) rather than a dense O(nu^3), and its
 determinant is taken over the components of its sparse pattern.  The
 word builds the transpose of that change from its columns, and the
-transports run the row kernel on rows, so a word builds four matrices:
-the closed-form gram, ``P^T``, ``P`` and the congruence.
+transports run the row kernel on rows, so a word builds three matrices:
+the closed-form gram, ``P^T`` and the congruence; ``P`` itself is built
+only where it is read.
 """
 
 import re
 import sys
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from math import inf
 
 from .intmat import IntMatrix, combine_rows, dense_row, sweep_rows, transposed
@@ -90,9 +91,9 @@ class BasisChange:
     """Unimodular matrix ``P`` whose columns are the new basis in the old one.
 
     The change is kept as ``columns = P^T``, whose rows are the columns of
-    ``P``, as a braid word builds them, and ``matrix = P`` is derived from
-    it once by :meth:`from_columns`, the one way a change is built; the
-    determinant is taken on ``P^T``, which has the same one.
+    ``P``, as a braid word builds them; the determinant is taken on
+    ``P^T``, which has the same one, and two changes are equal when their
+    ``P^T`` are.  ``matrix = P`` is built from it on first read.
 
     A product costs, for each nonzero of its left factor, the nonzeros of
     the matching row of its right factor when that row is stored sparse,
@@ -107,17 +108,16 @@ class BasisChange:
     that ``P * new`` is compared with.
     """
 
-    matrix: IntMatrix
-    columns: IntMatrix = field(repr=False, compare=False)
+    columns: IntMatrix
 
     def __post_init__(self):
         if self.columns.det() not in (1, -1):
             raise ValueError("basis change must be unimodular")
 
-    @classmethod
-    def from_columns(cls, columns: IntMatrix) -> "BasisChange":
-        """The change whose ``P^T`` is ``columns``, with ``P`` its transpose."""
-        return cls(columns.transpose(), columns)
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        """``P``, the transpose of ``columns``."""
+        return self.columns.transpose()
 
     def _times_p(self, rows):
         """The rows of ``m P`` for the rows of ``m``, stored or summed, as
@@ -211,9 +211,8 @@ def _flip_step(g, cols, k, parity):
 
 def _plus(x, w, y, n):
     """``x + w * y`` for columns of the basis change, kept as dicts of
-    their nonzeros and summed by the row kernel."""
-    if not w:
-        return x
+    their entries and summed by the row kernel; a zero that the sum holds
+    is dropped when ``P^T`` is stored."""
     acc, = combine_rows(({0: 1, 1: w},), (x, y), n)
     return acc
 
@@ -234,14 +233,14 @@ def apply_braid_word(lat: ThimbleLattice,
 
     Each move rewrites rows and columns ``k, k+1`` of one working gram by
     the closed-form rules, at O(nu), and updates two columns of the
-    composite change ``P``, kept as dicts of their nonzeros; they are the
-    rows of ``P^T``, which is built from them once, sparse, and ``P`` is
-    derived from it (:meth:`BasisChange.from_columns`).  The closed-form
-    gram is then checked once against the congruence ``P^T G P``, which
-    costs O(nnz(P) * nu) for the sparse ``P`` of a short word, and ``P``
-    must have determinant +-1, taken over the components of the pattern
-    of ``P^T`` (see ``IntMatrix.det``).  Both checks stay exact and
-    independent of the closed-form rules.
+    composite change ``P``, kept as dicts of their entries; they are the
+    rows of ``P^T``, which is built from them once, sparse, and is all the
+    :class:`BasisChange` keeps.  The closed-form gram is then checked once
+    against the congruence ``P^T G P``, which costs O(nnz(P) * nu) for the
+    sparse ``P`` of a short word, and ``P`` must have determinant +-1,
+    taken over the components of the pattern of ``P^T`` (see
+    ``IntMatrix.det``).  Both checks stay exact and independent of the
+    closed-form rules.
 
     Entries can grow without bound along a word, each move adding a
     product with the move's coefficient.  A coefficient longer than
@@ -266,7 +265,7 @@ def apply_braid_word(lat: ThimbleLattice,
             str(g[k][k + 1])  # past the limit: raises ValueError
         _STEPS[move.kind](g, cols, k, lat.parity)
     closed = IntMatrix(g, lat.nu)
-    change = BasisChange.from_columns(IntMatrix(cols, lat.nu))
+    change = BasisChange(IntMatrix(cols, lat.nu))
     congruent = change.congruence(lat.gram)
     if closed != congruent:
         raise AssertionError(

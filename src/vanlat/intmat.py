@@ -16,7 +16,7 @@ i.e. images are the *columns* of ``M``.
 """
 
 from itertools import compress, repeat
-from operator import add, contains, countOf, neg
+from operator import add, countOf, neg
 
 # A row is stored as a dict of its nonzero entries, ``{col: value}``, when
 # it has at least SPARSE_MIN_COLS columns and at most one in SPARSE_FILL of
@@ -107,7 +107,7 @@ class IntMatrix:
             ncols = len(rows[0])
         kinds = set(map(type, rows))
         if ncols >= SPARSE_MIN_COLS or dict in kinds:
-            rows = _stored(rows, ncols, kinds)
+            rows = tuple([store_row(row, ncols) for row in rows])
         elif list in kinds:
             rows = tuple(map(tuple, rows))
         _set_stored_rows(self, rows)
@@ -318,16 +318,6 @@ _set_stored_rows = IntMatrix.stored_rows.__set__
 _set_ncols = IntMatrix.ncols.__set__
 
 
-def _stored(rows, width, kinds):
-    """:func:`store_row` of each of ``rows``, where a row's storage may
-    change; rows that are all stored dicts already, as the identity's,
-    are kept by C-level passes, with no row handed to :func:`store_row`."""
-    if (kinds == {dict} and not any(map(contains, map(dict.values, rows), repeat(0)))
-            and _sparse(max(map(len, rows)), width)):
-        return rows
-    return tuple([store_row(row, width) for row in rows])
-
-
 def _add_rows(a, b):
     """The sum of two stored rows of one width, as a row to store."""
     if type(a) is dict:
@@ -358,8 +348,8 @@ def transposed(rows, width):
     return cols
 
 
-def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
-    """``scale * sum_t weights[t] * rows[t]`` for each ``weights`` of
+def combine_rows(weight_rows, rows, width, _sweep=None):
+    """``sum_t weights[t] * rows[t]`` for each ``weights`` of
     ``weight_rows``, as new rows to store (see :func:`store_row`).
 
     The one row-combination kernel, behind every product and
@@ -374,17 +364,18 @@ def combine_rows(weight_rows, rows, width, scale=1, _sweep=None):
     turns a dict sum into a list and clears the flag.  A dict sum keeps
     the zeros that cancellation leaves, which :func:`store_row` drops when
     the sum is stored.  A first term starts the sum as a copy of its row,
-    or the row scaled; a left row with no nonzero weight gives an empty
-    dict.  Each sum is built fresh, so a term may read a row that the
-    caller is about to replace.
+    or the row times its weight; a left row with no nonzero weight gives
+    an empty dict.  Each sum is built fresh, so a term may read a row that
+    the caller is about to replace.
 
-    With ``_sweep = (start, unit)`` it runs the sweep of :func:`sweep_rows`
-    on ``rows``, all ``None`` at first, a ``None`` row standing for ``start
-    * e_t`` (one entry), and returns the new rows as made, last row first.
+    With ``_sweep = (scale, start, unit)`` it runs the sweep of
+    :func:`sweep_rows` on ``rows``, all ``None`` at first, a ``None`` row
+    standing for ``start * e_t`` (one entry), each weight times ``scale``,
+    and returns the new rows as made, last row first.
     """
-    out, k = [], len(rows)
+    out, k, scale = [], len(rows), 1
     if _sweep is not None:
-        start, unit = _sweep
+        scale, start, unit = _sweep
         weight_rows = reversed(weight_rows)
     indices = range(k)
     for weights in weight_rows:
@@ -430,9 +421,11 @@ def sweep_rows(weight_rows, width, scale, unit, start):
     """The triangular sweep: from the last row ``k`` to the first, row
     ``k`` becomes ``unit * e_k + scale * sum_t weight_rows[k][t] * row_t``,
     with ``row_t`` the new row for ``t > k`` and ``start * e_t`` for ``t <=
-    k``, and is stored at once, so a sparse row is summed sparse."""
-    return IntMatrix(combine_rows(weight_rows, [None] * width, width, scale,
-                                  _sweep=(start, unit))[::-1], width)
+    k``, and is stored at once, so a sparse row is summed sparse.  The
+    kernel takes ``scale`` with the sweep's other constants, as no product
+    scales."""
+    return IntMatrix(combine_rows(weight_rows, [None] * width, width,
+                                  _sweep=(scale, start, unit))[::-1], width)
 
 
 def squares_to_identity(rows):

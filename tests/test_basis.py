@@ -171,6 +171,33 @@ def test_d1000_monodromy_closes_at_its_coxeter_number():
     assert _orbit_length(monodromy(dynkin("D", 1000)), v, 2000) == 1998
 
 
+@pytest.mark.parametrize("k", [250, 500])
+def test_large_d_k_monodromy_keeps_its_coxeter_order_after_a_word(k):
+    # a word cannot move the monodromy's conjugacy class: after a random
+    # word of 8 to 11 moves the orbit of a random vector still closes at
+    # exactly h = 2k - 2, and tr M = -1; the rows of M stay sparse, so the
+    # orbit costs little.  In the diagram's order only the two thimbles
+    # where the colour classes meet pair, and a move elsewhere swaps two
+    # orthogonal thimbles, so each a or A move is drawn at that pair, whose
+    # pairing stays +-1, and each flip at it or beside it
+    rng = random.Random("D%d" % k)
+    diagram = dynkin("D", k)
+    meet = next(s for s in range(k - 1) if diagram.gram[s, s + 1]) + 1
+    kinds = [rng.choice("aAf") for _ in range(rng.randint(8, 11))]
+    word = BraidWord(tuple(BraidMove(kind, meet + (kind == "f") * rng.randint(-1, 1))
+                           for kind in kinds))
+    lat, coupled = diagram, 0
+    for move in word.moves:
+        coupled += move.kind != "f" and lat.gram[move.j - 1, move.j] != 0
+        lat = apply_braid_word(lat, BraidWord((move,)))[0]
+    assert 0 < coupled == len(kinds) - kinds.count("f")
+    assert apply_braid_word(diagram, word)[0] == lat
+    m = monodromy(lat)
+    assert sum(m.diagonal()) == -1
+    v = [rng.randint(-3, 3) for _ in range(k)]
+    assert _orbit_length(m, v, 2 * k) == 2 * k - 2
+
+
 def _characteristic_polynomial(m):
     """The coefficients of ``det(t I - m)``, from the top degree down, by
     Newton's identities on the power sums ``tr(m^j)``, ``j = 1..nu``, in
@@ -337,10 +364,10 @@ def test_every_move_is_a_congruence(case):
 def test_word_composite_is_the_product_of_its_moves(case):
     lat, word = case
     new, change = apply_braid_word(lat, word)
-    current, want = lat, BasisChange.from_columns(IntMatrix.identity(lat.nu))
+    current, want = lat, BasisChange(IntMatrix.identity(lat.nu))
     for move in word.moves:
         current, step = apply_braid_word(current, BraidWord((move,)))
-        want = BasisChange.from_columns((want.matrix * step.matrix).transpose())
+        want = BasisChange((want.matrix * step.matrix).transpose())
     assert new.gram == current.gram
     assert change.matrix == want.matrix
 
@@ -496,7 +523,7 @@ def _changes_and_maps(draw, n):
         p_inverse = apply_braid_word(moved, inverse_word(word))[1].matrix
     else:
         p, p_inverse = _dense_unimodular(rng, n)
-        change = BasisChange.from_columns(p.transpose())
+        change = BasisChange(p.transpose())
     fill = draw(st.sampled_from((1, 8)))  # every entry, or about one in 8
     m = IntMatrix([[rng.randint(-9, 9) if rng.randrange(fill) == 0 else 0
                     for _ in range(n)] for _ in range(n)], n)
@@ -619,4 +646,4 @@ def test_word_position_out_of_range():
 
 def test_basis_change_must_be_unimodular():
     with pytest.raises(ValueError):
-        BasisChange.from_columns(IntMatrix.from_rows([[2]]))
+        BasisChange(IntMatrix.from_rows([[2]]))

@@ -401,7 +401,8 @@ def test_mul_matches_triple_loop_on_wide_sparse_and_dense_rows(factors):
 @st.composite
 def _combination(draw):
     # weight rows over right rows of any width, below SPARSE_MIN_COLS all
-    # stored as tuples and from there on each sparse or dense, under a scale
+    # stored as tuples and from there on each sparse or dense, and a scale
+    # that multiplies the weight rows
     k = draw(st.integers(1, 6))
     m = draw(st.integers(1, 40))
     weights = [draw(_row(k)) for _ in range(draw(st.integers(0, 4)))]
@@ -418,23 +419,24 @@ _SPARSE = (5,) + (0,) * 15  # 1 nonzero in 16 columns: stored by its column
 @example(([[1]], [_DENSE], 1))  # a dense first term is copied ...
 @example(([[-1]], [_DENSE], 1))  # ... or scaled
 @example(([[10 ** 40]], [_DENSE], 1))
-@example(([[1]], [_DENSE], -1))  # a weight of 1 under scale -1 is scaled
+@example(([[1]], [_DENSE], -1))  # a weight of 1 times scale -1 is -1
 @example(([[2, 3]], [_SPARSE, _DENSE], 1))  # sparse first, then dense
 @example(([[2, 3]], [_DENSE, _SPARSE], 1))  # dense first, then sparse
 @example(([[0, 0], [1, 1]], [_SPARSE, _DENSE], 1))  # a left row of zeros
 @example(([[1, 2], [0, 1]], [_DENSE, _DENSE], -1))
 @example(([[1, -1]], [_SPARSE, _SPARSE], 1))  # sparse terms that cancel
 def test_combine_rows_matches_the_sum_of_terms(case):
-    # weights and rows as stored, each weight row once as a tuple and
-    # once as a dict of its nonzeros
+    # weights and rows as stored, each weight row, times the scale, once as
+    # a tuple and once as a dict of its nonzeros
     weights, rows, scale = case
     width = len(rows[0])
     stored = [intmat.store_row(row, width) for row in rows]
     want = [[scale * sum(w * row[c] for w, row in zip(ws, rows))
              for c in range(width)] for ws in weights]
+    weights = [[scale * w for w in ws] for ws in weights]
     for left in ([tuple(ws) for ws in weights],
                  [{t: w for t, w in enumerate(ws) if w} for ws in weights]):
-        got = intmat.combine_rows(left, stored, width, scale)
+        got = intmat.combine_rows(left, stored, width)
         assert [list(intmat.dense_row(intmat.store_row(acc, width), width))
                 for acc in got] == want
         assert all(type(acc) in (list, dict) for acc in got)

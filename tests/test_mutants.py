@@ -1,10 +1,11 @@
 """What ``verify`` catches, measured by mutants.
 
 Each mutant is one plausible convention slip, applied in-process under
-every name a vanlat module binds the function to (``conftest.rebind``).
-For each, the first FAIL line of ``run_verification(20240001, 70, 16)``
-is pinned by its family and instance: a row that changes means a family
-gained or lost power over that slip.
+every name a vanlat module binds the function to (``conftest.rebind``),
+or, for a method, on its class.  For each, the first FAIL line of
+``run_verification(20240001, 70, 16)`` is pinned by its family and
+instance: a row that changes means a family gained or lost power over
+that slip.
 """
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from conftest import rebind
 from vanlat import conjugation, index, lattice, signature, variation
 from vanlat.conjugation import ConjugatePair
-from vanlat.intmat import components, submatrix, sweep_rows
+from vanlat.index import IcisInstance
+from vanlat.intmat import IntMatrix, components, submatrix, sweep_rows
 from vanlat.lattice import diagonal_sign, require_valid
 from vanlat.signature import Signature
 from vanlat.suite import run_verification
@@ -63,30 +65,87 @@ def _level_zero_alone(inst):
     return index.level_index_sum(inst.levels[0], inst.sign_for_level(0))
 
 
-# mutant name: (the original, its mutant built from it, the first FAIL line
-# of run_verification(20240001, 70, 16) up to its problem)
+def _deeper_levels_with_s(inst):
+    # gradient_index with s for -s in each deeper level's coefficient
+    total = index.level_index_sum(inst.levels[0], inst.sign_for_level(0))
+    for level in inst.levels[1:]:
+        s = inst.sign_for_level(level.i)
+        power = index._sign_power(s, level.lattice.parity)
+        total += power * index.level_index_sum(level, s)
+    return total
+
+
+def _sign_read_forward(inst, i):
+    # sign_for_level reading s_(i+1) for s_(p-i+1)
+    return inst.signs[i]
+
+
+def _dict_rows_with_unit_diagonal(lat):
+    # a dict row of var_inverse with 1 for d on its diagonal
+    require_valid(lat)
+    d = diagonal_sign(lat.parity)
+    rows = []
+    for r, row in enumerate(lat.gram.stored_rows):
+        if type(row) is dict:
+            upper = {c: -v for c, v in row.items() if c > r}
+            upper[r] = 1
+        else:
+            upper = (0,) * r + (d,) + tuple(-x for x in row[r + 1:])
+        rows.append(upper)
+    return IntMatrix(rows, lat.nu)
+
+
+def _inertia_swapped_from_3_rows(function):
+    # n_plus and n_minus swapped on components of 3 rows or more
+    def swapped(a):
+        p, q, z = function(a)
+        return (q, p, z) if len(a) >= 3 else (p, q, z)
+    return swapped
+
+
+def _rebound(original, mutate):
+    """A patch of ``original`` by its mutant, under every name a vanlat
+    module binds it to."""
+    return lambda monkeypatch: rebind(monkeypatch, original, mutate(original))
+
+
+# mutant name: (the patch that applies it, the first FAIL line of
+# run_verification(20240001, 70, 16) up to its problem)
 MUTANTS = {
     "diagonal_sign (-1)^(p(p-1)/2)": (
-        lattice.diagonal_sign, lambda f: _diagonal_sign_of_p_minus_1,
+        _rebound(lattice.diagonal_sign, lambda f: _diagonal_sign_of_p_minus_1),
         "FAIL s-relation (instance 0)"),
     "var sweep unit 1": (
-        variation.var, lambda f: _var_with_unit_1,
+        _rebound(variation.var, lambda f: _var_with_unit_1),
         "FAIL monodromy-relation (instance 1)"),
     "level sum s^(p+1)": (
-        index.level_index_sum, _times_s,
+        _rebound(index.level_index_sum, _times_s),
         "FAIL telescoping (instance 6)"),
     "cycle sum without s": (
-        index.cycle_index_sum, _times_s,
+        _rebound(index.cycle_index_sum, _times_s),
         "FAIL cycle-route-agreement (instance 12)"),
     "1x1 components' sign": (
-        signature.exact_signature, lambda f: _one_by_one_sign_swapped,
+        _rebound(signature.exact_signature, lambda f: _one_by_one_sign_swapped),
         "FAIL block-form (instance 4)"),
     "pair counted +1 in signature_by_blocks": (
-        conjugation.signature_by_blocks, _pairs_count_plus_1,
+        _rebound(conjugation.signature_by_blocks, _pairs_count_plus_1),
         "FAIL block-form (instance 4)"),
     "gradient_index without deeper levels": (
-        index.gradient_index, lambda f: _level_zero_alone,
+        _rebound(index.gradient_index, lambda f: _level_zero_alone),
         "FAIL telescoping (instance 6)"),
+    "gradient_index with s for -s on deeper levels": (
+        _rebound(index.gradient_index, lambda f: _deeper_levels_with_s),
+        "FAIL telescoping (instance 6)"),
+    "sign_for_level reading signs[i]": (
+        lambda monkeypatch: monkeypatch.setattr(IcisInstance, "sign_for_level",
+                                                _sign_read_forward),
+        "FAIL telescoping (instance 27)"),
+    "var_inverse dict rows with 1 for d": (
+        _rebound(variation.var_inverse, lambda f: _dict_rows_with_unit_diagonal),
+        "FAIL cycle-route-agreement (instance 19)"),
+    "inertia swapped on components of 3+ rows": (
+        _rebound(signature._component_inertia, _inertia_swapped_from_3_rows),
+        "FAIL cycle-route-agreement (instance 5)"),
 }
 
 
@@ -96,8 +155,8 @@ def test_the_unmutated_run_passes():
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_verify_kills_the_mutant_at_its_pinned_instance(name, monkeypatch):
-    original, mutate, first_fail = MUTANTS[name]
-    rebind(monkeypatch, original, mutate(original))
+    patch, first_fail = MUTANTS[name]
+    patch(monkeypatch)
     result = run_verification(20240001, 70, 16)
     assert not result.ok
     assert result.lines[-1].split(":")[0] == first_fail

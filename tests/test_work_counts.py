@@ -24,7 +24,7 @@ sparse and the row kernel sums it as dicts, with no dense row built,
 while a dense random lattice and its braid congruence stay dense.  The
 kernel leaves the zeros of a dict sum that cancels, and storing the sum
 drops them, once per row; the involution test stores no row.  A braid
-word builds four matrices.
+word builds three matrices, and its basis change ``P`` only when read.
 
 The row kernel's cost, each nonzero weight charged the stored length of
 the row it reads, grows at most cubically in the rank on dense random
@@ -397,15 +397,17 @@ def test_a_64_products_that_cancel_store_no_row_again(monkeypatch):
     # sigma^2 and the companion's square are the identity, so their sums
     # cancel; the involution test reads each square's rows as the kernel
     # sums them, zeros and all, and stores none, and a product that is
-    # kept stores each row once, when store_row drops its zeros
+    # kept stores each row once, when store_row drops its zeros; the
+    # identity they are compared with is built before the count starts
     lat, conj = a_k_level(64)
     analysis = LevelAnalysis(lat, conj)
     tilde = analysis.companion
+    identity = IntMatrix.identity(64)
     assert analysis.signature.n_zero == 0
     stored = _counting(monkeypatch, intmat, "store_row")
     assert conj.sigma.is_involution() and tilde.is_involution()
     assert sum(stored.values()) == 0
-    assert conj.sigma * conj.sigma == tilde * tilde == IntMatrix.identity(64)
+    assert conj.sigma * conj.sigma == tilde * tilde == identity
     assert sum(stored.values()) == 2 * 64
     assert max(len(row) for row in conj.sigma.stored_rows) == 3
 
@@ -436,10 +438,10 @@ def test_dense_rank_64_braid_congruence_takes_the_dense_path(monkeypatch):
     assert sum(type(row) is dict for row in change.matrix.stored_rows) >= 64 - 2 * len(word)
 
 
-def test_rank_64_braid_word_builds_four_matrices(monkeypatch):
-    # the closed-form gram, P^T from the word's columns, P derived from it
-    # and the congruence; the congruence's products and transposes run on
-    # rows, and the determinant is taken on P^T
+def test_rank_64_braid_word_builds_three_matrices(monkeypatch):
+    # the closed-form gram, P^T from the word's columns and the congruence;
+    # the congruence's products and transposes run on rows, the determinant
+    # is taken on P^T, and P is built only when it is read
     rng = random.Random(64)
     lat = random_lattice(rng, 64, 1)
     kinds = list("aAf" * 8)
@@ -448,7 +450,7 @@ def test_rank_64_braid_word_builds_four_matrices(monkeypatch):
                            for kind in kinds))
     built = _counting(monkeypatch, IntMatrix, "__init__")
     moved, change = apply_braid_word(lat, word)
-    assert len(word) == 24 and sum(built.values()) == 4
+    assert len(word) == 24 and sum(built.values()) == 3
     assert change.columns == change.matrix.transpose()
 
 
