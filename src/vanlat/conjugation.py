@@ -72,8 +72,8 @@ from functools import cached_property
 from itertools import chain
 
 from .basis import monodromy
-from .intmat import (SPARSE_MIN_COLS, IntMatrix, combine_rows, direct_sum,
-                     first_difference, non_integer_at, row_items, sweep_rows)
+from .intmat import (IntMatrix, combine_rows, direct_sum, first_difference,
+                     non_integer_at, row_items, sweep_rows)
 from .lattice import (ThimbleLattice, diagonal_sign, gram_rows, mirror_sign,
                       require_valid, self_intersection)
 from .signature import Signature, exact_signature
@@ -471,11 +471,11 @@ def _lattice_of(parity, v):
     ``v``: ``-v`` right of the diagonal, mirrored by the parity's rule,
     and the self-pairing on it.  Its ``var_inverse`` is ``v`` exactly when
     ``v`` is upper triangular with ``(-1)^(p(p+1)/2)`` on the diagonal.
-    Below ``SPARSE_MIN_COLS`` columns, where every row is stored as a
-    tuple, the gram rows are built dense; from there on, from the
-    nonzeros of ``v``."""
+    When no row of ``v`` is stored as a dict, as below
+    ``SPARSE_MIN_COLS`` columns, the gram rows are built dense; else from
+    the nonzeros of ``v``."""
     nu = v.nrows
-    if nu < SPARSE_MIN_COLS:
+    if dict not in set(map(type, v.stored_rows)):
         upper = [-x for r, row in enumerate(v.stored_rows) for x in row[r + 1:]]
         return ThimbleLattice(parity, IntMatrix(gram_rows(nu, parity, upper), nu))
     eps, diagonal = mirror_sign(parity), self_intersection(parity)

@@ -10,6 +10,11 @@ kernel sums every product and sweeps monodromy and var, in one loop over
 a weight row's nonzero terms, dict or tuple, with a flag for whether the
 sum so far is a dict.
 
+A determinant is taken component by component of the nonzero pattern,
+each larger component by forward-only fraction-free (Bareiss)
+elimination (:func:`bareiss_det`); the one inverse, which no library path
+takes, is the determinant times the adjugate, cofactor by cofactor.
+
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
 i.e. images are the *columns* of ``M``.
@@ -269,44 +274,42 @@ class IntMatrix:
         so permuting rows and columns together (which keeps the
         determinant) makes ``A`` block diagonal, and the determinant is
         the product of the components' determinants.  A 1x1 component's
-        determinant is its entry.  A larger one is reduced alone by
-        :func:`row_reduce`, which ends with its pivot minor ``d``: at full
-        rank its determinant is ``d`` times the sign of the row swaps, and
-        a rank-deficient component makes the whole determinant 0.  A dense
-        matrix is one component, so the split costs one O(nu^2) scan; a
-        sparse one, such as a braid word's basis change, is reduced in
-        small blocks.
+        determinant is its entry; a larger one is eliminated alone, by
+        forward-only Bareiss (:func:`bareiss_det`).  A dense matrix is one
+        component, so the split costs one O(nu^2) scan; a sparse one, such
+        as a braid word's basis change, is eliminated in small blocks.
         """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         out = 1
         rows, diagonal = self.stored_rows, self.diagonal()
         for comp in components(rows):
-            if len(comp) == 1:
-                out *= diagonal[comp[0]]
-                continue
-            pivots, d, sign = row_reduce(submatrix(rows, comp), len(comp))
-            if len(pivots) < len(comp):
-                return 0
-            out *= sign * d
+            out *= (diagonal[comp[0]] if len(comp) == 1
+                    else bareiss_det(submatrix(rows, comp)))
         return out
 
     def unimodular_inverse(self):
         """Exact integer inverse; requires ``|det| == 1``.
 
-        One reduction of ``[A | I]`` yields both the determinant and
-        ``d * A^-1`` in the right half.
+        The inverse is ``det`` times the adjugate: its entry ``(i, j)`` is
+        ``(-1)^(i+j)`` times the determinant, by :meth:`det`, of the matrix
+        without row ``j`` and column ``i``.  That is nu^2 determinants,
+        O(nu^5) on a dense matrix.  No library path calls this name: it
+        exists only because the benchmark's tracer under ``bench/`` wraps
+        it (ROADMAP.md, item 11).
         """
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        pivots, d, sign = row_reduce(aug, n)
-        det = sign * d if len(pivots) == n else 0
+        det = self.det()
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular (det = %d)" % det)
-        return IntMatrix([[x * d for x in row[n:]] for row in aug], n)
+        rows, n = self.rows, self.nrows
+
+        def minor(j, i):  # without row j and column i
+            return IntMatrix([row[:i] + row[i + 1:] for r, row in enumerate(rows)
+                              if r != j], n - 1)
+        return IntMatrix([[(-1) ** (i + j) * det * minor(j, i).det() for j in range(n)]
+                          for i in range(n)], n)
 
     def __str__(self):
         return "[%s]" % ", ".join(map(row_text, self.stored_rows, repeat(self.ncols)))
@@ -538,47 +541,43 @@ def components(rows):
     return out
 
 
-def eliminate(m, k, c, rows, prev):
-    """One fraction-free (Bareiss) step: clear column ``c`` of ``rows``.
+def eliminate(m, k, rows, prev):
+    """One fraction-free (Bareiss) step: clear column ``k`` of ``rows``.
 
     Each row ``i`` of the list-of-lists ``m`` named in ``rows`` becomes
-    ``(m[i] * p - m[i][c] * m[k]) // prev`` with pivot ``p = m[k][c]``.
+    ``(m[i] * p - m[i][k] * m[k]) // prev`` with pivot ``p = m[k][k]``.
     ``prev`` is the pivot of the previous step (1 before the first), and
     Sylvester's identity makes every division exact: entries stay minors
     of the starting matrix.  Rows the step would leave unchanged are
     skipped.
     """
     pk = m[k]
-    p = pk[c]
+    p = pk[k]
     for i in rows:
         ri = m[i]
-        f = ri[c]
+        f = ri[k]
         if f or p != prev:
             m[i] = [(x * p - f * y) // prev for x, y in zip(ri, pk)]
 
 
-def row_reduce(m, ncols):
-    """Fraction-free Gauss-Jordan on the first ``ncols`` columns of ``m``.
+def bareiss_det(m):
+    """The determinant of the square list-of-lists ``m``, by forward-only
+    fraction-free elimination (Bareiss 1968), which overwrites ``m``.
 
-    Reduces the list-of-lists ``m`` in place to ``d`` times its reduced
-    row echelon form, taking as pivot the first nonzero entry at or
-    below the current row.  Returns ``(pivots, d, sign)``: the pivot
-    column of each leading row, the last pivot (the determinant of the
-    pivot rows and columns in their final order, 1 if there is none),
-    and the sign of the row permutation.  Columns past ``ncols`` are
-    carried along.
+    Step ``k`` takes as pivot the first nonzero entry of column ``k`` at
+    or below row ``k``, swaps its row up and clears the column below it
+    (:func:`eliminate`), so the last pivot is the determinant up to the
+    sign of the swaps.  A column with no pivot makes the determinant 0.
     """
-    pivots = []
+    n = len(m)
     prev = sign = 1
-    for c in range(ncols):
-        k = len(pivots)
-        piv = next((r for r in range(k, len(m)) if m[r][c]), None)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            continue
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        eliminate(m, k, c, (r for r in range(len(m)) if r != k), prev)
-        prev = m[k][c]
-        pivots.append(c)
-    return pivots, prev, sign
+        eliminate(m, k, range(k + 1, n), prev)
+        prev = m[k][k]
+    return sign * prev

@@ -86,7 +86,7 @@ def _component_inertia(a):
             for r in active:
                 a[r][piv] += a[r][j]
         active.remove(piv)
-        eliminate(a, piv, piv, active, prev)
+        eliminate(a, piv, active, prev)
         if (a[piv][piv] > 0) == (prev > 0):
             n_plus += 1
         else:

@@ -458,12 +458,12 @@ def test_word_check_work_follows_the_sparsity_of_p(monkeypatch):
     # larger than the largest component of its pattern
     lat, word = _rank64_word()
     reduced = []
-    real_reduce = intmat.row_reduce
+    real_det = intmat.bareiss_det
 
-    def reduce_counting(m, ncols):
+    def det_counting(m):
         reduced.append(len(m))
-        return real_reduce(m, ncols)
-    monkeypatch.setattr(intmat, "row_reduce", reduce_counting)
+        return real_det(m)
+    monkeypatch.setattr(intmat, "bareiss_det", det_counting)
     products = _product_weights(monkeypatch)
     _, change = apply_braid_word(lat, word)
     monkeypatch.undo()

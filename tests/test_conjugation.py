@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from vanlat.gen import (_draw_level, flip_last_sign, generate_level,
                         random_icis_instance, random_lattice)
 from vanlat.index import IcisInstance, LevelData
 from vanlat.instfile import InstanceDocument, serialize_instance
-from vanlat.intmat import SPARSE_MIN_COLS, IntMatrix, row_reduce, squares_to_identity
+from vanlat.intmat import SPARSE_MIN_COLS, IntMatrix, squares_to_identity
 from vanlat.lattice import (SignVector, ThimbleLattice, mirror_sign,
                             validate_lattice)
 from vanlat.signature import exact_signature
@@ -309,7 +310,8 @@ def test_level_draws_are_the_stdlib_draws(rank_bound):
 
 
 def _names_and_imports(path):
-    """The names, attribute names and imported modules of a source file."""
+    """The names (those a ``from`` import binds included), attribute names
+    and imported modules of a source file."""
     names, imports = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
@@ -320,6 +322,7 @@ def _names_and_imports(path):
             imports.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imports.add(node.module)
+            names.update(alias.name for alias in node.names)
     return names, imports
 
 
@@ -333,6 +336,24 @@ def test_every_draw_rule_lives_in_gen():
         assert "random" not in imports and "getrandbits" not in names, name
     assert {path.name for path in package.glob("*.py")
             if "getrandbits" in _names_and_imports(path)[0]} == {"gen.py"}
+
+
+# The names that only the benchmark under bench/ calls, each documented
+# as one that no library path calls, and where each is defined.
+_BENCH_ONLY = {"unimodular_inverse": IntMatrix, "braid_alpha": basis,
+               "braid_alpha_inverse": basis, "orientation_flip": basis,
+               "derive_sigma_tilde": conjugation,
+               "generate_consistent_instance": conjugation}
+
+
+def test_no_module_refers_to_a_bench_only_name():
+    # each is defined, and no module of the package imports, calls or
+    # reads it, so the O(nu^5) adjugate inverse and the shims cannot
+    # become a library path unnoticed
+    package = pathlib.Path(vanlat.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        assert _names_and_imports(path)[0].isdisjoint(_BENCH_ONLY), path.name
+    assert all(hasattr(owner, name) for name, owner in _BENCH_ONLY.items())
 
 
 @pytest.mark.parametrize("rank_bound", [4, 16, 64])
@@ -728,7 +749,8 @@ def test_monodromy_split_closure_on_consistent_instances():
 
 def _solve_sigma_upper(lat, morse):
     """Oracle: the upper entries that make ``sigma * monodromy`` vanish
-    strictly above the block diagonal, from that linear system.
+    strictly above the block diagonal, from that linear system, solved
+    by its own Gauss-Jordan elimination over the rationals.
 
     This route shares nothing with the reference ``B^-1 * var_inverse``.
     Row r of the system has the trailing principal block of the monodromy
@@ -751,12 +773,23 @@ def _solve_sigma_upper(lat, morse):
                 row[index[(r, k)]] += h[k, c]
             else:
                 row[nunk] -= fixed[r, k] * h[k, c]
-        aug.append(row)
-    pivots, d, _ = row_reduce(aug, nunk)
-    if len(pivots) < nunk or any(row[nunk] % d for row in aug):
+        aug.append(list(map(Fraction, row)))
+    for k in range(nunk):
+        piv = next((r for r in range(k, nunk) if aug[r][k]), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pivot = aug[k][k]
+        aug[k] = [x / pivot for x in aug[k]]
+        for r in range(nunk):
+            f = aug[r][k]
+            if r != k and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
+    solution = [row[nunk] for row in aug]
+    if any(x.denominator != 1 for x in solution):
         return None
-    return [(r, c, aug[index[(r, c)]][nunk] // d)
-            for (r, c) in positions if aug[index[(r, c)]][nunk]]
+    return [(r, c, int(solution[index[(r, c)]]))
+            for (r, c) in positions if solution[index[(r, c)]]]
 
 
 def test_solve_sigma_upper_solutions_are_exact():

@@ -6,15 +6,27 @@ or, for a method, on its class.  For each, the first FAIL line of
 ``run_verification(20240001, 70, 16)`` is pinned by its family and
 instance: a row that changes means a family gained or lost power over
 that slip.
+
+Four slips ``verify`` misses: its report still ends ``PASS``.  For each,
+a named check outside ``verify`` that fails under it is pinned by the
+number of cases it fails, so that a family that gains the power to see
+the slip shows up as a changed row.
 """
+
+import dataclasses
+import random
 
 import pytest
 
-from conftest import rebind
-from vanlat import conjugation, index, lattice, signature, variation
-from vanlat.conjugation import ConjugatePair
+from conftest import instance_path, rebind
+from vanlat import conjugation, gen, index, lattice, signature, variation
+from vanlat.basis import BasisChange, apply_braid_word, monodromy
+from vanlat.conjugation import ConjugatePair, LevelAnalysis, MorseSpec, RealPoint
+from vanlat.gen import (generate_level, random_braid_word, random_icis_instance,
+                        random_lattice)
 from vanlat.index import IcisInstance
-from vanlat.intmat import IntMatrix, components, submatrix, sweep_rows
+from vanlat.instfile import load_instance
+from vanlat.intmat import IntMatrix, components, row_items, submatrix, sweep_rows
 from vanlat.lattice import diagonal_sign, require_valid
 from vanlat.signature import Signature
 from vanlat.suite import run_verification
@@ -160,3 +172,105 @@ def test_verify_kills_the_mutant_at_its_pinned_instance(name, monkeypatch):
     result = run_verification(20240001, 70, 16)
     assert not result.ok
     assert result.lines[-1].split(":")[0] == first_fail
+
+
+def _keeping_morse_indices(flip):
+    # flip_last_sign with each real point keeping its Morse index m, not
+    # taking parity - m
+    def flipped(inst):
+        out = flip(inst)
+        level0 = out.levels[0]
+        parity = level0.lattice.parity
+        points = tuple(RealPoint(parity - pt.morse_index) if isinstance(pt, RealPoint)
+                       else pt for pt in level0.conj.morse.points)
+        conj = dataclasses.replace(level0.conj, morse=MorseSpec(points))
+        return dataclasses.replace(
+            out, levels=(dataclasses.replace(level0, conj=conj),) + out.levels[1:])
+    return flipped
+
+
+def _bad_sigma_not_refused():
+    """``LevelAnalysis.inconsistency``: 1 when the level of
+    ``bad_sigma.vl``, whose sigma is an involution, is not refused by
+    both companion verdicts, else 0."""
+    level = load_instance(instance_path("bad_sigma.vl")).instance.levels[0]
+    verdict = LevelAnalysis(level.lattice, level.conj).inconsistency
+    return int(verdict != ("companion not an involution; "
+                           "companion not block lower triangular"))
+
+
+def _generated_companions_failing():
+    """The companion verdicts of ``LevelAnalysis.inconsistency``, taken on
+    the companion of every generated level of positive rank, seeds 0-299
+    at rank bound 16 and parities 1-4 in turn: the number that is no
+    involution or not block lower triangular (of 283)."""
+    failing = 0
+    for seed in range(300):
+        level = generate_level(seed, 16, 1 + seed % 4)
+        if level.lattice.nu:
+            tilde = LevelAnalysis(level.lattice, level.conj).companion
+            lower = all(c < end for row, (_, end) in zip(tilde.stored_rows,
+                                                         level.conj.morse.spans)
+                        for c, _ in row_items(row))
+            failing += not (tilde.is_involution() and lower)
+    return failing
+
+
+def _shifted_monodromies_accepted():
+    """``BasisChange.conjugates``: of ten braid words on random lattices,
+    the number whose change accepts the new monodromy plus the identity
+    as the transported old one."""
+    accepted = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        lat = random_lattice(rng, 6, 1 + seed % 4)
+        new, change = apply_braid_word(lat, random_braid_word(rng, 6))
+        accepted += change.conjugates(monodromy(lat),
+                                      monodromy(new) + IntMatrix.identity(6))
+    return accepted
+
+
+def _flipped_level0s_off_shape():
+    """``LevelAnalysis.block_structure_problem`` on the flipped level 0 of
+    each instance ``random_icis_instance(seed, 1 + seed % 3, seed % 3, 16)``,
+    seeds 0-399, whose level 0 has no pair: the number with a problem (of
+    145)."""
+    off = 0
+    for seed in range(400):
+        inst = random_icis_instance(seed, 1 + seed % 3, seed % 3, 16)
+        if not any(isinstance(pt, ConjugatePair) for pt in inst.levels[0].conj.morse.points):
+            level0 = gen.flip_last_sign(inst).levels[0]
+            off += LevelAnalysis(level0.lattice,
+                                 level0.conj).block_structure_problem() is not None
+    return off
+
+
+# mutant name: (the patch that applies it, the check outside verify that
+# kills it, the number of cases that check fails under it; 0 unmutated)
+MISSED = {
+    "_certifies_consistency returning True": (
+        _rebound(conjugation._certifies_consistency,
+                 lambda f: lambda form, spans: True),
+        _bad_sigma_not_refused, 1),
+    "companion built as monodromy * sigma": (
+        lambda monkeypatch: monkeypatch.setattr(
+            LevelAnalysis, "companion",
+            property(lambda self: self.monodromy * self.conj.sigma)),
+        _generated_companions_failing, 218),
+    "BasisChange.conjugates returning True": (
+        lambda monkeypatch: monkeypatch.setattr(BasisChange, "conjugates",
+                                                lambda self, old, new: True),
+        _shifted_monodromies_accepted, 10),
+    "flip_last_sign keeping each Morse index": (
+        _rebound(gen.flip_last_sign, _keeping_morse_indices),
+        _flipped_level0s_off_shape, 79),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSED))
+def test_verify_misses_the_mutant_that_a_named_check_kills(name, monkeypatch):
+    patch, check, failing = MISSED[name]
+    assert check() == 0
+    patch(monkeypatch)
+    assert run_verification(20240001, 70, 16).lines[-1] == "PASS (70 instances)"
+    assert check() == failing

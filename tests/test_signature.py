@@ -122,7 +122,7 @@ def _single_block_signature(m):
             for r in active:
                 a[r][piv] += a[r][j]
         active.remove(piv)
-        eliminate(a, piv, piv, active, prev)
+        eliminate(a, piv, active, prev)
         if (a[piv][piv] > 0) == (prev > 0):
             n_plus += 1
         else:

@@ -28,11 +28,14 @@ word builds three matrices, and its basis change ``P`` only when read.
 
 The row kernel's cost, each nonzero weight charged the stored length of
 the row it reads, grows at most cubically in the rank on dense random
-lattices and at most linearly on A_k towers.  So does the work of the
+lattices, the consistency verdict of a level that the certificate refuses
+included, and at most linearly on A_k towers.  So does the work of the
 elimination steps behind ``IntMatrix.det`` and ``exact_signature``, each
 step charged the rows it is handed times its pivot row's width, on dense
-random grams.  The counts are deterministic, so these growth gates cannot
-flake where timings would.
+random grams; ``det`` eliminates forward only, so its steps are handed
+exactly ``n^2 (n - 1) / 2`` row widths on a dense ``n x n`` gram.  The
+counts are deterministic, so these growth gates cannot flake where
+timings would.
 """
 
 import collections
@@ -47,7 +50,7 @@ from conftest import a_k_instance, a_k_level, instance_path, rebind
 from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import BraidMove, BraidWord, apply_braid_word, monodromy
 from vanlat.cli import main
-from vanlat.conjugation import LevelAnalysis
+from vanlat.conjugation import LevelAnalysis, MorseSpec, RealPoint, build_sigma
 from vanlat.gen import (flip_last_sign, generate_level, level_with_cycles,
                         random_braid_word, random_icis_instance, random_lattice)
 from vanlat.index import (cycle_index_sum, gradient_index, sign_independence_check,
@@ -477,16 +480,14 @@ def _kernel_cost(monkeypatch):
 
 def _elimination_cost(monkeypatch):
     """Charge each elimination step, under every name a vanlat module
-    binds it to, the rows it is handed times the width of its pivot row.
-    ``row_reduce`` hands a generator of rows, so they are counted as a
-    list."""
+    binds it to, the rows it is handed, a range or a list, times the width
+    of its pivot row."""
     cost = collections.Counter()
     step = intmat.eliminate
 
-    def charging(m, k, c, rows, prev):
-        rows = list(rows)
+    def charging(m, k, rows, prev):
         cost[None] += len(rows) * len(m[k])
-        return step(m, k, c, rows, prev)
+        return step(m, k, rows, prev)
     rebind(monkeypatch, step, charging)
     return cost
 
@@ -524,6 +525,40 @@ def test_dense_costs_grow_at_most_cubically(monkeypatch, run):
     costs = _costs(monkeypatch, run, lattices)
     assert costs[0] > 0
     assert max(b / a for a, b in zip(costs, costs[1:])) <= 8.5, costs
+
+
+def _refused_level(nu):
+    """A dense random lattice of rank ``nu`` with the forced-block sigma of
+    real points of alternating Morse index: its form ``var_inverse *
+    sigma`` is dense upper triangular, so the certificate refuses it."""
+    lat = random_lattice(random.Random(nu), nu, 1)
+    return lat, build_sigma(MorseSpec(tuple(RealPoint(r % 2) for r in range(nu))), 1, ())
+
+
+def test_refused_level_verdict_costs_grow_at_most_cubically(monkeypatch):
+    # the verdict of a level the certificate refuses builds the monodromy,
+    # the companion and the companion's square; on ranks 32, 64 and 128
+    # each doubling multiplies their kernel cost by at most 8.5
+    levels = [_refused_level(nu) for nu in (32, 64, 128)]
+    analyses = []
+
+    def verdict(level):
+        analyses.append(LevelAnalysis(*level))
+        return analyses[-1].inconsistency
+    costs = _costs(monkeypatch, verdict, levels)
+    assert costs[0] > 0
+    assert max(b / a for a, b in zip(costs, costs[1:])) <= 8.5, costs
+    assert all(analysis.inconsistency is not None and "companion" in vars(analysis)
+               for analysis in analyses)
+
+
+def test_det_hands_its_steps_the_rows_below_each_pivot(monkeypatch):
+    # forward elimination hands step k of an n x n gram the n - 1 - k rows
+    # below its pivot, each n wide, on the dense random grams of ranks 16,
+    # 32 and 64, each one component
+    grams = [random_lattice(random.Random(nu), nu, 1).gram for nu in (16, 32, 64)]
+    costs = _costs(monkeypatch, IntMatrix.det, grams, charge=_elimination_cost)
+    assert costs == [n * n * (n - 1) // 2 for n in (16, 32, 64)] == [1920, 15872, 129024]
 
 
 @pytest.mark.parametrize("run", [IntMatrix.det, exact_signature],
