@@ -72,7 +72,7 @@ class BraidWord:
         return next((m for m in self.moves if m.j > m.last_position(nu)), None)
 
 
-_TOKEN = re.compile(r"([aAf])(\d+)$")
+_TOKEN = re.compile(r"([aAf])([0-9]+)$")
 
 
 def parse_braid_word(text: str) -> BraidWord:

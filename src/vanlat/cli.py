@@ -196,8 +196,8 @@ def cmd_braid(args):
         print("note: dropping basis-bound conjugation/cycle data of level %d"
               % target, file=sys.stderr)
     new_level = LevelData(level.i, new_lat, None, None)
-    new_levels = tuple(new_level if lv.i == target else lv
-                       for lv in inst.levels)
+    new_levels = tuple([new_level if lv.i == target else lv
+                        for lv in inst.levels])
     new_inst = IcisInstance(inst.n, inst.p, inst.signs, new_levels)
     prov = ["braid word '%s' applied to level %d" % (word, target)]
     if dropped:

@@ -125,8 +125,8 @@ class MorseSpec:
     @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
         """``(start, end)`` of the diagonal block of each slot."""
-        return tuple((start, start + size) for start, size, _ in self.blocks()
-                     for _ in range(size))
+        return tuple([(start, start + size) for start, size, _ in self.blocks()
+                      for _ in range(size)])
 
     def forced_form(self, parity: int) -> IntMatrix:
         """The block diagonal form ``B`` that ``var_inverse * sigma`` must be
@@ -294,6 +294,13 @@ class LevelAnalysis:
         return self.conj.sigma * self.monodromy
 
     @cached_property
+    def _sigma_is_involution(self) -> bool:
+        """Whether sigma squares to the identity, by one square: the
+        generator's check (:func:`build_level`) and :attr:`inconsistency`
+        both read this verdict."""
+        return self.conj.sigma.is_involution()
+
+    @cached_property
     def _product(self) -> IntMatrix:
         """``var_inverse * sigma``, built once, whether or not the level
         is consistent: :attr:`form` returns it, and :attr:`inconsistency`
@@ -322,9 +329,10 @@ class LevelAnalysis:
         (:func:`build_level`): its sigma has been squared once and
         ``var_inverse`` equals ``B * sigma``, so its form is the forced
         block form ``B``, which certifies it, and the verdict is ``None``
-        there without a second square of sigma.
+        there without a second square of sigma.  A generated level that
+        fails its check reads the generator's verdict on sigma here.
         """
-        if (self.conj.sigma.is_involution()
+        if (self._sigma_is_involution
                 and _certifies_consistency(self._product, self.conj.morse.spans)):
             return None
         tilde = self.companion
@@ -382,8 +390,8 @@ class LevelAnalysis:
                     % (start, form[diff], want[diff]))
 
         def block(m):
-            return tuple(tuple(m[r, c] for c in range(start, end))
-                         for r in range(start, end))
+            return tuple([tuple([m[r, c] for c in range(start, end)])
+                          for r in range(start, end)])
         return ("pair block at slot %d: got %s, expected %s"
                 % (start, block(form), block(want)))
 
@@ -514,9 +522,10 @@ def build_level(parity: int, morse: MorseSpec, k_entries, couplings
     ``var_inverse * sigma`` is never formed.  ``var_inverse == V`` alone
     fails only where ``V`` is not of the shape of ``var_inverse``, and
     ``sigma^2 = I`` alone says nothing of the gram.  A level that passes
-    is recorded consistent with the form ``B``, and sigma is not squared
-    again; one that fails raises :class:`GeneratedLevelError` with its
-    :meth:`LevelAnalysis.block_structure_problem`.
+    is recorded consistent with the form ``B``; one that fails raises
+    :class:`GeneratedLevelError` with its
+    :meth:`LevelAnalysis.block_structure_problem`.  Either way sigma is
+    not squared again: the analysis keeps the verdict.
     """
     form = morse.forced_form(parity)
     sigma = _build_sigma(morse, k_entries, couplings)
@@ -524,7 +533,7 @@ def build_level(parity: int, morse: MorseSpec, k_entries, couplings
     lat = _lattice_of(parity, v)
     conj = ConjugationData(sigma, morse)
     analysis = LevelAnalysis(lat, conj)
-    if not (sigma.is_involution() and analysis.var_inverse == v):
+    if not (analysis._sigma_is_involution and analysis.var_inverse == v):
         raise GeneratedLevelError(lat, conj, analysis.block_structure_problem())
     analysis._product = form
     analysis.inconsistency = None

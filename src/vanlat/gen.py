@@ -172,7 +172,7 @@ def random_icis_instance(seed: int, n: int, p: int, rank_bound: int,
     :meth:`~vanlat.index.LevelData.from_analysis` from the analysis that
     checked it."""
     rng = random.Random(seed)
-    signs = SignVector(tuple(rng.choice((1, -1)) for _ in range(p + 1)))
+    signs = SignVector(tuple([rng.choice((1, -1)) for _ in range(p + 1)]))
     levels = []
     for i in range(p + 1):
         parity = n + i
@@ -214,9 +214,9 @@ def flip_last_sign(inst: IcisInstance) -> IcisInstance:
     d = diagonal_sign(parity)
     new_gram = _reversed(lat.gram.transpose())
     new_sigma = _reversed(level0.analysis.companion)
-    new_points = tuple(RealPoint(parity - pt.morse_index) if isinstance(pt, RealPoint)
-                       else ConjugatePair(-d * lat.gram[s, s + 1])
-                       for s, _, pt in reversed(list(conj.morse.blocks())))
+    new_points = tuple([RealPoint(parity - pt.morse_index) if isinstance(pt, RealPoint)
+                        else ConjugatePair(-d * lat.gram[s, s + 1])
+                        for s, _, pt in reversed(list(conj.morse.blocks()))])
     new_lat = ThimbleLattice(parity, new_gram)
     new_conj = ConjugationData(new_sigma, MorseSpec(new_points))
     if level0.cycles is not None:

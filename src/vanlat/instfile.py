@@ -469,7 +469,7 @@ def _canonical_morse(text):
     parts = _POINT_PARTS.findall(text)
     point = {part: (RealPoint if part[0] == "real" else ConjugatePair)(int(part[1]))
              for part in set(parts)}
-    return MorseSpec(tuple(map(point.__getitem__, parts)))
+    return MorseSpec(tuple(list(map(point.__getitem__, parts))))
 
 
 def _load_yaml(text):
@@ -535,8 +535,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if len(raw_levels) != p + 1:
         raise InstanceFormatError("expected %d levels, got %d"
                                   % (p + 1, len(raw_levels)), where="levels")
-    levels = tuple(_level(raw, i, n + i, "levels[%d]" % i)
-                   for i, raw in enumerate(raw_levels))
+    levels = tuple([_level(raw, i, n + i, "levels[%d]" % i)
+                    for i, raw in enumerate(raw_levels)])
     instance = IcisInstance(n, p, signs, levels)
 
     raw_words = data.get("braid_words")
@@ -547,9 +547,14 @@ def parse_instance_text(text: str) -> InstanceDocument:
         if not isinstance(text_word, str):
             raise InstanceFormatError("expected string", where="braid_words[%d]" % k)
         try:
-            words.append(parse_braid_word(text_word))
+            word = parse_braid_word(text_word)
         except ValueError as e:
             raise InstanceFormatError(str(e), where="braid_words[%d]" % k)
+        if str(word) != text_word:  # the writer would spell it otherwise
+            raise InstanceFormatError("braid word %r is not spelled as %r"
+                                      % (text_word, str(word)),
+                                      where="braid_words[%d]" % k)
+        words.append(word)
 
     expected = {} if data.get("expected") is None else data["expected"]
     if not isinstance(expected, dict):

@@ -15,6 +15,14 @@ each larger component by forward-only fraction-free (Bareiss)
 elimination (:func:`bareiss_det`); the one inverse, which no library path
 takes, is the determinant times the adjugate, cofactor by cofactor.
 
+Every tuple the package builds is built at its final size, from a list or
+another sized source, never from a ``map``, ``zip``, generator expression
+or other iterator with no length hint.  CPython fills such an iterator's
+tuple in 10 slots and resizes it, so a tuple of up to 20 entries built
+that way is drawn from one size's free list and, once freed, parked in
+another's, and over thousands of small rows these lists fill to their cap
+and hold megabytes that only a full collection gives back.
+
 Operator convention used throughout the package: the matrix ``M`` of a
 linear map sends the ``i``-th basis vector to ``sum_j M[j][i] * f_j``,
 i.e. images are the *columns* of ``M``.
@@ -102,8 +110,10 @@ class IntMatrix:
     def __init__(self, rows, ncols=None):
         """Rows are tuples, lists or dicts ``{col: value}``, each stored as
         :func:`store_row` chooses; ``ncols`` is taken from the first row
-        when not given, and is 0 without rows."""
-        rows = tuple(rows)
+        when not given, and is 0 without rows.  Rows given by an iterator
+        are listed first, so that their tuple is built at its final size."""
+        if type(rows) is not tuple:
+            rows = tuple(rows if type(rows) is list else list(rows))
         if not rows:
             ncols = 0
         elif ncols is None:
@@ -114,7 +124,7 @@ class IntMatrix:
         if ncols >= SPARSE_MIN_COLS or dict in kinds:
             rows = tuple([store_row(row, ncols) for row in rows])
         elif list in kinds:
-            rows = tuple(map(tuple, rows))
+            rows = tuple([tuple(row) for row in rows])
         _set_stored_rows(self, rows)
         _set_ncols(self, ncols)
 
@@ -168,7 +178,7 @@ class IntMatrix:
     @property
     def rows(self):
         """The rows as a hashable tuple of dense row tuples."""
-        return tuple(map(dense_row, self.stored_rows, repeat(self.ncols)))
+        return tuple(list(map(dense_row, self.stored_rows, repeat(self.ncols))))
 
     def __getitem__(self, key):
         r, c = key
@@ -184,8 +194,8 @@ class IntMatrix:
 
     def diagonal(self):
         """The entries ``(a[0][0], a[1][1], ...)``, read off the stored rows."""
-        return tuple(row.get(r, 0) if type(row) is dict else row[r]
-                     for r, row in enumerate(self.stored_rows[:self.ncols]))
+        return tuple([row.get(r, 0) if type(row) is dict else row[r]
+                      for r, row in enumerate(self.stored_rows[:self.ncols])])
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -193,8 +203,8 @@ class IntMatrix:
         return self.ncols == other.ncols and self.stored_rows == other.stored_rows
 
     def __hash__(self):
-        return hash((self.ncols, tuple(frozenset(r.items()) if type(r) is dict else r
-                                       for r in self.stored_rows)))
+        return hash((self.ncols, tuple([frozenset(r.items()) if type(r) is dict else r
+                                        for r in self.stored_rows])))
 
     def __repr__(self):
         return "IntMatrix(rows=%r)" % (self.rows,)
@@ -205,7 +215,7 @@ class IntMatrix:
         if isinstance(other, int):
             scale = other.__mul__
             return IntMatrix([{c: scale(v) for c, v in r.items()} if type(r) is dict
-                              else tuple(map(scale, r)) for r in self.stored_rows],
+                              else tuple(list(map(scale, r))) for r in self.stored_rows],
                              self.ncols)
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -249,9 +259,9 @@ class IntMatrix:
             return False
         rows = self.stored_rows
         if dict not in set(map(type, rows)):
-            cols = zip(*rows)
+            cols = list(zip(*rows))
             if sign == -1:
-                cols = (tuple(map(neg, col)) for col in cols)
+                cols = [tuple(list(map(neg, col))) for col in cols]
             return rows == tuple(cols)
         for r, row in enumerate(rows):
             for c, v in row_items(row):
@@ -335,7 +345,7 @@ def _add_rows(a, b):
         for c, v in b.items():
             out[c] += v
         return out
-    return tuple(map(add, a, b))
+    return tuple(list(map(add, a, b)))
 
 
 def transposed(rows, width):

@@ -57,7 +57,7 @@ def gram_rows(size: int, parity: int, upper) -> tuple[tuple[int, ...], ...]:
         for c, v in enumerate(right, r + 1):
             rows[c][r] = eps * v
         start += size - 1 - r
-    return tuple(map(tuple, rows))
+    return tuple([tuple(row) for row in rows])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def var_inverse(lat: ThimbleLattice) -> IntMatrix:
             upper = {c: -v for c, v in row.items() if c > r}
             upper[r] = d
         else:
-            upper = (0,) * r + (d,) + tuple(map(neg, row[r + 1:]))
+            upper = (0,) * r + (d,) + tuple(list(map(neg, row[r + 1:])))
         rows.append(upper)
     return IntMatrix(rows, lat.nu)
 

@@ -365,6 +365,14 @@ def test_braid_malformed_word(capsys):
         2, "", "malformed braid word: malformed braid token 'z9'\n")
 
 
+def test_braid_position_takes_ascii_digits_only(capsys):
+    # "\u0661" is ARABIC-INDIC DIGIT ONE: a decimal digit that int() reads
+    # as 1, which the writer would spell "a1"
+    code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a\u0661")
+    assert (code, out, err) == (
+        2, "", "malformed braid word: malformed braid token 'a\u0661'\n")
+
+
 def test_braid_out_of_range_move(capsys):
     code, out, err = run(capsys, "braid", instance_path("a2_lattice.vl"), "a5")
     assert (code, out, err) == (2, "", "move a5 out of range for rank 2\n")

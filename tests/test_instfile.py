@@ -246,6 +246,33 @@ def test_each_reader_refusal_is_located(tmp_path, capsys, text, where):
     _rejected_at(tmp_path, capsys, text, where)
 
 
+_A2_LATTICE = instance_path("a2_lattice.vl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("reader", ["canonical", "yaml"])
+@pytest.mark.parametrize("word", ["a01 A1", "a1  A1", "a1 A1 "],
+                         ids=["leading-zero", "two-spaces", "trailing-space"])
+def test_a_braid_word_the_writer_spells_otherwise_is_refused(tmp_path, capsys,
+                                                             word, reader):
+    # the writer spells each of these "a1 A1", so reading one back would
+    # break parse-then-serialize being the identity on canonical files;
+    # each reader refuses it, the canonical one on a flow list and YAML on
+    # a block list
+    new = ('braid_words: ["%s"]' if reader == "canonical"
+           else 'braid_words:\n- "%s"') % word
+    text = _A2_LATTICE.replace('braid_words: ["a1 A1"]', new)
+    assert (_read_canonical(text) is None) == (reader == "yaml")
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance_text(text)
+    assert err.value.where == "braid_words[0]"
+    path = tmp_path / "bad.vl"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: braid word %r is not spelled as 'a1 A1' at braid_words[0]\n"
+        % word)
+
+
 @pytest.mark.parametrize("char", ["\x07", "\x00", "\x7f", "\x9b"],
                          ids=["bel", "nul", "del", "c1-csi"])
 def test_a_character_yaml_refuses_is_one_located_line(tmp_path, capsys, char):

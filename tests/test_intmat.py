@@ -862,6 +862,46 @@ def test_no_inexact_arithmetic_outside_the_oracles():
     assert offenders == []
 
 
+# The calls whose iterator has no length hint, so that tuple() over it
+# fills a 10-slot tuple and resizes it (see the intmat module docstring).
+_UNSIZED = {"map", "zip", "filter", "compress", "islice", "enumerate"}
+
+
+def _unsized_tuple_calls(source):
+    """The line of each ``tuple()`` call in ``source`` that is handed a
+    generator expression or a call of one of :data:`_UNSIZED`, under its
+    own name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and node.args):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Call):
+            called = getattr(arg.func, "id", getattr(arg.func, "attr", None))
+            if called in _UNSIZED:
+                lines.append(node.lineno)
+        elif isinstance(arg, ast.GeneratorExp):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_tuple_is_built_at_its_final_size():
+    # no module hands tuple() an iterator with no length hint; the finder
+    # catches each such spelling and passes the sized ones
+    found = ["tuple(x for x in y)", "tuple(map(f, y))", "tuple(zip(a, b))",
+             "tuple(filter(None, y))", "tuple(itertools.compress(a, b))",
+             "tuple(islice(y, 3))", "tuple(enumerate(y))"]
+    sized = ["tuple([x for x in y])", "tuple(list(map(f, y)))", "tuple(y)",
+             "tuple(sorted(y))", "tuple()"]
+    assert _unsized_tuple_calls("\n".join(found)) == list(range(1, len(found) + 1))
+    assert _unsized_tuple_calls("\n".join(sized)) == []
+    offenders = {path.name: lines
+                 for path in sorted(pathlib.Path(vanlat.__file__).parent.glob("*.py"))
+                 if (lines := _unsized_tuple_calls(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
 @st.composite
 def _flow_rows(draw):
     # rows of widths 0-40 at every fill, with negative entries and

@@ -17,7 +17,8 @@ checked once, by the generator, and never again by ``verify``; it forms
 no ``var_inverse * sigma``, since its form is known to be ``B``.  The
 braid-invariance family of ``verify`` applies each word once and never
 inverts the basis change.  Each level's sigma is squared once, whether
-it was assembled by ``build_sigma``, read from a file or generated.
+it was assembled by ``build_sigma``, read from a file or generated, and
+also where a generated level fails its check.
 Each matrix row is stored by its fill: every matrix of the A_64 tower's
 analysis, and its ``var``, is
 sparse and the row kernel sums it as dicts, with no dense row built,
@@ -36,17 +37,25 @@ random grams; ``det`` eliminates forward only, so its steps are handed
 exactly ``n^2 (n - 1) / 2`` row widths on a dense ``n x n`` gram.  The
 counts are deterministic, so these growth gates cannot flake where
 timings would.
+
+Ten ``verify`` runs at rank bound 16, with the collector off, leave at
+most 8,000 memory blocks allocated: no tuple the package builds is made
+by resizing, which would park it in CPython's per-size tuple free lists.
 """
 
 import collections
 import contextlib
 import io
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from functools import cached_property
 
 import pytest
 
-from conftest import a_k_instance, a_k_level, instance_path, rebind
+from conftest import a_k_instance, a_k_level, coupled_alike, instance_path, rebind
 from vanlat import conjugation, gen, intmat, suite, variation
 from vanlat.basis import BraidMove, BraidWord, apply_braid_word, monodromy
 from vanlat.cli import main
@@ -178,6 +187,28 @@ def test_each_route_squares_its_sigma_once(monkeypatch, tmp_path):
     inst = random_icis_instance(5, 1, 0, 16)
     gradient_index(inst)
     assert len(squared) == 1 and squared[0] is inst.levels[0].conj.sigma.stored_rows
+
+
+def test_a_generated_level_squares_its_sigma_once_on_either_path(monkeypatch):
+    # the generator's check and the consistency verdict read one verdict on
+    # sigma: a level that passes squares sigma alone, and one that fails
+    # (S coupled between real slots of one sign, so sigma is no involution)
+    # squares sigma and then its companion, for the block-form problem
+    squared = []
+    square = intmat.squares_to_identity
+
+    def counting(rows):
+        squared.append(rows)
+        return square(rows)
+    rebind(monkeypatch, square, counting)
+    analysis = generate_level(5, 16, 1)
+    assert len(squared) == 1 and squared[0] is analysis.conj.sigma.stored_rows
+    squared.clear()
+    monkeypatch.setattr(conjugation, "_build_sigma",
+                        coupled_alike(conjugation._build_sigma))
+    with pytest.raises(conjugation.GeneratedLevelError) as caught:
+        generate_level(5, 16, 1)
+    assert len(squared) == 2 and squared[0] is caught.value.conj.sigma.stored_rows
 
 
 def test_generator_takes_neither_var_nor_build_sigma(monkeypatch):
@@ -585,3 +616,33 @@ def test_a_k_costs_grow_at_most_linearly(monkeypatch, read):
         LevelAnalysis(level.lattice, level.conj), read), levels)
     assert costs[0] > 0
     assert max(b / a for a, b in zip(costs, costs[1:])) <= 2.2, costs
+
+
+# Ten verify runs at rank bound 16 after a warm-up, in a fresh interpreter
+# with the collector off: the memory blocks they leave allocated.
+_RETAINED_BLOCKS = """\
+import gc, sys
+from vanlat.suite import run_verification
+run_verification(20240001, 70, 16)
+gc.collect()
+gc.disable()
+before = sys.getallocatedblocks()
+for s in range(10):
+    run_verification(1000 + s, 140, 16)
+print(sys.getallocatedblocks() - before)
+"""
+
+
+def test_verify_parks_no_resized_tuples_in_the_free_lists():
+    # tuple() over an iterator with no length hint fills a 10-slot tuple
+    # and resizes it, so each such tuple of 1 to 20 entries, once freed,
+    # parks in its size's free list (up to 2,000 per size) while the
+    # 10-slot list it was drawn from runs dry; a tuple built at its final
+    # size is drawn from and freed to one list.  On CPython 3.11 the runs
+    # leave 2,122 blocks with every tuple built at its final size, and
+    # 29,563 with the package's rows, entries and points built by resizing
+    src = pathlib.Path(intmat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _RETAINED_BLOCKS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) <= 8000, done.stdout
